@@ -25,6 +25,9 @@ cargo test --workspace -q
 step "tests: hchol-blas without default features (no 'parallel')"
 cargo test -q -p hchol-blas --no-default-features
 
+step "allocation budget (tile-shape level-3 calls allocate once, then never)"
+cargo test --release -q -p hchol-blas --test alloc_budget
+
 step "rustdoc (deny warnings + broken intra-doc links, no deps)"
 RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
     cargo doc --no-deps --workspace
@@ -87,7 +90,7 @@ cargo test -q --test balance
 step "multi-device sharding suite (bit-identity, device loss, conformance)"
 cargo test -q --test shard
 
-step "kernel bench sweep (quick) -> BENCH_kernels.json"
+step "kernel bench sweep (quick) -> target/BENCH_kernels.quick.json"
 cargo bench -p hchol-bench --bench kernels -- --quick
 
 step "fused verification overhead sweep (quick) -> BENCH_fused.json"

@@ -4,16 +4,22 @@
 //!
 //! Besides the small-size criterion groups, the main sweep times the blocked
 //! level-3 engine against the naive seed kernels at n ∈ {256, 512, 1024,
-//! 2048}, then sweeps the threaded engine with and without the fused
-//! checksum epilogue at n ∈ {2048, 4096} × 1/2/4 threads, and writes the
-//! GFLOP/s of every kernel to `BENCH_kernels.json` (machine-readable;
-//! consumed by CI and EXPERIMENTS.md). Pass `--quick` to stop the sweeps at
-//! n = 1024 and shorten per-point timing budgets.
+//! 2048}, then the tile shapes the ABFT run loop really issues (NT GEMM,
+//! right-TRSM, POTF2, the 2×b checksum update and the 2×b encode at b ∈ {64,
+//! 128, 256}, min and median over repeats), then sweeps the threaded engine
+//! with and without the fused checksum epilogue at n ∈ {2048, 4096} × 1/2/4
+//! threads, and writes the GFLOP/s of every kernel to `BENCH_kernels.json`
+//! at the repo root (machine-readable; consumed by EXPERIMENTS.md). Pass
+//! `--quick` to stop the sweeps at n = 1024 and shorten per-point timing
+//! budgets; a quick run writes `target/BENCH_kernels.quick.json` and leaves
+//! the root artifact — full runs only — alone.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use hchol_blas::flops;
 use hchol_blas::par::{par_gemm, par_gemm_fused_with_threads, par_gemm_with_threads};
 use hchol_blas::{gemm, naive_gemm, naive_syrk, potf2, syrk, trsm};
+use hchol_core::checksum::{encode, encode_into};
+use hchol_core::chkops::update_product;
 use hchol_matrix::generate::{spd_diag_dominant, uniform};
 use hchol_matrix::{Diag, Matrix, Side, Trans, Uplo};
 use std::hint::black_box;
@@ -119,6 +125,17 @@ struct Entry {
     gflops: f64,
 }
 
+/// One kernel at one tile shape of the ABFT run loop.
+#[derive(serde::Serialize)]
+struct TileEntry {
+    kernel: String,
+    b: usize,
+    min_seconds: f64,
+    median_seconds: f64,
+    /// Flops ÷ median seconds.
+    gflops: f64,
+}
+
 #[derive(serde::Serialize)]
 struct FusedEntry {
     n: usize,
@@ -135,6 +152,8 @@ struct Report {
     threads: usize,
     quick: bool,
     results: Vec<Entry>,
+    /// The per-tile kernels `ops.rs` issues, at the block sizes it issues them.
+    tiles: Vec<TileEntry>,
     /// Fused vs. unfused epilogue throughput across sizes and team sizes.
     fused: Vec<FusedEntry>,
     /// gemm_blocked GFLOP/s ÷ gemm_naive GFLOP/s at n = 1024
@@ -245,9 +264,107 @@ fn sweep(quick: bool) -> Report {
         threads: std::thread::available_parallelism().map_or(1, |t| t.get()),
         quick,
         results,
+        tiles: tile_sweep(quick),
         fused: fused_sweep(quick, budget),
         speedup_gemm_n1024: speedup,
     }
+}
+
+/// Seconds per call of `f` as (min, median) over `reps` timed batches; a
+/// batch repeats the call until it spans ~1 ms, so microsecond kernels are
+/// timed well above the clock's resolution.
+fn time_tile<F: FnMut()>(mut f: F, reps: usize) -> (f64, f64) {
+    f();
+    let one = Instant::now(); // lint:allow(wall-clock) — real kernel timing
+    f();
+    let iters = (1e-3 / one.elapsed().as_secs_f64().max(1e-9)).clamp(1.0, 1e4) as u32;
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now(); // lint:allow(wall-clock) — real kernel timing
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_secs_f64() / f64::from(iters)
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    (samples[0], samples[samples.len() / 2])
+}
+
+/// The kernels one iteration of the ABFT run loop issues, at its tile
+/// shapes: `b³` NT GEMM, `b×b` right-TRSM against Lᵀ, `b×b` POTF2, the
+/// `2×b · b×b` checksum update and the `2×b` checksum encode.
+fn tile_sweep(quick: bool) -> Vec<TileEntry> {
+    let reps = if quick { 7 } else { 31 };
+    let mut out = Vec::new();
+    let mut push = |kernel: &str, b: usize, (min, median): (f64, f64), fl: u64| {
+        let gflops = fl as f64 / median / 1e9;
+        println!(
+            "  {kernel:<14} b={b:<4} min {:>9.2} us  median {:>9.2} us  {gflops:>7.2} GFLOP/s",
+            min * 1e6,
+            median * 1e6
+        );
+        out.push(TileEntry {
+            kernel: kernel.to_string(),
+            b,
+            min_seconds: min,
+            median_seconds: median,
+            gflops,
+        });
+    };
+    for b in [64usize, 128, 256] {
+        let lik = uniform(b, b, -1.0, 1.0, 31);
+        let ljk = uniform(b, b, -1.0, 1.0, 32);
+        let mut tij = Matrix::zeros(b, b);
+        let t = time_tile(
+            || gemm(Trans::No, Trans::Yes, -1.0, &lik, &ljk, 1.0, &mut tij),
+            reps,
+        );
+        push("gemm_nt", b, t, flops::gemm(b, b, b));
+
+        let mut ljj = spd_diag_dominant(b, 33);
+        potf2(&mut ljj, 0).unwrap();
+        // Solve and factor in place, so each timed call first restores its
+        // input (a b² copy, a few percent of the b³ kernel).
+        let rhs = uniform(b, b, -1.0, 1.0, 34);
+        let mut panel = rhs.clone();
+        let t = time_tile(
+            || {
+                panel.as_mut_slice().copy_from_slice(rhs.as_slice());
+                trsm(
+                    Side::Right,
+                    Uplo::Lower,
+                    Trans::Yes,
+                    Diag::NonUnit,
+                    1.0,
+                    &ljj,
+                    &mut panel,
+                );
+            },
+            reps,
+        );
+        push("trsm_right", b, t, flops::trsm(b, b));
+
+        let spd = spd_diag_dominant(b, 35);
+        let mut w = spd.clone();
+        let t = time_tile(
+            || {
+                w.as_mut_slice().copy_from_slice(spd.as_slice());
+                potf2(&mut w, 0).unwrap();
+            },
+            reps,
+        );
+        push("potf2", b, t, flops::potf2(b));
+
+        let chk_src = encode(&lik);
+        let mut chk = encode(&tij);
+        let t = time_tile(|| update_product(&mut chk, &chk_src, &ljk), reps);
+        push("update_product", b, t, flops::gemm(2, b, b));
+
+        let t = time_tile(|| encode_into(black_box(&lik), &mut chk), reps);
+        push("encode_into", b, t, flops::gemm(2, b, b));
+    }
+    out
 }
 
 /// Fused vs. unfused epilogue throughput of the threaded level-3 engine,
@@ -340,7 +457,15 @@ fn main() {
     let env = hchol_obs::envelope("bench", "kernels", serde::Serialize::to_value(&report));
     let json = serde_json::to_string_pretty(&env).expect("serialize report");
     // Anchor to the workspace root: cargo runs benches from the package dir.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(path, json).expect("write BENCH_kernels.json");
+    // The root artifact is full-run only; a quick pass lands under target/.
+    let path = if quick {
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/BENCH_kernels.quick.json"
+        )
+    } else {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json")
+    };
+    std::fs::write(path, json).expect("write kernel bench artifact");
     println!("wrote {path}");
 }

@@ -12,13 +12,16 @@
 //! ```
 //!
 //! `beta` is applied to the whole of `C` once, up front; the engine then only
-//! ever accumulates `alpha·op(A)·op(B)`. Products below [`BLOCK_THRESHOLD`]
-//! fall back to the seed column-loop kernels in [`super::naive`], whose
-//! per-call overhead is lower.
+//! ever accumulates `alpha·op(A)·op(B)`. The pack buffers come out of the
+//! calling thread's grow-only arena ([`super::workspace`]), sized to the
+//! call's real extents, so a 64³ tile product pays for 64³ flops and not for
+//! a `KC×NC` allocation. Products below [`BLOCK_THRESHOLD`] — and products
+//! thinner than one micro-tile — take the column loops in [`super::naive`].
 
 use super::microkernel::{micro_kernel, MR, NR};
 use super::naive;
 use super::pack::{pack_a, pack_b, MatMut, MatRef};
+use super::workspace::{pack_len, pack_lens, with_workspace};
 use crate::cast::{as_f64, as_f64_mut};
 use hchol_matrix::{Matrix, Scalar, Trans};
 
@@ -29,8 +32,12 @@ pub const KC: usize = 256;
 /// Columns per packed B slab (bounds the shared B panel at ~`KC·NC` doubles).
 pub const NC: usize = 2048;
 
-/// Minimum `m·n·k` for the blocked engine; below this the packing overhead
-/// outweighs the cache wins and the naive loops are faster.
+/// Minimum `m·n·k` for the blocked engine. This is not the speed crossover:
+/// with the per-call allocation gone the engine overtakes the naive loops
+/// at about 12³ and is 2.2× faster at 32³ (DESIGN.md §3). It stays at 64³
+/// because the two paths round differently and the golden fixtures pin the
+/// naive bits of every product below it (32³ tiles, and the 64×32×32 rank
+/// updates inside a 64-wide TRSM); lowering it means regenerating them.
 pub const BLOCK_THRESHOLD: usize = 64 * 64 * 64;
 
 /// `C := beta·C` with BLAS semantics: `beta == 0` overwrites (clearing NaN
@@ -92,7 +99,9 @@ pub fn gemm<S: Scalar>(
             let av = MatRef::new(a64, trans_a);
             let bv = MatRef::new(b64, trans_b);
             let cv = MatMut::new(c64);
-            gemm_blocked(alpha, &av, &bv, &cv);
+            with_workspace(pack_len(m, k, n), |ws| {
+                gemm_blocked(alpha, &av, &bv, &cv, None, ws)
+            });
             return;
         }
     }
@@ -116,8 +125,9 @@ pub fn gemm_into<S: Scalar>(
 /// View-level `C += alpha·A·B` for the internal SYRK/TRSM callers:
 /// dispatches between the blocked engine and a simple loop by size.
 ///
-/// Caller guarantees `c` is disjoint from the storage behind `a`/`b`.
-pub(crate) fn gemm_views(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut) {
+/// Caller guarantees `c` is disjoint from the storage behind `a`/`b`, and
+/// that `ws` holds at least [`pack_len`]`(m, k, n)` doubles.
+pub(crate) fn gemm_views(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut, ws: &mut [f64]) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     debug_assert_eq!(b.rows, k);
     debug_assert!(c.rows == m && c.cols == n);
@@ -125,7 +135,7 @@ pub(crate) fn gemm_views(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut)
         return;
     }
     if use_blocked(m, n, k) {
-        gemm_blocked(alpha, a, b, c);
+        gemm_blocked(alpha, a, b, c, None, ws);
     } else {
         gemm_views_small(alpha, a, b, c);
     }
@@ -151,12 +161,6 @@ fn gemm_views_small(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut) {
     }
 }
 
-/// The three-level macro-loop around the packed micro-kernel.
-/// Computes `C += alpha · A·B` (beta is the front ends' job).
-pub(crate) fn gemm_blocked(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut) {
-    gemm_blocked_fused(alpha, a, b, c, None);
-}
-
 /// Per-call checksum accumulator for the fused epilogue: partial `v₁`
 /// (ones-weighted) and `v₂` (row-index-weighted) column sums of the C
 /// elements this call stores. In the threaded engine each thread owns one,
@@ -173,32 +177,37 @@ pub(crate) struct ChkAcc<'a> {
     pub v2: &'a mut [f64],
 }
 
-/// [`gemm_blocked`] with an optional fused checksum epilogue.
+/// The three-level macro-loop around the packed micro-kernel, with an
+/// optional fused checksum epilogue. Computes `C += alpha · A·B` (beta is the
+/// front ends' job), packing into `ws` (at least [`pack_len`]`(m, k, n)`
+/// doubles, contents arbitrary).
 ///
 /// When `epi` is set, the final `pc` slab reads every just-stored C element
 /// back (still cache-hot from the masked store) and accumulates the two
 /// weighted column sums of the *finished* `C` — covering `beta·C` and all
 /// earlier k slabs, because each slab accumulates into every element.
-pub(crate) fn gemm_blocked_fused(
+pub(crate) fn gemm_blocked(
     alpha: f64,
     a: &MatRef<'_>,
     b: &MatRef<'_>,
     c: &MatMut,
     mut epi: Option<(&mut [f64], &mut [f64])>,
+    ws: &mut [f64],
 ) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
-    let mut packed_a = vec![0.0; MC.div_ceil(MR) * MR * KC];
-    let mut packed_b = vec![0.0; KC * NC.div_ceil(NR) * NR];
+    let (a_len, b_len) = pack_lens(m, k, n);
+    let (packed_a, rest) = ws.split_at_mut(a_len);
+    let packed_b = &mut rest[..b_len];
 
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let last_slab = pc + kc == k;
-            pack_b(&b.sub(pc, jc, kc, nc), &mut packed_b);
+            pack_b(&b.sub(pc, jc, kc, nc), packed_b);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a(&a.sub(ic, pc, mc, kc), &mut packed_a);
+                pack_a(&a.sub(ic, pc, mc, kc), packed_a);
                 let c_block = c.sub(ic, jc, mc, nc);
                 let mut acc = match &mut epi {
                     Some((v1, v2)) if last_slab => Some(ChkAcc {
@@ -214,8 +223,8 @@ pub(crate) fn gemm_blocked_fused(
                     kc,
                     mc,
                     nc,
-                    &packed_a,
-                    &packed_b,
+                    packed_a,
+                    packed_b,
                     &c_block,
                     acc.as_mut(),
                 );
@@ -242,6 +251,7 @@ pub(crate) fn run_tiles(
     c_block: &MatMut,
     mut epi: Option<&mut ChkAcc<'_>>,
 ) {
+    let kernel = micro_kernel();
     for jp in 0..nc.div_ceil(NR) {
         let j0 = jp * NR;
         let nr = NR.min(nc - j0);
@@ -251,7 +261,7 @@ pub(crate) fn run_tiles(
             let mr = MR.min(mc - i0);
             let pa = &packed_a[ip * MR * kc..(ip + 1) * MR * kc];
             let mut acc = [[0.0; MR]; NR];
-            micro_kernel(kc, pa, pb, &mut acc);
+            kernel(kc, pa, pb, &mut acc);
             // Masked store: edge tiles computed full-width over the packing
             // zeros, written back only where C exists.
             for (j, col) in acc.iter().enumerate().take(nr) {
@@ -336,12 +346,19 @@ pub fn gemm_fused<S: Scalar>(
             let av = MatRef::new(a64, trans_a);
             let bv = MatRef::new(b64, trans_b);
             let cv = MatMut::new(c64);
-            let (mut v1, mut v2) = (vec![0.0; n], vec![0.0; n]);
-            gemm_blocked_fused(alpha, &av, &bv, &cv, Some((&mut v1, &mut v2)));
-            for j in 0..n {
-                chk64.set(0, j, v1[j]);
-                chk64.set(1, j, v2[j]);
-            }
+            // The two epilogue accumulators ride at the tail of the same
+            // workspace borrow as the pack buffers.
+            let packs = pack_len(m, k, n);
+            with_workspace(packs + 2 * n, |ws| {
+                let (ws, v) = ws.split_at_mut(packs);
+                v.fill(0.0);
+                let (v1, v2) = v.split_at_mut(n);
+                gemm_blocked(alpha, &av, &bv, &cv, Some((&mut *v1, &mut *v2)), ws);
+                for j in 0..n {
+                    chk64.set(0, j, v1[j]);
+                    chk64.set(1, j, v2[j]);
+                }
+            });
             return;
         }
     }

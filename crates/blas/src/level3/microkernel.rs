@@ -4,8 +4,8 @@
 //! one packed B column-panel, accumulating into a caller-provided `[[f64;
 //! MR]; NR]` tile. On x86-64 the hot path is written with explicit SIMD
 //! intrinsics — auto-vectorization of this loop proved unreliable across
-//! codegen-unit splits — selected once per process by runtime feature
-//! detection:
+//! codegen-unit splits — selected by runtime feature detection, resolved to
+//! a function pointer once per process (`micro_kernel()`):
 //!
 //! * AVX-512F: each of the NR columns is one zmm accumulator (MR = 8 lanes)
 //!   updated by a broadcast-FMA per k step;
@@ -18,33 +18,39 @@
 //! tiles. Edge tiles reuse the same full-width kernel — packing zero-pads
 //! the panels — and the caller's store step masks the overhang.
 
+use std::sync::OnceLock;
+
 /// Micro-tile rows (vector-register lanes; one zmm / two ymm of f64).
 pub const MR: usize = 8;
 /// Micro-tile columns (accumulator registers).
 pub const NR: usize = 6;
 
+/// Signature shared by every micro-kernel variant:
 /// `acc[j][i] += Σ_p pa[p·MR + i] · pb[p·NR + j]` over `kc` k-steps.
 ///
 /// `pa` is one packed A micro-panel (`MR` contiguous row values per k step),
 /// `pb` one packed B micro-panel (`NR` contiguous column values per k step).
+pub(crate) type MicroKernel = fn(usize, &[f64], &[f64], &mut [[f64; MR]; NR]);
+
+/// The micro-kernel for this CPU, resolved on first use and then a plain
+/// load: feature detection runs once per process, not once per tile.
 #[inline]
-pub(crate) fn micro_kernel(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; MR]; NR]) {
-    debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature checked; panel lengths asserted above.
-            unsafe { x86::kernel_avx512(kc, pa.as_ptr(), pb.as_ptr(), acc) };
-            return;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+pub(crate) fn micro_kernel() -> MicroKernel {
+    static KERNEL: OnceLock<MicroKernel> = OnceLock::new();
+    *KERNEL.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
         {
-            // SAFETY: features checked; panel lengths asserted above.
-            unsafe { x86::kernel_fma(kc, pa.as_ptr(), pb.as_ptr(), acc) };
-            return;
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return x86::avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                return x86::fma;
+            }
         }
-    }
-    kernel_generic(kc, pa, pb, acc);
+        kernel_generic
+    })
 }
 
 /// Portable fallback (and the reference the SIMD paths must match).
@@ -64,18 +70,31 @@ mod x86 {
     use super::{MR, NR};
     use std::arch::x86_64::*;
 
+    /// Safe entry to [`kernel_avx512`]; only [`super::micro_kernel`] hands
+    /// it out, and only after detecting AVX-512F.
+    pub fn avx512(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; MR]; NR]) {
+        assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
+        // SAFETY: selected only when AVX-512F was detected; panel lengths
+        // asserted above.
+        unsafe { kernel_avx512(kc, pa.as_ptr(), pb.as_ptr(), acc) }
+    }
+
+    /// Safe entry to [`kernel_fma`]; only [`super::micro_kernel`] hands it
+    /// out, and only after detecting AVX2 and FMA.
+    pub fn fma(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; MR]; NR]) {
+        assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
+        // SAFETY: selected only when AVX2+FMA were detected; panel lengths
+        // asserted above.
+        unsafe { kernel_fma(kc, pa.as_ptr(), pb.as_ptr(), acc) }
+    }
+
     /// One zmm per column: 6 accumulators, broadcast-FMA per (j, p).
     ///
     /// # Safety
     /// Caller guarantees AVX-512F is available and that `pa`/`pb` point to
     /// at least `kc·MR` / `kc·NR` readable doubles.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn kernel_avx512(
-        kc: usize,
-        pa: *const f64,
-        pb: *const f64,
-        acc: &mut [[f64; MR]; NR],
-    ) {
+    unsafe fn kernel_avx512(kc: usize, pa: *const f64, pb: *const f64, acc: &mut [[f64; MR]; NR]) {
         // SAFETY: caller upholds the documented contract — AVX-512F present,
         // panels hold `kc·MR` / `kc·NR` doubles — and `acc` columns are
         // exactly MR = 8 lanes wide, so every load/store is in bounds.
@@ -104,7 +123,7 @@ mod x86 {
     /// Caller guarantees AVX2 and FMA are available and that `pa`/`pb` point
     /// to at least `kc·MR` / `kc·NR` readable doubles.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn kernel_fma(kc: usize, pa: *const f64, pb: *const f64, acc: &mut [[f64; MR]; NR]) {
+    unsafe fn kernel_fma(kc: usize, pa: *const f64, pb: *const f64, acc: &mut [[f64; MR]; NR]) {
         // SAFETY: caller upholds the documented contract — AVX2+FMA present,
         // panels hold `kc·MR` / `kc·NR` doubles — and each 8-lane `acc`
         // column splits into two in-bounds 4-lane halves.
@@ -143,7 +162,7 @@ mod tests {
         let pa: Vec<f64> = (0..kc * MR).map(|v| (v as f64).sin()).collect();
         let pb: Vec<f64> = (0..kc * NR).map(|v| (v as f64).cos()).collect();
         let mut acc = [[0.0; MR]; NR];
-        micro_kernel(kc, &pa, &pb, &mut acc);
+        micro_kernel()(kc, &pa, &pb, &mut acc);
         for j in 0..NR {
             for i in 0..MR {
                 let want: f64 = (0..kc).map(|p| pa[p * MR + i] * pb[p * NR + j]).sum();
@@ -160,7 +179,7 @@ mod tests {
         let mut want = [[0.25; MR]; NR];
         kernel_generic(kc, &pa, &pb, &mut want);
         let mut got = [[0.25; MR]; NR];
-        micro_kernel(kc, &pa, &pb, &mut got);
+        micro_kernel()(kc, &pa, &pb, &mut got);
         // Same fma, same k order, independent lanes ⇒ bitwise equality.
         assert_eq!(got, want);
     }
@@ -171,14 +190,14 @@ mod tests {
         let pa = vec![1.0; kc * MR];
         let pb = vec![2.0; kc * NR];
         let mut acc = [[10.0; MR]; NR];
-        micro_kernel(kc, &pa, &pb, &mut acc);
+        micro_kernel()(kc, &pa, &pb, &mut acc);
         assert_eq!(acc, [[16.0; MR]; NR]); // 10 + 3·(1·2)
     }
 
     #[test]
     fn kc_zero_leaves_accumulator() {
         let mut acc = [[1.5; MR]; NR];
-        micro_kernel(0, &[], &[], &mut acc);
+        micro_kernel()(0, &[], &[], &mut acc);
         assert_eq!(acc, [[1.5; MR]; NR]);
     }
 }

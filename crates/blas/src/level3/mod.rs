@@ -8,11 +8,14 @@
 //!
 //! Two implementations coexist:
 //! * the **blocked engine** ([`microkernel`]/`pack` plus the macro-loops in
-//!   `gemm`), a BLIS-style cache-blocked path that packs operands and runs a
-//!   register-tiled micro-kernel — used automatically above a size threshold;
+//!   `gemm`), a BLIS-style cache-blocked path that packs operands into a
+//!   per-thread workspace arena and runs a register-tiled micro-kernel —
+//!   used automatically above a size threshold;
 //! * the **naive kernels** ([`naive_gemm`], [`naive_syrk`]), the seed
-//!   column-loop implementations, kept as the small-size fallback and as the
-//!   baseline for benchmarks and property tests.
+//!   column-loop implementations, kept for products below the threshold or
+//!   thinner than a micro-tile (with a streaming arm for the few-row
+//!   checksum updates) and as the baseline for benchmarks and property
+//!   tests.
 
 mod gemm;
 pub mod microkernel;
@@ -20,6 +23,7 @@ mod naive;
 mod pack;
 mod syrk;
 mod trsm;
+mod workspace;
 
 pub use gemm::{gemm, gemm_fused, gemm_into, BLOCK_THRESHOLD, KC, MC, NC};
 pub use naive::{naive_gemm, naive_syrk};
@@ -30,3 +34,5 @@ pub use trsm::trsm;
 pub(crate) use gemm::{apply_beta, run_tiles, use_blocked, ChkAcc};
 #[cfg(feature = "parallel")]
 pub(crate) use pack::{pack_a, pack_b, MatMut, MatRef};
+#[cfg(feature = "parallel")]
+pub(crate) use workspace::{pack_lens, with_workspace};

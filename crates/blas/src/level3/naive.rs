@@ -44,7 +44,7 @@ pub(crate) fn naive_gemm_accum<S: Scalar>(
     b: &Matrix<S>,
     c: &mut Matrix<S>,
 ) {
-    let (m, k) = trans_a.apply(a.shape());
+    let m = c.rows();
     let n = c.cols();
     let al = S::from_f64(alpha);
     match (trans_a, trans_b) {
@@ -59,12 +59,19 @@ pub(crate) fn naive_gemm_accum<S: Scalar>(
             }
         }
         // B used transposed: B[l,j] = Bᵀ stored as b[j,l].
+        // Few-row products (every m below the micro-tile height, which the
+        // blocked engine refuses) stream B instead — see `nt_skinny`.
         (Trans::No, Trans::Yes) => {
-            for j in 0..n {
-                let ccol = c.col_mut(j);
-                for l in 0..k {
-                    axpy(al * b.get(j, l), a.col(l), ccol);
-                }
+            let (a_s, b_s) = (a.as_slice(), b.as_slice());
+            match m {
+                1 => nt_skinny::<S, 1>(al, n, a_s, b_s, c.as_mut_slice()),
+                2 => nt_skinny::<S, 2>(al, n, a_s, b_s, c.as_mut_slice()),
+                3 => nt_skinny::<S, 3>(al, n, a_s, b_s, c.as_mut_slice()),
+                4 => nt_skinny::<S, 4>(al, n, a_s, b_s, c.as_mut_slice()),
+                5 => nt_skinny::<S, 5>(al, n, a_s, b_s, c.as_mut_slice()),
+                6 => nt_skinny::<S, 6>(al, n, a_s, b_s, c.as_mut_slice()),
+                7 => nt_skinny::<S, 7>(al, n, a_s, b_s, c.as_mut_slice()),
+                _ => nt_by_column(al, a, b, c),
             }
         }
         // A used transposed: C[i,j] += alpha * dot(A[:,i], B[:,j]).
@@ -90,6 +97,53 @@ pub(crate) fn naive_gemm_accum<S: Scalar>(
                     let v = c.get(i, j) + al * s;
                     c.set(i, j, v);
                 }
+            }
+        }
+    }
+}
+
+/// `C += al · A · Bᵀ`, one output column at a time: `k` axpys of `A`'s
+/// columns into `C[:,j]`, reading row `j` of `B` with stride `n`.
+fn nt_by_column<S: Scalar>(al: S, a: &Matrix<S>, b: &Matrix<S>, c: &mut Matrix<S>) {
+    let k = a.cols();
+    for j in 0..c.cols() {
+        let ccol = c.col_mut(j);
+        for l in 0..k {
+            axpy(al * b.get(j, l), a.col(l), ccol);
+        }
+    }
+}
+
+/// [`nt_by_column`] for an `A` of exactly `M` rows, `M` below the micro-tile
+/// height (the `2 × B` checksum updates are `M = 2`), over column-major
+/// storage: `a` is `M × k`, `b` is `n × k`, `c` is `M × n`. With so few rows
+/// the column form is all loop overhead and stride-`n` reads of `B`, so run
+/// `l` outermost and stream column `l` of `B` once, contiguously, across
+/// every output column.
+///
+/// Each `C[r,j]` still receives `+= (al·b[j,l])·a[r,l]` for ascending `l`,
+/// and a zero factor still leaves it untouched ([`axpy`]'s rule, which
+/// keeps `-0.0` entries and non-finite `A` columns out of the sum — here a
+/// select instead of a branch), so the result is bit-identical to the
+/// column form.
+///
+/// `M` is a constant so the `M`-element column update unrolls, and the
+/// function is kept out of line so its slice arguments keep their no-alias
+/// guarantee; both are what lets the sweep over `j` vectorise (inlined into
+/// the dispatcher it ran 2.4× slower).
+#[inline(never)]
+fn nt_skinny<S: Scalar, const M: usize>(al: S, n: usize, a: &[S], b: &[S], c: &mut [S]) {
+    if n == 0 {
+        return;
+    }
+    for (acol, bcol) in a.chunks_exact(M).zip(b.chunks_exact(n)) {
+        let acol: &[S; M] = acol.try_into().expect("chunk of M");
+        for (ccol, &bjl) in c.chunks_exact_mut(M).zip(bcol) {
+            let ccol: &mut [S; M] = ccol.try_into().expect("chunk of M");
+            let f = al * bjl;
+            for r in 0..M {
+                let updated = ccol[r] + f * acol[r];
+                ccol[r] = if f == S::ZERO { ccol[r] } else { updated };
             }
         }
     }
@@ -175,6 +229,49 @@ mod tests {
     use crate::reference::ref_gemm;
     use hchol_matrix::approx_eq;
     use hchol_matrix::generate::uniform;
+
+    /// The skinny NT arm against the column form it replaces for m < MR:
+    /// same bits on every output element, for ordinary values and for the
+    /// zeros, signed zeros, NaNs and infinities that make the skip rule
+    /// observable. (A NaN must meet a NaN; which NaN — sign and payload —
+    /// depends on instruction operand order, which Rust leaves unspecified.)
+    fn assert_skinny_matches_column_form<S: Scalar>() {
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for m in 1..=7usize {
+            for (n, k) in [(1usize, 1usize), (5, 3), (9, 13), (33, 17)] {
+                for alpha in [-1.0, 1.0, 0.37, 0.0] {
+                    let mut a = uniform(m, k, -1.0, 1.0, 70 + m as u64);
+                    let mut b = uniform(n, k, -1.0, 1.0, 80 + n as u64);
+                    let mut c0 = uniform(m, n, -1.0, 1.0, 90 + k as u64);
+                    // Sprinkle the special values over all three operands.
+                    for (t, &v) in specials.iter().enumerate() {
+                        a.set((t + 1) % m, (2 * t + 1) % k, v);
+                        b.set((3 * t) % n, (t + 2) % k, v);
+                        c0.set(t % m, (2 * t) % n, v);
+                    }
+                    let (a, b, c0): (Matrix<S>, Matrix<S>, Matrix<S>) =
+                        (a.cast(), b.cast(), c0.cast());
+                    let mut want = c0.clone();
+                    nt_by_column(S::from_f64(alpha), &a, &b, &mut want);
+                    let mut got = c0.clone();
+                    naive_gemm_accum(Trans::No, Trans::Yes, alpha, &a, &b, &mut got);
+                    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        assert!(
+                            g.to_bits_u64() == w.to_bits_u64()
+                                || (g.to_f64().is_nan() && w.to_f64().is_nan()),
+                            "m={m} n={n} k={k} alpha={alpha} element {i}: {g:?} vs {w:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn skinny_nt_arm_is_bit_identical_to_column_form() {
+        assert_skinny_matches_column_form::<f64>();
+        assert_skinny_matches_column_form::<f32>();
+    }
 
     #[test]
     fn naive_gemm_matches_reference() {

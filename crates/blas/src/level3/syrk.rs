@@ -10,6 +10,7 @@
 use super::gemm::{encode_cols, gemm_views, use_blocked};
 use super::naive::naive_syrk_accum;
 use super::pack::{MatMut, MatRef};
+use super::workspace::{pack_len, with_workspace};
 use crate::cast::{as_f64, as_f64_mut};
 use hchol_matrix::{Matrix, Scalar, Trans, Uplo};
 
@@ -71,7 +72,12 @@ pub fn syrk<S: Scalar>(
     if use_blocked(n, n, k) {
         if let Some(a64) = as_f64(a) {
             let c64 = as_f64_mut(c).expect("a and c share one element type");
-            syrk_blocked(uplo, trans, alpha, a64, c64);
+            // One arena borrow for the whole update: the diagonal scratch
+            // tile, then the pack buffers of the largest block GEMM.
+            let tb = TB.min(n);
+            with_workspace(tb * tb + pack_len(tb, k, tb), |ws| {
+                syrk_blocked(uplo, trans, alpha, a64, c64, ws)
+            });
             return;
         }
     }
@@ -108,7 +114,9 @@ pub fn syrk_fused<S: Scalar>(
 }
 
 /// Blocked accumulation `C += alpha · op(A)·op(A)ᵀ` over the `uplo` triangle.
-fn syrk_blocked(uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, c: &mut Matrix) {
+/// `ws` holds `tb²` doubles of diagonal scratch followed by the pack buffers
+/// of a `tb × k · k × tb` product, `tb = min(TB, n)`.
+fn syrk_blocked(uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, c: &mut Matrix, ws: &mut [f64]) {
     let (n, k) = trans.apply(a.shape());
     let flip = match trans {
         Trans::No => Trans::Yes,
@@ -117,7 +125,8 @@ fn syrk_blocked(uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, c: &mut Matrix
     let av = MatRef::new(a, trans); // op(A):  n × k
     let avt = MatRef::new(a, flip); // op(A)ᵀ: k × n
     let cv = MatMut::new(c);
-    let mut scratch = vec![0.0; TB * TB];
+    let tb = TB.min(n);
+    let (scratch, ws) = ws.split_at_mut(tb * tb);
 
     for jb in (0..n).step_by(TB) {
         let nb = TB.min(n - jb);
@@ -130,13 +139,19 @@ fn syrk_blocked(uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, c: &mut Matrix
         let mut ib = lo;
         while ib < hi {
             let mb = TB.min(hi - ib);
-            gemm_views(alpha, &av.sub(ib, 0, mb, k), &bt, &cv.sub(ib, jb, mb, nb));
+            gemm_views(
+                alpha,
+                &av.sub(ib, 0, mb, k),
+                &bt,
+                &cv.sub(ib, jb, mb, nb),
+                ws,
+            );
             ib += mb;
         }
         // Diagonal block: full product into scratch, triangle-masked add.
         scratch[..nb * nb].fill(0.0);
         let sv = MatMut::from_raw(scratch.as_mut_ptr(), nb, nb, nb);
-        gemm_views(alpha, &av.sub(jb, 0, nb, k), &bt, &sv);
+        gemm_views(alpha, &av.sub(jb, 0, nb, k), &bt, &sv, ws);
         for j in 0..nb {
             let range = match uplo {
                 Uplo::Lower => j..nb,

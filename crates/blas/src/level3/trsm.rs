@@ -4,10 +4,11 @@
 //! triangle: solve with one diagonal sub-triangle, eliminate its contribution
 //! from the remaining right-hand side with a rank update (`GEMM`, routed
 //! through the blocked engine when large), then solve with the other
-//! sub-triangle. The recursion bottoms out on a materialized
-//! `TRSM_BASE × TRSM_BASE` triangle solved column-by-column, so the bulk of
-//! the flops of a large solve run at GEMM speed. Small solves keep the seed
-//! per-column substitution directly.
+//! sub-triangle. The recursion bottoms out on a `TRSM_BASE × TRSM_BASE`
+//! triangle solved column-by-column, so the bulk of the flops of a large
+//! solve run at GEMM speed; one borrow of the pack arena, sized for the
+//! largest rank update, serves the whole recursion. Small solves keep the
+//! seed per-column substitution directly.
 
 use crate::cast::{as_f64, as_f64_mut};
 use crate::level1::axpy;
@@ -16,6 +17,7 @@ use hchol_matrix::{Diag, Matrix, Scalar, Side, Trans, Uplo};
 
 use super::gemm::gemm_views;
 use super::pack::{MatMut, MatRef};
+use super::workspace::{pack_len, with_workspace};
 
 /// Triangle size at (or below) which solves run unblocked.
 const TRSM_BASE: usize = 32;
@@ -72,9 +74,16 @@ pub fn trsm<S: Scalar>(
     );
     let av = MatRef::new(a, trans);
     let bv = MatMut::new(b);
+    // One arena borrow for the whole recursion, sized for its largest rank
+    // update (the top-level split; deeper levels only shrink).
+    let half = a.rows().div_ceil(2);
     match side {
-        Side::Left => left_rec(eff_lower, diag, &av, &bv),
-        Side::Right => right_rec(eff_lower, diag, &av, &bv),
+        Side::Left => with_workspace(pack_len(half, half, n), |ws| {
+            left_rec(eff_lower, diag, &av, &bv, ws)
+        }),
+        Side::Right => with_workspace(pack_len(m, half, half), |ws| {
+            right_rec(eff_lower, diag, &av, &bv, ws)
+        }),
     }
 }
 
@@ -93,7 +102,7 @@ fn materialize_tri(av: &MatRef<'_>, eff_lower: bool) -> Matrix {
 }
 
 /// Recursive solve `op(A) · X = B` on views; `av` is the effective triangle.
-fn left_rec(eff_lower: bool, diag: Diag, av: &MatRef<'_>, b: &MatMut) {
+fn left_rec(eff_lower: bool, diag: Diag, av: &MatRef<'_>, b: &MatMut, ws: &mut [f64]) {
     let m = b.rows;
     if m <= TRSM_BASE {
         let t = materialize_tri(av, eff_lower);
@@ -113,28 +122,27 @@ fn left_rec(eff_lower: bool, diag: Diag, av: &MatRef<'_>, b: &MatMut) {
     let b1 = b.sub(0, 0, m1, n);
     let b2 = b.sub(m1, 0, m2, n);
     if eff_lower {
-        left_rec(eff_lower, diag, &a11, &b1);
+        left_rec(eff_lower, diag, &a11, &b1, ws);
         // B2 -= A21 · X1 (reads the rows just solved, writes the rest).
         // SAFETY: b1 rows [0, m1) are disjoint from b2 rows [m1, m).
         let x1 = unsafe { b1.as_ref() };
-        gemm_views(-1.0, &av.sub(m1, 0, m2, m1), &x1, &b2);
-        left_rec(eff_lower, diag, &a22, &b2);
+        gemm_views(-1.0, &av.sub(m1, 0, m2, m1), &x1, &b2, ws);
+        left_rec(eff_lower, diag, &a22, &b2, ws);
     } else {
-        left_rec(eff_lower, diag, &a22, &b2);
+        left_rec(eff_lower, diag, &a22, &b2, ws);
         // B1 -= A12 · X2.
         // SAFETY: row ranges disjoint as above.
         let x2 = unsafe { b2.as_ref() };
-        gemm_views(-1.0, &av.sub(0, m1, m1, m2), &x2, &b1);
-        left_rec(eff_lower, diag, &a11, &b1);
+        gemm_views(-1.0, &av.sub(0, m1, m1, m2), &x2, &b1, ws);
+        left_rec(eff_lower, diag, &a11, &b1, ws);
     }
 }
 
 /// Recursive solve `X · op(A) = B` on views.
-fn right_rec(eff_lower: bool, diag: Diag, av: &MatRef<'_>, b: &MatMut) {
+fn right_rec(eff_lower: bool, diag: Diag, av: &MatRef<'_>, b: &MatMut, ws: &mut [f64]) {
     let n = b.cols;
     if n <= TRSM_BASE {
-        let t = materialize_tri(av, eff_lower);
-        right_base(eff_lower, diag, &t, b);
+        right_base(eff_lower, diag, av, b);
         return;
     }
     let n1 = n / 2;
@@ -146,36 +154,36 @@ fn right_rec(eff_lower: bool, diag: Diag, av: &MatRef<'_>, b: &MatMut) {
     let b2 = b.sub(0, n1, m, n2);
     if eff_lower {
         // X1·A11 + X2·A21 = B1;  X2·A22 = B2  →  X2 first.
-        right_rec(eff_lower, diag, &a22, &b2);
+        right_rec(eff_lower, diag, &a22, &b2, ws);
         // SAFETY: b2 cols [n1, n) are disjoint from b1 cols [0, n1).
         let x2 = unsafe { b2.as_ref() };
-        gemm_views(-1.0, &x2, &av.sub(n1, 0, n2, n1), &b1);
-        right_rec(eff_lower, diag, &a11, &b1);
+        gemm_views(-1.0, &x2, &av.sub(n1, 0, n2, n1), &b1, ws);
+        right_rec(eff_lower, diag, &a11, &b1, ws);
     } else {
         // X1·A11 = B1;  X1·A12 + X2·A22 = B2  →  X1 first.
-        right_rec(eff_lower, diag, &a11, &b1);
+        right_rec(eff_lower, diag, &a11, &b1, ws);
         // SAFETY: column ranges disjoint as above.
         let x1 = unsafe { b1.as_ref() };
-        gemm_views(-1.0, &x1, &av.sub(0, n1, n1, n2), &b2);
-        right_rec(eff_lower, diag, &a22, &b2);
+        gemm_views(-1.0, &x1, &av.sub(0, n1, n1, n2), &b2, ws);
+        right_rec(eff_lower, diag, &a22, &b2, ws);
     }
 }
 
-/// Unblocked `X · T = B` where `T` is a materialized effective triangle.
-fn right_base(eff_lower: bool, diag: Diag, t: &Matrix, b: &MatMut) {
+/// Unblocked `X · T = B` where `T` is the effective triangle `av` (read in
+/// place — only the referenced triangle and the diagonal are touched).
+fn right_base(eff_lower: bool, diag: Diag, t: &MatRef<'_>, b: &MatMut) {
     let n = b.cols;
-    // Effective-lower T: column j of X depends on columns k > j (backward);
-    // effective-upper: on k < j (forward).
-    let order: Vec<usize> = if eff_lower {
-        (0..n).rev().collect()
-    } else {
-        (0..n).collect()
-    };
-    for &j in &order {
+    for step in 0..n {
+        // Effective-lower T: column j of X depends on columns k > j
+        // (backward); effective-upper: on k < j (forward).
+        let (j, ks) = if eff_lower {
+            (n - 1 - step, (n - step)..n)
+        } else {
+            (step, 0..step)
+        };
         // SAFETY: col j accessed mutably, cols k ≠ j read-only; `b` is this
         // solve's unique view of the block.
         let dst = unsafe { b.col_mut(j) };
-        let ks = if eff_lower { (j + 1)..n } else { 0..j };
         for k in ks {
             let coef = t.get(k, j);
             if coef != 0.0 {
@@ -207,17 +215,12 @@ fn right_solve<S: Scalar>(uplo: Uplo, trans: Trans, diag: Diag, a: &Matrix<S>, b
         (uplo, trans),
         (Uplo::Lower, Trans::Yes) | (Uplo::Upper, Trans::No)
     );
-    let order: Vec<usize> = if forward {
-        (0..n).collect()
-    } else {
-        (0..n).rev().collect()
-    };
-    for &j in &order {
+    for step in 0..n {
         // Eliminate contributions from already-solved columns k.
-        let ks: Vec<usize> = if forward {
-            (0..j).collect()
+        let (j, ks) = if forward {
+            (step, 0..step)
         } else {
-            ((j + 1)..n).collect()
+            (n - 1 - step, (n - step)..n)
         };
         for k in ks {
             let coef = match trans {

@@ -14,10 +14,9 @@
 //! single-core hosts fall through to the sequential engine.
 
 use crate::level2::trsv;
-use crate::level3::microkernel::{MR, NR};
 use crate::level3::{
-    apply_beta, gemm, gemm_fused, pack_a, pack_b, run_tiles, use_blocked, ChkAcc, MatMut, MatRef,
-    KC, MC, NC,
+    apply_beta, gemm, gemm_fused, pack_a, pack_b, pack_lens, run_tiles, use_blocked,
+    with_workspace, ChkAcc, MatMut, MatRef, KC, MC, NC,
 };
 use hchol_matrix::{Diag, Matrix, Trans, Uplo};
 
@@ -58,7 +57,7 @@ pub fn par_gemm(
     let av = MatRef::new(a, trans_a);
     let bv = MatRef::new(b, trans_b);
     let cv = MatMut::new(c);
-    par_gemm_blocked(alpha, &av, &bv, &cv, threads);
+    par_macro_loop(alpha, &av, &bv, &cv, threads, &mut []);
 }
 
 /// [`par_gemm`] with an explicit team size instead of the host's core
@@ -91,7 +90,7 @@ pub fn par_gemm_with_threads(
     let av = MatRef::new(a, trans_a);
     let bv = MatRef::new(b, trans_b);
     let cv = MatMut::new(c);
-    par_gemm_blocked(alpha, &av, &bv, &cv, threads);
+    par_macro_loop(alpha, &av, &bv, &cv, threads, &mut []);
 }
 
 /// Parallel [`crate::level3::gemm_fused`]: the product plus the two weighted
@@ -156,49 +155,71 @@ pub fn par_gemm_fused_with_threads(
 
 /// Threaded macro-loop: identical blocking to the sequential engine, with
 /// the `ic` stripe loop of each `(jc, pc)` block split across `threads`.
-fn par_gemm_blocked(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut, threads: usize) {
+/// The caller's thread packs each B slab into its arena, every worker packs
+/// its A stripes into its own. `tacc` holds one `(v1, v2)` epilogue accumulator
+/// pair per worker (fused), or is empty (plain).
+fn par_macro_loop(
+    alpha: f64,
+    a: &MatRef<'_>,
+    b: &MatRef<'_>,
+    c: &MatMut,
+    threads: usize,
+    tacc: &mut [(Vec<f64>, Vec<f64>)],
+) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let stripes = m.div_ceil(MC);
-    let mut packed_b = vec![0.0; KC * NC.div_ceil(NR) * NR];
-
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            pack_b(&b.sub(pc, jc, kc, nc), &mut packed_b);
-            let pb: &[f64] = &packed_b;
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let (a, c) = (*a, *c);
-                    s.spawn(move || {
-                        let mut packed_a = vec![0.0; MC.div_ceil(MR) * MR * KC];
-                        // Round-robin stripe assignment: stripe si → thread
-                        // si mod threads. Stripes are disjoint C row ranges.
-                        let mut si = t;
-                        while si < stripes {
-                            let ic = si * MC;
-                            let mc = MC.min(m - ic);
-                            pack_a(&a.sub(ic, pc, mc, kc), &mut packed_a);
-                            run_tiles(
-                                alpha,
-                                kc,
-                                mc,
-                                nc,
-                                &packed_a,
-                                pb,
-                                &c.sub(ic, jc, mc, nc),
-                                None,
-                            );
-                            si += threads;
-                        }
-                    });
-                }
-            });
+    let (a_len, b_len) = pack_lens(m, k, n);
+    with_workspace(b_len, |packed_b| {
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let last_slab = pc + kc == k;
+                pack_b(&b.sub(pc, jc, kc, nc), packed_b);
+                let pb: &[f64] = packed_b;
+                let mut accs = tacc.iter_mut();
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let (a, c) = (*a, *c);
+                        let mut acc = accs.next().filter(|_| last_slab);
+                        s.spawn(move || {
+                            with_workspace(a_len, |packed_a| {
+                                // Round-robin stripe assignment: stripe si →
+                                // thread si mod threads. Stripes are disjoint
+                                // C row ranges.
+                                let mut si = t;
+                                while si < stripes {
+                                    let ic = si * MC;
+                                    let mc = MC.min(m - ic);
+                                    pack_a(&a.sub(ic, pc, mc, kc), packed_a);
+                                    let mut epi = acc.as_mut().map(|(v1, v2)| ChkAcc {
+                                        row0: ic,
+                                        col0: jc,
+                                        v1: &mut v1[..],
+                                        v2: &mut v2[..],
+                                    });
+                                    run_tiles(
+                                        alpha,
+                                        kc,
+                                        mc,
+                                        nc,
+                                        packed_a,
+                                        pb,
+                                        &c.sub(ic, jc, mc, nc),
+                                        epi.as_mut(),
+                                    );
+                                    si += threads;
+                                }
+                            });
+                        });
+                    }
+                });
+            }
         }
-    }
+    });
 }
 
-/// [`par_gemm_blocked`] with the fused checksum epilogue: each thread owns a
+/// [`par_macro_loop`] with the fused checksum epilogue: each thread owns a
 /// private `v1`/`v2` pair that its stripes' final-slab read-backs accumulate
 /// into, and the pairs are reduced (in thread order) into the caller's
 /// vectors once every macro tile has joined.
@@ -211,52 +232,10 @@ fn par_gemm_blocked_fused(
     v1: &mut [f64],
     v2: &mut [f64],
 ) {
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    let stripes = m.div_ceil(MC);
-    let mut packed_b = vec![0.0; KC * NC.div_ceil(NR) * NR];
+    let n = b.cols;
     let mut tacc: Vec<(Vec<f64>, Vec<f64>)> =
         (0..threads).map(|_| (vec![0.0; n], vec![0.0; n])).collect();
-
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let last_slab = pc + kc == k;
-            pack_b(&b.sub(pc, jc, kc, nc), &mut packed_b);
-            let pb: &[f64] = &packed_b;
-            std::thread::scope(|s| {
-                for (t, (tv1, tv2)) in tacc.iter_mut().enumerate() {
-                    let (a, c) = (*a, *c);
-                    s.spawn(move || {
-                        let mut packed_a = vec![0.0; MC.div_ceil(MR) * MR * KC];
-                        let mut si = t;
-                        while si < stripes {
-                            let ic = si * MC;
-                            let mc = MC.min(m - ic);
-                            pack_a(&a.sub(ic, pc, mc, kc), &mut packed_a);
-                            let mut acc = last_slab.then(|| ChkAcc {
-                                row0: ic,
-                                col0: jc,
-                                v1: &mut tv1[..],
-                                v2: &mut tv2[..],
-                            });
-                            run_tiles(
-                                alpha,
-                                kc,
-                                mc,
-                                nc,
-                                &packed_a,
-                                pb,
-                                &c.sub(ic, jc, mc, nc),
-                                acc.as_mut(),
-                            );
-                            si += threads;
-                        }
-                    });
-                }
-            });
-        }
-    }
+    par_macro_loop(alpha, a, b, c, threads, &mut tacc);
     for (tv1, tv2) in &tacc {
         for j in 0..n {
             v1[j] += tv1[j];
@@ -330,7 +309,7 @@ mod tests {
 
     #[test]
     fn threaded_macro_loop_matches_sequential() {
-        // Drive par_gemm_blocked directly with several threads so the
+        // Drive par_macro_loop directly with several threads so the
         // threaded path is exercised even on single-core CI hosts.
         let (m, n, k) = (2 * MC + 9, NC.min(80) + 7, KC + 5);
         let a = uniform(m, k, -1.0, 1.0, 6);
@@ -342,7 +321,7 @@ mod tests {
         let av = MatRef::new(&a, Trans::No);
         let bv = MatRef::new(&b, Trans::No);
         let cv = MatMut::new(&mut c2);
-        par_gemm_blocked(0.9, &av, &bv, &cv, 3);
+        par_macro_loop(0.9, &av, &bv, &cv, 3, &mut []);
         assert!(approx_eq(&c1, &c2, 1e-12));
     }
 

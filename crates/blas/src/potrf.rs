@@ -10,19 +10,28 @@ use hchol_matrix::{Diag, Matrix, MatrixError, Scalar, Side, TileMatrix, Trans, U
 /// Only the lower triangle is referenced and written; the strictly upper
 /// triangle is left untouched. `pivot_offset` is added to the reported pivot
 /// index on failure so callers factoring a sub-block can report global
-/// indices.
+/// indices; on failure the columns left of the pivot hold their final `L`
+/// values and the rest of the block is unspecified.
 pub fn potf2<S: Scalar>(a: &mut Matrix<S>, pivot_offset: usize) -> Result<(), MatrixError> {
     if !a.is_square() {
         return Err(MatrixError::NotSquare { shape: a.shape() });
     }
     let n = a.rows();
     for j in 0..n {
-        // d = a[j,j] - Σ_{k<j} l[j,k]²
-        let mut d = a.get(j, j);
+        // Left-looking column update, axpy form: for ascending k < j,
+        //   a[j.., j] -= l[j,k] · l[j.., k]
+        // — the diagonal entry picks up −l[j,k]² on the way. Every element
+        // sees the same subtractions in the same order as the row-dot form,
+        // but walks stored columns instead of stride-n rows.
         for k in 0..j {
-            let ljk = a.get(j, k);
-            d -= ljk * ljk;
+            let (lk, aj) = a.col_pair_mut(k, j);
+            let ljk = lk[j];
+            for (x, &lik) in aj[j..].iter_mut().zip(&lk[j..]) {
+                *x -= lik * ljk;
+            }
         }
+        let col = &mut a.col_mut(j)[j..];
+        let d = col[0];
         if d <= S::ZERO || !d.is_finite() {
             return Err(MatrixError::NotPositiveDefinite {
                 pivot: pivot_offset + j,
@@ -30,14 +39,9 @@ pub fn potf2<S: Scalar>(a: &mut Matrix<S>, pivot_offset: usize) -> Result<(), Ma
             });
         }
         let ljj = d.sqrt();
-        a.set(j, j, ljj);
-        // Column update: l[i,j] = (a[i,j] - Σ_{k<j} l[i,k]·l[j,k]) / l[j,j]
-        for i in (j + 1)..n {
-            let mut s = a.get(i, j);
-            for k in 0..j {
-                s -= a.get(i, k) * a.get(j, k);
-            }
-            a.set(i, j, s / ljj);
+        col[0] = ljj;
+        for x in &mut col[1..] {
+            *x /= ljj;
         }
     }
     Ok(())
@@ -85,12 +89,8 @@ pub fn potrf_tiled<S: Scalar>(a: &mut TileMatrix<S>) -> Result<(), MatrixError> 
         // GEMM: A[i,j] -= L[i,k] · L[j,k]ᵀ for i > j, k < j
         for i in (j + 1)..nt {
             for k in 0..j {
-                // Borrow the target tile and the two source tiles. The two
-                // sources are distinct from the target; clone the smaller
-                // source to sidestep a triple disjoint borrow.
-                let ljk = a.tile(j, k).clone();
-                let (tij, lik) = a.tile_pair((i, j), (i, k));
-                gemm(Trans::No, Trans::Yes, -1.0, lik, &ljk, 1.0, tij);
+                let (tij, lik, ljk) = a.tile_trio((i, j), (i, k), (j, k));
+                gemm(Trans::No, Trans::Yes, -1.0, lik, ljk, 1.0, tij);
             }
             // TRSM: A[i,j] := A[i,j] · (L[j,j]ᵀ)⁻¹
             let (tij, ljj) = a.tile_pair((i, j), (j, j));
@@ -156,6 +156,97 @@ mod tests {
             potf2(&mut a, 0),
             Err(MatrixError::NotPositiveDefinite { .. })
         ));
+    }
+
+    /// The row-dot form `potf2` had before it walked columns: kept as the
+    /// bit-level oracle of the column form.
+    fn potf2_row_dot<S: Scalar>(a: &mut Matrix<S>, pivot_offset: usize) -> Result<(), MatrixError> {
+        let n = a.rows();
+        for j in 0..n {
+            let mut d = a.get(j, j);
+            for k in 0..j {
+                let ljk = a.get(j, k);
+                d -= ljk * ljk;
+            }
+            if d <= S::ZERO || !d.is_finite() {
+                return Err(MatrixError::NotPositiveDefinite {
+                    pivot: pivot_offset + j,
+                    value: d.to_f64(),
+                });
+            }
+            let ljj = d.sqrt();
+            a.set(j, j, ljj);
+            for i in (j + 1)..n {
+                let mut s = a.get(i, j);
+                for k in 0..j {
+                    s -= a.get(i, k) * a.get(j, k);
+                }
+                a.set(i, j, s / ljj);
+            }
+        }
+        Ok(())
+    }
+
+    /// Same bits, or both NaN (a NaN's sign and payload follow instruction
+    /// operand order, which Rust leaves unspecified).
+    fn same_bits<S: Scalar>(x: S, y: S) -> bool {
+        x.to_bits_u64() == y.to_bits_u64() || (x.to_f64().is_nan() && y.to_f64().is_nan())
+    }
+
+    /// Run both forms on `a`; they must agree bit for bit on everything a
+    /// caller may read: the whole block on success, the error and the
+    /// finished columns left of the pivot on failure.
+    fn assert_forms_agree<S: Scalar>(a: &Matrix<S>, offset: usize) {
+        let (mut col, mut row) = (a.clone(), a.clone());
+        let (got, want) = (potf2(&mut col, offset), potf2_row_dot(&mut row, offset));
+        let done = match (got, want) {
+            (Ok(()), Ok(())) => a.cols(),
+            (
+                Err(MatrixError::NotPositiveDefinite { pivot, value }),
+                Err(MatrixError::NotPositiveDefinite { pivot: p, value: v }),
+            ) => {
+                assert_eq!(pivot, p);
+                assert!(same_bits(value, v), "{value:?} vs {v:?}");
+                pivot - offset
+            }
+            other => panic!("forms disagree: {other:?}"),
+        };
+        for j in 0..done {
+            for i in 0..a.rows() {
+                assert!(same_bits(col.get(i, j), row.get(i, j)), "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn column_form_is_bit_identical_to_row_dot_form() {
+        for n in [1usize, 2, 7, 33, 64, 97] {
+            let a = spd_diag_dominant(n, 40 + n as u64);
+            assert_forms_agree(&a, 0);
+            assert_forms_agree(&a.cast::<f32>(), 3);
+
+            // Indefinite: positive definiteness lost at a late pivot.
+            let mut bad = a.clone();
+            let p = (2 * n) / 3;
+            bad.set(p, p, -1.0);
+            assert_forms_agree(&bad, 5);
+            assert_forms_agree(&bad.cast::<f32>(), 0);
+
+            // Non-finite input: a NaN below the diagonal poisons a later
+            // pivot; an infinite diagonal fails where it stands.
+            let mut nan = a.clone();
+            nan.set(n - 1, 0, f64::NAN);
+            assert_forms_agree(&nan, 0);
+            let mut inf = a.clone();
+            inf.set(n / 2, n / 2, f64::INFINITY);
+            assert_forms_agree(&inf, 0);
+            // Signed zeros in the already-factored columns.
+            let mut z = a.clone();
+            for i in 1..n {
+                z.set(i, 0, if i % 2 == 0 { 0.0 } else { -0.0 });
+            }
+            assert_forms_agree(&z, 0);
+        }
     }
 
     #[test]

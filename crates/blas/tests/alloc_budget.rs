@@ -1,0 +1,128 @@
+//! Allocation budget of the tile-shape level-3 calls.
+//!
+//! The ABFT run loop issues thousands of 64³–256³ products per
+//! factorization, so a per-call allocation is a per-call cost (a full
+//! `KC×NC` pack buffer allocated and zero-filled on every call once made a
+//! 64³ GEMM run 10× slower than its flops). This pins the contract of the
+//! engine's per-thread pack arena with a counting allocator:
+//!
+//! * the first call of a shape allocates no more than its packed working
+//!   set — the real `min(MC,m)×min(KC,k)` / `min(KC,k)×min(NC,n)` extents;
+//! * every later call of that shape allocates nothing.
+
+use hchol_blas::level3::microkernel::{MR, NR};
+use hchol_blas::level3::{KC, MC, NC};
+use hchol_blas::{gemm, syrk, trsm};
+use hchol_matrix::generate::uniform;
+use hchol_matrix::{Diag, Matrix, Side, Trans, Uplo};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes requested by the current thread (frees are not subtracted:
+    /// the budget is on traffic, not on the high-water mark).
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: defers every operation to `System` unchanged; the only addition
+// is a thread-local byte counter with a const initializer and no
+// destructor, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BYTES.with(|b| b.set(b.get() + layout.size()));
+        // SAFETY: same layout contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        BYTES.with(|b| b.set(b.get() + new_size));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Bytes this thread allocates while running `f`.
+fn allocated(f: impl FnOnce()) -> usize {
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
+}
+
+/// Bytes of packed A stripe plus packed B slab for an `m×k · k×n` product.
+fn pack_bytes(m: usize, k: usize, n: usize) -> usize {
+    let kc = KC.min(k);
+    8 * (MC.min(m).next_multiple_of(MR) * kc + kc * NC.min(n).next_multiple_of(NR))
+}
+
+/// On a fresh thread (so a fresh arena): the first `call` may allocate up to
+/// `budget` bytes — and must allocate something, or the counter is blind —
+/// and the next three must allocate nothing.
+fn check(label: &'static str, budget: usize, mut call: impl FnMut() + Send + 'static) {
+    std::thread::spawn(move || {
+        let first = allocated(&mut call);
+        assert!(
+            0 < first && first <= budget,
+            "{label}: first call allocated {first} B, packed working set is {budget} B"
+        );
+        for _ in 0..3 {
+            let again = allocated(&mut call);
+            assert_eq!(again, 0, "{label}: warm call allocated {again} B");
+        }
+    })
+    .join()
+    .expect("budget holds");
+}
+
+#[test]
+fn tile_gemm_allocates_its_pack_buffers_once() {
+    for b in [64usize, 128, 256] {
+        let lik = uniform(b, b, -1.0, 1.0, 1);
+        let ljk = uniform(b, b, -1.0, 1.0, 2);
+        let mut tij = uniform(b, b, -1.0, 1.0, 3);
+        check("gemm NT", pack_bytes(b, b, b), move || {
+            gemm(Trans::No, Trans::Yes, -1.0, &lik, &ljk, 1.0, &mut tij);
+        });
+    }
+}
+
+#[test]
+fn panel_trsm_allocates_its_pack_buffers_once() {
+    let b = 256usize;
+    // A well-conditioned lower triangle; the solve never looks above it.
+    let mut ljj = uniform(b, b, -0.5, 0.5, 4);
+    for j in 0..b {
+        ljj.set(j, j, 4.0);
+    }
+    let mut panel = uniform(b, b, -1.0, 1.0, 5);
+    // The largest rank update of the recursion is b × b/2 × b/2.
+    check("trsm RLT", pack_bytes(b, b / 2, b / 2), move || {
+        trsm(
+            Side::Right,
+            Uplo::Lower,
+            Trans::Yes,
+            Diag::NonUnit,
+            1.0,
+            &ljj,
+            &mut panel,
+        );
+    });
+}
+
+#[test]
+fn diag_syrk_allocates_its_workspace_once() {
+    let b = 256usize;
+    let ljk = uniform(b, b, -1.0, 1.0, 6);
+    let mut diag = Matrix::zeros(b, b);
+    // One scratch tile for the diagonal block plus the pack buffers.
+    check("syrk LN", 8 * b * b + pack_bytes(b, b, b), move || {
+        syrk(Uplo::Lower, Trans::No, -1.0, &ljk, 1.0, &mut diag);
+    });
+}

@@ -14,6 +14,8 @@
 
 use hchol_blas::gemm;
 use hchol_matrix::{Matrix, Scalar, Trans};
+use std::any::Any;
+use std::cell::RefCell;
 
 /// Number of weighted checksums per block (two: detect + locate).
 pub const CHECKSUM_COUNT: usize = 2;
@@ -34,6 +36,32 @@ pub fn weight(c: usize, i: usize) -> f64 {
         1 => (i + 1) as f64,
         _ => panic!("only two checksums exist"),
     }
+}
+
+/// Run `f` with the `rows × 2` weight matrix `W = [v₁ v₂]` in precision
+/// `S`. The matrix is cached per thread and rebuilt only when the row count
+/// or the precision changes — a run encodes thousands of tiles of one
+/// block size, so the steady state allocates and fills nothing.
+fn with_weights<S: Scalar, R>(rows: usize, f: impl FnOnce(&Matrix<S>) -> R) -> R {
+    thread_local! {
+        static WEIGHTS: RefCell<Box<dyn Any>> = RefCell::new(Box::new(()));
+    }
+    WEIGHTS.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        let hit = slot
+            .downcast_ref::<Matrix<S>>()
+            .is_some_and(|w| w.rows() == rows);
+        if !hit {
+            *slot = Box::new(Matrix::<S>::from_fn(rows, CHECKSUM_COUNT, |i, c| {
+                if c == 0 {
+                    S::ONE
+                } else {
+                    S::from_usize(i + 1)
+                }
+            }));
+        }
+        f(slot.downcast_ref().expect("weights stored above"))
+    })
 }
 
 /// Encode the two column checksums of `block` into a fresh `2 × cols`
@@ -71,13 +99,9 @@ pub fn encode_into<S: Scalar>(block: &Matrix<S>, chk: &mut Matrix<S>) {
         (CHECKSUM_COUNT, block.cols()),
         "checksum shape"
     );
-    let rows = block.rows();
-    let mut w = Matrix::<S>::zeros(rows, CHECKSUM_COUNT);
-    for i in 0..rows {
-        w.set(i, 0, S::ONE);
-        w.set(i, 1, S::from_usize(i + 1));
-    }
-    gemm(Trans::Yes, Trans::No, 1.0, &w, block, 0.0, chk);
+    with_weights(block.rows(), |w| {
+        gemm(Trans::Yes, Trans::No, 1.0, w, block, 0.0, chk);
+    });
 }
 
 /// [`encode_into`] with f64 accumulation: products and sums run in double

@@ -390,9 +390,8 @@ pub fn gemm_panel<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize
             let m = mem.buf_mut(mat);
             for i in (j + 1)..nt {
                 for k in 0..j {
-                    let ljk = m.tile(j, k).clone();
-                    let (tij, lik) = m.tile_pair((i, j), (i, k));
-                    gemm(Trans::No, Trans::Yes, -1.0, lik, &ljk, 1.0, tij);
+                    let (tij, lik, ljk) = m.tile_trio((i, j), (i, k), (j, k));
+                    gemm(Trans::No, Trans::Yes, -1.0, lik, ljk, 1.0, tij);
                 }
             }
         },
@@ -439,21 +438,20 @@ pub fn gemm_panel_fused<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout
             for (i, &di) in dpt.iter().enumerate().skip(j + 1) {
                 let (d, m) = mem.buf_pair_mut(di, mat);
                 for k in 0..j {
-                    let ljk = m.tile(j, k).clone();
-                    let (tij, lik) = m.tile_pair((i, j), (i, k));
+                    let (tij, lik, ljk) = m.tile_trio((i, j), (i, k), (j, k));
                     if k + 1 == j {
                         gemm_fused(
                             Trans::No,
                             Trans::Yes,
                             -1.0,
                             lik,
-                            &ljk,
+                            ljk,
                             1.0,
                             tij,
                             d.tile_mut(0, j),
                         );
                     } else {
-                        gemm(Trans::No, Trans::Yes, -1.0, lik, &ljk, 1.0, tij);
+                        gemm(Trans::No, Trans::Yes, -1.0, lik, ljk, 1.0, tij);
                     }
                 }
             }
@@ -616,9 +614,8 @@ pub fn gemm_shard<S: Scalar>(
             let m = mem.buf_mut(mat);
             for &i in &rows {
                 for k in 0..j {
-                    let ljk = m.tile(j, k).clone();
-                    let (tij, lik) = m.tile_pair((i, j), (i, k));
-                    gemm(Trans::No, Trans::Yes, -1.0, lik, &ljk, 1.0, tij);
+                    let (tij, lik, ljk) = m.tile_trio((i, j), (i, k), (j, k));
+                    gemm(Trans::No, Trans::Yes, -1.0, lik, ljk, 1.0, tij);
                 }
             }
         },
@@ -851,17 +848,13 @@ fn recalc_stream(lay: &CholLayout, opts: &AbftOptions, idx: usize) -> StreamId {
 /// non-finite entries are skipped — an overflowed value must widen the
 /// verifier's *delta*, never its threshold.
 fn tile_max_abs<S: Scalar>(t: &Matrix<S>) -> f64 {
-    let (rows, cols) = t.shape();
-    let mut peak = 0.0f64;
-    for c in 0..cols {
-        for r in 0..rows {
-            let v = t.get(r, c).to_f64().abs();
-            if v.is_finite() && v > peak {
-                peak = v;
-            }
-        }
-    }
-    peak
+    t.as_slice()
+        .iter()
+        .map(|x| x.to_f64().abs())
+        .fold(
+            0.0,
+            |peak, v| if v.is_finite() && v > peak { v } else { peak },
+        )
 }
 
 /// Fold the current magnitudes of `tiles` into the layout's per-column

@@ -144,6 +144,24 @@ impl<S: Scalar> TileMatrix<S> {
         (m, &*r)
     }
 
+    /// One tile mutably plus two other tiles shared — the operand triple of
+    /// a tile GEMM `C -= A·Bᵀ`. Panics unless all three coordinates differ.
+    pub fn tile_trio(
+        &mut self,
+        mut_coord: (usize, usize),
+        ref_a: (usize, usize),
+        ref_b: (usize, usize),
+    ) -> (&mut Matrix<S>, &Matrix<S>, &Matrix<S>) {
+        let im = self.idx(mut_coord.0, mut_coord.1);
+        let ia = self.idx(ref_a.0, ref_a.1);
+        let ib = self.idx(ref_b.0, ref_b.1);
+        let [m, a, b] = self
+            .tiles
+            .get_disjoint_mut([im, ia, ib])
+            .expect("tiles must be distinct and in bounds");
+        (m, &*a, &*b)
+    }
+
     /// Global element access (row, col in the full matrix).
     pub fn get(&self, i: usize, j: usize) -> S {
         let (bi, ii) = (i / self.block, i % self.block);
@@ -230,6 +248,23 @@ mod tests {
             m.set(1, 1, v + 1.0);
         }
         assert_eq!(t.get(1, 1), 7.0);
+    }
+
+    #[test]
+    fn tile_trio_borrows_three_distinct_tiles() {
+        let mut t = TileMatrix::<f64>::zeros(6, 6, 2).unwrap();
+        t.tile_mut(1, 0).set(0, 0, 3.0);
+        t.tile_mut(2, 0).set(1, 1, 4.0);
+        let (m, a, b) = t.tile_trio((2, 1), (2, 0), (1, 0));
+        m.set(0, 0, a.get(1, 1) + b.get(0, 0));
+        assert_eq!(t.tile(2, 1).get(0, 0), 7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn tile_trio_overlap_panics() {
+        let mut t = TileMatrix::<f64>::zeros(4, 4, 2).unwrap();
+        let _ = t.tile_trio((1, 1), (1, 0), (1, 0));
     }
 
     #[test]

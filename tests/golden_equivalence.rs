@@ -162,3 +162,52 @@ fn baselines_match_pre_plan_drivers() {
         &cula.factor.expect("factor"),
     );
 }
+
+/// Factor hashes at tile shapes that take the *blocked* level-3 engine
+/// (64³ and 128³ tile GEMMs, recursive TRSM) — the b = 32 fixtures above
+/// never leave the naive loops. Captured on the commit before the
+/// tile-granularity kernel rework (arena workspace, skinny NT arm,
+/// column-form POTF2); any host-side kernel change must reproduce them.
+#[test]
+fn blocked_engine_factor_bits_are_pinned() {
+    const PINS: [(SchemeKind, usize, bool, u64); 12] = [
+        (SchemeKind::Offline, 64, false, 0x3f52_43ea_f951_9c1b),
+        (SchemeKind::Offline, 64, true, 0x3f52_43ea_f951_9c1b),
+        (SchemeKind::Offline, 128, false, 0xe47b_8f3c_144a_327e),
+        (SchemeKind::Offline, 128, true, 0xe47b_8f3c_144a_327e),
+        (SchemeKind::Online, 64, false, 0x3f52_43ea_f951_9c1b),
+        (SchemeKind::Online, 64, true, 0x3f52_43ea_f951_9c1b),
+        (SchemeKind::Online, 128, false, 0xe47b_8f3c_144a_327e),
+        (SchemeKind::Online, 128, true, 0xe47b_8f3c_144a_327e),
+        (SchemeKind::Enhanced, 64, false, 0x3f52_43ea_f951_9c1b),
+        (SchemeKind::Enhanced, 64, true, 0x79a7_9956_7907_007a),
+        (SchemeKind::Enhanced, 128, false, 0xe47b_8f3c_144a_327e),
+        (SchemeKind::Enhanced, 128, true, 0xd398_ecbb_aeee_4241),
+    ];
+    let n = 512usize;
+    let a = spd_diag_dominant(n, 7);
+    for (kind, b, faulted, want) in PINS {
+        let nt = n / b;
+        let plan = if faulted {
+            FaultPlan::paper_computing_error(nt, b).merged(FaultPlan::paper_storage_error(nt, b))
+        } else {
+            FaultPlan::none()
+        };
+        let out = run_scheme(
+            kind,
+            &SystemProfile::test_profile(),
+            ExecMode::Execute,
+            n,
+            b,
+            &AbftOptions::default(),
+            plan,
+            Some(&a),
+        )
+        .expect("scheme runs");
+        let got = hash_factor(&out.factor.expect("Execute mode factor"));
+        assert_eq!(
+            got, want,
+            "{kind:?} n={n} b={b} faulted={faulted}: factor hash {got:#018x}"
+        );
+    }
+}
