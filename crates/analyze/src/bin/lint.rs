@@ -1,7 +1,7 @@
 //! Workspace source-lint runner: `cargo run -p hchol-analyze --bin lint`.
 //!
 //! Walks `crates/`, `src/`, and `tests/` from the workspace root and applies
-//! the three rules of [`hchol_analyze::lint`]. Exits nonzero when any
+//! the rules of [`hchol_analyze::lint`]. Exits nonzero when any
 //! finding survives, so CI can gate on it.
 
 use std::path::PathBuf;

@@ -648,8 +648,7 @@ pub fn check_scheme_coverage(
     b: usize,
     opts: &AbftOptions,
 ) -> CoverageReport {
-    let sharded = opts.shard.as_ref().is_some_and(|s| s.devices > 1);
-    let placement = if sharded {
+    let placement = if opts.shard_devices() > 1 {
         hchol_core::options::ChecksumPlacement::Gpu
     } else {
         hchol_core::decision::choose(opts.placement, profile, n, b, opts.verify_interval)

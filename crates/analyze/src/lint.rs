@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Three rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Six rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -23,6 +23,13 @@
 //!   `tolerance` module: every detection-threshold constant must be named
 //!   there so the fixed and adaptive models share one source of truth.
 //!   Deliberate uses are waived with `lint:allow(tolerance-literal)`.
+//! * **`env-read`** — library sources (anything under a `src/` directory
+//!   that is not a `bin/` or `benches/` target) may not read the process
+//!   environment through `std::env`'s `var` / `var_os`: behaviour is
+//!   configured through options a caller can see, never a hidden knob.
+//! * **`twin-op`** — `crates/core/src/ops.rs` declares no `pub fn` whose
+//!   name ends in `_fused` or `_shard`: a fused epilogue or a device's row
+//!   set is a parameter of the one op, not a sibling beside it.
 //!
 //! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
 //! may use free-form labels and scratch names by design. `shims/` (vendored
@@ -40,7 +47,8 @@ pub struct Lint {
     pub file: String,
     /// 1-indexed line.
     pub line: usize,
-    /// Rule tag: `safety-comment`, `obs-name`, or `wall-clock`.
+    /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
+    /// `tolerance-literal`, `env-read`, or `twin-op`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -126,6 +134,13 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     }
     if file.contains("crates/core/src/") && !file.ends_with("tolerance.rs") {
         rule_tolerance_literal(file, &scan, &mut out);
+    }
+    let in_src = file.starts_with("src/") || file.contains("/src/");
+    if in_src && !file.contains("/bin/") && !file.contains("/benches/") {
+        rule_env_read(file, &scan, &mut out);
+    }
+    if file == "crates/core/src/ops.rs" {
+        rule_twin_op(file, &scan, &mut out);
     }
     out
 }
@@ -427,6 +442,48 @@ fn rule_tolerance_literal(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
     }
 }
 
+fn rule_env_read(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        // `env :: var` / `env :: var_os`, however the path was reached.
+        let reads_env = scan.word_at(i) == Some("env")
+            && scan.punct_at(i + 1, ':')
+            && scan.punct_at(i + 2, ':')
+            && matches!(scan.word_at(i + 3), Some("var" | "var_os"));
+        if reads_env {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "env-read",
+                message: "library code reads the process environment: \
+                          take the setting through an options struct instead"
+                    .to_string(),
+            });
+        }
+    }
+}
+
+fn rule_twin_op(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        if scan.word_at(i) != Some("pub") || scan.word_at(i + 1) != Some("fn") {
+            continue;
+        }
+        let Some(name) = scan.word_at(i + 2) else {
+            continue;
+        };
+        if name.ends_with("_fused") || name.ends_with("_shard") {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "twin-op",
+                message: format!(
+                    "`pub fn {name}`: make the epilogue / row set a parameter of the \
+                     original op instead of declaring a twin beside it"
+                ),
+            });
+        }
+    }
+}
+
 /// Methods of `MetricsRegistry` whose first string argument is a metric name.
 const METRIC_METHODS: &[&str] = &["inc", "add_count", "add_f64", "set_gauge", "observe"];
 
@@ -652,6 +709,50 @@ mod tests {
             "fn f(rate: f64) -> f64 { rate - 9.0 }\n"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn env_reads_flagged_in_library_sources_only() {
+        // Spelled with spaces around `::` (the scanner is whitespace-blind)
+        // so a plain-text search for the call finds real uses only.
+        let src = "fn f() -> bool { std::env :: var_os(\"X\").is_some() }\n";
+        for lib in ["crates/core/src/ops.rs", "src/lib.rs"] {
+            let lints = lint_file(lib, src);
+            assert_eq!(lints.len(), 1, "{lib}");
+            assert_eq!(lints[0].rule, "env-read");
+        }
+        assert_eq!(
+            lint_file(
+                "crates/x/src/a.rs",
+                "use std::env;\nfn f() { env :: var(\"X\"); }\n"
+            )
+            .len(),
+            1
+        );
+        for exempt in [
+            "crates/bench/src/bin/sweep.rs",
+            "crates/bench/benches/kernels.rs",
+            "tests/shard.rs",
+        ] {
+            assert!(lint_file(exempt, src).is_empty(), "{exempt}");
+        }
+        // Other `env` items (compile-time `env!`, `env::args`) are fine.
+        let ok = "fn f() { let _ = env!(\"CARGO_MANIFEST_DIR\"); std::env::args(); }\n";
+        assert!(lint_file("crates/x/src/a.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn twin_ops_flagged_in_core_ops_only() {
+        let src = "pub fn gemm_panel_fused() {}\npub fn trsm_shard() {}\n";
+        let lints = lint_file("crates/core/src/ops.rs", src);
+        assert_eq!(lints.len(), 2);
+        assert!(lints.iter().all(|l| l.rule == "twin-op"));
+        assert_eq!((lints[0].line, lints[1].line), (1, 2));
+        // Elsewhere (the BLAS layer's `gemm_fused` is a kernel, not a twin
+        // op), privately, or as a prefix, the names are fine.
+        assert!(lint_file("crates/blas/src/level3/gemm.rs", src).is_empty());
+        let ok = "fn helper_fused() {}\npub fn shard_parity_xor() {}\npub fn gemm_panel() {}\n";
+        assert!(lint_file("crates/core/src/ops.rs", ok).is_empty());
     }
 
     #[test]

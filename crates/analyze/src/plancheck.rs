@@ -27,8 +27,9 @@
 //! * **Offline** — no mid-run obligations; every written tile must be
 //!   covered by the final sweep after its last write.
 //! * **Sharded plans (all schemes)** — every consumer of remotely-owned
-//!   panel data (a `GemmShard`/`TrsmShard`/cross-row checksum update whose
-//!   access declares a [`VirtRes::ShardRecv`]) must have an ancestor
+//!   panel data (a `GemmPanel{dev}`/`TrsmPanel{dev}` slice or cross-row
+//!   checksum update whose access declares a [`VirtRes::ShardRecv`]) must
+//!   have an ancestor
 //!   [`TaskKind::DeviceRecv`] for that `(iteration, payload, device)`, and
 //!   that receive must itself descend from the owner's matching
 //!   [`TaskKind::DeviceSend`]. A consumer ordered only by stream luck — a
@@ -210,11 +211,7 @@ impl Ancestors {
 pub(crate) fn is_factorization(kind: &TaskKind) -> bool {
     matches!(
         kind,
-        TaskKind::Syrk { .. }
-            | TaskKind::GemmPanel { .. }
-            | TaskKind::TrsmPanel { .. }
-            | TaskKind::GemmShard { .. }
-            | TaskKind::TrsmShard { .. }
+        TaskKind::Syrk { .. } | TaskKind::GemmPanel { .. } | TaskKind::TrsmPanel { .. }
     )
 }
 
@@ -400,8 +397,7 @@ pub fn check_scheme_plan(
 ) -> PlanCheck {
     // Sharded runs pin checksum updating to the owning GPU exactly as
     // `run_scheme` does; otherwise the analytic model decides.
-    let sharded = opts.shard.as_ref().is_some_and(|s| s.devices > 1);
-    let placement = if sharded {
+    let placement = if opts.shard_devices() > 1 {
         hchol_core::options::ChecksumPlacement::Gpu
     } else {
         hchol_core::decision::choose(opts.placement, profile, n, b, opts.verify_interval)
@@ -563,9 +559,10 @@ mod tests {
                         resolved_opts().with_shard(hchol_core::options::ShardOptions::new(d));
                     let plan = for_scheme(kind, nt, &opts, false);
                     assert!(
-                        plan.order()
-                            .iter()
-                            .any(|&id| matches!(plan.node(id).kind, TaskKind::GemmShard { .. })),
+                        plan.order().iter().any(|&id| matches!(
+                            plan.node(id).kind,
+                            TaskKind::GemmPanel { dev: Some(_), .. }
+                        )),
                         "{} nt={nt} D={d}: plan was not sharded",
                         kind.name()
                     );

@@ -53,7 +53,7 @@ pub fn factor_cula(
     lay.flop_inflation = CULA_FLOP_INFLATION;
     // Fully synchronous driving: the Synchronous-style plan drains the
     // device after every step and runs POTF2 before the panel GEMM.
-    let plan = crate::plan::for_cula(lay.nt);
+    let mut plan = crate::plan::for_cula(lay.nt);
     let mut inj = Injector::inert();
     let opts = AbftOptions::default();
     let mut a = AttemptCtx {
@@ -62,7 +62,7 @@ pub fn factor_cula(
         inj: &mut inj,
         opts: &opts,
     };
-    crate::plan::exec::run_attempt(&plan, &mut a, &ExecConfig::default())?;
+    crate::plan::exec::run_attempt(&mut plan, &mut a, &ExecConfig::default(), None)?;
     let time = ctx.now();
     ctx.obs.spans.close(run_span, time.as_secs());
     let factor = ops::extract_factor(&ctx, &lay);

@@ -90,7 +90,7 @@ pub fn factor_magma(
         Phase::Setup,
         ops::setup(&mut ctx, n, b, false, ChecksumPlacement::Gpu, input)
     )?;
-    let plan = crate::plan::for_magma(lay.nt);
+    let mut plan = crate::plan::for_magma(lay.nt);
     let mut inj = Injector::inert();
     let opts = AbftOptions::default();
     let mut a = AttemptCtx {
@@ -99,7 +99,7 @@ pub fn factor_magma(
         inj: &mut inj,
         opts: &opts,
     };
-    crate::plan::exec::run_attempt(&plan, &mut a, &ExecConfig::default())?;
+    crate::plan::exec::run_attempt(&mut plan, &mut a, &ExecConfig::default(), None)?;
     let time = ctx.now();
     ctx.obs.spans.close(run_span, time.as_secs());
     let factor = ops::extract_factor(&ctx, &lay);

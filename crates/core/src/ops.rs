@@ -10,6 +10,7 @@
 use crate::checksum;
 use crate::chkops;
 use crate::options::{AbftOptions, ChecksumPlacement, ToleranceModel};
+use crate::plan::{chk_tile, dpt_tile, mat_tile, UpdateOp};
 use crate::verify::{verify_and_correct, TileTolerance, VerifyOutcome};
 use hchol_blas::{flops, gemm, gemm_fused, potf2, trsm};
 use hchol_faults::{Dirtiness, InjectionPoint, Injector};
@@ -18,7 +19,8 @@ use hchol_gpusim::counters::WorkCategory;
 #[cfg(test)]
 use hchol_gpusim::ExecMode;
 use hchol_gpusim::{
-    AccessSet, BufferId, EventId, HostBufferId, KernelClass, SimContext, StreamId, TileRef,
+    AccessSet, BufferId, DeviceMemory, EventId, HostBufferId, KernelClass, SimContext, StreamId,
+    TileRef,
 };
 use hchol_matrix::{
     triangular::force_lower, Diag, Matrix, MatrixError, Scalar, Side, TileMatrix, Trans, Uplo,
@@ -84,6 +86,22 @@ impl CholLayout {
     #[inline]
     fn charge(&self, f: u64) -> u64 {
         (f as f64 * self.flop_inflation).round() as u64
+    }
+
+    /// Bind an access set authored in the plan's canonical buffer ids
+    /// ([`mat_tile`], [`chk_tile`], [`dpt_tile`]) to this run's real
+    /// buffers: `BufferId(0) → mat`, `1 + bi → cks[bi]`,
+    /// `1 + nt + bi → dpt[bi]`. The ops author their tile sets once, in
+    /// canonical form, for the plan and the kernel launch alike.
+    pub fn bind(&self, mut access: AccessSet) -> AccessSet {
+        for t in access.reads.iter_mut().chain(&mut access.writes) {
+            t.buf = match t.buf.0 {
+                0 => self.mat,
+                c if c <= self.nt => self.cks[c - 1],
+                c => self.dpt[c - 1 - self.nt],
+            };
+        }
+        access
     }
 }
 
@@ -266,193 +284,191 @@ pub fn poll_faults<S: Scalar>(
 // The four MAGMA operations (Algorithm 1)
 // ---------------------------------------------------------------------------
 
+/// `C -= A·Bᵀ` on one tile — the numerics of both trailing updates. With
+/// `deposit`, the fused epilogue also leaves fresh column checksums of the
+/// finished `C` there (the final slab of a fused launch).
+fn rank_update<S: Scalar>(
+    a: &Matrix<S>,
+    b: &Matrix<S>,
+    c: &mut Matrix<S>,
+    deposit: Option<&mut Matrix<S>>,
+) {
+    match deposit {
+        Some(chk) => gemm_fused(Trans::No, Trans::Yes, -1.0, a, b, 1.0, c, chk),
+        None => gemm(Trans::No, Trans::Yes, -1.0, a, b, 1.0, c),
+    }
+}
+
+/// The matrix buffer plus, when `deposit` names one, the deposit tile
+/// `(0, j)` of that buffer.
+fn mat_and_deposit<S: Scalar>(
+    mem: &mut DeviceMemory<S>,
+    mat: BufferId,
+    deposit: Option<BufferId>,
+    j: usize,
+) -> (&mut TileMatrix<S>, Option<&mut Matrix<S>>) {
+    match deposit {
+        Some(d) => {
+            let (d, m) = mem.buf_pair_mut(d, mat);
+            (m, Some(d.tile_mut(0, j)))
+        }
+        None => (mem.buf_mut(mat), None),
+    }
+}
+
+/// Trace label of a panel kernel: `"GEMM j=3"`, `"GEMM+CHK j=3"` (fused
+/// epilogue), `"GEMM j=3 d=1"` (device 1's rows of a sharded panel).
+fn panel_label(op: &str, fused: bool, j: usize, dev: Option<usize>) -> String {
+    let chk = if fused { "+CHK" } else { "" };
+    match dev {
+        Some(d) => format!("{op}{chk} j={j} d={d}"),
+        None => format!("{op}{chk} j={j}"),
+    }
+}
+
+/// Tiles the SYRK of iteration `j` reads and writes, in the plan's
+/// canonical form — the one definition behind both
+/// [`FactorPlan::node_access`](crate::plan::FactorPlan::node_access) and
+/// the [`syrk_diag`] launch (bound to real buffers by
+/// [`CholLayout::bind`]). Empty at `j = 0`, where the SYRK is a no-op.
+pub fn syrk_access(nt: usize, j: usize, fused: bool) -> AccessSet {
+    if j == 0 {
+        return AccessSet::none();
+    }
+    let reads = (0..j)
+        .map(|k| mat_tile(j, k))
+        .chain([mat_tile(j, j)])
+        .collect();
+    let mut writes = vec![mat_tile(j, j)];
+    if fused {
+        writes.push(dpt_tile(nt, j, j));
+    }
+    AccessSet::new(reads, writes)
+}
+
 /// SYRK: `A[j,j] -= A[j,0:j-1] · A[j,0:j-1]ᵀ` on the compute stream.
 ///
 /// The full symmetric tile is updated (not just a triangle) so that its
 /// column checksums remain exact.
-pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize) {
-    if j == 0 {
+///
+/// With `fused`, the same kernel also deposits fresh column checksums of
+/// the updated diagonal tile into `lay.dpt[j]`, charged as extra epilogue
+/// flops on the *same* launch (no second kernel startup). A fused
+/// `VerifyBatch` then compares the deposit against the maintained
+/// checksums without any recalculation kernel.
+pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: usize, fused: bool) {
+    let access = syrk_access(lay.nt, j, fused);
+    if access.is_empty() {
         return;
     }
+    if fused {
+        ensure_dpt(ctx, lay);
+    }
     let f = lay.charge(flops::gemm(lay.b, lay.b, j * lay.b));
-    let mat = lay.mat;
-    let access = AccessSet::new(
-        (0..j)
-            .map(|k| TileRef::new(mat, j, k))
-            .chain([TileRef::new(mat, j, j)])
-            .collect(),
-        vec![TileRef::new(mat, j, j)],
-    );
+    let epi = if fused {
+        lay.charge(flops::fused_epilogue(lay.b, lay.b))
+    } else {
+        0
+    };
+    let (mat, deposit) = (lay.mat, fused.then(|| lay.dpt[j]));
     ctx.launch(
         lay.s_comp,
         KernelDesc::new(
-            format!("SYRK j={j}"),
+            panel_label("SYRK", fused, j, None),
             KernelClass::Syrk,
             f,
             WorkCategory::Factorization,
         )
-        .with_access(access),
-        move |mem| {
-            let m = mem.buf_mut(mat);
-            for k in 0..j {
-                let (diag, src) = m.tile_pair((j, j), (j, k));
-                gemm(Trans::No, Trans::Yes, -1.0, src, src, 1.0, diag);
-            }
-        },
-    );
-}
-
-/// [`syrk_diag`] with the fused checksum epilogue: the same kernel also
-/// deposits fresh column checksums of the updated diagonal tile into
-/// `lay.dpt[j]`, charged as extra epilogue flops on the *same* launch (no
-/// second kernel startup). A fused `VerifyBatch` then compares the deposit
-/// against the maintained checksums without any recalculation kernel.
-pub fn syrk_diag_fused<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: usize) {
-    if j == 0 {
-        return;
-    }
-    ensure_dpt(ctx, lay);
-    let f = lay.charge(flops::gemm(lay.b, lay.b, j * lay.b));
-    let epi = lay.charge(flops::fused_epilogue(lay.b, lay.b));
-    let (mat, dpt_j) = (lay.mat, lay.dpt[j]);
-    let access = AccessSet::new(
-        (0..j)
-            .map(|k| TileRef::new(mat, j, k))
-            .chain([TileRef::new(mat, j, j)])
-            .collect(),
-        vec![TileRef::new(mat, j, j), TileRef::new(dpt_j, 0, j)],
-    );
-    ctx.launch(
-        lay.s_comp,
-        KernelDesc::new(
-            format!("SYRK+CHK j={j}"),
-            KernelClass::Syrk,
-            f,
-            WorkCategory::Factorization,
-        )
-        .with_access(access)
+        .with_access(lay.bind(access))
         .with_epilogue(epi),
         move |mem| {
-            let (dpt, m) = mem.buf_pair_mut(dpt_j, mat);
             for k in 0..j {
+                // Final slab: the epilogue checksums the finished tile.
+                let (m, chk) = mat_and_deposit(mem, mat, deposit.filter(|_| k + 1 == j), j);
                 let (diag, src) = m.tile_pair((j, j), (j, k));
-                if k + 1 == j {
-                    // Final slab: the epilogue checksums the finished tile.
-                    gemm_fused(
-                        Trans::No,
-                        Trans::Yes,
-                        -1.0,
-                        src,
-                        src,
-                        1.0,
-                        diag,
-                        dpt.tile_mut(0, j),
-                    );
-                } else {
-                    gemm(Trans::No, Trans::Yes, -1.0, src, src, 1.0, diag);
-                }
+                rank_update(src, src, diag, chk);
             }
         },
     );
 }
 
-/// GEMM: `A[j+1:N, j] -= A[j+1:N, 0:j-1] · A[j, 0:j-1]ᵀ` on the compute
-/// stream (one big kernel, as MAGMA issues it).
-pub fn gemm_panel<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize) {
-    let rows_below = lay.nt.saturating_sub(j + 1);
-    if j == 0 || rows_below == 0 {
-        return;
+/// Tiles the panel GEMM of iteration `j` over panel rows `rows` reads and
+/// writes, in canonical form (see [`syrk_access`]). Empty when the GEMM is
+/// a no-op (`j = 0` or no rows).
+pub fn gemm_panel_access(nt: usize, j: usize, rows: &[usize], fused: bool) -> AccessSet {
+    if j == 0 || rows.is_empty() {
+        return AccessSet::none();
     }
-    let f = lay.charge(flops::gemm(rows_below * lay.b, lay.b, j * lay.b));
-    let (mat, nt) = (lay.mat, lay.nt);
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for i in (j + 1)..nt {
-        writes.push(TileRef::new(mat, i, j));
-        reads.push(TileRef::new(mat, i, j));
-        for k in 0..j {
-            reads.push(TileRef::new(mat, i, k));
+    let mut reads = Vec::with_capacity(rows.len() * (j + 1) + j);
+    let mut writes = Vec::with_capacity(rows.len() * (1 + fused as usize));
+    for &i in rows {
+        writes.push(mat_tile(i, j));
+        if fused {
+            writes.push(dpt_tile(nt, i, j));
         }
+        reads.push(mat_tile(i, j));
+        reads.extend((0..j).map(|k| mat_tile(i, k)));
     }
-    for k in 0..j {
-        reads.push(TileRef::new(mat, j, k));
-    }
-    ctx.launch(
-        lay.s_comp,
-        KernelDesc::new(
-            format!("GEMM j={j}"),
-            KernelClass::Blas3,
-            f,
-            WorkCategory::Factorization,
-        )
-        .with_access(AccessSet::new(reads, writes)),
-        move |mem| {
-            let m = mem.buf_mut(mat);
-            for i in (j + 1)..nt {
-                for k in 0..j {
-                    let (tij, lik, ljk) = m.tile_trio((i, j), (i, k), (j, k));
-                    gemm(Trans::No, Trans::Yes, -1.0, lik, ljk, 1.0, tij);
-                }
-            }
-        },
-    );
+    reads.extend((0..j).map(|k| mat_tile(j, k)));
+    AccessSet::new(reads, writes)
 }
 
-/// [`gemm_panel`] with the fused checksum epilogue: deposits fresh column
-/// checksums of every updated panel tile `(i, j)` into `lay.dpt[i]` from
-/// the same launch, charged as epilogue flops with no extra kernel startup.
-pub fn gemm_panel_fused<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: usize) {
-    let rows_below = lay.nt.saturating_sub(j + 1);
-    if j == 0 || rows_below == 0 {
+/// GEMM: `A[rows, j] -= A[rows, 0:j-1] · A[j, 0:j-1]ᵀ` on the compute
+/// stream, one kernel over the panel rows `rows`.
+///
+/// `rows` is every row below the diagonal (`dev = None`: one big kernel,
+/// as MAGMA issues it) or the rows homed on device `dev` of a sharded
+/// plan. Per-tile numerics do not depend on the row set, so the union of
+/// every device's slice reproduces the single-device panel bit-for-bit.
+/// For a slice the caller (the plan executor) steers `lay.s_comp` to the
+/// executing device's compute stream and orders the launch behind the
+/// row-panel broadcast receive when the device is not the panel owner.
+///
+/// With `fused`, the kernel deposits fresh column checksums of every
+/// updated tile `(i, j)` into `lay.dpt[i]` from the same launch, charged
+/// as epilogue flops with no extra kernel startup.
+pub fn gemm_panel<S: Scalar>(
+    ctx: &mut SimContext<S>,
+    lay: &mut CholLayout,
+    j: usize,
+    rows: &[usize],
+    dev: Option<usize>,
+    fused: bool,
+) {
+    let access = gemm_panel_access(lay.nt, j, rows, fused);
+    if access.is_empty() {
         return;
     }
-    ensure_dpt(ctx, lay);
-    let f = lay.charge(flops::gemm(rows_below * lay.b, lay.b, j * lay.b));
-    let epi = lay.charge(rows_below as u64 * flops::fused_epilogue(lay.b, lay.b));
+    if fused {
+        ensure_dpt(ctx, lay);
+    }
+    let f = lay.charge(flops::gemm(rows.len() * lay.b, lay.b, j * lay.b));
+    let epi = if fused {
+        lay.charge(rows.len() as u64 * flops::fused_epilogue(lay.b, lay.b))
+    } else {
+        0
+    };
     let mat = lay.mat;
-    let dpt: Vec<BufferId> = lay.dpt.clone();
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for (i, &di) in dpt.iter().enumerate().skip(j + 1) {
-        writes.push(TileRef::new(mat, i, j));
-        writes.push(TileRef::new(di, 0, j));
-        reads.push(TileRef::new(mat, i, j));
-        for k in 0..j {
-            reads.push(TileRef::new(mat, i, k));
-        }
-    }
-    for k in 0..j {
-        reads.push(TileRef::new(mat, j, k));
-    }
+    let targets: Vec<(usize, Option<BufferId>)> = rows
+        .iter()
+        .map(|&i| (i, fused.then(|| lay.dpt[i])))
+        .collect();
     ctx.launch(
         lay.s_comp,
         KernelDesc::new(
-            format!("GEMM+CHK j={j}"),
+            panel_label("GEMM", fused, j, dev),
             KernelClass::Blas3,
             f,
             WorkCategory::Factorization,
         )
-        .with_access(AccessSet::new(reads, writes))
+        .with_access(lay.bind(access))
         .with_epilogue(epi),
         move |mem| {
-            for (i, &di) in dpt.iter().enumerate().skip(j + 1) {
-                let (d, m) = mem.buf_pair_mut(di, mat);
+            for (i, deposit) in targets {
                 for k in 0..j {
+                    let (m, chk) = mat_and_deposit(mem, mat, deposit.filter(|_| k + 1 == j), j);
                     let (tij, lik, ljk) = m.tile_trio((i, j), (i, k), (j, k));
-                    if k + 1 == j {
-                        gemm_fused(
-                            Trans::No,
-                            Trans::Yes,
-                            -1.0,
-                            lik,
-                            ljk,
-                            1.0,
-                            tij,
-                            d.tile_mut(0, j),
-                        );
-                    } else {
-                        gemm(Trans::No, Trans::Yes, -1.0, lik, ljk, 1.0, tij);
-                    }
+                    rank_update(lik, ljk, tij, chk);
                 }
             }
         },
@@ -527,134 +543,49 @@ pub fn diag_to_device<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: u
     );
 }
 
-/// TRSM: `A[j+1:N, j] := A[j+1:N, j] · (L[j,j]ᵀ)⁻¹` on the compute stream.
-pub fn trsm_panel<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize) {
-    let rows_below = lay.nt.saturating_sub(j + 1);
-    if rows_below == 0 {
-        return;
-    }
-    let f = lay.charge(flops::trsm(lay.b, rows_below * lay.b));
-    let (mat, nt) = (lay.mat, lay.nt);
-    let mut reads = vec![TileRef::new(mat, j, j)];
-    let mut writes = Vec::new();
-    for i in (j + 1)..nt {
-        reads.push(TileRef::new(mat, i, j));
-        writes.push(TileRef::new(mat, i, j));
-    }
-    ctx.launch(
-        lay.s_comp,
-        KernelDesc::new(
-            format!("TRSM j={j}"),
-            KernelClass::Trsm,
-            f,
-            WorkCategory::Factorization,
-        )
-        .with_access(AccessSet::new(reads, writes)),
-        move |mem| {
-            let m = mem.buf_mut(mat);
-            for i in (j + 1)..nt {
-                let (tij, ljj) = m.tile_pair((i, j), (j, j));
-                trsm(
-                    Side::Right,
-                    Uplo::Lower,
-                    Trans::Yes,
-                    Diag::NonUnit,
-                    1.0,
-                    ljj,
-                    tij,
-                );
-            }
-        },
-    );
-}
-
-/// Device-local slice of the panel GEMM (sharded plans): update only the
-/// panel rows homed on the executing device. Per-tile numerics are
-/// identical to [`gemm_panel`]'s, so the union of every device's shard
-/// reproduces the single-device panel bit-for-bit.
-///
-/// The caller (the plan executor) steers `lay.s_comp` to the executing
-/// device's compute stream and orders the launch behind the row-panel
-/// broadcast receive when the device is not the panel owner.
-pub fn gemm_shard<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &CholLayout,
-    j: usize,
-    dev: usize,
-    rows: &[usize],
-) {
-    if j == 0 || rows.is_empty() {
-        return;
-    }
-    let f = lay.charge(flops::gemm(rows.len() * lay.b, lay.b, j * lay.b));
-    let mat = lay.mat;
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for &i in rows {
-        writes.push(TileRef::new(mat, i, j));
-        reads.push(TileRef::new(mat, i, j));
-        for k in 0..j {
-            reads.push(TileRef::new(mat, i, k));
-        }
-    }
-    for k in 0..j {
-        reads.push(TileRef::new(mat, j, k));
-    }
-    let rows = rows.to_vec();
-    ctx.launch(
-        lay.s_comp,
-        KernelDesc::new(
-            format!("GEMM j={j} d={dev}"),
-            KernelClass::Blas3,
-            f,
-            WorkCategory::Factorization,
-        )
-        .with_access(AccessSet::new(reads, writes)),
-        move |mem| {
-            let m = mem.buf_mut(mat);
-            for &i in &rows {
-                for k in 0..j {
-                    let (tij, lik, ljk) = m.tile_trio((i, j), (i, k), (j, k));
-                    gemm(Trans::No, Trans::Yes, -1.0, lik, ljk, 1.0, tij);
-                }
-            }
-        },
-    );
-}
-
-/// Device-local slice of the panel TRSM (sharded plans); see
-/// [`gemm_shard`] for the steering contract.
-pub fn trsm_shard<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &CholLayout,
-    j: usize,
-    dev: usize,
-    rows: &[usize],
-) {
+/// Tiles the panel TRSM of iteration `j` over panel rows `rows` reads and
+/// writes, in canonical form (see [`syrk_access`]). Empty without rows.
+pub fn trsm_panel_access(j: usize, rows: &[usize]) -> AccessSet {
     if rows.is_empty() {
+        return AccessSet::none();
+    }
+    let panel: Vec<TileRef> = rows.iter().map(|&i| mat_tile(i, j)).collect();
+    let reads = [mat_tile(j, j)]
+        .into_iter()
+        .chain(panel.iter().copied())
+        .collect();
+    AccessSet::new(reads, panel)
+}
+
+/// TRSM: `A[rows, j] := A[rows, j] · (L[j,j]ᵀ)⁻¹` on the compute stream.
+/// `rows`/`dev` select the whole panel or one device's slice of it, as for
+/// [`gemm_panel`].
+pub fn trsm_panel<S: Scalar>(
+    ctx: &mut SimContext<S>,
+    lay: &CholLayout,
+    j: usize,
+    rows: &[usize],
+    dev: Option<usize>,
+) {
+    let access = trsm_panel_access(j, rows);
+    if access.is_empty() {
         return;
     }
     let f = lay.charge(flops::trsm(lay.b, rows.len() * lay.b));
     let mat = lay.mat;
-    let mut reads = vec![TileRef::new(mat, j, j)];
-    let mut writes = Vec::new();
-    for &i in rows {
-        reads.push(TileRef::new(mat, i, j));
-        writes.push(TileRef::new(mat, i, j));
-    }
-    let rows = rows.to_vec();
+    let rows_owned = rows.to_vec();
     ctx.launch(
         lay.s_comp,
         KernelDesc::new(
-            format!("TRSM j={j} d={dev}"),
+            panel_label("TRSM", false, j, dev),
             KernelClass::Trsm,
             f,
             WorkCategory::Factorization,
         )
-        .with_access(AccessSet::new(reads, writes)),
+        .with_access(lay.bind(access)),
         move |mem| {
             let m = mem.buf_mut(mat);
-            for &i in &rows {
+            for i in rows_owned {
                 let (tij, ljj) = m.tile_pair((i, j), (j, j));
                 trsm(
                     Side::Right,
@@ -914,10 +845,7 @@ pub fn encode_all<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, opts
     if lay.placement == ChecksumPlacement::Cpu {
         let bytes = S::BYTES * 2 * (lay.n as u64) * (lay.nt as u64);
         // The shipment reads every freshly encoded checksum tile.
-        let (nt, cks) = (lay.nt, &lay.cks);
-        let reads = (0..nt)
-            .flat_map(|bj| (bj..nt).map(move |bi| TileRef::new(cks[bi], 0, bj)))
-            .collect();
+        let reads = lower_chk_tiles(lay);
         ctx.bulk_transfer_with_access(
             bytes,
             lay.s_tran,
@@ -945,7 +873,7 @@ fn dispatch_update<S: Scalar, F>(
     access: AccessSet,
     body: F,
 ) where
-    F: FnOnce(&mut hchol_gpusim::DeviceMemory<S>),
+    F: FnOnce(&mut DeviceMemory<S>),
 {
     let desc = KernelDesc::new(label, KernelClass::Blas2, f, WorkCategory::ChecksumUpdate);
     match lay.placement {
@@ -967,68 +895,61 @@ pub fn mark_panel_ready<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout
     lay.panel_ready = Some(ctx.record_event(lay.s_comp));
 }
 
-/// Checksum update mirroring the SYRK:
-/// `chk(A[j,j]) -= Σ_k chk(L[j,k]) · L[j,k]ᵀ`.
-pub fn update_chk_syrk<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize) {
-    if j == 0 {
-        return;
-    }
-    let f = lay.charge(j as u64 * chkops::update_product_flops(lay.b));
-    let (mat, cks_j) = (lay.mat, lay.cks[j]);
-    let access = AccessSet::new(
-        (0..j)
-            .flat_map(|k| [TileRef::new(mat, j, k), TileRef::new(cks_j, 0, k)])
-            .chain([TileRef::new(cks_j, 0, j)])
+/// Tiles the checksum update mirroring `op` at iteration `j` reads and
+/// writes, in canonical form (see [`syrk_access`]). `row` is the block row
+/// whose checksum it maintains: `j` for the SYRK/POTF2 mirrors, the panel
+/// row `i` for GEMM/TRSM. Empty for the product updates at `j = 0`.
+pub fn chk_update_access(op: UpdateOp, j: usize, row: usize) -> AccessSet {
+    let target = chk_tile(row, j);
+    let reads = match op {
+        UpdateOp::Syrk | UpdateOp::Gemm if j == 0 => return AccessSet::none(),
+        UpdateOp::Syrk | UpdateOp::Gemm => (0..j)
+            .flat_map(|k| [mat_tile(j, k), chk_tile(row, k)])
+            .chain([target])
             .collect(),
-        vec![TileRef::new(cks_j, 0, j)],
-    );
-    dispatch_update(ctx, lay, format!("UPD-SYRK j={j}"), f, access, move |mem| {
-        let (cks, m) = mem.buf_pair_mut(cks_j, mat);
-        for k in 0..j {
-            let (cjj, cjk) = cks.tile_pair((0, j), (0, k));
-            chkops::update_product(cjj, cjk, m.tile(j, k));
-        }
-    });
+        UpdateOp::Potf2 | UpdateOp::Trsm => vec![mat_tile(j, j), target],
+    };
+    AccessSet::new(reads, vec![target])
 }
 
-/// Checksum update mirroring the GEMM for panel row `i`:
-/// `chk(A[i,j]) -= Σ_k chk(L[i,k]) · L[j,k]ᵀ`.
-pub fn update_chk_gemm<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize, i: usize) {
-    if j == 0 {
+/// The checksum update mirroring `op` at iteration `j` for block row `i`
+/// (`i = j` for the SYRK and POTF2 mirrors):
+///
+/// * SYRK / GEMM — `chk(A[i,j]) -= Σ_k chk(L[i,k]) · L[j,k]ᵀ`;
+/// * POTF2 — Algorithm 2 of the paper;
+/// * TRSM — `chk(L[i,j]) = chk(A[i,j]) · (L[j,j]ᵀ)⁻¹`.
+pub fn update_chk<S: Scalar>(
+    ctx: &mut SimContext<S>,
+    lay: &CholLayout,
+    op: UpdateOp,
+    j: usize,
+    i: usize,
+) {
+    let access = chk_update_access(op, j, i);
+    if access.is_empty() {
         return;
     }
-    let f = lay.charge(j as u64 * chkops::update_product_flops(lay.b));
-    let (mat, cks_i) = (lay.mat, lay.cks[i]);
-    let access = AccessSet::new(
-        (0..j)
-            .flat_map(|k| [TileRef::new(mat, j, k), TileRef::new(cks_i, 0, k)])
-            .chain([TileRef::new(cks_i, 0, j)])
-            .collect(),
-        vec![TileRef::new(cks_i, 0, j)],
-    );
-    dispatch_update(
-        ctx,
-        lay,
-        format!("UPD-GEMM ({i},{j})"),
-        f,
-        access,
-        move |mem| {
-            let (cks, m) = mem.buf_pair_mut(cks_i, mat);
-            for k in 0..j {
-                let (cij, cik) = cks.tile_pair((0, j), (0, k));
-                chkops::update_product(cij, cik, m.tile(j, k));
-            }
-        },
-    );
-}
-
-/// Checksum update mirroring POTF2 (Algorithm 2 of the paper).
-pub fn update_chk_potf2<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize) {
-    let f = lay.charge(chkops::update_solve_flops(lay.b));
-    let (mat, cks_j) = (lay.mat, lay.cks[j]);
-    // The factorized block returns on the transfer stream; the update (on
+    let (f, label) = match op {
+        UpdateOp::Syrk => (
+            j as u64 * chkops::update_product_flops(lay.b),
+            format!("UPD-SYRK j={j}"),
+        ),
+        UpdateOp::Gemm => (
+            j as u64 * chkops::update_product_flops(lay.b),
+            format!("UPD-GEMM ({i},{j})"),
+        ),
+        UpdateOp::Potf2 => (
+            chkops::update_solve_flops(lay.b),
+            format!("UPD-POTF2 j={j}"),
+        ),
+        UpdateOp::Trsm => (
+            chkops::update_solve_flops(lay.b),
+            format!("UPD-TRSM ({i},{j})"),
+        ),
+    };
+    // The factorized block returns on the transfer stream; its update (on
     // the checksum stream) must not start before it lands.
-    if !matches!(lay.placement, ChecksumPlacement::Cpu) {
+    if op == UpdateOp::Potf2 && !matches!(lay.placement, ChecksumPlacement::Cpu) {
         let diag_back = ctx.record_event(lay.s_tran);
         let target = if lay.placement == ChecksumPlacement::Inline {
             lay.s_comp
@@ -1037,50 +958,27 @@ pub fn update_chk_potf2<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j:
         };
         ctx.stream_wait_event(target, diag_back);
     }
-    let access = AccessSet::new(
-        vec![TileRef::new(mat, j, j), TileRef::new(cks_j, 0, j)],
-        vec![TileRef::new(cks_j, 0, j)],
-    );
-    dispatch_update(
-        ctx,
-        lay,
-        format!("UPD-POTF2 j={j}"),
-        f,
-        access,
-        move |mem| {
-            let (cks, m) = mem.buf_pair_mut(cks_j, mat);
-            chkops::update_potf2(cks.tile_mut(0, j), m.tile(j, j));
-        },
-    );
-}
-
-/// Checksum update mirroring the TRSM for panel row `i`:
-/// `chk(L[i,j]) = chk(A[i,j]) · (L[j,j]ᵀ)⁻¹`.
-pub fn update_chk_trsm<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize, i: usize) {
-    let f = lay.charge(chkops::update_solve_flops(lay.b));
     let (mat, cks_i) = (lay.mat, lay.cks[i]);
-    let access = AccessSet::new(
-        vec![TileRef::new(mat, j, j), TileRef::new(cks_i, 0, j)],
-        vec![TileRef::new(cks_i, 0, j)],
-    );
-    dispatch_update(
-        ctx,
-        lay,
-        format!("UPD-TRSM ({i},{j})"),
-        f,
-        access,
-        move |mem| {
-            let (cks, m) = mem.buf_pair_mut(cks_i, mat);
-            chkops::update_trsm(cks.tile_mut(0, j), m.tile(j, j));
-        },
-    );
+    let (f, access) = (lay.charge(f), lay.bind(access));
+    dispatch_update(ctx, lay, label, f, access, move |mem| {
+        let (cks, m) = mem.buf_pair_mut(cks_i, mat);
+        match op {
+            UpdateOp::Syrk | UpdateOp::Gemm => {
+                for k in 0..j {
+                    let (cij, cik) = cks.tile_pair((0, j), (0, k));
+                    chkops::update_product(cij, cik, m.tile(j, k));
+                }
+            }
+            UpdateOp::Potf2 => chkops::update_potf2(cks.tile_mut(0, j), m.tile(j, j)),
+            UpdateOp::Trsm => chkops::update_trsm(cks.tile_mut(0, j), m.tile(j, j)),
+        }
+    });
 }
 
 /// With CPU placement, ship the freshly factorized panel column `j` to the
 /// host once — CPU-side updates reference factorized data (the paper's
 /// "checksum updating related transfer", totaling n²/2 elements).
-pub fn cpu_mirror_panel<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: usize) {
-    let _ = ctx;
+pub fn cpu_mirror_panel(lay: &mut CholLayout, j: usize) {
     if lay.placement != ChecksumPlacement::Cpu {
         return;
     }
@@ -1126,10 +1024,7 @@ pub fn migrate_checksums<S: Scalar>(
         return;
     }
     let chk_bytes = S::BYTES * 2 * (lay.n as u64) * (lay.nt as u64);
-    let chk_tiles: Vec<TileRef> = (0..lay.nt)
-        .flat_map(|bj| (bj..lay.nt).map(move |bi| (bi, bj)))
-        .map(|(bi, bj)| TileRef::new(lay.cks[bi], 0, bj))
-        .collect();
+    let chk_tiles = lower_chk_tiles(lay);
     match to {
         ChecksumPlacement::Cpu => {
             // Host-side updating reads the factorized panels; columns that
@@ -1240,17 +1135,38 @@ pub fn verify_recalc<S: Scalar>(
     }
 }
 
-/// Stage 2 of verification: compare recalculated checksums (left in scratch
-/// by [`verify_recalc`]) against the maintained ones.
+/// Stage 2 of verification: compare fresh checksums against the
+/// maintained ones.
+///
+/// Unfused, the fresh sums are the recalculated ones [`verify_recalc`] left
+/// in scratch. With `fused`, the producing SYRK/GEMM kernel deposited them
+/// in its epilogue ([`syrk_diag`] / [`gemm_panel`]): no recalculation
+/// kernels ran and no scratch is involved, so this stage first does what
+/// [`verify_recalc`] would have — refresh the column statistics and wait
+/// for outstanding checksum updates — and the CMP reads the maintained
+/// checksums and the deposits directly. A fused compare deliberately
+/// declares **no matrix-tile reads**: for the conformance analysis it is
+/// the producer's `fused_verify` write that marks the tile verified, and
+/// the compare must not re-mark it.
 pub fn verify_compare<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
     tiles: &[(usize, usize)],
-    opts: &AbftOptions,
+    fused: bool,
 ) {
-    let _ = opts;
     if tiles.is_empty() {
         return;
+    }
+    if fused {
+        refresh_col_stats(ctx, lay, tiles);
+        ensure_dpt(ctx, lay);
+        // Updates to the maintained checksums must have landed before we
+        // compare against them (same rule as the recalc path).
+        if lay.placement == ChecksumPlacement::Cpu {
+            ctx.sync_cpu_workers();
+        } else {
+            ctx.sync_stream(lay.s_chk);
+        }
     }
     // With CPU-resident checksums, comparing means moving checksums across
     // the bus (the paper's "verification related transfer"). The stored
@@ -1264,26 +1180,29 @@ pub fn verify_compare<S: Scalar>(
     }
 
     // Comparison itself (a handful of flops per column — the overhead the
-    // paper's Section VI deems ignorable, charged anyway). Reads only: data
-    // tiles, their stored checksums, and the recalculated sums. This is the
-    // op whose reads mark tiles *verified* for the conformance analysis, so
-    // it must not declare writes (a write would invalidate its own marks).
+    // paper's Section VI deems ignorable, charged anyway). Reads only: the
+    // stored checksums, the fresh sums and (unfused) the data tiles. This
+    // is the op whose reads mark tiles *verified* for the conformance
+    // analysis, so it must not declare writes (a write would invalidate its
+    // own marks).
     let f = lay.charge(flops::verify_compare(lay.b) * tiles.len() as u64);
-    let cmp_reads = tiles
-        .iter()
-        .enumerate()
-        .flat_map(|(idx, &(bi, bj))| {
-            [
-                TileRef::new(lay.mat, bi, bj),
-                TileRef::new(lay.cks[bi], 0, bj),
-                TileRef::new(lay.scratch[idx], 0, 0),
-            ]
-        })
-        .collect();
+    let mut cmp_reads = Vec::with_capacity(tiles.len() * 3);
+    for (idx, &(bi, bj)) in tiles.iter().enumerate() {
+        if !fused {
+            cmp_reads.push(TileRef::new(lay.mat, bi, bj));
+        }
+        cmp_reads.push(TileRef::new(lay.cks[bi], 0, bj));
+        cmp_reads.push(if fused {
+            TileRef::new(lay.dpt[bi], 0, bj)
+        } else {
+            TileRef::new(lay.scratch[idx], 0, 0)
+        });
+    }
+    let name = if fused { "CMP-F" } else { "CMP" };
     ctx.launch(
         lay.s_comp,
         KernelDesc::new(
-            format!("CMP x{}", tiles.len()),
+            format!("{name} x{}", tiles.len()),
             KernelClass::Light,
             f,
             WorkCategory::Verify,
@@ -1292,101 +1211,6 @@ pub fn verify_compare<S: Scalar>(
         |_| {},
     );
     ctx.sync_stream(lay.s_comp);
-}
-
-/// Compare-only verification for tiles whose producing SYRK/GEMM kernel
-/// deposited fresh checksums in its fused epilogue ([`syrk_diag_fused`] /
-/// [`gemm_panel_fused`]): no recalculation kernels, no scratch — the CMP
-/// reads the maintained checksums and the deposits directly. Replaces
-/// [`verify_recalc`] + [`verify_compare`] for a fused `VerifyBatch`.
-///
-/// The compare deliberately declares **no matrix-tile reads**: for the
-/// conformance analysis it is the producer's `fused_verify` write that
-/// marks the tile verified, and the compare must not re-mark it.
-pub fn verify_compare_fused<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &mut CholLayout,
-    tiles: &[(usize, usize)],
-    opts: &AbftOptions,
-) {
-    let _ = opts;
-    if tiles.is_empty() {
-        return;
-    }
-    refresh_col_stats(ctx, lay, tiles);
-    ensure_dpt(ctx, lay);
-    // Updates to the maintained checksums must have landed before we
-    // compare against them (same rule as the recalc path).
-    if lay.placement == ChecksumPlacement::Cpu {
-        ctx.sync_cpu_workers();
-        // CPU-resident stored checksums ride host→device for the compare.
-        let bytes = S::BYTES * 2 * (lay.b as u64) * tiles.len() as u64;
-        ctx.bulk_transfer(bytes, lay.s_verif, true, |_, _| {});
-        ctx.sync_stream(lay.s_verif);
-    } else {
-        ctx.sync_stream(lay.s_chk);
-    }
-    let f = lay.charge(flops::verify_compare(lay.b) * tiles.len() as u64);
-    let cmp_reads = tiles
-        .iter()
-        .flat_map(|&(bi, bj)| {
-            [
-                TileRef::new(lay.cks[bi], 0, bj),
-                TileRef::new(lay.dpt[bi], 0, bj),
-            ]
-        })
-        .collect();
-    ctx.launch(
-        lay.s_comp,
-        KernelDesc::new(
-            format!("CMP-F x{}", tiles.len()),
-            KernelClass::Light,
-            f,
-            WorkCategory::Verify,
-        )
-        .with_access(AccessSet::new(cmp_reads, vec![])),
-        |_| {},
-    );
-    ctx.sync_stream(lay.s_comp);
-}
-
-/// Stages 3–4 of verification: locate and correct, per tile, from the
-/// comparison results. Maps onto a `Correct` plan node.
-///
-/// In Execute mode this operates on real data via [`verify_and_correct`]
-/// (which locates errors by the paper's `j = δ₂/δ₁` ratio — see
-/// [`crate::verify::locate_row`]); in TimingOnly mode the injector's ledger
-/// decides outcomes (a directly-hit tile is correctable, a propagated one
-/// is not). Records the `verify.*` metrics and `fault.*` events for the
-/// batch.
-///
-/// `depth` is the accumulation depth of the verified tiles — the iteration
-/// index the plan recorded on the `Correct` node (`nt` for a final sweep) —
-/// which the adaptive tolerance model turns into an accumulation-path
-/// length. Ignored under the fixed model.
-pub fn verify_correct<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &mut CholLayout,
-    inj: &mut Injector,
-    tiles: &[(usize, usize)],
-    depth: usize,
-    opts: &AbftOptions,
-) -> VerifyOutcome {
-    verify_correct_impl(ctx, lay, inj, tiles, depth, opts, false)
-}
-
-/// [`verify_correct`] for a fused batch: the freshly recalculated checksums
-/// live in the epilogue deposit tile `dpt[bi](0, bj)` rather than in the
-/// per-batch scratch tiles.
-pub fn verify_correct_fused<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &mut CholLayout,
-    inj: &mut Injector,
-    tiles: &[(usize, usize)],
-    depth: usize,
-    opts: &AbftOptions,
-) -> VerifyOutcome {
-    verify_correct_impl(ctx, lay, inj, tiles, depth, opts, true)
 }
 
 /// Resolve the run's tolerance model into per-tile thresholds for grid
@@ -1413,7 +1237,24 @@ fn tile_tolerance<S: Scalar>(
     }
 }
 
-fn verify_correct_impl<S: Scalar>(
+/// Stages 3–4 of verification: locate and correct, per tile, from the
+/// comparison results. Maps onto a `Correct` plan node.
+///
+/// In Execute mode this operates on real data via [`verify_and_correct`]
+/// (which locates errors by the paper's `j = δ₂/δ₁` ratio — see
+/// [`crate::verify::locate_row`]); in TimingOnly mode the injector's ledger
+/// decides outcomes (a directly-hit tile is correctable, a propagated one
+/// is not). Records the `verify.*` metrics and `fault.*` events for the
+/// batch.
+///
+/// `depth` is the accumulation depth of the verified tiles — the iteration
+/// index the plan recorded on the `Correct` node (`nt` for a final sweep) —
+/// which the adaptive tolerance model turns into an accumulation-path
+/// length. Ignored under the fixed model.
+///
+/// For a `fused` batch the fresh checksums live in the epilogue deposit
+/// tile `dpt[bi](0, bj)` rather than in the per-batch scratch tiles.
+pub fn verify_correct<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
     inj: &mut Injector,
@@ -1448,9 +1289,6 @@ fn verify_correct_impl<S: Scalar>(
                 src.tile(src_tile.0, src_tile.1),
                 &tol,
             );
-            if std::env::var_os("HCHOL_VERIFY_TRACE").is_some() && !o.is_clean() {
-                eprintln!("verify ({bi},{bj}): {o:?}");
-            }
             if !o.is_clean() && o.fully_recovered() {
                 inj.mark_corrected(bi, bj);
             }
@@ -1540,8 +1378,16 @@ pub fn verify_batch<S: Scalar>(
         return VerifyOutcome::default();
     }
     verify_recalc(ctx, lay, tiles, opts);
-    verify_compare(ctx, lay, tiles, opts);
-    verify_correct(ctx, lay, inj, tiles, depth, opts)
+    verify_compare(ctx, lay, tiles, false);
+    verify_correct(ctx, lay, inj, tiles, depth, opts, false)
+}
+
+/// The maintained checksum tile of every lower-triangle tile.
+fn lower_chk_tiles(lay: &CholLayout) -> Vec<TileRef> {
+    lower_tiles(lay.nt)
+        .into_iter()
+        .map(|(bi, bj)| TileRef::new(lay.cks[bi], 0, bj))
+        .collect()
 }
 
 /// Every tile of the lower triangle (including the diagonal).
@@ -1553,23 +1399,6 @@ pub fn lower_tiles(nt: usize) -> Vec<(usize, usize)> {
         }
     }
     v
-}
-
-/// Verify the whole lower triangle in bounded batches (used by the final
-/// checks of the Offline and Online schemes).
-pub fn verify_all<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &mut CholLayout,
-    inj: &mut Injector,
-    opts: &AbftOptions,
-) -> VerifyOutcome {
-    let mut out = VerifyOutcome::default();
-    let nt = lay.nt;
-    let all = lower_tiles(nt);
-    for chunk in all.chunks(256) {
-        out.merge(verify_batch(ctx, lay, inj, chunk, nt, opts));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1667,28 +1496,62 @@ mod tests {
 
     #[test]
     fn full_iteration_matches_reference_factorization() {
-        // Drive the four ops by hand for a 2x2-tile matrix and compare with
-        // the trusted host factorization.
-        let n = 8;
+        // Drive the four ops by hand for a 3x3-tile matrix and compare with
+        // the trusted host factorization — over the whole panel, with the
+        // fused epilogue, and as two row-cyclic per-device slices: row set
+        // and epilogue are parameters of the one op, never of its numerics.
+        let n = 12;
         let b = 4;
         let a = spd_diag_dominant(n, 2);
-        let mut ctx = exec_ctx();
-        let mut lay = setup(&mut ctx, n, b, false, ChecksumPlacement::Gpu, Some(&a)).unwrap();
-        for j in 0..lay.nt {
-            syrk_diag(&mut ctx, &lay, j);
-            diag_to_host(&mut ctx, &mut lay, j);
-            gemm_panel(&mut ctx, &lay, j);
-            ctx.sync_stream(lay.s_tran);
-            host_potf2(&mut ctx, &lay, j).unwrap();
-            diag_to_device(&mut ctx, &lay, j);
-            ctx.sync_stream(lay.s_tran);
-            trsm_panel(&mut ctx, &lay, j);
-        }
-        ctx.sync_all();
-        let l = extract_factor(&ctx, &lay).unwrap();
         let mut want = a.clone();
         hchol_blas::potrf_blocked(&mut want, b).unwrap();
-        assert!(hchol_matrix::approx_eq(&l, &want, 1e-10));
+        let mut factors = Vec::new();
+        for (fused, devices) in [(false, 1usize), (true, 1), (false, 2)] {
+            let mut ctx = exec_ctx();
+            let mut lay = setup(&mut ctx, n, b, false, ChecksumPlacement::Gpu, Some(&a)).unwrap();
+            // (rows, dev) of each slice of panel column j; one device
+            // holds every row and is no slice at all (`dev: None`).
+            let slices = |nt: usize, j: usize| -> Vec<(Vec<usize>, Option<usize>)> {
+                (0..devices)
+                    .map(|d| {
+                        let rows = ((j + 1)..nt).filter(|i| i % devices == d).collect();
+                        (rows, (devices > 1).then_some(d))
+                    })
+                    .collect()
+            };
+            for j in 0..lay.nt {
+                syrk_diag(&mut ctx, &mut lay, j, fused);
+                if fused && j > 0 {
+                    // The epilogue deposited fresh checksums of the
+                    // updated diagonal tile.
+                    let mut fresh = Matrix::zeros(checksum::CHECKSUM_COUNT, b);
+                    checksum::encode_into(ctx.dev_mem.tile(lay.mat, j, j), &mut fresh);
+                    let deposit = ctx.dev_mem.tile(lay.dpt[j], 0, j);
+                    assert!(hchol_matrix::approx_eq(deposit, &fresh, 1e-10));
+                }
+                diag_to_host(&mut ctx, &mut lay, j);
+                for (rows, dev) in slices(lay.nt, j) {
+                    gemm_panel(&mut ctx, &mut lay, j, &rows, dev, fused);
+                }
+                ctx.sync_stream(lay.s_tran);
+                host_potf2(&mut ctx, &lay, j).unwrap();
+                diag_to_device(&mut ctx, &lay, j);
+                ctx.sync_stream(lay.s_tran);
+                for (rows, dev) in slices(lay.nt, j) {
+                    trsm_panel(&mut ctx, &lay, j, &rows, dev);
+                }
+            }
+            ctx.sync_all();
+            let l = extract_factor(&ctx, &lay).unwrap();
+            assert!(
+                hchol_matrix::approx_eq(&l, &want, 1e-10),
+                "fused={fused} devices={devices}"
+            );
+            factors.push(l);
+        }
+        // Bit-identical across row sets and epilogues.
+        assert_eq!(factors[0], factors[1]);
+        assert_eq!(factors[0], factors[2]);
     }
 
     #[test]
@@ -1740,14 +1603,15 @@ mod tests {
         let opts = AbftOptions::default();
         encode_all(&mut ctx, &mut lay, &opts);
         for j in 0..lay.nt {
-            syrk_diag(&mut ctx, &lay, j);
+            let rows: Vec<usize> = ((j + 1)..lay.nt).collect();
+            syrk_diag(&mut ctx, &mut lay, j, false);
             diag_to_host(&mut ctx, &mut lay, j);
-            gemm_panel(&mut ctx, &lay, j);
+            gemm_panel(&mut ctx, &mut lay, j, &rows, None, false);
             ctx.sync_stream(lay.s_tran);
             host_potf2(&mut ctx, &lay, j).unwrap();
             diag_to_device(&mut ctx, &lay, j);
             ctx.sync_stream(lay.s_tran);
-            trsm_panel(&mut ctx, &lay, j);
+            trsm_panel(&mut ctx, &lay, j, &rows, None);
         }
         ctx.sync_all();
         assert!(ctx.now().as_secs() > 0.0);

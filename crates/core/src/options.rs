@@ -276,6 +276,12 @@ impl AbftOptions {
         j.is_multiple_of(self.verify_interval.max(1))
     }
 
+    /// Number of devices the run spans: `D` of [`ShardOptions`], `1` when
+    /// unsharded — `D = 1` *is* the unsharded run.
+    pub fn shard_devices(&self) -> usize {
+        self.shard.as_ref().map_or(1, |s| s.devices)
+    }
+
     /// Builder: set the verification interval `K`.
     pub fn with_interval(mut self, k: usize) -> Self {
         self.verify_interval = k.max(1);

@@ -64,7 +64,8 @@ pub fn factor_outer(
         let diag_back = ctx.record_event(lay.s_tran);
         ctx.stream_wait_event(lay.s_comp, diag_back);
         // Panel solve.
-        ops::trsm_panel(&mut ctx, &lay, j);
+        let below: Vec<usize> = ((j + 1)..nt).collect();
+        ops::trsm_panel(&mut ctx, &lay, j, &below, None);
         // Trailing update, issued per block column as a SYRK (diagonal
         // tile) followed by a GEMM (sub-diagonal tiles) — the right-looking
         // LAPACK/ScaLAPACK kernel pattern: A[i,k] -= L[i,j]·L[k,j]ᵀ, k > j.

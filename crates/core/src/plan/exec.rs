@@ -24,7 +24,7 @@
 
 use super::balance::BalanceController;
 use super::shard_rt::ShardRuntime;
-use super::{DriveStyle, FactorPlan, NodeId, ScopeId, SweepKind, TaskKind, UpdateOp};
+use super::{DriveStyle, FactorPlan, NodeId, ScopeId, SweepKind, TaskKind};
 use crate::decision;
 use crate::ops;
 use crate::options::AbftOptions;
@@ -77,6 +77,7 @@ impl ExecConfig {
 }
 
 /// Per-attempt interpreter state.
+#[derive(Default)]
 struct ExecState {
     vo: VerifyOutcome,
     vo_final: VerifyOutcome,
@@ -89,30 +90,17 @@ struct ExecState {
     scope_span: Option<SpanId>,
 }
 
-impl ExecState {
-    fn new() -> Self {
-        ExecState {
-            vo: VerifyOutcome::default(),
-            vo_final: VerifyOutcome::default(),
-            saw_final: false,
-            restart_at_end: false,
-            pending_err: None,
-            cur_iter: None,
-            cur_scope: None,
-            iter_span: None,
-            scope_span: None,
-        }
-    }
-}
-
 enum StepOut {
     Continue,
     Restart,
 }
 
-fn close_span<S: Scalar>(ctx: &mut SimContext<S>, sp: SpanId) {
-    let t = ctx.now().as_secs();
-    ctx.obs.spans.close(sp, t);
+/// Close `span` if one is open (none ever is with `record_scopes` off).
+fn close_span<S: Scalar>(ctx: &mut SimContext<S>, span: &mut Option<SpanId>) {
+    if let Some(sp) = span.take() {
+        let t = ctx.now().as_secs();
+        ctx.obs.spans.close(sp, t);
+    }
 }
 
 /// Span/iteration boundary bookkeeping before executing `id`. A deferred
@@ -127,14 +115,8 @@ fn transition<S: Scalar>(
 ) -> Result<(), MatrixError> {
     let node = plan.node(id);
     if node.iter != st.cur_iter {
-        if cfg.record_scopes {
-            if let Some(sp) = st.scope_span.take() {
-                close_span(a.ctx, sp);
-            }
-            if let Some(sp) = st.iter_span.take() {
-                close_span(a.ctx, sp);
-            }
-        }
+        close_span(a.ctx, &mut st.scope_span);
+        close_span(a.ctx, &mut st.iter_span);
         st.cur_scope = None;
         if let Some(e) = st.pending_err.take() {
             return Err(e);
@@ -153,10 +135,8 @@ fn transition<S: Scalar>(
         }
     }
     if node.scope != st.cur_scope {
+        close_span(a.ctx, &mut st.scope_span);
         if cfg.record_scopes {
-            if let Some(sp) = st.scope_span.take() {
-                close_span(a.ctx, sp);
-            }
             if let Some(sid) = node.scope {
                 let spec = &plan.scopes()[sid.0];
                 let t = a.ctx.now().as_secs();
@@ -211,11 +191,7 @@ fn step<S: Scalar>(
             propagate,
             fused,
         } => {
-            if *fused {
-                ops::syrk_diag_fused(ctx, lay, *j);
-            } else {
-                ops::syrk_diag(ctx, lay, *j);
-            }
+            ops::syrk_diag(ctx, lay, *j, *fused);
             if sync_style {
                 ctx.sync_device();
             }
@@ -235,14 +211,11 @@ fn step<S: Scalar>(
         }
         TaskKind::GemmPanel {
             j,
+            dev,
             propagate,
             fused,
         } => {
-            if *fused {
-                ops::gemm_panel_fused(ctx, lay, *j);
-            } else {
-                ops::gemm_panel(ctx, lay, *j);
-            }
+            ops::gemm_panel(ctx, lay, *j, &plan.panel_rows(*j, *dev), *dev, *fused);
             if sync_style {
                 ctx.sync_device();
             }
@@ -270,12 +243,16 @@ fn step<S: Scalar>(
                 ctx.sync_stream(lay.s_tran);
             }
         }
-        TaskKind::TrsmPanel { j, propagate } => {
-            if !sync_style {
+        TaskKind::TrsmPanel { j, dev, propagate } => {
+            // The compute stream must wait for the diagonal's return on its
+            // own device's transfer stream; a remote slice of a sharded
+            // panel was already ordered by its DeviceRecv.
+            let local = plan.shard.zip(*dev).is_none_or(|(s, d)| d == s.owner(*j));
+            if !sync_style && local {
                 let diag_back = ctx.record_event(lay.s_tran);
                 ctx.stream_wait_event(lay.s_comp, diag_back);
             }
-            ops::trsm_panel(ctx, lay, *j);
+            ops::trsm_panel(ctx, lay, *j, &plan.panel_rows(*j, *dev), *dev);
             if sync_style {
                 ctx.sync_device();
             }
@@ -283,21 +260,14 @@ fn step<S: Scalar>(
                 ops::propagate_trsm(inj, lay.nt, *j);
             }
         }
-        TaskKind::ChkUpdate { op, j, i } => match op {
-            UpdateOp::Syrk => ops::update_chk_syrk(ctx, lay, *j),
-            UpdateOp::Gemm => ops::update_chk_gemm(ctx, lay, *j, *i),
-            UpdateOp::Potf2 => ops::update_chk_potf2(ctx, lay, *j),
-            UpdateOp::Trsm => ops::update_chk_trsm(ctx, lay, *j, *i),
-        },
+        TaskKind::ChkUpdate { op, j, i } => ops::update_chk(ctx, lay, *op, *j, *i),
         TaskKind::VerifyBatch { tiles, fused, .. } => {
-            if *fused {
-                // Compare-only: the producing kernel already deposited
-                // fresh checksums in its epilogue.
-                ops::verify_compare_fused(ctx, lay, tiles, opts);
-            } else {
+            // A fused batch is compare-only: the producing kernel already
+            // deposited fresh checksums in its epilogue.
+            if !*fused {
                 ops::verify_recalc(ctx, lay, tiles, opts);
-                ops::verify_compare(ctx, lay, tiles, opts);
             }
+            ops::verify_compare(ctx, lay, tiles, *fused);
         }
         TaskKind::Correct {
             tiles,
@@ -305,25 +275,19 @@ fn step<S: Scalar>(
             fused,
             depth,
         } => {
-            let o = if *fused {
-                ops::verify_correct_fused(ctx, lay, inj, tiles, *depth, opts)
-            } else {
-                ops::verify_correct(ctx, lay, inj, tiles, *depth, opts)
-            };
+            let o = ops::verify_correct(ctx, lay, inj, tiles, *depth, opts, *fused);
             match sweep {
                 SweepKind::Inline => {
                     let ok = o.fully_recovered();
                     st.vo.merge(o);
                     if !ok {
                         if cfg.record_scopes {
-                            if let Some(sp) = st.scope_span.take() {
-                                close_span(ctx, sp);
-                            }
+                            close_span(ctx, &mut st.scope_span);
                             st.cur_scope = None;
                             let t = ctx.now().as_secs();
-                            let sp = ctx.obs.spans.open("restart drain", Phase::Drain, t);
+                            let mut sp = Some(ctx.obs.spans.open("restart drain", Phase::Drain, t));
                             ctx.sync_all();
-                            close_span(ctx, sp);
+                            close_span(ctx, &mut sp);
                         } else {
                             ctx.sync_all();
                         }
@@ -344,29 +308,6 @@ fn step<S: Scalar>(
             let r = rt.as_mut().expect("DeviceRecv in an unsharded run");
             r.recv(ctx, *j, *what, *to);
         }
-        TaskKind::GemmShard { j, dev, propagate } => {
-            let spec = plan.shard.expect("GemmShard in an unsharded plan");
-            let rows = spec.panel_rows(plan.nt, *j, *dev);
-            ops::gemm_shard(ctx, lay, *j, *dev, &rows);
-            if *propagate {
-                ops::propagate_gemm(inj, lay.nt, *j);
-            }
-        }
-        TaskKind::TrsmShard { j, dev, propagate } => {
-            let spec = plan.shard.expect("TrsmShard in an unsharded plan");
-            if *dev == spec.owner(*j) {
-                // The owner's compute stream must wait for the diagonal's
-                // return on its own transfer stream; remote shards were
-                // already ordered by their DeviceRecv.
-                let diag_back = ctx.record_event(lay.s_tran);
-                ctx.stream_wait_event(lay.s_comp, diag_back);
-            }
-            let rows = spec.panel_rows(plan.nt, *j, *dev);
-            ops::trsm_shard(ctx, lay, *j, *dev, &rows);
-            if *propagate {
-                ops::propagate_trsm(inj, lay.nt, *j);
-            }
-        }
         TaskKind::ShardParity { j } => {
             let r = rt.as_mut().expect("ShardParity in an unsharded run");
             r.refresh_column_parity(ctx, lay, *j);
@@ -378,7 +319,7 @@ fn step<S: Scalar>(
                 ops::mark_panel_ready(ctx, lay);
             }
         }
-        TaskKind::MirrorPanel { j } => ops::cpu_mirror_panel(ctx, lay, *j),
+        TaskKind::MirrorPanel { j } => ops::cpu_mirror_panel(lay, *j),
         TaskKind::FlushMirror => ops::flush_mirror(ctx, lay),
         TaskKind::Drain => {
             if st.saw_final {
@@ -395,73 +336,6 @@ fn step<S: Scalar>(
         }
     }
     Ok(StepOut::Continue)
-}
-
-/// Run one attempt of `plan` to completion (or restart / error), exactly
-/// as the legacy per-scheme attempt functions did.
-pub(crate) fn run_attempt<S: Scalar>(
-    plan: &FactorPlan,
-    a: &mut AttemptCtx<'_, S>,
-    cfg: &ExecConfig,
-) -> Result<(AttemptEnd, VerifyOutcome), MatrixError> {
-    let mut rt = plan
-        .shard
-        .map(|spec| ShardRuntime::new(a.ctx, a.lay, spec, a.opts));
-    let out = run_attempt_inner(plan, a, cfg, &mut rt);
-    // Leave the layout pointing at shard 0's streams (the originals), so
-    // post-attempt work — extraction, restart reload — stays well-formed.
-    if let Some(r) = rt.as_mut() {
-        r.steer(a.lay, 0);
-    }
-    out
-}
-
-fn run_attempt_inner<S: Scalar>(
-    plan: &FactorPlan,
-    a: &mut AttemptCtx<'_, S>,
-    cfg: &ExecConfig,
-    rt: &mut Option<ShardRuntime>,
-) -> Result<(AttemptEnd, VerifyOutcome), MatrixError> {
-    let positions: Vec<usize> = if cfg.policy == IssuePolicy::InOrder {
-        (0..plan.len()).collect()
-    } else {
-        let schedule = plan.to_schedule();
-        let order = schedule.issue_order(cfg.policy);
-        let moved = order.iter().enumerate().filter(|&(i, &p)| i != p).count();
-        a.ctx.obs.metrics.add_count("plan.nodes", plan.len() as u64);
-        a.ctx
-            .obs
-            .metrics
-            .add_count("plan.edges", plan.edge_count() as u64);
-        a.ctx.obs.metrics.add_count("plan.reordered", moved as u64);
-        order
-    };
-    let mut st = ExecState::new();
-    let order = plan.order();
-    for &pos in &positions {
-        match step(plan, a, cfg, &mut st, rt, order[pos]) {
-            Ok(StepOut::Continue) => {}
-            Ok(StepOut::Restart) => return Ok((AttemptEnd::Restart, st.vo)),
-            Err(e) => return Err(e),
-        }
-    }
-    if cfg.record_scopes {
-        if let Some(sp) = st.scope_span.take() {
-            close_span(a.ctx, sp);
-        }
-        if let Some(sp) = st.iter_span.take() {
-            close_span(a.ctx, sp);
-        }
-    }
-    if let Some(e) = st.pending_err.take() {
-        return Err(e);
-    }
-    let end = if st.restart_at_end {
-        AttemptEnd::Restart
-    } else {
-        AttemptEnd::Completed
-    };
-    Ok((end, st.vo))
 }
 
 /// Wake the feedback controller at iteration boundary `j`: difference the
@@ -503,60 +377,76 @@ fn rebalance<S: Scalar>(
     }
 }
 
-/// Run one attempt of a *balanced* plan: in-order execution with the
-/// feedback controller ([`BalanceController`]) woken once per
-/// `update_interval`-th iteration boundary, possibly rewriting the
+/// Run one attempt of `plan` to completion (or restart / error), exactly
+/// as the legacy per-scheme attempt functions did: step every node in
+/// issue order — the authored order, or the policy's reordering of it.
+///
+/// With a feedback controller (`balance`; in-order, unsharded runs only —
+/// `validate_options` refuses the rest) the loop wakes it once per
+/// `update_interval`-th iteration boundary, and it may rewrite the
 /// not-yet-executed tail of `plan` in place. The cursor walks the issue
 /// order by position; rewrites only touch nodes of the current and later
 /// iterations, so executed positions never shift.
-pub(crate) fn run_attempt_balanced<S: Scalar>(
+pub(crate) fn run_attempt<S: Scalar>(
     plan: &mut FactorPlan,
     a: &mut AttemptCtx<'_, S>,
     cfg: &ExecConfig,
-    ctrl: &mut BalanceController,
+    mut balance: Option<&mut BalanceController>,
 ) -> Result<(AttemptEnd, VerifyOutcome), MatrixError> {
-    assert_eq!(
-        cfg.policy,
-        IssuePolicy::InOrder,
-        "balanced runs execute in-order"
-    );
-    assert!(
-        plan.shard.is_none(),
-        "the balance controller does not compose with sharding"
-    );
-    let mut rt = None;
-    let mut st = ExecState::new();
-    let mut pos = 0usize;
-    let mut woken: Option<usize> = None;
-    {
+    let mut rt = plan
+        .shard
+        .map(|spec| ShardRuntime::new(a.ctx, a.lay, spec, a.opts));
+    // `None` = the authored order, re-read every step so a balancer
+    // rewrite of the tail is picked up.
+    let reordered = (cfg.policy != IssuePolicy::InOrder).then(|| {
+        let order = plan.to_schedule().issue_order(cfg.policy);
+        let moved = order.iter().enumerate().filter(|&(i, &p)| i != p).count();
+        let m = &mut a.ctx.obs.metrics;
+        m.add_count("plan.nodes", plan.len() as u64);
+        m.add_count("plan.edges", plan.edge_count() as u64);
+        m.add_count("plan.reordered", moved as u64);
+        order
+    });
+    let mut st = ExecState::default();
+    if let Some(ctrl) = balance.as_deref_mut() {
         let util = a.ctx.engine_utilization();
         ctrl.prime(&util, a.inj.applied().len());
     }
-    while pos < plan.len() {
-        if let Some(j) = plan.node(plan.order()[pos]).iter {
-            if ctrl.due(j) && woken != Some(j) {
-                woken = Some(j);
-                rebalance(plan, a, ctrl, j);
+    let mut woken: Option<usize> = None;
+    let mut stopped = Ok(StepOut::Continue);
+    let mut cursor = 0usize;
+    while cursor < plan.len() {
+        let pos = reordered.as_ref().map_or(cursor, |o| o[cursor]);
+        if let Some(ctrl) = balance.as_deref_mut() {
+            if let Some(j) = plan.node(plan.order()[pos]).iter {
+                if ctrl.due(j) && woken != Some(j) {
+                    woken = Some(j);
+                    rebalance(plan, a, ctrl, j);
+                }
             }
         }
-        // Re-read the position: a rewrite may have inserted a check right
-        // here (in front of the old node), and that check runs first.
+        // Read the position after the hook: a rewrite may have inserted a
+        // check right here (in front of the old node), and that check runs
+        // first.
         let id = plan.order()[pos];
         match step(plan, a, cfg, &mut st, &mut rt, id) {
-            Ok(StepOut::Continue) => {}
-            Ok(StepOut::Restart) => return Ok((AttemptEnd::Restart, st.vo)),
-            Err(e) => return Err(e),
-        }
-        pos += 1;
-    }
-    if cfg.record_scopes {
-        if let Some(sp) = st.scope_span.take() {
-            close_span(a.ctx, sp);
-        }
-        if let Some(sp) = st.iter_span.take() {
-            close_span(a.ctx, sp);
+            Ok(StepOut::Continue) => cursor += 1,
+            other => {
+                stopped = other;
+                break;
+            }
         }
     }
+    // Leave the layout pointing at shard 0's streams (the originals), so
+    // post-attempt work — extraction, restart reload — stays well-formed.
+    if let Some(r) = rt.as_mut() {
+        r.steer(a.lay, 0);
+    }
+    if let StepOut::Restart = stopped? {
+        return Ok((AttemptEnd::Restart, st.vo));
+    }
+    close_span(a.ctx, &mut st.scope_span);
+    close_span(a.ctx, &mut st.iter_span);
     if let Some(e) = st.pending_err.take() {
         return Err(e);
     }
@@ -643,7 +533,7 @@ pub fn run_batch(
         sync_on_drain: false,
     };
     let mut injs: Vec<Injector> = (0..plans.len()).map(|_| Injector::inert()).collect();
-    let mut states: Vec<ExecState> = (0..plans.len()).map(|_| ExecState::new()).collect();
+    let mut states: Vec<ExecState> = (0..plans.len()).map(|_| ExecState::default()).collect();
     let mut halted = vec![false; plans.len()];
     let mut no_shard = None;
     for (p, pos) in hchol_gpusim::round_robin(&orders) {
@@ -673,4 +563,125 @@ pub fn run_batch(
         runs: states.into_iter().map(|s| s.vo).collect(),
         ctx,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::options::{ChecksumPlacement, ShardOptions};
+    use hchol_gpusim::{BufferId, TileRef, TraceAction};
+    use std::collections::HashMap;
+
+    /// Plan ↔ runtime agreement of the single-sourced access sets: every
+    /// SYRK/GEMM/TRSM (and checksum-update) kernel the executor launches
+    /// declares, once mapped back through the layout binding, exactly the
+    /// tiles its plan node declares — on the default, fused and sharded
+    /// configurations of all three schemes.
+    #[test]
+    fn kernels_declare_their_plan_nodes_accesses() {
+        let (nt, b) = (6usize, 4usize);
+        let base = AbftOptions::default().with_placement(ChecksumPlacement::Gpu);
+        // (name, options, what an Enhanced run's GEMM labels must show).
+        let configs = [
+            ("default", base.clone(), "GEMM j="),
+            (
+                "chk_fused",
+                base.clone().with_chk_fused(true),
+                "GEMM+CHK j=",
+            ),
+            (
+                "shard D=2",
+                base.clone().with_shard(ShardOptions::new(2)),
+                " d=1",
+            ),
+            (
+                "shard D=3",
+                base.clone().with_shard(ShardOptions::new(3)),
+                " d=2",
+            ),
+        ];
+        for (name, opts, marker) in &configs {
+            for kind in SchemeKind::all() {
+                let profile = SystemProfile::test_profile().with_devices(opts.shard_devices());
+                let mut ctx = SimContext::new(profile, ExecMode::TimingOnly);
+                let mut lay =
+                    ops::setup(&mut ctx, nt * b, b, true, ChecksumPlacement::Gpu, None).unwrap();
+                let mut plan = crate::plan::for_scheme(kind, nt, opts, false);
+                let mut a = AttemptCtx {
+                    ctx: &mut ctx,
+                    lay: &mut lay,
+                    inj: &mut Injector::inert(),
+                    opts,
+                };
+                run_attempt(&mut plan, &mut a, &ExecConfig::default(), None).unwrap();
+
+                // Invert `CholLayout::bind`: real buffer → canonical id.
+                let mut canonical = HashMap::from([(lay.mat, BufferId(0))]);
+                for bi in 0..nt {
+                    canonical.insert(lay.cks[bi], BufferId(1 + bi));
+                    if let Some(&d) = lay.dpt.get(bi) {
+                        canonical.insert(d, BufferId(1 + nt + bi));
+                    }
+                }
+                let unbind = |tiles: &[TileRef]| -> Vec<TileRef> {
+                    tiles
+                        .iter()
+                        .map(|t| TileRef::new(canonical[&t.buf], t.bi, t.bj))
+                        .collect()
+                };
+
+                // In-order execution: the k-th such kernel in the trace was
+                // issued by the k-th such node with a non-empty access set
+                // (no-op nodes launch nothing).
+                let nodes: Vec<_> = plan
+                    .order()
+                    .iter()
+                    .filter(|&&id| {
+                        matches!(
+                            plan.node(id).kind,
+                            TaskKind::Syrk { .. }
+                                | TaskKind::GemmPanel { .. }
+                                | TaskKind::TrsmPanel { .. }
+                                | TaskKind::ChkUpdate { .. }
+                        )
+                    })
+                    .map(|&id| (id, plan.node_access(id).tiles))
+                    .filter(|(_, tiles)| !tiles.is_empty())
+                    .collect();
+                let launched: Vec<_> = ctx
+                    .trace
+                    .actions()
+                    .iter()
+                    .filter_map(|act| match act {
+                        TraceAction::Op(op)
+                            if ["SYRK", "GEMM", "TRSM", "UPD-"]
+                                .iter()
+                                .any(|p| op.label.starts_with(p)) =>
+                        {
+                            Some(op)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let tag = format!("{name} {kind:?}");
+                assert_eq!(launched.len(), nodes.len(), "{tag}: kernel count");
+                if kind == SchemeKind::Enhanced {
+                    assert!(launched.iter().any(|op| op.label.contains(marker)), "{tag}");
+                }
+                for (op, (id, want)) in launched.iter().zip(&nodes) {
+                    let node = &plan.node(*id).kind;
+                    assert_eq!(
+                        unbind(&op.access.reads),
+                        want.reads,
+                        "{tag}: {node:?} reads"
+                    );
+                    assert_eq!(
+                        unbind(&op.access.writes),
+                        want.writes,
+                        "{tag}: {node:?} writes"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -78,10 +78,10 @@ pub enum DriveStyle {
 pub enum ShardXfer {
     /// Row panel of iteration `j`: tiles `(j, 0..j)`, finalized by earlier
     /// iterations on the row owner and read by every other device's GEMM
-    /// shard and cross-row checksum updates.
+    /// slice and cross-row checksum updates.
     RowPanel,
     /// The factorized diagonal block `(j, j)`, read by every other
-    /// device's TRSM shard and cross-row TRSM checksum updates.
+    /// device's TRSM slice and cross-row TRSM checksum updates.
     Diag,
 }
 
@@ -106,7 +106,13 @@ pub enum TaskKind {
     GemmPanel {
         /// Outer iteration.
         j: usize,
-        /// Mirror the operation in the injector's propagation ledger.
+        /// Row set: `None` = every panel row `j+1..nt` (the single-device
+        /// case); `Some(d)` = device `d`'s slice of a sharded plan, the
+        /// rows with `owner(i) = d` ([`FactorPlan::panel_rows`]).
+        dev: Option<usize>,
+        /// Mirror the whole panel's operation in the injector's
+        /// propagation ledger (on a sharded plan: set on the iteration's
+        /// last slice only).
         propagate: bool,
         /// Fused checksum epilogue: deposit fresh checksums of every
         /// written panel tile ([`dpt_tile`]) in the same kernel launch.
@@ -133,7 +139,10 @@ pub enum TaskKind {
     TrsmPanel {
         /// Outer iteration.
         j: usize,
-        /// Mirror the operation in the injector's propagation ledger.
+        /// Row set, as for [`TaskKind::GemmPanel`].
+        dev: Option<usize>,
+        /// Mirror the whole panel's operation in the injector's
+        /// propagation ledger (last slice only on a sharded plan).
         propagate: bool,
     },
     /// One checksum-update task (dispatched per Optimization 2).
@@ -153,8 +162,8 @@ pub enum TaskKind {
         /// Inline check or final sweep.
         sweep: SweepKind,
         /// Compare-only batch: fresh checksums were already deposited by
-        /// the fused producer kernels ([`ops::verify_compare_fused`]), so
-        /// no recalculation kernels are issued.
+        /// the fused producer kernels, so no recalculation kernels are
+        /// issued ([`ops::verify_compare`] alone).
         fused: bool,
         /// Accumulation depth of the batch — the outer iteration at which
         /// the check runs (`nt` for a final sweep). The adaptive tolerance
@@ -199,28 +208,6 @@ pub enum TaskKind {
         /// Receiving device.
         to: usize,
     },
-    /// Device `dev`'s slice of the panel GEMM of iteration `j`: the rows
-    /// `i ∈ (j, nt)` with `owner(i) = dev` (sharded plans only).
-    GemmShard {
-        /// Outer iteration.
-        j: usize,
-        /// Executing device.
-        dev: usize,
-        /// Mirror the whole panel's operation in the injector's ledger
-        /// (set on the last shard of the iteration only).
-        propagate: bool,
-    },
-    /// Device `dev`'s slice of the panel TRSM of iteration `j` (sharded
-    /// plans only).
-    TrsmShard {
-        /// Outer iteration.
-        j: usize,
-        /// Executing device.
-        dev: usize,
-        /// Mirror the whole panel's operation in the injector's ledger
-        /// (set on the last shard of the iteration only).
-        propagate: bool,
-    },
     /// Refresh the XOR parity of column `j` (matrix and checksum tiles)
     /// after its finalizing iteration, so a later device loss can
     /// reconstruct the column's lost shard exactly (sharded plans only).
@@ -239,6 +226,31 @@ pub enum TaskKind {
     FlushMirror,
     /// Synchronize everything (attempt tail).
     Drain,
+}
+
+impl TaskKind {
+    /// The [`TaskKind::VerifyBatch`] / [`TaskKind::Correct`] node pair
+    /// checking one batch of tiles, in issue order.
+    pub fn check_pair(
+        tiles: Vec<(usize, usize)>,
+        sweep: SweepKind,
+        fused: bool,
+        depth: usize,
+    ) -> [TaskKind; 2] {
+        let batch = TaskKind::VerifyBatch {
+            tiles: tiles.clone(),
+            sweep,
+            fused,
+            depth,
+        };
+        let correct = TaskKind::Correct {
+            tiles,
+            sweep,
+            fused,
+            depth,
+        };
+        [batch, correct]
+    }
 }
 
 /// Stable identifier of a node within one plan (index into node storage;
@@ -527,6 +539,29 @@ impl FactorPlan {
         }
     }
 
+    /// The rows of panel column `j` a panel node with row set `dev`
+    /// covers: all of `j+1..nt`, or device `dev`'s share of them.
+    pub fn panel_rows(&self, j: usize, dev: Option<usize>) -> Vec<usize> {
+        match dev {
+            None => ((j + 1)..self.nt).collect(),
+            Some(d) => self
+                .shard
+                .expect("a per-device panel slice needs a sharded plan")
+                .panel_rows(self.nt, j, d),
+        }
+    }
+
+    /// Work on a device other than column `j`'s owner reads the broadcast
+    /// payload `what`: declare the receive token it orders behind
+    /// (nothing to declare for a no-op, or on an unsharded plan).
+    fn recv_if_remote(&self, a: &mut NodeAccess, j: usize, dev: Option<usize>, what: ShardXfer) {
+        if let (Some(s), Some(d)) = (self.shard, dev) {
+            if d != s.owner(j) && !a.tiles.is_empty() {
+                a.virt_reads.push(VirtRes::ShardRecv(j, what, d));
+            }
+        }
+    }
+
     /// The declared accesses of a node, with canonical buffer ids.
     pub fn node_access(&self, id: NodeId) -> NodeAccess {
         let nt = self.nt;
@@ -554,44 +589,17 @@ impl FactorPlan {
                 propagate,
                 fused,
             } => {
-                let j = *j;
-                if j > 0 {
-                    let reads = (0..j)
-                        .map(|k| mat_tile(j, k))
-                        .chain([mat_tile(j, j)])
-                        .collect();
-                    let mut writes = vec![mat_tile(j, j)];
-                    if *fused {
-                        writes.push(dpt_tile(nt, j, j));
-                    }
-                    a.tiles = AccessSet::new(reads, writes);
-                }
+                a.tiles = ops::syrk_access(nt, *j, *fused);
                 ledger_if(*propagate, &mut a);
             }
             TaskKind::GemmPanel {
                 j,
+                dev,
                 propagate,
                 fused,
             } => {
-                let j = *j;
-                if j > 0 && j + 1 < nt {
-                    let mut reads = Vec::new();
-                    let mut writes = Vec::new();
-                    for i in (j + 1)..nt {
-                        writes.push(mat_tile(i, j));
-                        if *fused {
-                            writes.push(dpt_tile(nt, i, j));
-                        }
-                        reads.push(mat_tile(i, j));
-                        for k in 0..j {
-                            reads.push(mat_tile(i, k));
-                        }
-                    }
-                    for k in 0..j {
-                        reads.push(mat_tile(j, k));
-                    }
-                    a.tiles = AccessSet::new(reads, writes);
-                }
+                a.tiles = ops::gemm_panel_access(nt, *j, &self.panel_rows(*j, *dev), *fused);
+                self.recv_if_remote(&mut a, *j, *dev, ShardXfer::RowPanel);
                 ledger_if(*propagate, &mut a);
             }
             TaskKind::DiagToHost { j } => {
@@ -616,53 +624,26 @@ impl FactorPlan {
                 a.tiles = AccessSet::new(vec![], vec![mat_tile(*j, *j)]);
                 a.virt_reads.push(VirtRes::HostDiag);
             }
-            TaskKind::TrsmPanel { j, propagate } => {
-                let j = *j;
-                if j + 1 < nt {
-                    let mut reads = vec![mat_tile(j, j)];
-                    let mut writes = Vec::new();
-                    for i in (j + 1)..nt {
-                        reads.push(mat_tile(i, j));
-                        writes.push(mat_tile(i, j));
-                    }
-                    a.tiles = AccessSet::new(reads, writes);
-                }
+            TaskKind::TrsmPanel { j, dev, propagate } => {
+                a.tiles = ops::trsm_panel_access(*j, &self.panel_rows(*j, *dev));
+                self.recv_if_remote(&mut a, *j, *dev, ShardXfer::Diag);
                 ledger_if(*propagate, &mut a);
             }
             TaskKind::ChkUpdate { op, j, i } => {
                 let (j, i) = (*j, *i);
-                let (reads, writes): (Vec<TileRef>, Vec<TileRef>) = match op {
-                    UpdateOp::Syrk | UpdateOp::Gemm => {
-                        let row = if *op == UpdateOp::Syrk { j } else { i };
-                        if j == 0 {
-                            (vec![], vec![])
-                        } else {
-                            (
-                                (0..j)
-                                    .flat_map(|k| [mat_tile(j, k), chk_tile(row, k)])
-                                    .chain([chk_tile(row, j)])
-                                    .collect(),
-                                vec![chk_tile(row, j)],
-                            )
-                        }
-                    }
-                    UpdateOp::Potf2 => (vec![mat_tile(j, j), chk_tile(j, j)], vec![chk_tile(j, j)]),
-                    UpdateOp::Trsm => (vec![mat_tile(j, j), chk_tile(i, j)], vec![chk_tile(i, j)]),
-                };
-                a.tiles = AccessSet::new(reads, writes);
+                a.tiles = ops::chk_update_access(*op, j, i);
                 a.virt_reads.push(VirtRes::PanelReady);
                 // Cross-row updates on a sharded plan read the broadcast
                 // row panel / diagonal of a column another device owns.
-                if let Some(s) = self.shard.filter(|s| s.devices > 1 && j > 0) {
-                    match op {
-                        UpdateOp::Gemm if s.owner(i) != s.owner(j) => a
-                            .virt_reads
-                            .push(VirtRes::ShardRecv(j, ShardXfer::RowPanel, s.owner(i))),
-                        UpdateOp::Trsm if s.owner(i) != s.owner(j) => a
-                            .virt_reads
-                            .push(VirtRes::ShardRecv(j, ShardXfer::Diag, s.owner(i))),
-                        _ => {}
+                let home = self.shard.map(|s| s.owner(i));
+                match op {
+                    UpdateOp::Gemm if j > 0 => {
+                        self.recv_if_remote(&mut a, j, home, ShardXfer::RowPanel)
                     }
+                    UpdateOp::Trsm if j > 0 => {
+                        self.recv_if_remote(&mut a, j, home, ShardXfer::Diag)
+                    }
+                    _ => {}
                 }
             }
             TaskKind::VerifyBatch { tiles, fused, .. } => {
@@ -710,50 +691,6 @@ impl FactorPlan {
             TaskKind::DeviceRecv { j, what, to } => {
                 a.virt_reads.push(VirtRes::ShardMsg(*j, *what));
                 a.virt_writes.push(VirtRes::ShardRecv(*j, *what, *to));
-            }
-            TaskKind::GemmShard { j, dev, propagate } => {
-                let j = *j;
-                let s = self.shard.expect("GemmShard only in sharded plans");
-                let rows = s.panel_rows(self.nt, j, *dev);
-                if j > 0 && !rows.is_empty() {
-                    let mut reads = Vec::new();
-                    let mut writes = Vec::new();
-                    for &i in &rows {
-                        writes.push(mat_tile(i, j));
-                        reads.push(mat_tile(i, j));
-                        for k in 0..j {
-                            reads.push(mat_tile(i, k));
-                        }
-                    }
-                    for k in 0..j {
-                        reads.push(mat_tile(j, k));
-                    }
-                    a.tiles = AccessSet::new(reads, writes);
-                    if *dev != s.owner(j) {
-                        a.virt_reads
-                            .push(VirtRes::ShardRecv(j, ShardXfer::RowPanel, *dev));
-                    }
-                }
-                ledger_if(*propagate, &mut a);
-            }
-            TaskKind::TrsmShard { j, dev, propagate } => {
-                let j = *j;
-                let s = self.shard.expect("TrsmShard only in sharded plans");
-                let rows = s.panel_rows(self.nt, j, *dev);
-                if !rows.is_empty() {
-                    let mut reads = vec![mat_tile(j, j)];
-                    let mut writes = Vec::new();
-                    for &i in &rows {
-                        reads.push(mat_tile(i, j));
-                        writes.push(mat_tile(i, j));
-                    }
-                    a.tiles = AccessSet::new(reads, writes);
-                    if *dev != s.owner(j) {
-                        a.virt_reads
-                            .push(VirtRes::ShardRecv(j, ShardXfer::Diag, *dev));
-                    }
-                }
-                ledger_if(*propagate, &mut a);
             }
             TaskKind::ShardParity { j } => {
                 let j = *j;
@@ -921,10 +858,8 @@ pub fn for_scheme(
         policy::apply_chk_fused(&mut plan);
     }
     policy::apply_placement(&mut plan, opts.placement);
-    if let Some(s) = &opts.shard {
-        if s.devices > 1 {
-            shard::apply_shard(&mut plan, s.devices);
-        }
+    if opts.shard_devices() > 1 {
+        shard::apply_shard(&mut plan, opts.shard_devices());
     }
     plan.derive_deps();
     plan

@@ -37,12 +37,32 @@ pub struct OnlinePolicy;
 /// Verify before read (the paper's scheme).
 pub struct EnhancedPolicy;
 
-fn find_kind(plan: &FactorPlan, f: impl Fn(&TaskKind) -> bool) -> Option<NodeId> {
-    plan.find(|n| f(&n.kind))
+/// Recognises one Algorithm-1 step of iteration `j` among the task kinds.
+type IsStep = fn(&TaskKind, usize) -> bool;
+
+fn is_syrk(k: &TaskKind, j: usize) -> bool {
+    matches!(k, TaskKind::Syrk { j: jj, .. } if *jj == j)
+}
+fn is_diag_d2h(k: &TaskKind, j: usize) -> bool {
+    matches!(k, TaskKind::DiagToHost { j: jj } if *jj == j)
+}
+fn is_gemm(k: &TaskKind, j: usize) -> bool {
+    matches!(k, TaskKind::GemmPanel { j: jj, .. } if *jj == j)
+}
+fn is_diag_h2d(k: &TaskKind, j: usize) -> bool {
+    matches!(k, TaskKind::DiagToDevice { j: jj } if *jj == j)
+}
+fn is_trsm(k: &TaskKind, j: usize) -> bool {
+    matches!(k, TaskKind::TrsmPanel { j: jj, .. } if *jj == j)
+}
+
+/// The first node of iteration `j` that `is` recognises.
+fn find_step(plan: &FactorPlan, is: IsStep, j: usize) -> Option<NodeId> {
+    plan.find(|n| is(&n.kind, j))
 }
 
 fn remove_if(plan: &mut FactorPlan, f: impl Fn(&TaskKind) -> bool) {
-    if let Some(id) = find_kind(plan, f) {
+    if let Some(id) = plan.find(|n| f(&n.kind)) {
         plan.remove(id);
     }
 }
@@ -68,74 +88,21 @@ fn set_propagation(plan: &mut FactorPlan, include_potf2: bool) {
 fn insert_updates(plan: &mut FactorPlan) {
     let nt = plan.nt;
     for j in 0..nt {
-        if let Some(s) = find_kind(
-            plan,
-            |k| matches!(k, TaskKind::Syrk { j: jj, .. } if *jj == j),
-        ) {
-            let (scope, iter) = (plan.node(s).scope, plan.node(s).iter);
-            plan.insert_after(
-                s,
-                TaskKind::ChkUpdate {
-                    op: UpdateOp::Syrk,
-                    j,
-                    i: j,
-                },
-                scope,
-                iter,
-            );
-        }
-        if let Some(g) = find_kind(
-            plan,
-            |k| matches!(k, TaskKind::GemmPanel { j: jj, .. } if *jj == j),
-        ) {
-            let (scope, iter) = (plan.node(g).scope, plan.node(g).iter);
-            let mut anchor = g;
-            for i in (j + 1)..nt {
-                anchor = plan.insert_after(
-                    anchor,
-                    TaskKind::ChkUpdate {
-                        op: UpdateOp::Gemm,
-                        j,
-                        i,
-                    },
-                    scope,
-                    iter,
-                );
-            }
-        }
-        if let Some(d) = find_kind(
-            plan,
-            |k| matches!(k, TaskKind::DiagToDevice { j: jj } if *jj == j),
-        ) {
-            let (scope, iter) = (plan.node(d).scope, plan.node(d).iter);
-            plan.insert_after(
-                d,
-                TaskKind::ChkUpdate {
-                    op: UpdateOp::Potf2,
-                    j,
-                    i: j,
-                },
-                scope,
-                iter,
-            );
-        }
-        if let Some(t) = find_kind(
-            plan,
-            |k| matches!(k, TaskKind::TrsmPanel { j: jj, .. } if *jj == j),
-        ) {
-            let (scope, iter) = (plan.node(t).scope, plan.node(t).iter);
-            let mut anchor = t;
-            for i in (j + 1)..nt {
-                anchor = plan.insert_after(
-                    anchor,
-                    TaskKind::ChkUpdate {
-                        op: UpdateOp::Trsm,
-                        j,
-                        i,
-                    },
-                    scope,
-                    iter,
-                );
+        // (the mirrored step, its update, the block rows it maintains)
+        let mirrors: [(IsStep, UpdateOp, std::ops::Range<usize>); 4] = [
+            (is_syrk, UpdateOp::Syrk, j..j + 1),
+            (is_gemm, UpdateOp::Gemm, j + 1..nt),
+            (is_diag_h2d, UpdateOp::Potf2, j..j + 1),
+            (is_trsm, UpdateOp::Trsm, j + 1..nt),
+        ];
+        for (is_step, op, rows) in mirrors {
+            let Some(at) = find_step(plan, is_step, j) else {
+                continue;
+            };
+            let (scope, iter) = (plan.node(at).scope, plan.node(at).iter);
+            let mut anchor = at;
+            for i in rows {
+                anchor = plan.insert_after(anchor, TaskKind::ChkUpdate { op, j, i }, scope, iter);
             }
         }
     }
@@ -197,28 +164,9 @@ pub(crate) fn insert_check_before(
     iter: usize,
 ) {
     let sc = plan.scope("verify", Phase::Verify);
-    plan.insert_before(
-        anchor,
-        TaskKind::VerifyBatch {
-            tiles: tiles.clone(),
-            sweep: SweepKind::Inline,
-            fused: false,
-            depth: iter,
-        },
-        Some(sc),
-        Some(iter),
-    );
-    plan.insert_before(
-        anchor,
-        TaskKind::Correct {
-            tiles,
-            sweep: SweepKind::Inline,
-            fused: false,
-            depth: iter,
-        },
-        Some(sc),
-        Some(iter),
-    );
+    for kind in TaskKind::check_pair(tiles, SweepKind::Inline, false, iter) {
+        plan.insert_before(anchor, kind, Some(sc), Some(iter));
+    }
 }
 
 /// Insert a verify/correct pair immediately after `anchor`.
@@ -229,62 +177,26 @@ fn insert_check_after(
     iter: usize,
 ) {
     let sc = plan.scope("verify", Phase::Verify);
-    let vb = plan.insert_after(
-        anchor,
-        TaskKind::VerifyBatch {
-            tiles: tiles.clone(),
-            sweep: SweepKind::Inline,
-            fused: false,
-            depth: iter,
-        },
-        Some(sc),
-        Some(iter),
-    );
-    plan.insert_after(
-        vb,
-        TaskKind::Correct {
-            tiles,
-            sweep: SweepKind::Inline,
-            fused: false,
-            depth: iter,
-        },
-        Some(sc),
-        Some(iter),
-    );
+    let mut at = anchor;
+    for kind in TaskKind::check_pair(tiles, SweepKind::Inline, false, iter) {
+        at = plan.insert_after(at, kind, Some(sc), Some(iter));
+    }
 }
 
 /// Insert the attempt tail of the Offline/Online protocols before the
 /// drain barrier: flush any pending panel mirror, then sweep the full
-/// lower triangle in one `"final verify"` scope (chunked like
-/// `ops::verify_all`).
+/// lower triangle in one `"final verify"` scope, in chunks of 256 tiles.
 fn insert_final_sweep(plan: &mut FactorPlan) {
-    let drain = find_kind(plan, |k| matches!(k, TaskKind::Drain)).expect("plan has drain");
+    let drain = plan
+        .find(|n| matches!(n.kind, TaskKind::Drain))
+        .expect("plan has drain");
     plan.insert_before(drain, TaskKind::FlushMirror, None, None);
     let sc = plan.scope("final verify", Phase::Verify);
     let nt = plan.nt;
     for chunk in ops::lower_tiles(nt).chunks(256) {
-        plan.insert_before(
-            drain,
-            TaskKind::VerifyBatch {
-                tiles: chunk.to_vec(),
-                sweep: SweepKind::Final,
-                fused: false,
-                depth: nt,
-            },
-            Some(sc),
-            None,
-        );
-        plan.insert_before(
-            drain,
-            TaskKind::Correct {
-                tiles: chunk.to_vec(),
-                sweep: SweepKind::Final,
-                fused: false,
-                depth: nt,
-            },
-            Some(sc),
-            None,
-        );
+        for kind in TaskKind::check_pair(chunk.to_vec(), SweepKind::Final, false, nt) {
+            plan.insert_before(drain, kind, Some(sc), None);
+        }
     }
 }
 
@@ -315,20 +227,12 @@ impl PolicyPass for OnlinePolicy {
             let panel: Vec<(usize, usize)> = ((j + 1)..nt).map(|i| (i, j)).collect();
             // SYRK output (the diagonal block), before it ships to the host.
             if j > 0 {
-                let d2h = find_kind(
-                    plan,
-                    |k| matches!(k, TaskKind::DiagToHost { j: jj } if *jj == j),
-                )
-                .expect("skeleton has diag d2h");
+                let d2h = find_step(plan, is_diag_d2h, j).expect("skeleton has diag d2h");
                 insert_check_before(plan, d2h, vec![(j, j)], j);
             }
             // GEMM's outputs (the panel) and POTF2's output, before TRSM
             // reads them.
-            let trsm = find_kind(
-                plan,
-                |k| matches!(k, TaskKind::TrsmPanel { j: jj, .. } if *jj == j),
-            )
-            .expect("skeleton has trsm");
+            let trsm = find_step(plan, is_trsm, j).expect("skeleton has trsm");
             if j > 0 && !panel.is_empty() {
                 insert_check_before(plan, trsm, panel.clone(), j);
             }
@@ -356,10 +260,7 @@ impl PolicyPass for EnhancedPolicy {
         for j in 0..nt {
             let has_panel = j + 1 < nt;
             if !(has_panel && j > 0) {
-                remove_if(
-                    plan,
-                    |k| matches!(k, TaskKind::GemmPanel { j: jj, .. } if *jj == j),
-                );
+                remove_if(plan, |k| is_gemm(k, j));
                 remove_if(plan, |k| {
                     matches!(
                         k,
@@ -368,10 +269,7 @@ impl PolicyPass for EnhancedPolicy {
                 });
             }
             if !has_panel {
-                remove_if(
-                    plan,
-                    |k| matches!(k, TaskKind::TrsmPanel { j: jj, .. } if *jj == j),
-                );
+                remove_if(plan, |k| is_trsm(k, j));
                 remove_if(plan, |k| {
                     matches!(
                         k,
@@ -386,35 +284,20 @@ impl PolicyPass for EnhancedPolicy {
         for j in 0..nt {
             let has_panel = j + 1 < nt;
             // SYRK inputs A = (j,j) and C = (j,k), k < j — every iteration.
-            let syrk = find_kind(
-                plan,
-                |k| matches!(k, TaskKind::Syrk { j: jj, .. } if *jj == j),
-            )
-            .expect("skeleton has syrk");
+            let syrk = find_step(plan, is_syrk, j).expect("skeleton has syrk");
             insert_check_before(plan, syrk, syrk_input_tiles(j), j);
             // POTF2 input (the SYRK output) — every iteration.
-            let d2h = find_kind(
-                plan,
-                |k| matches!(k, TaskKind::DiagToHost { j: jj } if *jj == j),
-            )
-            .expect("skeleton has diag d2h");
+            let d2h = find_step(plan, is_diag_d2h, j).expect("skeleton has diag d2h");
             insert_check_before(plan, d2h, vec![(j, j)], j);
             // GEMM inputs B, C, D — on K-gated iterations.
             if has_panel && j > 0 && opts.verifies_on(j) {
-                let gemm = find_kind(
-                    plan,
-                    |k| matches!(k, TaskKind::GemmPanel { j: jj, .. } if *jj == j),
-                )
-                .expect("gemm present when has_panel && j > 0");
+                let gemm =
+                    find_step(plan, is_gemm, j).expect("gemm present when has_panel && j > 0");
                 insert_check_before(plan, gemm, gemm_input_tiles(nt, j), j);
             }
             // TRSM inputs L = (j,j) and B = (i,j) — on K-gated iterations.
             if has_panel && opts.verifies_on(j) {
-                let trsm = find_kind(
-                    plan,
-                    |k| matches!(k, TaskKind::TrsmPanel { j: jj, .. } if *jj == j),
-                )
-                .expect("trsm present when has_panel");
+                let trsm = find_step(plan, is_trsm, j).expect("trsm present when has_panel");
                 insert_check_before(plan, trsm, trsm_input_tiles(nt, j), j);
             }
         }
@@ -515,7 +398,7 @@ pub fn apply_chk_fused(plan: &mut FactorPlan) {
         std::collections::HashMap::new();
     for id in plan.order().to_vec() {
         let node = plan.node(id);
-        let (iter, scope_phase) = (node.iter, Phase::Verify);
+        let iter = node.iter;
         match node.kind.clone() {
             TaskKind::Syrk { j, fused, .. } if j > 0 => {
                 covered.insert((j, j), fused);
@@ -585,29 +468,11 @@ pub fn apply_chk_fused(plan: &mut FactorPlan) {
                             _ => unreachable!("pair nodes are verify/correct"),
                         }
                     }
-                    let sc = plan.scope("verify", scope_phase);
-                    let vb = plan.insert_after(
-                        correct,
-                        TaskKind::VerifyBatch {
-                            tiles: fused_part.clone(),
-                            sweep: SweepKind::Inline,
-                            fused: true,
-                            depth,
-                        },
-                        Some(sc),
-                        iter,
-                    );
-                    plan.insert_after(
-                        vb,
-                        TaskKind::Correct {
-                            tiles: fused_part,
-                            sweep: SweepKind::Inline,
-                            fused: true,
-                            depth,
-                        },
-                        Some(sc),
-                        iter,
-                    );
+                    let sc = plan.scope("verify", Phase::Verify);
+                    let mut at = correct;
+                    for kind in TaskKind::check_pair(fused_part, SweepKind::Inline, true, depth) {
+                        at = plan.insert_after(at, kind, Some(sc), iter);
+                    }
                 }
             }
             _ => {}

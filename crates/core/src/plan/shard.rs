@@ -10,7 +10,7 @@
 //!   `owner(j)` and read by every other device's GEMM shard (and by the
 //!   cross-row GEMM checksum updates), and
 //! * the **factorized diagonal** `(j, j)`, read by every other device's
-//!   TRSM shard (and the cross-row TRSM checksum updates).
+//!   TRSM slice (and the cross-row TRSM checksum updates).
 //!
 //! Both become explicit broadcast nodes: one [`TaskKind::DeviceSend`] on
 //! the owner plus one [`TaskKind::DeviceRecv`] per consuming device,
@@ -19,15 +19,16 @@
 //! prove every remote consumer sits behind its receive) and at run time
 //! through recorded stream events on the modeled peer links.
 //!
-//! The panel-wide [`TaskKind::GemmPanel`] / [`TaskKind::TrsmPanel`] nodes
-//! are split into per-device [`TaskKind::GemmShard`] /
-//! [`TaskKind::TrsmShard`] slices (per-tile numerics are independent, so
-//! the factor stays bit-identical to the single-device run), verify
+//! Each panel-wide [`TaskKind::GemmPanel`] / [`TaskKind::TrsmPanel`] node
+//! (`dev: None`, every panel row) is rewritten into one copy per device
+//! holding rows, `dev: Some(d)` — the same op over device `d`'s row set
+//! (per-tile numerics are independent, so the factor stays bit-identical
+//! to the single-device run), verify
 //! batches are split per owner device, and each iteration ends with a
 //! [`TaskKind::ShardParity`] refresh of the column it finalized — the
 //! state device-loss recovery reconstructs from.
 
-use super::{FactorPlan, ShardSpec, ShardXfer, TaskKind};
+use super::{FactorPlan, NodeId, ScopeId, ShardSpec, ShardXfer, TaskKind};
 
 /// Rewrite `plan` for `devices` GPUs. Must run after the scheme policy
 /// and placement passes and before [`FactorPlan::derive_deps`]. Callers
@@ -46,126 +47,43 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
 
     for j in 0..nt {
         let owner = spec.owner(j);
+        // The devices holding rows of panel column j, and those among them
+        // that must receive what the column's owner broadcasts.
+        let with_rows: Vec<usize> = (0..devices)
+            .filter(|&d| !spec.panel_rows(nt, j, d).is_empty())
+            .collect();
+        let remote: Vec<usize> = with_rows.iter().copied().filter(|&d| d != owner).collect();
 
         // Row-panel broadcast: right after the iteration's entry fault
         // poll, before anything that reads row j on another device.
-        if j > 0 {
-            let consumers: Vec<usize> = (0..devices)
-                .filter(|&d| d != owner && !spec.panel_rows(nt, j, d).is_empty())
-                .collect();
-            if !consumers.is_empty() {
-                let first = plan
-                    .find(|n| n.iter == Some(j))
-                    .expect("iteration has nodes");
-                let send = plan.insert_before(
-                    first,
-                    TaskKind::DeviceSend {
-                        j,
-                        what: ShardXfer::RowPanel,
-                        from: owner,
-                    },
-                    None,
-                    Some(j),
-                );
-                let mut anchor = send;
-                for d in consumers {
-                    anchor = plan.insert_after(
-                        anchor,
-                        TaskKind::DeviceRecv {
-                            j,
-                            what: ShardXfer::RowPanel,
-                            to: d,
-                        },
-                        None,
-                        Some(j),
-                    );
-                }
-            }
+        if j > 0 && !remote.is_empty() {
+            let first = plan
+                .find(|n| n.iter == Some(j))
+                .expect("iteration has nodes");
+            insert_broadcast(plan, first, None, ShardXfer::RowPanel, owner, &remote);
         }
 
-        // Split the panel GEMM into per-device shards at its position.
+        // The panel GEMM becomes one copy per device (none at j = 0,
+        // where it is a no-op).
         if let Some(g) =
-            plan.find(|n| matches!(n.kind, TaskKind::GemmPanel { j: jj, .. } if jj == j))
+            plan.find(|n| matches!(n.kind, TaskKind::GemmPanel { j: jj, dev: None, .. } if jj == j))
         {
-            let TaskKind::GemmPanel {
-                propagate, fused, ..
-            } = plan.node(g).kind
-            else {
-                unreachable!("matched GemmPanel above")
-            };
-            assert!(!fused, "sharding does not compose with chk_fused");
-            let (scope, iter) = (plan.node(g).scope, plan.node(g).iter);
-            let with_rows: Vec<usize> = (0..devices)
-                .filter(|&d| j > 0 && !spec.panel_rows(nt, j, d).is_empty())
-                .collect();
-            let mut anchor = g;
-            for (pos, &d) in with_rows.iter().enumerate() {
-                anchor = plan.insert_after(
-                    anchor,
-                    TaskKind::GemmShard {
-                        j,
-                        dev: d,
-                        // Whole-panel ledger propagation runs once, after
-                        // every shard's numerics have executed.
-                        propagate: propagate && pos + 1 == with_rows.len(),
-                    },
-                    scope,
-                    iter,
-                );
-            }
-            plan.remove(g);
+            assert!(
+                !matches!(plan.node(g).kind, TaskKind::GemmPanel { fused: true, .. }),
+                "sharding does not compose with chk_fused"
+            );
+            split_panel_node(plan, g, if j > 0 { &with_rows } else { &[] });
         }
 
-        // Diagonal broadcast + per-device TRSM shards.
+        // Diagonal broadcast + per-device TRSM copies.
         if let Some(t) =
-            plan.find(|n| matches!(n.kind, TaskKind::TrsmPanel { j: jj, .. } if jj == j))
+            plan.find(|n| matches!(n.kind, TaskKind::TrsmPanel { j: jj, dev: None, .. } if jj == j))
         {
-            let TaskKind::TrsmPanel { propagate, .. } = plan.node(t).kind else {
-                unreachable!("matched TrsmPanel above")
-            };
-            let (scope, iter) = (plan.node(t).scope, plan.node(t).iter);
-            let with_rows: Vec<usize> = (0..devices)
-                .filter(|&d| !spec.panel_rows(nt, j, d).is_empty())
-                .collect();
-            if with_rows.iter().any(|&d| d != owner) {
-                let send = plan.insert_before(
-                    t,
-                    TaskKind::DeviceSend {
-                        j,
-                        what: ShardXfer::Diag,
-                        from: owner,
-                    },
-                    scope,
-                    iter,
-                );
-                let mut anchor = send;
-                for &d in with_rows.iter().filter(|&&d| d != owner) {
-                    anchor = plan.insert_after(
-                        anchor,
-                        TaskKind::DeviceRecv {
-                            j,
-                            what: ShardXfer::Diag,
-                            to: d,
-                        },
-                        scope,
-                        iter,
-                    );
-                }
+            if !remote.is_empty() {
+                let scope = plan.node(t).scope;
+                insert_broadcast(plan, t, scope, ShardXfer::Diag, owner, &remote);
             }
-            let mut anchor = t;
-            for (pos, &d) in with_rows.iter().enumerate() {
-                anchor = plan.insert_after(
-                    anchor,
-                    TaskKind::TrsmShard {
-                        j,
-                        dev: d,
-                        propagate: propagate && pos + 1 == with_rows.len(),
-                    },
-                    scope,
-                    iter,
-                );
-            }
-            plan.remove(t);
+            split_panel_node(plan, t, &with_rows);
         }
     }
 
@@ -179,6 +97,51 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
             .expect("iteration has nodes");
         plan.insert_after(last, TaskKind::ShardParity { j }, None, Some(j));
     }
+}
+
+/// Insert the broadcast of payload `what` in front of `before`, in
+/// `before`'s iteration and under `scope`: the owner's send, then one
+/// receive per consuming device.
+fn insert_broadcast(
+    plan: &mut FactorPlan,
+    before: NodeId,
+    scope: Option<ScopeId>,
+    what: ShardXfer,
+    from: usize,
+    consumers: &[usize],
+) {
+    let iter = plan.node(before).iter;
+    let j = iter.expect("broadcasts belong to an iteration");
+    let mut anchor =
+        plan.insert_before(before, TaskKind::DeviceSend { j, what, from }, scope, iter);
+    for &to in consumers {
+        anchor = plan.insert_after(anchor, TaskKind::DeviceRecv { j, what, to }, scope, iter);
+    }
+}
+
+/// Replace the whole-panel node `id` (`dev: None`) by one copy per device
+/// of `devs`, each with `dev` rewritten to that device. Whole-panel ledger
+/// propagation runs once, on the last copy — after every slice's numerics
+/// have executed.
+fn split_panel_node(plan: &mut FactorPlan, id: NodeId, devs: &[usize]) {
+    let (kind, scope, iter) = {
+        let n = plan.node(id);
+        (n.kind.clone(), n.scope, n.iter)
+    };
+    let mut anchor = id;
+    for (pos, &d) in devs.iter().enumerate() {
+        let mut copy = kind.clone();
+        match &mut copy {
+            TaskKind::GemmPanel { dev, propagate, .. }
+            | TaskKind::TrsmPanel { dev, propagate, .. } => {
+                *dev = Some(d);
+                *propagate &= pos + 1 == devs.len();
+            }
+            _ => unreachable!("only panel nodes are split per device"),
+        }
+        anchor = plan.insert_after(anchor, copy, scope, iter);
+    }
+    plan.remove(id);
 }
 
 /// Split every verify/correct pair whose tiles span several owner devices
@@ -235,28 +198,9 @@ fn split_verify_pairs(plan: &mut FactorPlan, spec: ShardSpec) {
         }
         let mut anchor = correct;
         for (_, g) in groups.into_iter().skip(1) {
-            let vb = plan.insert_after(
-                anchor,
-                TaskKind::VerifyBatch {
-                    tiles: g.clone(),
-                    sweep,
-                    fused: false,
-                    depth,
-                },
-                scope,
-                iter,
-            );
-            anchor = plan.insert_after(
-                vb,
-                TaskKind::Correct {
-                    tiles: g,
-                    sweep,
-                    fused: false,
-                    depth,
-                },
-                scope,
-                iter,
-            );
+            for kind in TaskKind::check_pair(g, sweep, false, depth) {
+                anchor = plan.insert_after(anchor, kind, scope, iter);
+            }
         }
     }
 }
@@ -281,18 +225,25 @@ mod tests {
         assert_eq!(plan.shard, Some(ShardSpec { devices: 2 }));
         assert!(plan.order().iter().all(|&id| !matches!(
             plan.node(id).kind,
-            TaskKind::GemmPanel { .. } | TaskKind::TrsmPanel { .. }
+            TaskKind::GemmPanel { dev: None, .. } | TaskKind::TrsmPanel { dev: None, .. }
         )));
-        // Iteration 1 updates rows 2..6 = both devices.
+        // Iteration 1 updates rows 2..6 = both devices; the slices
+        // partition the unsharded panel's rows.
         let gemm_devs: Vec<usize> = plan
             .order()
             .iter()
             .filter_map(|&id| match plan.node(id).kind {
-                TaskKind::GemmShard { j: 1, dev, .. } => Some(dev),
+                TaskKind::GemmPanel { j: 1, dev, .. } => dev,
                 _ => None,
             })
             .collect();
         assert_eq!(gemm_devs, vec![0, 1]);
+        let mut rows: Vec<usize> = gemm_devs
+            .iter()
+            .flat_map(|&d| plan.panel_rows(1, Some(d)))
+            .collect();
+        rows.sort_unstable();
+        assert_eq!(rows, plan.panel_rows(1, None));
     }
 
     #[test]
@@ -358,7 +309,10 @@ mod tests {
         let plan = sharded(SchemeKind::Enhanced, 6, 2);
         let spec = plan.shard.unwrap();
         for &id in plan.order() {
-            if let TaskKind::GemmShard { j, dev, .. } = plan.node(id).kind {
+            if let TaskKind::GemmPanel {
+                j, dev: Some(dev), ..
+            } = plan.node(id).kind
+            {
                 if dev == spec.owner(j) {
                     continue;
                 }
@@ -371,7 +325,7 @@ mod tests {
                     .expect("remote gemm shard has a recv");
                 assert!(
                     plan.deps(id).contains(&recv),
-                    "GemmShard j={j} dev={dev} lacks a dependency on its DeviceRecv"
+                    "GemmPanel j={j} dev={dev} lacks a dependency on its DeviceRecv"
                 );
             }
         }

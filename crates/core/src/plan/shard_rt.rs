@@ -151,7 +151,9 @@ impl ShardRuntime {
         match &node.kind {
             TaskKind::DeviceSend { from, .. } => *from,
             TaskKind::DeviceRecv { to, .. } => *to,
-            TaskKind::GemmShard { dev, .. } | TaskKind::TrsmShard { dev, .. } => *dev,
+            TaskKind::GemmPanel { dev: Some(d), .. } | TaskKind::TrsmPanel { dev: Some(d), .. } => {
+                *d
+            }
             TaskKind::ChkUpdate { op, j, i } => match op {
                 UpdateOp::Syrk | UpdateOp::Potf2 => owner(*j),
                 UpdateOp::Gemm | UpdateOp::Trsm => owner(*i),

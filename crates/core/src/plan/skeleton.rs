@@ -58,6 +58,7 @@ pub fn algorithm1(
             plan.push(
                 TaskKind::GemmPanel {
                     j,
+                    dev: None,
                     propagate: false,
                     fused: false,
                 },
@@ -102,6 +103,7 @@ pub fn algorithm1(
         plan.push(
             TaskKind::TrsmPanel {
                 j,
+                dev: None,
                 propagate: false,
             },
             Some(trsm),

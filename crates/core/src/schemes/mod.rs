@@ -145,12 +145,11 @@ impl<S: Scalar> FactorOutcome<S> {
             r.config_kv("balance_update_interval", b.update_interval);
             r.config_kv("balance_k_bounds", format!("{}..={}", b.k_min, b.k_max));
         }
-        if let Some(s) = &self.opts.shard {
-            if s.devices > 1 {
-                r.config_kv("shard_devices", s.devices);
-                if s.drop_recv_sync {
-                    r.config_kv("shard_drop_recv_sync", true);
-                }
+        let devices = self.opts.shard_devices();
+        if devices > 1 {
+            r.config_kv("shard_devices", devices);
+            if self.opts.shard.as_ref().is_some_and(|s| s.drop_recv_sync) {
+                r.config_kv("shard_drop_recv_sync", true);
             }
         }
         r.config_kv("max_restarts", self.opts.max_restarts);
@@ -179,8 +178,7 @@ impl<S: Scalar> FactorOutcome<S> {
 ///   in-order issue (`lookahead == 0`) and excludes `chk_fused` (both
 ///   rewrites would fight over the same verify batches).
 pub fn validate_options(opts: &AbftOptions) -> Result<(), MatrixError> {
-    let sharded = opts.shard.as_ref().is_some_and(|s| s.devices > 1);
-    if sharded {
+    if opts.shard_devices() > 1 {
         if opts.balance.is_some() {
             return Err(MatrixError::UnsupportedConfig(
                 "sharding does not compose with the runtime balance controller",
@@ -257,8 +255,7 @@ pub fn run_scheme_typed<S: Scalar>(
     input: Option<&Matrix<S>>,
 ) -> Result<FactorOutcome<S>, MatrixError> {
     validate_options(opts)?;
-    let sharded = opts.shard.as_ref().is_some_and(|s| s.devices > 1);
-    let devices = opts.shard.as_ref().map_or(1, |s| s.devices);
+    let devices = opts.shard_devices();
     let provisioned;
     let profile = if devices > profile.devices {
         provisioned = profile.clone().with_devices(devices);
@@ -280,7 +277,7 @@ pub fn run_scheme_typed<S: Scalar>(
         .obs
         .spans
         .open(format!("{} n={n} b={b}", kind.name()), Phase::Run, 0.0);
-    let placement = if sharded {
+    let placement = if devices > 1 {
         crate::options::ChecksumPlacement::Gpu
     } else {
         decision::choose(opts.placement, profile, n, b, opts.verify_interval)
@@ -358,12 +355,7 @@ pub fn run_scheme_typed<S: Scalar>(
             inj: &mut inj,
             opts: &resolved,
         };
-        let result = if let Some(c) = ctrl.as_mut() {
-            crate::plan::exec::run_attempt_balanced(&mut fplan, &mut a, &cfg, c)
-        } else {
-            crate::plan::exec::run_attempt(&fplan, &mut a, &cfg)
-        };
-        let done = match result {
+        let done = match crate::plan::exec::run_attempt(&mut fplan, &mut a, &cfg, ctrl.as_mut()) {
             Ok((AttemptEnd::Completed, vo)) => {
                 verify_total.merge(vo);
                 failed = false;
