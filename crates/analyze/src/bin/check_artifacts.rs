@@ -8,7 +8,9 @@
 //! scripts and cross-PR diff tooling key on that header, so CI runs this
 //! over the repo root after the sweeps to fail fast when a writer drifts
 //! — a bare report, a missing field, or a bumped schema all exit nonzero
-//! with the offending file named.
+//! with the offending file named. Two artifacts also get a body check:
+//! `precision` rows must carry their pivot axes, and `kernels` must be a
+//! full run (`quick: false`).
 //!
 //! The directory argument defaults to the workspace root.
 
@@ -47,7 +49,26 @@ fn validate(v: &Value) -> Result<(String, String), String> {
     if name == "precision" {
         validate_precision_body(body)?;
     }
+    if name == "kernels" {
+        validate_kernels_body(body)?;
+    }
     Ok((kind, name))
+}
+
+/// The root `BENCH_kernels.json` is a full-run artifact: the quick pass CI
+/// runs writes under `target/`, so a `quick: true` body here means a
+/// shortened sweep overwrote the committed numbers.
+fn validate_kernels_body(body: &Value) -> Result<(), String> {
+    let obj = body.as_object().ok_or("kernels body is not an object")?;
+    match obj.iter().find(|(k, _)| k == "quick").map(|(_, v)| v) {
+        Some(Value::Bool(false)) => Ok(()),
+        Some(Value::Bool(true)) => Err(
+            "kernels body has `quick: true`; the root artifact must come from a full run".into(),
+        ),
+        other => Err(format!(
+            "kernels body `quick` must be a boolean, got {other:?}"
+        )),
+    }
 }
 
 /// Shape check for the `precision_sweep` artifact: downstream tooling
@@ -142,5 +163,34 @@ fn main() -> ExitCode {
     } else {
         eprintln!("check_artifacts: {bad} invalid artifact(s)");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn kernels(quick: &str) -> Value {
+        let text = format!(
+            r#"{{"schema_version": {SCHEMA_VERSION}, "kind": "bench", "name": "kernels",
+                "body": {{"threads": 2, "quick": {quick}, "results": []}}}}"#
+        );
+        serde_json::value_from_str(&text).expect("valid JSON")
+    }
+
+    #[test]
+    fn full_run_kernels_artifact_is_accepted() {
+        assert_eq!(
+            validate(&kernels("false")),
+            Ok(("bench".to_string(), "kernels".to_string()))
+        );
+    }
+
+    #[test]
+    fn quick_kernels_artifact_is_rejected() {
+        let why = validate(&kernels("true")).unwrap_err();
+        assert!(why.contains("quick: true"), "{why}");
+        let why = validate(&kernels("1")).unwrap_err();
+        assert!(why.contains("must be a boolean"), "{why}");
     }
 }

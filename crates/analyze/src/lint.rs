@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Six rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Seven rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -30,6 +30,10 @@
 //! * **`twin-op`** — `crates/core/src/ops.rs` declares no `pub fn` whose
 //!   name ends in `_fused` or `_shard`: a fused epilogue or a device's row
 //!   set is a parameter of the one op, not a sibling beside it.
+//! * **`one-engine`** — `crates/blas/src` contains no `dyn Any` downcast:
+//!   the packed engine is generic over the element type, so routing a
+//!   precision onto a second engine by runtime type test is a fork to
+//!   refuse, not a dispatch to allow.
 //!
 //! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
 //! may use free-form labels and scratch names by design. `shims/` (vendored
@@ -48,7 +52,7 @@ pub struct Lint {
     /// 1-indexed line.
     pub line: usize,
     /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
-    /// `tolerance-literal`, `env-read`, or `twin-op`.
+    /// `tolerance-literal`, `env-read`, `twin-op`, or `one-engine`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -141,6 +145,9 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     }
     if file == "crates/core/src/ops.rs" {
         rule_twin_op(file, &scan, &mut out);
+    }
+    if file.starts_with("crates/blas/src/") {
+        rule_one_engine(file, &scan, &mut out);
     }
     out
 }
@@ -484,6 +491,22 @@ fn rule_twin_op(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
     }
 }
 
+fn rule_one_engine(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        if scan.word_at(i) == Some("dyn") && scan.word_at(i + 1) == Some("Any") {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "one-engine",
+                message: "`dyn Any` in the BLAS layer: make the kernel generic over \
+                          `Scalar` (the kernel table carries what differs per precision) \
+                          instead of downcasting onto a per-precision path"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 /// Methods of `MetricsRegistry` whose first string argument is a metric name.
 const METRIC_METHODS: &[&str] = &["inc", "add_count", "add_f64", "set_gauge", "observe"];
 
@@ -753,6 +776,18 @@ mod tests {
         assert!(lint_file("crates/blas/src/level3/gemm.rs", src).is_empty());
         let ok = "fn helper_fused() {}\npub fn shard_parity_xor() {}\npub fn gemm_panel() {}\n";
         assert!(lint_file("crates/core/src/ops.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn any_downcasts_flagged_in_the_blas_layer_only() {
+        let src = "use core::any::Any;\nfn f(m: &M) -> bool { (m as &dyn Any).is::<f64>() }\n";
+        let lints = lint_file("crates/blas/src/level3/gemm.rs", src);
+        assert_eq!(lints.len(), 1);
+        assert_eq!((lints[0].rule, lints[0].line), ("one-engine", 2));
+        // Other crates may type-erase; comments and strings never count.
+        assert!(lint_file("crates/obs/src/report.rs", src).is_empty());
+        let ok = "// no dyn Any here\nfn f() -> &'static str { \"dyn Any\" }\n";
+        assert!(lint_file("crates/blas/src/lib.rs", ok).is_empty());
     }
 
     #[test]

@@ -1,28 +1,30 @@
 //! General matrix-matrix multiply: blocked engine + naive fallback.
 //!
-//! Large products run through a BLIS-style three-level blocked engine:
+//! Large products run through a BLIS-style three-level blocked engine,
+//! generic over the element type:
 //!
 //! ```text
 //! for jc in 0..n step NC              (B column slabs, ~L3)
 //!   for pc in 0..k step KC            (k slabs — pack op(B) once, ~L2)
-//!     pack B[pc.., jc..] into NR-col micro-panels
+//!     pack B[pc.., jc..] into nr-col micro-panels
 //!     for ic in 0..m step MC          (A row slabs — pack op(A), ~L1/L2)
-//!       pack A[ic.., pc..] into MR-row micro-panels
-//!       for each NR col panel × MR row panel: micro-kernel, masked store
+//!       pack A[ic.., pc..] into mr-row micro-panels
+//!       for each nr col panel × mr row panel: micro-kernel, masked store
 //! ```
 //!
-//! `beta` is applied to the whole of `C` once, up front; the engine then only
-//! ever accumulates `alpha·op(A)·op(B)`. The pack buffers come out of the
-//! calling thread's grow-only arena ([`super::workspace`]), sized to the
-//! call's real extents, so a 64³ tile product pays for 64³ flops and not for
-//! a `KC×NC` allocation. Products below [`BLOCK_THRESHOLD`] — and products
-//! thinner than one micro-tile — take the column loops in [`super::naive`].
+//! `mr × nr` and the micro-kernel come from the element type's kernel table
+//! ([`super::microkernel`]). `beta` is applied to the whole of `C` once, up
+//! front; the engine then only ever accumulates `alpha·op(A)·op(B)`. The
+//! pack buffers come out of the calling thread's grow-only arena
+//! ([`super::workspace`]), sized to the call's real extents, so a 64³ tile
+//! product pays for 64³ flops and not for a `KC×NC` allocation. Products
+//! below [`BLOCK_THRESHOLD`] — and products only a few rows or columns thin
+//! — take the column loops in [`super::naive`].
 
-use super::microkernel::{micro_kernel, MR, NR};
+use super::microkernel::{kernel_table, CHK_GROUP, MAX_TILE};
 use super::naive;
 use super::pack::{pack_a, pack_b, MatMut, MatRef};
-use super::workspace::{pack_len, pack_lens, with_workspace};
-use crate::cast::{as_f64, as_f64_mut};
+use super::workspace::{carve, lines, pack_lens, pack_lines, with_workspace, Line};
 use hchol_matrix::{Matrix, Scalar, Trans};
 
 /// Rows per packed A slab (fits `MC×KC` doubles comfortably in L2).
@@ -39,6 +41,13 @@ pub const NC: usize = 2048;
 /// naive bits of every product below it (32³ tiles, and the 64×32×32 rank
 /// updates inside a 64-wide TRSM); lowering it means regenerating them.
 pub const BLOCK_THRESHOLD: usize = 64 * 64 * 64;
+
+/// Fewest rows / columns of `C` the blocked engine takes. Like
+/// [`BLOCK_THRESHOLD`] these decide which *rounding* a product gets, so they
+/// are fixed numbers and not the running table's `mr`/`nr`: the same call
+/// must produce the same bits on every ISA.
+pub(crate) const MIN_BLOCKED_ROWS: usize = 8;
+const MIN_BLOCKED_COLS: usize = 6;
 
 /// `C := beta·C` with BLAS semantics: `beta == 0` overwrites (clearing NaN
 /// and Inf), `beta == 1` is a no-op. Shared by the sequential and parallel
@@ -57,13 +66,16 @@ pub(crate) fn apply_beta<S: Scalar>(beta: f64, c: &mut [S]) {
     }
 }
 
-/// Should this product take the blocked path?
+/// Should this product take the blocked path? One predicate for every
+/// element type and every front end.
 #[inline]
 pub(crate) fn use_blocked(m: usize, n: usize, k: usize) -> bool {
     // Few-row / few-column products (e.g. the 2×B checksum recalculation
     // GEMMs) stay on the naive dot/axpy loops: a micro-tile would be mostly
     // padding.
-    m >= MR && n >= NR && m.saturating_mul(n).saturating_mul(k) >= BLOCK_THRESHOLD
+    m >= MIN_BLOCKED_ROWS
+        && n >= MIN_BLOCKED_COLS
+        && m.saturating_mul(n).saturating_mul(k) >= BLOCK_THRESHOLD
 }
 
 /// `C := alpha * op(A) * op(B) + beta * C`.
@@ -91,21 +103,16 @@ pub fn gemm<S: Scalar>(
         return;
     }
 
-    // The packed SIMD engine is f64-only; other precisions (f32) take the
-    // scalar reference loops below regardless of size.
     if use_blocked(m, n, k) {
-        if let (Some(a64), Some(b64)) = (as_f64(a), as_f64(b)) {
-            let c64 = as_f64_mut(c).expect("a, b, c share one element type");
-            let av = MatRef::new(a64, trans_a);
-            let bv = MatRef::new(b64, trans_b);
-            let cv = MatMut::new(c64);
-            with_workspace(pack_len(m, k, n), |ws| {
-                gemm_blocked(alpha, &av, &bv, &cv, None, ws)
-            });
-            return;
-        }
+        let av = MatRef::new(a, trans_a);
+        let bv = MatRef::new(b, trans_b);
+        let cv = MatMut::new(c);
+        with_workspace(pack_lines::<S>(m, k, n), |ws| {
+            gemm_blocked(alpha, &av, &bv, &cv, None, ws)
+        });
+    } else {
+        naive::naive_gemm_accum(trans_a, trans_b, alpha, a, b, c);
     }
-    naive::naive_gemm_accum(trans_a, trans_b, alpha, a, b, c);
 }
 
 /// Convenience: allocate and return `op(A) * op(B)`.
@@ -126,8 +133,14 @@ pub fn gemm_into<S: Scalar>(
 /// dispatches between the blocked engine and a simple loop by size.
 ///
 /// Caller guarantees `c` is disjoint from the storage behind `a`/`b`, and
-/// that `ws` holds at least [`pack_len`]`(m, k, n)` doubles.
-pub(crate) fn gemm_views(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut, ws: &mut [f64]) {
+/// that `ws` holds at least [`pack_lines`]`(m, k, n)` lines.
+pub(crate) fn gemm_views<S: Scalar>(
+    alpha: f64,
+    a: &MatRef<'_, S>,
+    b: &MatRef<'_, S>,
+    c: &MatMut<S>,
+    ws: &mut [Line],
+) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     debug_assert_eq!(b.rows, k);
     debug_assert!(c.rows == m && c.cols == n);
@@ -137,19 +150,19 @@ pub(crate) fn gemm_views(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut,
     if use_blocked(m, n, k) {
         gemm_blocked(alpha, a, b, c, None, ws);
     } else {
-        gemm_views_small(alpha, a, b, c);
+        gemm_views_small(S::from_f64(alpha), a, b, c);
     }
 }
 
 /// Unblocked view multiply for blocks too small to be worth packing.
 /// j-l-i loop order keeps the inner loop on C's (and untransposed A's)
 /// unit stride.
-fn gemm_views_small(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut) {
+fn gemm_views_small<S: Scalar>(alpha: S, a: &MatRef<'_, S>, b: &MatRef<'_, S>, c: &MatMut<S>) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     for j in 0..n {
         for l in 0..k {
             let f = alpha * b.get(l, j);
-            if f == 0.0 {
+            if f == S::ZERO {
                 continue;
             }
             for i in 0..m {
@@ -163,8 +176,10 @@ fn gemm_views_small(alpha: f64, a: &MatRef<'_>, b: &MatRef<'_>, c: &MatMut) {
 
 /// Per-call checksum accumulator for the fused epilogue: partial `v₁`
 /// (ones-weighted) and `v₂` (row-index-weighted) column sums of the C
-/// elements this call stores. In the threaded engine each thread owns one,
-/// reduced after the macro-tile join.
+/// elements this call stores, kept in f64 whatever the element type — the
+/// product runs at native width, the checksum lanes do not add their own
+/// round-off to it. In the threaded engine each thread owns one, reduced
+/// after the macro-tile join.
 pub(crate) struct ChkAcc<'a> {
     /// Global row of `c_block`'s row 0 in the output matrix (sets the
     /// `v₂` weights: global row `i` weighs `i + 1`).
@@ -179,35 +194,36 @@ pub(crate) struct ChkAcc<'a> {
 
 /// The three-level macro-loop around the packed micro-kernel, with an
 /// optional fused checksum epilogue. Computes `C += alpha · A·B` (beta is the
-/// front ends' job), packing into `ws` (at least [`pack_len`]`(m, k, n)`
-/// doubles, contents arbitrary).
+/// front ends' job), packing into `ws` (at least [`pack_lines`]`(m, k, n)`
+/// lines, contents arbitrary).
 ///
 /// When `epi` is set, the final `pc` slab reads every just-stored C element
 /// back (still cache-hot from the masked store) and accumulates the two
 /// weighted column sums of the *finished* `C` — covering `beta·C` and all
 /// earlier k slabs, because each slab accumulates into every element.
-pub(crate) fn gemm_blocked(
+pub(crate) fn gemm_blocked<S: Scalar>(
     alpha: f64,
-    a: &MatRef<'_>,
-    b: &MatRef<'_>,
-    c: &MatMut,
+    a: &MatRef<'_, S>,
+    b: &MatRef<'_, S>,
+    c: &MatMut<S>,
     mut epi: Option<(&mut [f64], &mut [f64])>,
-    ws: &mut [f64],
+    ws: &mut [Line],
 ) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
-    let (a_len, b_len) = pack_lens(m, k, n);
-    let (packed_a, rest) = ws.split_at_mut(a_len);
-    let packed_b = &mut rest[..b_len];
+    let t = kernel_table::<S>();
+    let (a_len, b_len) = pack_lens::<S>(m, k, n);
+    let (packed_a, ws) = carve::<S>(ws, a_len);
+    let (packed_b, _) = carve::<S>(ws, b_len);
 
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let last_slab = pc + kc == k;
-            pack_b(&b.sub(pc, jc, kc, nc), packed_b);
+            pack_b(&b.sub(pc, jc, kc, nc), t.nr, packed_b);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a(&a.sub(ic, pc, mc, kc), packed_a);
+                pack_a(&a.sub(ic, pc, mc, kc), t.mr, packed_a);
                 let c_block = c.sub(ic, jc, mc, nc);
                 let mut acc = match &mut epi {
                     Some((v1, v2)) if last_slab => Some(ChkAcc {
@@ -218,72 +234,74 @@ pub(crate) fn gemm_blocked(
                     }),
                     _ => None,
                 };
-                run_tiles(
-                    alpha,
-                    kc,
-                    mc,
-                    nc,
-                    packed_a,
-                    packed_b,
-                    &c_block,
-                    acc.as_mut(),
-                );
+                run_tiles(alpha, kc, packed_a, packed_b, &c_block, acc.as_mut());
             }
         }
     }
 }
 
-/// Inner two loops: every `MR×NR` micro-tile of one `mc×nc` C block.
+/// Inner two loops: every `mr × nr` micro-tile of one C block, from the
+/// block's packed A stripe and the packed B slab that covers its columns.
 /// Exposed to `par.rs`, whose threads share `packed_b` and run disjoint
 /// row-stripes.
 ///
 /// With `epi` set, each micro-tile's store is followed by a read-back of the
 /// freshly written elements into the caller's checksum accumulator (columns
-/// accumulate in ascending global-row order within this call).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_tiles(
+/// accumulate in ascending global-row order within this call, [`CHK_GROUP`]
+/// rows per partial sum).
+pub(crate) fn run_tiles<S: Scalar>(
     alpha: f64,
     kc: usize,
-    mc: usize,
-    nc: usize,
-    packed_a: &[f64],
-    packed_b: &[f64],
-    c_block: &MatMut,
+    packed_a: &[S],
+    packed_b: &[S],
+    c_block: &MatMut<S>,
     mut epi: Option<&mut ChkAcc<'_>>,
 ) {
-    let kernel = micro_kernel();
-    for jp in 0..nc.div_ceil(NR) {
-        let j0 = jp * NR;
-        let nr = NR.min(nc - j0);
-        let pb = &packed_b[jp * NR * kc..(jp + 1) * NR * kc];
-        for ip in 0..mc.div_ceil(MR) {
-            let i0 = ip * MR;
-            let mr = MR.min(mc - i0);
-            let pa = &packed_a[ip * MR * kc..(ip + 1) * MR * kc];
-            let mut acc = [[0.0; MR]; NR];
-            kernel(kc, pa, pb, &mut acc);
+    let t = kernel_table::<S>();
+    let (mr, nr) = (t.mr, t.nr);
+    let (mc, nc) = (c_block.rows, c_block.cols);
+    let al = S::from_f64(alpha);
+    let mut acc = [S::ZERO; MAX_TILE];
+    let acc = &mut acc[..mr * nr];
+    for (jp, pb) in packed_b
+        .chunks_exact(nr * kc)
+        .take(nc.div_ceil(nr))
+        .enumerate()
+    {
+        let j0 = jp * nr;
+        let cols = nr.min(nc - j0);
+        for (ip, pa) in packed_a
+            .chunks_exact(mr * kc)
+            .take(mc.div_ceil(mr))
+            .enumerate()
+        {
+            let i0 = ip * mr;
+            let rows = mr.min(mc - i0);
+            (t.kernel)(kc, pa, pb, acc);
             // Masked store: edge tiles computed full-width over the packing
             // zeros, written back only where C exists.
-            for (j, col) in acc.iter().enumerate().take(nr) {
-                for (i, &v) in col.iter().enumerate().take(mr) {
-                    // SAFETY: i0+i < mc, j0+j < nc; tiles are disjoint and
-                    // the caller hands each stripe to at most one thread.
-                    unsafe { c_block.add(i0 + i, j0 + j, alpha * v) };
+            for (j, tile_col) in acc.chunks_exact(mr).take(cols).enumerate() {
+                // SAFETY: j0+j < nc; tiles are disjoint and the caller hands
+                // each stripe to at most one thread, so this is the only
+                // live view of the column.
+                let stored = &mut unsafe { c_block.col_mut(j0 + j) }[i0..i0 + rows];
+                for (x, &v) in stored.iter_mut().zip(tile_col) {
+                    *x += al * v;
                 }
-            }
-            if let Some(e) = epi.as_mut() {
-                for j in 0..nr {
+                if let Some(e) = epi.as_mut() {
                     let gc = e.col0 + j0 + j;
-                    let (mut s1, mut s2) = (0.0, 0.0);
-                    for i in 0..mr {
-                        // SAFETY: same bounds as the store above; this call
-                        // is the sole accessor of its stripe.
-                        let v = unsafe { c_block.get(i0 + i, j0 + j) };
-                        s1 += v;
-                        s2 += (e.row0 + i0 + i + 1) as f64 * v;
+                    let mut weight = (e.row0 + i0) as f64;
+                    for group in stored.chunks(CHK_GROUP) {
+                        let (mut s1, mut s2) = (0.0, 0.0);
+                        for x in group {
+                            let v = x.to_f64();
+                            weight += 1.0;
+                            s1 += v;
+                            s2 += weight * v;
+                        }
+                        e.v1[gc] += s1;
+                        e.v2[gc] += s2;
                     }
-                    e.v1[gc] += s1;
-                    e.v2[gc] += s2;
                 }
             }
         }
@@ -292,17 +310,19 @@ pub(crate) fn run_tiles(
 
 /// Plain second-pass checksum of a finished block: ascending-row column
 /// sums into a `2 × cols` matrix (row 0: ones weights, row 1: `i + 1`
-/// weights). The fallback epilogue for products the blocked engine skips.
+/// weights), accumulated in f64 like the fused epilogue's. The fallback
+/// deposit for products the blocked engine skips.
 pub(crate) fn encode_cols<S: Scalar>(c: &Matrix<S>, chk: &mut Matrix<S>) {
     debug_assert_eq!(chk.shape(), (2, c.cols()));
     for j in 0..c.cols() {
-        let (mut s1, mut s2) = (S::ZERO, S::ZERO);
-        for (i, &v) in c.col(j).iter().enumerate() {
+        let (mut s1, mut s2) = (0.0, 0.0);
+        for (i, &x) in c.col(j).iter().enumerate() {
+            let v = x.to_f64();
             s1 += v;
-            s2 += S::from_usize(i + 1) * v;
+            s2 += (i + 1) as f64 * v;
         }
-        chk.set(0, j, s1);
-        chk.set(1, j, s2);
+        chk.set(0, j, S::from_f64(s1));
+        chk.set(1, j, S::from_f64(s2));
     }
 }
 
@@ -314,10 +334,11 @@ pub(crate) fn encode_cols<S: Scalar>(c: &Matrix<S>, chk: &mut Matrix<S>) {
 /// epilogue — a cache-hot read-back per stored micro-tile instead of a
 /// separate pass over `C`. Products below the blocking threshold (and the
 /// degenerate `alpha == 0` / `k == 0` cases) compute the product normally
-/// and take one plain column sweep. Checksum summation order differs from
+/// and take one plain column sweep. Either way the sums are accumulated in
+/// f64 and rounded to `S` once. Checksum summation order differs from
 /// [`crate::level1::dot`]-based re-encoding, so results agree with a
-/// separate recalculation only to normal rounding (relative `~1e-12`), not
-/// bitwise.
+/// separate recalculation only to normal rounding (relative `~1e-12` at
+/// f64), not bitwise.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_fused<S: Scalar>(
     trans_a: Trans,
@@ -338,29 +359,22 @@ pub fn gemm_fused<S: Scalar>(
 
     apply_beta(beta, c.as_mut_slice());
     if alpha != 0.0 && k != 0 && use_blocked(m, n, k) {
-        // f64 takes the fused blocked engine; other precisions fall through
-        // to the scalar product + second-pass sweep.
-        if let (Some(a64), Some(b64)) = (as_f64(a), as_f64(b)) {
-            let c64 = as_f64_mut(c).expect("a, b, c share one element type");
-            let chk64 = as_f64_mut(chk).expect("chk shares the element type");
-            let av = MatRef::new(a64, trans_a);
-            let bv = MatRef::new(b64, trans_b);
-            let cv = MatMut::new(c64);
-            // The two epilogue accumulators ride at the tail of the same
-            // workspace borrow as the pack buffers.
-            let packs = pack_len(m, k, n);
-            with_workspace(packs + 2 * n, |ws| {
-                let (ws, v) = ws.split_at_mut(packs);
-                v.fill(0.0);
-                let (v1, v2) = v.split_at_mut(n);
-                gemm_blocked(alpha, &av, &bv, &cv, Some((&mut *v1, &mut *v2)), ws);
-                for j in 0..n {
-                    chk64.set(0, j, v1[j]);
-                    chk64.set(1, j, v2[j]);
-                }
-            });
-            return;
-        }
+        let av = MatRef::new(a, trans_a);
+        let bv = MatRef::new(b, trans_b);
+        let cv = MatMut::new(c);
+        // The two epilogue accumulators ride the same workspace borrow as
+        // the pack buffers.
+        with_workspace(lines::<f64>(2 * n) + pack_lines::<S>(m, k, n), |ws| {
+            let (v, ws) = carve::<f64>(ws, 2 * n);
+            v.fill(0.0);
+            let (v1, v2) = v.split_at_mut(n);
+            gemm_blocked(alpha, &av, &bv, &cv, Some((&mut *v1, &mut *v2)), ws);
+            for j in 0..n {
+                chk.set(0, j, S::from_f64(v1[j]));
+                chk.set(1, j, S::from_f64(v2[j]));
+            }
+        });
+        return;
     }
     if alpha != 0.0 && k != 0 {
         naive::naive_gemm_accum(trans_a, trans_b, alpha, a, b, c);
@@ -408,8 +422,9 @@ pub(crate) mod tests {
     #[test]
     fn blocked_path_matches_reference_all_transposes() {
         // Big enough to force the blocked engine, odd enough to exercise
-        // every edge tile (m, n not multiples of MR/NR; k crosses KC).
-        let (m, n, k) = (MC + MR + 3, NR * 12 + 5, KC + 7);
+        // every edge tile (m, n not multiples of any table's mr/nr; k
+        // crosses KC).
+        let (m, n, k) = (MC + 43, 77, KC + 7);
         assert!(use_blocked(m, n, k));
         for (ta, tb) in [
             (Trans::No, Trans::No),
@@ -500,7 +515,7 @@ pub(crate) mod tests {
         // Big enough for the blocked engine, odd enough for edge tiles in
         // both directions, k crossing KC so the epilogue fires only on the
         // final slab.
-        let (m, n, k) = (MC + MR + 3, NR * 12 + 5, KC + 7);
+        let (m, n, k) = (MC + 43, 77, KC + 7);
         assert!(use_blocked(m, n, k));
         for (ta, tb) in [
             (Trans::No, Trans::No),

@@ -8,8 +8,9 @@
 //!
 //! Two implementations coexist:
 //! * the **blocked engine** ([`microkernel`]/`pack` plus the macro-loops in
-//!   `gemm`), a BLIS-style cache-blocked path that packs operands into a
-//!   per-thread workspace arena and runs a register-tiled micro-kernel —
+//!   `gemm`), a BLIS-style cache-blocked path, generic over the element
+//!   type, that packs operands into a per-thread workspace arena and runs
+//!   the register-tiled micro-kernel of the element type's kernel table —
 //!   used automatically above a size threshold;
 //! * the **naive kernels** ([`naive_gemm`], [`naive_syrk`]), the seed
 //!   column-loop implementations, kept for products below the threshold or
@@ -33,6 +34,8 @@ pub use trsm::trsm;
 #[cfg(feature = "parallel")]
 pub(crate) use gemm::{apply_beta, run_tiles, use_blocked, ChkAcc};
 #[cfg(feature = "parallel")]
+pub(crate) use microkernel::kernel_table;
+#[cfg(feature = "parallel")]
 pub(crate) use pack::{pack_a, pack_b, MatMut, MatRef};
 #[cfg(feature = "parallel")]
-pub(crate) use workspace::{pack_lens, with_workspace};
+pub(crate) use workspace::{carve, lines, pack_lens, with_workspace};

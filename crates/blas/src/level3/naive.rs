@@ -5,6 +5,7 @@
 //! Loop order is chosen per transposition so the innermost loop always runs
 //! down a stored column (unit stride in column-major storage).
 
+use super::gemm::MIN_BLOCKED_ROWS;
 use crate::level1::{axpy, dot};
 use hchol_matrix::{Matrix, Scalar, Trans, Uplo};
 
@@ -59,9 +60,10 @@ pub(crate) fn naive_gemm_accum<S: Scalar>(
             }
         }
         // B used transposed: B[l,j] = Bᵀ stored as b[j,l].
-        // Few-row products (every m below the micro-tile height, which the
-        // blocked engine refuses) stream B instead — see `nt_skinny`.
+        // Few-row products (every m the blocked engine refuses whatever
+        // the product's size) stream B instead — see `nt_skinny`.
         (Trans::No, Trans::Yes) => {
+            const _: () = assert!(MIN_BLOCKED_ROWS == 8, "one skinny arm per m below it");
             let (a_s, b_s) = (a.as_slice(), b.as_slice());
             match m {
                 1 => nt_skinny::<S, 1>(al, n, a_s, b_s, c.as_mut_slice()),
@@ -114,12 +116,12 @@ fn nt_by_column<S: Scalar>(al: S, a: &Matrix<S>, b: &Matrix<S>, c: &mut Matrix<S
     }
 }
 
-/// [`nt_by_column`] for an `A` of exactly `M` rows, `M` below the micro-tile
-/// height (the `2 × B` checksum updates are `M = 2`), over column-major
-/// storage: `a` is `M × k`, `b` is `n × k`, `c` is `M × n`. With so few rows
-/// the column form is all loop overhead and stride-`n` reads of `B`, so run
-/// `l` outermost and stream column `l` of `B` once, contiguously, across
-/// every output column.
+/// [`nt_by_column`] for an `A` of exactly `M` rows, `M` below the blocked
+/// engine's row floor (the `2 × B` checksum updates are `M = 2`), over
+/// column-major storage: `a` is `M × k`, `b` is `n × k`, `c` is `M × n`.
+/// With so few rows the column form is all loop overhead and stride-`n`
+/// reads of `B`, so run `l` outermost and stream column `l` of `B` once,
+/// contiguously, across every output column.
 ///
 /// Each `C[r,j]` still receives `+= (al·b[j,l])·a[r,l]` for ascending `l`,
 /// and a zero factor still leaves it untouched ([`axpy`]'s rule, which
@@ -230,7 +232,7 @@ mod tests {
     use hchol_matrix::approx_eq;
     use hchol_matrix::generate::uniform;
 
-    /// The skinny NT arm against the column form it replaces for m < MR:
+    /// The skinny NT arm against the column form it replaces for m < 8:
     /// same bits on every output element, for ordinary values and for the
     /// zeros, signed zeros, NaNs and infinities that make the skip rule
     /// observable. (A NaN must meet a NaN; which NaN — sign and payload —

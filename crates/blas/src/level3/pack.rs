@@ -2,15 +2,16 @@
 //!
 //! The engine never walks the original column-major operands in its inner
 //! loop. Instead each `MC×KC` block of `op(A)` is packed into row-panels of
-//! [`MR`] rows (`MR` contiguous values per k step) and each `KC×NC` block of
-//! `op(B)` into column-panels of [`NR`] columns, so the micro-kernel streams
-//! both operands with unit stride regardless of the original transposition —
-//! all four `Trans` combinations are resolved here, at pack time. Partial
-//! edge panels are zero-padded to full width; the zeros multiply into the
-//! accumulator harmlessly and the store step masks them off.
+//! `mr` rows (`mr` contiguous values per k step) and each `KC×NC` block of
+//! `op(B)` into column-panels of `nr` columns — `mr × nr` being the
+//! micro-tile of the element type's kernel table — so the micro-kernel
+//! streams both operands with unit stride regardless of the original
+//! transposition: all four `Trans` combinations are resolved here, at pack
+//! time. Partial edge panels are zero-padded to full width; the zeros
+//! multiply into the accumulator harmlessly and the store step masks them
+//! off.
 
-use super::microkernel::{MR, NR};
-use hchol_matrix::{Matrix, Trans};
+use hchol_matrix::{Matrix, Scalar, Trans};
 
 /// Read-only view of `op(M)` for a sub-block of a column-major matrix.
 ///
@@ -18,8 +19,8 @@ use hchol_matrix::{Matrix, Trans};
 /// `(row0 + i, col0 + j)` when `trans` is `No`, `(row0 + j, col0 + i)` when
 /// `trans` is `Yes` (offsets are in storage coordinates).
 #[derive(Clone, Copy)]
-pub(crate) struct MatRef<'a> {
-    data: &'a [f64],
+pub(crate) struct MatRef<'a, S> {
+    data: &'a [S],
     ld: usize,
     row0: usize,
     col0: usize,
@@ -30,9 +31,9 @@ pub(crate) struct MatRef<'a> {
     trans: bool,
 }
 
-impl<'a> MatRef<'a> {
+impl<'a, S: Scalar> MatRef<'a, S> {
     /// View of the whole matrix as `op(M)`.
-    pub fn new(m: &'a Matrix, trans: Trans) -> Self {
+    pub fn new(m: &'a Matrix<S>, trans: Trans) -> Self {
         let (rows, cols) = trans.apply(m.shape());
         MatRef {
             data: m.as_slice(),
@@ -62,9 +63,26 @@ impl<'a> MatRef<'a> {
 
     /// Logical element `(i, j)`.
     #[inline(always)]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub fn get(&self, i: usize, j: usize) -> S {
         let (si, sj) = if self.trans { (j, i) } else { (i, j) };
         self.data[self.row0 + si + (self.col0 + sj) * self.ld]
+    }
+
+    /// The transposed view: logical `(i, j)` of the result is `(j, i)` here.
+    pub fn t(&self) -> Self {
+        MatRef {
+            rows: self.cols,
+            cols: self.rows,
+            trans: !self.trans,
+            ..*self
+        }
+    }
+
+    /// Storage column `c` of the view's window, from the window's first
+    /// storage row down to the end of the column.
+    #[inline(always)]
+    fn storage_col(&self, c: usize) -> &'a [S] {
+        &self.data[self.row0 + (self.col0 + c) * self.ld..]
     }
 }
 
@@ -75,9 +93,8 @@ impl<'a> MatRef<'a> {
 /// reads solved rows of `B` while writing unsolved ones), which column-major
 /// interleaving puts beyond safe slice splitting. All accesses are bounds-
 /// checked against the view in debug builds; callers guarantee disjointness.
-#[derive(Clone, Copy)]
-pub(crate) struct MatMut {
-    ptr: *mut f64,
+pub(crate) struct MatMut<S> {
+    ptr: *mut S,
     ld: usize,
     /// Rows of the block.
     pub rows: usize,
@@ -85,9 +102,17 @@ pub(crate) struct MatMut {
     pub cols: usize,
 }
 
-impl MatMut {
+impl<S> Clone for MatMut<S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for MatMut<S> {}
+
+impl<S: Scalar> MatMut<S> {
     /// View of a whole matrix.
-    pub fn new(m: &mut Matrix) -> Self {
+    pub fn new(m: &mut Matrix<S>) -> Self {
         let (rows, cols) = m.shape();
         let ld = rows;
         MatMut {
@@ -101,7 +126,7 @@ impl MatMut {
     /// View over raw column-major storage (e.g. a scratch buffer) with
     /// leading dimension `ld`. The caller keeps the backing allocation alive
     /// and unaliased for the view's whole use.
-    pub fn from_raw(ptr: *mut f64, ld: usize, rows: usize, cols: usize) -> Self {
+    pub fn from_raw(ptr: *mut S, ld: usize, rows: usize, cols: usize) -> Self {
         debug_assert!(ld >= rows);
         MatMut {
             ptr,
@@ -129,23 +154,10 @@ impl MatMut {
     /// `i < rows && j < cols`, and this view is the unique accessor of the
     /// element.
     #[inline(always)]
-    pub unsafe fn add(&self, i: usize, j: usize, v: f64) {
+    pub unsafe fn add(&self, i: usize, j: usize, v: S) {
         debug_assert!(i < self.rows && j < self.cols);
         // SAFETY: caller upholds the bounds/uniqueness contract above.
         unsafe { *self.ptr.add(i + j * self.ld) += v };
-    }
-
-    /// Read element `(i, j)` — the fused-epilogue read-back of a value this
-    /// same call just stored.
-    ///
-    /// # Safety
-    /// `i < rows && j < cols`, and no other thread writes the element while
-    /// it is read.
-    #[inline(always)]
-    pub unsafe fn get(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        // SAFETY: caller upholds the bounds/exclusivity contract above.
-        unsafe { *self.ptr.add(i + j * self.ld) }
     }
 
     /// Column `j` as a mutable slice (columns are contiguous).
@@ -153,7 +165,7 @@ impl MatMut {
     /// # Safety
     /// `j < cols`, and this view is the unique accessor of the column.
     #[inline(always)]
-    pub unsafe fn col_mut<'s>(&self, j: usize) -> &'s mut [f64] {
+    pub unsafe fn col_mut<'s>(&self, j: usize) -> &'s mut [S] {
         debug_assert!(j < self.cols);
         // SAFETY: caller upholds the bounds/uniqueness contract above;
         // columns are contiguous (`rows <= ld`).
@@ -167,7 +179,7 @@ impl MatMut {
     /// The caller chooses the lifetime and must not write through `self` (or
     /// any overlapping view) while the returned view is read — the blocked
     /// TRSM recursion only reads rows/cols it has finished writing.
-    pub unsafe fn as_ref<'s>(&self) -> MatRef<'s> {
+    pub unsafe fn as_ref<'s>(&self) -> MatRef<'s, S> {
         MatRef {
             // SAFETY: the span is within the parent allocation; caller
             // guarantees no overlapping writes for the chosen lifetime.
@@ -195,56 +207,56 @@ impl MatMut {
 // SAFETY: the engine hands MatMut row-stripes to scoped threads;
 // disjointness of the stripes is guaranteed by the ic-loop partitioning in
 // par.rs, so no two threads ever touch the same element.
-unsafe impl Send for MatMut {}
+unsafe impl<S: Send> Send for MatMut<S> {}
 
-/// Pack the `mc × kc` block of `op(A)` into MR-row micro-panels.
+/// Pack the `mc × kc` block of `op(A)` into `mr`-row micro-panels.
 ///
-/// Output layout: panel `ip` (rows `ip*MR ..`) occupies
-/// `buf[ip*MR*kc .. (ip+1)*MR*kc]`, as `kc` groups of `MR` contiguous row
+/// Output layout: panel `ip` (rows `ip*mr ..`) occupies
+/// `buf[ip*mr*kc .. (ip+1)*mr*kc]`, as `kc` groups of `mr` contiguous row
 /// values. Rows past `mc` are zero-filled.
-pub(crate) fn pack_a(block: &MatRef<'_>, buf: &mut [f64]) {
+pub(crate) fn pack_a<S: Scalar>(block: &MatRef<'_, S>, mr: usize, buf: &mut [S]) {
     let (mc, kc) = (block.rows, block.cols);
-    let panels = mc.div_ceil(MR);
-    debug_assert!(buf.len() >= panels * MR * kc);
-    for ip in 0..panels {
-        let i0 = ip * MR;
-        let mr = MR.min(mc - i0);
-        let panel = &mut buf[ip * MR * kc..(ip + 1) * MR * kc];
-        for p in 0..kc {
-            let dst = &mut panel[p * MR..p * MR + MR];
-            for (r, d) in dst.iter_mut().enumerate().take(mr) {
-                *d = block.get(i0 + r, p);
+    debug_assert!(buf.len() >= mc.next_multiple_of(mr) * kc);
+    for (ip, panel) in buf
+        .chunks_exact_mut(mr * kc)
+        .take(mc.div_ceil(mr))
+        .enumerate()
+    {
+        let i0 = ip * mr;
+        let rows = mr.min(mc - i0);
+        if block.trans {
+            // Logical row `i` is a storage column: read each contiguously
+            // along k, scatter it through the panel with stride `mr`.
+            for r in 0..rows {
+                let src = &block.storage_col(i0 + r)[..kc];
+                for (group, &v) in panel.chunks_exact_mut(mr).zip(src) {
+                    group[r] = v;
+                }
             }
-            for d in dst.iter_mut().skip(mr) {
-                *d = 0.0;
+            if rows < mr {
+                for group in panel.chunks_exact_mut(mr) {
+                    group[rows..].fill(S::ZERO);
+                }
+            }
+        } else {
+            // Logical rows run down storage columns: each k step is one
+            // contiguous copy.
+            for (p, group) in panel.chunks_exact_mut(mr).enumerate() {
+                group[..rows].copy_from_slice(&block.storage_col(p)[i0..i0 + rows]);
+                group[rows..].fill(S::ZERO);
             }
         }
     }
 }
 
-/// Pack the `kc × nc` block of `op(B)` into NR-column micro-panels.
+/// Pack the `kc × nc` block of `op(B)` into `nr`-column micro-panels.
 ///
-/// Output layout: panel `jp` (cols `jp*NR ..`) occupies
-/// `buf[jp*NR*kc .. (jp+1)*NR*kc]`, as `kc` groups of `NR` contiguous column
-/// values. Columns past `nc` are zero-filled.
-pub(crate) fn pack_b(block: &MatRef<'_>, buf: &mut [f64]) {
-    let (kc, nc) = (block.rows, block.cols);
-    let panels = nc.div_ceil(NR);
-    debug_assert!(buf.len() >= panels * NR * kc);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let nr = NR.min(nc - j0);
-        let panel = &mut buf[jp * NR * kc..(jp + 1) * NR * kc];
-        for p in 0..kc {
-            let dst = &mut panel[p * NR..p * NR + NR];
-            for (col, d) in dst.iter_mut().enumerate().take(nr) {
-                *d = block.get(p, j0 + col);
-            }
-            for d in dst.iter_mut().skip(nr) {
-                *d = 0.0;
-            }
-        }
-    }
+/// Output layout: panel `jp` (cols `jp*nr ..`) occupies
+/// `buf[jp*nr*kc .. (jp+1)*nr*kc]`, as `kc` groups of `nr` contiguous column
+/// values. Columns past `nc` are zero-filled. This is [`pack_a`] of the
+/// transposed block.
+pub(crate) fn pack_b<S: Scalar>(block: &MatRef<'_, S>, nr: usize, buf: &mut [S]) {
+    pack_a(&block.t(), nr, buf);
 }
 
 #[cfg(test)]
@@ -268,13 +280,16 @@ mod tests {
         assert_eq!(st.get(2, 3), m.get(5, 3));
     }
 
+    const MR: usize = 8;
+    const NR: usize = 6;
+
     #[test]
     fn pack_a_layout_with_padding() {
         let m = uniform(MR + 3, 4, -1.0, 1.0, 72);
         let v = MatRef::new(&m, Trans::No);
         let kc = v.cols;
         let mut buf = vec![f64::NAN; 2 * MR * kc];
-        pack_a(&v, &mut buf);
+        pack_a(&v, MR, &mut buf);
         // First panel, k step 2, row 5 = element (5, 2).
         assert_eq!(buf[2 * MR + 5], m.get(5, 2));
         // Second panel holds rows MR..MR+3 then zero padding.
@@ -288,12 +303,50 @@ mod tests {
         let v = MatRef::new(&m, Trans::No);
         let kc = v.rows;
         let mut buf = vec![f64::NAN; 2 * NR * kc];
-        pack_b(&v, &mut buf);
+        pack_b(&v, NR, &mut buf);
         // First panel, k step 1, col 4 = element (1, 4).
         assert_eq!(buf[NR + 4], m.get(1, 4));
         // Second panel holds cols NR..NR+2 then zero padding.
         assert_eq!(buf[NR * kc + 2 * NR + 1], m.get(2, NR + 1));
         assert_eq!(buf[NR * kc + 2 * NR + 3], 0.0);
+    }
+
+    /// Both storage orders, sub-views at an offset, several panel widths and
+    /// both precisions: every packed value is the logical element it stands
+    /// for, every padding slot is zero.
+    #[test]
+    fn packing_resolves_transposition_for_every_width() {
+        fn check<S: Scalar>() {
+            let m: Matrix<S> = uniform(23, 19, -1.0, 1.0, 75).cast();
+            for trans in [Trans::No, Trans::Yes] {
+                let whole = MatRef::new(&m, trans);
+                let v = whole.sub(2, 3, whole.rows - 5, whole.cols - 4);
+                for w in [1usize, 6, 8, 16, 32] {
+                    let (mc, kc) = (v.rows, v.cols);
+                    let mut buf = vec![S::nan(); mc.next_multiple_of(w) * kc];
+                    pack_a(&v, w, &mut buf);
+                    for i in 0..mc.next_multiple_of(w) {
+                        for p in 0..kc {
+                            let got = buf[(i / w) * w * kc + p * w + i % w];
+                            let want = if i < mc { v.get(i, p) } else { S::ZERO };
+                            assert_eq!(got, want, "A {trans:?} w={w} ({i},{p})");
+                        }
+                    }
+                    let (kc, nc) = (v.rows, v.cols);
+                    let mut buf = vec![S::nan(); kc * nc.next_multiple_of(w)];
+                    pack_b(&v, w, &mut buf);
+                    for j in 0..nc.next_multiple_of(w) {
+                        for p in 0..kc {
+                            let got = buf[(j / w) * w * kc + p * w + j % w];
+                            let want = if j < nc { v.get(p, j) } else { S::ZERO };
+                            assert_eq!(got, want, "B {trans:?} w={w} ({p},{j})");
+                        }
+                    }
+                }
+            }
+        }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]

@@ -10,8 +10,7 @@
 use super::gemm::{encode_cols, gemm_views, use_blocked};
 use super::naive::naive_syrk_accum;
 use super::pack::{MatMut, MatRef};
-use super::workspace::{pack_len, with_workspace};
-use crate::cast::{as_f64, as_f64_mut};
+use super::workspace::{carve, lines, pack_lines, with_workspace, Line};
 use hchol_matrix::{Matrix, Scalar, Trans, Uplo};
 
 /// Block size of the triangular decomposition (C blocks are `TB × TB`).
@@ -67,21 +66,16 @@ pub fn syrk<S: Scalar>(
         return;
     }
 
-    // Blocked decomposition rides the f64-only packed engine; f32 keeps the
-    // seed loops at any size.
     if use_blocked(n, n, k) {
-        if let Some(a64) = as_f64(a) {
-            let c64 = as_f64_mut(c).expect("a and c share one element type");
-            // One arena borrow for the whole update: the diagonal scratch
-            // tile, then the pack buffers of the largest block GEMM.
-            let tb = TB.min(n);
-            with_workspace(tb * tb + pack_len(tb, k, tb), |ws| {
-                syrk_blocked(uplo, trans, alpha, a64, c64, ws)
-            });
-            return;
-        }
+        // One arena borrow for the whole update: the diagonal scratch
+        // tile, then the pack buffers of the largest block GEMM.
+        let tb = TB.min(n);
+        with_workspace(lines::<S>(tb * tb) + pack_lines::<S>(tb, k, tb), |ws| {
+            syrk_blocked(uplo, trans, alpha, a, c, ws)
+        });
+    } else {
+        naive_syrk_accum(uplo, trans, alpha, a, c);
     }
-    naive_syrk_accum(uplo, trans, alpha, a, c);
 }
 
 /// [`syrk`] plus the two weighted column checksums of the finished `C` in
@@ -114,19 +108,22 @@ pub fn syrk_fused<S: Scalar>(
 }
 
 /// Blocked accumulation `C += alpha · op(A)·op(A)ᵀ` over the `uplo` triangle.
-/// `ws` holds `tb²` doubles of diagonal scratch followed by the pack buffers
+/// `ws` holds `tb²` elements of diagonal scratch followed by the pack buffers
 /// of a `tb × k · k × tb` product, `tb = min(TB, n)`.
-fn syrk_blocked(uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, c: &mut Matrix, ws: &mut [f64]) {
+fn syrk_blocked<S: Scalar>(
+    uplo: Uplo,
+    trans: Trans,
+    alpha: f64,
+    a: &Matrix<S>,
+    c: &mut Matrix<S>,
+    ws: &mut [Line],
+) {
     let (n, k) = trans.apply(a.shape());
-    let flip = match trans {
-        Trans::No => Trans::Yes,
-        Trans::Yes => Trans::No,
-    };
     let av = MatRef::new(a, trans); // op(A):  n × k
-    let avt = MatRef::new(a, flip); // op(A)ᵀ: k × n
+    let avt = av.t(); // op(A)ᵀ: k × n
     let cv = MatMut::new(c);
     let tb = TB.min(n);
-    let (scratch, ws) = ws.split_at_mut(tb * tb);
+    let (scratch, ws) = carve::<S>(ws, tb * tb);
 
     for jb in (0..n).step_by(TB) {
         let nb = TB.min(n - jb);
@@ -149,7 +146,7 @@ fn syrk_blocked(uplo: Uplo, trans: Trans, alpha: f64, a: &Matrix, c: &mut Matrix
             ib += mb;
         }
         // Diagonal block: full product into scratch, triangle-masked add.
-        scratch[..nb * nb].fill(0.0);
+        scratch[..nb * nb].fill(S::ZERO);
         let sv = MatMut::from_raw(scratch.as_mut_ptr(), nb, nb, nb);
         gemm_views(alpha, &av.sub(jb, 0, nb, k), &bt, &sv, ws);
         for j in 0..nb {

@@ -10,14 +10,13 @@
 //! largest rank update, serves the whole recursion. Small solves keep the
 //! seed per-column substitution directly.
 
-use crate::cast::{as_f64, as_f64_mut};
 use crate::level1::axpy;
 use crate::level2::trsv;
 use hchol_matrix::{Diag, Matrix, Scalar, Side, Trans, Uplo};
 
 use super::gemm::gemm_views;
 use super::pack::{MatMut, MatRef};
-use super::workspace::{pack_len, with_workspace};
+use super::workspace::{pack_lines, with_workspace, Line};
 
 /// Triangle size at (or below) which solves run unblocked.
 const TRSM_BASE: usize = 32;
@@ -50,9 +49,8 @@ pub fn trsm<S: Scalar>(
         return;
     }
 
-    // The recursive GEMM-accelerated path rides the f64-only engine; small
-    // triangles — and every f32 solve — use straight substitution.
-    if a.rows() <= TRSM_BASE || as_f64(a).is_none() {
+    // Small triangles use straight substitution.
+    if a.rows() <= TRSM_BASE {
         match side {
             Side::Left => {
                 for j in 0..n {
@@ -63,8 +61,6 @@ pub fn trsm<S: Scalar>(
         }
         return;
     }
-    let a = as_f64(a).expect("checked above");
-    let b = as_f64_mut(b).expect("a and b share one element type");
 
     // op(A) is lower triangular either stored lower and used as-is, or
     // stored upper and used transposed.
@@ -78,10 +74,10 @@ pub fn trsm<S: Scalar>(
     // update (the top-level split; deeper levels only shrink).
     let half = a.rows().div_ceil(2);
     match side {
-        Side::Left => with_workspace(pack_len(half, half, n), |ws| {
+        Side::Left => with_workspace(pack_lines::<S>(half, half, n), |ws| {
             left_rec(eff_lower, diag, &av, &bv, ws)
         }),
-        Side::Right => with_workspace(pack_len(m, half, half), |ws| {
+        Side::Right => with_workspace(pack_lines::<S>(m, half, half), |ws| {
             right_rec(eff_lower, diag, &av, &bv, ws)
         }),
     }
@@ -89,7 +85,7 @@ pub fn trsm<S: Scalar>(
 
 /// Copy the referenced triangle of the `op(A)` view into a dense matrix
 /// (the recursion base solves on contiguous storage).
-fn materialize_tri(av: &MatRef<'_>, eff_lower: bool) -> Matrix {
+fn materialize_tri<S: Scalar>(av: &MatRef<'_, S>, eff_lower: bool) -> Matrix<S> {
     let nb = av.rows;
     let mut t = Matrix::zeros(nb, nb);
     for j in 0..nb {
@@ -102,7 +98,13 @@ fn materialize_tri(av: &MatRef<'_>, eff_lower: bool) -> Matrix {
 }
 
 /// Recursive solve `op(A) · X = B` on views; `av` is the effective triangle.
-fn left_rec(eff_lower: bool, diag: Diag, av: &MatRef<'_>, b: &MatMut, ws: &mut [f64]) {
+fn left_rec<S: Scalar>(
+    eff_lower: bool,
+    diag: Diag,
+    av: &MatRef<'_, S>,
+    b: &MatMut<S>,
+    ws: &mut [Line],
+) {
     let m = b.rows;
     if m <= TRSM_BASE {
         let t = materialize_tri(av, eff_lower);
@@ -139,7 +141,13 @@ fn left_rec(eff_lower: bool, diag: Diag, av: &MatRef<'_>, b: &MatMut, ws: &mut [
 }
 
 /// Recursive solve `X · op(A) = B` on views.
-fn right_rec(eff_lower: bool, diag: Diag, av: &MatRef<'_>, b: &MatMut, ws: &mut [f64]) {
+fn right_rec<S: Scalar>(
+    eff_lower: bool,
+    diag: Diag,
+    av: &MatRef<'_, S>,
+    b: &MatMut<S>,
+    ws: &mut [Line],
+) {
     let n = b.cols;
     if n <= TRSM_BASE {
         right_base(eff_lower, diag, av, b);
@@ -171,7 +179,7 @@ fn right_rec(eff_lower: bool, diag: Diag, av: &MatRef<'_>, b: &MatMut, ws: &mut 
 
 /// Unblocked `X · T = B` where `T` is the effective triangle `av` (read in
 /// place — only the referenced triangle and the diagonal are touched).
-fn right_base(eff_lower: bool, diag: Diag, t: &MatRef<'_>, b: &MatMut) {
+fn right_base<S: Scalar>(eff_lower: bool, diag: Diag, t: &MatRef<'_, S>, b: &MatMut<S>) {
     let n = b.cols;
     for step in 0..n {
         // Effective-lower T: column j of X depends on columns k > j
@@ -186,7 +194,7 @@ fn right_base(eff_lower: bool, diag: Diag, t: &MatRef<'_>, b: &MatMut) {
         let dst = unsafe { b.col_mut(j) };
         for k in ks {
             let coef = t.get(k, j);
-            if coef != 0.0 {
+            if coef != S::ZERO {
                 // SAFETY: k ≠ j, so this read-only view of col k cannot
                 // alias `dst` (col j) — disjoint columns of the same block.
                 let src = unsafe { &*b.col_mut(k) };
@@ -194,7 +202,7 @@ fn right_base(eff_lower: bool, diag: Diag, t: &MatRef<'_>, b: &MatMut) {
             }
         }
         if diag == Diag::NonUnit {
-            let inv = 1.0 / t.get(j, j);
+            let inv = S::ONE / t.get(j, j);
             for x in dst.iter_mut() {
                 *x *= inv;
             }

@@ -30,7 +30,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-mod cast;
 pub mod flops;
 pub mod level1;
 pub mod level2;

@@ -15,10 +15,10 @@
 
 use crate::level2::trsv;
 use crate::level3::{
-    apply_beta, gemm, gemm_fused, pack_a, pack_b, pack_lens, run_tiles, use_blocked,
-    with_workspace, ChkAcc, MatMut, MatRef, KC, MC, NC,
+    apply_beta, carve, gemm, gemm_fused, kernel_table, lines, pack_a, pack_b, pack_lens, run_tiles,
+    use_blocked, with_workspace, ChkAcc, MatMut, MatRef, KC, MC, NC,
 };
-use hchol_matrix::{Diag, Matrix, Trans, Uplo};
+use hchol_matrix::{Diag, Matrix, Scalar, Trans, Uplo};
 
 /// Number of worker threads the host offers.
 fn max_threads() -> usize {
@@ -32,14 +32,14 @@ fn max_threads() -> usize {
 /// Same contract and (to rounding) same result as [`crate::gemm`];
 /// products too small for the blocked engine — or hosts with one core —
 /// run the sequential kernel.
-pub fn par_gemm(
+pub fn par_gemm<S: Scalar>(
     trans_a: Trans,
     trans_b: Trans,
     alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
     beta: f64,
-    c: &mut Matrix,
+    c: &mut Matrix<S>,
 ) {
     let (m, ka) = trans_a.apply(a.shape());
     let (kb, n) = trans_b.apply(b.shape());
@@ -64,14 +64,14 @@ pub fn par_gemm(
 /// count — the knob the kernel benchmarks sweep. `threads` is clamped to
 /// the number of `MC` row stripes; `0` or `1` runs the sequential engine.
 #[allow(clippy::too_many_arguments)]
-pub fn par_gemm_with_threads(
+pub fn par_gemm_with_threads<S: Scalar>(
     trans_a: Trans,
     trans_b: Trans,
     alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
     beta: f64,
-    c: &mut Matrix,
+    c: &mut Matrix<S>,
     threads: usize,
 ) {
     let (m, ka) = trans_a.apply(a.shape());
@@ -97,15 +97,15 @@ pub fn par_gemm_with_threads(
 /// column checksums of the finished `C`, with per-thread epilogue
 /// accumulators reduced after the macro-tile join.
 #[allow(clippy::too_many_arguments)]
-pub fn par_gemm_fused(
+pub fn par_gemm_fused<S: Scalar>(
     trans_a: Trans,
     trans_b: Trans,
     alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
     beta: f64,
-    c: &mut Matrix,
-    chk: &mut Matrix,
+    c: &mut Matrix<S>,
+    chk: &mut Matrix<S>,
 ) {
     par_gemm_fused_with_threads(trans_a, trans_b, alpha, a, b, beta, c, chk, max_threads());
 }
@@ -113,15 +113,15 @@ pub fn par_gemm_fused(
 /// [`par_gemm_fused`] with an explicit team size (see
 /// [`par_gemm_with_threads`] for the clamping rules).
 #[allow(clippy::too_many_arguments)]
-pub fn par_gemm_fused_with_threads(
+pub fn par_gemm_fused_with_threads<S: Scalar>(
     trans_a: Trans,
     trans_b: Trans,
     alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
     beta: f64,
-    c: &mut Matrix,
-    chk: &mut Matrix,
+    c: &mut Matrix<S>,
+    chk: &mut Matrix<S>,
     threads: usize,
 ) {
     let (m, ka) = trans_a.apply(a.shape());
@@ -148,8 +148,8 @@ pub fn par_gemm_fused_with_threads(
     let (mut v1, mut v2) = (vec![0.0; n], vec![0.0; n]);
     par_gemm_blocked_fused(alpha, &av, &bv, &cv, threads, &mut v1, &mut v2);
     for j in 0..n {
-        chk.set(0, j, v1[j]);
-        chk.set(1, j, v2[j]);
+        chk.set(0, j, S::from_f64(v1[j]));
+        chk.set(1, j, S::from_f64(v2[j]));
     }
 }
 
@@ -158,40 +158,43 @@ pub fn par_gemm_fused_with_threads(
 /// The caller's thread packs each B slab into its arena, every worker packs
 /// its A stripes into its own. `tacc` holds one `(v1, v2)` epilogue accumulator
 /// pair per worker (fused), or is empty (plain).
-fn par_macro_loop(
+fn par_macro_loop<S: Scalar>(
     alpha: f64,
-    a: &MatRef<'_>,
-    b: &MatRef<'_>,
-    c: &MatMut,
+    a: &MatRef<'_, S>,
+    b: &MatRef<'_, S>,
+    c: &MatMut<S>,
     threads: usize,
     tacc: &mut [(Vec<f64>, Vec<f64>)],
 ) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let stripes = m.div_ceil(MC);
-    let (a_len, b_len) = pack_lens(m, k, n);
-    with_workspace(b_len, |packed_b| {
+    let t = kernel_table::<S>();
+    let (a_len, b_len) = pack_lens::<S>(m, k, n);
+    with_workspace(lines::<S>(b_len), |ws| {
+        let (packed_b, _) = carve::<S>(ws, b_len);
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 let last_slab = pc + kc == k;
-                pack_b(&b.sub(pc, jc, kc, nc), packed_b);
-                let pb: &[f64] = packed_b;
+                pack_b(&b.sub(pc, jc, kc, nc), t.nr, packed_b);
+                let pb: &[S] = packed_b;
                 let mut accs = tacc.iter_mut();
                 std::thread::scope(|s| {
-                    for t in 0..threads {
+                    for tid in 0..threads {
                         let (a, c) = (*a, *c);
                         let mut acc = accs.next().filter(|_| last_slab);
                         s.spawn(move || {
-                            with_workspace(a_len, |packed_a| {
+                            with_workspace(lines::<S>(a_len), |ws| {
+                                let (packed_a, _) = carve::<S>(ws, a_len);
                                 // Round-robin stripe assignment: stripe si →
                                 // thread si mod threads. Stripes are disjoint
                                 // C row ranges.
-                                let mut si = t;
+                                let mut si = tid;
                                 while si < stripes {
                                     let ic = si * MC;
                                     let mc = MC.min(m - ic);
-                                    pack_a(&a.sub(ic, pc, mc, kc), packed_a);
+                                    pack_a(&a.sub(ic, pc, mc, kc), t.mr, packed_a);
                                     let mut epi = acc.as_mut().map(|(v1, v2)| ChkAcc {
                                         row0: ic,
                                         col0: jc,
@@ -201,8 +204,6 @@ fn par_macro_loop(
                                     run_tiles(
                                         alpha,
                                         kc,
-                                        mc,
-                                        nc,
                                         packed_a,
                                         pb,
                                         &c.sub(ic, jc, mc, nc),
@@ -223,11 +224,11 @@ fn par_macro_loop(
 /// private `v1`/`v2` pair that its stripes' final-slab read-backs accumulate
 /// into, and the pairs are reduced (in thread order) into the caller's
 /// vectors once every macro tile has joined.
-fn par_gemm_blocked_fused(
+fn par_gemm_blocked_fused<S: Scalar>(
     alpha: f64,
-    a: &MatRef<'_>,
-    b: &MatRef<'_>,
-    c: &MatMut,
+    a: &MatRef<'_, S>,
+    b: &MatRef<'_, S>,
+    c: &MatMut<S>,
     threads: usize,
     v1: &mut [f64],
     v2: &mut [f64],
@@ -246,7 +247,14 @@ fn par_gemm_blocked_fused(
 
 /// Parallel left-sided triangular solve `op(A)·X = alpha·B`: every column
 /// of `B` is an independent `trsv`, dealt round-robin to the threads.
-pub fn par_trsm_left(uplo: Uplo, trans: Trans, diag: Diag, alpha: f64, a: &Matrix, b: &mut Matrix) {
+pub fn par_trsm_left<S: Scalar>(
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    alpha: f64,
+    a: &Matrix<S>,
+    b: &mut Matrix<S>,
+) {
     assert!(a.is_square(), "par_trsm_left A must be square");
     assert_eq!(a.rows(), b.rows(), "par_trsm_left dimension mismatch");
     if alpha != 1.0 {

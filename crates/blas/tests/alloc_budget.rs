@@ -7,14 +7,18 @@
 //! engine's per-thread pack arena with a counting allocator:
 //!
 //! * the first call of a shape allocates no more than its packed working
-//!   set — the real `min(MC,m)×min(KC,k)` / `min(KC,k)×min(NC,n)` extents;
-//! * every later call of that shape allocates nothing.
+//!   set — the real `min(MC,m)×min(KC,k)` / `min(KC,k)×min(NC,n)` extents,
+//!   each buffer rounded up to a whole cache line;
+//! * every later call of that shape allocates nothing —
+//!
+//! at both precisions: the arena and the engine are the same code for f64
+//! and f32.
 
-use hchol_blas::level3::microkernel::{MR, NR};
+use hchol_blas::level3::microkernel::tile_shape;
 use hchol_blas::level3::{KC, MC, NC};
 use hchol_blas::{gemm, syrk, trsm};
 use hchol_matrix::generate::uniform;
-use hchol_matrix::{Diag, Matrix, Side, Trans, Uplo};
+use hchol_matrix::{Diag, Matrix, Scalar, Side, Trans, Uplo};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -56,10 +60,17 @@ fn allocated(f: impl FnOnce()) -> usize {
     BYTES.with(Cell::get) - before
 }
 
+/// `len` elements of `S` in bytes, rounded up to whole 64-byte arena lines.
+fn line_bytes<S: Scalar>(len: usize) -> usize {
+    (len * S::BYTES as usize).next_multiple_of(64)
+}
+
 /// Bytes of packed A stripe plus packed B slab for an `m×k · k×n` product.
-fn pack_bytes(m: usize, k: usize, n: usize) -> usize {
+fn pack_bytes<S: Scalar>(m: usize, k: usize, n: usize) -> usize {
+    let (mr, nr) = tile_shape::<S>();
     let kc = KC.min(k);
-    8 * (MC.min(m).next_multiple_of(MR) * kc + kc * NC.min(n).next_multiple_of(NR))
+    line_bytes::<S>(MC.min(m).next_multiple_of(mr) * kc)
+        + line_bytes::<S>(kc * NC.min(n).next_multiple_of(nr))
 }
 
 /// On a fresh thread (so a fresh arena): the first `call` may allocate up to
@@ -81,29 +92,34 @@ fn check(label: &'static str, budget: usize, mut call: impl FnMut() + Send + 'st
     .expect("budget holds");
 }
 
-#[test]
-fn tile_gemm_allocates_its_pack_buffers_once() {
+fn tile_gemm<S: Scalar>() {
     for b in [64usize, 128, 256] {
-        let lik = uniform(b, b, -1.0, 1.0, 1);
-        let ljk = uniform(b, b, -1.0, 1.0, 2);
-        let mut tij = uniform(b, b, -1.0, 1.0, 3);
-        check("gemm NT", pack_bytes(b, b, b), move || {
+        let lik: Matrix<S> = uniform(b, b, -1.0, 1.0, 1).cast();
+        let ljk: Matrix<S> = uniform(b, b, -1.0, 1.0, 2).cast();
+        let mut tij: Matrix<S> = uniform(b, b, -1.0, 1.0, 3).cast();
+        check("gemm NT", pack_bytes::<S>(b, b, b), move || {
             gemm(Trans::No, Trans::Yes, -1.0, &lik, &ljk, 1.0, &mut tij);
         });
     }
 }
 
 #[test]
-fn panel_trsm_allocates_its_pack_buffers_once() {
+fn tile_gemm_allocates_its_pack_buffers_once() {
+    tile_gemm::<f64>();
+    tile_gemm::<f32>();
+}
+
+fn panel_trsm<S: Scalar>() {
     let b = 256usize;
     // A well-conditioned lower triangle; the solve never looks above it.
     let mut ljj = uniform(b, b, -0.5, 0.5, 4);
     for j in 0..b {
         ljj.set(j, j, 4.0);
     }
-    let mut panel = uniform(b, b, -1.0, 1.0, 5);
+    let ljj: Matrix<S> = ljj.cast();
+    let mut panel: Matrix<S> = uniform(b, b, -1.0, 1.0, 5).cast();
     // The largest rank update of the recursion is b × b/2 × b/2.
-    check("trsm RLT", pack_bytes(b, b / 2, b / 2), move || {
+    check("trsm RLT", pack_bytes::<S>(b, b / 2, b / 2), move || {
         trsm(
             Side::Right,
             Uplo::Lower,
@@ -117,12 +133,24 @@ fn panel_trsm_allocates_its_pack_buffers_once() {
 }
 
 #[test]
-fn diag_syrk_allocates_its_workspace_once() {
+fn panel_trsm_allocates_its_pack_buffers_once() {
+    panel_trsm::<f64>();
+    panel_trsm::<f32>();
+}
+
+fn diag_syrk<S: Scalar>() {
     let b = 256usize;
-    let ljk = uniform(b, b, -1.0, 1.0, 6);
-    let mut diag = Matrix::zeros(b, b);
+    let ljk: Matrix<S> = uniform(b, b, -1.0, 1.0, 6).cast();
+    let mut diag = Matrix::<S>::zeros(b, b);
     // One scratch tile for the diagonal block plus the pack buffers.
-    check("syrk LN", 8 * b * b + pack_bytes(b, b, b), move || {
+    let budget = line_bytes::<S>(b * b) + pack_bytes::<S>(b, b, b);
+    check("syrk LN", budget, move || {
         syrk(Uplo::Lower, Trans::No, -1.0, &ljk, 1.0, &mut diag);
     });
+}
+
+#[test]
+fn diag_syrk_allocates_its_workspace_once() {
+    diag_syrk::<f64>();
+    diag_syrk::<f32>();
 }

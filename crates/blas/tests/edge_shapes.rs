@@ -3,8 +3,11 @@
 
 use hchol_blas::level1::{asum, axpy, dot, iamax, nrm2, scal};
 use hchol_blas::level2::{gemv, ger, trsv};
+use hchol_blas::level3::{microkernel::tile_shape, KC, MC};
+use hchol_blas::reference::ref_gemm;
 use hchol_blas::{gemm, potf2, potrf_blocked, syrk, trsm};
-use hchol_matrix::{approx_eq, Diag, Matrix, Side, Trans, Uplo};
+use hchol_matrix::generate::uniform;
+use hchol_matrix::{approx_eq, Diag, Matrix, Scalar, Side, Trans, Uplo};
 
 #[test]
 fn level1_on_empty_slices() {
@@ -125,4 +128,59 @@ fn syrk_zero_k_scales_only() {
     syrk(Uplo::Upper, Trans::No, 5.0, &a, 0.5, &mut c);
     assert_eq!(c.get(0, 3), 1.0, "upper scaled");
     assert_eq!(c.get(3, 0), 2.0, "lower untouched");
+}
+
+/// The blocked engine on shapes that are multiples of nothing — one past the
+/// micro-tile in both directions, a ragged macro stripe, `k` just short of
+/// and just past `KC` — against the textbook triple loop, for every
+/// transposition and the alpha/beta fast paths, at precision `S`. Agreement
+/// is to the accumulation's own round-off, `c·k·ε`.
+fn blocked_gemm_on_ragged_shapes<S: Scalar>() {
+    let (mr, nr) = tile_shape::<S>();
+    let shapes = [
+        (mr + 1, 5 * nr + 1, KC - 1),
+        (MC + mr - 1, 2 * nr - 1, KC + 1),
+        (2 * MC + 3, 37, 71),
+    ];
+    for (m, n, k) in shapes {
+        for (ta, tb) in [
+            (Trans::No, Trans::No),
+            (Trans::No, Trans::Yes),
+            (Trans::Yes, Trans::No),
+            (Trans::Yes, Trans::Yes),
+        ] {
+            for (alpha, beta) in [(1.0, 0.0), (-1.0, 1.0), (0.7, -0.3), (0.0, 0.5)] {
+                let (ar, ac) = ta.apply((m, k));
+                let (br, bc) = tb.apply((k, n));
+                let a: Matrix<S> = uniform(ar, ac, -1.0, 1.0, 51).cast();
+                let b: Matrix<S> = uniform(br, bc, -1.0, 1.0, 52).cast();
+                let mut c: Matrix<S> = uniform(m, n, -1.0, 1.0, 53).cast();
+                let mut c_ref = c.clone();
+                gemm(ta, tb, alpha, &a, &b, beta, &mut c);
+                ref_gemm(ta, tb, alpha, &a, &b, beta, &mut c_ref);
+                // |C| ≤ |beta| + |alpha|·k·E|ab| with E|ab| = 1/4.
+                let scale = 1.0 + k as f64 / 4.0;
+                let tol = 4.0 * k as f64 * S::EPSILON * scale;
+                for (i, (x, y)) in c.as_slice().iter().zip(c_ref.as_slice()).enumerate() {
+                    let d = (x.to_f64() - y.to_f64()).abs();
+                    assert!(
+                        d <= tol,
+                        "{} {m}x{n}x{k} ta={ta:?} tb={tb:?} alpha={alpha} beta={beta}: \
+                         element {i} off by {d:e} (tol {tol:e})",
+                        S::DTYPE
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_gemm_matches_reference_on_ragged_shapes_f64() {
+    blocked_gemm_on_ragged_shapes::<f64>();
+}
+
+#[test]
+fn blocked_gemm_matches_reference_on_ragged_shapes_f32() {
+    blocked_gemm_on_ragged_shapes::<f32>();
 }

@@ -76,9 +76,10 @@ pub struct CholLayout {
     /// Running per-grid-column magnitude statistic `max|x|` over the
     /// column's lower-triangle tiles, captured at encode and refreshed
     /// (monotone max) at every recalculation — the variance input of the
-    /// adaptive tolerance model ([`crate::tolerance`]). Execute mode only;
-    /// stays all-zero in TimingOnly, where the adaptive threshold falls
-    /// back to its magnitude floor.
+    /// adaptive tolerance model ([`crate::tolerance`]), its only reader.
+    /// Execute mode under an adaptive tolerance only; stays all-zero
+    /// otherwise (in TimingOnly the adaptive threshold falls back to its
+    /// magnitude floor).
     pub col_stats: Vec<f64>,
 }
 
@@ -778,25 +779,47 @@ fn recalc_stream(lay: &CholLayout, opts: &AbftOptions, idx: usize) -> StreamId {
 /// Largest finite `|x|` in a tile (for the column magnitude statistic);
 /// non-finite entries are skipped — an overflowed value must widen the
 /// verifier's *delta*, never its threshold.
+///
+/// A maximum does not depend on the order it is taken in, so the scan keeps
+/// `PEAK_LANES` independent running peaks (which vectorises; one serial
+/// compare-and-select chain does not) and folds them at the end.
 fn tile_max_abs<S: Scalar>(t: &Matrix<S>) -> f64 {
-    t.as_slice()
+    const PEAK_LANES: usize = 16;
+    let keep = |peak: S, x: S| {
+        let v = x.abs();
+        if v.is_finite() && v > peak {
+            v
+        } else {
+            peak
+        }
+    };
+    let mut lanes = [S::ZERO; PEAK_LANES];
+    let chunks = t.as_slice().chunks_exact(PEAK_LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (peak, &x) in lanes.iter_mut().zip(chunk) {
+            *peak = keep(*peak, x);
+        }
+    }
+    lanes
         .iter()
-        .map(|x| x.to_f64().abs())
-        .fold(
-            0.0,
-            |peak, v| if v.is_finite() && v > peak { v } else { peak },
-        )
+        .chain(tail)
+        .copied()
+        .fold(S::ZERO, keep)
+        .to_f64()
 }
 
 /// Fold the current magnitudes of `tiles` into the layout's per-column
 /// statistics (monotone max — the threshold must cover the largest value
-/// that ever flowed through the column's accumulation paths).
+/// that ever flowed through the column's accumulation paths). Their one
+/// reader is the adaptive tolerance, so a fixed-tolerance run skips the scan.
 fn refresh_col_stats<S: Scalar>(
     ctx: &SimContext<S>,
     lay: &mut CholLayout,
     tiles: &[(usize, usize)],
+    opts: &AbftOptions,
 ) {
-    if !ctx.mode.executes() {
+    if !ctx.mode.executes() || matches!(opts.tolerance, ToleranceModel::Fixed(_)) {
         return;
     }
     let m = ctx.dev_mem.buf(lay.mat);
@@ -841,7 +864,7 @@ pub fn encode_all<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, opts
     }
     ctx.sync_device();
     let all = lower_tiles(lay.nt);
-    refresh_col_stats(ctx, lay, &all);
+    refresh_col_stats(ctx, lay, &all, opts);
     if lay.placement == ChecksumPlacement::Cpu {
         let bytes = S::BYTES * 2 * (lay.n as u64) * (lay.nt as u64);
         // The shipment reads every freshly encoded checksum tile.
@@ -1079,7 +1102,7 @@ pub fn verify_recalc<S: Scalar>(
     if tiles.is_empty() {
         return;
     }
-    refresh_col_stats(ctx, lay, tiles);
+    refresh_col_stats(ctx, lay, tiles, opts);
     // Updates to these checksums must have landed before we compare.
     if lay.placement == ChecksumPlacement::Cpu {
         ctx.sync_cpu_workers();
@@ -1153,12 +1176,13 @@ pub fn verify_compare<S: Scalar>(
     lay: &mut CholLayout,
     tiles: &[(usize, usize)],
     fused: bool,
+    opts: &AbftOptions,
 ) {
     if tiles.is_empty() {
         return;
     }
     if fused {
-        refresh_col_stats(ctx, lay, tiles);
+        refresh_col_stats(ctx, lay, tiles, opts);
         ensure_dpt(ctx, lay);
         // Updates to the maintained checksums must have landed before we
         // compare against them (same rule as the recalc path).
@@ -1378,7 +1402,7 @@ pub fn verify_batch<S: Scalar>(
         return VerifyOutcome::default();
     }
     verify_recalc(ctx, lay, tiles, opts);
-    verify_compare(ctx, lay, tiles, false);
+    verify_compare(ctx, lay, tiles, false, opts);
     verify_correct(ctx, lay, inj, tiles, depth, opts, false)
 }
 
@@ -1435,26 +1459,35 @@ pub fn propagate_trsm(inj: &mut Injector, nt: usize, j: usize) {
 }
 
 /// Extract the dense lower-triangular factor from device memory
-/// (Execute mode only).
+/// (Execute mode only): one pass over the lower tiles, copying each column
+/// from its diagonal down and leaving everything above at zero.
 pub fn extract_factor<S: Scalar>(ctx: &SimContext<S>, lay: &CholLayout) -> Option<Matrix<S>> {
     if !ctx.mode.executes() {
         return None;
     }
-    let mut l = ctx.dev_mem.buf(lay.mat).to_dense();
-    force_lower(&mut l);
+    let tiles = ctx.dev_mem.buf(lay.mat);
+    let mut l = Matrix::zeros(lay.n, lay.n);
+    for bj in 0..lay.nt {
+        for bi in bj..lay.nt {
+            let tile = tiles.tile(bi, bj);
+            let (r0, c0) = (bi * lay.b, bj * lay.b);
+            for j in 0..tile.cols() {
+                let above = if bi == bj { j.min(tile.rows()) } else { 0 };
+                l.col_mut(c0 + j)[r0 + above..r0 + tile.rows()]
+                    .copy_from_slice(&tile.col(j)[above..]);
+            }
+        }
+    }
     Some(l)
 }
 
 /// Reload pristine input into device memory after a failed attempt,
-/// charging the full-matrix upload the restart costs.
-pub fn reload<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &CholLayout,
-    pristine: Option<&TileMatrix<S>>,
-) {
+/// charging the full-matrix upload the restart costs. In Execute mode the
+/// device matrix is re-tiled from `input`, the matrix [`setup`] tiled it
+/// from.
+pub fn reload<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, input: Option<&Matrix<S>>) {
     let bytes = S::BYTES * (lay.n as u64) * (lay.n as u64);
-    let mat = lay.mat;
-    let clone = pristine.cloned();
+    let (mat, b) = (lay.mat, lay.b);
     // The upload rewrites every tile, which also (correctly) invalidates
     // every verify mark from the failed attempt in the schedule analysis.
     let writes = (0..lay.nt)
@@ -1465,8 +1498,9 @@ pub fn reload<S: Scalar>(
         lay.s_tran,
         true,
         AccessSet::new(vec![], writes),
-        move |dev, _| {
-            *dev.buf_mut(mat) = clone.expect("Execute mode keeps a pristine copy");
+        |dev, _| {
+            let dense = input.expect("Execute mode requires input data");
+            *dev.buf_mut(mat) = TileMatrix::from_dense(dense, b).expect("setup checked b > 0");
         },
     );
     ctx.sync_stream(lay.s_tran);
@@ -1492,6 +1526,123 @@ mod tests {
         // matrix + 2 checksum rows
         assert_eq!(ctx.dev_mem.buffer_count(), 3);
         assert_eq!(ctx.dev_mem.buf(lay.mat).to_dense(), a);
+    }
+
+    /// The serial compare-and-select fold the lane-wise scan replaced.
+    fn serial_max_abs<S: Scalar>(t: &Matrix<S>) -> f64 {
+        t.as_slice()
+            .iter()
+            .map(|x| x.to_f64().abs())
+            .fold(
+                0.0,
+                |peak, v| if v.is_finite() && v > peak { v } else { peak },
+            )
+    }
+
+    fn lane_scan_matches_serial_fold<S: Scalar>() {
+        let subnormal = S::from_bits_u64(1).to_f64();
+        assert!(subnormal > 0.0 && subnormal < S::EPSILON * S::EPSILON);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            subnormal,
+            -subnormal,
+        ];
+        // Shapes whose element counts leave every possible tail length
+        // behind the 16-wide lanes, empty and all-special tiles included.
+        for (rows, cols) in [
+            (0usize, 0usize),
+            (1, 1),
+            (3, 5),
+            (4, 4),
+            (7, 9),
+            (16, 16),
+            (33, 31),
+        ] {
+            for fill in 0..4u64 {
+                let mut t: Matrix<S> =
+                    hchol_matrix::generate::uniform(rows, cols, -3.0, 3.0, 40 + fill).cast();
+                let len = t.as_slice().len();
+                for (k, x) in t.as_mut_slice().iter_mut().enumerate() {
+                    // fill 0: ordinary values; 1: a special every third
+                    // slot; 2: only specials; 3: specials first and last.
+                    let special = match fill {
+                        0 => false,
+                        1 => k % 3 == 0,
+                        2 => true,
+                        _ => k == 0 || k + 1 == len,
+                    };
+                    if special {
+                        *x = S::from_f64(specials[(k + fill as usize) % specials.len()]);
+                    }
+                }
+                let (got, want) = (tile_max_abs(&t), serial_max_abs(&t));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{} {rows}x{cols} fill {fill}: {got:e} vs {want:e}",
+                    S::DTYPE
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn column_statistic_scan_equals_the_serial_fold() {
+        lane_scan_matches_serial_fold::<f64>();
+        lane_scan_matches_serial_fold::<f32>();
+    }
+
+    #[test]
+    fn column_statistics_are_tracked_only_for_the_adaptive_tolerance() {
+        let a = spd_diag_dominant(8, 3);
+        let peak = |opts: &AbftOptions| {
+            let mut ctx = exec_ctx();
+            let mut lay = setup(&mut ctx, 8, 4, true, ChecksumPlacement::Gpu, Some(&a)).unwrap();
+            encode_all(&mut ctx, &mut lay, opts);
+            lay.col_stats
+        };
+        assert_eq!(peak(&AbftOptions::default()), vec![0.0, 0.0]);
+        let adaptive = peak(&AbftOptions::default().with_adaptive_tolerance());
+        let col_max = |bj: usize| {
+            (0..8)
+                .flat_map(|i| (4 * bj..4 * bj + 4).map(move |j| (i, j)))
+                .filter(|&(i, j)| i / 4 >= j / 4)
+                .map(|(i, j)| a.get(i, j).abs())
+                .fold(0.0, f64::max)
+        };
+        assert_eq!(adaptive, vec![col_max(0), col_max(1)]);
+    }
+
+    #[test]
+    fn extract_factor_is_the_forced_lower_dense_copy() {
+        // Ragged edge tiles included: 10 = 2·4 + 2.
+        for (n, b) in [(8usize, 4usize), (10, 4), (5, 8)] {
+            let mut ctx = exec_ctx();
+            let a = hchol_matrix::generate::uniform(n, n, -1.0, 1.0, 9);
+            let lay = setup(&mut ctx, n, b, false, ChecksumPlacement::Gpu, Some(&a)).unwrap();
+            let mut want = ctx.dev_mem.buf(lay.mat).to_dense();
+            force_lower(&mut want);
+            let got = extract_factor(&ctx, &lay).unwrap();
+            assert_eq!(got, want, "n={n} b={b}");
+            assert!(got.get(0, n - 1).to_bits() == 0, "upper part is +0.0");
+        }
+    }
+
+    #[test]
+    fn reload_retiles_the_input_and_charges_the_upload() {
+        let mut ctx = exec_ctx();
+        let a = spd_diag_dominant(8, 4);
+        let lay = setup(&mut ctx, 8, 4, false, ChecksumPlacement::Gpu, Some(&a)).unwrap();
+        let pristine = ctx.dev_mem.buf(lay.mat).clone();
+        ctx.dev_mem.buf_mut(lay.mat).tile_mut(1, 0).set(2, 3, 99.0);
+        let before = ctx.now();
+        reload(&mut ctx, &lay, Some(&a));
+        assert_eq!(*ctx.dev_mem.buf(lay.mat), pristine);
+        assert!(ctx.now() > before, "the restart pays for a full upload");
     }
 
     #[test]

@@ -267,7 +267,7 @@ fn step<S: Scalar>(
             if !*fused {
                 ops::verify_recalc(ctx, lay, tiles, opts);
             }
-            ops::verify_compare(ctx, lay, tiles, *fused);
+            ops::verify_compare(ctx, lay, tiles, *fused, opts);
         }
         TaskKind::Correct {
             tiles,

@@ -290,11 +290,6 @@ pub fn run_scheme_typed<S: Scalar>(
         Phase::Setup,
         ops::setup(&mut ctx, n, b, true, placement, input)
     )?;
-    let pristine = if mode.executes() {
-        Some(ctx.dev_mem.buf(lay.mat).clone())
-    } else {
-        None
-    };
     let faulty = !plan.is_empty();
     let mut inj = Injector::new(plan);
     // The feedback balancer persists across attempts: placement migrations
@@ -336,7 +331,7 @@ pub fn run_scheme_typed<S: Scalar>(
                 format!("attempt {attempts} after uncorrectable corruption"),
             );
             scope!(ctx, "reload", Phase::Transfer, {
-                ops::reload(&mut ctx, &lay, pristine.as_ref());
+                ops::reload(&mut ctx, &lay, input);
                 inj.reset_dirty();
             });
             if let Some(c) = &ctrl {

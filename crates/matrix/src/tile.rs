@@ -55,16 +55,28 @@ impl<S: Scalar> TileMatrix<S> {
 
     /// Partition a dense matrix into tiles.
     pub fn from_dense(dense: &Matrix<S>, block: usize) -> Result<Self, MatrixError> {
-        let mut t = TileMatrix::zeros(dense.rows(), dense.cols(), block)?;
-        for bj in 0..t.grid_cols {
-            for bi in 0..t.grid_rows {
-                let (r0, c0) = (bi * block, bj * block);
-                let tr = tile_extent(dense.rows(), block, bi);
-                let tc = tile_extent(dense.cols(), block, bj);
-                *t.tile_mut(bi, bj) = dense.sub_matrix(r0, c0, tr, tc);
-            }
+        if block == 0 {
+            return Err(MatrixError::ZeroBlockSize);
         }
-        Ok(t)
+        let (rows, cols) = dense.shape();
+        let grid_rows = rows.div_ceil(block);
+        let grid_cols = cols.div_ceil(block);
+        let tiles = (0..grid_cols)
+            .flat_map(|bj| (0..grid_rows).map(move |bi| (bi, bj)))
+            .map(|(bi, bj)| {
+                let tr = tile_extent(rows, block, bi);
+                let tc = tile_extent(cols, block, bj);
+                dense.sub_matrix(bi * block, bj * block, tr, tc)
+            })
+            .collect();
+        Ok(TileMatrix {
+            rows,
+            cols,
+            block,
+            grid_rows,
+            grid_cols,
+            tiles,
+        })
     }
 
     /// Reassemble the tiles into a contiguous dense matrix.

@@ -211,3 +211,35 @@ fn blocked_engine_factor_bits_are_pinned() {
         );
     }
 }
+
+/// A restart re-tiles the device matrix from the caller's `input` (no
+/// pristine copy is kept across the run): Online under the paper's storage
+/// error detects it only in the final sweep, reloads and factors again, and
+/// the second attempt's factor carries exactly the bits of a fault-free run —
+/// the same clean-run hashes pinned above, captured on the commit that still
+/// cloned the device matrix before attempt 1.
+#[test]
+fn restart_reloads_the_callers_input() {
+    let n = 512usize;
+    let a = spd_diag_dominant(n, 7);
+    for (b, want) in [
+        (64usize, 0x3f52_43ea_f951_9c1bu64),
+        (128, 0xe47b_8f3c_144a_327e),
+    ] {
+        let out = run_scheme(
+            SchemeKind::Online,
+            &SystemProfile::test_profile(),
+            ExecMode::Execute,
+            n,
+            b,
+            &AbftOptions::default(),
+            FaultPlan::paper_storage_error(n / b, b),
+            Some(&a),
+        )
+        .expect("scheme runs");
+        assert_eq!(out.attempts, 2, "b={b}: storage error forces one restart");
+        assert!(!out.failed, "b={b}: the restarted attempt completes");
+        let got = hash_factor(&out.factor.expect("Execute mode factor"));
+        assert_eq!(got, want, "b={b}: restarted factor hash {got:#018x}");
+    }
+}
