@@ -35,7 +35,7 @@ RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
 step "doctests"
 cargo test --doc --workspace -q
 
-step "source lint (SAFETY comments, obs names, wall-clock)"
+step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher)"
 cargo run --release -q -p hchol-analyze --bin lint
 
 step "schedule analyzer (races + ABFT protocol conformance, all schemes)"
@@ -107,5 +107,8 @@ cargo run --release -q -p hchol-bench --bin precision_sweep -- --quick
 
 step "artifacts (BENCH_*, COVERAGE_*) conform to the report envelope schema"
 cargo run --release -q -p hchol-analyze --bin check_artifacts
+
+step "standalone benchmark package (fmt, clippy, its own suite at toy size)"
+bash benchmark/check.sh
 
 step "done"

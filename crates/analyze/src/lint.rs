@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Seven rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Eight rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -34,6 +34,11 @@
 //!   the packed engine is generic over the element type, so routing a
 //!   precision onto a second engine by runtime type test is a fork to
 //!   refuse, not a dispatch to allow.
+//! * **`one-launcher`** — under `crates/core/src`, only `ops.rs` builds a
+//!   `KernelDesc` or calls the simulator's `launch` / `cpu_exec` /
+//!   `cpu_submit`: every kernel the product crate issues is an op a plan
+//!   node names, so a driver that launches work on its own (off the plan
+//!   layer, invisible to the plan checkers) cannot come back.
 //!
 //! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
 //! may use free-form labels and scratch names by design. `shims/` (vendored
@@ -52,7 +57,8 @@ pub struct Lint {
     /// 1-indexed line.
     pub line: usize,
     /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
-    /// `tolerance-literal`, `env-read`, `twin-op`, or `one-engine`.
+    /// `tolerance-literal`, `env-read`, `twin-op`, `one-engine`, or
+    /// `one-launcher`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -145,6 +151,8 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     }
     if file == "crates/core/src/ops.rs" {
         rule_twin_op(file, &scan, &mut out);
+    } else if file.starts_with("crates/core/src/") {
+        rule_one_launcher(file, &scan, &mut out);
     }
     if file.starts_with("crates/blas/src/") {
         rule_one_engine(file, &scan, &mut out);
@@ -507,6 +515,29 @@ fn rule_one_engine(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
     }
 }
 
+fn rule_one_launcher(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        let builds_desc = scan.word_at(i) == Some("KernelDesc")
+            && scan.punct_at(i + 1, ':')
+            && scan.punct_at(i + 2, ':')
+            && scan.word_at(i + 3) == Some("new");
+        let launches = scan.punct_at(i.wrapping_sub(1), '.')
+            && matches!(scan.word_at(i), Some("launch" | "cpu_exec" | "cpu_submit"))
+            && scan.punct_at(i + 1, '(');
+        if builds_desc || launches {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "one-launcher",
+                message: "kernel issued outside ops.rs: make it an op in \
+                          `crates/core/src/ops.rs` that a plan node names, \
+                          not a launch of the driver's own"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 /// Methods of `MetricsRegistry` whose first string argument is a metric name.
 const METRIC_METHODS: &[&str] = &["inc", "add_count", "add_f64", "set_gauge", "observe"];
 
@@ -788,6 +819,36 @@ mod tests {
         assert!(lint_file("crates/obs/src/report.rs", src).is_empty());
         let ok = "// no dyn Any here\nfn f() -> &'static str { \"dyn Any\" }\n";
         assert!(lint_file("crates/blas/src/lib.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn launches_flagged_in_core_outside_ops_only() {
+        let src = "fn f(ctx: &mut C) {\n    let d = KernelDesc::new(\"k\", c, 1, cat);\n    \
+                   ctx.launch(s, d, |_| {});\n    ctx.cpu_exec(d, |_| {});\n    \
+                   a.ctx.cpu_submit(d, |_, _| {});\n}\n";
+        let lints = lint_file("crates/core/src/plan/exec.rs", src);
+        assert_eq!(lints.len(), 4);
+        assert!(lints.iter().all(|l| l.rule == "one-launcher"));
+        assert_eq!(
+            lints.iter().map(|l| l.line).collect::<Vec<_>>(),
+            [2, 3, 4, 5]
+        );
+        // `ops.rs` is where ops live; other crates (the simulator itself,
+        // the bench harness, tests) are out of scope.
+        for exempt in [
+            "crates/core/src/ops.rs",
+            "crates/gpusim/src/context.rs",
+            "crates/bench/src/outer.rs",
+            "crates/core/tests/model_validation.rs",
+            "tests/schedule_analysis.rs",
+        ] {
+            assert!(lint_file(exempt, src).is_empty(), "{exempt}");
+        }
+        // Naming the type, other methods of that name's family, prose and
+        // strings never count.
+        let ok = "use hchol_gpusim::context::KernelDesc;\n// ctx.launch(..) lives in ops.rs\n\
+                  fn f(d: KernelDesc) -> &'static str { relaunch(d); \".launch(\" }\n";
+        assert!(lint_file("crates/core/src/magma.rs", ok).is_empty());
     }
 
     #[test]

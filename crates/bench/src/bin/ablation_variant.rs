@@ -11,12 +11,12 @@
 //! * Section I: DMR/TMR cost 100 %/200 % where ABFT costs a few percent —
 //!   the table prints all of them side by side.
 
+use hchol_bench::outer::factor_outer;
 use hchol_bench::report::{fmt_pct, Table};
 use hchol_bench::runner::overhead_pct;
 use hchol_bench::{paper_sizes, BenchArgs};
 use hchol_core::magma::factor_magma;
 use hchol_core::options::AbftOptions;
-use hchol_core::outer::factor_outer;
 use hchol_core::schemes::{run_clean, SchemeKind};
 use hchol_gpusim::ExecMode;
 

@@ -7,7 +7,6 @@ use hchol_bench::BenchArgs;
 use hchol_core::options::AbftOptions;
 use hchol_core::overhead::ModelParams;
 use hchol_core::schemes::{run_clean, SchemeKind};
-use hchol_gpusim::counters::WorkCategory;
 use hchol_gpusim::ExecMode;
 
 fn main() {
@@ -119,7 +118,7 @@ fn main() {
         None,
     )
     .expect("scheme runs");
-    let c = &out.ctx.counters;
+    let measured = |cat: &str| out.ctx.obs.metrics.count(&format!("flops.cat.{cat}")) as f64;
     let mut x = Table::new(
         &format!(
             "Model vs measured flops — Enhanced, {} (n = {run_n}, B = {b}, K = {k})",
@@ -128,25 +127,17 @@ fn main() {
         &["Category", "Model", "Measured", "Measured/Model"],
     );
     for (cat, model, meas) in [
-        (
-            "encode",
-            mm.encode_flops(),
-            c.flops(WorkCategory::ChecksumEncode) as f64,
-        ),
-        (
-            "update",
-            mm.update_flops(),
-            c.flops(WorkCategory::ChecksumUpdate) as f64,
-        ),
+        ("encode", mm.encode_flops(), measured("ChecksumEncode")),
+        ("update", mm.update_flops(), measured("ChecksumUpdate")),
         (
             "recalc",
             mm.recalc_flops_enhanced(),
-            c.flops(WorkCategory::ChecksumRecalc) as f64,
+            measured("ChecksumRecalc"),
         ),
         (
             "factorization",
             mm.cholesky_flops(),
-            c.flops(WorkCategory::Factorization) as f64,
+            measured("Factorization"),
         ),
     ] {
         x.row(&[

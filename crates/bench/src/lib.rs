@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod args;
+pub mod outer;
 pub mod report;
 pub mod runner;
 pub mod sweep;

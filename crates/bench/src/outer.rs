@@ -4,7 +4,7 @@
 //! Section II-A of the paper: "MAGMA chose the inner product version because
 //! it has more BLAS Level-3 operations, hence, can utilize the heterogeneous
 //! system more efficiently." This module implements the alternative so that
-//! claim can be *measured* (see `ablation_variant` in the bench crate):
+//! claim can be *measured* (see the `ablation_variant` binary):
 //!
 //! ```text
 //! for j in 0..nt {
@@ -25,10 +25,10 @@
 //!    average BLAS-3 call is smaller (modeled: the trailing update is issued
 //!    per block column, as a right-looking ScaLAPACK/LAPACK code would).
 
-use crate::magma::BaselineReport;
-use crate::ops::{self};
-use crate::options::ChecksumPlacement;
 use hchol_blas::{flops, gemm};
+use hchol_core::magma::BaselineReport;
+use hchol_core::ops;
+use hchol_core::options::ChecksumPlacement;
 use hchol_gpusim::context::KernelDesc;
 use hchol_gpusim::counters::WorkCategory;
 use hchol_gpusim::profile::SystemProfile;
@@ -139,8 +139,8 @@ pub fn factor_outer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::magma::factor_magma;
     use hchol_blas::potrf::reconstruct_lower;
+    use hchol_core::magma::factor_magma;
     use hchol_matrix::generate::spd_diag_dominant;
     use hchol_matrix::{approx_eq, relative_residual};
 
@@ -202,7 +202,6 @@ mod tests {
         }
     }
 
-    // The outer-product schedule's race-freedom is checked by the analyzer
-    // suite in `tests/schedule_analysis.rs` (hchol-analyze depends on this
-    // crate, so the check cannot live here).
+    // The outer-product schedule's race-freedom is checked against the
+    // analyzer in `crates/bench/tests/outer_schedule.rs`.
 }

@@ -14,23 +14,19 @@
 //! Only the *shape* claim depends on this baseline ("Enhanced Online-ABFT
 //! is still faster than CULA"), not any absolute number.
 
-use crate::magma::BaselineReport;
-use crate::ops::{self};
-use crate::options::{AbftOptions, ChecksumPlacement};
-use crate::plan::exec::ExecConfig;
-use crate::schemes::AttemptCtx;
-use crate::span_util::scope;
-use hchol_faults::Injector;
+use crate::magma::{run_baseline, Baseline, BaselineReport};
 use hchol_gpusim::profile::SystemProfile;
-use hchol_gpusim::{ExecMode, SimContext};
+use hchol_gpusim::ExecMode;
 use hchol_matrix::{Matrix, MatrixError};
-use hchol_obs::Phase;
 
 /// Relative inefficiency of the simulated CULA BLAS versus MAGMA's
 /// (charged flops are inflated by this factor).
 pub const CULA_FLOP_INFLATION: f64 = 1.18;
 
-/// Run the simulated CULA factorization.
+/// Run the simulated CULA factorization: fully synchronous driving (the
+/// Synchronous-style plan of [`crate::plan::for_cula`] drains the device
+/// after every step and runs POTF2 before the panel GEMM) on inflated
+/// flops, timeline off.
 pub fn factor_cula(
     profile: &SystemProfile,
     mode: ExecMode,
@@ -38,41 +34,7 @@ pub fn factor_cula(
     b: usize,
     input: Option<&Matrix>,
 ) -> Result<BaselineReport, MatrixError> {
-    let mut ctx = SimContext::new(profile.clone(), mode);
-    ctx.disable_timeline();
-    let run_span = ctx
-        .obs
-        .spans
-        .open(format!("CULA n={n} b={b}"), Phase::Run, 0.0);
-    let mut lay = scope!(
-        ctx,
-        "setup",
-        Phase::Setup,
-        ops::setup(&mut ctx, n, b, false, ChecksumPlacement::Gpu, input)
-    )?;
-    lay.flop_inflation = CULA_FLOP_INFLATION;
-    // Fully synchronous driving: the Synchronous-style plan drains the
-    // device after every step and runs POTF2 before the panel GEMM.
-    let mut plan = crate::plan::for_cula(lay.nt);
-    let mut inj = Injector::inert();
-    let opts = AbftOptions::default();
-    let mut a = AttemptCtx {
-        ctx: &mut ctx,
-        lay: &mut lay,
-        inj: &mut inj,
-        opts: &opts,
-    };
-    crate::plan::exec::run_attempt(&mut plan, &mut a, &ExecConfig::default(), None)?;
-    let time = ctx.now();
-    ctx.obs.spans.close(run_span, time.as_secs());
-    let factor = ops::extract_factor(&ctx, &lay);
-    Ok(BaselineReport {
-        n,
-        b,
-        time,
-        factor,
-        ctx,
-    })
+    run_baseline(Baseline::Cula, profile, mode, n, b, input, false)
 }
 
 #[cfg(test)]

@@ -19,9 +19,6 @@
 //! * [`options`] / [`decision`] — the paper's Optimizations 1–3 and the
 //!   CPU-vs-GPU checksum-update placement model.
 //! * [`overhead`] — the Section-VI closed-form overhead model (Tables I–VI).
-//! * [`multichk`] — the paper's "m+1 checksums correct m errors"
-//!   generalization, implemented for m = 2 (an extension beyond the
-//!   published system).
 //! * [`solve`] — using the factor (least squares, Monte Carlo, Kalman).
 //!
 //! Every driver emits observability data (scope spans per phase, metrics,
@@ -38,10 +35,8 @@ pub mod chkops;
 pub mod cula;
 pub mod decision;
 pub mod magma;
-pub mod multichk;
 pub mod ops;
 pub mod options;
-pub mod outer;
 pub mod overhead;
 pub mod plan;
 pub mod rowchk;

@@ -12,10 +12,10 @@
 //! 6. `[GPU]` TRSM solves the panel (ordered after the return transfer via
 //!    an event).
 
+use crate::cula::CULA_FLOP_INFLATION;
 use crate::ops;
 use crate::options::{AbftOptions, ChecksumPlacement};
-use crate::plan::exec::ExecConfig;
-use crate::schemes::AttemptCtx;
+use crate::plan::FactorPlan;
 use crate::span_util::scope;
 use hchol_faults::Injector;
 use hchol_gpusim::profile::SystemProfile;
@@ -33,8 +33,8 @@ pub struct BaselineReport {
     pub time: SimTime,
     /// The lower factor (Execute mode only).
     pub factor: Option<Matrix>,
-    /// The simulation context (timeline, counters, observability state)
-    /// for inspection.
+    /// The simulation context (timeline, program trace, observability
+    /// state) for inspection.
     pub ctx: SimContext,
 }
 
@@ -62,9 +62,62 @@ impl BaselineReport {
     }
 }
 
+/// The two non-fault-tolerant baselines [`run_baseline`] drives.
+pub(crate) enum Baseline {
+    Magma,
+    Cula,
+}
+
+/// Run a baseline: its bare Algorithm-1 task-graph plan driven by the plan
+/// executor with an inert fault injector.
+pub(crate) fn run_baseline(
+    which: Baseline,
+    profile: &SystemProfile,
+    mode: ExecMode,
+    n: usize,
+    b: usize,
+    input: Option<&Matrix>,
+    record_timeline: bool,
+) -> Result<BaselineReport, MatrixError> {
+    // Everything that tells the baselines apart: the run-span label, the
+    // plan (overlapped vs fully synchronous driving) and the factor on
+    // every charged flop.
+    let (label, plan, flop_inflation): (_, fn(usize) -> FactorPlan, _) = match which {
+        Baseline::Magma => ("MAGMA", crate::plan::for_magma, 1.0),
+        Baseline::Cula => ("CULA", crate::plan::for_cula, CULA_FLOP_INFLATION),
+    };
+    let mut ctx = SimContext::new(profile.clone(), mode);
+    if !record_timeline {
+        ctx.disable_timeline();
+    }
+    let run_span = ctx
+        .obs
+        .spans
+        .open(format!("{label} n={n} b={b}"), Phase::Run, 0.0);
+    let mut lay = scope!(
+        ctx,
+        "setup",
+        Phase::Setup,
+        ops::setup(&mut ctx, n, b, false, ChecksumPlacement::Gpu, input)
+    )?;
+    lay.flop_inflation = flop_inflation;
+    let mut plan = plan(lay.nt);
+    let (inj, opts) = (&mut Injector::inert(), &AbftOptions::default());
+    crate::plan::exec::run_attempt(&mut ctx, &mut plan, &mut lay, inj, opts, None)?;
+    let time = ctx.now();
+    ctx.obs.spans.close(run_span, time.as_secs());
+    let factor = ops::extract_factor(&ctx, &lay);
+    Ok(BaselineReport {
+        n,
+        b,
+        time,
+        factor,
+        ctx,
+    })
+}
+
 /// Run the full MAGMA-style factorization: the bare Algorithm-1 task-graph
-/// plan ([`crate::plan::for_magma`]) driven by the plan executor with an
-/// inert fault injector.
+/// plan ([`crate::plan::for_magma`]).
 ///
 /// `input` must be `Some` in Execute mode. `record_timeline` keeps the full
 /// trace (for Figure-1-style charts).
@@ -76,40 +129,7 @@ pub fn factor_magma(
     input: Option<&Matrix>,
     record_timeline: bool,
 ) -> Result<BaselineReport, MatrixError> {
-    let mut ctx = SimContext::new(profile.clone(), mode);
-    if !record_timeline {
-        ctx.disable_timeline();
-    }
-    let run_span = ctx
-        .obs
-        .spans
-        .open(format!("MAGMA n={n} b={b}"), Phase::Run, 0.0);
-    let mut lay = scope!(
-        ctx,
-        "setup",
-        Phase::Setup,
-        ops::setup(&mut ctx, n, b, false, ChecksumPlacement::Gpu, input)
-    )?;
-    let mut plan = crate::plan::for_magma(lay.nt);
-    let mut inj = Injector::inert();
-    let opts = AbftOptions::default();
-    let mut a = AttemptCtx {
-        ctx: &mut ctx,
-        lay: &mut lay,
-        inj: &mut inj,
-        opts: &opts,
-    };
-    crate::plan::exec::run_attempt(&mut plan, &mut a, &ExecConfig::default(), None)?;
-    let time = ctx.now();
-    ctx.obs.spans.close(run_span, time.as_secs());
-    let factor = ops::extract_factor(&ctx, &lay);
-    Ok(BaselineReport {
-        n,
-        b,
-        time,
-        factor,
-        ctx,
-    })
+    run_baseline(Baseline::Magma, profile, mode, n, b, input, record_timeline)
 }
 
 #[cfg(test)]

@@ -1799,11 +1799,14 @@ mod tests {
         let mut lay = setup(&mut ctx, 16, 4, true, ChecksumPlacement::Cpu, None).unwrap();
         let opts = AbftOptions::default();
         encode_all(&mut ctx, &mut lay, &opts);
-        let before = ctx.counters.bytes(WorkCategory::Transfer);
+        let moved = |ctx: &SimContext| {
+            ctx.obs.metrics.count("pcie.bytes.h2d") + ctx.obs.metrics.count("pcie.bytes.d2h")
+        };
+        let before = moved(&ctx);
         assert!(before > 0, "initial checksum transfer must be charged");
         let mut inj = Injector::inert();
         verify_batch(&mut ctx, &mut lay, &mut inj, &[(1, 0)], 0, &opts);
-        assert!(ctx.counters.bytes(WorkCategory::Transfer) > before);
+        assert!(moved(&ctx) > before);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! of matrix size `n`, block size `B`, and verification interval `K`, plus
 //! the relative overheads against the `n³/3` factorization. The test suite
 //! cross-checks these formulas against the flops the runtime actually
-//! counted (`WorkCounters`), closing the loop between the analysis and the
-//! implementation.
+//! counted (the `flops.cat.*` metrics), closing the loop between the
+//! analysis and the implementation.
 
 /// Parameters of the model (the paper's Table II).
 #[derive(Debug, Clone, Copy)]

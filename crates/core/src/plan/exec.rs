@@ -1,34 +1,39 @@
-//! The plan interpreter: drives a [`FactorPlan`] against a live
+//! The plan interpreter: drives [`FactorPlan`]s against a live
 //! `SimContext`.
 //!
-//! Under the default [`IssuePolicy::InOrder`] the interpreter replays the
-//! authored node order and reproduces the legacy imperative drivers
-//! byte-for-byte — identical factor bits, identical serialized
-//! `RunReport` (the golden-equivalence suite pins this). Scope and
-//! iteration spans are *derived* from node annotations: a span opens when
-//! the first node referencing it executes and closes when the next node
-//! belongs elsewhere, which matches the back-to-back open/close discipline
-//! of the old drivers because none of the boundary bookkeeping advances
-//! the virtual clock.
+//! One loop (`drive`) steps one or more `Lane`s — a plan plus what it acts
+//! on and has accumulated — in turn. A factorization attempt
+//! (`run_attempt`) is the one-lane call; a batched run ([`run_batch`]) is
+//! the N-lane call: several plans interleave node by node through one
+//! context, each with its own streams, so one plan's host-blocking
+//! POTF2/verify stalls are reclaimed by the other plans' enqueued device
+//! work.
 //!
-//! Two execution modes the legacy drivers could not express:
+//! A lone lane replaying the authored node order reproduces the legacy
+//! imperative drivers byte-for-byte — identical factor bits, identical
+//! serialized `RunReport` (the golden-equivalence suite pins this). Scope
+//! and iteration spans are *derived* from node annotations: a span opens
+//! when the first node referencing it executes and closes when the next
+//! node belongs elsewhere, which matches the back-to-back open/close
+//! discipline of the old drivers because none of the boundary bookkeeping
+//! advances the virtual clock.
 //!
-//! * **Lookahead** ([`IssuePolicy::Lookahead`]): issue any
-//!   dependency-satisfied node within a bounded iteration window,
-//!   preferring asynchronous work — cross-iteration overlap beyond the
-//!   one-iteration pipelining hard-coded in Algorithm 1.
-//! * **Batched runs** ([`run_batch`]): several factorization plans
-//!   round-robin through one context, each with its own streams; one
-//!   plan's host-blocking POTF2/verify stalls are reclaimed by the other
-//!   plans' enqueued device work.
+//! Nothing about the loop is configured; it observes what it drives. A
+//! lane with `opts.lookahead > 0` issues in [`IssuePolicy::Lookahead`]
+//! order (any dependency-satisfied node within a bounded iteration window,
+//! asynchronous work first) instead of the authored one. Scope spans are
+//! recorded iff one lane runs in authored order — the only execution the
+//! authored scope nesting describes. A lone lane's `Drain` node syncs;
+//! interleaved lanes skip theirs and the batch syncs once at the end, so
+//! plans keep overlapping through each other's tails.
 
 use super::balance::BalanceController;
 use super::shard_rt::ShardRuntime;
 use super::{DriveStyle, FactorPlan, NodeId, ScopeId, SweepKind, TaskKind};
 use crate::decision;
-use crate::ops;
+use crate::ops::{self, CholLayout};
 use crate::options::AbftOptions;
-use crate::schemes::{AttemptCtx, AttemptEnd, SchemeKind};
+use crate::schemes::{validate_options, AttemptEnd, SchemeKind};
 use crate::verify::VerifyOutcome;
 use hchol_faults::{InjectionPoint, Injector};
 use hchol_gpusim::profile::SystemProfile;
@@ -36,53 +41,15 @@ use hchol_gpusim::{ExecMode, IssuePolicy, SimContext, SimTime};
 use hchol_matrix::{MatrixError, Scalar};
 use hchol_obs::{Phase, SpanId};
 
-/// How the interpreter runs a plan.
-pub struct ExecConfig {
-    /// Node issue discipline.
-    pub policy: IssuePolicy,
-    /// Open/close the per-iteration and per-scope spans (disabled under
-    /// reordering policies, where authored scope nesting no longer
-    /// reflects execution order).
-    pub record_scopes: bool,
-    /// Execute the drain barrier's `sync_all` (batched runs defer it to
-    /// one final sync so plans keep overlapping through each other's
-    /// tails).
-    pub sync_on_drain: bool,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            policy: IssuePolicy::InOrder,
-            record_scopes: true,
-            sync_on_drain: true,
-        }
-    }
-}
-
-impl ExecConfig {
-    /// The configuration `opts` asks for: in-order with spans by default,
-    /// lookahead issue (spans off) when `opts.lookahead > 0`.
-    pub fn for_options(opts: &AbftOptions) -> Self {
-        if opts.lookahead > 0 {
-            ExecConfig {
-                policy: IssuePolicy::Lookahead(opts.lookahead),
-                record_scopes: false,
-                sync_on_drain: true,
-            }
-        } else {
-            ExecConfig::default()
-        }
-    }
-}
-
 /// Per-attempt interpreter state.
 #[derive(Default)]
 struct ExecState {
     vo: VerifyOutcome,
     vo_final: VerifyOutcome,
-    saw_final: bool,
-    restart_at_end: bool,
+    /// Uncorrectable corruption: the attempt must be redone. An inline
+    /// check that sets this stops the lane at once; the final sweep's
+    /// verdict lands with the `Drain`, the plan's last node.
+    restart: bool,
     pending_err: Option<MatrixError>,
     cur_iter: Option<usize>,
     cur_scope: Option<ScopeId>,
@@ -90,12 +57,57 @@ struct ExecState {
     scope_span: Option<SpanId>,
 }
 
-enum StepOut {
-    Continue,
-    Restart,
+/// One plan being driven through a context: what it acts on, what it has
+/// accumulated so far, and where it stands in its issue order.
+struct Lane<'a> {
+    plan: &'a mut FactorPlan,
+    lay: &'a mut CholLayout,
+    inj: &'a mut Injector,
+    opts: &'a AbftOptions,
+    st: ExecState,
+    rt: Option<ShardRuntime>,
+    /// The lookahead reordering of the authored order, as positions in it.
+    /// `None` = the authored order itself, re-read every step so a
+    /// balancer rewrite of the tail is picked up.
+    order: Option<Vec<usize>>,
+    cursor: usize,
 }
 
-/// Close `span` if one is open (none ever is with `record_scopes` off).
+impl<'a> Lane<'a> {
+    fn new<S: Scalar>(
+        ctx: &mut SimContext<S>,
+        plan: &'a mut FactorPlan,
+        lay: &'a mut CholLayout,
+        inj: &'a mut Injector,
+        opts: &'a AbftOptions,
+    ) -> Self {
+        let rt = plan
+            .shard
+            .map(|spec| ShardRuntime::new(ctx, lay, spec, opts));
+        let order = (opts.lookahead > 0).then(|| {
+            let policy = IssuePolicy::Lookahead(opts.lookahead);
+            let order = plan.to_schedule().issue_order(policy);
+            let moved = order.iter().enumerate().filter(|&(i, &p)| i != p).count();
+            let m = &mut ctx.obs.metrics;
+            m.add_count("plan.nodes", plan.len() as u64);
+            m.add_count("plan.edges", plan.edge_count() as u64);
+            m.add_count("plan.reordered", moved as u64);
+            order
+        });
+        Lane {
+            plan,
+            lay,
+            inj,
+            opts,
+            st: ExecState::default(),
+            rt,
+            order,
+            cursor: 0,
+        }
+    }
+}
+
+/// Close `span` if one is open (none ever is when scopes go unrecorded).
 fn close_span<S: Scalar>(ctx: &mut SimContext<S>, span: &mut Option<SpanId>) {
     if let Some(sp) = span.take() {
         let t = ctx.now().as_secs();
@@ -107,40 +119,35 @@ fn close_span<S: Scalar>(ctx: &mut SimContext<S>, span: &mut Option<SpanId>) {
 /// POTF2 error (baselines) surfaces here, once its iteration's span has
 /// closed — exactly where the legacy loop checked the iteration result.
 fn transition<S: Scalar>(
+    ctx: &mut SimContext<S>,
     plan: &FactorPlan,
-    a: &mut AttemptCtx<'_, S>,
-    cfg: &ExecConfig,
+    scopes: bool,
     st: &mut ExecState,
     id: NodeId,
 ) -> Result<(), MatrixError> {
     let node = plan.node(id);
     if node.iter != st.cur_iter {
-        close_span(a.ctx, &mut st.scope_span);
-        close_span(a.ctx, &mut st.iter_span);
+        close_span(ctx, &mut st.scope_span);
+        close_span(ctx, &mut st.iter_span);
         st.cur_scope = None;
         if let Some(e) = st.pending_err.take() {
             return Err(e);
         }
         st.cur_iter = node.iter;
-        if cfg.record_scopes {
+        if scopes {
             if let Some(j) = node.iter {
-                let t = a.ctx.now().as_secs();
-                st.iter_span = Some(
-                    a.ctx
-                        .obs
-                        .spans
-                        .open(format!("iter {j}"), Phase::Iteration, t),
-                );
+                let t = ctx.now().as_secs();
+                st.iter_span = Some(ctx.obs.spans.open(format!("iter {j}"), Phase::Iteration, t));
             }
         }
     }
     if node.scope != st.cur_scope {
-        close_span(a.ctx, &mut st.scope_span);
-        if cfg.record_scopes {
+        close_span(ctx, &mut st.scope_span);
+        if scopes {
             if let Some(sid) = node.scope {
                 let spec = &plan.scopes()[sid.0];
-                let t = a.ctx.now().as_secs();
-                st.scope_span = Some(a.ctx.obs.spans.open(spec.label.clone(), spec.phase, t));
+                let t = ctx.now().as_secs();
+                st.scope_span = Some(ctx.obs.spans.open(spec.label.clone(), spec.phase, t));
             }
         }
         st.cur_scope = node.scope;
@@ -148,23 +155,28 @@ fn transition<S: Scalar>(
     Ok(())
 }
 
-/// Execute one node.
+/// Execute `lane`'s node `id`. `solo`: no other lane shares the context.
 fn step<S: Scalar>(
-    plan: &FactorPlan,
-    a: &mut AttemptCtx<'_, S>,
-    cfg: &ExecConfig,
-    st: &mut ExecState,
-    rt: &mut Option<ShardRuntime>,
+    ctx: &mut SimContext<S>,
+    lane: &mut Lane<'_>,
+    solo: bool,
     id: NodeId,
-) -> Result<StepOut, MatrixError> {
-    transition(plan, a, cfg, st, id)?;
-    let sync_style = plan.style == DriveStyle::Synchronous;
-    let AttemptCtx {
-        ctx,
+) -> Result<(), MatrixError> {
+    let Lane {
+        plan,
         lay,
         inj,
         opts,
-    } = a;
+        st,
+        rt,
+        order,
+        ..
+    } = lane;
+    // Authored scope nesting describes execution order only for a lone
+    // lane replaying the authored order.
+    let scopes = solo && order.is_none();
+    transition(ctx, plan, scopes, st, id)?;
+    let sync_style = plan.style == DriveStyle::Synchronous;
     // Sharded plans: point the layout's stream fields at the acting
     // shard's stream set before the node runs.
     if let Some(r) = rt.as_mut() {
@@ -281,23 +293,19 @@ fn step<S: Scalar>(
                     let ok = o.fully_recovered();
                     st.vo.merge(o);
                     if !ok {
-                        if cfg.record_scopes {
+                        if scopes {
                             close_span(ctx, &mut st.scope_span);
                             st.cur_scope = None;
-                            let t = ctx.now().as_secs();
-                            let mut sp = Some(ctx.obs.spans.open("restart drain", Phase::Drain, t));
-                            ctx.sync_all();
-                            close_span(ctx, &mut sp);
-                        } else {
-                            ctx.sync_all();
                         }
-                        return Ok(StepOut::Restart);
+                        let t = ctx.now().as_secs();
+                        let mut sp =
+                            scopes.then(|| ctx.obs.spans.open("restart drain", Phase::Drain, t));
+                        ctx.sync_all();
+                        close_span(ctx, &mut sp);
+                        st.restart = true;
                     }
                 }
-                SweepKind::Final => {
-                    st.saw_final = true;
-                    st.vo_final.merge(o);
-                }
+                SweepKind::Final => st.vo_final.merge(o),
             }
         }
         TaskKind::DeviceSend { j, what, from } => {
@@ -322,20 +330,18 @@ fn step<S: Scalar>(
         TaskKind::MirrorPanel { j } => ops::cpu_mirror_panel(lay, *j),
         TaskKind::FlushMirror => ops::flush_mirror(ctx, lay),
         TaskKind::Drain => {
-            if st.saw_final {
-                let vf = std::mem::take(&mut st.vo_final);
-                let recovered = vf.final_sweep_accepts();
-                st.vo.merge(vf);
-                if !recovered {
-                    st.restart_at_end = true;
-                }
-            }
-            if cfg.sync_on_drain {
+            // The final sweep is judged as a whole (a plan without one
+            // accumulated nothing, which accepts).
+            st.restart = !st.vo_final.final_sweep_accepts();
+            st.vo.merge(st.vo_final);
+            // Interleaved lanes defer this barrier to the one sync their
+            // batch ends on.
+            if solo {
                 ctx.sync_all();
             }
         }
     }
-    Ok(StepOut::Continue)
+    Ok(())
 }
 
 /// Wake the feedback controller at iteration boundary `j`: difference the
@@ -343,16 +349,16 @@ fn step<S: Scalar>(
 /// and — when the decision changed the split — migrate the checksum state
 /// and rewrite the not-yet-executed tail of the plan.
 fn rebalance<S: Scalar>(
-    plan: &mut FactorPlan,
-    a: &mut AttemptCtx<'_, S>,
+    ctx: &mut SimContext<S>,
+    lane: &mut Lane<'_>,
     ctrl: &mut BalanceController,
     j: usize,
 ) {
-    let util = a.ctx.engine_utilization();
-    let faults = a.inj.applied().len();
+    let util = ctx.engine_utilization();
+    let faults = lane.inj.applied().len();
     let k_before = ctrl.k();
     let d = ctrl.observe(j, &util, faults);
-    let m = &mut a.ctx.obs.metrics;
+    let m = &mut ctx.obs.metrics;
     m.inc("balance.updates");
     m.set_gauge("balance.k", d.k as f64);
     m.set_gauge("balance.gpu_util", d.gpu_util);
@@ -363,94 +369,97 @@ fn rebalance<S: Scalar>(
         m.inc("balance.switches");
         // Rebalance barrier: order the migration behind everything in
         // flight before flipping the runtime routing.
-        a.ctx.sync_all();
-        ops::migrate_checksums(a.ctx, a.lay, d.placement, j);
+        ctx.sync_all();
+        ops::migrate_checksums(ctx, lane.lay, d.placement, j);
     }
     if d.switched || d.k != k_before {
-        let t = a.ctx.now().as_secs();
-        a.ctx.obs.event(
+        let t = ctx.now().as_secs();
+        ctx.obs.event(
             t,
             "balance.rebalance",
             format!("iter {j}: placement {:?}, K {}", d.placement, d.k),
         );
-        ctrl.rewrite(plan, j);
+        ctrl.rewrite(lane.plan, j);
+    }
+}
+
+/// The one drive loop: step `lanes` in turn — lane 0's next node, lane 1's
+/// next node, … — each in its issue order, until every lane has run out of
+/// plan or stopped on a restart. An error stops the whole drive.
+///
+/// With a feedback controller (`balance`; a lone in-order, unsharded lane
+/// only — `validate_options` and [`run_batch`] refuse the rest) the loop
+/// wakes it once per `update_interval`-th iteration boundary, and it may
+/// rewrite the not-yet-executed tail of the plan in place. The cursor walks
+/// the issue order by position; rewrites only touch nodes of the current
+/// and later iterations, so executed positions never shift.
+fn drive<S: Scalar>(
+    ctx: &mut SimContext<S>,
+    lanes: &mut [Lane<'_>],
+    mut balance: Option<&mut BalanceController>,
+) -> Result<(), MatrixError> {
+    let solo = lanes.len() == 1;
+    let mut woken: Option<usize> = None;
+    loop {
+        let mut idle = true;
+        for lane in lanes.iter_mut() {
+            if lane.st.restart || lane.cursor >= lane.plan.len() {
+                continue;
+            }
+            idle = false;
+            let pos = lane.order.as_ref().map_or(lane.cursor, |o| o[lane.cursor]);
+            if let Some(ctrl) = balance.as_deref_mut() {
+                if let Some(j) = lane.plan.node(lane.plan.order()[pos]).iter {
+                    if ctrl.due(j) && woken != Some(j) {
+                        woken = Some(j);
+                        rebalance(ctx, lane, ctrl, j);
+                    }
+                }
+            }
+            // Read the position after the hook: a rewrite may have inserted
+            // a check right here (in front of the old node), and that check
+            // runs first.
+            let id = lane.plan.order()[pos];
+            step(ctx, lane, solo, id)?;
+            lane.cursor += 1;
+        }
+        if idle {
+            return Ok(());
+        }
     }
 }
 
 /// Run one attempt of `plan` to completion (or restart / error), exactly
-/// as the legacy per-scheme attempt functions did: step every node in
-/// issue order — the authored order, or the policy's reordering of it.
-///
-/// With a feedback controller (`balance`; in-order, unsharded runs only —
-/// `validate_options` refuses the rest) the loop wakes it once per
-/// `update_interval`-th iteration boundary, and it may rewrite the
-/// not-yet-executed tail of `plan` in place. The cursor walks the issue
-/// order by position; rewrites only touch nodes of the current and later
-/// iterations, so executed positions never shift.
+/// as the legacy per-scheme attempt functions did: one lane through
+/// `drive`, the feedback controller `balance` (if any) hooked in between
+/// iterations.
 pub(crate) fn run_attempt<S: Scalar>(
+    ctx: &mut SimContext<S>,
     plan: &mut FactorPlan,
-    a: &mut AttemptCtx<'_, S>,
-    cfg: &ExecConfig,
+    lay: &mut CholLayout,
+    inj: &mut Injector,
+    opts: &AbftOptions,
     mut balance: Option<&mut BalanceController>,
 ) -> Result<(AttemptEnd, VerifyOutcome), MatrixError> {
-    let mut rt = plan
-        .shard
-        .map(|spec| ShardRuntime::new(a.ctx, a.lay, spec, a.opts));
-    // `None` = the authored order, re-read every step so a balancer
-    // rewrite of the tail is picked up.
-    let reordered = (cfg.policy != IssuePolicy::InOrder).then(|| {
-        let order = plan.to_schedule().issue_order(cfg.policy);
-        let moved = order.iter().enumerate().filter(|&(i, &p)| i != p).count();
-        let m = &mut a.ctx.obs.metrics;
-        m.add_count("plan.nodes", plan.len() as u64);
-        m.add_count("plan.edges", plan.edge_count() as u64);
-        m.add_count("plan.reordered", moved as u64);
-        order
-    });
-    let mut st = ExecState::default();
+    let mut lane = Lane::new(ctx, plan, lay, inj, opts);
     if let Some(ctrl) = balance.as_deref_mut() {
-        let util = a.ctx.engine_utilization();
-        ctrl.prime(&util, a.inj.applied().len());
+        let util = ctx.engine_utilization();
+        ctrl.prime(&util, lane.inj.applied().len());
     }
-    let mut woken: Option<usize> = None;
-    let mut stopped = Ok(StepOut::Continue);
-    let mut cursor = 0usize;
-    while cursor < plan.len() {
-        let pos = reordered.as_ref().map_or(cursor, |o| o[cursor]);
-        if let Some(ctrl) = balance.as_deref_mut() {
-            if let Some(j) = plan.node(plan.order()[pos]).iter {
-                if ctrl.due(j) && woken != Some(j) {
-                    woken = Some(j);
-                    rebalance(plan, a, ctrl, j);
-                }
-            }
-        }
-        // Read the position after the hook: a rewrite may have inserted a
-        // check right here (in front of the old node), and that check runs
-        // first.
-        let id = plan.order()[pos];
-        match step(plan, a, cfg, &mut st, &mut rt, id) {
-            Ok(StepOut::Continue) => cursor += 1,
-            other => {
-                stopped = other;
-                break;
-            }
-        }
-    }
+    let driven = drive(ctx, std::slice::from_mut(&mut lane), balance);
     // Leave the layout pointing at shard 0's streams (the originals), so
     // post-attempt work — extraction, restart reload — stays well-formed.
-    if let Some(r) = rt.as_mut() {
-        r.steer(a.lay, 0);
+    if let Some(r) = lane.rt.as_mut() {
+        r.steer(lane.lay, 0);
     }
-    if let StepOut::Restart = stopped? {
-        return Ok((AttemptEnd::Restart, st.vo));
-    }
-    close_span(a.ctx, &mut st.scope_span);
-    close_span(a.ctx, &mut st.iter_span);
+    driven?;
+    let mut st = lane.st;
+    close_span(ctx, &mut st.scope_span);
+    close_span(ctx, &mut st.iter_span);
     if let Some(e) = st.pending_err.take() {
         return Err(e);
     }
-    let end = if st.restart_at_end {
+    let end = if st.restart {
         AttemptEnd::Restart
     } else {
         AttemptEnd::Completed
@@ -483,21 +492,44 @@ pub struct BatchOutcome {
 /// Execute several factorization plans concurrently in **one** simulator
 /// context ([`ExecMode::TimingOnly`]), each with its own streams and a
 /// dedicated compute stream ([`ops::setup_batch`]), interleaving nodes
-/// round-robin. Host-blocking stalls of one plan (POTF2, verification)
-/// overlap the other plans' enqueued device work, so the batch makespan
-/// beats running the same plans back to back.
+/// round-robin (one `drive` over one lane per request). Host-blocking
+/// stalls of one plan (POTF2, verification) overlap the other plans'
+/// enqueued device work, so the batch makespan beats running the same
+/// plans back to back.
+///
+/// Refused with a typed [`MatrixError::UnsupportedConfig`] before anything
+/// is built: an empty batch, any request [`validate_options`] refuses, and
+/// the options a shared context cannot honour — the balance controller
+/// (it steers on whole-context engine counters, which interleaving mixes
+/// across plans), lookahead (lanes interleave in authored order) and
+/// sharding (the batch shares one device).
 pub fn run_batch(
     profile: &SystemProfile,
     reqs: &[BatchRequest],
 ) -> Result<BatchOutcome, MatrixError> {
-    assert!(!reqs.is_empty(), "empty batch");
+    let refuse = |why| Err(MatrixError::UnsupportedConfig(why));
+    let Some(first) = reqs.first() else {
+        return refuse("an empty batch has nothing to run");
+    };
+    for r in reqs {
+        validate_options(&r.opts)?;
+        if r.opts.balance.is_some() {
+            return refuse("batched runs do not compose with the runtime balance controller");
+        }
+        if r.opts.lookahead > 0 {
+            return refuse("batched runs issue plans in authored order (lookahead must be 0)");
+        }
+        if r.opts.shard_devices() > 1 {
+            return refuse("batched runs do not compose with sharding");
+        }
+    }
     let mut ctx = SimContext::new(profile.clone(), ExecMode::TimingOnly);
     ctx.disable_timeline();
     if reqs.iter().any(|r| !r.opts.trace_schedule) {
         ctx.disable_trace();
     }
     let root = ctx.obs.spans.open(
-        format!("batch x{} n={} b={}", reqs.len(), reqs[0].n, reqs[0].b),
+        format!("batch x{} n={} b={}", reqs.len(), first.n, first.b),
         Phase::Run,
         0.0,
     );
@@ -505,7 +537,7 @@ pub fn run_batch(
         .metrics
         .add_count("plan.batch.plans", reqs.len() as u64);
 
-    let mut plans = Vec::with_capacity(reqs.len());
+    let mut members = Vec::with_capacity(reqs.len());
     for r in reqs {
         let placement =
             decision::choose(r.opts.placement, profile, r.n, r.b, r.opts.verify_interval);
@@ -513,56 +545,25 @@ pub fn run_batch(
         resolved.placement = placement;
         let lay = ops::setup_batch(&mut ctx, r.n, r.b, true, placement, None)?;
         let plan = super::for_scheme(r.kind, lay.nt, &resolved, false);
-        assert!(
-            plan.shard.is_none(),
-            "batched runs do not compose with sharding"
-        );
         ctx.obs.metrics.add_count("plan.nodes", plan.len() as u64);
         ctx.obs
             .metrics
             .add_count("plan.edges", plan.edge_count() as u64);
-        plans.push((plan, lay, resolved));
+        members.push((plan, lay, Injector::inert(), resolved));
     }
-    let orders: Vec<Vec<usize>> = plans
-        .iter()
-        .map(|(p, _, _)| p.to_schedule().issue_order(IssuePolicy::InOrder))
+    let mut lanes: Vec<Lane<'_>> = members
+        .iter_mut()
+        .map(|(plan, lay, inj, opts)| Lane::new(&mut ctx, plan, lay, inj, opts))
         .collect();
-    let cfg = ExecConfig {
-        policy: IssuePolicy::InOrder,
-        record_scopes: false,
-        sync_on_drain: false,
-    };
-    let mut injs: Vec<Injector> = (0..plans.len()).map(|_| Injector::inert()).collect();
-    let mut states: Vec<ExecState> = (0..plans.len()).map(|_| ExecState::default()).collect();
-    let mut halted = vec![false; plans.len()];
-    let mut no_shard = None;
-    for (p, pos) in hchol_gpusim::round_robin(&orders) {
-        if halted[p] {
-            continue;
-        }
-        let (plan, lay, resolved) = &mut plans[p];
-        let id = plan.order()[pos];
-        let mut a = AttemptCtx {
-            ctx: &mut ctx,
-            lay,
-            inj: &mut injs[p],
-            opts: resolved,
-        };
-        match step(plan, &mut a, &cfg, &mut states[p], &mut no_shard, id)? {
-            StepOut::Continue => {}
-            // Clean batched runs don't restart; an uncorrectable outcome
-            // (only possible with real corruption) just halts that plan.
-            StepOut::Restart => halted[p] = true,
-        }
-    }
+    // Clean batched runs don't restart; an uncorrectable outcome (only
+    // possible with real corruption) just stops that lane.
+    drive(&mut ctx, &mut lanes, None)?;
+    // The barrier the lanes' `Drain` nodes deferred.
     ctx.sync_all();
+    let runs = lanes.into_iter().map(|lane| lane.st.vo).collect();
     let time = ctx.now();
     ctx.obs.spans.close(root, time.as_secs());
-    Ok(BatchOutcome {
-        time,
-        runs: states.into_iter().map(|s| s.vo).collect(),
-        ctx,
-    })
+    Ok(BatchOutcome { time, runs, ctx })
 }
 
 #[cfg(test)]
@@ -607,13 +608,8 @@ mod tests {
                 let mut lay =
                     ops::setup(&mut ctx, nt * b, b, true, ChecksumPlacement::Gpu, None).unwrap();
                 let mut plan = crate::plan::for_scheme(kind, nt, opts, false);
-                let mut a = AttemptCtx {
-                    ctx: &mut ctx,
-                    lay: &mut lay,
-                    inj: &mut Injector::inert(),
-                    opts,
-                };
-                run_attempt(&mut plan, &mut a, &ExecConfig::default(), None).unwrap();
+                let inj = &mut Injector::inert();
+                run_attempt(&mut ctx, &mut plan, &mut lay, inj, opts, None).unwrap();
 
                 // Invert `CholLayout::bind`: real buffer → canonical id.
                 let mut canonical = HashMap::from([(lay.mat, BufferId(0))]);

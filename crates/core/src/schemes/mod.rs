@@ -68,14 +68,6 @@ pub(crate) enum AttemptEnd {
     Restart,
 }
 
-/// A scheme acts through this bundle of per-attempt state.
-pub(crate) struct AttemptCtx<'a, S: Scalar = f64> {
-    pub ctx: &'a mut SimContext<S>,
-    pub lay: &'a mut ops::CholLayout,
-    pub inj: &'a mut Injector,
-    pub opts: &'a AbftOptions,
-}
-
 /// The result of a fault-tolerant factorization.
 pub struct FactorOutcome<S: Scalar = f64> {
     /// Which scheme ran.
@@ -99,8 +91,8 @@ pub struct FactorOutcome<S: Scalar = f64> {
     /// Decision/rewrite log of the runtime feedback balancer (`Some` iff
     /// `opts.balance` was set).
     pub balance_log: Option<crate::plan::balance::BalanceLog>,
-    /// The simulation context (timeline, counters, observability state)
-    /// for inspection.
+    /// The simulation context (timeline, program trace, observability
+    /// state) for inspection.
     pub ctx: SimContext<S>,
 }
 
@@ -309,7 +301,6 @@ pub fn run_scheme_typed<S: Scalar>(
         }
         crate::plan::for_scheme(kind, lay.nt, &popts, faulty)
     };
-    let cfg = crate::plan::exec::ExecConfig::for_options(&resolved);
 
     let mut verify_total = VerifyOutcome::default();
     let mut attempts = 0usize;
@@ -344,13 +335,15 @@ pub fn run_scheme_typed<S: Scalar>(
                 fplan = crate::plan::for_scheme(kind, lay.nt, &popts, faulty);
             }
         }
-        let mut a = AttemptCtx {
-            ctx: &mut ctx,
-            lay: &mut lay,
-            inj: &mut inj,
-            opts: &resolved,
-        };
-        let done = match crate::plan::exec::run_attempt(&mut fplan, &mut a, &cfg, ctrl.as_mut()) {
+        let attempt = crate::plan::exec::run_attempt(
+            &mut ctx,
+            &mut fplan,
+            &mut lay,
+            &mut inj,
+            &resolved,
+            ctrl.as_mut(),
+        );
+        let done = match attempt {
             Ok((AttemptEnd::Completed, vo)) => {
                 verify_total.merge(vo);
                 failed = false;

@@ -38,11 +38,6 @@ pub const LOCATE_SNAP: f64 = 0.05;
 /// becomes ambiguous, so wider uncertainty means "uncorrectable".
 pub const LOCATE_SNAP_MAX: f64 = 0.45;
 
-/// Magnitude floor used by the multi-checksum solver when classifying
-/// near-zero deltas (`multichk`): relative to the column scale, deltas
-/// below `MULTI_MIN_REL · scale` are treated as zero.
-pub const MULTI_MIN_REL: f64 = 1e-9;
-
 /// Slack on exact-arithmetic identities in the analytic models
 /// (`decision`): a ratio that should be ≤ 1 in exact math may exceed it by
 /// this much rounding. ≈ `4.5e3 · ε₆₄`.

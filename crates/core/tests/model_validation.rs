@@ -1,34 +1,55 @@
-//! Validation of the Section-VI analytic model against the implementation's
-//! actual work counters, across sizes, block sizes, and K — closing the loop
-//! between the paper's overhead analysis and the code.
+//! Validation of the Section-VI analytic model against the work the
+//! implementation actually recorded (`flops.cat.*`, `pcie.bytes.*`), across
+//! sizes, block sizes, and K — closing the loop between the paper's
+//! overhead analysis and the code.
 
 use hchol_core::options::AbftOptions;
 use hchol_core::overhead::ModelParams;
 use hchol_core::schemes::{run_clean, SchemeKind};
 use hchol_gpusim::counters::WorkCategory;
 use hchol_gpusim::profile::SystemProfile;
-use hchol_gpusim::ExecMode;
+use hchol_gpusim::{ExecMode, SimContext, TraceAction};
 
-fn counters_for(
-    kind: SchemeKind,
-    n: usize,
-    b: usize,
-    k: usize,
-) -> hchol_gpusim::counters::WorkCounters {
-    let opts = AbftOptions::default().with_interval(k);
-    run_clean(
+/// The recorded work of one run, read back per [`WorkCategory`].
+struct Work(SimContext);
+
+impl Work {
+    /// Flops charged to `cat`.
+    fn flops(&self, cat: WorkCategory) -> u64 {
+        self.0.obs.metrics.count(&format!("flops.cat.{cat:?}"))
+    }
+
+    /// Bytes moved over PCIe (both directions) and the peer links.
+    fn transfer_bytes(&self) -> u64 {
+        let m = &self.0.obs.metrics;
+        m.count("pcie.bytes.h2d") + m.count("pcie.bytes.d2h") + m.count("shard.link.bytes")
+    }
+
+    /// Kernels of `cat` in the recorded program (every kernel counted here
+    /// declares its accesses, so the program trace holds them all).
+    fn kernel_count(&self, cat: WorkCategory) -> u64 {
+        let ops = self.0.trace.actions().iter();
+        ops.filter(|a| matches!(a, TraceAction::Op(op) if op.category == cat))
+            .count() as u64
+    }
+}
+
+fn run_with(kind: SchemeKind, n: usize, b: usize, opts: &AbftOptions) -> Work {
+    let out = run_clean(
         kind,
         &SystemProfile::tardis(),
         ExecMode::TimingOnly,
         n,
         b,
-        &opts,
+        opts,
         None,
     )
-    .expect("scheme runs")
-    .ctx
-    .counters
-    .clone()
+    .expect("scheme runs");
+    Work(out.ctx)
+}
+
+fn counters_for(kind: SchemeKind, n: usize, b: usize, k: usize) -> Work {
+    run_with(kind, n, b, &AbftOptions::default().with_interval(k))
 }
 
 /// Measured-to-model ratio must approach 1 as n grows (leading-order
@@ -133,22 +154,10 @@ fn transfer_bytes_scale_with_cpu_placement_model() {
     let (n, b) = (2048usize, 128usize);
     let run = |placement| {
         let opts = AbftOptions::default().with_placement(placement);
-        run_clean(
-            SchemeKind::Enhanced,
-            &SystemProfile::tardis(),
-            ExecMode::TimingOnly,
-            n,
-            b,
-            &opts,
-            None,
-        )
-        .unwrap()
-        .ctx
-        .counters
-        .clone()
+        run_with(SchemeKind::Enhanced, n, b, &opts).transfer_bytes()
     };
-    let gpu = run(ChecksumPlacement::Gpu).bytes(WorkCategory::Transfer);
-    let cpu = run(ChecksumPlacement::Cpu).bytes(WorkCategory::Transfer);
+    let gpu = run(ChecksumPlacement::Gpu);
+    let cpu = run(ChecksumPlacement::Cpu);
     // GPU placement only moves the diagonal blocks: 2 · nt · B² doubles.
     let diag_bytes = (2 * (n / b) * b * b * 8) as u64;
     assert_eq!(gpu, diag_bytes);

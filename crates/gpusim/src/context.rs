@@ -22,7 +22,7 @@
 //! level with a vector-clock happens-before sweep.
 
 use crate::access::{AccessSet, TileRef};
-use crate::counters::{WorkCategory, WorkCounters};
+use crate::counters::WorkCategory;
 use crate::memory::{BufferId, DeviceMemory, HostBufferId, HostMemory};
 use crate::profile::{KernelClass, SystemProfile};
 use crate::program::{DmaDir, ExecSite, ProgramTrace, TraceAction};
@@ -82,6 +82,17 @@ impl DeviceState {
             mem_used: 0,
         }
     }
+}
+
+/// Which port(s) a data movement occupies (see `SimContext::transfer`).
+enum Route {
+    /// Host → device over the stream's device's h2d DMA lane.
+    H2D,
+    /// Device → host over the stream's device's d2h DMA lane.
+    D2H,
+    /// Peer link from the stream's device to device `.0`: the sender's
+    /// outbound port and the receiver's inbound port.
+    Peer(usize),
 }
 
 /// Handle to a recorded event.
@@ -239,7 +250,6 @@ pub struct SimContext<S: Scalar = f64> {
     /// Home device of each stream (parallel to `streams`).
     stream_dev: Vec<usize>,
     cpu_workers: Vec<SimTime>,
-    next_cpu_worker: usize,
     events: Vec<SimTime>,
     devices: Vec<DeviceState>,
     /// The recorded program: ordering actions + declared accesses, replayed
@@ -247,12 +257,6 @@ pub struct SimContext<S: Scalar = f64> {
     pub trace: ProgramTrace,
     /// Execution trace.
     pub timeline: Timeline,
-    /// FLOP/byte accounting by category.
-    ///
-    /// Retained as the compact per-category ledger the analytic-overhead
-    /// tests consume; the richer per-class/per-engine view (plus spans and
-    /// events) lives in [`SimContext::obs`].
-    pub counters: WorkCounters,
     /// Observability state: span tree, metrics registry, event stream.
     /// Drivers open/close scope spans here; the context itself records op
     /// spans and per-kernel metrics on every launch/task/transfer.
@@ -292,12 +296,10 @@ impl<S: Scalar> SimContext<S> {
             streams: vec![SimTime::ZERO],
             stream_dev: vec![0],
             cpu_workers: vec![SimTime::ZERO; workers],
-            next_cpu_worker: 0,
             events: Vec::new(),
             devices: (0..ndev).map(|_| DeviceState::new(maxk)).collect(),
             trace: ProgramTrace::recording(),
             timeline: Timeline::recording(),
-            counters: WorkCounters::default(),
             obs: Obs::new(),
             recalc_metric: false,
         }
@@ -427,55 +429,36 @@ impl<S: Scalar> SimContext<S> {
         let earliest = self.host_clock.max(self.streams[stream.0]);
         let (start, end) = self.devices[dev].sched.place(earliest, duration, resource);
         self.streams[stream.0] = end;
-        self.record_work(&desc, "gpu", start, end, (start - earliest).as_secs());
         if self.devices.len() > 1 {
             self.obs.metrics.add_f64(
                 &format!("shard.dev.{dev}.busy_secs"),
                 (end - start).as_secs(),
             );
         }
-        self.trace.push_op_fused(
-            &desc.label,
-            ExecSite::Stream(stream.0),
-            None,
-            desc.category,
-            desc.access,
-            desc.epilogue_flops > 0,
-        );
-        self.timeline.push(TraceEntry {
-            lane: Lane::GpuStream(stream.0),
-            label: desc.label,
-            class: Some(desc.class),
-            start,
-            end,
-            flops: desc.flops + desc.epilogue_flops,
-            bytes: 0,
-        });
-        self.counters.add_flops(desc.category, desc.flops);
-        if desc.epilogue_flops > 0 {
-            self.counters
-                .add_flops(WorkCategory::FusedRecalc, desc.epilogue_flops);
-        }
+        let queue_delay = (start - earliest).as_secs();
+        self.record(desc, ExecSite::Stream(stream.0), start, end, queue_delay);
         if self.mode.executes() {
             body(&mut self.dev_mem);
         }
     }
 
-    /// Common metrics/op-span bookkeeping for one scheduled unit of work.
-    fn record_work(
+    /// The one recording path of a scheduled unit of work — kernel, host
+    /// task or worker task: metrics, then its op span, program-trace op and
+    /// timeline entry. The engine and timeline lane follow from `site`.
+    fn record(
         &mut self,
-        desc: &KernelDesc,
-        engine: &str,
+        desc: KernelDesc,
+        site: ExecSite,
         start: SimTime,
         end: SimTime,
         queue_delay: f64,
     ) {
-        let dur = (end - start).as_secs();
-        let epi_secs = if desc.epilogue_flops > 0 {
-            desc.epilogue_flops as f64 / (self.profile.gpu.gflops(KernelClass::FusedEpilogue) * 1e9)
-        } else {
-            0.0
+        let (engine, lane) = match site {
+            ExecSite::Stream(s) => ("gpu", Lane::GpuStream(s)),
+            ExecSite::Host => ("host", Lane::HostMain),
+            ExecSite::CpuWorker(w) => ("cpu_workers", Lane::CpuWorker(w)),
         };
+        let dur = (end - start).as_secs();
         let m = &mut self.obs.metrics;
         m.inc(&format!("kernels.class.{:?}", desc.class));
         m.add_f64(&format!("busy_secs.class.{:?}", desc.class), dur);
@@ -494,7 +477,11 @@ impl<S: Scalar> SimContext<S> {
                 &format!("flops.cat.{:?}", WorkCategory::FusedRecalc),
                 desc.epilogue_flops,
             );
-            m.add_f64("verify.fused.epilogue_secs", epi_secs);
+            m.add_f64(
+                "verify.fused.epilogue_secs",
+                desc.epilogue_flops as f64
+                    / (self.profile.gpu.gflops(KernelClass::FusedEpilogue) * 1e9),
+            );
         }
         if queue_delay > 0.0 {
             m.add_f64("sched.queue_delay_secs", queue_delay);
@@ -507,6 +494,23 @@ impl<S: Scalar> SimContext<S> {
                 end.as_secs(),
             );
         }
+        self.trace.push_op(
+            &desc.label,
+            site,
+            None,
+            desc.category,
+            desc.access,
+            desc.epilogue_flops > 0,
+        );
+        self.timeline.push(TraceEntry {
+            lane,
+            label: desc.label,
+            class: Some(desc.class),
+            start,
+            end,
+            flops: desc.flops + desc.epilogue_flops,
+            bytes: 0,
+        });
     }
 
     /// Async host→device copy of a host buffer into one device tile,
@@ -523,15 +527,8 @@ impl<S: Scalar> SimContext<S> {
             let t = self.dev_mem.buf(dev).tile(bi, bj);
             (t.rows() * t.cols()) as u64
         };
-        let (start, end) = self.schedule_transfer(bytes, stream, /* h2d = */ true);
-        self.trace.push_op(
-            "h2d",
-            ExecSite::Stream(stream.0),
-            Some(DmaDir::H2D),
-            WorkCategory::Transfer,
-            AccessSet::new(vec![], vec![TileRef::new(dev, bi, bj)]),
-        );
-        self.push_transfer_trace(Lane::CopyH2D, "h2d", start, end, bytes);
+        let access = AccessSet::new(vec![], vec![TileRef::new(dev, bi, bj)]);
+        self.transfer(Route::H2D, bytes, stream, "h2d", "h2d", access);
         if self.mode.executes() {
             let src = self.host_mem.buf(host).clone();
             let dst = self.dev_mem.tile_mut(dev, bi, bj);
@@ -554,15 +551,8 @@ impl<S: Scalar> SimContext<S> {
             let t = self.dev_mem.buf(dev).tile(bi, bj);
             (t.rows() * t.cols()) as u64
         };
-        let (start, end) = self.schedule_transfer(bytes, stream, /* h2d = */ false);
-        self.trace.push_op(
-            "d2h",
-            ExecSite::Stream(stream.0),
-            Some(DmaDir::D2H),
-            WorkCategory::Transfer,
-            AccessSet::new(vec![TileRef::new(dev, bi, bj)], vec![]),
-        );
-        self.push_transfer_trace(Lane::CopyD2H, "d2h", start, end, bytes);
+        let access = AccessSet::new(vec![TileRef::new(dev, bi, bj)], vec![]);
+        self.transfer(Route::D2H, bytes, stream, "d2h", "d2h", access);
         if self.mode.executes() {
             let src = self.dev_mem.tile(dev, bi, bj).clone();
             assert_eq!(
@@ -598,64 +588,75 @@ impl<S: Scalar> SimContext<S> {
     ) where
         F: FnOnce(&mut DeviceMemory<S>, &mut HostMemory<S>),
     {
-        let (start, end) = self.schedule_transfer(bytes, stream, to_device);
-        let (lane, dir) = if to_device {
-            (Lane::CopyH2D, DmaDir::H2D)
-        } else {
-            (Lane::CopyD2H, DmaDir::D2H)
-        };
-        self.trace.push_op(
-            "transfer",
-            ExecSite::Stream(stream.0),
-            Some(dir),
-            WorkCategory::Transfer,
-            access,
-        );
-        self.push_transfer_trace(lane, "bulk", start, end, bytes);
+        let route = if to_device { Route::H2D } else { Route::D2H };
+        self.transfer(route, bytes, stream, "transfer", "bulk", access);
         if self.mode.executes() {
             body(&mut self.dev_mem, &mut self.host_mem);
         }
     }
 
-    fn schedule_transfer(&mut self, bytes: u64, stream: StreamId, h2d: bool) -> (SimTime, SimTime) {
-        let dev = self.stream_dev[stream.0];
-        let lane_end = if h2d {
-            self.devices[dev].h2d_lane
-        } else {
-            self.devices[dev].d2h_lane
-        };
-        let start = self.host_clock.max(self.streams[stream.0]).max(lane_end);
-        let end = start + self.profile.transfer_time(bytes);
-        self.streams[stream.0] = end;
-        if h2d {
-            self.devices[dev].h2d_lane = end;
-        } else {
-            self.devices[dev].d2h_lane = end;
-        }
-        self.counters.add_bytes(WorkCategory::Transfer, bytes);
-        let (dir, engine) = if h2d {
-            ("h2d", "dma_h2d")
-        } else {
-            ("d2h", "dma_d2h")
-        };
-        let m = &mut self.obs.metrics;
-        m.add_count(&format!("pcie.bytes.{dir}"), bytes);
-        m.inc(&format!("transfers.{dir}"));
-        m.add_f64(
-            &format!("busy_secs.engine.{engine}"),
-            (end - start).as_secs(),
-        );
-        (start, end)
-    }
-
-    fn push_transfer_trace(
+    /// The one scheduling-and-recording path of a data movement enqueued
+    /// on `stream`: it starts once the host has issued it, the stream has
+    /// drained and the route's port(s) are free; stream and ports advance
+    /// to its finish. Then metrics, the program-trace op (`trace_label`),
+    /// and the op span and timeline entry (`label`).
+    fn transfer(
         &mut self,
-        lane: Lane,
-        label: &str,
-        start: SimTime,
-        end: SimTime,
+        route: Route,
         bytes: u64,
+        stream: StreamId,
+        trace_label: &str,
+        label: &str,
+        access: AccessSet,
     ) {
+        let dev = self.stream_dev[stream.0];
+        let d = &self.devices;
+        let (port_free, duration) = match route {
+            Route::H2D => (d[dev].h2d_lane, self.profile.transfer_time(bytes)),
+            Route::D2H => (d[dev].d2h_lane, self.profile.transfer_time(bytes)),
+            Route::Peer(dst) => (
+                d[dev].link_out.max(d[dst].link_in),
+                self.profile.link_time(bytes),
+            ),
+        };
+        let start = self.host_clock.max(self.streams[stream.0]).max(port_free);
+        let end = start + duration;
+        self.streams[stream.0] = end;
+        let busy = (end - start).as_secs();
+        let m = &mut self.obs.metrics;
+        let (dma, lane) = match route {
+            Route::H2D => {
+                self.devices[dev].h2d_lane = end;
+                m.add_count("pcie.bytes.h2d", bytes);
+                m.inc("transfers.h2d");
+                m.add_f64("busy_secs.engine.dma_h2d", busy);
+                (Some(DmaDir::H2D), Lane::CopyH2D)
+            }
+            Route::D2H => {
+                self.devices[dev].d2h_lane = end;
+                m.add_count("pcie.bytes.d2h", bytes);
+                m.inc("transfers.d2h");
+                m.add_f64("busy_secs.engine.dma_d2h", busy);
+                (Some(DmaDir::D2H), Lane::CopyD2H)
+            }
+            Route::Peer(dst) => {
+                self.devices[dev].link_out = end;
+                self.devices[dst].link_in = end;
+                m.add_count("shard.link.bytes", bytes);
+                m.inc("shard.link.transfers");
+                m.add_f64("shard.link.busy_secs", busy);
+                m.add_count(&format!("shard.dev.{dev}.link_bytes"), bytes);
+                (None, Lane::DevLink(dev))
+            }
+        };
+        self.trace.push_op(
+            trace_label,
+            ExecSite::Stream(stream.0),
+            dma,
+            WorkCategory::Transfer,
+            access,
+            false,
+        );
         if self.obs.spans.ops_enabled() {
             self.obs
                 .spans
@@ -693,30 +694,14 @@ impl<S: Scalar> SimContext<S> {
     ) where
         F: FnOnce(&mut DeviceMemory<S>),
     {
-        let src_dev = self.stream_dev[src_stream.0];
-        let start = self
-            .host_clock
-            .max(self.streams[src_stream.0])
-            .max(self.devices[src_dev].link_out)
-            .max(self.devices[dst_dev].link_in);
-        let end = start + self.profile.link_time(bytes);
-        self.streams[src_stream.0] = end;
-        self.devices[src_dev].link_out = end;
-        self.devices[dst_dev].link_in = end;
-        self.counters.add_bytes(WorkCategory::Transfer, bytes);
-        let m = &mut self.obs.metrics;
-        m.add_count("shard.link.bytes", bytes);
-        m.inc("shard.link.transfers");
-        m.add_f64("shard.link.busy_secs", (end - start).as_secs());
-        m.add_count(&format!("shard.dev.{src_dev}.link_bytes"), bytes);
-        self.trace.push_op(
+        self.transfer(
+            Route::Peer(dst_dev),
+            bytes,
+            src_stream,
             "dev2dev",
-            ExecSite::Stream(src_stream.0),
-            None,
-            WorkCategory::Transfer,
+            "dev2dev",
             access,
         );
-        self.push_transfer_trace(Lane::DevLink(src_dev), "dev2dev", start, end, bytes);
         if self.mode.executes() {
             body(&mut self.dev_mem);
         }
@@ -734,24 +719,7 @@ impl<S: Scalar> SimContext<S> {
         let start = self.host_clock;
         let end = start + duration;
         self.host_clock = end;
-        self.record_work(&desc, "host", start, end, 0.0);
-        self.trace.push_op(
-            &desc.label,
-            ExecSite::Host,
-            None,
-            desc.category,
-            desc.access,
-        );
-        self.timeline.push(TraceEntry {
-            lane: Lane::HostMain,
-            label: desc.label,
-            class: Some(desc.class),
-            start,
-            end,
-            flops: desc.flops,
-            bytes: 0,
-        });
-        self.counters.add_flops(desc.category, desc.flops);
+        self.record(desc, ExecSite::Host, start, end, 0.0);
         if self.mode.executes() {
             body(&mut self.host_mem);
         }
@@ -777,25 +745,7 @@ impl<S: Scalar> SimContext<S> {
         let start = self.host_clock.max(self.cpu_workers[w]);
         let end = start + duration;
         self.cpu_workers[w] = end;
-        self.next_cpu_worker = (w + 1) % self.cpu_workers.len();
-        self.record_work(&desc, "cpu_workers", start, end, 0.0);
-        self.trace.push_op(
-            &desc.label,
-            ExecSite::CpuWorker(w),
-            None,
-            desc.category,
-            desc.access,
-        );
-        self.timeline.push(TraceEntry {
-            lane: Lane::CpuWorker(w),
-            label: desc.label,
-            class: Some(desc.class),
-            start,
-            end,
-            flops: desc.flops,
-            bytes: 0,
-        });
-        self.counters.add_flops(desc.category, desc.flops);
+        self.record(desc, ExecSite::CpuWorker(w), start, end, 0.0);
         if self.mode.executes() {
             body(&mut self.dev_mem, &mut self.host_mem);
         }
@@ -901,6 +851,21 @@ mod tests {
         KernelDesc::new("k", class, flops, WorkCategory::Factorization)
     }
 
+    fn pcie_bytes<S: Scalar>(c: &SimContext<S>) -> u64 {
+        c.obs.metrics.count("pcie.bytes.h2d") + c.obs.metrics.count("pcie.bytes.d2h")
+    }
+
+    /// Flops in every category except `Factorization` — the
+    /// fault-tolerance surcharge the paper's overhead model predicts.
+    fn overhead_flops(c: &SimContext) -> u64 {
+        let cats = c.obs.metrics.counts.iter();
+        let total: u64 = cats
+            .filter(|(k, _)| k.starts_with("flops.cat."))
+            .map(|(_, v)| v)
+            .sum();
+        total - c.obs.metrics.count("flops.cat.Factorization")
+    }
+
     #[test]
     fn same_stream_serializes() {
         let mut c = ctx(ExecMode::TimingOnly);
@@ -978,7 +943,7 @@ mod tests {
         assert_eq!(c.host_mem.buf(host2).get(1, 1), 7.0);
         // 2x2 f64 = 32 bytes at 1 GB/s: tiny but nonzero
         assert!(c.now().as_secs() > 0.0);
-        assert_eq!(c.counters.bytes(WorkCategory::Transfer), 64);
+        assert_eq!(pcie_bytes(&c), 64);
     }
 
     #[test]
@@ -991,7 +956,7 @@ mod tests {
         c.sync_stream(s);
         assert_eq!(c.dev_mem.tile(dev, 0, 0).get(0, 0), 7.0f32);
         // 2x2 f32 tiles move 16 bytes, half the f64 figure.
-        assert_eq!(c.counters.bytes(WorkCategory::Transfer), 16);
+        assert_eq!(pcie_bytes(&c), 16);
     }
 
     #[test]
@@ -1133,9 +1098,12 @@ mod tests {
             .as_secs();
         assert!((c.now().as_secs() - (plain + 1.0)).abs() < 1e-6);
         // Flops split across categories; epilogue booked as fused recalc.
-        assert_eq!(c.counters.flops(WorkCategory::Factorization), 2_000_000_000);
-        assert_eq!(c.counters.flops(WorkCategory::FusedRecalc), 1_000_000_000);
-        assert_eq!(c.counters.overhead_flops(), 1_000_000_000);
+        assert_eq!(
+            c.obs.metrics.count("flops.cat.Factorization"),
+            2_000_000_000
+        );
+        assert_eq!(c.obs.metrics.count("flops.cat.FusedRecalc"), 1_000_000_000);
+        assert_eq!(overhead_flops(&c), 1_000_000_000);
         // Fused metrics recorded.
         assert_eq!(c.obs.metrics.count("verify.fused.kernels"), 1);
         assert_eq!(c.obs.metrics.count("verify.fused.flops"), 1_000_000_000);
@@ -1209,8 +1177,79 @@ mod tests {
         assert_eq!(c.device_mem_used(0), 0);
     }
 
+    /// Every way work enters the simulator goes through one recorder (two
+    /// flavours: work, transfer): each call leaves exactly one op span, one
+    /// timeline entry, one program-trace op iff it declared accesses, and
+    /// its own flop / byte increment.
     #[test]
-    fn counters_attribute_categories() {
+    fn every_entry_point_records_exactly_once() {
+        fn check(
+            c: &mut SimContext,
+            what: &str,
+            trace_ops: usize,
+            (metric, by): (&str, u64),
+            call: impl FnOnce(&mut SimContext),
+        ) {
+            let snap = |c: &SimContext| {
+                (
+                    c.obs.spans.spans().len(),
+                    c.timeline.entries().len(),
+                    c.trace.len(),
+                    c.obs.metrics.count(metric),
+                )
+            };
+            let before = snap(c);
+            call(c);
+            assert_eq!(
+                snap(c),
+                (
+                    before.0 + 1,
+                    before.1 + 1,
+                    before.2 + trace_ops,
+                    before.3 + by
+                ),
+                "{what}: (op spans, timeline entries, trace ops, {metric})"
+            );
+        }
+        let mut c = SimContext::new(
+            SystemProfile::test_profile().with_devices(2),
+            ExecMode::TimingOnly,
+        );
+        let c = &mut c;
+        let s = c.default_stream();
+        let dev = c.dev_mem.alloc_zeros(2, 2, 2).unwrap();
+        let host = c.host_mem.alloc_zeros(2, 2);
+        let tile = || AccessSet::new(vec![TileRef::new(dev, 0, 0)], vec![]);
+        let work =
+            |cat, access| KernelDesc::new("w", KernelClass::Light, 10, cat).with_access(access);
+        use WorkCategory::*;
+
+        check(c, "launch", 1, ("flops.cat.Factorization", 10), |c| {
+            c.launch(s, work(Factorization, tile()), |_| {})
+        });
+        check(c, "launch, no accesses", 0, ("flops.cat.Verify", 10), |c| {
+            c.launch(s, work(Verify, AccessSet::none()), |_| {})
+        });
+        check(c, "cpu_exec", 1, ("flops.cat.ChecksumUpdate", 10), |c| {
+            c.cpu_exec(work(ChecksumUpdate, tile()), |_| {})
+        });
+        check(c, "cpu_submit", 1, ("flops.cat.ChecksumEncode", 10), |c| {
+            c.cpu_submit(work(ChecksumEncode, tile()), |_, _| {})
+        });
+        // One 2×2 f64 tile is 32 bytes.
+        check(c, "h2d", 1, ("pcie.bytes.h2d", 32), |c| {
+            c.h2d_tile(host, dev, 0, 0, s)
+        });
+        check(c, "d2h", 1, ("pcie.bytes.d2h", 32), |c| {
+            c.d2h_tile(dev, 0, 0, host, s)
+        });
+        check(c, "device_transfer", 1, ("shard.link.bytes", 64), |c| {
+            c.device_transfer(64, s, 1, tile(), |_| {})
+        });
+    }
+
+    #[test]
+    fn flops_are_attributed_by_category() {
         let mut c = ctx(ExecMode::TimingOnly);
         let s = c.default_stream();
         c.launch(
@@ -1218,7 +1257,7 @@ mod tests {
             KernelDesc::new("r", KernelClass::Blas2, 500, WorkCategory::ChecksumRecalc),
             |_| {},
         );
-        assert_eq!(c.counters.flops(WorkCategory::ChecksumRecalc), 500);
-        assert_eq!(c.counters.overhead_flops(), 500);
+        assert_eq!(c.obs.metrics.count("flops.cat.ChecksumRecalc"), 500);
+        assert_eq!(overhead_flops(&c), 500);
     }
 }

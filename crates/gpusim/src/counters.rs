@@ -1,12 +1,12 @@
-//! Work counters: FLOPs and bytes by category.
+//! The work-category tag: what a unit of work was *for*.
 //!
 //! The paper's Section VI derives closed-form overhead budgets
-//! (encode `2n²`, update `2n³/3B`, recalculate `2n³/3B`, …). These counters
-//! let the test suite check the *implementation* against those formulas: the
-//! runtime tags every kernel with a [`WorkCategory`] and the totals must
-//! match the analytic model.
-
-use std::collections::HashMap;
+//! (encode `2n²`, update `2n³/3B`, recalculate `2n³/3B`, …). The runtime
+//! tags every kernel with a [`WorkCategory`]; the simulator accumulates the
+//! tagged work in the context's metrics registry — flops under
+//! `flops.cat.<Category>`, moved bytes under `pcie.bytes.{h2d,d2h}` and
+//! `shard.link.bytes` — and the test suite checks those totals against the
+//! analytic model.
 
 /// What a unit of work was *for* (orthogonal to its BLAS shape).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -27,95 +27,4 @@ pub enum WorkCategory {
     Verify,
     /// Host↔device data movement (bytes, not flops).
     Transfer,
-}
-
-/// Aggregated flops/bytes per category.
-#[derive(Debug, Default, Clone, serde::Serialize, serde::Deserialize)]
-pub struct WorkCounters {
-    flops: HashMap<WorkCategory, u64>,
-    bytes: HashMap<WorkCategory, u64>,
-    kernels: HashMap<WorkCategory, u64>,
-}
-
-impl WorkCounters {
-    /// Record `flops` of work in `cat` (one kernel/task).
-    pub fn add_flops(&mut self, cat: WorkCategory, flops: u64) {
-        *self.flops.entry(cat).or_default() += flops;
-        *self.kernels.entry(cat).or_default() += 1;
-    }
-
-    /// Record `bytes` moved in `cat`.
-    pub fn add_bytes(&mut self, cat: WorkCategory, bytes: u64) {
-        *self.bytes.entry(cat).or_default() += bytes;
-    }
-
-    /// Total flops in a category.
-    pub fn flops(&self, cat: WorkCategory) -> u64 {
-        self.flops.get(&cat).copied().unwrap_or(0)
-    }
-
-    /// Total bytes in a category.
-    pub fn bytes(&self, cat: WorkCategory) -> u64 {
-        self.bytes.get(&cat).copied().unwrap_or(0)
-    }
-
-    /// Number of kernels/tasks recorded in a category.
-    pub fn kernel_count(&self, cat: WorkCategory) -> u64 {
-        self.kernels.get(&cat).copied().unwrap_or(0)
-    }
-
-    /// Sum of flops over all categories.
-    pub fn total_flops(&self) -> u64 {
-        self.flops.values().sum()
-    }
-
-    /// Flops in every category except `Factorization` — the fault-tolerance
-    /// surcharge the paper's overhead model predicts.
-    pub fn overhead_flops(&self) -> u64 {
-        self.total_flops() - self.flops(WorkCategory::Factorization)
-    }
-
-    /// A one-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "factor {:.3e} | encode {:.3e} | update {:.3e} | recalc {:.3e} | fused {:.3e} | verify {:.3e} flops; transfer {:.3e} bytes",
-            self.flops(WorkCategory::Factorization) as f64,
-            self.flops(WorkCategory::ChecksumEncode) as f64,
-            self.flops(WorkCategory::ChecksumUpdate) as f64,
-            self.flops(WorkCategory::ChecksumRecalc) as f64,
-            self.flops(WorkCategory::FusedRecalc) as f64,
-            self.flops(WorkCategory::Verify) as f64,
-            self.bytes(WorkCategory::Transfer) as f64,
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accumulates_by_category() {
-        let mut c = WorkCounters::default();
-        c.add_flops(WorkCategory::Factorization, 100);
-        c.add_flops(WorkCategory::Factorization, 50);
-        c.add_flops(WorkCategory::ChecksumRecalc, 30);
-        c.add_bytes(WorkCategory::Transfer, 4096);
-        assert_eq!(c.flops(WorkCategory::Factorization), 150);
-        assert_eq!(c.kernel_count(WorkCategory::Factorization), 2);
-        assert_eq!(c.flops(WorkCategory::ChecksumRecalc), 30);
-        assert_eq!(c.total_flops(), 180);
-        assert_eq!(c.overhead_flops(), 30);
-        assert_eq!(c.bytes(WorkCategory::Transfer), 4096);
-        assert_eq!(c.flops(WorkCategory::Verify), 0);
-    }
-
-    #[test]
-    fn summary_mentions_everything() {
-        let mut c = WorkCounters::default();
-        c.add_flops(WorkCategory::ChecksumEncode, 7);
-        let s = c.summary();
-        assert!(s.contains("encode"));
-        assert!(s.contains("transfer"));
-    }
 }

@@ -4,17 +4,14 @@
 //! transfers, and syncs one at a time. What this module adds is the layer
 //! that *decides the enqueue order* for a program expressed as a dependency
 //! graph — `hchol-core`'s `FactorPlan` compiles to one [`DagSchedule`] per
-//! run. Three issue disciplines are supported:
+//! run. Two issue disciplines are supported:
 //!
 //! * [`IssuePolicy::InOrder`] — replay the plan's authored order exactly
 //!   (bit-for-bit identical to the legacy imperative drivers; the default);
 //! * [`IssuePolicy::Lookahead`] — issue any dependency-satisfied node whose
 //!   iteration is at most `d` ahead of the oldest unfinished iteration,
 //!   preferring asynchronous (non-host-blocking) work so device queues stay
-//!   primed across host stalls;
-//! * [`round_robin`] — interleave several independent schedules (batched
-//!   multi-matrix execution) so one plan's host-blocking steps overlap the
-//!   others' enqueued device work.
+//!   primed across host stalls.
 //!
 //! Every order produced here is a topological order of the dependency
 //! edges, so data dependencies are never reordered — only independent work
@@ -219,26 +216,6 @@ pub struct IssueDiagnostics {
     pub induced_edges: Vec<(usize, usize)>,
 }
 
-/// Interleave several schedules' issue orders round-robin: the result is a
-/// sequence of `(schedule index, node id)` pairs, one full rotation at a
-/// time, skipping exhausted schedules. Batched multi-matrix execution
-/// drives each plan's next node in this order so every plan keeps device
-/// work enqueued while the others block the host.
-pub fn round_robin(orders: &[Vec<usize>]) -> Vec<(usize, usize)> {
-    let total: usize = orders.iter().map(Vec::len).sum();
-    let mut cursors = vec![0usize; orders.len()];
-    let mut out = Vec::with_capacity(total);
-    while out.len() < total {
-        for (p, order) in orders.iter().enumerate() {
-            if cursors[p] < order.len() {
-                out.push((p, order[cursors[p]]));
-                cursors[p] += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,12 +334,5 @@ mod tests {
         let d = far.issue_diagnostics(IssuePolicy::Lookahead(0));
         assert_eq!(d.order, vec![0, 1]);
         assert_eq!(d.window_fallbacks, vec![0]);
-    }
-
-    #[test]
-    fn round_robin_interleaves_and_drains() {
-        let orders = vec![vec![0, 1, 2], vec![0], vec![0, 1]];
-        let got = round_robin(&orders);
-        assert_eq!(got, vec![(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2)]);
     }
 }

@@ -57,7 +57,7 @@ pub mod timeline;
 
 pub use access::{AccessSet, TileRef};
 pub use context::{EngineUtilization, EngineWindow, EventId, SimContext, StreamId};
-pub use executor::{round_robin, DagSchedule, IssueDiagnostics, IssuePolicy, NodeMeta};
+pub use executor::{DagSchedule, IssueDiagnostics, IssuePolicy, NodeMeta};
 pub use memory::{BufferId, DeviceMemory, HostBufferId, HostMemory};
 pub use profile::{CpuProfile, DeviceProfile, KernelClass, SystemProfile};
 pub use program::{DmaDir, ExecSite, ProgramTrace, TraceAction, TraceOp};
@@ -70,7 +70,7 @@ pub enum ExecMode {
     /// Run every kernel's floating-point work (bit-faithful results) while
     /// also advancing the virtual clock.
     Execute,
-    /// Skip all numerics; only the virtual clock and counters advance.
+    /// Skip all numerics; only the virtual clock and metrics advance.
     /// Used for paper-scale (n >= 20480) timing sweeps.
     TimingOnly,
 }

@@ -141,20 +141,9 @@ impl ProgramTrace {
 
     /// Record a unit of work. Ops with empty access sets are skipped: they
     /// cannot conflict with anything and would only bloat the trace.
+    /// `fused_verify` marks a kernel carrying a fused checksum epilogue
+    /// (see [`TraceOp::fused_verify`]).
     pub fn push_op(
-        &mut self,
-        label: &str,
-        site: ExecSite,
-        dma: Option<DmaDir>,
-        category: WorkCategory,
-        access: AccessSet,
-    ) {
-        self.push_op_fused(label, site, dma, category, access, false);
-    }
-
-    /// [`ProgramTrace::push_op`] with an explicit fused-verify marker (set
-    /// by kernels carrying a fused checksum epilogue).
-    pub fn push_op_fused(
         &mut self,
         label: &str,
         site: ExecSite,
@@ -215,6 +204,7 @@ mod tests {
             None,
             WorkCategory::Factorization,
             AccessSet::none(),
+            false,
         );
         assert!(t.is_empty());
         t.push_op(
@@ -223,6 +213,7 @@ mod tests {
             None,
             WorkCategory::Factorization,
             AccessSet::new(vec![TileRef::new(BufferId(0), 0, 0)], vec![]),
+            false,
         );
         assert_eq!(t.len(), 1);
     }
@@ -237,6 +228,7 @@ mod tests {
             None,
             WorkCategory::Verify,
             AccessSet::new(vec![TileRef::new(BufferId(0), 0, 0)], vec![]),
+            false,
         );
         assert!(t.is_empty());
         assert!(!t.is_enabled());

@@ -112,7 +112,7 @@ fn timeline_disabled_still_counts_work() {
     let s = c.default_stream();
     c.launch(s, desc(123), |_| {});
     assert!(c.timeline.entries().is_empty());
-    assert_eq!(c.counters.flops(WorkCategory::Factorization), 123);
+    assert_eq!(c.obs.metrics.count("flops.cat.Factorization"), 123);
 }
 
 #[test]

@@ -20,11 +20,19 @@
 //! search per corrupted column — verification itself stays O(B)).
 //!
 //! The *update* rules need no generalization at all: every rule in
-//! [`crate::chkops`] is linear in the checksum rows and already works for
-//! any number of them — a point worth a test, and it gets several.
+//! [`hchol_core::chkops`] is linear in the checksum rows and already works
+//! for any number of them — a point worth a test, and it gets several.
+//!
+//! Not wired into any verify node: it lives here, beside the property
+//! suite that is its only consumer, until ROADMAP item 5b decides whether
+//! `m = 2` earns a place in the product crate.
 
-use crate::verify::VerifyPolicy;
+use hchol_core::verify::VerifyPolicy;
 use hchol_matrix::Matrix;
+
+/// Magnitude floor when classifying near-zero deltas: relative to the
+/// column scale, deltas below `MULTI_MIN_REL · scale` are treated as zero.
+const MULTI_MIN_REL: f64 = 1e-9;
 
 /// Weight of row `i` (0-based) in checksum row `c`: `(i+1)^c`.
 #[inline]
@@ -181,8 +189,8 @@ fn try_pair(data: &mut Matrix, syn: &[f64], j: usize, rows: usize, policy: &Veri
     let scale = s0.abs().max(s1.abs()).max(s2.abs()).max(1.0);
     // Genuine syndromes reproduce S₂ to rounding; anything looser admits
     // phantom neighbour pairs and poisons the ambiguity check.
-    let check_tol = (policy.rel_tol * 10.0).max(crate::tolerance::MULTI_MIN_REL) * scale;
-    let min_mag = crate::tolerance::MULTI_MIN_REL * scale;
+    let check_tol = (policy.rel_tol * 10.0).max(MULTI_MIN_REL) * scale;
+    let min_mag = MULTI_MIN_REL * scale;
     let mut found: Option<(usize, usize, f64, f64)> = None;
     for r1 in 0..rows {
         let w1 = (r1 + 1) as f64;
@@ -238,7 +246,7 @@ mod tests {
     fn m1_reduces_to_paper_encoding() {
         let a = uniform(8, 5, -1.0, 1.0, 1);
         let multi = encode_multi(&a, 1);
-        let paper = crate::checksum::encode(&a);
+        let paper = hchol_core::checksum::encode(&a);
         assert!(approx_eq(&multi, &paper, 1e-13));
     }
 
@@ -267,7 +275,7 @@ mod tests {
             1.0,
             &mut tgt,
         );
-        crate::chkops::update_product(&mut chk, &chk_src, &src);
+        hchol_core::chkops::update_product(&mut chk, &chk_src, &src);
         assert!(approx_eq(&chk, &encode_multi(&tgt, 2), 1e-8));
     }
 
@@ -275,7 +283,7 @@ mod tests {
     fn potf2_update_generalizes_to_three_rows() {
         let (la, a) = hchol_matrix::generate::known_factor(8, 4);
         let mut chk = encode_multi(&a, 2);
-        crate::chkops::update_potf2(&mut chk, &la);
+        hchol_core::chkops::update_potf2(&mut chk, &la);
         assert!(approx_eq(&chk, &encode_multi(&la, 2), 1e-7));
     }
 

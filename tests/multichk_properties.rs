@@ -2,9 +2,11 @@
 //! checksum rows, any one or two errors per column are corrected exactly,
 //! and impossible syndromes are never silently accepted.
 
-use hchol_core::multichk::{encode_multi, verify_and_correct_multi};
+mod multichk;
+
 use hchol_core::verify::VerifyPolicy;
 use hchol_matrix::{approx_eq, Matrix};
+use multichk::{encode_multi, verify_and_correct_multi};
 use proptest::prelude::*;
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {

@@ -173,3 +173,43 @@ fn lookahead_execute_matches_in_order_factor() {
         }
     }
 }
+
+/// `run_batch` refuses, with a typed error and before building anything,
+/// what one shared context cannot honour — it never ignores an option and
+/// never panics on a request.
+#[test]
+fn batch_refuses_what_it_cannot_honour() {
+    use hchol::core::options::ShardOptions;
+    use hchol_matrix::MatrixError;
+    let p = SystemProfile::test_profile();
+    let with = |opts: AbftOptions| {
+        vec![
+            batch_request(SchemeKind::Enhanced, 256, 64),
+            BatchRequest {
+                opts,
+                ..batch_request(SchemeKind::Enhanced, 256, 64)
+            },
+        ]
+    };
+    let d = AbftOptions::default;
+    let cases = [
+        ("empty batch", Vec::new()),
+        ("balance", with(d().with_balance(BalanceOptions::default()))),
+        ("lookahead", with(d().with_lookahead(2))),
+        ("shard", with(d().with_shard(ShardOptions::new(2)))),
+        (
+            "a combination validate_options refuses",
+            with(d().with_shard(ShardOptions::new(2)).with_chk_fused(true)),
+        ),
+    ];
+    for (what, reqs) in cases {
+        match run_batch(&p, &reqs) {
+            Err(MatrixError::UnsupportedConfig(_)) => {}
+            Err(e) => panic!("{what}: expected UnsupportedConfig, got {e:?}"),
+            Ok(_) => panic!("{what}: expected UnsupportedConfig, got a completed batch"),
+        }
+    }
+    // The options a batch does honour still run.
+    let fused = with(d().with_chk_fused(true).with_interval(3));
+    assert_eq!(run_batch(&p, &fused).expect("batch runs").runs.len(), 2);
+}

@@ -12,7 +12,6 @@
 
 use hchol::prelude::*;
 use hchol_analyze::{analyze_outcome, analyze_schedule, analyze_with_protocol, Protocol, RaceKind};
-use hchol_core::outer::factor_outer;
 use hchol_gpusim::context::KernelDesc;
 use hchol_gpusim::counters::WorkCategory;
 use hchol_gpusim::profile::KernelClass;
@@ -277,18 +276,6 @@ fn k_floor_balanced_run_downgrades() {
     assert!(analysis.is_clean(), "{}", analysis.render_text());
 }
 
-/// The right-looking outer-product baseline keeps its trace on; its schedule
-/// must be race-free. (The check lives here because `hchol-analyze` depends
-/// on `hchol-core`.)
-#[test]
-fn outer_product_baseline_is_race_free() {
-    let p = SystemProfile::test_profile();
-    let rep = factor_outer(&p, ExecMode::TimingOnly, 256, 32, None, true).expect("baseline runs");
-    let analysis = analyze_schedule(&rep.ctx.trace);
-    assert!(analysis.ops > 0, "baseline must record a program");
-    assert!(analysis.is_clean(), "{}", analysis.render_text());
-}
-
 /// Control: a same-stream read→write pair is ordered by stream FIFO — no
 /// WAR.
 #[test]
@@ -429,6 +416,7 @@ fn enhanced_schedule_missing_pre_read_verify_is_flagged() {
                     op.dma,
                     op.category,
                     AccessSet::new(reads, op.access.writes.clone()),
+                    op.fused_verify,
                 );
             }
             other => mutated.push_action(other.clone()),

@@ -1,0 +1,110 @@
+//! Virtual-clock pins: the modelled makespan of every driver entry point,
+//! compared bit-for-bit with constants captured before the executor and the
+//! simulator's recording paths were folded into one loop and one recorder.
+//!
+//! The golden fixtures pin the default unfused path only; the benchmark
+//! gates `virtual_s` at 1e-9 on every feature. This test brings that gate
+//! into tier-1: an executor or simulator refactor that moves one virtual
+//! second anywhere — fused, balanced, sharded, reordered, K-gated, batched
+//! (lanes of equal and of unequal length), or on either baseline — fails
+//! here, before the benchmark is ever built.
+
+use hchol::core::cula::factor_cula;
+use hchol::core::magma::factor_magma;
+use hchol::core::options::ShardOptions;
+use hchol::prelude::*;
+
+fn enhanced(opts: AbftOptions) -> u64 {
+    run_clean(
+        SchemeKind::Enhanced,
+        &SystemProfile::tardis(),
+        ExecMode::TimingOnly,
+        2560,
+        256,
+        &opts,
+        None,
+    )
+    .expect("scheme runs")
+    .time
+    .as_secs()
+    .to_bits()
+}
+
+/// A batch of Enhanced runs at the given sizes (unequal sizes make lanes of
+/// unequal length, so the short ones drain while the long ones keep going).
+fn batch(sizes: &[usize]) -> u64 {
+    let reqs: Vec<BatchRequest> = sizes
+        .iter()
+        .map(|&n| BatchRequest {
+            kind: SchemeKind::Enhanced,
+            n,
+            b: 256,
+            opts: AbftOptions::default(),
+        })
+        .collect();
+    run_batch(&SystemProfile::tardis(), &reqs)
+        .expect("batch runs")
+        .time
+        .as_secs()
+        .to_bits()
+}
+
+#[test]
+fn virtual_makespans_are_bit_identical_to_the_captured_constants() {
+    let tardis = SystemProfile::tardis();
+    let baseline = |rep: hchol::core::magma::BaselineReport| rep.time.as_secs().to_bits();
+    let magma = factor_magma(&tardis, ExecMode::TimingOnly, 2560, 256, None, false);
+    let cula = factor_cula(&tardis, ExecMode::TimingOnly, 2560, 256, None);
+    let d = AbftOptions::default;
+    // (what, this build's makespan bits, the pinned bits).
+    let pins = [
+        ("default", enhanced(d()), 0x3fa05d6ba2da4774),
+        (
+            "chk_fused",
+            enhanced(d().with_chk_fused(true)),
+            0x3fa04f3efd4c94cb,
+        ),
+        (
+            "balance",
+            enhanced(d().with_balance(BalanceOptions::default())),
+            0x3f9f025517528d0e,
+        ),
+        (
+            "shard4",
+            enhanced(d().with_shard(ShardOptions::new(4))),
+            0x3fa086dce1f697c7,
+        ),
+        (
+            "lookahead2",
+            enhanced(d().with_lookahead(2)),
+            0x3fa05d6ba2da4774,
+        ),
+        (
+            "interval3",
+            enhanced(d().with_interval(3)),
+            0x3f9cc9d08fcb2f11,
+        ),
+        ("batch x1", batch(&[1280]), 0x3f8097c64efeb4f3),
+        ("batch x4", batch(&[1280; 4]), 0x3f9f8eea73536840),
+        (
+            "batch uneven",
+            batch(&[1792, 512, 1280]),
+            0x3f9871d030d3a2de,
+        ),
+        (
+            "magma",
+            baseline(magma.expect("baseline runs")),
+            0x3f98b34f18d2e1fd,
+        ),
+        (
+            "cula",
+            baseline(cula.expect("baseline runs")),
+            0x3fa2695f43d95365,
+        ),
+    ];
+    let moved: Vec<_> = pins.iter().filter(|(_, got, want)| got != want).collect();
+    assert!(
+        moved.is_empty(),
+        "virtual makespan moved — (what, this build, pinned): {moved:x?}"
+    );
+}
