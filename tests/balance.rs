@@ -277,3 +277,146 @@ fn balanced_execute_run_matches_static_factor() {
         "balancing must not perturb numerics"
     );
 }
+
+/// The balanced runs the rewrite pins and the rewrite definition below are
+/// taken over: every scheme on a balanced, a link-degraded and a
+/// queue-pressured machine, at two grid sizes, waking every other iteration.
+fn recorded_balanced_runs() -> Vec<(String, SchemeKind, usize, FactorOutcome)> {
+    let profiles = [
+        SystemProfile::tardis(),
+        SystemProfile::tardis_skewed(),
+        SystemProfile::bulldozer64(),
+    ];
+    let opts = adaptive(B::default().with_update_interval(2).with_record_plans(true));
+    let mut runs = Vec::new();
+    for kind in SchemeKind::all() {
+        for p in &profiles {
+            for (n, b) in [(2048usize, 128usize), (1280, 64)] {
+                let out = run_clean(kind, p, ExecMode::TimingOnly, n, b, &opts, None)
+                    .expect("balanced run");
+                runs.push((format!("{kind:?} {} n={n} b={b}", p.name), kind, n / b, out));
+            }
+        }
+    }
+    runs
+}
+
+/// What a plan *is* for these tests: per node in issue order, its task, its
+/// iteration and the label of the scope span it runs under.
+fn node_shapes(plan: &FactorPlan) -> Vec<String> {
+    plan.order()
+        .iter()
+        .map(|&id| {
+            let n = plan.node(id);
+            let label = n.scope.map(|s| plan.scopes()[s.0].label.as_str());
+            format!("{:?}|{:?}|{label:?}", n.kind, n.iter)
+        })
+        .collect()
+}
+
+/// Position of the first node of iteration `j` in the issue order.
+fn iter_start(plan: &FactorPlan, j: usize) -> usize {
+    plan.order()
+        .iter()
+        .position(|&id| plan.node(id).iter == Some(j))
+        .expect("iteration has nodes")
+}
+
+/// Pins captured on the commit before the balancer's in-place plan edits
+/// were replaced by re-planning the tail: the makespan to the bit, the
+/// number of rewrites and placement switches, and an FNV-1a digest over
+/// every recorded rewritten plan — state, node shapes, per-node in-degree
+/// and edge count. A refactor of the rewrite path must move none of them.
+#[test]
+fn rewritten_plans_are_pinned_to_the_captured_digests() {
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    // (makespan bits, rewrites, switches, digest), in `recorded_balanced_runs` order.
+    let pins: [(u64, usize, usize, u64); 18] = [
+        (0x3f8b792b89b02d0f, 7, 0, 0x86cbae293dac034c),
+        (0x3f74339c51dc209d, 7, 0, 0x0755a5dc34c433fc),
+        (0x3f93b072e91ffb3e, 7, 1, 0x329f0d3726fc2fe0),
+        (0x3f7a269b5791eba4, 7, 0, 0xc620c6310d10d282),
+        (0x3f70afcde86164cd, 7, 0, 0xb1511f81c02ee54d),
+        (0x3f6597a2ab3fdae7, 7, 0, 0xc620c6310d10d282),
+        (0x3f8c31ea14c0cc0d, 7, 0, 0x3fb79db2c33464a7),
+        (0x3f77355444ffcacb, 7, 0, 0xa17b0f68b0b1d69b),
+        (0x3f93d79e2c91872a, 7, 1, 0x524194a5a2ca3cfa),
+        (0x3f7c30e7afdbe3e1, 7, 0, 0xb05fb18621d5112c),
+        (0x3f72432dd23d0d03, 7, 0, 0x43f96e82b851b0db),
+        (0x3f6940218ee94713, 7, 0, 0xb05fb18621d5112c),
+        (0x3f8926f666fb41cd, 7, 0, 0x5bb1e4de6279ab85),
+        (0x3f750b4aa700bf8a, 7, 2, 0xc81199a06c764725),
+        (0x3f92781c4a8cd02a, 7, 1, 0x91a9c5644cc1f35d),
+        (0x3f778811e4d12ee6, 7, 0, 0x585e730ab90c51ae),
+        (0x3f6ed47beb3b7e7e, 7, 0, 0x23dac44349642772),
+        (0x3f5d998f8529dec5, 7, 0, 0x585e730ab90c51ae),
+    ];
+    let mut got = Vec::new();
+    for (_, _, _, out) in recorded_balanced_runs() {
+        let log = out.balance_log.as_ref().expect("balanced run keeps a log");
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for rw in &log.rewrites {
+            let state = format!("{}|{}|{}", rw.at_iter, rw.k, rw.plan.cpu_mirrors);
+            fnv(&mut h, state.as_bytes());
+            for (shape, &id) in node_shapes(&rw.plan).iter().zip(rw.plan.order()) {
+                fnv(&mut h, shape.as_bytes());
+                fnv(&mut h, &rw.plan.deps(id).len().to_le_bytes());
+            }
+            fnv(&mut h, &rw.plan.edge_count().to_le_bytes());
+        }
+        got.push((
+            out.time.as_secs().to_bits(),
+            log.rewrites.len(),
+            log.switches(),
+            h,
+        ));
+    }
+    assert_eq!(got, pins, "this build's pins: {got:#x?}");
+}
+
+/// The definition of a rewrite: the plan after it is the previous plan up
+/// to iteration `at_iter`, followed by the plan the planner builds for the
+/// controller's new (placement, K) from iteration `at_iter` on — and that
+/// splice satisfies the scheme's static ABFT contract.
+#[test]
+fn a_rewrite_is_the_old_prefix_plus_the_new_states_tail() {
+    for (what, kind, nt, out) in recorded_balanced_runs() {
+        let log = out.balance_log.as_ref().expect("balanced run keeps a log");
+        // The run starts on the plan of its resolved options (K inside the
+        // default bounds already).
+        let mut prev = hchol_core::plan::for_scheme(kind, nt, &out.opts, false);
+        let mut loosest = out.opts.verify_interval;
+        for rw in &log.rewrites {
+            let state = out
+                .opts
+                .clone()
+                .with_placement(rw.placement)
+                .with_interval(rw.k);
+            let fresh = hchol_core::plan::for_scheme(kind, nt, &state, false);
+            let mut want = node_shapes(&prev);
+            want.truncate(iter_start(&prev, rw.at_iter));
+            want.extend_from_slice(&node_shapes(&fresh)[iter_start(&fresh, rw.at_iter)..]);
+            assert_eq!(
+                node_shapes(&rw.plan),
+                want,
+                "{what}: rewrite at iteration {}",
+                rw.at_iter
+            );
+            // As in `every_rewritten_plan_passes_the_static_checker`: the
+            // executed prefix keeps the loosest interval ever installed.
+            loosest = loosest.max(rw.k);
+            let check = check_plan(kind, &rw.plan, &state.with_interval(loosest));
+            assert!(
+                check.is_clean(),
+                "{what}: rewrite at iteration {} violates the contract:\n{}",
+                rw.at_iter,
+                check.render_text()
+            );
+            prev = rw.plan.clone();
+        }
+    }
+}
