@@ -16,11 +16,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "build (release)"
 cargo build --release --workspace
 
+# Tier-1 is the root package: every suite under tests/, among them
+#   coverage_static      static vs dynamic cross-validation (coverage verdicts vs injection)
+#   fault_matrix, precision_properties
+#                        reduced-precision suite (f32 fault matrix + adaptive-tolerance closure)
+#   config_space         configuration-space closure (clean plans or typed refusal)
+#   fused_abft           fused-epilogue ABFT suite (plan rewrite, conformance, properties)
+#   golden_equivalence   default unfused path byte-identical
+#   balance              feedback balancer suite (migration, adaptive K, rewrite pins, contract re-proof)
+#   shard                multi-device sharding suite (bit-identity, device loss, conformance)
 step "tests: tier-1 (root package)"
 cargo test -q
 
-step "tests: full workspace"
-cargo test --workspace -q
+step "tests: the member crates"
+cargo test --workspace --exclude hchol -q
 
 step "tests: hchol-blas without default features (no 'parallel')"
 cargo test -q -p hchol-blas --no-default-features
@@ -35,7 +44,7 @@ RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
 step "doctests"
 cargo test --doc --workspace -q
 
-step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher)"
+step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit)"
 cargo run --release -q -p hchol-analyze --bin lint
 
 step "schedule analyzer (races + ABFT protocol conformance, all schemes)"
@@ -67,28 +76,6 @@ step "coverage mutation control: dropped parity refresh must be caught"
 if cargo run --release -q -p hchol-analyze --bin coverage_check -- --mutate=drop-parity > /dev/null 2>&1; then
     echo "mutation control drop-parity NOT caught" >&2; exit 1
 fi
-
-step "static vs dynamic cross-validation (coverage verdicts vs injection)"
-cargo test -q --test coverage_static
-
-step "reduced-precision suite (f32 fault matrix + adaptive-tolerance closure)"
-cargo test -q --test fault_matrix
-cargo test -q --test precision_properties
-
-step "configuration-space closure (clean plans or typed refusal)"
-cargo test -q --test config_space
-
-step "fused-epilogue ABFT suite (plan rewrite, conformance, properties)"
-cargo test -q --test fused_abft
-
-step "golden equivalence (default unfused path byte-identical)"
-cargo test -q --test golden_equivalence
-
-step "feedback balancer suite (migration, adaptive K, contract re-proof)"
-cargo test -q --test balance
-
-step "multi-device sharding suite (bit-identity, device loss, conformance)"
-cargo test -q --test shard
 
 step "kernel bench sweep (quick) -> target/BENCH_kernels.quick.json"
 cargo bench -p hchol-bench --bench kernels -- --quick

@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Eight rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Nine rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -39,6 +39,11 @@
 //!   `cpu_submit`: every kernel the product crate issues is an op a plan
 //!   node names, so a driver that launches work on its own (off the plan
 //!   layer, invisible to the plan checkers) cannot come back.
+//! * **`plan-edit`** — under `crates/core/src`, only the planner's passes
+//!   (`plan/{mod,skeleton,policy,shard}.rs`) call `.insert_before(`,
+//!   `.insert_after(` or `.remove(` on a plan (a receiver whose name ends in
+//!   `plan`): a plan is built by its passes, so the balancer and the
+//!   executor get a new shape by asking the planner, never by editing.
 //!
 //! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
 //! may use free-form labels and scratch names by design. `shims/` (vendored
@@ -57,8 +62,8 @@ pub struct Lint {
     /// 1-indexed line.
     pub line: usize,
     /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
-    /// `tolerance-literal`, `env-read`, `twin-op`, `one-engine`, or
-    /// `one-launcher`.
+    /// `tolerance-literal`, `env-read`, `twin-op`, `one-engine`,
+    /// `one-launcher`, or `plan-edit`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -156,6 +161,9 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     }
     if file.starts_with("crates/blas/src/") {
         rule_one_engine(file, &scan, &mut out);
+    }
+    if file.starts_with("crates/core/src/") && !PLAN_PASSES.contains(&file) {
+        rule_plan_edit(file, &scan, &mut out);
     }
     out
 }
@@ -538,6 +546,40 @@ fn rule_one_launcher(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
     }
 }
 
+/// The modules that build plans: the IR itself and the passes over it.
+const PLAN_PASSES: &[&str] = &[
+    "crates/core/src/plan/mod.rs",
+    "crates/core/src/plan/skeleton.rs",
+    "crates/core/src/plan/policy.rs",
+    "crates/core/src/plan/shard.rs",
+];
+
+fn rule_plan_edit(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        if !scan.punct_at(i.wrapping_sub(1), '.') || !scan.punct_at(i + 1, '(') {
+            continue;
+        }
+        let edits = match scan.word_at(i) {
+            Some("insert_before" | "insert_after") => true,
+            Some("remove") => scan
+                .word_at(i.wrapping_sub(2))
+                .is_some_and(|w| w.ends_with("plan")),
+            _ => false,
+        };
+        if edits {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "plan-edit",
+                message: "plan edited outside the planner's passes: build the plan for the \
+                          new state (`plan::passes`) and splice it in with \
+                          `FactorPlan::replace_tail`"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 /// Methods of `MetricsRegistry` whose first string argument is a metric name.
 const METRIC_METHODS: &[&str] = &["inc", "add_count", "add_f64", "set_gauge", "observe"];
 
@@ -849,6 +891,37 @@ mod tests {
         let ok = "use hchol_gpusim::context::KernelDesc;\n// ctx.launch(..) lives in ops.rs\n\
                   fn f(d: KernelDesc) -> &'static str { relaunch(d); \".launch(\" }\n";
         assert!(lint_file("crates/core/src/magma.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn plan_edits_flagged_in_core_outside_the_passes_only() {
+        let src = "fn f(plan: &mut FactorPlan, lane: &mut Lane) {\n    \
+                   plan.insert_after(a, k, None, None);\n    \
+                   lane.plan.insert_before(a, k, None, None);\n    \
+                   fplan.remove(id);\n}\n";
+        for hit in [
+            "crates/core/src/plan/balance.rs",
+            "crates/core/src/plan/exec.rs",
+        ] {
+            let lints = lint_file(hit, src);
+            assert!(lints.iter().all(|l| l.rule == "plan-edit"), "{hit}");
+            assert_eq!(lints.iter().map(|l| l.line).collect::<Vec<_>>(), [2, 3, 4]);
+        }
+        // The passes edit plans by design; other crates (the analyzers'
+        // mutation controls, tests) are out of scope.
+        for exempt in PLAN_PASSES
+            .iter()
+            .copied()
+            .chain(["crates/analyze/src/coverage.rs", "tests/plan_layer.rs"])
+        {
+            assert!(lint_file(exempt, src).is_empty(), "{exempt}");
+        }
+        // Removing from a map or a set, splicing a tail, prose and strings
+        // are not plan edits.
+        let ok = "// plan.remove(id) is for passes\nfn f(plan: &mut FactorPlan) {\n    \
+                  covered.remove(&t);\n    plan.replace_tail(4, &fresh);\n    \
+                  let _ = \".insert_after(\";\n}\n";
+        assert!(lint_file("crates/core/src/plan/balance.rs", ok).is_empty());
     }
 
     #[test]

@@ -395,15 +395,7 @@ pub fn check_scheme_plan(
     b: usize,
     opts: &AbftOptions,
 ) -> PlanCheck {
-    // Sharded runs pin checksum updating to the owning GPU exactly as
-    // `run_scheme` does; otherwise the analytic model decides.
-    let placement = if opts.shard_devices() > 1 {
-        hchol_core::options::ChecksumPlacement::Gpu
-    } else {
-        hchol_core::decision::choose(opts.placement, profile, n, b, opts.verify_interval)
-    };
-    let mut resolved = opts.clone();
-    resolved.placement = placement;
+    let resolved = opts.resolved_for(profile, n, b);
     let plan = hchol_core::plan::for_scheme(kind, n / b, &resolved, false);
     check_plan(kind, &plan, &resolved)
 }

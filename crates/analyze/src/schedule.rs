@@ -13,7 +13,7 @@
 //! * **Stream FIFO**: ops on one stream complete in issue order; DMA
 //!   transfers additionally serialize on their per-direction lane.
 //! * **Events**: `record_event` captures a stream's frontier;
-//!   `stream_wait_event`/`host_wait_event` join it into the waiter.
+//!   `stream_wait_event` joins it into the waiter.
 //! * **Syncs**: `sync_stream`/`sync_device`/`sync_cpu_workers` join the
 //!   drained lanes into the host.
 //!
@@ -340,7 +340,6 @@ impl<'a> Sweep<'a> {
                     max_stream = max_stream.max(*stream);
                     max_event = max_event.max(*event);
                 }
-                TraceAction::HostWaitEvent { event } => max_event = max_event.max(*event),
                 TraceAction::SyncStream { stream } => max_stream = max_stream.max(*stream),
                 _ => {}
             }
@@ -390,11 +389,6 @@ impl<'a> Sweep<'a> {
                     if let Some(vc) = self.events[*event].clone() {
                         let agent = self.stream_agent(*stream);
                         join(&mut self.clocks[agent], &vc);
-                    }
-                }
-                TraceAction::HostWaitEvent { event } => {
-                    if let Some(vc) = self.events[*event].clone() {
-                        join(&mut self.clocks[HOST], &vc);
                     }
                 }
                 TraceAction::SyncStream { stream } => {

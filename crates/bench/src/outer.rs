@@ -55,14 +55,14 @@ pub fn factor_outer(
         // POTF2 round trip — fully exposed: the diagonal block is final
         // only now (the trailing update of step j-1 wrote it last), so the
         // transfer must be ordered behind the compute stream.
-        let trailing_done = ctx.record_event(lay.s_comp);
-        ctx.stream_wait_event(lay.s_tran, trailing_done);
+        let trailing_done = ctx.record_event(lay.streams.comp);
+        ctx.stream_wait_event(lay.streams.tran, trailing_done);
         ops::diag_to_host(&mut ctx, &mut lay, j);
-        ctx.sync_stream(lay.s_tran);
+        ctx.sync_stream(lay.streams.tran);
         ops::host_potf2(&mut ctx, &lay, j)?;
         ops::diag_to_device(&mut ctx, &lay, j);
-        let diag_back = ctx.record_event(lay.s_tran);
-        ctx.stream_wait_event(lay.s_comp, diag_back);
+        let diag_back = ctx.record_event(lay.streams.tran);
+        ctx.stream_wait_event(lay.streams.comp, diag_back);
         // Panel solve.
         let below: Vec<usize> = ((j + 1)..nt).collect();
         ops::trsm_panel(&mut ctx, &lay, j, &below, None);
@@ -73,7 +73,7 @@ pub fn factor_outer(
         for k in (j + 1)..nt {
             // SYRK on the diagonal tile of column k.
             ctx.launch(
-                lay.s_comp,
+                lay.streams.comp,
                 KernelDesc::new(
                     format!("TSYRK j={j} k={k}"),
                     KernelClass::Syrk,
@@ -105,7 +105,7 @@ pub fn factor_outer(
                 writes.push(TileRef::new(mat, i, k));
             }
             ctx.launch(
-                lay.s_comp,
+                lay.streams.comp,
                 KernelDesc::new(
                     format!("TGEMM j={j} k={k}"),
                     KernelClass::Blas3,

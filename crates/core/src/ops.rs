@@ -47,22 +47,10 @@ pub struct CholLayout {
     pub dpt: Vec<BufferId>,
     /// Host staging block for the POTF2 round trip.
     pub host_diag: HostBufferId,
-    /// Main compute stream (SYRK/GEMM/TRSM).
-    pub s_comp: StreamId,
-    /// Transfer stream (diag block round trip).
-    pub s_tran: StreamId,
-    /// Checksum-update stream (Optimization 2, GPU placement).
-    pub s_chk: StreamId,
-    /// Stream for verification-related transfers (CPU placement): kept
-    /// separate from `s_tran` so the small compare traffic never queues
-    /// behind bulky panel mirrors.
-    pub s_verif: StreamId,
-    /// Streams for concurrent checksum recalculation (Optimization 1).
-    pub recalc_streams: Vec<StreamId>,
-    /// Event marking completion of the most recent panel TRSM on the
-    /// compute stream; checksum-update kernels reading factorized tiles
-    /// order themselves behind it.
-    pub panel_ready: Option<EventId>,
+    /// The streams kernels and transfers are issued on. The executor
+    /// points this at the acting shard's set before every node of a
+    /// sharded plan, so the ops below need no sharding awareness.
+    pub streams: StreamSet,
     /// Column whose host mirror (CPU checksum-update placement) is queued
     /// but not yet issued — flushed right *after* the next iteration's
     /// latency-critical diagonal-block transfer so the bulky mirror never
@@ -81,6 +69,57 @@ pub struct CholLayout {
     /// otherwise (in TimingOnly the adaptive threshold falls back to its
     /// magnitude floor).
     pub col_stats: Vec<f64>,
+}
+
+/// The streams one device's share of a factorization is issued on, plus
+/// the panel-complete event recorded on them: one set for a single-device
+/// run, one per logical shard for a sharded one.
+#[derive(Debug, Clone)]
+pub struct StreamSet {
+    /// Main compute stream (SYRK/GEMM/TRSM).
+    pub comp: StreamId,
+    /// Transfer stream (diag block round trip).
+    pub tran: StreamId,
+    /// Checksum-update stream (Optimization 2, GPU placement).
+    pub chk: StreamId,
+    /// Stream for verification-related transfers (CPU placement): kept
+    /// separate from `tran` so the small compare traffic never queues
+    /// behind bulky panel mirrors.
+    pub verif: StreamId,
+    /// Streams for concurrent checksum recalculation (Optimization 1).
+    pub recalc: Vec<StreamId>,
+    /// Event marking completion of the most recent panel TRSM on the
+    /// compute stream; checksum-update kernels reading factorized tiles
+    /// order themselves behind it.
+    pub panel_ready: Option<EventId>,
+}
+
+impl StreamSet {
+    /// Create a set on device `dev`. The compute stream is a fresh one
+    /// (`dedicated_comp`) or the context's default stream, which lives on
+    /// device 0.
+    pub fn create<S: Scalar>(ctx: &mut SimContext<S>, dev: usize, dedicated_comp: bool) -> Self {
+        assert!(
+            dedicated_comp || dev == 0,
+            "the default stream is on device 0"
+        );
+        let comp = if dedicated_comp {
+            ctx.create_stream_on(dev)
+        } else {
+            ctx.default_stream()
+        };
+        // The paper creates N recalculation streams (the hardware's
+        // concurrent-kernel cap) and distributes the kernels evenly.
+        let n_recalc = ctx.profile().gpu.max_concurrent_kernels;
+        StreamSet {
+            comp,
+            tran: ctx.create_stream_on(dev),
+            chk: ctx.create_stream_on(dev),
+            verif: ctx.create_stream_on(dev),
+            recalc: (0..n_recalc).map(|_| ctx.create_stream_on(dev)).collect(),
+            panel_ready: None,
+        }
+    }
 }
 
 impl CholLayout {
@@ -160,34 +199,14 @@ fn setup_impl<S: Scalar>(
     };
     let cks = if with_checksums {
         (0..nt)
-            .map(|_| {
-                if execute {
-                    ctx.dev_mem.alloc_zeros(checksum::CHECKSUM_COUNT, n, b)
-                } else {
-                    ctx.dev_mem.alloc_zeros(0, 0, b)
-                }
-            })
+            .map(|_| alloc_dev(ctx, checksum::CHECKSUM_COUNT, n, b))
             .collect::<Result<Vec<_>, _>>()?
     } else {
         Vec::new()
     };
-    let host_diag = if execute {
-        ctx.host_mem.alloc_zeros(b, b)
-    } else {
-        ctx.host_mem.alloc_zeros(0, 0)
-    };
-    let s_comp = if dedicated_comp {
-        ctx.create_stream()
-    } else {
-        ctx.default_stream()
-    };
-    let s_tran = ctx.create_stream();
-    let s_chk = ctx.create_stream();
-    let s_verif = ctx.create_stream();
-    // The paper creates N streams (the hardware's concurrent-kernel cap)
-    // and distributes recalculation kernels evenly among them.
-    let n_streams = ctx.profile().gpu.max_concurrent_kernels;
-    let recalc_streams = (0..n_streams).map(|_| ctx.create_stream()).collect();
+    let host_b = if execute { b } else { 0 };
+    let host_diag = ctx.host_mem.alloc_zeros(host_b, host_b);
+    let streams = StreamSet::create(ctx, 0, dedicated_comp);
     Ok(CholLayout {
         n,
         b,
@@ -197,12 +216,7 @@ fn setup_impl<S: Scalar>(
         scratch: Vec::new(),
         dpt: Vec::new(),
         host_diag,
-        s_comp,
-        s_tran,
-        s_chk,
-        s_verif,
-        recalc_streams,
-        panel_ready: None,
+        streams,
         pending_mirror: None,
         placement,
         flop_inflation: 1.0,
@@ -210,19 +224,27 @@ fn setup_impl<S: Scalar>(
     })
 }
 
+/// A zeroed `rows × cols` device buffer tiled by `b` — sized to nothing in
+/// TimingOnly, where no kernel body ever runs to touch it.
+pub(crate) fn alloc_dev<S: Scalar>(
+    ctx: &mut SimContext<S>,
+    rows: usize,
+    cols: usize,
+    b: usize,
+) -> Result<BufferId, MatrixError> {
+    let (rows, cols) = if ctx.mode.executes() {
+        (rows, cols)
+    } else {
+        (0, 0)
+    };
+    ctx.dev_mem.alloc_zeros(rows, cols, b)
+}
+
 /// Grow the scratch pool to at least `count` tiles.
 fn ensure_scratch<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, count: usize) {
-    let execute = ctx.mode.executes();
     while lay.scratch.len() < count {
-        let id = if execute {
-            ctx.dev_mem
-                .alloc_zeros(checksum::CHECKSUM_COUNT, lay.b, lay.b)
-                .expect("nonzero block size")
-        } else {
-            ctx.dev_mem
-                .alloc_zeros(0, 0, lay.b)
-                .expect("nonzero block size")
-        };
+        let id =
+            alloc_dev(ctx, checksum::CHECKSUM_COUNT, lay.b, lay.b).expect("nonzero block size");
         lay.scratch.push(id);
     }
 }
@@ -233,16 +255,8 @@ fn ensure_dpt<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout) {
     if !lay.dpt.is_empty() {
         return;
     }
-    let execute = ctx.mode.executes();
     lay.dpt = (0..lay.nt)
-        .map(|_| {
-            if execute {
-                ctx.dev_mem
-                    .alloc_zeros(checksum::CHECKSUM_COUNT, lay.n, lay.b)
-            } else {
-                ctx.dev_mem.alloc_zeros(0, 0, lay.b)
-            }
-        })
+        .map(|_| alloc_dev(ctx, checksum::CHECKSUM_COUNT, lay.n, lay.b))
         .collect::<Result<Vec<_>, _>>()
         .expect("nonzero block size");
 }
@@ -373,7 +387,7 @@ pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: us
     };
     let (mat, deposit) = (lay.mat, fused.then(|| lay.dpt[j]));
     ctx.launch(
-        lay.s_comp,
+        lay.streams.comp,
         KernelDesc::new(
             panel_label("SYRK", fused, j, None),
             KernelClass::Syrk,
@@ -421,7 +435,7 @@ pub fn gemm_panel_access(nt: usize, j: usize, rows: &[usize], fused: bool) -> Ac
 /// as MAGMA issues it) or the rows homed on device `dev` of a sharded
 /// plan. Per-tile numerics do not depend on the row set, so the union of
 /// every device's slice reproduces the single-device panel bit-for-bit.
-/// For a slice the caller (the plan executor) steers `lay.s_comp` to the
+/// For a slice the caller (the plan executor) steers `lay.streams.comp` to the
 /// executing device's compute stream and orders the launch behind the
 /// row-panel broadcast receive when the device is not the panel owner.
 ///
@@ -455,7 +469,7 @@ pub fn gemm_panel<S: Scalar>(
         .map(|&i| (i, fused.then(|| lay.dpt[i])))
         .collect();
     ctx.launch(
-        lay.s_comp,
+        lay.streams.comp,
         KernelDesc::new(
             panel_label("GEMM", fused, j, dev),
             KernelClass::Blas3,
@@ -483,7 +497,7 @@ pub fn diag_to_host<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j:
     let (mat, host_diag) = (lay.mat, lay.host_diag);
     ctx.bulk_transfer_with_access(
         bytes,
-        lay.s_tran,
+        lay.streams.tran,
         false,
         AccessSet::new(vec![TileRef::new(mat, j, j)], vec![]),
         move |dev, host| {
@@ -535,7 +549,7 @@ pub fn diag_to_device<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: u
     let (mat, host_diag) = (lay.mat, lay.host_diag);
     ctx.bulk_transfer_with_access(
         bytes,
-        lay.s_tran,
+        lay.streams.tran,
         true,
         AccessSet::new(vec![], vec![TileRef::new(mat, j, j)]),
         move |dev, host| {
@@ -576,7 +590,7 @@ pub fn trsm_panel<S: Scalar>(
     let mat = lay.mat;
     let rows_owned = rows.to_vec();
     ctx.launch(
-        lay.s_comp,
+        lay.streams.comp,
         KernelDesc::new(
             panel_label("TRSM", false, j, dev),
             KernelClass::Trsm,
@@ -770,9 +784,9 @@ pub fn shard_reconstruct<S: Scalar>(
 
 fn recalc_stream(lay: &CholLayout, opts: &AbftOptions, idx: usize) -> StreamId {
     if opts.concurrent_recalc {
-        lay.recalc_streams[idx % lay.recalc_streams.len()]
+        lay.streams.recalc[idx % lay.streams.recalc.len()]
     } else {
-        lay.s_comp
+        lay.streams.comp
     }
 }
 
@@ -871,12 +885,12 @@ pub fn encode_all<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, opts
         let reads = lower_chk_tiles(lay);
         ctx.bulk_transfer_with_access(
             bytes,
-            lay.s_tran,
+            lay.streams.tran,
             false,
             AccessSet::new(reads, vec![]),
             |_, _| {},
         );
-        ctx.sync_stream(lay.s_tran);
+        ctx.sync_stream(lay.streams.tran);
     }
 }
 
@@ -884,7 +898,7 @@ pub fn encode_all<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, opts
 /// kernel on the dedicated checksum stream, or a CPU worker-lane task.
 ///
 /// GPU-placed updates read factorized matrix tiles produced on the compute
-/// stream, so the checksum stream first waits on [`CholLayout::panel_ready`]
+/// stream, so the checksum stream first waits on [`StreamSet::panel_ready`]
 /// (the event recorded after the last panel TRSM). CPU-placed updates
 /// conceptually read the host mirrors shipped by [`cpu_mirror_panel`]; they
 /// declare no device accesses.
@@ -901,12 +915,12 @@ fn dispatch_update<S: Scalar, F>(
     let desc = KernelDesc::new(label, KernelClass::Blas2, f, WorkCategory::ChecksumUpdate);
     match lay.placement {
         ChecksumPlacement::Cpu => ctx.cpu_submit(desc, move |dev, _host| body(dev)),
-        ChecksumPlacement::Inline => ctx.launch(lay.s_comp, desc.with_access(access), body),
+        ChecksumPlacement::Inline => ctx.launch(lay.streams.comp, desc.with_access(access), body),
         _ => {
-            if let Some(e) = lay.panel_ready {
-                ctx.stream_wait_event(lay.s_chk, e);
+            if let Some(e) = lay.streams.panel_ready {
+                ctx.stream_wait_event(lay.streams.chk, e);
             }
-            ctx.launch(lay.s_chk, desc.with_access(access), body);
+            ctx.launch(lay.streams.chk, desc.with_access(access), body);
         }
     }
 }
@@ -915,7 +929,7 @@ fn dispatch_update<S: Scalar, F>(
 /// subsequent checksum-update kernels order themselves behind it. Schemes
 /// call this right after enqueuing each panel TRSM.
 pub fn mark_panel_ready<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout) {
-    lay.panel_ready = Some(ctx.record_event(lay.s_comp));
+    lay.streams.panel_ready = Some(ctx.record_event(lay.streams.comp));
 }
 
 /// Tiles the checksum update mirroring `op` at iteration `j` reads and
@@ -973,11 +987,11 @@ pub fn update_chk<S: Scalar>(
     // The factorized block returns on the transfer stream; its update (on
     // the checksum stream) must not start before it lands.
     if op == UpdateOp::Potf2 && !matches!(lay.placement, ChecksumPlacement::Cpu) {
-        let diag_back = ctx.record_event(lay.s_tran);
+        let diag_back = ctx.record_event(lay.streams.tran);
         let target = if lay.placement == ChecksumPlacement::Inline {
-            lay.s_comp
+            lay.streams.comp
         } else {
-            lay.s_chk
+            lay.streams.chk
         };
         ctx.stream_wait_event(target, diag_back);
     }
@@ -1009,7 +1023,7 @@ pub fn cpu_mirror_panel(lay: &mut CholLayout, j: usize) {
 }
 
 /// Issue a queued panel mirror (ordered behind the producing TRSM via
-/// [`CholLayout::panel_ready`]). Called from [`diag_to_host`] — after the
+/// [`StreamSet::panel_ready`]). Called from [`diag_to_host`] — after the
 /// latency-critical diagonal transfer — and at attempt end.
 pub fn flush_mirror<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout) {
     let Some(j) = lay.pending_mirror.take() else {
@@ -1017,15 +1031,15 @@ pub fn flush_mirror<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout) {
     };
     let tiles = (lay.nt - j) as u64;
     let bytes = S::BYTES * tiles * (lay.b * lay.b) as u64;
-    if let Some(e) = lay.panel_ready {
-        ctx.stream_wait_event(lay.s_tran, e);
+    if let Some(e) = lay.streams.panel_ready {
+        ctx.stream_wait_event(lay.streams.tran, e);
     }
     let mat = lay.mat;
     let access = AccessSet::new(
         (j..lay.nt).map(|i| TileRef::new(mat, i, j)).collect(),
         vec![],
     );
-    ctx.bulk_transfer_with_access(bytes, lay.s_tran, false, access, |_, _| {});
+    ctx.bulk_transfer_with_access(bytes, lay.streams.tran, false, access, |_, _| {});
 }
 
 /// Mid-run checksum migration for a placement switch decided by the
@@ -1061,7 +1075,7 @@ pub fn migrate_checksums<S: Scalar>(
             reads.extend((0..done).flat_map(|k| (k..lay.nt).map(move |i| TileRef::new(mat, i, k))));
             ctx.bulk_transfer_with_access(
                 bytes,
-                lay.s_tran,
+                lay.streams.tran,
                 false,
                 AccessSet::new(reads, vec![]),
                 |_, _| {},
@@ -1073,7 +1087,7 @@ pub fn migrate_checksums<S: Scalar>(
             lay.pending_mirror = None;
             ctx.bulk_transfer_with_access(
                 chk_bytes,
-                lay.s_tran,
+                lay.streams.tran,
                 true,
                 AccessSet::new(vec![], chk_tiles),
                 |_, _| {},
@@ -1082,7 +1096,7 @@ pub fn migrate_checksums<S: Scalar>(
         // The balancer never targets Inline/Auto.
         _ => unreachable!("migration targets a concrete CPU/GPU placement"),
     }
-    ctx.sync_stream(lay.s_tran);
+    ctx.sync_stream(lay.streams.tran);
     lay.placement = to;
 }
 
@@ -1107,25 +1121,25 @@ pub fn verify_recalc<S: Scalar>(
     if lay.placement == ChecksumPlacement::Cpu {
         ctx.sync_cpu_workers();
     } else {
-        ctx.sync_stream(lay.s_chk);
+        ctx.sync_stream(lay.streams.chk);
     }
 
     ensure_scratch(ctx, lay, tiles.len());
     // Recalculation reads data produced on the compute stream (and, for the
     // diagonal block, returned on the transfer stream): order after both.
-    let data_ready_comp = ctx.record_event(lay.s_comp);
-    let data_ready_tran = ctx.record_event(lay.s_tran);
+    let data_ready_comp = ctx.record_event(lay.streams.comp);
+    let data_ready_tran = ctx.record_event(lay.streams.tran);
     if opts.concurrent_recalc {
         // The launch loop below round-robins kernels as `idx % streams`, so
         // exactly the first `min(tiles, streams)` streams are used; iterate
         // that used prefix explicitly so the wait set can never diverge
         // from the launch set.
-        for &st in lay.recalc_streams.iter().take(tiles.len()) {
+        for &st in lay.streams.recalc.iter().take(tiles.len()) {
             ctx.stream_wait_event(st, data_ready_comp);
             ctx.stream_wait_event(st, data_ready_tran);
         }
     } else {
-        ctx.stream_wait_event(lay.s_comp, data_ready_tran);
+        ctx.stream_wait_event(lay.streams.comp, data_ready_tran);
     }
     for (idx, &(bi, bj)) in tiles.iter().enumerate() {
         let f = lay.charge(flops::recalc_block(lay.b, lay.b));
@@ -1150,11 +1164,11 @@ pub fn verify_recalc<S: Scalar>(
     }
     if opts.concurrent_recalc {
         // Same used-streams prefix as the wait loop above.
-        for &s in lay.recalc_streams.iter().take(tiles.len()) {
+        for &s in lay.streams.recalc.iter().take(tiles.len()) {
             ctx.sync_stream(s);
         }
     } else {
-        ctx.sync_stream(lay.s_comp);
+        ctx.sync_stream(lay.streams.comp);
     }
 }
 
@@ -1189,7 +1203,7 @@ pub fn verify_compare<S: Scalar>(
         if lay.placement == ChecksumPlacement::Cpu {
             ctx.sync_cpu_workers();
         } else {
-            ctx.sync_stream(lay.s_chk);
+            ctx.sync_stream(lay.streams.chk);
         }
     }
     // With CPU-resident checksums, comparing means moving checksums across
@@ -1199,8 +1213,8 @@ pub fn verify_compare<S: Scalar>(
     // behind a bulky mirror on the d2h engine.
     if lay.placement == ChecksumPlacement::Cpu {
         let bytes = S::BYTES * 2 * (lay.b as u64) * tiles.len() as u64;
-        ctx.bulk_transfer(bytes, lay.s_verif, true, |_, _| {});
-        ctx.sync_stream(lay.s_verif);
+        ctx.bulk_transfer_with_access(bytes, lay.streams.verif, true, AccessSet::none(), |_, _| {});
+        ctx.sync_stream(lay.streams.verif);
     }
 
     // Comparison itself (a handful of flops per column — the overhead the
@@ -1224,7 +1238,7 @@ pub fn verify_compare<S: Scalar>(
     }
     let name = if fused { "CMP-F" } else { "CMP" };
     ctx.launch(
-        lay.s_comp,
+        lay.streams.comp,
         KernelDesc::new(
             format!("{name} x{}", tiles.len()),
             KernelClass::Light,
@@ -1234,7 +1248,7 @@ pub fn verify_compare<S: Scalar>(
         .with_access(AccessSet::new(cmp_reads, vec![])),
         |_| {},
     );
-    ctx.sync_stream(lay.s_comp);
+    ctx.sync_stream(lay.streams.comp);
 }
 
 /// Resolve the run's tolerance model into per-tile thresholds for grid
@@ -1495,7 +1509,7 @@ pub fn reload<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, input: Optio
         .collect();
     ctx.bulk_transfer_with_access(
         bytes,
-        lay.s_tran,
+        lay.streams.tran,
         true,
         AccessSet::new(vec![], writes),
         |dev, _| {
@@ -1503,7 +1517,7 @@ pub fn reload<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, input: Optio
             *dev.buf_mut(mat) = TileMatrix::from_dense(dense, b).expect("setup checked b > 0");
         },
     );
-    ctx.sync_stream(lay.s_tran);
+    ctx.sync_stream(lay.streams.tran);
 }
 
 #[cfg(test)]
@@ -1684,10 +1698,10 @@ mod tests {
                 for (rows, dev) in slices(lay.nt, j) {
                     gemm_panel(&mut ctx, &mut lay, j, &rows, dev, fused);
                 }
-                ctx.sync_stream(lay.s_tran);
+                ctx.sync_stream(lay.streams.tran);
                 host_potf2(&mut ctx, &lay, j).unwrap();
                 diag_to_device(&mut ctx, &lay, j);
-                ctx.sync_stream(lay.s_tran);
+                ctx.sync_stream(lay.streams.tran);
                 for (rows, dev) in slices(lay.nt, j) {
                     trsm_panel(&mut ctx, &lay, j, &rows, dev);
                 }
@@ -1758,10 +1772,10 @@ mod tests {
             syrk_diag(&mut ctx, &mut lay, j, false);
             diag_to_host(&mut ctx, &mut lay, j);
             gemm_panel(&mut ctx, &mut lay, j, &rows, None, false);
-            ctx.sync_stream(lay.s_tran);
+            ctx.sync_stream(lay.streams.tran);
             host_potf2(&mut ctx, &lay, j).unwrap();
             diag_to_device(&mut ctx, &lay, j);
-            ctx.sync_stream(lay.s_tran);
+            ctx.sync_stream(lay.streams.tran);
             trsm_panel(&mut ctx, &lay, j, &rows, None);
         }
         ctx.sync_all();

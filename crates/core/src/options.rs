@@ -282,6 +282,28 @@ impl AbftOptions {
         self.shard.as_ref().map_or(1, |s| s.devices)
     }
 
+    /// These options with the placement resolved for a run of size `n`,
+    /// block `b` on `profile` — what plans and [`crate::ops::setup`] take:
+    /// a sharded run keeps checksum updating on the owning GPUs, otherwise
+    /// `Auto` becomes the analytic model's choice
+    /// ([`crate::decision::choose`]) and an explicit placement stays.
+    pub fn resolved_for(
+        &self,
+        profile: &hchol_gpusim::profile::SystemProfile,
+        n: usize,
+        b: usize,
+    ) -> AbftOptions {
+        let placement = if self.shard_devices() > 1 {
+            ChecksumPlacement::Gpu
+        } else {
+            crate::decision::choose(self.placement, profile, n, b, self.verify_interval)
+        };
+        AbftOptions {
+            placement,
+            ..self.clone()
+        }
+    }
+
     /// Builder: set the verification interval `K`.
     pub fn with_interval(mut self, k: usize) -> Self {
         self.verify_interval = k.max(1);

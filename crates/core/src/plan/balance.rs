@@ -11,9 +11,9 @@
 //! window's per-engine busy time from the simulator
 //! ([`hchol_gpusim::SimContext::engine_utilization`]), decides whether the
 //! current split is still right, and — because every scheme executes a
-//! [`FactorPlan`] — applies its decision as a *rewrite of the remaining
-//! plan*: panel-mirror nodes appear or disappear, and the K-gated
-//! GEMM/TRSM input checks of future iterations are re-gated.
+//! [`FactorPlan`] — applies its decision by *re-planning the remaining
+//! iterations*: the planner's own passes build the plan of the new
+//! (placement, K) and its tail replaces the not-yet-executed one.
 //!
 //! Alongside placement, the controller adapts the paper's Optimization-3
 //! verify interval `K` to the observed fault rate (the V-ABFT idea): a
@@ -26,8 +26,7 @@
 //! rewritten plans (see [`BalanceOptions::record_plans`]) to
 //! `hchol-analyze`'s static contract checker.
 
-use super::policy::{self, gemm_input_tiles, trsm_input_tiles};
-use super::{FactorPlan, NodeId, SweepKind, TaskKind};
+use super::{FactorPlan, TaskKind};
 use crate::options::{AbftOptions, BalanceOptions, ChecksumPlacement};
 use crate::schemes::SchemeKind;
 use hchol_gpusim::{EngineUtilization, EngineWindow};
@@ -91,8 +90,10 @@ impl BalanceLog {
     }
 }
 
-/// The feedback controller: owns the current (placement, K) state, the
-/// hysteresis/cooldown stability guard, and the plan-rewrite machinery.
+/// The feedback controller: owns the current (placement, K) state and the
+/// hysteresis/cooldown stability guard, and asks the planner for the plan
+/// of that state — whole ([`Self::plan`]) or as a new tail of a running
+/// one ([`Self::rewrite`]).
 ///
 /// The decision core ([`Self::step_window`]) is a pure state machine over
 /// normalized window signals, so its law — including the oscillation
@@ -128,8 +129,10 @@ impl BalanceLog {
 pub struct BalanceController {
     cfg: BalanceOptions,
     scheme: SchemeKind,
-    placement: ChecksumPlacement,
-    k: usize,
+    /// The run's resolved options. `placement` and `verify_interval` are
+    /// the controller's current state, so these are always the options of
+    /// the plan that should be running.
+    opts: AbftOptions,
     last_util: Option<EngineUtilization>,
     last_faults: usize,
     cooldown: usize,
@@ -144,10 +147,13 @@ impl BalanceController {
     /// compose with `chk_fused` — both are asserted here because a
     /// violation is a driver bug, not a recoverable condition.
     pub fn new(scheme: SchemeKind, opts: &AbftOptions) -> Self {
-        let cfg = opts
+        let mut cfg = opts
             .balance
             .clone()
             .expect("BalanceController requires opts.balance");
+        // The fields are public: a literal can skip `with_k_bounds`.
+        cfg.k_min = cfg.k_min.max(1);
+        cfg.k_max = cfg.k_max.max(cfg.k_min);
         assert_ne!(
             opts.placement,
             ChecksumPlacement::Auto,
@@ -158,12 +164,12 @@ impl BalanceController {
             !opts.chk_fused,
             "balance does not compose with chk_fused (both rewrite the verify batches)"
         );
-        let k = opts.verify_interval.clamp(cfg.k_min.max(1), cfg.k_max);
+        let mut opts = opts.clone();
+        opts.verify_interval = opts.verify_interval.clamp(cfg.k_min, cfg.k_max);
         BalanceController {
             cfg,
             scheme,
-            placement: opts.placement,
-            k,
+            opts,
             last_util: None,
             last_faults: 0,
             cooldown: 0,
@@ -173,22 +179,12 @@ impl BalanceController {
 
     /// Placement currently in force.
     pub fn placement(&self) -> ChecksumPlacement {
-        self.placement
+        self.opts.placement
     }
 
     /// Verify interval currently in force.
     pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The configuration the controller runs under.
-    pub fn config(&self) -> &BalanceOptions {
-        &self.cfg
-    }
-
-    /// The decision/rewrite log so far.
-    pub fn log(&self) -> &BalanceLog {
-        &self.log
+        self.opts.verify_interval
     }
 
     /// Consume the controller, keeping its log.
@@ -254,10 +250,10 @@ impl BalanceController {
         window_faults: usize,
     ) -> BalanceDecision {
         // K-adaptation state machine.
-        self.k = if window_faults > 0 {
-            self.cfg.k_min.max(1)
+        self.opts.verify_interval = if window_faults > 0 {
+            self.cfg.k_min
         } else {
-            (self.k + 1).min(self.cfg.k_max)
+            (self.k() + 1).min(self.cfg.k_max)
         };
 
         // Placement feedback with the stability guard.
@@ -269,7 +265,7 @@ impl BalanceController {
             self.cooldown -= 1;
         } else if let Some(w) = window {
             let band = self.cfg.hysteresis;
-            let target = match self.placement {
+            let target = match self.placement() {
                 ChecksumPlacement::Gpu
                     if w.queue_frac > band
                         && w.gpu_util - w.cpu_util > band
@@ -285,7 +281,7 @@ impl BalanceController {
                 _ => None,
             };
             if let Some(p) = target {
-                self.placement = p;
+                self.opts.placement = p;
                 self.cooldown = self.cfg.cooldown_windows;
                 switched = true;
             }
@@ -298,36 +294,36 @@ impl BalanceController {
             dma_util,
             queue_frac,
             window_faults,
-            placement: self.placement,
-            k: self.k,
+            placement: self.placement(),
+            k: self.k(),
             switched,
         };
         self.log.decisions.push(d.clone());
         d
     }
 
-    /// Rewrite the not-yet-executed tail of `plan` (iterations
-    /// `>= from_iter`) to the controller's current placement and `K`, then
-    /// re-derive the dependency edges. Nodes of iterations `< from_iter`
-    /// are never touched, so the executor's cursor stays valid.
+    /// The plan of the controller's current (placement, K): what a run
+    /// starts on, and what a restarted attempt is rebuilt as.
+    pub fn plan(&self, nt: usize, faulty: bool) -> FactorPlan {
+        super::for_scheme(self.scheme, nt, &self.opts, faulty)
+    }
+
+    /// Re-plan the not-yet-executed tail of `plan` (iterations
+    /// `>= from_iter`) for the controller's current placement and `K`: the
+    /// rewritten plan is the old one up to the first node of iteration
+    /// `from_iter`, then what the planner's passes build for the current
+    /// state from that iteration on (`FactorPlan::replace_tail`), with
+    /// the edges derived once over the splice. Positions before the cut
+    /// keep their nodes, so the executor's cursor stays valid.
     ///
-    /// Placement: [`TaskKind::MirrorPanel`] nodes for the remaining
-    /// iterations are inserted (CPU) or removed (GPU), mirroring
-    /// [`policy::apply_placement`]. `K`: the K-gated GEMM/TRSM input
-    /// checks of remaining iterations are inserted or removed to match
-    /// `j % K == 0` (Enhanced scheme only — the other schemes have no
-    /// gated checks). The every-iteration SYRK/POTF2 checks are never
-    /// touched, so the plancheck K-relaxation contract (DESIGN.md §9.4)
-    /// keeps holding; with `record_plans` on, a snapshot of the rewritten
-    /// plan is kept so tests re-prove it.
+    /// The every-iteration SYRK/POTF2 checks are in every state's plan, so
+    /// the plancheck K-relaxation contract (DESIGN.md §9.4) keeps holding;
+    /// with `record_plans` on, a snapshot of the rewritten plan is kept so
+    /// tests re-prove it.
     pub fn rewrite(&mut self, plan: &mut FactorPlan, from_iter: usize) {
-        let nt = plan.nt;
-        for j in from_iter..nt {
-            self.rewrite_mirror(plan, j);
-            if self.scheme == SchemeKind::Enhanced {
-                self.rewrite_gated_checks(plan, j);
-            }
-        }
+        let fresh = super::passes(self.scheme, plan.nt, &self.opts, plan.faulty);
+        plan.replace_tail(from_iter, &fresh);
+        // Mirrors queued by an executed CPU-placement prefix still flush.
         plan.cpu_mirrors = plan
             .find(|n| matches!(n.kind, TaskKind::MirrorPanel { .. }))
             .is_some();
@@ -335,84 +331,12 @@ impl BalanceController {
         if self.cfg.record_plans {
             self.log.rewrites.push(RewriteRecord {
                 at_iter: from_iter,
-                k: self.k,
-                placement: self.placement,
+                k: self.k(),
+                placement: self.placement(),
                 plan: plan.clone(),
             });
         }
     }
-
-    fn rewrite_mirror(&self, plan: &mut FactorPlan, j: usize) {
-        let existing = plan.find(|n| matches!(n.kind, TaskKind::MirrorPanel { j: jj } if jj == j));
-        let want = self.placement == ChecksumPlacement::Cpu;
-        match (want, existing) {
-            (true, None) => {
-                let last = plan
-                    .rfind(|n| n.iter == Some(j))
-                    .expect("iteration has nodes");
-                plan.insert_after(last, TaskKind::MirrorPanel { j }, None, Some(j));
-            }
-            (false, Some(id)) => plan.remove(id),
-            _ => {}
-        }
-    }
-
-    fn rewrite_gated_checks(&self, plan: &mut FactorPlan, j: usize) {
-        let nt = plan.nt;
-        let has_panel = j + 1 < nt;
-        let verifies = j.is_multiple_of(self.k.max(1));
-        let gemm = (
-            has_panel && j > 0,
-            gemm_input_tiles(nt, j),
-            plan.find(|n| matches!(n.kind, TaskKind::GemmPanel { j: jj, .. } if jj == j)),
-        );
-        let trsm = (
-            has_panel,
-            trsm_input_tiles(nt, j),
-            plan.find(|n| matches!(n.kind, TaskKind::TrsmPanel { j: jj, .. } if jj == j)),
-        );
-        for (applies, tiles, anchor) in [gemm, trsm] {
-            if !applies {
-                continue;
-            }
-            let anchor = anchor.expect("factorization node present when its check applies");
-            let existing = find_check_pair(plan, j, &tiles);
-            match (verifies, existing) {
-                (true, None) => policy::insert_check_before(plan, anchor, tiles, j),
-                (false, Some((vb, cor))) => {
-                    plan.remove(vb);
-                    plan.remove(cor);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Locate the inline verify/correct pair of iteration `j` covering exactly
-/// `tiles` (the pair [`policy::insert_check_before`] creates — the
-/// `Correct` is adjacent to its `VerifyBatch` in the order).
-fn find_check_pair(
-    plan: &FactorPlan,
-    j: usize,
-    tiles: &[(usize, usize)],
-) -> Option<(NodeId, NodeId)> {
-    let order = plan.order();
-    let pos = order.iter().position(|&id| {
-        let n = plan.node(id);
-        n.iter == Some(j)
-            && matches!(
-                &n.kind,
-                TaskKind::VerifyBatch { tiles: t, sweep: SweepKind::Inline, fused: false, .. }
-                    if t == tiles
-            )
-    })?;
-    let cor = order[pos + 1];
-    debug_assert!(
-        matches!(&plan.node(cor).kind, TaskKind::Correct { tiles: t, .. } if t == tiles),
-        "verify/correct pairs are adjacent"
-    );
-    Some((order[pos], cor))
 }
 
 #[cfg(test)]
@@ -525,64 +449,54 @@ mod tests {
         }
     }
 
-    /// The placement rewrite adds/removes exactly the remaining
-    /// iterations' mirror nodes and leaves executed iterations alone.
+    /// A rewrite changes future iterations only: panel mirrors and K-gated
+    /// GEMM checks follow the state in force from each rewrite's iteration
+    /// on, and every position before the cut keeps its node — what the
+    /// executor's cursor relies on.
     #[test]
-    fn rewrite_moves_only_future_mirrors() {
-        let opts = opts_with(BalanceOptions::default());
-        let mut plan = for_scheme(SchemeKind::Enhanced, 8, &opts, false);
-        let mut ctrl = BalanceController::new(SchemeKind::Enhanced, &opts);
-        // Force a switch to CPU, then rewrite from iteration 4.
-        ctrl.step_window(4, quiet(0.9, 0.1, 0.6), 0);
-        assert_eq!(ctrl.placement(), ChecksumPlacement::Cpu);
-        ctrl.rewrite(&mut plan, 4);
-        for j in 0..8 {
-            let has = plan
-                .find(|n| matches!(n.kind, TaskKind::MirrorPanel { j: jj } if jj == j))
-                .is_some();
-            assert_eq!(has, j >= 4, "iteration {j}");
-        }
-        assert!(plan.cpu_mirrors);
-        // Switching back strips them again.
-        ctrl.step_window(8, quiet(0.1, 0.9, 0.0), 0);
-        ctrl.step_window(12, quiet(0.1, 0.9, 0.0), 0);
-        assert_eq!(ctrl.placement(), ChecksumPlacement::Gpu);
-        ctrl.rewrite(&mut plan, 6);
-        for j in 0..8 {
-            let has = plan
-                .find(|n| matches!(n.kind, TaskKind::MirrorPanel { j: jj } if jj == j))
-                .is_some();
-            assert_eq!(has, (4..6).contains(&j), "iteration {j}");
-        }
-    }
-
-    /// Raising K removes the gated checks of future non-multiple
-    /// iterations; lowering it back restores them.
-    #[test]
-    fn rewrite_regates_future_checks() {
+    fn rewrite_changes_only_future_iterations() {
         let nt = 9;
         let opts = opts_with(BalanceOptions::default().with_k_bounds(1, 3));
         let mut plan = for_scheme(SchemeKind::Enhanced, nt, &opts, false);
         let mut ctrl = BalanceController::new(SchemeKind::Enhanced, &opts);
-        let gemm_check = |plan: &FactorPlan, j: usize| {
-            find_check_pair(plan, j, &gemm_input_tiles(nt, j)).is_some()
+        let mirror = |plan: &FactorPlan, j| {
+            plan.find(|n| n.kind == TaskKind::MirrorPanel { j })
+                .is_some()
         };
-        // Two quiet windows: K = 3. Rewrite from iteration 4.
-        ctrl.step_window(2, quiet(0.5, 0.5, 0.0), 0);
+        let gemm_check = |plan: &FactorPlan, j| {
+            let want = crate::plan::policy::gemm_input_tiles(nt, j);
+            plan.find(|n| matches!(&n.kind, TaskKind::VerifyBatch { tiles, .. } if *tiles == want))
+                .is_some()
+        };
+        // Device pressure then a quiet window: CPU placement, K = 3.
+        ctrl.step_window(2, quiet(0.9, 0.1, 0.6), 0);
         ctrl.step_window(4, quiet(0.5, 0.5, 0.0), 0);
-        assert_eq!(ctrl.k(), 3);
+        assert_eq!((ctrl.placement(), ctrl.k()), (ChecksumPlacement::Cpu, 3));
+        let cut = plan.position(plan.iter_first(4));
+        let kept = plan.order()[..cut].to_vec();
         ctrl.rewrite(&mut plan, 4);
+        assert_eq!(plan.order()[..cut], kept);
+        assert!(plan.cpu_mirrors);
         for j in 1..(nt - 1) {
-            let expect = j < 4 || j.is_multiple_of(3);
-            assert_eq!(gemm_check(&plan, j), expect, "K=3, iteration {j}");
+            assert_eq!(mirror(&plan, j), j >= 4, "CPU from 4, iteration {j}");
+            let gated = j < 4 || j.is_multiple_of(3);
+            assert_eq!(gemm_check(&plan, j), gated, "K=3 from 4, iteration {j}");
         }
-        // A fault snaps K to 1; the next rewrite restores the tail checks.
-        ctrl.step_window(6, quiet(0.5, 0.5, 0.0), 1);
-        assert_eq!(ctrl.k(), 1);
+        // Host pressure and a fault: back to the GPU, K snaps to 1.
+        ctrl.step_window(6, quiet(0.1, 0.9, 0.0), 1);
+        assert_eq!((ctrl.placement(), ctrl.k()), (ChecksumPlacement::Gpu, 1));
         ctrl.rewrite(&mut plan, 6);
         for j in 1..(nt - 1) {
-            let expect = j < 4 || (4..6).contains(&j) && j.is_multiple_of(3) || j >= 6;
-            assert_eq!(gemm_check(&plan, j), expect, "K back to 1, iteration {j}");
+            assert_eq!(
+                mirror(&plan, j),
+                (4..6).contains(&j),
+                "GPU from 6, iteration {j}"
+            );
+            assert_eq!(
+                gemm_check(&plan, j),
+                !(4..6).contains(&j),
+                "K=1 from 6, iteration {j}"
+            );
         }
     }
 

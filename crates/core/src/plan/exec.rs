@@ -30,7 +30,6 @@
 use super::balance::BalanceController;
 use super::shard_rt::ShardRuntime;
 use super::{DriveStyle, FactorPlan, NodeId, ScopeId, SweepKind, TaskKind};
-use crate::decision;
 use crate::ops::{self, CholLayout};
 use crate::options::AbftOptions;
 use crate::schemes::{validate_options, AttemptEnd, SchemeKind};
@@ -177,8 +176,8 @@ fn step<S: Scalar>(
     let scopes = solo && order.is_none();
     transition(ctx, plan, scopes, st, id)?;
     let sync_style = plan.style == DriveStyle::Synchronous;
-    // Sharded plans: point the layout's stream fields at the acting
-    // shard's stream set before the node runs.
+    // Sharded plans: point the layout at the acting shard's stream set
+    // before the node runs.
     if let Some(r) = rt.as_mut() {
         let tgt = r.target_shard(plan, id);
         r.steer(lay, tgt);
@@ -214,10 +213,10 @@ fn step<S: Scalar>(
         TaskKind::DiagToHost { j } => {
             if sync_style {
                 ops::diag_to_host(ctx, lay, *j);
-                ctx.sync_stream(lay.s_tran);
+                ctx.sync_stream(lay.streams.tran);
             } else {
-                let syrk_done = ctx.record_event(lay.s_comp);
-                ctx.stream_wait_event(lay.s_tran, syrk_done);
+                let syrk_done = ctx.record_event(lay.streams.comp);
+                ctx.stream_wait_event(lay.streams.tran, syrk_done);
                 ops::diag_to_host(ctx, lay, *j);
             }
         }
@@ -237,7 +236,7 @@ fn step<S: Scalar>(
         }
         TaskKind::Potf2 { j, propagate } => {
             if !sync_style {
-                ctx.sync_stream(lay.s_tran);
+                ctx.sync_stream(lay.streams.tran);
             }
             match ops::host_potf2(ctx, lay, *j) {
                 Ok(()) => {
@@ -252,7 +251,7 @@ fn step<S: Scalar>(
         TaskKind::DiagToDevice { j } => {
             ops::diag_to_device(ctx, lay, *j);
             if sync_style {
-                ctx.sync_stream(lay.s_tran);
+                ctx.sync_stream(lay.streams.tran);
             }
         }
         TaskKind::TrsmPanel { j, dev, propagate } => {
@@ -261,8 +260,8 @@ fn step<S: Scalar>(
             // panel was already ordered by its DeviceRecv.
             let local = plan.shard.zip(*dev).is_none_or(|(s, d)| d == s.owner(*j));
             if !sync_style && local {
-                let diag_back = ctx.record_event(lay.s_tran);
-                ctx.stream_wait_event(lay.s_comp, diag_back);
+                let diag_back = ctx.record_event(lay.streams.tran);
+                ctx.stream_wait_event(lay.streams.comp, diag_back);
             }
             ops::trsm_panel(ctx, lay, *j, &plan.panel_rows(*j, *dev), *dev);
             if sync_style {
@@ -390,9 +389,10 @@ fn rebalance<S: Scalar>(
 /// With a feedback controller (`balance`; a lone in-order, unsharded lane
 /// only — `validate_options` and [`run_batch`] refuse the rest) the loop
 /// wakes it once per `update_interval`-th iteration boundary, and it may
-/// rewrite the not-yet-executed tail of the plan in place. The cursor walks
-/// the issue order by position; rewrites only touch nodes of the current
-/// and later iterations, so executed positions never shift.
+/// re-plan the not-yet-executed tail. The cursor walks the issue order by
+/// position and stands on the first node of the boundary's iteration; a
+/// rewrite replaces the order from exactly there on, so executed positions
+/// never shift.
 fn drive<S: Scalar>(
     ctx: &mut SimContext<S>,
     lanes: &mut [Lane<'_>],
@@ -416,9 +416,8 @@ fn drive<S: Scalar>(
                     }
                 }
             }
-            // Read the position after the hook: a rewrite may have inserted
-            // a check right here (in front of the old node), and that check
-            // runs first.
+            // Read the position after the hook: a rewrite put the new
+            // tail's first node here.
             let id = lane.plan.order()[pos];
             step(ctx, lane, solo, id)?;
             lane.cursor += 1;
@@ -539,11 +538,8 @@ pub fn run_batch(
 
     let mut members = Vec::with_capacity(reqs.len());
     for r in reqs {
-        let placement =
-            decision::choose(r.opts.placement, profile, r.n, r.b, r.opts.verify_interval);
-        let mut resolved = r.opts.clone();
-        resolved.placement = placement;
-        let lay = ops::setup_batch(&mut ctx, r.n, r.b, true, placement, None)?;
+        let resolved = r.opts.resolved_for(profile, r.n, r.b);
+        let lay = ops::setup_batch(&mut ctx, r.n, r.b, true, resolved.placement, None)?;
         let plan = super::for_scheme(r.kind, lay.nt, &resolved, false);
         ctx.obs.metrics.add_count("plan.nodes", plan.len() as u64);
         ctx.obs

@@ -31,6 +31,8 @@ mod shard_rt;
 pub mod skeleton;
 
 use crate::ops;
+use crate::options::AbftOptions;
+use crate::schemes::SchemeKind;
 use hchol_faults::InjectionPoint;
 use hchol_gpusim::{AccessSet, BufferId, DagSchedule, NodeMeta, TileRef};
 use hchol_obs::Phase;
@@ -489,6 +491,73 @@ impl FactorPlan {
             .find(|&id| pred(&self.nodes[id.0]))
     }
 
+    /// First node of iteration `j` in issue order.
+    pub(crate) fn iter_first(&self, j: usize) -> NodeId {
+        self.find(|n| n.iter == Some(j))
+            .expect("iteration has nodes")
+    }
+
+    /// Last node of iteration `j` in issue order — the anchor of the
+    /// passes that append one node per iteration.
+    pub(crate) fn iter_last(&self, j: usize) -> NodeId {
+        self.rfind(|n| n.iter == Some(j))
+            .expect("iteration has nodes")
+    }
+
+    /// Set the tiles and fused flag of verify batch `batch` *and* of its
+    /// [`TaskKind::Correct`], which [`TaskKind::check_pair`] always places
+    /// right behind it. Returns the `Correct` — the anchor for pairs a
+    /// rewrite appends behind the one it shrank.
+    pub(crate) fn set_check_pair(
+        &mut self,
+        batch: NodeId,
+        tiles: &[(usize, usize)],
+        fused: bool,
+    ) -> NodeId {
+        let correct = self.order[self.position(batch) + 1];
+        assert!(
+            matches!(
+                (&self.node(batch).kind, &self.node(correct).kind),
+                (TaskKind::VerifyBatch { tiles: v, .. }, TaskKind::Correct { tiles: c, .. }) if v == c
+            ),
+            "pairs are adjacent"
+        );
+        for id in [batch, correct] {
+            if let TaskKind::VerifyBatch {
+                tiles: t, fused: f, ..
+            }
+            | TaskKind::Correct {
+                tiles: t, fused: f, ..
+            } = &mut self.nodes[id.0].kind
+            {
+                *t = tiles.to_vec();
+                *f = fused;
+            }
+        }
+        correct
+    }
+
+    /// Replace everything from the first node of iteration `from_iter` on
+    /// by `fresh`'s nodes from *its* first node of that iteration on
+    /// (scopes re-registered here). Positions before the cut keep their
+    /// nodes, so a cursor standing on the cut stays valid; edges are stale
+    /// until the next [`Self::derive_deps`].
+    pub(crate) fn replace_tail(&mut self, from_iter: usize, fresh: &FactorPlan) {
+        let cut = self.position(self.iter_first(from_iter));
+        self.order.truncate(cut);
+        let mut scopes: HashMap<ScopeId, ScopeId> = HashMap::new();
+        for &id in &fresh.order[fresh.position(fresh.iter_first(from_iter))..] {
+            let n = fresh.node(id);
+            let scope = n.scope.map(|s| {
+                *scopes.entry(s).or_insert_with(|| {
+                    let spec = &fresh.scopes[s.0];
+                    self.scope(spec.label.clone(), spec.phase)
+                })
+            });
+            self.push(n.kind.clone(), scope, n.iter);
+        }
+    }
+
     /// The node behind an id.
     pub fn node(&self, id: NodeId) -> &PlanNode {
         &self.nodes[id.0]
@@ -838,29 +907,31 @@ impl FactorPlan {
     }
 }
 
-/// Build the fully policied plan for one ABFT scheme: Algorithm-1 skeleton
-/// → scheme policy pass → placement rewrite → derived edges. `opts` must
-/// carry a *resolved* placement (no `Auto`).
-pub fn for_scheme(
-    kind: crate::schemes::SchemeKind,
-    nt: usize,
-    opts: &crate::options::AbftOptions,
-    faulty: bool,
-) -> FactorPlan {
+/// The passes that shape a scheme's plan, in order: Algorithm-1 skeleton →
+/// scheme policy → fused epilogues → placement → sharding. No edges — the
+/// balancer splices the result into a live plan and derives them once.
+pub(crate) fn passes(kind: SchemeKind, nt: usize, opts: &AbftOptions, faulty: bool) -> FactorPlan {
     use policy::PolicyPass;
     let mut plan = skeleton::algorithm1(nt, DriveStyle::Overlapped, false, faulty);
     match kind {
-        crate::schemes::SchemeKind::Enhanced => policy::EnhancedPolicy.apply(&mut plan, opts),
-        crate::schemes::SchemeKind::Online => policy::OnlinePolicy.apply(&mut plan, opts),
-        crate::schemes::SchemeKind::Offline => policy::OfflinePolicy.apply(&mut plan, opts),
+        SchemeKind::Enhanced => policy::EnhancedPolicy.apply(&mut plan, opts),
+        SchemeKind::Online => policy::OnlinePolicy.apply(&mut plan, opts),
+        SchemeKind::Offline => policy::OfflinePolicy.apply(&mut plan, opts),
     }
-    if opts.chk_fused && kind == crate::schemes::SchemeKind::Enhanced {
+    if opts.chk_fused && kind == SchemeKind::Enhanced {
         policy::apply_chk_fused(&mut plan);
     }
     policy::apply_placement(&mut plan, opts.placement);
     if opts.shard_devices() > 1 {
         shard::apply_shard(&mut plan, opts.shard_devices());
     }
+    plan
+}
+
+/// Build the fully policied plan for one ABFT scheme: `passes` plus the
+/// derived edges. `opts` must carry a *resolved* placement (no `Auto`).
+pub fn for_scheme(kind: SchemeKind, nt: usize, opts: &AbftOptions, faulty: bool) -> FactorPlan {
+    let mut plan = passes(kind, nt, opts, faulty);
     plan.derive_deps();
     plan
 }

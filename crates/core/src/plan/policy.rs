@@ -112,10 +112,7 @@ fn insert_updates(plan: &mut FactorPlan) {
 /// updates dispatched to non-compute streams order behind it).
 fn insert_marks(plan: &mut FactorPlan) {
     for j in 0..plan.nt {
-        let last = plan
-            .rfind(|n| n.iter == Some(j))
-            .expect("iteration has nodes");
-        plan.insert_after(last, TaskKind::MarkPanelReady, None, Some(j));
+        plan.insert_after(plan.iter_last(j), TaskKind::MarkPanelReady, None, Some(j));
     }
 }
 
@@ -130,8 +127,7 @@ pub fn syrk_input_tiles(j: usize) -> Vec<(usize, usize)> {
 /// The tiles the Enhanced scheme verifies before iteration `j`'s panel
 /// GEMM: the panel being updated (B), the factorized row panel (C), and
 /// the factorized body panel (D). These are the checks Optimization 3
-/// gates on `j % K == 0` — and the ones the runtime balancer inserts or
-/// removes when it moves `K`.
+/// gates on `j % K == 0`.
 pub fn gemm_input_tiles(nt: usize, j: usize) -> Vec<(usize, usize)> {
     let mut tiles: Vec<(usize, usize)> = Vec::new();
     for i in (j + 1)..nt {
@@ -157,7 +153,7 @@ pub fn trsm_input_tiles(nt: usize, j: usize) -> Vec<(usize, usize)> {
 
 /// Insert a verify/correct pair (one fresh `"verify"` scope) immediately
 /// before `anchor`.
-pub(crate) fn insert_check_before(
+fn insert_check_before(
     plan: &mut FactorPlan,
     anchor: NodeId,
     tiles: Vec<(usize, usize)>,
@@ -340,10 +336,12 @@ pub fn apply_placement(plan: &mut FactorPlan, placement: ChecksumPlacement) {
     }
     plan.cpu_mirrors = true;
     for j in 0..plan.nt {
-        let last = plan
-            .rfind(|n| n.iter == Some(j))
-            .expect("iteration has nodes");
-        plan.insert_after(last, TaskKind::MirrorPanel { j }, None, Some(j));
+        plan.insert_after(
+            plan.iter_last(j),
+            TaskKind::MirrorPanel { j },
+            None,
+            Some(j),
+        );
     }
 }
 
@@ -436,40 +434,14 @@ pub fn apply_chk_fused(plan: &mut FactorPlan) {
                 if fused_part.is_empty() {
                     continue;
                 }
-                let pos = plan
-                    .order()
-                    .iter()
-                    .position(|&x| x == id)
-                    .expect("batch is in the order");
-                let correct = plan.order()[pos + 1];
-                debug_assert!(
-                    matches!(&plan.node(correct).kind,
-                        TaskKind::Correct { tiles: ct, .. } if *ct == tiles),
-                    "verify/correct pairs are adjacent"
-                );
                 if plain_part.is_empty() {
                     // Whole batch covered: flip the pair in place.
-                    for nid in [id, correct] {
-                        match &mut plan.node_mut(nid).kind {
-                            TaskKind::VerifyBatch { fused, .. }
-                            | TaskKind::Correct { fused, .. } => *fused = true,
-                            _ => unreachable!("pair nodes are verify/correct"),
-                        }
-                    }
+                    plan.set_check_pair(id, &tiles, true);
                 } else {
                     // Mixed batch: shrink the plain pair to the uncovered
                     // tiles and append a fused pair for the rest.
-                    for nid in [id, correct] {
-                        match &mut plan.node_mut(nid).kind {
-                            TaskKind::VerifyBatch { tiles, .. }
-                            | TaskKind::Correct { tiles, .. } => {
-                                *tiles = plain_part.clone();
-                            }
-                            _ => unreachable!("pair nodes are verify/correct"),
-                        }
-                    }
+                    let mut at = plan.set_check_pair(id, &plain_part, false);
                     let sc = plan.scope("verify", Phase::Verify);
-                    let mut at = correct;
                     for kind in TaskKind::check_pair(fused_part, SweepKind::Inline, true, depth) {
                         at = plan.insert_after(at, kind, Some(sc), iter);
                     }

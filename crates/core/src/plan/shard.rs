@@ -57,9 +57,7 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
         // Row-panel broadcast: right after the iteration's entry fault
         // poll, before anything that reads row j on another device.
         if j > 0 && !remote.is_empty() {
-            let first = plan
-                .find(|n| n.iter == Some(j))
-                .expect("iteration has nodes");
+            let first = plan.iter_first(j);
             insert_broadcast(plan, first, None, ShardXfer::RowPanel, owner, &remote);
         }
 
@@ -92,10 +90,12 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
     // Parity refresh of each finalized column, as the iteration's last
     // node (after the TRSM checksum updates and any post-panel checks).
     for j in 0..nt {
-        let last = plan
-            .rfind(|n| n.iter == Some(j))
-            .expect("iteration has nodes");
-        plan.insert_after(last, TaskKind::ShardParity { j }, None, Some(j));
+        plan.insert_after(
+            plan.iter_last(j),
+            TaskKind::ShardParity { j },
+            None,
+            Some(j),
+        );
     }
 }
 
@@ -173,30 +173,10 @@ fn split_verify_pairs(plan: &mut FactorPlan, spec: ShardSpec) {
         if groups.len() < 2 {
             continue;
         }
-        let pos = plan
-            .order()
-            .iter()
-            .position(|&x| x == id)
-            .expect("batch is in the order");
-        let correct = plan.order()[pos + 1];
-        assert!(
-            matches!(&plan.node(correct).kind,
-                TaskKind::Correct { tiles: ct, .. } if *ct == tiles),
-            "verify/correct pairs are adjacent"
-        );
         let (scope, iter) = (plan.node(id).scope, plan.node(id).iter);
         // First group shrinks the pair in place; the rest append fresh
         // pairs right behind it, under the same scope span.
-        let first = groups[0].1.clone();
-        for nid in [id, correct] {
-            match &mut plan.node_mut(nid).kind {
-                TaskKind::VerifyBatch { tiles, .. } | TaskKind::Correct { tiles, .. } => {
-                    *tiles = first.clone();
-                }
-                _ => unreachable!("pair nodes are verify/correct"),
-            }
-        }
-        let mut anchor = correct;
+        let mut anchor = plan.set_check_pair(id, &groups[0].1, false);
         for (_, g) in groups.into_iter().skip(1) {
             for kind in TaskKind::check_pair(g, sweep, false, depth) {
                 anchor = plan.insert_after(anchor, kind, scope, iter);

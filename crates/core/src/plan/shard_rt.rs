@@ -3,9 +3,9 @@
 //! buffers, and the device-loss recovery pass.
 //!
 //! The plan layer ([`super::shard`]) names *logical* shards; this module
-//! binds each one to a physical simulated device. The executor steers the
-//! shared [`CholLayout`] stream fields to the acting shard's stream set
-//! before every node, so the imperative ops in [`crate::ops`] need no
+//! binds each one to a physical simulated device. The executor points the
+//! shared [`CholLayout`] at the acting shard's [`StreamSet`] before every
+//! node, so the imperative ops in [`crate::ops`] need no
 //! sharding awareness. When a device is lost, recovery reconstructs the
 //! shard from parity, re-binds the logical shard to a surviving physical
 //! device (fresh streams there), and execution continues with the plan
@@ -13,33 +13,12 @@
 //! the fault-free run.
 
 use super::{FactorPlan, NodeId, ShardSpec, ShardXfer, TaskKind, UpdateOp};
-use crate::ops::{self, CholLayout};
+use crate::ops::{self, CholLayout, StreamSet};
 use crate::options::AbftOptions;
 use hchol_faults::{DeviceLoss, Injector};
-use hchol_gpusim::{AccessSet, BufferId, EventId, SimContext, StreamId, TileRef};
+use hchol_gpusim::{AccessSet, BufferId, EventId, SimContext, TileRef};
 use hchol_matrix::Scalar;
 use std::collections::HashMap;
-
-/// One logical shard's stream set (all on the shard's current physical
-/// device), mirroring the [`CholLayout`] stream fields.
-struct ShardStreams {
-    comp: StreamId,
-    tran: StreamId,
-    chk: StreamId,
-    verif: StreamId,
-    recalc: Vec<StreamId>,
-}
-
-fn create_streams_on<S: Scalar>(ctx: &mut SimContext<S>, dev: usize) -> ShardStreams {
-    let n_recalc = ctx.profile().gpu.max_concurrent_kernels;
-    ShardStreams {
-        comp: ctx.create_stream_on(dev),
-        tran: ctx.create_stream_on(dev),
-        chk: ctx.create_stream_on(dev),
-        verif: ctx.create_stream_on(dev),
-        recalc: (0..n_recalc).map(|_| ctx.create_stream_on(dev)).collect(),
-    }
-}
 
 /// Runtime companion of a sharded [`FactorPlan`], owned by one attempt.
 pub(crate) struct ShardRuntime {
@@ -49,8 +28,8 @@ pub(crate) struct ShardRuntime {
     drop_recv_sync: bool,
     /// Logical shard → physical device (identity until a loss remaps).
     phys: Vec<usize>,
-    streams: Vec<ShardStreams>,
-    panel_ready: Vec<Option<EventId>>,
+    /// One stream set per logical shard, on the shard's current device.
+    streams: Vec<StreamSet>,
     /// Arrival event of broadcast `(iter, payload)` at each consumer.
     xfer_events: HashMap<(usize, ShardXfer, usize), EventId>,
     /// Per-column XOR parity of the member *matrix* tiles (tile `(g, 0)`
@@ -80,32 +59,19 @@ impl ShardRuntime {
             ctx.device_count()
         );
         let drop_recv_sync = opts.shard.as_ref().is_some_and(|s| s.drop_recv_sync);
-        let mut streams = vec![ShardStreams {
-            comp: lay.s_comp,
-            tran: lay.s_tran,
-            chk: lay.s_chk,
-            verif: lay.s_verif,
-            recalc: lay.recalc_streams.clone(),
+        // Every shard starts an attempt with no panel event — shard 0 too,
+        // whatever an earlier attempt left in the layout.
+        let mut streams = vec![StreamSet {
+            panel_ready: None,
+            ..lay.streams.clone()
         }];
-        for s in 1..d {
-            streams.push(create_streams_on(ctx, s));
-        }
-        let execute = ctx.mode.executes();
+        streams.extend((1..d).map(|s| StreamSet::create(ctx, s, true)));
         let mut par_mat = Vec::with_capacity(lay.nt);
         let mut par_chk = Vec::with_capacity(lay.nt);
         for c in 0..lay.nt {
             let groups = (lay.nt - c).div_ceil(d - 1);
-            let (pm, pc) = if execute {
-                (
-                    ctx.dev_mem.alloc_zeros(groups * lay.b, lay.b, lay.b),
-                    ctx.dev_mem.alloc_zeros(2, groups * lay.b, lay.b),
-                )
-            } else {
-                (
-                    ctx.dev_mem.alloc_zeros(0, 0, lay.b),
-                    ctx.dev_mem.alloc_zeros(0, 0, lay.b),
-                )
-            };
+            let pm = ops::alloc_dev(ctx, groups * lay.b, lay.b, lay.b);
+            let pc = ops::alloc_dev(ctx, 2, groups * lay.b, lay.b);
             par_mat.push(pm.expect("nonzero block size"));
             par_chk.push(pc.expect("nonzero block size"));
         }
@@ -125,7 +91,6 @@ impl ShardRuntime {
                     }
                 }
             }
-            ctx.charge_device_mem(s, bytes);
             ctx.obs
                 .metrics
                 .set_gauge(&format!("shard.dev.{s}.mem_bytes"), bytes as f64);
@@ -136,7 +101,6 @@ impl ShardRuntime {
             drop_recv_sync,
             phys: (0..d).collect(),
             streams,
-            panel_ready: vec![None; d],
             xfer_events: HashMap::new(),
             par_mat,
             par_chk,
@@ -165,15 +129,9 @@ impl ShardRuntime {
         }
     }
 
-    /// Point the layout's stream fields at shard `s`'s set.
+    /// Point the layout at shard `s`'s stream set.
     pub(crate) fn steer(&mut self, lay: &mut CholLayout, s: usize) {
-        let st = &self.streams[s];
-        lay.s_comp = st.comp;
-        lay.s_tran = st.tran;
-        lay.s_chk = st.chk;
-        lay.s_verif = st.verif;
-        lay.recalc_streams = st.recalc.clone();
-        lay.panel_ready = self.panel_ready[s];
+        lay.streams.clone_from(&self.streams[s]);
         self.cur = s;
     }
 
@@ -185,10 +143,10 @@ impl ShardRuntime {
         ctx: &mut SimContext<S>,
         lay: &mut CholLayout,
     ) {
-        for s in 0..self.spec.devices {
-            self.panel_ready[s] = Some(ctx.record_event(self.streams[s].comp));
+        for set in &mut self.streams {
+            set.panel_ready = Some(ctx.record_event(set.comp));
         }
-        lay.panel_ready = self.panel_ready[self.cur];
+        self.steer(lay, self.cur);
     }
 
     /// [`TaskKind::DeviceSend`]: ship the payload to every consuming
@@ -387,8 +345,7 @@ impl ShardRuntime {
         // stream set there before any reconstruction work is issued.
         let repl = self.phys[(lost + 1) % d];
         self.phys[lost] = repl;
-        self.streams[lost] = create_streams_on(ctx, repl);
-        self.panel_ready[lost] = None;
+        self.streams[lost] = StreamSet::create(ctx, repl, true);
 
         // Reconstruct column by column: parity tile and surviving members
         // ride the links to the replacement device, which XORs the lost

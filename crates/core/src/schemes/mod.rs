@@ -18,7 +18,6 @@
 //! the plan executor until the factorization completes or the restart
 //! budget is spent.
 
-use crate::decision;
 use crate::ops::{self};
 use crate::options::{AbftOptions, ToleranceModel};
 use crate::span_util::scope;
@@ -269,18 +268,12 @@ pub fn run_scheme_typed<S: Scalar>(
         .obs
         .spans
         .open(format!("{} n={n} b={b}", kind.name()), Phase::Run, 0.0);
-    let placement = if devices > 1 {
-        crate::options::ChecksumPlacement::Gpu
-    } else {
-        decision::choose(opts.placement, profile, n, b, opts.verify_interval)
-    };
-    let mut resolved = opts.clone();
-    resolved.placement = placement;
+    let resolved = opts.resolved_for(profile, n, b);
     let mut lay = scope!(
         ctx,
         "setup",
         Phase::Setup,
-        ops::setup(&mut ctx, n, b, true, placement, input)
+        ops::setup(&mut ctx, n, b, true, resolved.placement, input)
     )?;
     let faulty = !plan.is_empty();
     let mut inj = Injector::new(plan);
@@ -292,14 +285,11 @@ pub fn run_scheme_typed<S: Scalar>(
         .map(|_| crate::plan::balance::BalanceController::new(kind, &resolved));
     // One plan serves every attempt of a static run: the task graph does
     // not depend on where (or whether) faults strike, only on n, b, and
-    // the resolved options. Balanced runs rewrite it mid-attempt and
+    // the resolved options. Balanced runs re-plan its tail mid-attempt and
     // rebuild it from the controller's current state on restart.
-    let mut fplan = {
-        let mut popts = resolved.clone();
-        if let Some(c) = &ctrl {
-            popts.verify_interval = c.k();
-        }
-        crate::plan::for_scheme(kind, lay.nt, &popts, faulty)
+    let mut fplan = match &ctrl {
+        Some(c) => c.plan(lay.nt, faulty),
+        None => crate::plan::for_scheme(kind, lay.nt, &resolved, faulty),
     };
 
     let mut verify_total = VerifyOutcome::default();
@@ -329,10 +319,7 @@ pub fn run_scheme_typed<S: Scalar>(
                 // Restart from the controller's current split: the restarted
                 // attempt begins where the feedback converged, not where the
                 // static model started.
-                let mut popts = resolved.clone();
-                popts.placement = c.placement();
-                popts.verify_interval = c.k();
-                fplan = crate::plan::for_scheme(kind, lay.nt, &popts, faulty);
+                fplan = c.plan(lay.nt, faulty);
             }
         }
         let attempt = crate::plan::exec::run_attempt(

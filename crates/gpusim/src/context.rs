@@ -21,9 +21,9 @@
 //! [`ProgramTrace`] and `hchol-analyze` checks that assumption at the tile
 //! level with a vector-clock happens-before sweep.
 
-use crate::access::{AccessSet, TileRef};
+use crate::access::AccessSet;
 use crate::counters::WorkCategory;
-use crate::memory::{BufferId, DeviceMemory, HostBufferId, HostMemory};
+use crate::memory::{DeviceMemory, HostMemory};
 use crate::profile::{KernelClass, SystemProfile};
 use crate::program::{DmaDir, ExecSite, ProgramTrace, TraceAction};
 use crate::schedule::KernelScheduler;
@@ -59,16 +59,14 @@ pub struct StreamId(pub usize);
 
 /// Per-GPU simulator state: each device has its own kernel scheduler
 /// (concurrency caps do not span devices), its own pair of host-DMA
-/// lanes, its own peer-link ports (one outbound, one inbound — a send
-/// occupies the sender's out port and the receiver's in port), and a
-/// memory-accounting counter for the shard it hosts.
+/// lanes, and its own peer-link ports (one outbound, one inbound — a send
+/// occupies the sender's out port and the receiver's in port).
 struct DeviceState {
     sched: KernelScheduler,
     h2d_lane: SimTime,
     d2h_lane: SimTime,
     link_out: SimTime,
     link_in: SimTime,
-    mem_used: u64,
 }
 
 impl DeviceState {
@@ -79,7 +77,6 @@ impl DeviceState {
             d2h_lane: SimTime::ZERO,
             link_out: SimTime::ZERO,
             link_in: SimTime::ZERO,
-            mem_used: 0,
         }
     }
 }
@@ -374,30 +371,9 @@ impl<S: Scalar> SimContext<S> {
         self.devices.len()
     }
 
-    /// Home device of `stream`.
-    pub fn stream_device(&self, stream: StreamId) -> usize {
-        self.stream_dev[stream.0]
-    }
-
-    /// Charge `bytes` of device memory to `dev`'s accounting pool (shard
-    /// setup books each device's slice of the matrix and checksums here).
-    pub fn charge_device_mem(&mut self, dev: usize, bytes: u64) {
-        self.devices[dev].mem_used += bytes;
-    }
-
-    /// Bytes currently charged to `dev`'s memory pool.
-    pub fn device_mem_used(&self, dev: usize) -> u64 {
-        self.devices[dev].mem_used
-    }
-
     /// The default stream.
     pub fn default_stream(&self) -> StreamId {
         StreamId(0)
-    }
-
-    /// Number of streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
     }
 
     /// Launch a kernel on `stream`. The closure performs the numerics and
@@ -513,71 +489,12 @@ impl<S: Scalar> SimContext<S> {
         });
     }
 
-    /// Async host→device copy of a host buffer into one device tile,
-    /// ordered within `stream`.
-    pub fn h2d_tile(
-        &mut self,
-        host: HostBufferId,
-        dev: BufferId,
-        bi: usize,
-        bj: usize,
-        stream: StreamId,
-    ) {
-        let bytes = S::BYTES * {
-            let t = self.dev_mem.buf(dev).tile(bi, bj);
-            (t.rows() * t.cols()) as u64
-        };
-        let access = AccessSet::new(vec![], vec![TileRef::new(dev, bi, bj)]);
-        self.transfer(Route::H2D, bytes, stream, "h2d", "h2d", access);
-        if self.mode.executes() {
-            let src = self.host_mem.buf(host).clone();
-            let dst = self.dev_mem.tile_mut(dev, bi, bj);
-            assert_eq!(src.shape(), dst.shape(), "h2d tile shape mismatch");
-            *dst = src;
-        }
-    }
-
-    /// Async device→host copy of one device tile into a host buffer,
-    /// ordered within `stream`.
-    pub fn d2h_tile(
-        &mut self,
-        dev: BufferId,
-        bi: usize,
-        bj: usize,
-        host: HostBufferId,
-        stream: StreamId,
-    ) {
-        let bytes = S::BYTES * {
-            let t = self.dev_mem.buf(dev).tile(bi, bj);
-            (t.rows() * t.cols()) as u64
-        };
-        let access = AccessSet::new(vec![TileRef::new(dev, bi, bj)], vec![]);
-        self.transfer(Route::D2H, bytes, stream, "d2h", "d2h", access);
-        if self.mode.executes() {
-            let src = self.dev_mem.tile(dev, bi, bj).clone();
-            assert_eq!(
-                src.shape(),
-                self.host_mem.buf(host).shape(),
-                "d2h tile shape mismatch"
-            );
-            *self.host_mem.buf_mut(host) = src;
-        }
-    }
-
     /// Account an abstract bulk transfer of `bytes` (e.g. streaming a whole
     /// checksum panel for Optimization 2's CPU updates) without moving
     /// concrete data. The closure performs any real data movement needed and
-    /// runs only in Execute mode.
-    pub fn bulk_transfer<F>(&mut self, bytes: u64, stream: StreamId, to_device: bool, body: F)
-    where
-        F: FnOnce(&mut DeviceMemory<S>, &mut HostMemory<S>),
-    {
-        self.bulk_transfer_with_access(bytes, stream, to_device, AccessSet::none(), body);
-    }
-
-    /// [`SimContext::bulk_transfer`] with declared device-tile accesses for
-    /// the schedule analysis (a d2h transfer *reads* device tiles, an h2d
-    /// one *writes* them).
+    /// runs only in Execute mode. `access` declares the device tiles touched
+    /// for the schedule analysis (a d2h transfer *reads* device tiles, an
+    /// h2d one *writes* them).
     pub fn bulk_transfer_with_access<F>(
         &mut self,
         bytes: u64,
@@ -762,13 +679,6 @@ impl<S: Scalar> SimContext<S> {
         EventId(id)
     }
 
-    /// Block the host until `event` has completed.
-    pub fn host_wait_event(&mut self, event: EventId) {
-        self.host_clock = self.host_clock.max(self.events[event.0]);
-        self.trace
-            .push_action(TraceAction::HostWaitEvent { event: event.0 });
-    }
-
     /// Make all *future* work on `stream` wait for `event`.
     pub fn stream_wait_event(&mut self, stream: StreamId, event: EventId) {
         self.streams[stream.0] = self.streams[stream.0].max(self.events[event.0]);
@@ -824,22 +734,12 @@ impl<S: Scalar> SimContext<S> {
         self.sync_device();
         self.sync_cpu_workers();
     }
-
-    /// Completion frontier of a stream (without blocking).
-    pub fn stream_frontier(&self, stream: StreamId) -> SimTime {
-        self.streams[stream.0]
-    }
-
-    /// Advance the host clock by an explicit amount (modeling driver/logic
-    /// overheads not tied to any kernel).
-    pub fn host_advance(&mut self, dt: SimTime) {
-        self.host_clock += dt;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::TileRef;
     use crate::profile::SystemProfile;
     use hchol_matrix::{Matrix, TileMatrix};
 
@@ -849,10 +749,6 @@ mod tests {
 
     fn desc(flops: u64, class: KernelClass) -> KernelDesc {
         KernelDesc::new("k", class, flops, WorkCategory::Factorization)
-    }
-
-    fn pcie_bytes<S: Scalar>(c: &SimContext<S>) -> u64 {
-        c.obs.metrics.count("pcie.bytes.h2d") + c.obs.metrics.count("pcie.bytes.d2h")
     }
 
     /// Flops in every category except `Factorization` — the
@@ -928,38 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn transfers_move_data_and_take_time() {
-        let mut c = ctx(ExecMode::Execute);
-        let dev = c.dev_mem.alloc_zeros(2, 2, 2).unwrap();
-        let host = c.host_mem.alloc(Matrix::filled(2, 2, 7.0));
-        let s = c.default_stream();
-        c.h2d_tile(host, dev, 0, 0, s);
-        c.sync_stream(s);
-        assert_eq!(c.dev_mem.tile(dev, 0, 0).get(0, 0), 7.0);
-        // round trip back
-        let host2 = c.host_mem.alloc_zeros(2, 2);
-        c.d2h_tile(dev, 0, 0, host2, s);
-        c.sync_stream(s);
-        assert_eq!(c.host_mem.buf(host2).get(1, 1), 7.0);
-        // 2x2 f64 = 32 bytes at 1 GB/s: tiny but nonzero
-        assert!(c.now().as_secs() > 0.0);
-        assert_eq!(pcie_bytes(&c), 64);
-    }
-
-    #[test]
-    fn f32_context_transfers_four_bytes_per_element() {
-        let mut c = SimContext::<f32>::new_typed(SystemProfile::test_profile(), ExecMode::Execute);
-        let dev = c.dev_mem.alloc_zeros(2, 2, 2).unwrap();
-        let host = c.host_mem.alloc(Matrix::<f32>::filled(2, 2, 7.0));
-        let s = c.default_stream();
-        c.h2d_tile(host, dev, 0, 0, s);
-        c.sync_stream(s);
-        assert_eq!(c.dev_mem.tile(dev, 0, 0).get(0, 0), 7.0f32);
-        // 2x2 f32 tiles move 16 bytes, half the f64 figure.
-        assert_eq!(pcie_bytes(&c), 16);
-    }
-
-    #[test]
     fn cpu_exec_blocks_host() {
         let mut c = ctx(ExecMode::TimingOnly);
         c.cpu_exec(desc(2_000_000_000, KernelClass::Potf2), |_| {});
@@ -990,20 +854,6 @@ mod tests {
         c.sync_stream(s2);
         // Despite both being small BLAS-2 kernels, the event serializes them.
         assert!(c.now().as_secs() >= 2.0);
-    }
-
-    #[test]
-    fn host_wait_event_blocks_host_only_until_event() {
-        let mut c = ctx(ExecMode::TimingOnly);
-        let s = c.default_stream();
-        c.launch(s, desc(1_000_000_000, KernelClass::Blas3), |_| {});
-        let e = c.record_event(s);
-        c.launch(s, desc(3_000_000_000, KernelClass::Blas3), |_| {});
-        c.host_wait_event(e);
-        let after_event = c.now().as_secs();
-        assert!((1.0..2.0).contains(&after_event), "got {after_event}");
-        c.sync_device();
-        assert!(c.now().as_secs() >= 4.0);
     }
 
     #[test]
@@ -1061,8 +911,8 @@ mod tests {
     fn transfers_feed_pcie_metrics() {
         let mut c = ctx(ExecMode::TimingOnly);
         let s = c.default_stream();
-        c.bulk_transfer(1024, s, true, |_, _| {});
-        c.bulk_transfer(256, s, false, |_, _| {});
+        c.bulk_transfer_with_access(1024, s, true, AccessSet::none(), |_, _| {});
+        c.bulk_transfer_with_access(256, s, false, AccessSet::none(), |_, _| {});
         c.sync_device();
         assert_eq!(c.obs.metrics.count("pcie.bytes.h2d"), 1024);
         assert_eq!(c.obs.metrics.count("pcie.bytes.d2h"), 256);
@@ -1072,7 +922,6 @@ mod tests {
 
     #[test]
     fn fused_epilogue_extends_kernel_without_second_startup() {
-        use crate::access::{AccessSet, TileRef};
         use crate::memory::BufferId;
         let mut c = ctx(ExecMode::TimingOnly);
         let s = c.default_stream();
@@ -1132,7 +981,6 @@ mod tests {
         c.sync_device();
         assert!(c.now().as_secs() < 1.5, "got {}", c.now().as_secs());
         assert_eq!(c.device_count(), 2);
-        assert_eq!(c.stream_device(s1), 1);
         // Per-device busy accounting was emitted (multi-device only).
         assert!(c.obs.metrics.sum("shard.dev.0.busy_secs") > 0.9);
         assert!(c.obs.metrics.sum("shard.dev.1.busy_secs") > 0.9);
@@ -1164,17 +1012,6 @@ mod tests {
             .entries()
             .iter()
             .any(|e| e.lane == Lane::DevLink(0)));
-    }
-
-    #[test]
-    fn device_mem_accounting() {
-        let mut c = SimContext::new(
-            SystemProfile::test_profile().with_devices(2),
-            ExecMode::TimingOnly,
-        );
-        c.charge_device_mem(1, 4096);
-        assert_eq!(c.device_mem_used(1), 4096);
-        assert_eq!(c.device_mem_used(0), 0);
     }
 
     /// Every way work enters the simulator goes through one recorder (two
@@ -1218,7 +1055,6 @@ mod tests {
         let c = &mut c;
         let s = c.default_stream();
         let dev = c.dev_mem.alloc_zeros(2, 2, 2).unwrap();
-        let host = c.host_mem.alloc_zeros(2, 2);
         let tile = || AccessSet::new(vec![TileRef::new(dev, 0, 0)], vec![]);
         let work =
             |cat, access| KernelDesc::new("w", KernelClass::Light, 10, cat).with_access(access);
@@ -1236,12 +1072,11 @@ mod tests {
         check(c, "cpu_submit", 1, ("flops.cat.ChecksumEncode", 10), |c| {
             c.cpu_submit(work(ChecksumEncode, tile()), |_, _| {})
         });
-        // One 2×2 f64 tile is 32 bytes.
         check(c, "h2d", 1, ("pcie.bytes.h2d", 32), |c| {
-            c.h2d_tile(host, dev, 0, 0, s)
+            c.bulk_transfer_with_access(32, s, true, tile(), |_, _| {})
         });
         check(c, "d2h", 1, ("pcie.bytes.d2h", 32), |c| {
-            c.d2h_tile(dev, 0, 0, host, s)
+            c.bulk_transfer_with_access(32, s, false, tile(), |_, _| {})
         });
         check(c, "device_transfer", 1, ("shard.link.bytes", 64), |c| {
             c.device_transfer(64, s, 1, tile(), |_| {})

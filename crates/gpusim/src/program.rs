@@ -82,11 +82,6 @@ pub enum TraceAction {
         /// The awaited event.
         event: usize,
     },
-    /// `host_wait_event`: the host blocks until `event` completes.
-    HostWaitEvent {
-        /// The awaited event.
-        event: usize,
-    },
     /// `sync_stream`: the host blocks until `stream` drains.
     SyncStream {
         /// The drained stream.

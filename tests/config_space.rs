@@ -152,3 +152,51 @@ fn run_scheme_refusals_match_validate_options() {
         assert_eq!(format!("{expect:?}"), format!("{got:?}"));
     }
 }
+
+/// `BalanceOptions`' fields are public, so a literal can carry `K` bounds
+/// no builder would produce (crossed, or zero). The controller normalises
+/// them as `with_k_bounds` does: such a run completes with every decision
+/// inside the normalised bounds — it must never panic.
+#[test]
+fn unnormalised_balance_literals_run() {
+    use hchol_gpusim::profile::SystemProfile;
+    use hchol_gpusim::ExecMode;
+    let literals = [
+        BalanceOptions {
+            k_min: 3,
+            k_max: 2,
+            ..Default::default()
+        },
+        BalanceOptions {
+            k_max: 0,
+            ..Default::default()
+        },
+        BalanceOptions {
+            k_min: 0,
+            k_max: 0,
+            update_interval: 0,
+            ..Default::default()
+        },
+    ];
+    for lit in literals {
+        let (lo, hi) = (lit.k_min.max(1), lit.k_max.max(lit.k_min.max(1)));
+        let out = hchol_core::run_scheme(
+            SchemeKind::Enhanced,
+            &SystemProfile::test_profile(),
+            ExecMode::TimingOnly,
+            96,
+            16,
+            &AbftOptions::default().with_balance(lit.clone()),
+            hchol_faults::FaultPlan::none(),
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{lit:?}: a legal composition must run, got {e:?}"));
+        let log = out.balance_log.expect("balanced run keeps a log");
+        assert!(!log.decisions.is_empty(), "{lit:?}: the controller woke");
+        assert!(
+            log.decisions.iter().all(|d| (lo..=hi).contains(&d.k)),
+            "{lit:?}: K left [{lo}, {hi}]: {:?}",
+            log.decisions
+        );
+    }
+}
