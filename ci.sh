@@ -37,6 +37,13 @@ cargo test -q -p hchol-blas --no-default-features
 step "allocation budget (tile-shape level-3 calls allocate once, then never)"
 cargo test --release -q -p hchol-blas --test alloc_budget
 
+# The two bit-identity proofs of the simulator's hot paths, once more at
+# depth: the release build raises the scheduler proptest to 4096 streams and
+# the derive_deps sweep to nt = 20.
+step "differential suites, deep (ordered scheduler vs its oracle; dense derive_deps vs its oracle)"
+cargo test --release -q -p hchol-gpusim --lib schedule::tests
+cargo test --release -q -p hchol-core --lib plan::tests
+
 step "rustdoc (deny warnings + broken intra-doc links, no deps)"
 RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
     cargo doc --no-deps --workspace
@@ -44,7 +51,7 @@ RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
 step "doctests"
 cargo test --doc --workspace -q
 
-step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit)"
+step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit, float-order)"
 cargo run --release -q -p hchol-analyze --bin lint
 
 step "schedule analyzer (races + ABFT protocol conformance, all schemes)"

@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Nine rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Ten rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -44,6 +44,9 @@
 //!   `.insert_after(` or `.remove(` on a plan (a receiver whose name ends in
 //!   `plan`): a plan is built by its passes, so the balancer and the
 //!   executor get a new shape by asking the planner, never by editing.
+//! * **`float-order`** — library sources (as for `env-read`) never order
+//!   floats with `partial_cmp(..)` followed by `.expect(` / `.unwrap(`: that
+//!   is a panic site on a NaN. `f64::total_cmp` orders every value.
 //!
 //! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
 //! may use free-form labels and scratch names by design. `shims/` (vendored
@@ -63,7 +66,7 @@ pub struct Lint {
     pub line: usize,
     /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
     /// `tolerance-literal`, `env-read`, `twin-op`, `one-engine`,
-    /// `one-launcher`, or `plan-edit`.
+    /// `one-launcher`, `plan-edit`, or `float-order`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -153,6 +156,7 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     let in_src = file.starts_with("src/") || file.contains("/src/");
     if in_src && !file.contains("/bin/") && !file.contains("/benches/") {
         rule_env_read(file, &scan, &mut out);
+        rule_float_order(file, &scan, &mut out);
     }
     if file == "crates/core/src/ops.rs" {
         rule_twin_op(file, &scan, &mut out);
@@ -479,6 +483,41 @@ fn rule_env_read(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
                 rule: "env-read",
                 message: "library code reads the process environment: \
                           take the setting through an options struct instead"
+                    .to_string(),
+            });
+        }
+    }
+}
+
+fn rule_float_order(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        if scan.word_at(i) != Some("partial_cmp") || !scan.punct_at(i + 1, '(') {
+            continue;
+        }
+        // Past the balanced argument list: `. expect (` or `. unwrap (`?
+        let mut depth = 0usize;
+        let mut k = i + 1;
+        while k < scan.tokens.len() {
+            if scan.punct_at(k, '(') {
+                depth += 1;
+            } else if scan.punct_at(k, ')') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            k += 1;
+        }
+        let forced = scan.punct_at(k + 1, '.')
+            && matches!(scan.word_at(k + 2), Some("expect" | "unwrap"))
+            && scan.punct_at(k + 3, '(');
+        if forced {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "float-order",
+                message: "`partial_cmp(..)` forced with `expect`/`unwrap` panics on a NaN: \
+                          order floats with `total_cmp`"
                     .to_string(),
             });
         }
@@ -834,6 +873,33 @@ mod tests {
         }
         // Other `env` items (compile-time `env!`, `env::args`) are fine.
         let ok = "fn f() { let _ = env!(\"CARGO_MANIFEST_DIR\"); std::env::args(); }\n";
+        assert!(lint_file("crates/x/src/a.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn forced_partial_cmp_flagged_in_library_sources_only() {
+        let src = "fn f(v: &mut [f64]) {\n    \
+                   v.sort_by(|a, b| a.partial_cmp(b).expect(\"finite\"));\n    \
+                   v.sort_by(|a, b| b.partial_cmp(&(a + g(1))).unwrap());\n}\n";
+        for lib in ["crates/gpusim/src/schedule.rs", "src/lib.rs"] {
+            let lints = lint_file(lib, src);
+            assert!(lints.iter().all(|l| l.rule == "float-order"), "{lib}");
+            assert_eq!(lints.iter().map(|l| l.line).collect::<Vec<_>>(), [2, 3]);
+        }
+        for exempt in [
+            "crates/bench/src/bin/sweep.rs",
+            "crates/bench/benches/kernels.rs",
+            "crates/gpusim/tests/scheduler_properties.rs",
+        ] {
+            assert!(lint_file(exempt, src).is_empty(), "{exempt}");
+        }
+        // A handled `Option<Ordering>`, `total_cmp`, a `PartialOrd` impl,
+        // prose and strings are all fine.
+        let ok = "// a.partial_cmp(b).unwrap() panics on NaN\n\
+                  fn f(a: f64, b: f64) -> Ordering {\n    \
+                  let _ = \"partial_cmp(b).unwrap()\";\n    \
+                  a.partial_cmp(&b).unwrap_or(Ordering::Equal).then(a.total_cmp(&b))\n}\n\
+                  fn partial_cmp(&self, o: &Self) -> Option<Ordering> { self.0.partial_cmp(&o.0) }\n";
         assert!(lint_file("crates/x/src/a.rs", ok).is_empty());
     }
 

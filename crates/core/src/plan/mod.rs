@@ -36,7 +36,7 @@ use crate::schemes::SchemeKind;
 use hchol_faults::InjectionPoint;
 use hchol_gpusim::{AccessSet, BufferId, DagSchedule, NodeMeta, TileRef};
 use hchol_obs::Phase;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Which checksum update a [`TaskKind::ChkUpdate`] node performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -791,60 +791,80 @@ impl FactorPlan {
     /// authored order: RAW (read after the last writer), WAR (write after
     /// readers since that writer), WAW (write after the last writer).
     /// [`TaskKind::Drain`] is a barrier depending on every prior node.
+    ///
+    /// Resources are indexed densely: `mat(bi, bj)` is slot `bi·nt + bj`,
+    /// and the `nt` checksum buffers and the `nt` deposit buffers behind
+    /// them (tile row 0 each) are rows `nt..3nt` of the same table, so
+    /// `chk(bi, bj)` is `nt² + bi·nt + bj` and `dpt(bi, bj)` is
+    /// `2nt² + bi·nt + bj`. Every declared tile must be one of those three
+    /// canonical forms. A [`VirtRes`] gets the next free slot on first sight.
     pub fn derive_deps(&mut self) {
-        #[derive(PartialEq, Eq, Hash, Clone, Copy)]
-        enum Key {
-            Tile(TileRef),
-            Virt(VirtRes),
-        }
-        let mut last_writer: HashMap<Key, NodeId> = HashMap::new();
-        let mut readers: HashMap<Key, Vec<NodeId>> = HashMap::new();
-        self.deps = vec![Vec::new(); self.nodes.len()];
-        let order = self.order.clone();
-        for (pos, &id) in order.iter().enumerate() {
+        let nt = self.nt;
+        let tile_slot = |t: &TileRef| {
+            let (buf, bi, bj) = (t.buf.0, t.bi, t.bj);
+            debug_assert!(
+                bj < nt
+                    && if buf == 0 {
+                        bi < nt
+                    } else {
+                        bi == 0 && buf <= 2 * nt
+                    },
+                "{t} is not a canonical mat/chk/dpt tile of an nt = {nt} plan"
+            );
+            if buf == 0 {
+                bi * nt + bj
+            } else {
+                (nt + buf - 1) * nt + bj
+            }
+        };
+        let tiles = 3 * nt * nt;
+        let mut virt_slots: HashMap<VirtRes, usize> = HashMap::new();
+        let mut last_writer: Vec<Option<NodeId>> = vec![None; tiles];
+        let mut readers: Vec<Vec<NodeId>> = vec![Vec::new(); tiles];
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        let mut found: Vec<NodeId> = Vec::new();
+        let mut deps = vec![Vec::new(); self.nodes.len()];
+        for (pos, &id) in self.order.iter().enumerate() {
             if matches!(self.nodes[id.0].kind, TaskKind::Drain) {
-                self.deps[id.0] = order[..pos].to_vec();
+                deps[id.0] = self.order[..pos].to_vec();
                 continue;
             }
             let acc = self.node_access(id);
-            let reads: Vec<Key> = acc
-                .tiles
-                .reads
-                .iter()
-                .map(|&t| Key::Tile(t))
-                .chain(acc.virt_reads.iter().map(|&v| Key::Virt(v)))
-                .collect();
-            let writes: Vec<Key> = acc
-                .tiles
-                .writes
-                .iter()
-                .map(|&t| Key::Tile(t))
-                .chain(acc.virt_writes.iter().map(|&v| Key::Virt(v)))
-                .collect();
-            let mut set: BTreeSet<NodeId> = BTreeSet::new();
-            for k in &reads {
-                if let Some(&w) = last_writer.get(k) {
-                    set.insert(w);
+            reads.clear();
+            writes.clear();
+            reads.extend(acc.tiles.reads.iter().map(tile_slot));
+            writes.extend(acc.tiles.writes.iter().map(tile_slot));
+            for (virt, slots) in [
+                (&acc.virt_reads, &mut reads),
+                (&acc.virt_writes, &mut writes),
+            ] {
+                for v in virt {
+                    let next = tiles + virt_slots.len();
+                    slots.push(*virt_slots.entry(*v).or_insert(next));
                 }
             }
-            for k in &writes {
-                if let Some(&w) = last_writer.get(k) {
-                    set.insert(w);
-                }
-                if let Some(rs) = readers.get(k) {
-                    set.extend(rs.iter().copied());
-                }
+            last_writer.resize(tiles + virt_slots.len(), None);
+            readers.resize_with(tiles + virt_slots.len(), Vec::new);
+
+            found.clear();
+            found.extend(reads.iter().filter_map(|&k| last_writer[k]));
+            for &k in &writes {
+                found.extend(last_writer[k]);
+                found.extend_from_slice(&readers[k]);
             }
-            set.remove(&id);
-            self.deps[id.0] = set.into_iter().collect();
-            for k in &reads {
-                readers.entry(*k).or_default().push(id);
+            found.sort_unstable();
+            found.dedup();
+            found.retain(|&d| d != id);
+            deps[id.0] = found.clone();
+            for &k in &reads {
+                readers[k].push(id);
             }
-            for k in &writes {
-                last_writer.insert(*k, id);
-                readers.insert(*k, Vec::new());
+            for &k in &writes {
+                last_writer[k] = Some(id);
+                readers[k].clear();
             }
         }
+        self.deps = deps;
     }
 
     /// Every fault-poll node in issue order, with its authored-order
@@ -948,4 +968,152 @@ pub fn for_cula(nt: usize) -> FactorPlan {
     let mut plan = skeleton::algorithm1(nt, DriveStyle::Synchronous, true, false);
     plan.derive_deps();
     plan
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::options::{ChecksumPlacement, ShardOptions};
+    use std::collections::BTreeSet;
+
+    impl FactorPlan {
+        /// `derive_deps` as it stood before the dense index, verbatim: two
+        /// hashed maps keyed by tile / virtual resource and a `BTreeSet` per
+        /// node. The reference the differential tests hold the dense
+        /// derivation to, dependency list for dependency list.
+        fn derive_deps_oracle(&mut self) {
+            #[derive(PartialEq, Eq, Hash, Clone, Copy)]
+            enum Key {
+                Tile(TileRef),
+                Virt(VirtRes),
+            }
+            let mut last_writer: HashMap<Key, NodeId> = HashMap::new();
+            let mut readers: HashMap<Key, Vec<NodeId>> = HashMap::new();
+            self.deps = vec![Vec::new(); self.nodes.len()];
+            let order = self.order.clone();
+            for (pos, &id) in order.iter().enumerate() {
+                if matches!(self.nodes[id.0].kind, TaskKind::Drain) {
+                    self.deps[id.0] = order[..pos].to_vec();
+                    continue;
+                }
+                let acc = self.node_access(id);
+                let reads: Vec<Key> = acc
+                    .tiles
+                    .reads
+                    .iter()
+                    .map(|&t| Key::Tile(t))
+                    .chain(acc.virt_reads.iter().map(|&v| Key::Virt(v)))
+                    .collect();
+                let writes: Vec<Key> = acc
+                    .tiles
+                    .writes
+                    .iter()
+                    .map(|&t| Key::Tile(t))
+                    .chain(acc.virt_writes.iter().map(|&v| Key::Virt(v)))
+                    .collect();
+                let mut set: BTreeSet<NodeId> = BTreeSet::new();
+                for k in &reads {
+                    if let Some(&w) = last_writer.get(k) {
+                        set.insert(w);
+                    }
+                }
+                for k in &writes {
+                    if let Some(&w) = last_writer.get(k) {
+                        set.insert(w);
+                    }
+                    if let Some(rs) = readers.get(k) {
+                        set.extend(rs.iter().copied());
+                    }
+                }
+                set.remove(&id);
+                self.deps[id.0] = set.into_iter().collect();
+                for k in &reads {
+                    readers.entry(*k).or_default().push(id);
+                }
+                for k in &writes {
+                    last_writer.insert(*k, id);
+                    readers.insert(*k, Vec::new());
+                }
+            }
+        }
+    }
+
+    /// Both derivations over `plan`, every node's list compared (nodes off
+    /// the issue order included: both leave them empty).
+    fn assert_same_deps(mut plan: FactorPlan, what: &str) {
+        let mut old = plan.clone();
+        old.derive_deps_oracle();
+        plan.derive_deps();
+        assert_eq!(plan.deps.len(), old.deps.len(), "{what}");
+        for (id, (new, old)) in plan.deps.iter().zip(&old.deps).enumerate() {
+            assert_eq!(
+                new, old,
+                "{what}: deps of node {id} ({:?})",
+                plan.nodes[id].kind
+            );
+        }
+    }
+
+    fn gpu() -> AbftOptions {
+        AbftOptions::default().with_placement(ChecksumPlacement::Gpu)
+    }
+
+    #[test]
+    fn dense_derive_deps_matches_the_hashed_oracle_on_every_feature() {
+        // The release leg of ci.sh goes deeper.
+        let nt_max = if cfg!(debug_assertions) { 12 } else { 20 };
+        let configs = [
+            ("default", gpu(), false),
+            ("fused", gpu().with_chk_fused(true), false),
+            ("cpu", gpu().with_placement(ChecksumPlacement::Cpu), false),
+            (
+                "inline",
+                gpu().with_placement(ChecksumPlacement::Inline),
+                false,
+            ),
+            ("k3", gpu().with_interval(3), false),
+            ("shard2", gpu().with_shard(ShardOptions::new(2)), false),
+            ("shard4", gpu().with_shard(ShardOptions::new(4)), false),
+            ("faulty", gpu(), true),
+            (
+                "faulty cpu k3",
+                gpu()
+                    .with_placement(ChecksumPlacement::Cpu)
+                    .with_interval(3),
+                true,
+            ),
+        ];
+        for nt in 1..=nt_max {
+            for (name, opts, faulty) in &configs {
+                for kind in [
+                    SchemeKind::Enhanced,
+                    SchemeKind::Online,
+                    SchemeKind::Offline,
+                ] {
+                    let plan = passes(kind, nt, opts, *faulty);
+                    assert_same_deps(plan, &format!("{kind:?} nt={nt} {name}"));
+                }
+            }
+            for style in [DriveStyle::Overlapped, DriveStyle::Synchronous] {
+                let plan = skeleton::algorithm1(nt, style, true, false);
+                assert_same_deps(plan, &format!("baseline {style:?} nt={nt}"));
+            }
+        }
+    }
+
+    /// The balancer's rewrite: a GPU-placement prefix with a CPU-placement,
+    /// K = 3 tail spliced in behind it, the cut at every iteration.
+    #[test]
+    fn dense_derive_deps_matches_the_hashed_oracle_on_a_replace_tail_splice() {
+        let nt = 9;
+        let tail = gpu()
+            .with_placement(ChecksumPlacement::Cpu)
+            .with_interval(3);
+        for from_iter in 0..nt {
+            let mut plan = for_scheme(SchemeKind::Enhanced, nt, &gpu(), false);
+            plan.replace_tail(from_iter, &passes(SchemeKind::Enhanced, nt, &tail, false));
+            plan.cpu_mirrors = true;
+            assert_same_deps(plan, &format!("splice at iteration {from_iter}"));
+        }
+    }
 }

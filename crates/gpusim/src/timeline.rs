@@ -177,7 +177,7 @@ impl Timeline {
                 None => acc.push((e.class, span)),
             }
         }
-        acc.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        acc.sort_by(|a, b| b.1.total_cmp(&a.1));
         acc.into_iter()
             .map(|(c, t)| (c, SimTime::secs(t)))
             .collect()
@@ -200,7 +200,7 @@ impl Timeline {
             .into_iter()
             .map(|l| (l, self.lane_busy(l).as_secs() / span))
             .collect();
-        parts.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        parts.sort_by(|a, b| b.1.total_cmp(&a.1));
         parts
             .into_iter()
             .map(|(l, f)| format!("{l} {:.0}%", f * 100.0))

@@ -167,7 +167,7 @@ impl RunReport {
         }
         let _ = writeln!(out, "-- where the time went (host critical path) --");
         let mut phases = self.phase_totals.clone();
-        phases.sort_by(|a, b| b.secs.partial_cmp(&a.secs).expect("finite"));
+        phases.sort_by(|a, b| b.secs.total_cmp(&a.secs));
         for p in &phases {
             let pct = if self.total_secs > 0.0 {
                 100.0 * p.secs / self.total_secs
