@@ -56,15 +56,13 @@
 //!
 //! [`AccessSet`]: hchol_gpusim::AccessSet
 
-use crate::plancheck::{is_factorization, Ancestors};
+use crate::index::{Ancestors, PlanIndex, VerifyNode};
 use hchol_core::options::AbftOptions;
 use hchol_core::plan::{FactorPlan, TaskKind};
 use hchol_core::schemes::SchemeKind;
 use hchol_faults::{FaultClass, FaultSite, InjectionPoint};
-use hchol_gpusim::BufferId;
 use hchol_obs::envelope;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// The rung of the coverage lattice proven for one site (strongest
@@ -289,25 +287,6 @@ impl CoverageReport {
     }
 }
 
-/// One verify node as the coverage prover sees it.
-struct VerifyNode {
-    pos: usize,
-    tiles: Vec<(usize, usize)>,
-    fused: bool,
-}
-
-/// Classify a tile access into the mat / chk / dpt buffer families (the
-/// canonical ids [`hchol_core::plan::mat_tile`] et al. assign).
-fn classify(buf: BufferId, nt: usize) -> u8 {
-    if buf == BufferId(0) {
-        0 // mat
-    } else if buf.0 <= nt {
-        1 // chk row buffer
-    } else {
-        2 // fused deposit row buffer
-    }
-}
-
 /// Maximum antichain of the positions in `set` under the reachability
 /// partial order: by Dilworth's theorem it equals `|set|` minus the size
 /// of a maximum matching in the bipartite comparability graph (Mirsky /
@@ -352,159 +331,96 @@ fn max_antichain(set: &[usize], anc: &Ancestors) -> usize {
 /// coverage lattice. See the module docs for the site and witness rules.
 pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -> CoverageReport {
     let nt = plan.nt;
-    let order = plan.order();
-    let n = order.len();
-    let pos_of: HashMap<_, _> = order.iter().enumerate().map(|(p, &id)| (id, p)).collect();
-    let anc = Ancestors::compute(plan, &pos_of);
+    let ix = PlanIndex::new(plan);
 
-    // One walk: verify/correct placement, fused-deposit positions,
-    // factorization read/write sets, per-column mat writes, parity
-    // refreshes, resource sets, distinct-tile budgets.
-    let mut verifies: Vec<VerifyNode> = Vec::new();
-    let mut corrects: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-    let mut deposits: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    let mut fact_reads: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    let mut fact_writes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    let mut reads_of_tile: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    let mut col_writes: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut parities: HashMap<usize, Vec<usize>> = HashMap::new();
+    // One walk over the positions: per-column mat writes, parity
+    // refreshes, resource sets.
+    let mut col_writes: Vec<Vec<usize>> = vec![Vec::new(); nt];
+    let mut parities: Vec<Vec<usize>> = vec![Vec::new(); nt];
     let mut scratch_set = Vec::new();
     let mut mirror_set = Vec::new();
     let mut send_set = Vec::new();
-    let mut mat_tiles = std::collections::BTreeSet::new();
-    let mut chk_tiles = std::collections::BTreeSet::new();
-    let mut dpt_tiles = std::collections::BTreeSet::new();
-
-    for (p, &id) in order.iter().enumerate() {
-        let node = plan.node(id);
-        let acc = plan.node_access(id);
-        for t in acc.tiles.reads.iter().chain(acc.tiles.writes.iter()) {
-            match classify(t.buf, nt) {
-                0 => {
-                    mat_tiles.insert((t.bi, t.bj));
-                }
-                1 => {
-                    chk_tiles.insert((t.buf.0 - 1, t.bj));
-                }
-                _ => {
-                    dpt_tiles.insert((t.buf.0 - 1 - nt, t.bj));
-                }
-            }
-        }
-        match &node.kind {
-            TaskKind::VerifyBatch { tiles, fused, .. } => {
-                verifies.push(VerifyNode {
-                    pos: p,
-                    tiles: tiles.clone(),
-                    fused: *fused,
-                });
-                if !*fused {
-                    scratch_set.push(p);
-                }
-            }
-            TaskKind::Correct { tiles, .. } => corrects.push((p, tiles.clone())),
+    for p in 0..plan.len() {
+        match ix.kind(p) {
+            TaskKind::VerifyBatch { fused: false, .. } => scratch_set.push(p),
             TaskKind::MirrorPanel { .. } => mirror_set.push(p),
             TaskKind::DeviceSend { .. } => send_set.push(p),
-            TaskKind::ShardParity { j } => parities.entry(*j).or_default().push(p),
+            TaskKind::ShardParity { j } => parities[*j].push(p),
             _ => {}
-        }
-        if is_factorization(&node.kind) {
-            for t in &acc.tiles.reads {
-                if t.buf == BufferId(0) {
-                    fact_reads[p].push((t.bi, t.bj));
-                    reads_of_tile.entry((t.bi, t.bj)).or_default().push(p);
-                }
-            }
-            for t in &acc.tiles.writes {
-                if t.buf == BufferId(0) {
-                    fact_writes[p].push((t.bi, t.bj));
-                }
-            }
-        }
-        // Fused producers deposit fresh sums of everything they write.
-        if matches!(
-            node.kind,
-            TaskKind::Syrk { fused: true, .. } | TaskKind::GemmPanel { fused: true, .. }
-        ) {
-            for t in &acc.tiles.writes {
-                if classify(t.buf, nt) == 2 {
-                    deposits
-                        .entry((t.buf.0 - 1 - nt, t.bj))
-                        .or_default()
-                        .push(p);
-                }
-            }
         }
         // Data writes (kernels and the POTF2 round trip) staleness-gate
         // the column's parity refresh. Corrections also declare mat
         // writes but restore the exact checksum-consistent values the
         // parity encoded, so they do not invalidate it (soft fault +
         // device loss in one run is out of scope — DESIGN.md §12).
-        if is_factorization(&node.kind) || matches!(node.kind, TaskKind::DiagToDevice { .. }) {
-            for t in &acc.tiles.writes {
-                if t.buf == BufferId(0) {
-                    col_writes.entry(t.bj).or_default().push(p);
-                }
-            }
+        for &slot in &ix.writes[p] {
+            col_writes[slot % nt].push(p);
         }
     }
+    // Distinct-tile budgets: the three thirds of the dense slot table are
+    // the mat, chk and dpt tiles.
+    let distinct = |third: usize| {
+        let flags = &ix.touched[third * nt * nt..(third + 1) * nt * nt];
+        flags.iter().filter(|&&f| f).count() as u64
+    };
 
-    // A verify witnesses a corruption that entered tile `t` at position
-    // `entry` iff it covers `t` after the entry and — when compare-only —
-    // its deposit of `t` was computed from the corrupted data.
-    let witnesses = |v: &VerifyNode, t: (usize, usize), entry: usize| -> bool {
-        if v.pos <= entry || !v.tiles.contains(&t) {
-            return false;
-        }
-        if !v.fused {
-            return true;
-        }
-        deposits
-            .get(&t)
-            .and_then(|ds| ds.iter().rev().find(|&&d| d < v.pos))
-            .is_some_and(|&d| d >= entry)
+    // A verify of tile `t` witnesses a corruption that entered `t` at
+    // position `entry` iff it runs after the entry and — when compare-only
+    // — its deposit of `t` was computed from the corrupted data.
+    let witnesses = |v: &VerifyNode, t: usize, entry: usize| -> bool {
+        v.pos > entry && (!v.fused || ix.last_deposit(t, v.pos).is_some_and(|d| d >= entry))
     };
     // A verify corrects tile `t` iff a correction covering `t` is
     // reachable from it on the plan's edges.
-    let corrects_tile = |v: &VerifyNode, t: (usize, usize)| -> bool {
-        corrects
-            .iter()
-            .any(|(cp, tiles)| tiles.contains(&t) && anc.reaches(v.pos, *cp))
+    let corrects_tile = |v: &VerifyNode, t: usize| -> bool {
+        let corrects = &ix.tile(t).corrects;
+        corrects.iter().any(|&cp| ix.anc.reaches(v.pos, cp))
     };
 
-    // Enumerate fault sites and prove each one.
+    // Enumerate fault sites and prove each one DetectCorrect — every
+    // consumer read after the strike is behind a witnessing verify of the
+    // tile with a reachable correction — or leave it to the restart sweep.
+    let points = plan.fault_points();
     let mut sites = Vec::new();
-    for (a, point) in plan.fault_points() {
-        for (&tile, read_ps) in &reads_of_tile {
-            if !read_ps.iter().any(|&r| r > a) {
-                continue; // post-last-read window: not a live site
+    let mut pending: Vec<(usize, usize, usize)> = Vec::new();
+    for &(a, point) in &points {
+        for t in 0..nt * nt {
+            let reads = &ix.tile(t).readers;
+            let live = &reads[reads.partition_point(|&r| r <= a)..];
+            if live.is_empty() {
+                continue; // never read, or the post-last-read window: not a live site
             }
-            let proof = prove_site(
-                a,
-                tile,
-                read_ps,
-                &verifies,
-                &witnesses,
-                &corrects_tile,
-                &anc,
-                &fact_reads,
-                &fact_writes,
-                opts,
-            );
+            let mut first_witness = None;
+            let all_guarded = live.iter().all(|&r| {
+                let guard = ix.verifies_of(t).find(|v| {
+                    witnesses(v, t, a) && corrects_tile(v, t) && ix.anc.reaches(v.pos, r)
+                });
+                first_witness = first_witness.or(guard.map(|v| v.pos));
+                guard.is_some()
+            });
+            let (coverage, witness) = if all_guarded {
+                (Coverage::DetectCorrect, first_witness)
+            } else {
+                pending.push((a, t, sites.len()));
+                (Coverage::Uncovered, None)
+            };
             for class in FaultClass::all() {
                 sites.push(SiteVerdict {
                     site: FaultSite {
                         point,
-                        bi: tile.0,
-                        bj: tile.1,
+                        bi: t / nt,
+                        bj: t % nt,
                         class,
                     },
                     pos: a,
-                    coverage: proof.0,
-                    witness: proof.1,
+                    coverage,
+                    witness,
                 });
             }
         }
+    }
+    if opts.max_restarts >= 1 && !pending.is_empty() {
+        prove_restarts(&ix, &pending, &mut sites);
     }
 
     // Device-loss sites (sharded plans): a loss at the start of iteration
@@ -512,10 +428,9 @@ pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -
     // refresh after its last write and before the loss.
     let mut losses = Vec::new();
     if let Some(shard) = plan.shard.filter(|s| s.devices > 1) {
-        let loss_points: Vec<(usize, usize)> = plan
-            .fault_points()
-            .into_iter()
-            .filter_map(|(a, pt)| match pt {
+        let loss_points: Vec<(usize, usize)> = points
+            .iter()
+            .filter_map(|&(a, pt)| match pt {
                 InjectionPoint::IterStart { iter } if iter >= 1 => Some((a, iter)),
                 _ => None,
             })
@@ -524,19 +439,13 @@ pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -
             for &(a, at_iter) in &loss_points {
                 let mut missing = Vec::new();
                 for c in 0..at_iter {
-                    let lw = col_writes
-                        .get(&c)
-                        .into_iter()
-                        .flatten()
+                    let lw = col_writes[c]
+                        .iter()
                         .filter(|&&w| w < a)
                         .max()
                         .copied()
                         .unwrap_or(0);
-                    let fresh = parities
-                        .get(&c)
-                        .into_iter()
-                        .flatten()
-                        .any(|&q| q < a && q > lw);
+                    let fresh = parities[c].iter().any(|&q| q < a && q > lw);
                     if !fresh {
                         missing.push(c);
                     }
@@ -557,85 +466,85 @@ pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -
 
     CoverageReport {
         scheme: kind,
-        nodes: n,
+        nodes: plan.len(),
         sites,
         losses,
         resources: ResourceBound {
-            mat_tiles: mat_tiles.len() as u64,
-            chk_tiles: chk_tiles.len() as u64,
-            dpt_tiles: dpt_tiles.len() as u64,
-            scratch_peak: max_antichain(&scratch_set, &anc) as u64,
-            mirror_peak: max_antichain(&mirror_set, &anc) as u64,
-            broadcast_peak: max_antichain(&send_set, &anc) as u64,
+            mat_tiles: distinct(0),
+            chk_tiles: distinct(1),
+            dpt_tiles: distinct(2),
+            scratch_peak: max_antichain(&scratch_set, &ix.anc) as u64,
+            mirror_peak: max_antichain(&mirror_set, &ix.anc) as u64,
+            broadcast_peak: max_antichain(&send_set, &ix.anc) as u64,
         },
     }
 }
 
-/// Witness predicate: does this verify witness a corruption that
-/// entered the given tile at the given authored-order position?
-type WitnessFn<'a> = dyn Fn(&VerifyNode, (usize, usize), usize) -> bool + 'a;
-
-/// Prove one `(strike position, tile)` pair the strongest lattice rung.
-#[allow(clippy::too_many_arguments)]
-fn prove_site(
-    a: usize,
-    tile: (usize, usize),
-    read_ps: &[usize],
-    verifies: &[VerifyNode],
-    witnesses: &WitnessFn<'_>,
-    corrects_tile: &dyn Fn(&VerifyNode, (usize, usize)) -> bool,
-    anc: &Ancestors,
-    fact_reads: &[Vec<(usize, usize)>],
-    fact_writes: &[Vec<(usize, usize)>],
-    opts: &AbftOptions,
-) -> (Coverage, Option<usize>) {
-    // DetectCorrect: every consumer read after the strike is behind a
-    // witnessing verify with a reachable correction.
-    let mut first_witness = None;
-    let all_guarded = read_ps.iter().filter(|&&r| r > a).all(|&r| {
-        let guard = verifies
-            .iter()
-            .find(|v| witnesses(v, tile, a) && corrects_tile(v, tile) && anc.reaches(v.pos, r));
-        if let Some(v) = guard {
-            if first_witness.is_none() {
-                first_witness = Some(v.pos);
-            }
+/// The `DetectRestart` rung for every `pending` site `(strike position,
+/// tile slot, first verdict index)` (ascending by position) in **one
+/// backward sweep**. A corruption's footprint spreads through
+/// factorization read→write, and the site is restartable iff some later
+/// verify witnesses a footprint tile; `earliest[t]` is the position of the
+/// first such verify for a corruption entering tile `t` at the sweep's
+/// current position. Descending, it is updated by
+///
+/// * an unfused verify at `p` covering `t`: `earliest[t] = p`;
+/// * a fused compare at `q` covering `t` whose last deposit of `t` is `d`:
+///   `earliest[t] = min(earliest[t], q)` once the sweep reaches `d` (the
+///   deposit inherits only corruptions that entered at or before it);
+/// * a factorization node `p`, after the compares activated at `p`:
+///   `earliest[r] = min(earliest[r], min_w earliest[w])` over its reads `r`
+///   and writes `w`.
+///
+/// That minimum over propagation paths equals the first witness of a
+/// forward walk that keeps each tile's *earliest* entry, because an earlier
+/// entry is never worse: it sees every reader, every verify and every
+/// deposit a later entry sees (DESIGN.md §13).
+fn prove_restarts(ix: &PlanIndex, pending: &[(usize, usize, usize)], sites: &mut [SiteVerdict]) {
+    let n = ix.plan.len();
+    let mut earliest = vec![usize::MAX; ix.plan.nt * ix.plan.nt];
+    let mut compares: Vec<(usize, usize, usize)> = Vec::new();
+    for p in 0..n {
+        if let TaskKind::VerifyBatch {
+            tiles, fused: true, ..
+        } = ix.kind(p)
+        {
+            let slots = tiles.iter().map(|&t| ix.slot(t));
+            compares.extend(slots.filter_map(|t| Some((ix.last_deposit(t, p)?, t, p))));
         }
-        guard.is_some()
-    });
-    if all_guarded {
-        return (Coverage::DetectCorrect, first_witness);
     }
-
-    // DetectRestart: walk the authored order propagating the corruption
-    // footprint through factorization read→write and look for a verify
-    // that witnesses any footprint tile.
-    if opts.max_restarts >= 1 {
-        let mut foot: HashMap<(usize, usize), usize> = HashMap::from([(tile, a)]);
-        let n = fact_reads.len();
-        let mut vi = verifies.iter().peekable();
-        for p in (a + 1)..n {
-            while vi.peek().is_some_and(|v| v.pos < p) {
-                vi.next();
-            }
-            if let Some(v) = vi.peek() {
-                if v.pos == p
-                    && v.tiles
-                        .iter()
-                        .any(|t| foot.get(t).is_some_and(|&e| witnesses(v, *t, e)))
-                {
-                    return (Coverage::DetectRestart, Some(p));
-                }
-            }
-            if fact_reads[p].iter().any(|t| foot.contains_key(t)) {
-                for &w in &fact_writes[p] {
-                    foot.entry(w).or_insert(p);
+    compares.sort_unstable();
+    let mut next = pending.len();
+    for p in (0..n).rev() {
+        while let Some(&(_, t, q)) = compares.last().filter(|c| c.0 == p) {
+            earliest[t] = earliest[t].min(q);
+            compares.pop();
+        }
+        while let Some(&(_, t, s)) = pending[..next].last().filter(|s| s.0 == p) {
+            next -= 1;
+            if earliest[t] != usize::MAX {
+                for v in &mut sites[s..s + FaultClass::all().len()] {
+                    (v.coverage, v.witness) = (Coverage::DetectRestart, Some(earliest[t]));
                 }
             }
         }
+        if let TaskKind::VerifyBatch {
+            tiles,
+            fused: false,
+            ..
+        } = ix.kind(p)
+        {
+            for &t in tiles {
+                earliest[ix.slot(t)] = p;
+            }
+        } else {
+            // Only factorization nodes have a row of reads.
+            let first = ix.writes[p].iter().map(|&w| earliest[w]).min();
+            for &r in &ix.reads[p] {
+                earliest[r] = earliest[r].min(first.unwrap_or(usize::MAX));
+            }
+        }
     }
-
-    (Coverage::Uncovered, None)
 }
 
 /// Build the plan for `(kind, n, b, opts)` and check its coverage — the
@@ -656,7 +565,382 @@ pub fn check_scheme_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::is_factorization;
+    use crate::index::tests::for_each_plan;
     use hchol_core::plan::{for_scheme, SweepKind};
+    use hchol_gpusim::BufferId;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// One verify node as the coverage prover sees it.
+    struct OldVerify {
+        pos: usize,
+        tiles: Vec<(usize, usize)>,
+        fused: bool,
+    }
+
+    /// Classify a tile access into the mat / chk / dpt buffer families (the
+    /// canonical ids [`hchol_core::plan::mat_tile`] et al. assign).
+    fn classify(buf: BufferId, nt: usize) -> u8 {
+        if buf == BufferId(0) {
+            0 // mat
+        } else if buf.0 <= nt {
+            1 // chk row buffer
+        } else {
+            2 // fused deposit row buffer
+        }
+    }
+
+    /// `check_coverage` as it stood before the plan index, verbatim (only the
+    /// reachability bitsets are borrowed from the index): hashed per-plan
+    /// tables, a scan of every verify batch per (site × later read), and a
+    /// forward footprint walk of the whole authored order per site. The
+    /// reference the differential test holds the indexed prover and its
+    /// backward sweep to, verdict for verdict.
+    fn check_coverage_oracle(
+        kind: SchemeKind,
+        plan: &FactorPlan,
+        opts: &AbftOptions,
+    ) -> CoverageReport {
+        let nt = plan.nt;
+        let order = plan.order();
+        let n = order.len();
+        let ix = PlanIndex::new(plan);
+        let anc = &ix.anc;
+
+        // One walk: verify/correct placement, fused-deposit positions,
+        // factorization read/write sets, per-column mat writes, parity
+        // refreshes, resource sets, distinct-tile budgets.
+        let mut verifies: Vec<OldVerify> = Vec::new();
+        let mut corrects: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+        let mut deposits: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
+        let mut fact_reads: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        let mut fact_writes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        let mut reads_of_tile: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+        let mut col_writes: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut parities: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut scratch_set = Vec::new();
+        let mut mirror_set = Vec::new();
+        let mut send_set = Vec::new();
+        let mut mat_tiles = std::collections::BTreeSet::new();
+        let mut chk_tiles = std::collections::BTreeSet::new();
+        let mut dpt_tiles = std::collections::BTreeSet::new();
+
+        for (p, &id) in order.iter().enumerate() {
+            let node = plan.node(id);
+            let acc = plan.node_access(id);
+            for t in acc.tiles.reads.iter().chain(acc.tiles.writes.iter()) {
+                match classify(t.buf, nt) {
+                    0 => {
+                        mat_tiles.insert((t.bi, t.bj));
+                    }
+                    1 => {
+                        chk_tiles.insert((t.buf.0 - 1, t.bj));
+                    }
+                    _ => {
+                        dpt_tiles.insert((t.buf.0 - 1 - nt, t.bj));
+                    }
+                }
+            }
+            match &node.kind {
+                TaskKind::VerifyBatch { tiles, fused, .. } => {
+                    verifies.push(OldVerify {
+                        pos: p,
+                        tiles: tiles.clone(),
+                        fused: *fused,
+                    });
+                    if !*fused {
+                        scratch_set.push(p);
+                    }
+                }
+                TaskKind::Correct { tiles, .. } => corrects.push((p, tiles.clone())),
+                TaskKind::MirrorPanel { .. } => mirror_set.push(p),
+                TaskKind::DeviceSend { .. } => send_set.push(p),
+                TaskKind::ShardParity { j } => parities.entry(*j).or_default().push(p),
+                _ => {}
+            }
+            if is_factorization(&node.kind) {
+                for t in &acc.tiles.reads {
+                    if t.buf == BufferId(0) {
+                        fact_reads[p].push((t.bi, t.bj));
+                        reads_of_tile.entry((t.bi, t.bj)).or_default().push(p);
+                    }
+                }
+                for t in &acc.tiles.writes {
+                    if t.buf == BufferId(0) {
+                        fact_writes[p].push((t.bi, t.bj));
+                    }
+                }
+            }
+            // Fused producers deposit fresh sums of everything they write.
+            if matches!(
+                node.kind,
+                TaskKind::Syrk { fused: true, .. } | TaskKind::GemmPanel { fused: true, .. }
+            ) {
+                for t in &acc.tiles.writes {
+                    if classify(t.buf, nt) == 2 {
+                        deposits
+                            .entry((t.buf.0 - 1 - nt, t.bj))
+                            .or_default()
+                            .push(p);
+                    }
+                }
+            }
+            // Data writes (kernels and the POTF2 round trip) staleness-gate
+            // the column's parity refresh. Corrections also declare mat
+            // writes but restore the exact checksum-consistent values the
+            // parity encoded, so they do not invalidate it (soft fault +
+            // device loss in one run is out of scope — DESIGN.md §12).
+            if is_factorization(&node.kind) || matches!(node.kind, TaskKind::DiagToDevice { .. }) {
+                for t in &acc.tiles.writes {
+                    if t.buf == BufferId(0) {
+                        col_writes.entry(t.bj).or_default().push(p);
+                    }
+                }
+            }
+        }
+
+        // A verify witnesses a corruption that entered tile `t` at position
+        // `entry` iff it covers `t` after the entry and — when compare-only —
+        // its deposit of `t` was computed from the corrupted data.
+        let witnesses = |v: &OldVerify, t: (usize, usize), entry: usize| -> bool {
+            if v.pos <= entry || !v.tiles.contains(&t) {
+                return false;
+            }
+            if !v.fused {
+                return true;
+            }
+            deposits
+                .get(&t)
+                .and_then(|ds| ds.iter().rev().find(|&&d| d < v.pos))
+                .is_some_and(|&d| d >= entry)
+        };
+        // A verify corrects tile `t` iff a correction covering `t` is
+        // reachable from it on the plan's edges.
+        let corrects_tile = |v: &OldVerify, t: (usize, usize)| -> bool {
+            corrects
+                .iter()
+                .any(|(cp, tiles)| tiles.contains(&t) && anc.reaches(v.pos, *cp))
+        };
+
+        // Enumerate fault sites and prove each one.
+        let mut sites = Vec::new();
+        for (a, point) in plan.fault_points() {
+            for (&tile, read_ps) in &reads_of_tile {
+                if !read_ps.iter().any(|&r| r > a) {
+                    continue; // post-last-read window: not a live site
+                }
+                let proof = prove_site(
+                    a,
+                    tile,
+                    read_ps,
+                    &verifies,
+                    &witnesses,
+                    &corrects_tile,
+                    anc,
+                    &fact_reads,
+                    &fact_writes,
+                    opts,
+                );
+                for class in FaultClass::all() {
+                    sites.push(SiteVerdict {
+                        site: FaultSite {
+                            point,
+                            bi: tile.0,
+                            bj: tile.1,
+                            class,
+                        },
+                        pos: a,
+                        coverage: proof.0,
+                        witness: proof.1,
+                    });
+                }
+            }
+        }
+
+        // Device-loss sites (sharded plans): a loss at the start of iteration
+        // `j` is recoverable iff every finalized column `c < j` has a parity
+        // refresh after its last write and before the loss.
+        let mut losses = Vec::new();
+        if let Some(shard) = plan.shard.filter(|s| s.devices > 1) {
+            let loss_points: Vec<(usize, usize)> = plan
+                .fault_points()
+                .into_iter()
+                .filter_map(|(a, pt)| match pt {
+                    InjectionPoint::IterStart { iter } if iter >= 1 => Some((a, iter)),
+                    _ => None,
+                })
+                .collect();
+            for device in 0..shard.devices {
+                for &(a, at_iter) in &loss_points {
+                    let mut missing = Vec::new();
+                    for c in 0..at_iter {
+                        let lw = col_writes
+                            .get(&c)
+                            .into_iter()
+                            .flatten()
+                            .filter(|&&w| w < a)
+                            .max()
+                            .copied()
+                            .unwrap_or(0);
+                        let fresh = parities
+                            .get(&c)
+                            .into_iter()
+                            .flatten()
+                            .any(|&q| q < a && q > lw);
+                        if !fresh {
+                            missing.push(c);
+                        }
+                    }
+                    losses.push(LossVerdict {
+                        device,
+                        at_iter,
+                        coverage: if missing.is_empty() {
+                            Coverage::ParityRecover
+                        } else {
+                            Coverage::Uncovered
+                        },
+                        missing_columns: missing,
+                    });
+                }
+            }
+        }
+
+        CoverageReport {
+            scheme: kind,
+            nodes: n,
+            sites,
+            losses,
+            resources: ResourceBound {
+                mat_tiles: mat_tiles.len() as u64,
+                chk_tiles: chk_tiles.len() as u64,
+                dpt_tiles: dpt_tiles.len() as u64,
+                scratch_peak: max_antichain(&scratch_set, anc) as u64,
+                mirror_peak: max_antichain(&mirror_set, anc) as u64,
+                broadcast_peak: max_antichain(&send_set, anc) as u64,
+            },
+        }
+    }
+
+    /// Witness predicate: does this verify witness a corruption that
+    /// entered the given tile at the given authored-order position?
+    type WitnessFn<'a> = dyn Fn(&OldVerify, (usize, usize), usize) -> bool + 'a;
+
+    /// Prove one `(strike position, tile)` pair the strongest lattice rung.
+    #[allow(clippy::too_many_arguments)]
+    fn prove_site(
+        a: usize,
+        tile: (usize, usize),
+        read_ps: &[usize],
+        verifies: &[OldVerify],
+        witnesses: &WitnessFn<'_>,
+        corrects_tile: &dyn Fn(&OldVerify, (usize, usize)) -> bool,
+        anc: &Ancestors,
+        fact_reads: &[Vec<(usize, usize)>],
+        fact_writes: &[Vec<(usize, usize)>],
+        opts: &AbftOptions,
+    ) -> (Coverage, Option<usize>) {
+        // DetectCorrect: every consumer read after the strike is behind a
+        // witnessing verify with a reachable correction.
+        let mut first_witness = None;
+        let all_guarded = read_ps.iter().filter(|&&r| r > a).all(|&r| {
+            let guard = verifies
+                .iter()
+                .find(|v| witnesses(v, tile, a) && corrects_tile(v, tile) && anc.reaches(v.pos, r));
+            if let Some(v) = guard {
+                if first_witness.is_none() {
+                    first_witness = Some(v.pos);
+                }
+            }
+            guard.is_some()
+        });
+        if all_guarded {
+            return (Coverage::DetectCorrect, first_witness);
+        }
+
+        // DetectRestart: walk the authored order propagating the corruption
+        // footprint through factorization read→write and look for a verify
+        // that witnesses any footprint tile.
+        if opts.max_restarts >= 1 {
+            let mut foot: HashMap<(usize, usize), usize> = HashMap::from([(tile, a)]);
+            let n = fact_reads.len();
+            let mut vi = verifies.iter().peekable();
+            for p in (a + 1)..n {
+                while vi.peek().is_some_and(|v| v.pos < p) {
+                    vi.next();
+                }
+                if let Some(v) = vi.peek() {
+                    if v.pos == p
+                        && v.tiles
+                            .iter()
+                            .any(|t| foot.get(t).is_some_and(|&e| witnesses(v, *t, e)))
+                    {
+                        return (Coverage::DetectRestart, Some(p));
+                    }
+                }
+                if fact_reads[p].iter().any(|t| foot.contains_key(t)) {
+                    for &w in &fact_writes[p] {
+                        foot.entry(w).or_insert(p);
+                    }
+                }
+            }
+        }
+
+        (Coverage::Uncovered, None)
+    }
+
+    /// Every field of two reports that a verdict is made of.
+    fn assert_same_report(new: &CoverageReport, old: &CoverageReport, what: &str) {
+        assert_eq!(new.nodes, old.nodes, "{what}");
+        assert_eq!(new.sites.len(), old.sites.len(), "{what}: site count");
+        for (n, o) in new.sites.iter().zip(&old.sites) {
+            assert_eq!(
+                (n.site, n.pos, n.coverage, n.witness),
+                (o.site, o.pos, o.coverage, o.witness),
+                "{what}"
+            );
+        }
+        let losses = |r: &CoverageReport| -> Vec<_> {
+            let row =
+                |l: &LossVerdict| (l.device, l.at_iter, l.coverage, l.missing_columns.clone());
+            r.losses.iter().map(row).collect()
+        };
+        assert_eq!(losses(new), losses(old), "{what}");
+        assert_eq!(
+            format!("{:?}", new.resources),
+            format!("{:?}", old.resources),
+            "{what}"
+        );
+    }
+
+    /// New vs oracle over scheme × grid × feature, clean and broken — the
+    /// broken plans are where sites fall to `DetectRestart` (the backward
+    /// sweep) and `Uncovered`, fused and unfused. A counter-example means
+    /// the sweep is wrong, not the oracle.
+    #[test]
+    fn indexed_check_coverage_matches_the_walking_oracle() {
+        let broken_max = if cfg!(debug_assertions) { 5 } else { 7 };
+        let mut rungs = std::collections::BTreeMap::new();
+        for_each_plan(broken_max, |what, kind, plan, opts| {
+            let new = check_coverage(kind, plan, opts);
+            assert_same_report(&new, &check_coverage_oracle(kind, plan, opts), what);
+            let fused = opts.chk_fused && kind == SchemeKind::Enhanced;
+            for s in &new.sites {
+                *rungs.entry((fused, s.coverage)).or_insert(0usize) += 1;
+            }
+        });
+        for fused in [false, true] {
+            for rung in [
+                Coverage::DetectCorrect,
+                Coverage::DetectRestart,
+                Coverage::Uncovered,
+            ] {
+                assert!(
+                    rungs.get(&(fused, rung)).is_some_and(|&n| n > 100),
+                    "fused={fused} {rung}: the sweep must be exercised, got {rungs:?}"
+                );
+            }
+        }
+    }
 
     fn resolved_opts() -> AbftOptions {
         AbftOptions::default().with_placement(hchol_core::options::ChecksumPlacement::Gpu)

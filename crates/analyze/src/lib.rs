@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod coverage;
+mod index;
 pub mod lint;
 pub mod liveness;
 pub mod plancheck;

@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Ten rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Eleven rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -47,6 +47,12 @@
 //! * **`float-order`** — library sources (as for `env-read`) never order
 //!   floats with `partial_cmp(..)` followed by `.expect(` / `.unwrap(`: that
 //!   is a panic site on a NaN. `f64::total_cmp` orders every value.
+//! * **`tile-scan`** — the static checkers
+//!   (`crates/analyze/src/{plancheck,coverage,liveness,schedule}.rs`) never
+//!   write `tiles.contains(` and never key a `HashMap` by `TileRef` or by a
+//!   `(usize, usize)` tile: a per-tile question is a lookup on the dense
+//!   slot (`index::PlanIndex`, `schedule`'s tile ids), not a scan of every
+//!   batch's tile list or a hash per access.
 //!
 //! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
 //! may use free-form labels and scratch names by design. `shims/` (vendored
@@ -66,7 +72,7 @@ pub struct Lint {
     pub line: usize,
     /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
     /// `tolerance-literal`, `env-read`, `twin-op`, `one-engine`,
-    /// `one-launcher`, `plan-edit`, or `float-order`.
+    /// `one-launcher`, `plan-edit`, `float-order`, or `tile-scan`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -168,6 +174,9 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     }
     if file.starts_with("crates/core/src/") && !PLAN_PASSES.contains(&file) {
         rule_plan_edit(file, &scan, &mut out);
+    }
+    if TILE_CHECKERS.contains(&file) {
+        rule_tile_scan(file, &scan, &mut out);
     }
     out
 }
@@ -619,6 +628,41 @@ fn rule_plan_edit(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
     }
 }
 
+/// The static checkers that answer per-tile questions from dense slots.
+const TILE_CHECKERS: &[&str] = &[
+    "crates/analyze/src/plancheck.rs",
+    "crates/analyze/src/coverage.rs",
+    "crates/analyze/src/liveness.rs",
+    "crates/analyze/src/schedule.rs",
+];
+
+fn rule_tile_scan(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        let scans = scan.word_at(i) == Some("tiles")
+            && scan.punct_at(i + 1, '.')
+            && scan.word_at(i + 2) == Some("contains")
+            && scan.punct_at(i + 3, '(');
+        let hashes = scan.word_at(i) == Some("HashMap")
+            && scan.punct_at(i + 1, '<')
+            && (scan.word_at(i + 2) == Some("TileRef")
+                || (scan.punct_at(i + 2, '(')
+                    && scan.word_at(i + 3) == Some("usize")
+                    && scan.punct_at(i + 4, ',')
+                    && scan.word_at(i + 5) == Some("usize")
+                    && scan.punct_at(i + 6, ')')));
+        if scans || hashes {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "tile-scan",
+                message: "per-tile question answered by a scan or a hash: look the tile up \
+                          on its dense slot (`index::PlanIndex`, the sweep's tile ids)"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 /// Methods of `MetricsRegistry` whose first string argument is a metric name.
 const METRIC_METHODS: &[&str] = &["inc", "add_count", "add_f64", "set_gauge", "observe"];
 
@@ -988,6 +1032,33 @@ mod tests {
                   covered.remove(&t);\n    plan.replace_tail(4, &fresh);\n    \
                   let _ = \".insert_after(\";\n}\n";
         assert!(lint_file("crates/core/src/plan/balance.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn tile_scans_flagged_in_the_static_checkers_only() {
+        let src = "fn f(v: &V, t: (usize, usize)) -> bool { v.tiles.contains(&t) }\n\
+                   struct S { a: HashMap<TileRef, u32>, b: HashMap<(usize, usize), usize> }\n";
+        for file in [
+            "crates/analyze/src/plancheck.rs",
+            "crates/analyze/src/coverage.rs",
+            "crates/analyze/src/liveness.rs",
+            "crates/analyze/src/schedule.rs",
+        ] {
+            let lints = lint_file(file, src);
+            assert_eq!(lints.len(), 3, "{file}: {lints:?}");
+            assert!(lints.iter().all(|l| l.rule == "tile-scan"));
+            assert_eq!(lints[0].line, 1);
+            assert_eq!(lints[2].line, 2);
+        }
+        // The index builds the per-tile lists; other crates are out of scope.
+        assert!(lint_file("crates/analyze/src/index.rs", src).is_empty());
+        assert!(lint_file("crates/core/src/plan/mod.rs", src).is_empty());
+        // Other receivers, other keys, comments, strings and test modules pass.
+        let ok = "// tiles.contains(&t) was the scan\n\
+                  fn f(live: &[usize], m: &HashMap<(usize, ShardXfer), usize>) -> bool {\n    \
+                  live.contains(&3) && m.is_empty() && \"HashMap<TileRef\".is_empty()\n}\n\
+                  #[cfg(test)]\nmod tests { fn g(v: &V) -> bool { v.tiles.contains(&(0, 0)) } }\n";
+        assert!(lint_file("crates/analyze/src/coverage.rs", ok).is_empty());
     }
 
     #[test]

@@ -18,13 +18,16 @@
 //! luck, and a consumer whose declared [`VirtRes::ShardRecv`] is not
 //! behind a recv→send chain is a cross-device RAW race on some legal
 //! schedule — the exact edge the severed-recv mutation control removes.
+//!
+//! [`TaskKind::DeviceSend`]: hchol_core::plan::TaskKind::DeviceSend
+//! [`TaskKind::DeviceRecv`]: hchol_core::plan::TaskKind::DeviceRecv
+//! [`VirtRes::ShardRecv`]: hchol_core::plan::VirtRes::ShardRecv
 
-use crate::plancheck::Ancestors;
+use crate::index::PlanIndex;
 use hchol_core::options::AbftOptions;
-use hchol_core::plan::{FactorPlan, ShardXfer, TaskKind, VirtRes};
+use hchol_core::plan::{FactorPlan, ShardXfer};
 use hchol_core::schemes::SchemeKind;
 use hchol_gpusim::IssuePolicy;
-use std::collections::HashMap;
 use std::fmt;
 
 /// One liveness defect found in a plan under the executor's orderings.
@@ -198,65 +201,36 @@ pub fn detect_cycle(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
 pub fn check_liveness(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -> LivenessReport {
     let order = plan.order();
     let n = order.len();
-    let pos_of: HashMap<_, _> = order.iter().enumerate().map(|(p, &id)| (id, p)).collect();
-    let anc = Ancestors::compute(plan, &pos_of);
+    let ix = PlanIndex::new(plan);
     let mut findings = Vec::new();
 
-    // Ring totality: every send has a receive, every receive a send.
-    let mut sends: HashMap<(usize, ShardXfer), (usize, usize)> = HashMap::new();
-    let mut recvs: HashMap<(usize, ShardXfer, usize), usize> = HashMap::new();
-    let mut recv_count: HashMap<(usize, ShardXfer), usize> = HashMap::new();
-    for (p, &id) in order.iter().enumerate() {
-        match plan.node(id).kind {
-            TaskKind::DeviceSend { j, what, from } => {
-                sends.insert((j, what), (p, from));
-            }
-            TaskKind::DeviceRecv { j, what, to } => {
-                recvs.insert((j, what, to), p);
-                *recv_count.entry((j, what)).or_default() += 1;
-            }
-            _ => {}
+    // Ring totality: every send has a receive, every receive a send —
+    // reported in authored-order position, so the report is deterministic.
+    let mut unmatched: Vec<(usize, LivenessFinding)> = Vec::new();
+    for (&(iter, what), &(sp, from)) in &ix.sends {
+        if !ix.recvs.contains_key(&(iter, what)) {
+            unmatched.push((sp, LivenessFinding::UnmatchedSend { iter, what, from }));
         }
     }
-    for (&(j, what), &(_, from)) in &sends {
-        if recv_count.get(&(j, what)).copied().unwrap_or(0) == 0 {
-            findings.push(LivenessFinding::UnmatchedSend {
-                iter: j,
-                what,
-                from,
-            });
+    for (&(iter, what), rs) in &ix.recvs {
+        if !ix.sends.contains_key(&(iter, what)) {
+            let orphan = |&(dev, rp)| (rp, LivenessFinding::RecvWithoutSend { iter, what, dev });
+            unmatched.extend(rs.iter().map(orphan));
         }
     }
-    for &(j, what, dev) in recvs.keys() {
-        if !sends.contains_key(&(j, what)) {
-            findings.push(LivenessFinding::RecvWithoutSend { iter: j, what, dev });
-        }
-    }
+    unmatched.sort_by_key(|&(p, _)| p);
+    findings.extend(unmatched.into_iter().map(|(_, f)| f));
 
     // Receive-completeness: every declared remote-panel consumption sits
     // behind its receive, which sits behind the owner's send.
-    for (p, &id) in order.iter().enumerate() {
-        let node = plan.node(id);
-        for vr in &plan.node_access(id).virt_reads {
-            let &VirtRes::ShardRecv(j, what, dev) = vr else {
-                continue;
-            };
-            let complete = recvs.get(&(j, what, dev)).is_some_and(|&rp| {
-                anc.reaches(rp, p)
-                    && sends
-                        .get(&(j, what))
-                        .is_some_and(|&(sp, _)| anc.reaches(sp, rp))
-            });
-            if !complete {
-                findings.push(LivenessFinding::UnorderedConsumer {
-                    consumer: format!("{:?}", node.kind),
-                    pos: p,
-                    iter: j,
-                    what,
-                    dev,
-                });
-            }
-        }
+    for (pos, iter, what, dev) in ix.unordered_consumers() {
+        findings.push(LivenessFinding::UnorderedConsumer {
+            consumer: format!("{:?}", ix.kind(pos)),
+            pos,
+            iter,
+            what,
+            dev,
+        });
     }
 
     // Deadlock-freedom: the plan edges plus the executor's induced edges
@@ -270,7 +244,7 @@ pub fn check_liveness(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -
     let mut edges: Vec<(usize, usize)> = Vec::new();
     for (p, &id) in order.iter().enumerate() {
         for d in plan.deps(id) {
-            edges.push((pos_of[d], p));
+            edges.push((ix.pos_of[d.0], p));
         }
     }
     let plan_edges = edges.len();
@@ -292,7 +266,7 @@ pub fn check_liveness(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hchol_core::plan::for_scheme;
+    use hchol_core::plan::{for_scheme, TaskKind};
 
     fn resolved_opts() -> AbftOptions {
         AbftOptions::default().with_placement(hchol_core::options::ChecksumPlacement::Gpu)
@@ -379,6 +353,51 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.kind() == "unordered_consumer"));
+    }
+
+    /// Ring-totality findings come out in authored-order position, run
+    /// after run: strip two broadcasts' sends and two others' receives from
+    /// a D = 4 plan and the report text is identical across 32 rebuilds
+    /// (the hashed tables it is read from are seeded afresh each time).
+    #[test]
+    fn broken_ring_reports_are_deterministic() {
+        let opts = resolved_opts().with_shard(hchol_core::options::ShardOptions::new(4));
+        let render = || {
+            let mut plan = for_scheme(SchemeKind::Offline, 8, &opts, false);
+            let victims: Vec<_> = plan
+                .order()
+                .iter()
+                .copied()
+                .filter(|&id| match plan.node(id).kind {
+                    TaskKind::DeviceSend { j, .. } => j == 2 || j == 3,
+                    TaskKind::DeviceRecv { j, .. } => j == 5 || j == 6,
+                    _ => false,
+                })
+                .collect();
+            for id in victims {
+                plan.remove(id);
+            }
+            plan.derive_deps();
+            check_liveness(SchemeKind::Offline, &plan, &opts)
+        };
+        let first = render();
+        let ring: Vec<usize> = first
+            .findings
+            .iter()
+            .filter_map(|f| match f {
+                LivenessFinding::UnmatchedSend { iter, .. }
+                | LivenessFinding::RecvWithoutSend { iter, .. } => Some(*iter),
+                _ => None,
+            })
+            .collect();
+        assert!(ring.len() >= 8, "{}", first.render_text());
+        assert!(
+            ring.is_sorted(),
+            "authored order is iteration order: {ring:?}"
+        );
+        for _ in 0..32 {
+            assert_eq!(render().render_text(), first.render_text());
+        }
     }
 
     /// The cycle detector finds a hand-built cycle and names its nodes —

@@ -35,12 +35,13 @@
 //!   [`TaskKind::DeviceSend`]. A consumer ordered only by stream luck — a
 //!   send without a receive on its path — is a cross-device RAW race on
 //!   every schedule the executor is allowed to pick.
+//!
+//! [`VirtRes::ShardRecv`]: hchol_core::plan::VirtRes::ShardRecv
 
+use crate::index::{is_factorization, PlanIndex};
 use hchol_core::options::AbftOptions;
-use hchol_core::plan::{FactorPlan, NodeId, ShardXfer, SweepKind, TaskKind, VirtRes};
+use hchol_core::plan::{FactorPlan, ShardXfer, SweepKind, TaskKind};
 use hchol_core::schemes::SchemeKind;
-use hchol_gpusim::BufferId;
-use std::collections::HashMap;
 use std::fmt;
 
 /// One broken contract obligation found in a plan.
@@ -169,107 +170,26 @@ impl PlanCheck {
     }
 }
 
-/// Ancestor bitsets over positions in the authored order: `anc[p]` has bit
-/// `q` set iff position `q` reaches `p` through dependency edges. Shared
-/// with the coverage and liveness checkers ([`crate::coverage`],
-/// [`crate::liveness`]), which prove their obligations over the same
-/// reachability relation.
-pub(crate) struct Ancestors {
-    words: usize,
-    bits: Vec<u64>,
-}
-
-impl Ancestors {
-    pub(crate) fn compute(plan: &FactorPlan, pos_of: &HashMap<NodeId, usize>) -> Self {
-        let n = plan.len();
-        let words = n.div_ceil(64);
-        let mut bits = vec![0u64; n * words];
-        for (p, &id) in plan.order().iter().enumerate() {
-            for &d in plan.deps(id) {
-                let q = pos_of[&d];
-                debug_assert!(q < p, "authored order must be topological");
-                let (dst, src) = (p * words, q * words);
-                for w in 0..words {
-                    let v = bits[src + w];
-                    bits[dst + w] |= v;
-                }
-                bits[dst + q / 64] |= 1 << (q % 64);
-            }
-        }
-        Ancestors { words, bits }
-    }
-
-    /// Does position `from` reach position `to` through dependency edges
-    /// (strict: a position does not reach itself)?
-    pub(crate) fn reaches(&self, from: usize, to: usize) -> bool {
-        self.bits[to * self.words + from / 64] & (1 << (from % 64)) != 0
-    }
-}
-
-/// Is this node a factorization writer/reader of matrix data (as opposed
-/// to checksum maintenance, verification, or bookkeeping)?
-pub(crate) fn is_factorization(kind: &TaskKind) -> bool {
-    matches!(
-        kind,
-        TaskKind::Syrk { .. } | TaskKind::GemmPanel { .. } | TaskKind::TrsmPanel { .. }
-    )
-}
-
-/// Does this node *produce* matrix data (factorization kernels plus the
-/// host→device return of the factorized diagonal)?
-fn is_data_writer(kind: &TaskKind) -> bool {
-    is_factorization(kind) || matches!(kind, TaskKind::DiagToDevice { .. })
-}
-
-/// One verify node's placement: order position, covered tiles, sweep kind.
-type VerifyInfo = (usize, Vec<(usize, usize)>, SweepKind);
-
 /// Check `plan` (built for `kind` with `opts`) against the scheme's ABFT
 /// contract using only its dependency edges.
 pub fn check_plan(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -> PlanCheck {
-    let mat = BufferId(0);
-    let order = plan.order();
-    let pos_of: HashMap<NodeId, usize> = order.iter().enumerate().map(|(p, &id)| (id, p)).collect();
-    let anc = Ancestors::compute(plan, &pos_of);
+    let nt = plan.nt;
+    let ix = PlanIndex::new(plan);
+    let anc = &ix.anc;
     let mut violations = Vec::new();
 
-    // Per-position verify info.
-    let mut verifies: Vec<VerifyInfo> = Vec::new();
-    for (p, &id) in order.iter().enumerate() {
-        if let TaskKind::VerifyBatch { tiles, sweep, .. } = &plan.node(id).kind {
-            verifies.push((p, tiles.clone(), *sweep));
-        }
-    }
-
-    // Broadcast endpoints of a sharded plan: one send per (iteration,
-    // payload), one receive per (iteration, payload, consuming device).
-    let mut sends: HashMap<(usize, ShardXfer), usize> = HashMap::new();
-    let mut recvs: HashMap<(usize, ShardXfer, usize), usize> = HashMap::new();
-    for (p, &id) in order.iter().enumerate() {
-        match plan.node(id).kind {
-            TaskKind::DeviceSend { j, what, .. } => {
-                sends.insert((j, what), p);
-            }
-            TaskKind::DeviceRecv { j, what, to } => {
-                recvs.insert((j, what, to), p);
-            }
-            _ => {}
-        }
-    }
-
-    // Walk the authored order tracking each matrix tile's last data writer.
-    // The authored order is a topological order of the edges, so "last
-    // writer at this position" is well-defined.
-    let mut last_writer: HashMap<(usize, usize), usize> = HashMap::new();
+    // Walk the authored order tracking each matrix tile's last data writer
+    // (by dense slot). The authored order is a topological order of the
+    // edges, so "last writer at this position" is well-defined.
+    let mut last_writer: Vec<Option<usize>> = vec![None; nt * nt];
     let mut encode_positions: Vec<usize> = Vec::new();
     let mut writer_positions: Vec<usize> = Vec::new();
 
-    for (p, &id) in order.iter().enumerate() {
+    for (p, &id) in plan.order().iter().enumerate() {
         let node = plan.node(id);
         if matches!(node.kind, TaskKind::Encode) {
             encode_positions.push(p);
         }
-        let accesses = plan.node_access(id);
 
         // Read obligations (Enhanced always; Online only for written tiles;
         // under K > 1 only the ungated SYRK-input checks remain).
@@ -285,60 +205,44 @@ pub fn check_plan(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -> Pl
             SchemeKind::Offline => false,
         };
         if read_rule {
-            for t in &accesses.tiles.reads {
-                if t.buf != mat {
-                    continue;
-                }
-                let tile = (t.bi, t.bj);
-                let lw = last_writer.get(&tile).copied();
+            for &slot in &ix.reads[p] {
+                let lw = last_writer[slot];
                 if kind == SchemeKind::Online && lw.is_none() {
                     continue;
                 }
-                let covered = verifies.iter().any(|(vp, tiles, _)| {
-                    tiles.contains(&tile)
-                        && anc.reaches(*vp, p)
-                        && lw.is_none_or(|w| anc.reaches(w, *vp))
-                });
+                let covered = ix
+                    .verifies_of(slot)
+                    .any(|v| anc.reaches(v.pos, p) && lw.is_none_or(|w| anc.reaches(w, v.pos)));
                 if !covered {
                     violations.push(PlanViolation::UnverifiedRead {
                         reader: format!("{:?}", node.kind),
                         pos: p,
-                        tile,
+                        tile: (slot / nt, slot % nt),
                     });
                 }
             }
         }
 
-        // Cross-device obligation: a declared remote-panel consumption must
-        // sit behind its receive, which must sit behind the owner's send.
-        for vr in &accesses.virt_reads {
-            let &VirtRes::ShardRecv(j, what, dev) = vr else {
-                continue;
-            };
-            let ordered = recvs.get(&(j, what, dev)).is_some_and(|&rp| {
-                anc.reaches(rp, p) && sends.get(&(j, what)).is_some_and(|&sp| anc.reaches(sp, rp))
-            });
-            if !ordered {
-                violations.push(PlanViolation::MissingTransferEdge {
-                    consumer: format!("{:?}", node.kind),
-                    pos: p,
-                    iter: j,
-                    what,
-                    dev,
-                });
-            }
+        // Data writes: factorization kernels plus the host→device return
+        // of the factorized diagonal.
+        for &slot in &ix.writes[p] {
+            last_writer[slot] = Some(p);
         }
+        if !ix.writes[p].is_empty() {
+            writer_positions.push(p);
+        }
+    }
 
-        if is_data_writer(&node.kind) {
-            for t in &accesses.tiles.writes {
-                if t.buf == mat {
-                    last_writer.insert((t.bi, t.bj), p);
-                }
-            }
-            if !accesses.tiles.writes.is_empty() {
-                writer_positions.push(p);
-            }
-        }
+    // Cross-device obligation: a declared remote-panel consumption must
+    // sit behind its receive, which must sit behind the owner's send.
+    for (pos, iter, what, dev) in ix.unordered_consumers() {
+        violations.push(PlanViolation::MissingTransferEdge {
+            consumer: format!("{:?}", ix.kind(pos)),
+            pos,
+            iter,
+            what,
+            dev,
+        });
     }
 
     // Encode obligations: exactly one, preceding every data write.
@@ -356,15 +260,15 @@ pub fn check_plan(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -> Pl
     // Final-sweep obligations (Offline / Online): every written tile is
     // verified after its last write.
     if matches!(kind, SchemeKind::Offline | SchemeKind::Online) {
-        for (&tile, &w) in &last_writer {
-            let covered = verifies.iter().any(|(vp, tiles, sweep)| {
-                *sweep == SweepKind::Final && tiles.contains(&tile) && anc.reaches(w, *vp)
-            });
+        for (slot, w) in last_writer.iter().enumerate() {
+            let Some(w) = *w else { continue };
+            let covered = ix
+                .verifies_of(slot)
+                .any(|v| v.sweep == SweepKind::Final && anc.reaches(w, v.pos));
             if !covered {
-                let id = order[w];
                 violations.push(PlanViolation::MissingFinalVerify {
-                    tile,
-                    writer: format!("{:?}", plan.node(id).kind),
+                    tile: (slot / nt, slot % nt),
+                    writer: format!("{:?}", ix.kind(w)),
                 });
             }
         }
@@ -403,8 +307,226 @@ pub fn check_scheme_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hchol_core::plan::for_scheme;
+    use crate::index::tests::{examined, for_each_plan, EXAMINED};
+    use hchol_core::plan::{for_scheme, VirtRes};
     use hchol_core::schemes::SchemeKind;
+    use hchol_gpusim::BufferId;
+    use std::collections::HashMap;
+
+    /// One verify node's placement: order position, covered tiles, sweep kind.
+    type VerifyInfo = (usize, Vec<(usize, usize)>, SweepKind);
+
+    /// `check_plan` as it stood before the plan index, verbatim (only the
+    /// reachability bitsets are borrowed from the index): every read
+    /// obligation scans every verify batch of the plan and every tile in it.
+    /// The reference the differential test holds the indexed checker to,
+    /// violation for violation.
+    fn check_plan_oracle(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -> PlanCheck {
+        let mat = BufferId(0);
+        let order = plan.order();
+        let ix = PlanIndex::new(plan);
+        let anc = &ix.anc;
+        let mut violations = Vec::new();
+
+        // Per-position verify info.
+        let mut verifies: Vec<VerifyInfo> = Vec::new();
+        for (p, &id) in order.iter().enumerate() {
+            if let TaskKind::VerifyBatch { tiles, sweep, .. } = &plan.node(id).kind {
+                verifies.push((p, tiles.clone(), *sweep));
+            }
+        }
+
+        // Broadcast endpoints of a sharded plan: one send per (iteration,
+        // payload), one receive per (iteration, payload, consuming device).
+        let mut sends: HashMap<(usize, ShardXfer), usize> = HashMap::new();
+        let mut recvs: HashMap<(usize, ShardXfer, usize), usize> = HashMap::new();
+        for (p, &id) in order.iter().enumerate() {
+            match plan.node(id).kind {
+                TaskKind::DeviceSend { j, what, .. } => {
+                    sends.insert((j, what), p);
+                }
+                TaskKind::DeviceRecv { j, what, to } => {
+                    recvs.insert((j, what, to), p);
+                }
+                _ => {}
+            }
+        }
+
+        // Walk the authored order tracking each matrix tile's last data writer.
+        // The authored order is a topological order of the edges, so "last
+        // writer at this position" is well-defined.
+        let mut last_writer: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut encode_positions: Vec<usize> = Vec::new();
+        let mut writer_positions: Vec<usize> = Vec::new();
+
+        for (p, &id) in order.iter().enumerate() {
+            let node = plan.node(id);
+            if matches!(node.kind, TaskKind::Encode) {
+                encode_positions.push(p);
+            }
+            let accesses = plan.node_access(id);
+
+            // Read obligations (Enhanced always; Online only for written tiles;
+            // under K > 1 only the ungated SYRK-input checks remain).
+            let read_rule = match kind {
+                SchemeKind::Enhanced => {
+                    if opts.verify_interval <= 1 {
+                        is_factorization(&node.kind)
+                    } else {
+                        matches!(node.kind, TaskKind::Syrk { .. })
+                    }
+                }
+                SchemeKind::Online => is_factorization(&node.kind),
+                SchemeKind::Offline => false,
+            };
+            if read_rule {
+                for t in &accesses.tiles.reads {
+                    if t.buf != mat {
+                        continue;
+                    }
+                    let tile = (t.bi, t.bj);
+                    let lw = last_writer.get(&tile).copied();
+                    if kind == SchemeKind::Online && lw.is_none() {
+                        continue;
+                    }
+                    let covered = verifies.iter().any(|(vp, tiles, _)| {
+                        EXAMINED.with(|c| c.set(c.get() + 1));
+                        tiles.contains(&tile)
+                            && anc.reaches(*vp, p)
+                            && lw.is_none_or(|w| anc.reaches(w, *vp))
+                    });
+                    if !covered {
+                        violations.push(PlanViolation::UnverifiedRead {
+                            reader: format!("{:?}", node.kind),
+                            pos: p,
+                            tile,
+                        });
+                    }
+                }
+            }
+
+            // Cross-device obligation: a declared remote-panel consumption must
+            // sit behind its receive, which must sit behind the owner's send.
+            for vr in &accesses.virt_reads {
+                let &VirtRes::ShardRecv(j, what, dev) = vr else {
+                    continue;
+                };
+                let ordered = recvs.get(&(j, what, dev)).is_some_and(|&rp| {
+                    anc.reaches(rp, p)
+                        && sends.get(&(j, what)).is_some_and(|&sp| anc.reaches(sp, rp))
+                });
+                if !ordered {
+                    violations.push(PlanViolation::MissingTransferEdge {
+                        consumer: format!("{:?}", node.kind),
+                        pos: p,
+                        iter: j,
+                        what,
+                        dev,
+                    });
+                }
+            }
+
+            if is_factorization(&node.kind) || matches!(node.kind, TaskKind::DiagToDevice { .. }) {
+                for t in &accesses.tiles.writes {
+                    if t.buf == mat {
+                        last_writer.insert((t.bi, t.bj), p);
+                    }
+                }
+                if !accesses.tiles.writes.is_empty() {
+                    writer_positions.push(p);
+                }
+            }
+        }
+
+        // Encode obligations: exactly one, preceding every data write.
+        match encode_positions.len() {
+            0 => violations.push(PlanViolation::MissingEncode),
+            1 => {
+                let e = encode_positions[0];
+                if writer_positions.iter().any(|&w| !anc.reaches(e, w)) {
+                    violations.push(PlanViolation::MissingEncode);
+                }
+            }
+            n => violations.push(PlanViolation::DuplicateEncode { count: n }),
+        }
+
+        // Final-sweep obligations (Offline / Online): every written tile is
+        // verified after its last write.
+        if matches!(kind, SchemeKind::Offline | SchemeKind::Online) {
+            for (&tile, &w) in &last_writer {
+                let covered = verifies.iter().any(|(vp, tiles, sweep)| {
+                    *sweep == SweepKind::Final && tiles.contains(&tile) && anc.reaches(w, *vp)
+                });
+                if !covered {
+                    let id = order[w];
+                    violations.push(PlanViolation::MissingFinalVerify {
+                        tile,
+                        writer: format!("{:?}", plan.node(id).kind),
+                    });
+                }
+            }
+        }
+
+        violations.sort_by_key(|v| match v {
+            PlanViolation::UnverifiedRead { pos, tile, .. } => (0, *pos, *tile),
+            PlanViolation::MissingFinalVerify { tile, .. } => (1, 0, *tile),
+            PlanViolation::MissingEncode => (2, 0, (0, 0)),
+            PlanViolation::DuplicateEncode { .. } => (3, 0, (0, 0)),
+            PlanViolation::MissingTransferEdge { pos, iter, dev, .. } => (4, *pos, (*iter, *dev)),
+        });
+        PlanCheck {
+            scheme: kind,
+            nodes: plan.len(),
+            edges: plan.edge_count(),
+            violations,
+        }
+    }
+
+    /// New vs oracle over scheme × grid × feature, clean and broken: the
+    /// whole violation list, in order.
+    #[test]
+    fn indexed_check_plan_matches_the_scanning_oracle() {
+        let broken_max = if cfg!(debug_assertions) { 6 } else { 9 };
+        let mut dirty = 0usize;
+        for_each_plan(broken_max, |what, kind, plan, opts| {
+            let (new, old) = (
+                check_plan(kind, plan, opts),
+                check_plan_oracle(kind, plan, opts),
+            );
+            assert_eq!(new.violations, old.violations, "{what}");
+            assert_eq!((new.nodes, new.edges), (old.nodes, old.edges), "{what}");
+            dirty += usize::from(!new.is_clean());
+        });
+        assert!(dirty > 100, "the broken plans exercise the violation paths");
+    }
+
+    /// Count-based guard against a regrown scan: per read obligation the
+    /// indexed checker examines at most the tile's own verify list, where
+    /// the oracle examines up to every batch of the plan.
+    #[test]
+    fn read_obligations_examine_only_the_tiles_own_verifies() {
+        let opts = resolved_opts();
+        let mut oracle_per_read = Vec::new();
+        for nt in [8usize, 16] {
+            let plan = for_scheme(SchemeKind::Enhanced, nt, &opts, false);
+            let ix = PlanIndex::new(&plan);
+            let reads = ix.reads.iter().flatten();
+            let (obligations, own_lists) = reads.fold((0, 0), |(n, sum), &slot| {
+                (n + 1, sum + ix.verifies_of(slot).count())
+            });
+            let (_, new) = examined(|| check_plan(SchemeKind::Enhanced, &plan, &opts));
+            let (_, old) = examined(|| check_plan_oracle(SchemeKind::Enhanced, &plan, &opts));
+            assert!(new <= own_lists, "nt={nt}: {new} > {own_lists}");
+            assert!(old > 4 * new, "nt={nt}: oracle {old} vs indexed {new}");
+            oracle_per_read.push(old as f64 / obligations as f64);
+        }
+        // The oracle's cost per obligation grows with the plan's batch
+        // count; the indexed checker's is bounded by the tile's own list.
+        assert!(
+            oracle_per_read[1] > 1.5 * oracle_per_read[0],
+            "{oracle_per_read:?}"
+        );
+    }
 
     fn resolved_opts() -> AbftOptions {
         AbftOptions::default().with_placement(hchol_core::options::ChecksumPlacement::Gpu)

@@ -52,8 +52,7 @@
 use hchol_core::schemes::{FactorOutcome, SchemeKind};
 use hchol_gpusim::counters::WorkCategory;
 use hchol_gpusim::program::{DmaDir, ExecSite, ProgramTrace, TraceAction, TraceOp};
-use hchol_gpusim::TileRef;
-use std::collections::HashMap;
+use hchol_gpusim::{BufferId, TileRef};
 
 /// Which ABFT contract to check on top of the race analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -305,16 +304,67 @@ fn upsert(list: &mut Vec<Access>, a: Access) {
     }
 }
 
+/// Dense ids for the tiles a trace touches: each buffer is a row-major
+/// grid as large as the largest tile index the trace declares on it, the
+/// grids laid end to end — so a tile's state is one arithmetic lookup per
+/// access, and ascending id is ascending `(buffer, row, column)`.
+struct TileIds {
+    /// Per buffer: first id and grid width (`bound` is one past the last).
+    grids: Vec<(usize, usize)>,
+    bound: usize,
+}
+
+impl TileIds {
+    fn of(trace: &ProgramTrace) -> Self {
+        let mut dims: Vec<(usize, usize)> = Vec::new();
+        for a in trace.actions() {
+            let TraceAction::Op(op) = a else { continue };
+            for t in op.access.reads.iter().chain(&op.access.writes) {
+                if dims.len() <= t.buf.0 {
+                    dims.resize(t.buf.0 + 1, (0, 0));
+                }
+                let d = &mut dims[t.buf.0];
+                *d = (d.0.max(t.bi + 1), d.1.max(t.bj + 1));
+            }
+        }
+        let mut bound = 0;
+        let grids = dims.iter().map(|&(rows, cols)| {
+            bound += rows * cols;
+            (bound - rows * cols, cols)
+        });
+        TileIds {
+            grids: grids.collect(),
+            bound,
+        }
+    }
+
+    #[inline]
+    fn id(&self, t: &TileRef) -> usize {
+        let (base, cols) = self.grids[t.buf.0];
+        base + t.bi * cols + t.bj
+    }
+
+    /// The tile behind a dense id.
+    fn tile(&self, id: usize) -> TileRef {
+        let buf = self.grids.partition_point(|g| g.0 <= id) - 1;
+        let (base, cols) = self.grids[buf];
+        TileRef::new(BufferId(buf), (id - base) / cols, (id - base) % cols)
+    }
+}
+
 struct Sweep<'a> {
     trace: &'a ProgramTrace,
     protocol: Option<Protocol>,
     /// Vector clocks, one per agent: `0` = host, then streams, then CPU
     /// workers, then the two DMA lanes.
     clocks: Vec<Vec<u32>>,
+    /// The clock of the op being visited (reused across ops).
+    scratch: Vec<u32>,
     events: Vec<Option<Vec<u32>>>,
     n_streams: usize,
     n_workers: usize,
-    tiles: HashMap<TileRef, TileState>,
+    ids: TileIds,
+    tiles: Vec<TileState>,
     out: ScheduleAnalysis,
 }
 
@@ -347,14 +397,19 @@ impl<'a> Sweep<'a> {
         let n_streams = max_stream + 1;
         let n_workers = max_worker + 1;
         let n_agents = 1 + n_streams + n_workers + 2;
+        let ids = TileIds::of(trace);
         Sweep {
             trace,
             protocol,
             clocks: vec![vec![0; n_agents]; n_agents],
+            scratch: vec![0; n_agents],
             events: vec![None; max_event + 1],
             n_streams,
             n_workers,
-            tiles: HashMap::new(),
+            tiles: std::iter::repeat_with(TileState::default)
+                .take(ids.bound)
+                .collect(),
+            ids,
             out: ScheduleAnalysis {
                 protocol,
                 ..ScheduleAnalysis::default()
@@ -378,6 +433,12 @@ impl<'a> Sweep<'a> {
         }
     }
 
+    /// Join lane `agent`'s clock into the host's.
+    fn host_joins(&mut self, agent: usize) {
+        let (host, lanes) = self.clocks.split_first_mut().expect("the host lane exists");
+        join(host, &lanes[agent - 1]);
+    }
+
     fn run(mut self) -> ScheduleAnalysis {
         for idx in 0..self.trace.actions().len() {
             match &self.trace.actions()[idx] {
@@ -386,29 +447,23 @@ impl<'a> Sweep<'a> {
                     self.events[*event] = Some(self.clocks[self.stream_agent(*stream)].clone());
                 }
                 TraceAction::StreamWaitEvent { stream, event } => {
-                    if let Some(vc) = self.events[*event].clone() {
-                        let agent = self.stream_agent(*stream);
-                        join(&mut self.clocks[agent], &vc);
+                    let agent = self.stream_agent(*stream);
+                    if let Some(vc) = &self.events[*event] {
+                        join(&mut self.clocks[agent], vc);
                     }
                 }
-                TraceAction::SyncStream { stream } => {
-                    let vc = self.clocks[self.stream_agent(*stream)].clone();
-                    join(&mut self.clocks[HOST], &vc);
-                }
+                TraceAction::SyncStream { stream } => self.host_joins(self.stream_agent(*stream)),
                 TraceAction::SyncDevice => {
                     for s in 0..self.n_streams {
-                        let vc = self.clocks[self.stream_agent(s)].clone();
-                        join(&mut self.clocks[HOST], &vc);
+                        self.host_joins(self.stream_agent(s));
                     }
                     for d in [DmaDir::H2D, DmaDir::D2H] {
-                        let vc = self.clocks[self.dma_agent(d)].clone();
-                        join(&mut self.clocks[HOST], &vc);
+                        self.host_joins(self.dma_agent(d));
                     }
                 }
                 TraceAction::SyncCpuWorkers => {
                     for w in 0..self.n_workers {
-                        let vc = self.clocks[self.worker_agent(w)].clone();
-                        join(&mut self.clocks[HOST], &vc);
+                        self.host_joins(self.worker_agent(w));
                     }
                 }
             }
@@ -427,10 +482,11 @@ impl<'a> Sweep<'a> {
         // The op's clock: its own lane joined with the host's knowledge at
         // issue time (every start waits for the host clock), plus the DMA
         // lane for transfers.
-        let mut vc = self.clocks[agent].clone();
-        join(&mut vc, &self.clocks[HOST].clone());
+        let mut vc = std::mem::take(&mut self.scratch);
+        vc.copy_from_slice(&self.clocks[agent]);
+        join(&mut vc, &self.clocks[HOST]);
         if let Some(dir) = op.dma {
-            join(&mut vc, &self.clocks[self.dma_agent(dir)].clone());
+            join(&mut vc, &self.clocks[self.dma_agent(dir)]);
         }
         vc[agent] += 1;
         let me = Access {
@@ -442,7 +498,7 @@ impl<'a> Sweep<'a> {
 
         // --- Checks against the pre-state. ---
         for r in &op.access.reads {
-            let st = self.tiles.entry(*r).or_default();
+            let st = &mut self.tiles[self.ids.id(r)];
             if let Some(w) = &st.last_write {
                 if !hb(w) {
                     let race = Race {
@@ -479,7 +535,7 @@ impl<'a> Sweep<'a> {
             }
         }
         for w in &op.access.writes {
-            let st = self.tiles.entry(*w).or_default();
+            let st = &mut self.tiles[self.ids.id(w)];
             if let Some(pw) = &st.last_write {
                 if !hb(pw) {
                     self.out.races.push(Race {
@@ -523,14 +579,14 @@ impl<'a> Sweep<'a> {
             WorkCategory::Verify | WorkCategory::ChecksumRecalc
         );
         for r in &op.access.reads {
-            let st = self.tiles.entry(*r).or_default();
+            let st = &mut self.tiles[self.ids.id(r)];
             upsert(&mut st.readers, me);
             if is_verify {
                 upsert(&mut st.verified, me);
             }
         }
         for w in &op.access.writes {
-            let st = self.tiles.entry(*w).or_default();
+            let st = &mut self.tiles[self.ids.id(w)];
             st.last_write = Some(me);
             st.last_write_cat = Some(op.category);
             st.readers.clear();
@@ -545,14 +601,16 @@ impl<'a> Sweep<'a> {
         }
 
         // Publish the op's clock to its lane(s).
-        self.clocks[agent] = vc.clone();
+        self.clocks[agent].copy_from_slice(&vc);
         if let Some(dir) = op.dma {
             let lane = self.dma_agent(dir);
-            self.clocks[lane] = vc;
+            self.clocks[lane].copy_from_slice(&vc);
         }
+        self.scratch = vc;
     }
 
-    /// End-of-trace rules (verify-at-end for offline/online).
+    /// End-of-trace rules (verify-at-end for offline/online), in ascending
+    /// `(buffer, row, column)` order — the order of the dense ids.
     fn finish(&mut self) {
         if !matches!(
             self.protocol,
@@ -560,26 +618,19 @@ impl<'a> Sweep<'a> {
         ) {
             return;
         }
-        let mut missing: Vec<Violation> = Vec::new();
-        for (tile, st) in &self.tiles {
+        for (id, st) in self.tiles.iter().enumerate() {
             let Some(w) = &st.last_write else { continue };
             let data_write = matches!(
                 st.last_write_cat,
                 Some(WorkCategory::Factorization) | Some(WorkCategory::Transfer)
             );
             if data_write && st.verified.is_empty() {
-                missing.push(Violation::MissingFinalVerify {
-                    tile: *tile,
+                self.out.violations.push(Violation::MissingFinalVerify {
+                    tile: self.ids.tile(id),
                     writer: label_of(self.trace, w.action),
                 });
             }
         }
-        // Deterministic order for reporting (HashMap iteration is not).
-        missing.sort_by_key(|v| {
-            let t = v.tile();
-            (t.buf.0, t.bi, t.bj)
-        });
-        self.out.violations.extend(missing);
     }
 }
 
@@ -603,6 +654,7 @@ mod tests {
     use hchol_gpusim::context::KernelDesc;
     use hchol_gpusim::profile::{KernelClass, SystemProfile};
     use hchol_gpusim::{BufferId, ExecMode, SimContext};
+    use std::collections::HashMap;
 
     fn ctx() -> SimContext {
         SimContext::new(SystemProfile::test_profile(), ExecMode::TimingOnly)
@@ -610,6 +662,416 @@ mod tests {
 
     fn tile(i: usize, j: usize) -> TileRef {
         TileRef::new(BufferId(0), i, j)
+    }
+
+    /// The sweep as it stood before the dense tile ids and the reused
+    /// scratch clock, verbatim: per-tile state in a hashed map looked up two
+    /// to four times per access, four clock clones per op. The reference
+    /// the differential tests hold the new sweep to — races and violations
+    /// in the same order, op for op.
+    struct OracleSweep<'a> {
+        trace: &'a ProgramTrace,
+        protocol: Option<Protocol>,
+        /// Vector clocks, one per agent: `0` = host, then streams, then CPU
+        /// workers, then the two DMA lanes.
+        clocks: Vec<Vec<u32>>,
+        events: Vec<Option<Vec<u32>>>,
+        n_streams: usize,
+        n_workers: usize,
+        tiles: HashMap<TileRef, TileState>,
+        out: ScheduleAnalysis,
+    }
+
+    impl<'a> OracleSweep<'a> {
+        fn new(trace: &'a ProgramTrace, protocol: Option<Protocol>) -> Self {
+            let mut max_stream = 0usize;
+            let mut max_worker = 0usize;
+            let mut max_event = 0usize;
+            for a in trace.actions() {
+                match a {
+                    TraceAction::Op(op) => match op.site {
+                        ExecSite::Stream(s) => max_stream = max_stream.max(s),
+                        ExecSite::CpuWorker(w) => max_worker = max_worker.max(w),
+                        ExecSite::Host => {}
+                    },
+                    TraceAction::RecordEvent { event, stream } => {
+                        max_event = max_event.max(*event);
+                        max_stream = max_stream.max(*stream);
+                    }
+                    TraceAction::StreamWaitEvent { stream, event } => {
+                        max_stream = max_stream.max(*stream);
+                        max_event = max_event.max(*event);
+                    }
+                    TraceAction::SyncStream { stream } => max_stream = max_stream.max(*stream),
+                    _ => {}
+                }
+            }
+            let n_streams = max_stream + 1;
+            let n_workers = max_worker + 1;
+            let n_agents = 1 + n_streams + n_workers + 2;
+            OracleSweep {
+                trace,
+                protocol,
+                clocks: vec![vec![0; n_agents]; n_agents],
+                events: vec![None; max_event + 1],
+                n_streams,
+                n_workers,
+                tiles: HashMap::new(),
+                out: ScheduleAnalysis {
+                    protocol,
+                    ..ScheduleAnalysis::default()
+                },
+            }
+        }
+
+        fn stream_agent(&self, s: usize) -> usize {
+            1 + s
+        }
+
+        fn worker_agent(&self, w: usize) -> usize {
+            1 + self.n_streams + w
+        }
+
+        fn dma_agent(&self, d: DmaDir) -> usize {
+            let base = 1 + self.n_streams + self.n_workers;
+            match d {
+                DmaDir::H2D => base,
+                DmaDir::D2H => base + 1,
+            }
+        }
+
+        fn run(mut self) -> ScheduleAnalysis {
+            for idx in 0..self.trace.actions().len() {
+                match &self.trace.actions()[idx] {
+                    TraceAction::Op(op) => self.visit_op(idx, op),
+                    TraceAction::RecordEvent { event, stream } => {
+                        self.events[*event] = Some(self.clocks[self.stream_agent(*stream)].clone());
+                    }
+                    TraceAction::StreamWaitEvent { stream, event } => {
+                        if let Some(vc) = self.events[*event].clone() {
+                            let agent = self.stream_agent(*stream);
+                            join(&mut self.clocks[agent], &vc);
+                        }
+                    }
+                    TraceAction::SyncStream { stream } => {
+                        let vc = self.clocks[self.stream_agent(*stream)].clone();
+                        join(&mut self.clocks[HOST], &vc);
+                    }
+                    TraceAction::SyncDevice => {
+                        for s in 0..self.n_streams {
+                            let vc = self.clocks[self.stream_agent(s)].clone();
+                            join(&mut self.clocks[HOST], &vc);
+                        }
+                        for d in [DmaDir::H2D, DmaDir::D2H] {
+                            let vc = self.clocks[self.dma_agent(d)].clone();
+                            join(&mut self.clocks[HOST], &vc);
+                        }
+                    }
+                    TraceAction::SyncCpuWorkers => {
+                        for w in 0..self.n_workers {
+                            let vc = self.clocks[self.worker_agent(w)].clone();
+                            join(&mut self.clocks[HOST], &vc);
+                        }
+                    }
+                }
+            }
+            self.finish();
+            self.out
+        }
+
+        fn visit_op(&mut self, idx: usize, op: &TraceOp) {
+            self.out.ops += 1;
+            let agent = match op.site {
+                ExecSite::Stream(s) => self.stream_agent(s),
+                ExecSite::Host => HOST,
+                ExecSite::CpuWorker(w) => self.worker_agent(w),
+            };
+            // The op's clock: its own lane joined with the host's knowledge at
+            // issue time (every start waits for the host clock), plus the DMA
+            // lane for transfers.
+            let mut vc = self.clocks[agent].clone();
+            join(&mut vc, &self.clocks[HOST].clone());
+            if let Some(dir) = op.dma {
+                join(&mut vc, &self.clocks[self.dma_agent(dir)].clone());
+            }
+            vc[agent] += 1;
+            let me = Access {
+                agent,
+                tick: vc[agent],
+                action: idx,
+            };
+            let hb = |a: &Access| vc[a.agent] >= a.tick;
+
+            // --- Checks against the pre-state. ---
+            for r in &op.access.reads {
+                let st = self.tiles.entry(*r).or_default();
+                if let Some(w) = &st.last_write {
+                    if !hb(w) {
+                        let race = Race {
+                            kind: RaceKind::Raw,
+                            tile: *r,
+                            first: label_of(self.trace, w.action),
+                            second: op.label.clone(),
+                        };
+                        self.out.races.push(race);
+                    }
+                }
+                // Protocol read rules (factorization reads only — checksum and
+                // transfer machinery is the verification mechanism itself).
+                if op.category == WorkCategory::Factorization {
+                    let needs_verify = match self.protocol {
+                        Some(Protocol::Enhanced) => true,
+                        Some(Protocol::Online) => st.last_write.is_some(),
+                        _ => false,
+                    };
+                    if needs_verify && !st.verified.iter().any(&hb) {
+                        self.out.violations.push(Violation::UnverifiedRead {
+                            tile: *r,
+                            reader: op.label.clone(),
+                        });
+                    }
+                }
+                if op.category == WorkCategory::ChecksumEncode {
+                    st.encodes += 1;
+                    if st.encodes == 2 && self.protocol == Some(Protocol::Offline) {
+                        self.out
+                            .violations
+                            .push(Violation::DuplicateEncode { tile: *r, count: 2 });
+                    }
+                }
+            }
+            for w in &op.access.writes {
+                let st = self.tiles.entry(*w).or_default();
+                if let Some(pw) = &st.last_write {
+                    if !hb(pw) {
+                        self.out.races.push(Race {
+                            kind: RaceKind::Waw,
+                            tile: *w,
+                            first: label_of(self.trace, pw.action),
+                            second: op.label.clone(),
+                        });
+                    }
+                }
+                for rd in &st.readers {
+                    // Skip this op's own read of the same tile (RMW ops).
+                    if rd.agent == me.agent && rd.tick == me.tick {
+                        continue;
+                    }
+                    if !hb(rd) {
+                        self.out.races.push(Race {
+                            kind: RaceKind::War,
+                            tile: *w,
+                            first: label_of(self.trace, rd.action),
+                            second: op.label.clone(),
+                        });
+                    }
+                }
+                if op.category == WorkCategory::Factorization
+                    && self.protocol == Some(Protocol::Offline)
+                    && st.encodes == 0
+                    && !st.encode_flagged
+                {
+                    st.encode_flagged = true;
+                    self.out.violations.push(Violation::MissingEncode {
+                        tile: *w,
+                        writer: op.label.clone(),
+                    });
+                }
+            }
+
+            // --- State updates. ---
+            let is_verify = matches!(
+                op.category,
+                WorkCategory::Verify | WorkCategory::ChecksumRecalc
+            );
+            for r in &op.access.reads {
+                let st = self.tiles.entry(*r).or_default();
+                upsert(&mut st.readers, me);
+                if is_verify {
+                    upsert(&mut st.verified, me);
+                }
+            }
+            for w in &op.access.writes {
+                let st = self.tiles.entry(*w).or_default();
+                st.last_write = Some(me);
+                st.last_write_cat = Some(op.category);
+                st.readers.clear();
+                st.verified.clear();
+                // A fused-epilogue kernel recalculates the checksums of every
+                // tile it writes inside the same launch: the write carries its
+                // own verify mark (the compare-only batch that consumes the
+                // deposit declares no matrix reads, so this is the only mark).
+                if op.fused_verify {
+                    upsert(&mut st.verified, me);
+                }
+            }
+
+            // Publish the op's clock to its lane(s).
+            self.clocks[agent] = vc.clone();
+            if let Some(dir) = op.dma {
+                let lane = self.dma_agent(dir);
+                self.clocks[lane] = vc;
+            }
+        }
+
+        /// End-of-trace rules (verify-at-end for offline/online).
+        fn finish(&mut self) {
+            if !matches!(
+                self.protocol,
+                Some(Protocol::Offline) | Some(Protocol::Online)
+            ) {
+                return;
+            }
+            let mut missing: Vec<Violation> = Vec::new();
+            for (tile, st) in &self.tiles {
+                let Some(w) = &st.last_write else { continue };
+                let data_write = matches!(
+                    st.last_write_cat,
+                    Some(WorkCategory::Factorization) | Some(WorkCategory::Transfer)
+                );
+                if data_write && st.verified.is_empty() {
+                    missing.push(Violation::MissingFinalVerify {
+                        tile: *tile,
+                        writer: label_of(self.trace, w.action),
+                    });
+                }
+            }
+            // Deterministic order for reporting (HashMap iteration is not).
+            missing.sort_by_key(|v| {
+                let t = v.tile();
+                (t.buf.0, t.bi, t.bj)
+            });
+            self.out.violations.extend(missing);
+        }
+    }
+
+    /// Both sweeps over one trace, race-only and under every protocol:
+    /// `ops`, and every race and violation in order.
+    fn assert_same_analysis(trace: &ProgramTrace, what: &str) -> usize {
+        let mut findings = 0;
+        let protocols = [
+            None,
+            Some(Protocol::Offline),
+            Some(Protocol::Online),
+            Some(Protocol::Enhanced),
+        ];
+        for protocol in protocols {
+            let new = Sweep::new(trace, protocol).run();
+            let old = OracleSweep::new(trace, protocol).run();
+            assert_eq!(new.ops, old.ops, "{what} {protocol:?}");
+            assert_eq!(
+                format!("{:?}", new.races),
+                format!("{:?}", old.races),
+                "{what} {protocol:?}"
+            );
+            assert_eq!(
+                format!("{:?}", new.violations),
+                format!("{:?}", old.violations),
+                "{what} {protocol:?}"
+            );
+            findings += new.races.len() + new.violations.len();
+        }
+        findings
+    }
+
+    /// New vs oracle on recorded factorizations: scheme × grid × feature
+    /// (clean, faulted-and-restarted, and with the receive-side broadcast
+    /// ordering dropped so the trace really races), each trace also held to
+    /// the two protocols it does not implement so the violation paths run.
+    #[test]
+    fn dense_sweep_matches_the_hashed_oracle_on_recorded_runs() {
+        use crate::index::tests::{configs, gpu};
+        use hchol_core::options::ShardOptions;
+        use hchol_core::schemes::run_scheme;
+        use hchol_faults::FaultPlan;
+        let profile = SystemProfile::tardis();
+        let b = 16;
+        let racy = gpu().with_shard(ShardOptions::new(2).with_drop_recv_sync(true));
+        let mut configs = configs();
+        configs.push(("racy shard2", racy, false));
+        let (mut findings, mut racy_findings) = (0, 0);
+        for nt in 1..=crate::index::tests::nt_max() {
+            for (name, opts, faulty) in &configs {
+                for kind in SchemeKind::all() {
+                    if hchol_core::validate_options(opts).is_err() {
+                        continue;
+                    }
+                    let faults = match faulty {
+                        true => FaultPlan::paper_storage_error(nt, b),
+                        false => FaultPlan::none(),
+                    };
+                    let out = run_scheme(
+                        kind,
+                        &profile,
+                        ExecMode::TimingOnly,
+                        nt * b,
+                        b,
+                        opts,
+                        faults,
+                        None,
+                    )
+                    .expect("the TimingOnly run completes");
+                    let what = format!("{} nt={nt} {name}", kind.name());
+                    let n = assert_same_analysis(&out.ctx.trace, &what);
+                    findings += n;
+                    if *name == "racy shard2" {
+                        racy_findings += analyze_schedule(&out.ctx.trace).races.len();
+                    }
+                }
+            }
+        }
+        assert!(findings > 1000, "mismatched protocols raise violations");
+        assert!(racy_findings > 0, "dropped receive ordering raises races");
+    }
+
+    /// New vs oracle on random programs: random tiles of random buffers read
+    /// and written from random streams, workers and the host, with events
+    /// and syncs sprinkled in — RAW, WAR and WAW races by the hundred.
+    #[test]
+    fn dense_sweep_matches_the_hashed_oracle_on_random_programs() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut rnd = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let cats = [
+            WorkCategory::Factorization,
+            WorkCategory::ChecksumEncode,
+            WorkCategory::ChecksumRecalc,
+            WorkCategory::Verify,
+            WorkCategory::Transfer,
+        ];
+        let mut findings = 0;
+        for program in 0..64 {
+            let mut c = ctx();
+            let streams: Vec<_> = (0..1 + rnd(3)).map(|_| c.create_stream()).collect();
+            let mut events = Vec::new();
+            for step in 0..40 + rnd(60) {
+                let mut pick = |n: usize| -> Vec<TileRef> {
+                    (0..rnd(n))
+                        .map(|_| TileRef::new(BufferId(rnd(3) * 2), rnd(3), rnd(4)))
+                        .collect()
+                };
+                let access = AccessSet::new(pick(4), pick(3));
+                let cat = cats[rnd(cats.len())];
+                let desc = KernelDesc::new(format!("op{step}"), KernelClass::Blas3, 1_000, cat)
+                    .with_access(access);
+                match rnd(10) {
+                    0 => c.cpu_submit(desc, |_, _| {}),
+                    1 => events.push(c.record_event(streams[rnd(streams.len())])),
+                    2 if !events.is_empty() => {
+                        c.stream_wait_event(streams[rnd(streams.len())], events[rnd(events.len())])
+                    }
+                    3 => c.sync_stream(streams[rnd(streams.len())]),
+                    4 if rnd(4) == 0 => c.sync_cpu_workers(),
+                    _ => c.launch(streams[rnd(streams.len())], desc, |_| {}),
+                }
+            }
+            findings += assert_same_analysis(&c.trace, &format!("random program {program}"));
+        }
+        assert!(findings > 1000, "random programs race, got {findings}");
     }
 
     fn kernel(label: &str, reads: &[(usize, usize)], writes: &[(usize, usize)]) -> KernelDesc {

@@ -787,36 +787,41 @@ impl FactorPlan {
         a
     }
 
+    /// The dense slot of a canonical tile in the `3·nt²` table
+    /// [`Self::derive_deps`] and `hchol-analyze`'s plan index share:
+    /// `mat(bi, bj)` is slot `bi·nt + bj`, and the `nt` checksum buffers
+    /// and the `nt` deposit buffers behind them (tile row 0 each) are rows
+    /// `nt..3nt` of the same table, so `chk(bi, bj)` is `nt² + bi·nt + bj`
+    /// and `dpt(bi, bj)` is `2nt² + bi·nt + bj`. Every declared tile must
+    /// be one of those three canonical forms.
+    #[inline]
+    pub fn tile_slot(&self, t: &TileRef) -> usize {
+        let (nt, buf, bi, bj) = (self.nt, t.buf.0, t.bi, t.bj);
+        debug_assert!(
+            bj < nt
+                && if buf == 0 {
+                    bi < nt
+                } else {
+                    bi == 0 && buf <= 2 * nt
+                },
+            "{t} is not a canonical mat/chk/dpt tile of an nt = {nt} plan"
+        );
+        if buf == 0 {
+            bi * nt + bj
+        } else {
+            (nt + buf - 1) * nt + bj
+        }
+    }
+
     /// Derive dependency edges from the declared accesses along the
     /// authored order: RAW (read after the last writer), WAR (write after
     /// readers since that writer), WAW (write after the last writer).
     /// [`TaskKind::Drain`] is a barrier depending on every prior node.
     ///
-    /// Resources are indexed densely: `mat(bi, bj)` is slot `bi·nt + bj`,
-    /// and the `nt` checksum buffers and the `nt` deposit buffers behind
-    /// them (tile row 0 each) are rows `nt..3nt` of the same table, so
-    /// `chk(bi, bj)` is `nt² + bi·nt + bj` and `dpt(bi, bj)` is
-    /// `2nt² + bi·nt + bj`. Every declared tile must be one of those three
-    /// canonical forms. A [`VirtRes`] gets the next free slot on first sight.
+    /// Resources are indexed densely: a tile by [`Self::tile_slot`], a
+    /// [`VirtRes`] by the next free slot behind the tiles on first sight.
     pub fn derive_deps(&mut self) {
         let nt = self.nt;
-        let tile_slot = |t: &TileRef| {
-            let (buf, bi, bj) = (t.buf.0, t.bi, t.bj);
-            debug_assert!(
-                bj < nt
-                    && if buf == 0 {
-                        bi < nt
-                    } else {
-                        bi == 0 && buf <= 2 * nt
-                    },
-                "{t} is not a canonical mat/chk/dpt tile of an nt = {nt} plan"
-            );
-            if buf == 0 {
-                bi * nt + bj
-            } else {
-                (nt + buf - 1) * nt + bj
-            }
-        };
         let tiles = 3 * nt * nt;
         let mut virt_slots: HashMap<VirtRes, usize> = HashMap::new();
         let mut last_writer: Vec<Option<NodeId>> = vec![None; tiles];
@@ -832,8 +837,8 @@ impl FactorPlan {
             let acc = self.node_access(id);
             reads.clear();
             writes.clear();
-            reads.extend(acc.tiles.reads.iter().map(tile_slot));
-            writes.extend(acc.tiles.writes.iter().map(tile_slot));
+            reads.extend(acc.tiles.reads.iter().map(|t| self.tile_slot(t)));
+            writes.extend(acc.tiles.writes.iter().map(|t| self.tile_slot(t)));
             for (virt, slots) in [
                 (&acc.virt_reads, &mut reads),
                 (&acc.virt_writes, &mut writes),

@@ -213,3 +213,21 @@ fn batch_refuses_what_it_cannot_honour() {
     let fused = with(d().with_chk_fused(true).with_interval(3));
     assert_eq!(run_batch(&p, &fused).expect("batch runs").runs.len(), 2);
 }
+
+/// The static proofs reach the paper's largest grid: at nt = 80
+/// (n = 20480, b = 256 — Figure 14's last point, `sim_paper_scale`'s plan)
+/// every scheme's plan satisfies its ABFT contract on its edges and is
+/// deadlock-free. Affordable in a debug tier-1 run only because the
+/// checkers answer each obligation from the tile's own lists.
+#[test]
+fn paper_scale_plans_are_clean_and_live() {
+    use hchol_analyze::{check_liveness, check_plan};
+    let opts = AbftOptions::default().with_placement(ChecksumPlacement::Gpu);
+    for kind in SchemeKind::all() {
+        let plan = hchol::core::plan::for_scheme(kind, 80, &opts, false);
+        let chk = check_plan(kind, &plan, &opts);
+        assert!(chk.is_clean(), "{}", chk.render_text());
+        let live = check_liveness(kind, &plan, &opts);
+        assert!(live.is_live(), "{}", live.render_text());
+    }
+}
