@@ -37,12 +37,13 @@ cargo test -q -p hchol-blas --no-default-features
 step "allocation budget (tile-shape level-3 calls allocate once, then never)"
 cargo test --release -q -p hchol-blas --test alloc_budget
 
-# The two bit-identity proofs of the simulator's hot paths, once more at
-# depth: the release build raises the scheduler proptest to 4096 streams and
-# the derive_deps sweep to nt = 20.
-step "differential suites, deep (ordered scheduler vs its oracle; dense derive_deps vs its oracle)"
+# The bit-identity proofs of the hot paths, once more at depth: the release
+# build raises the scheduler proptest to 4096 streams and the derive_deps
+# sweep and the analyzers' new-vs-oracle sweeps to nt = 20.
+step "differential suites, deep (ordered scheduler, dense derive_deps, indexed plancheck/coverage, dense schedule sweep — each vs its oracle)"
 cargo test --release -q -p hchol-gpusim --lib schedule::tests
 cargo test --release -q -p hchol-core --lib plan::tests
+cargo test --release -q -p hchol-analyze --lib
 
 step "rustdoc (deny warnings + broken intra-doc links, no deps)"
 RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
@@ -54,16 +55,16 @@ cargo test --doc --workspace -q
 step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit, float-order, tile-scan)"
 cargo run --release -q -p hchol-analyze --bin lint
 
-step "schedule analyzer (races + ABFT protocol conformance, all schemes)"
+step "schedule analyzer (races + ABFT protocol conformance, all schemes, nt = 4 8 16 40)"
 cargo run --release -q -p hchol-analyze --bin analyze > /dev/null
 
-step "plan checker (static ABFT contract over plan edges, all schemes)"
+step "plan checker (static ABFT contract over plan edges, all schemes, nt = 4 8 16 40 80)"
 cargo run --release -q -p hchol-analyze --bin plan_check > /dev/null
 
 step "static fault-coverage sweep (every site proven) -> COVERAGE_static.json"
 cargo run --release -q -p hchol-analyze --bin coverage_check > /dev/null
 
-step "liveness sweep (deadlock-freedom + receive-completeness, all schemes)"
+step "liveness sweep (deadlock-freedom + receive-completeness, all schemes, nt = 6 8 40)"
 cargo run --release -q -p hchol-analyze --bin liveness_check > /dev/null
 
 # Mutation controls: each deliberately broken plan MUST be caught (the

@@ -1,12 +1,14 @@
 //! Static liveness gate: `cargo run -p hchol-analyze --bin
 //! liveness_check`.
 //!
-//! Sweeps every scheme × shard grid `D ∈ {1, 2, 4}` × issue policy
+//! Sweeps grid size × scheme × shard grid `D ∈ {1, 2, 4}` × issue policy
 //! (in-order and lookahead-2), unions each plan's dependency edges with
 //! the executor's induced orderings, and proves deadlock-freedom and
 //! receive-completeness ([`hchol_analyze::liveness`]). Prints the
 //! window-fallback counts the lookahead diagnostics report and exits
 //! nonzero on any finding so CI can gate on it.
+//!
+//! Usage: `liveness_check [nt ...]` — grid sizes default to 6 8 40.
 
 use hchol_analyze::check_liveness;
 use hchol_core::options::AbftOptions;
@@ -15,8 +17,15 @@ use hchol_core::schemes::SchemeKind;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    let mut grids: Vec<usize> = std::env::args()
+        .skip(1)
+        .map(|a| a.parse().unwrap_or_else(|_| panic!("bad grid size `{a}`")))
+        .collect();
+    if grids.is_empty() {
+        grids = vec![6, 8, 40];
+    }
     let mut findings = 0usize;
-    for &nt in &[6usize, 8] {
+    for &nt in &grids {
         for kind in SchemeKind::all() {
             for d in [1usize, 2, 4] {
                 for la in [0usize, 2] {

@@ -2,14 +2,15 @@
 //! plan_check`.
 //!
 //! Builds the [`hchol_core::plan::FactorPlan`] for every scheme over the
-//! full configuration cross — sizes × verify interval `K ∈ {1, 4}` ×
+//! full configuration cross — grid sizes × verify interval `K ∈ {1, 4}` ×
 //! fused checksum epilogues × placement × shard grid `D ∈ {1, 2, 4}` —
 //! checks each plan's dependency edges against the scheme's ABFT
 //! contract (see [`hchol_analyze::plancheck`]), and exits nonzero on any
 //! violation so CI can gate on it. This runs *before* any simulation — a broken policy
 //! pass is caught without executing a single node.
 //!
-//! Usage: `plan_check [n ...]` — sizes default to 64 128 256 512.
+//! Usage: `plan_check [nt ...]` — grid sizes default to 4 8 16 40 80 (the
+//! last is the paper's largest Tardis point, n = 20480 at b = 256).
 
 use hchol_analyze::check_scheme_plan;
 use hchol_core::options::AbftOptions;
@@ -18,17 +19,19 @@ use hchol_gpusim::profile::SystemProfile;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut sizes: Vec<usize> = std::env::args()
+    let mut grids: Vec<usize> = std::env::args()
         .skip(1)
-        .map(|a| a.parse().unwrap_or_else(|_| panic!("bad size `{a}`")))
+        .map(|a| a.parse().unwrap_or_else(|_| panic!("bad grid size `{a}`")))
         .collect();
-    if sizes.is_empty() {
-        sizes = vec![64, 128, 256, 512];
+    if grids.is_empty() {
+        grids = vec![4, 8, 16, 40, 80];
     }
     let profile = SystemProfile::tardis();
     let mut violations = 0usize;
-    for &n in &sizes {
-        let b = (n / 4).max(16);
+    // The paper's block size: `Auto` placement resolves as it does there.
+    let b = 256;
+    for &nt in &grids {
+        let n = nt * b;
         for kind in SchemeKind::all() {
             // The full configuration cross: K sweeps the verification
             // interval, the fused flag swaps in compare-only epilogues
@@ -59,7 +62,7 @@ fn main() -> ExitCode {
                             }
                             let chk = check_scheme_plan(kind, &profile, n, b, &opts);
                             println!(
-                                "plan_check: {} n={n} b={b} K={k} fused={fused} \
+                                "plan_check: {} nt={nt} n={n} b={b} K={k} fused={fused} \
                                  {placement:?} D={d}: {} nodes, {} edges, {}",
                                 kind.name(),
                                 chk.nodes,
