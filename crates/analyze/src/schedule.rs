@@ -980,7 +980,7 @@ mod tests {
     /// the two protocols it does not implement so the violation paths run.
     #[test]
     fn dense_sweep_matches_the_hashed_oracle_on_recorded_runs() {
-        use crate::index::tests::{configs, gpu};
+        use crate::index::tests::{configs, gpu, nt_max};
         use hchol_core::options::ShardOptions;
         use hchol_core::schemes::run_scheme;
         use hchol_faults::FaultPlan;
@@ -990,7 +990,7 @@ mod tests {
         let mut configs = configs();
         configs.push(("racy shard2", racy, false));
         let (mut findings, mut racy_findings) = (0, 0);
-        for nt in 1..=crate::index::tests::nt_max() {
+        for nt in 1..=nt_max() {
             for (name, opts, faulty) in &configs {
                 for kind in SchemeKind::all() {
                     if hchol_core::validate_options(opts).is_err() {
