@@ -34,16 +34,21 @@ cargo test --workspace --exclude hchol -q
 step "tests: hchol-blas without default features (no 'parallel')"
 cargo test -q -p hchol-blas --no-default-features
 
-step "allocation budget (tile-shape level-3 calls allocate once, then never)"
+step "allocation budget (tile-shape level-3 calls allocate once, then never; the 2 x b encode / product-update / solve-update shapes: stack or arena, never a per-call Vec)"
 cargo test --release -q -p hchol-blas --test alloc_budget
 
 # The bit-identity proofs of the hot paths, once more at depth: the release
 # build raises the scheduler proptest to 4096 streams and the derive_deps
-# sweep and the analyzers' new-vs-oracle sweeps to nt = 20.
-step "differential suites, deep (ordered scheduler, dense derive_deps, indexed plancheck/coverage, dense schedule sweep — each vs its oracle)"
+# sweep and the analyzers' new-vs-oracle sweeps to nt = 20, and the 2-row
+# checksum kernels' grids from 33 to 300 (past the column group, the planar
+# block and TRSM_BASE).
+step "differential suites, deep (ordered scheduler, dense derive_deps, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels — each vs its oracle)"
 cargo test --release -q -p hchol-gpusim --lib schedule::tests
 cargo test --release -q -p hchol-core --lib plan::tests
 cargo test --release -q -p hchol-analyze --lib
+cargo test --release -q -p hchol-blas --lib level3::naive
+cargo test --release -q -p hchol-blas --lib level3::trsm
+cargo test --release -q -p hchol-core --lib chkops
 
 step "rustdoc (deny warnings + broken intra-doc links, no deps)"
 RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \

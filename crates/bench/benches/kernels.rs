@@ -23,7 +23,7 @@ use hchol_blas::flops;
 use hchol_blas::par::{par_gemm, par_gemm_fused_with_threads, par_gemm_with_threads};
 use hchol_blas::{gemm, naive_gemm, naive_syrk, potf2, syrk, trsm};
 use hchol_core::checksum::{encode, encode_into};
-use hchol_core::chkops::update_product;
+use hchol_core::chkops::{update_potf2, update_product, update_trsm};
 use hchol_matrix::generate::{spd_diag_dominant, uniform};
 use hchol_matrix::{DType, Diag, Matrix, Scalar, Side, Trans, Uplo};
 use std::hint::black_box;
@@ -144,6 +144,12 @@ struct TileEntry {
     gflops: f64,
     /// `gflops` as a percentage of the single-thread FMA peak of `dtype`.
     pct_peak: f64,
+    /// Bytes of the tile operand's footprint (`b²` elements; the lower
+    /// triangle for the solve updates) ÷ median seconds, for the checksum
+    /// kernels: they stream one tile per call at ≤ 4 flops per element, so
+    /// memory speed is their yardstick and `pct_peak` says nothing about
+    /// them.
+    tile_gbps: Option<f64>,
 }
 
 /// Single-thread FMA peak per precision, GFLOP/s (see [`fma_peak`]).
@@ -482,17 +488,23 @@ fn time_tile<F: FnMut()>(mut f: F, reps: usize) -> (f64, f64) {
 
 /// The kernels one iteration of the ABFT run loop issues, at its tile
 /// shapes and at precision `S`: `b³` NT GEMM, `b×b` right-TRSM against Lᵀ,
-/// `b×b` POTF2, the `2×b · b×b` checksum update and the `2×b` checksum
-/// encode.
+/// `b×b` POTF2, and the four checksum-side kernels — the `2×b · b×b`
+/// product update, the two `2×b` solve updates and the `2×b` encode.
 fn tile_sweep<S: Scalar>(quick: bool, out: &mut Vec<TileEntry>) {
     let reps = if quick { 7 } else { 31 };
     let dtype = S::DTYPE.name();
-    let mut push = |kernel: &str, b: usize, (min, median): (f64, f64), fl: u64| {
+    let mut push = |kernel: &str,
+                    b: usize,
+                    (min, median): (f64, f64),
+                    fl: u64,
+                    streamed: Option<usize>| {
         let gflops = fl as f64 / median / 1e9;
+        let tile_gbps = streamed.map(|elems| elems as f64 * S::BYTES as f64 / median / 1e9);
         println!(
-            "  {kernel:<14} {dtype} b={b:<4} min {:>9.2} us  median {:>9.2} us  {gflops:>7.2} GFLOP/s",
+            "  {kernel:<14} {dtype} b={b:<4} min {:>9.2} us  median {:>9.2} us  {gflops:>7.2} GFLOP/s{}",
             min * 1e6,
-            median * 1e6
+            median * 1e6,
+            tile_gbps.map_or(String::new(), |g| format!("  {g:>6.2} GB/s"))
         );
         out.push(TileEntry {
             kernel: kernel.to_string(),
@@ -502,6 +514,7 @@ fn tile_sweep<S: Scalar>(quick: bool, out: &mut Vec<TileEntry>) {
             median_seconds: median,
             gflops,
             pct_peak: f64::NAN,
+            tile_gbps,
         });
     };
     for b in [64usize, 128, 256] {
@@ -512,14 +525,14 @@ fn tile_sweep<S: Scalar>(quick: bool, out: &mut Vec<TileEntry>) {
             || gemm(Trans::No, Trans::Yes, -1.0, &lik, &ljk, 1.0, &mut tij),
             reps,
         );
-        push("gemm_nt", b, t, flops::gemm(b, b, b));
+        push("gemm_nt", b, t, flops::gemm(b, b, b), None);
 
         let mut diag = Matrix::<S>::zeros(b, b);
         let t = time_tile(
             || syrk(Uplo::Lower, Trans::No, -1.0, &lik, 1.0, &mut diag),
             reps,
         );
-        push("syrk_lower", b, t, flops::syrk(b, b));
+        push("syrk_lower", b, t, flops::syrk(b, b), None);
 
         let mut ljj = spd_diag_dominant(b, 33);
         potf2(&mut ljj, 0).unwrap();
@@ -543,7 +556,7 @@ fn tile_sweep<S: Scalar>(quick: bool, out: &mut Vec<TileEntry>) {
             },
             reps,
         );
-        push("trsm_right", b, t, flops::trsm(b, b));
+        push("trsm_right", b, t, flops::trsm(b, b), None);
 
         let spd: Matrix<S> = spd_diag_dominant(b, 35).cast();
         let mut w = spd.clone();
@@ -554,15 +567,31 @@ fn tile_sweep<S: Scalar>(quick: bool, out: &mut Vec<TileEntry>) {
             },
             reps,
         );
-        push("potf2", b, t, flops::potf2(b));
+        push("potf2", b, t, flops::potf2(b), None);
 
         let chk_src = encode(&lik);
         let mut chk = encode(&tij);
         let t = time_tile(|| update_product(&mut chk, &chk_src, &ljk), reps);
-        push("update_product", b, t, flops::gemm(2, b, b));
+        push("update_product", b, t, flops::gemm(2, b, b), Some(b * b));
+
+        // The solve updates run in place: restore the 2 × b input per call.
+        let chk0 = chk.clone();
+        type SolveUpdate<S> = fn(&mut Matrix<S>, &Matrix<S>);
+        let solves: [(&str, SolveUpdate<S>); 2] =
+            [("update_trsm", update_trsm), ("update_potf2", update_potf2)];
+        for (kernel, update) in solves {
+            let t = time_tile(
+                || {
+                    chk.as_mut_slice().copy_from_slice(chk0.as_slice());
+                    update(&mut chk, black_box(&ljj));
+                },
+                reps,
+            );
+            push(kernel, b, t, flops::trsm(b, 2), Some(b * (b + 1) / 2));
+        }
 
         let t = time_tile(|| encode_into(black_box(&lik), &mut chk), reps);
-        push("encode_into", b, t, flops::gemm(2, b, b));
+        push("encode_into", b, t, flops::gemm(2, b, b), Some(b * b));
     }
 }
 

@@ -14,9 +14,9 @@
 //!   used automatically above a size threshold;
 //! * the **naive kernels** ([`naive_gemm`], [`naive_syrk`]), the seed
 //!   column-loop implementations, kept for products below the threshold or
-//!   thinner than a micro-tile (with a streaming arm for the few-row
-//!   checksum updates) and as the baseline for benchmarks and property
-//!   tests.
+//!   thinner than a micro-tile (with streaming arms for the few-row
+//!   checksum encode and updates) and as the baseline for benchmarks and
+//!   property tests.
 
 mod gemm;
 pub mod microkernel;

@@ -77,14 +77,19 @@ pub(crate) fn naive_gemm_accum<S: Scalar>(
             }
         }
         // A used transposed: C[i,j] += alpha * dot(A[:,i], B[:,j]).
+        // Few-row products (the 2 × B checksum encode / recalculation) run
+        // several columns of B at once — see `tn_skinny`.
         (Trans::Yes, Trans::No) => {
-            for j in 0..n {
-                let bcol = b.col(j);
-                for i in 0..m {
-                    let s = dot(a.col(i), bcol);
-                    let v = c.get(i, j) + al * s;
-                    c.set(i, j, v);
-                }
+            let (k, a_s, b_s) = (a.rows(), a.as_slice(), b.as_slice());
+            match m {
+                1 => tn_skinny::<S, 1>(al, k, a_s, b_s, c.as_mut_slice()),
+                2 => tn_skinny::<S, 2>(al, k, a_s, b_s, c.as_mut_slice()),
+                3 => tn_skinny::<S, 3>(al, k, a_s, b_s, c.as_mut_slice()),
+                4 => tn_skinny::<S, 4>(al, k, a_s, b_s, c.as_mut_slice()),
+                5 => tn_skinny::<S, 5>(al, k, a_s, b_s, c.as_mut_slice()),
+                6 => tn_skinny::<S, 6>(al, k, a_s, b_s, c.as_mut_slice()),
+                7 => tn_skinny::<S, 7>(al, k, a_s, b_s, c.as_mut_slice()),
+                _ => tn_by_column(al, a, b, c),
             }
         }
         // Both transposed: C[i,j] += alpha * Σ_l a[l,i] * b[j,l].
@@ -116,12 +121,18 @@ fn nt_by_column<S: Scalar>(al: S, a: &Matrix<S>, b: &Matrix<S>, c: &mut Matrix<S
     }
 }
 
+/// Columns of `C` one [`nt_skinny`] pass keeps in planar rows on the stack.
+const NT_BLOCK: usize = 256;
+
 /// [`nt_by_column`] for an `A` of exactly `M` rows, `M` below the blocked
 /// engine's row floor (the `2 × B` checksum updates are `M = 2`), over
 /// column-major storage: `a` is `M × k`, `b` is `n × k`, `c` is `M × n`.
 /// With so few rows the column form is all loop overhead and stride-`n`
 /// reads of `B`, so run `l` outermost and stream column `l` of `B` once,
-/// contiguously, across every output column.
+/// contiguously, across every output column — into *planar* rows of `C`
+/// (de-interleaved once per [`NT_BLOCK`] columns, re-interleaved once), so
+/// the sweep over `j` is plain vertical SIMD instead of a shuffle per
+/// `M`-element column.
 ///
 /// Each `C[r,j]` still receives `+= (al·b[j,l])·a[r,l]` for ascending `l`,
 /// and a zero factor still leaves it untouched ([`axpy`]'s rule, which
@@ -129,24 +140,114 @@ fn nt_by_column<S: Scalar>(al: S, a: &Matrix<S>, b: &Matrix<S>, c: &mut Matrix<S
 /// select instead of a branch), so the result is bit-identical to the
 /// column form.
 ///
-/// `M` is a constant so the `M`-element column update unrolls, and the
-/// function is kept out of line so its slice arguments keep their no-alias
-/// guarantee; both are what lets the sweep over `j` vectorise (inlined into
-/// the dispatcher it ran 2.4× slower).
+/// `M` is a constant so the row loop unrolls, and the function is kept out
+/// of line so its slice arguments keep their no-alias guarantee; both are
+/// what lets the sweep over `j` vectorise (inlined into the dispatcher it
+/// ran 2.4× slower).
 #[inline(never)]
 fn nt_skinny<S: Scalar, const M: usize>(al: S, n: usize, a: &[S], b: &[S], c: &mut [S]) {
     if n == 0 {
         return;
     }
-    for (acol, bcol) in a.chunks_exact(M).zip(b.chunks_exact(n)) {
-        let acol: &[S; M] = acol.try_into().expect("chunk of M");
-        for (ccol, &bjl) in c.chunks_exact_mut(M).zip(bcol) {
-            let ccol: &mut [S; M] = ccol.try_into().expect("chunk of M");
-            let f = al * bjl;
+    let mut rows = [[S::ZERO; NT_BLOCK]; M];
+    for (blk, cblk) in c.chunks_mut(M * NT_BLOCK).enumerate() {
+        let (j0, w) = (blk * NT_BLOCK, cblk.len() / M);
+        for (j, ccol) in cblk.chunks_exact(M).enumerate() {
             for r in 0..M {
-                let updated = ccol[r] + f * acol[r];
-                ccol[r] = if f == S::ZERO { ccol[r] } else { updated };
+                rows[r][j] = ccol[r];
             }
+        }
+        for (acol, bcol) in a.chunks_exact(M).zip(b.chunks_exact(n)) {
+            let bseg = &bcol[j0..j0 + w];
+            for (row, &arl) in rows.iter_mut().zip(acol) {
+                for (x, &bjl) in row[..w].iter_mut().zip(bseg) {
+                    let f = al * bjl;
+                    let updated = *x + f * arl;
+                    *x = if f == S::ZERO { *x } else { updated };
+                }
+            }
+        }
+        for (j, ccol) in cblk.chunks_exact_mut(M).enumerate() {
+            for r in 0..M {
+                ccol[r] = rows[r][j];
+            }
+        }
+    }
+}
+
+/// `C += al · Aᵀ · B`, one output element at a time: `C[i,j] += al ·
+/// dot(A[:,i], B[:,j])`.
+fn tn_by_column<S: Scalar>(al: S, a: &Matrix<S>, b: &Matrix<S>, c: &mut Matrix<S>) {
+    for j in 0..c.cols() {
+        let bcol = b.col(j);
+        for i in 0..c.rows() {
+            let v = c.get(i, j) + al * dot(a.col(i), bcol);
+            c.set(i, j, v);
+        }
+    }
+}
+
+/// Columns of `B` one [`tn_skinny`] pass carries at once.
+const TN_GROUP: usize = 8;
+
+/// [`tn_by_column`] for an `A` of exactly `M` columns, `M` below the blocked
+/// engine's row floor (the checksum encode / recalculation `Wᵀ · tile` is
+/// `M = 2`), over column-major storage: `a` is `k × M`, `b` is `k × n`, `c`
+/// is `M × n`.
+///
+/// One column's [`dot`] is latency-bound: its four lane accumulators are
+/// four add chains `k/4` long, and a chain retires one add per add latency
+/// however wide the machine is. So run [`TN_GROUP`] columns of `B` at once,
+/// `M · TN_GROUP` independent sets of lanes, each keeping exactly `dot`'s
+/// structure — four lanes over 4-row chunks, unfused `acc[l] += x[l]·y[l]`,
+/// a scalar tail, `acc0 + acc1 + acc2 + acc3 + tail`, then `c + al·s` — so
+/// every output element is bit-identical to the column form. The lane count
+/// is `dot`'s fixed 4, never the running kernel table's `mr`: the bits must
+/// not depend on the ISA. Columns past the last whole group go through
+/// `dot` itself.
+///
+/// Out of line with slice arguments for the same reason as [`nt_skinny`].
+#[inline(never)]
+fn tn_skinny<S: Scalar, const M: usize>(al: S, k: usize, a: &[S], b: &[S], c: &mut [S]) {
+    if k == 0 {
+        return;
+    }
+    let acols: [&[S]; M] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut bgroups = b.chunks_exact(TN_GROUP * k);
+    let mut cgroups = c.chunks_exact_mut(TN_GROUP * M);
+    for (bg, cg) in bgroups.by_ref().zip(cgroups.by_ref()) {
+        let bcols: [&[S]; TN_GROUP] = std::array::from_fn(|g| &bg[g * k..(g + 1) * k]);
+        let mut acc = [[[S::ZERO; 4]; TN_GROUP]; M];
+        for q in 0..k / 4 {
+            // Load first, then a branch-free block of lane arithmetic: with
+            // the chunk bounds checks interleaved the accumulators stay in
+            // memory and nothing vectorises.
+            let xs: [[S; 4]; M] = std::array::from_fn(|r| acols[r].as_chunks().0[q]);
+            let ys: [[S; 4]; TN_GROUP] = std::array::from_fn(|g| bcols[g].as_chunks().0[q]);
+            for r in 0..M {
+                for g in 0..TN_GROUP {
+                    for l in 0..4 {
+                        acc[r][g][l] += xs[r][l] * ys[g][l];
+                    }
+                }
+            }
+        }
+        for g in 0..TN_GROUP {
+            for r in 0..M {
+                let mut tail = S::ZERO;
+                for i in k - k % 4..k {
+                    tail += acols[r][i] * bcols[g][i];
+                }
+                let lanes = &acc[r][g];
+                let s = lanes[0] + lanes[1] + lanes[2] + lanes[3] + tail;
+                cg[g * M + r] += al * s;
+            }
+        }
+    }
+    let (brest, crest) = (bgroups.remainder(), cgroups.into_remainder());
+    for (bcol, ccol) in brest.chunks_exact(k).zip(crest.chunks_exact_mut(M)) {
+        for (cv, acol) in ccol.iter_mut().zip(acols) {
+            *cv += al * dot(acol, bcol);
         }
     }
 }
@@ -226,43 +327,74 @@ pub(crate) fn naive_syrk_accum<S: Scalar>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reference::ref_gemm;
     use hchol_matrix::approx_eq;
     use hchol_matrix::generate::uniform;
 
-    /// The skinny NT arm against the column form it replaces for m < 8:
-    /// same bits on every output element, for ordinary values and for the
-    /// zeros, signed zeros, NaNs and infinities that make the skip rule
-    /// observable. (A NaN must meet a NaN; which NaN — sign and payload —
-    /// depends on instruction operand order, which Rust leaves unspecified.)
+    /// Extents of the skinny-arm differential grids, here and in `trsm`:
+    /// column groups and lane chunks with and without a remainder, both
+    /// sides of `TRSM_BASE` and of the planar block (release only — the
+    /// debug build stops at 33).
+    pub(crate) fn skinny_grid() -> &'static [usize] {
+        const GRID: [usize; 19] = [
+            1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100, 250, 256, 300,
+        ];
+        if cfg!(debug_assertions) {
+            &GRID[..14]
+        } else {
+            &GRID
+        }
+    }
+
+    /// Same bits on every element, except that a NaN only has to meet a NaN:
+    /// which NaN — sign and payload — depends on instruction operand order,
+    /// which Rust leaves unspecified.
+    pub(crate) fn assert_same_bits<S: Scalar>(got: &Matrix<S>, want: &Matrix<S>, what: &str) {
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                g.to_bits_u64() == w.to_bits_u64() || (g.to_f64().is_nan() && w.to_f64().is_nan()),
+                "{what} element {i}: {g:?} vs {w:?}"
+            );
+        }
+    }
+
+    /// The skinny NT and TN arms against the column forms they replace for
+    /// m < 8: same bits on every output element, for ordinary values and for
+    /// the zeros, signed zeros, NaNs and infinities that make the NT skip
+    /// rule observable. The TN case multiplies the transposed operands.
     fn assert_skinny_matches_column_form<S: Scalar>() {
         let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
-        for m in 1..=7usize {
-            for (n, k) in [(1usize, 1usize), (5, 3), (9, 13), (33, 17)] {
-                for alpha in [-1.0, 1.0, 0.37, 0.0] {
+        for &n in skinny_grid() {
+            for &k in skinny_grid() {
+                let mut b = uniform(n, k, -1.0, 1.0, 80 + n as u64);
+                for (t, &v) in specials.iter().enumerate() {
+                    b.set((3 * t) % n, (t + 2) % k, v);
+                }
+                let (b, bt): (Matrix<S>, Matrix<S>) = (b.cast(), b.transpose().cast());
+                for m in 1..=7usize {
                     let mut a = uniform(m, k, -1.0, 1.0, 70 + m as u64);
-                    let mut b = uniform(n, k, -1.0, 1.0, 80 + n as u64);
                     let mut c0 = uniform(m, n, -1.0, 1.0, 90 + k as u64);
-                    // Sprinkle the special values over all three operands.
                     for (t, &v) in specials.iter().enumerate() {
                         a.set((t + 1) % m, (2 * t + 1) % k, v);
-                        b.set((3 * t) % n, (t + 2) % k, v);
                         c0.set(t % m, (2 * t) % n, v);
                     }
-                    let (a, b, c0): (Matrix<S>, Matrix<S>, Matrix<S>) =
-                        (a.cast(), b.cast(), c0.cast());
-                    let mut want = c0.clone();
-                    nt_by_column(S::from_f64(alpha), &a, &b, &mut want);
-                    let mut got = c0.clone();
-                    naive_gemm_accum(Trans::No, Trans::Yes, alpha, &a, &b, &mut got);
-                    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                        assert!(
-                            g.to_bits_u64() == w.to_bits_u64()
-                                || (g.to_f64().is_nan() && w.to_f64().is_nan()),
-                            "m={m} n={n} k={k} alpha={alpha} element {i}: {g:?} vs {w:?}"
-                        );
+                    let (a, at): (Matrix<S>, Matrix<S>) = (a.cast(), a.transpose().cast());
+                    let c0: Matrix<S> = c0.cast();
+                    for alpha in [-1.0, 1.0, 0.37, 0.0] {
+                        let what = format!("m={m} n={n} k={k} alpha={alpha}");
+                        let mut want = c0.clone();
+                        nt_by_column(S::from_f64(alpha), &a, &b, &mut want);
+                        let mut got = c0.clone();
+                        naive_gemm_accum(Trans::No, Trans::Yes, alpha, &a, &b, &mut got);
+                        assert_same_bits(&got, &want, &format!("NT {what}"));
+
+                        let mut want = c0.clone();
+                        tn_by_column(S::from_f64(alpha), &at, &bt, &mut want);
+                        let mut got = c0.clone();
+                        naive_gemm_accum(Trans::Yes, Trans::No, alpha, &at, &bt, &mut got);
+                        assert_same_bits(&got, &want, &format!("TN {what}"));
                     }
                 }
             }
@@ -270,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn skinny_nt_arm_is_bit_identical_to_column_form() {
+    fn skinny_arms_are_bit_identical_to_column_forms() {
         assert_skinny_matches_column_form::<f64>();
         assert_skinny_matches_column_form::<f32>();
     }

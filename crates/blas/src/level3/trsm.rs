@@ -8,15 +8,17 @@
 //! triangle solved column-by-column, so the bulk of the flops of a large
 //! solve run at GEMM speed; one borrow of the pack arena, sized for the
 //! largest rank update, serves the whole recursion. Small solves keep the
-//! seed per-column substitution directly.
+//! seed per-column substitution directly, and the few-row `X · Lᵀ = B` (the
+//! `2 × B` checksum tile riding the panel solve) has a flat sweep of its own,
+//! bit-identical to the recursion.
 
 use crate::level1::axpy;
 use crate::level2::trsv;
 use hchol_matrix::{Diag, Matrix, Scalar, Side, Trans, Uplo};
 
-use super::gemm::gemm_views;
+use super::gemm::{gemm_views, MIN_BLOCKED_ROWS};
 use super::pack::{MatMut, MatRef};
-use super::workspace::{pack_lines, with_workspace, Line};
+use super::workspace::{carve, lines, pack_lines, with_workspace, Line};
 
 /// Triangle size at (or below) which solves run unblocked.
 const TRSM_BASE: usize = 32;
@@ -48,7 +50,25 @@ pub fn trsm<S: Scalar>(
     if m == 0 || n == 0 {
         return;
     }
+    // The few-row panel solve (the 2 × B checksum update) has its own sweep.
+    if m < MIN_BLOCKED_ROWS && (side, uplo, trans) == (Side::Right, Uplo::Lower, Trans::Yes) {
+        with_workspace(lines::<S>(m * n), |ws| right_lt_skinny(diag, a, b, ws));
+        return;
+    }
+    solve_by_shape(side, uplo, trans, diag, a, b);
+}
 
+/// Every solve but the few-row `X · Lᵀ = B`: substitution on a small
+/// triangle, the halving recursion on a large one.
+fn solve_by_shape<S: Scalar>(
+    side: Side,
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    a: &Matrix<S>,
+    b: &mut Matrix<S>,
+) {
+    let (m, n) = b.shape();
     // Small triangles use straight substitution.
     if a.rows() <= TRSM_BASE {
         match side {
@@ -80,6 +100,56 @@ pub fn trsm<S: Scalar>(
         Side::Right => with_workspace(pack_lines::<S>(m, half, half), |ws| {
             right_rec(eff_lower, diag, &av, &bv, ws)
         }),
+    }
+}
+
+/// `X · Lᵀ = B` for a `B` of fewer than [`MIN_BLOCKED_ROWS`] rows (the
+/// `2 × B` checksum tile of the panel solve MAGMA's Cholesky issues), `L`
+/// stored lower: a right-looking sweep over *planar* rows of `X` —
+/// de-interleaved into `ws` once, re-interleaved once — so step `k` is one
+/// scale and then one vertical SIMD pass per row down the contiguous column
+/// `L[k+1.., k]`, where the general path runs `n²/2` axpys over `m`-element
+/// columns.
+///
+/// Same bits as [`solve_by_shape`]: `Lᵀ` is effectively *upper*, so there
+/// `X[:,j]` receives `+= (−L[j,l])·X[:,l]` for `l < j` and is then scaled by
+/// `1/L[j,j]` — and at every level (`right_rec`'s rank update of the right
+/// half by the solved left half, `gemm_views_small` inside it, `right_base`,
+/// `right_solve`) column `j` takes its contributions in ascending `l`, each
+/// from an already final `X[:,l]`, skipping exact-zero coefficients. The
+/// flat right-looking order hands every element the same operations in the
+/// same order. That does **not** hold for an effectively lower triangle,
+/// whose recursion solves the trailing half first and so applies a column's
+/// contributions in two descending runs; this arm must not be widened to it.
+fn right_lt_skinny<S: Scalar>(diag: Diag, l: &Matrix<S>, b: &mut Matrix<S>, ws: &mut [Line]) {
+    let (m, n) = b.shape();
+    let (x, _) = carve::<S>(ws, m * n);
+    for (j, col) in b.as_slice().chunks_exact(m).enumerate() {
+        for (r, &v) in col.iter().enumerate() {
+            x[r * n + j] = v;
+        }
+    }
+    for k in 0..n {
+        let (pivot, below) = l.col(k)[k..].split_first().expect("k < n");
+        // A unit diagonal is never referenced.
+        let inv = (diag == Diag::NonUnit).then(|| S::ONE / *pivot);
+        for row in x.chunks_exact_mut(n) {
+            let (xk, rest) = row[k..].split_first_mut().expect("k < n");
+            if let Some(inv) = inv {
+                *xk *= inv;
+            }
+            let xk = *xk;
+            for (xj, &ljk) in rest.iter_mut().zip(below) {
+                let f = -ljk;
+                let updated = *xj + f * xk;
+                *xj = if f == S::ZERO { *xj } else { updated };
+            }
+        }
+    }
+    for (j, col) in b.as_mut_slice().chunks_exact_mut(m).enumerate() {
+        for (r, v) in col.iter_mut().enumerate() {
+            *v = x[r * n + j];
+        }
     }
 }
 
@@ -254,6 +324,7 @@ fn right_solve<S: Scalar>(uplo: Uplo, trans: Trans, diag: Diag, a: &Matrix<S>, b
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::level3::naive::tests::{assert_same_bits, skinny_grid};
     use crate::level3::{gemm, gemm_into};
     use hchol_matrix::generate::uniform;
     use hchol_matrix::{approx_eq, Matrix};
@@ -314,6 +385,81 @@ mod tests {
             approx_eq(&recon, &want, tol),
             "side={side:?} uplo={uplo:?} trans={trans:?} diag={diag:?} m={m} n={n}"
         );
+    }
+
+    /// The few-row `X · Lᵀ = B` arm against the general path it bypasses:
+    /// same bits on every element, over triangles on both sides of
+    /// `TRSM_BASE` (odd splits included) with exact and signed zeros below
+    /// the diagonal — first with finite operands, where every bit must
+    /// match, then with NaNs and infinities sprinkled over both operands,
+    /// where an infinity beside a zero coefficient makes the skip rule
+    /// observable.
+    fn assert_skinny_matches_general_path<S: Scalar>() {
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for &n in skinny_grid() {
+            let mut l = tri(n, Uplo::Lower, 50 + n as u64);
+            for j in 0..n {
+                for i in j + 1..n {
+                    match (3 * i + 7 * j) % 5 {
+                        0 => l.set(i, j, 0.0),
+                        1 if i % 2 == 0 => l.set(i, j, -0.0),
+                        _ => {}
+                    }
+                }
+            }
+            for m in 1..MIN_BLOCKED_ROWS {
+                let mut rhs = uniform(m, n, -1.0, 1.0, 60 + m as u64);
+                rhs.set(m / 2, n / 3, 0.0);
+                rhs.set(m - 1, n / 2, -0.0);
+                for non_finite in [false, true] {
+                    let mut l = l.clone();
+                    if non_finite {
+                        for (t, &v) in specials.iter().enumerate() {
+                            rhs.set(t % m, (5 * t + 1) % n, v);
+                            if n > 1 {
+                                let j = (2 * t) % (n - 1);
+                                l.set(j + 1 + t % (n - 1 - j), j, v);
+                            }
+                        }
+                    }
+                    let (l, rhs): (Matrix<S>, Matrix<S>) = (l.cast(), rhs.cast());
+                    for diag in [Diag::NonUnit, Diag::Unit] {
+                        for alpha in [-1.0, 1.0, 0.37, 0.0] {
+                            let mut want = rhs.clone();
+                            want.scale(S::from_f64(alpha));
+                            solve_by_shape(
+                                Side::Right,
+                                Uplo::Lower,
+                                Trans::Yes,
+                                diag,
+                                &l,
+                                &mut want,
+                            );
+                            let mut got = rhs.clone();
+                            trsm(
+                                Side::Right,
+                                Uplo::Lower,
+                                Trans::Yes,
+                                diag,
+                                alpha,
+                                &l,
+                                &mut got,
+                            );
+                            let what = format!(
+                                "m={m} n={n} {diag:?} alpha={alpha} non_finite={non_finite}"
+                            );
+                            assert_same_bits(&got, &want, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn skinny_right_lt_arm_is_bit_identical_to_general_path() {
+        assert_skinny_matches_general_path::<f64>();
+        assert_skinny_matches_general_path::<f32>();
     }
 
     #[test]

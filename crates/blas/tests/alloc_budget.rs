@@ -12,7 +12,10 @@
 //! * every later call of that shape allocates nothing —
 //!
 //! at both precisions: the arena and the engine are the same code for f64
-//! and f32.
+//! and f32. The `2 × b` checksum-side shapes (encode `Wᵀ·tile`, product
+//! update `chk·tileᵀ`, solve update `chk·(Lᵀ)⁻¹`) are held to the same
+//! contract: their planar rows live on the stack or in the arena, never in a
+//! per-call `Vec`.
 
 use hchol_blas::level3::microkernel::tile_shape;
 use hchol_blas::level3::{KC, MC, NC};
@@ -74,13 +77,13 @@ fn pack_bytes<S: Scalar>(m: usize, k: usize, n: usize) -> usize {
 }
 
 /// On a fresh thread (so a fresh arena): the first `call` may allocate up to
-/// `budget` bytes — and must allocate something, or the counter is blind —
-/// and the next three must allocate nothing.
+/// `budget` bytes — and, given a budget, must allocate something, or the
+/// counter is blind — and the next three must allocate nothing.
 fn check(label: &'static str, budget: usize, mut call: impl FnMut() + Send + 'static) {
     std::thread::spawn(move || {
         let first = allocated(&mut call);
         assert!(
-            0 < first && first <= budget,
+            (budget == 0 || 0 < first) && first <= budget,
             "{label}: first call allocated {first} B, packed working set is {budget} B"
         );
         for _ in 0..3 {
@@ -153,4 +156,48 @@ fn diag_syrk<S: Scalar>() {
 fn diag_syrk_allocates_its_workspace_once() {
     diag_syrk::<f64>();
     diag_syrk::<f32>();
+}
+
+fn checksum_shapes<S: Scalar>() {
+    for b in [64usize, 256] {
+        // Encode / recalculation: Wᵀ (2 × b) · tile, accumulators in registers.
+        let w: Matrix<S> = uniform(b, 2, 0.0, 1.0, 7).cast();
+        let tile: Matrix<S> = uniform(b, b, -1.0, 1.0, 8).cast();
+        let mut chk = Matrix::<S>::zeros(2, b);
+        check("encode 2×b TN", 0, {
+            let tile = tile.clone();
+            move || gemm(Trans::Yes, Trans::No, 1.0, &w, &tile, 0.0, &mut chk)
+        });
+        // Product update: chk (2 × b) −= chk_src · tileᵀ, planar rows on the
+        // stack.
+        let chk_src: Matrix<S> = uniform(2, b, -1.0, 1.0, 9).cast();
+        let mut chk = Matrix::<S>::zeros(2, b);
+        check("update 2×b NT", 0, {
+            let tile = tile.clone();
+            move || gemm(Trans::No, Trans::Yes, -1.0, &chk_src, &tile, 1.0, &mut chk)
+        });
+        // Solve update: chk (2 × b) · (Lᵀ)⁻¹, planar rows in the arena.
+        let mut ljj = tile;
+        for j in 0..b {
+            ljj.set(j, j, S::from_f64(4.0));
+        }
+        let mut chk: Matrix<S> = uniform(2, b, -1.0, 1.0, 10).cast();
+        check("update 2×b trsm RLT", line_bytes::<S>(2 * b), move || {
+            trsm(
+                Side::Right,
+                Uplo::Lower,
+                Trans::Yes,
+                Diag::NonUnit,
+                1.0,
+                &ljj,
+                &mut chk,
+            );
+        });
+    }
+}
+
+#[test]
+fn checksum_side_shapes_allocate_at_most_their_planar_rows_once() {
+    checksum_shapes::<f64>();
+    checksum_shapes::<f32>();
 }

@@ -87,12 +87,11 @@ pub fn encode<S: Scalar>(block: &Matrix<S>) -> Matrix<S> {
 /// Runs as one GEMM, `chk = Wᵀ · block` with `W = [v₁ v₂]` — the
 /// recalculation batches of verification/re-encoding go through the same
 /// level-3 dispatch as every other kernel (a 2-row product takes the
-/// unit-stride dot path) instead of a bespoke scalar loop. Each column's
-/// sums still accumulate in ascending row order, so results match the
-/// definition to normal rounding. Generic over the working precision: at
-/// f32 both products and sums round to single precision (the honest model
-/// of an f32 GPU kernel); see [`encode_into_wide`] for the
-/// f64-accumulated alternative.
+/// few-row dot arm, eight block columns at a time) instead of a bespoke
+/// scalar loop. Each column's sums accumulate in four row-interleaved lanes
+/// in ascending row order, so results match the definition to normal
+/// rounding. Generic over the working precision: at f32 both products and
+/// sums round to single precision (the honest model of an f32 GPU kernel).
 pub fn encode_into<S: Scalar>(block: &Matrix<S>, chk: &mut Matrix<S>) {
     assert_eq!(
         chk.shape(),
@@ -102,33 +101,6 @@ pub fn encode_into<S: Scalar>(block: &Matrix<S>, chk: &mut Matrix<S>) {
     with_weights(block.rows(), |w| {
         gemm(Trans::Yes, Trans::No, 1.0, w, block, 0.0, chk);
     });
-}
-
-/// [`encode_into`] with f64 accumulation: products and sums run in double
-/// precision and only the final checksum entries round back to `S`.
-///
-/// At `S = f64` this matches [`encode_into`] up to the GEMM's unrolling
-/// order; at f32 it halves the drift the verifier must tolerate (the sums
-/// carry one rounding each instead of one per element), at the cost of
-/// not modeling a natively single-precision checksum kernel. Opt-in —
-/// callers that want the paper-faithful behavior use [`encode_into`].
-pub fn encode_into_wide<S: Scalar>(block: &Matrix<S>, chk: &mut Matrix<S>) {
-    assert_eq!(
-        chk.shape(),
-        (CHECKSUM_COUNT, block.cols()),
-        "checksum shape"
-    );
-    for j in 0..block.cols() {
-        let mut c1 = 0.0f64;
-        let mut c2 = 0.0f64;
-        for i in 0..block.rows() {
-            let x = block.get(i, j).to_f64();
-            c1 += x;
-            c2 += (i + 1) as f64 * x;
-        }
-        chk.set(0, j, S::from_f64(c1));
-        chk.set(1, j, S::from_f64(c2));
-    }
 }
 
 /// A pair of checksum rows for one block column, as scalars — convenient
@@ -247,21 +219,5 @@ mod tests {
         }
         let p = ChecksumPair::from_column(&chk, 2);
         assert_eq!(p.c1, chk.get(0, 2) as f64);
-    }
-
-    #[test]
-    fn wide_encode_accumulates_in_f64() {
-        // A sum that cancels catastrophically at f32: the wide path keeps
-        // the f64 value (rounded once), the narrow path loses it entirely.
-        let big = 3.0e7f32;
-        let a = Matrix::from_col_major(3, 1, vec![big, 1.0f32, -big]).unwrap();
-        let mut wide = Matrix::zeros(2, 1);
-        encode_into_wide(&a, &mut wide);
-        assert_eq!(wide.get(0, 0), 1.0f32);
-        // At f64 the wide path agrees with the GEMM path to rounding.
-        let d = uniform(8, 5, -1.0, 1.0, 8);
-        let mut w64 = Matrix::zeros(2, 5);
-        encode_into_wide(&d, &mut w64);
-        assert!(hchol_matrix::approx_eq(&w64, &encode(&d), 1e-12));
     }
 }

@@ -17,6 +17,9 @@
 use hchol_blas::{gemm, trsm};
 use hchol_matrix::{Diag, Matrix, Scalar, Side, Trans, Uplo};
 
+/// Columns of a checksum row [`update_potf2`] holds planar at a time.
+const POTF2_BLOCK: usize = 256;
+
 /// SYRK / GEMM checksum update: `chk ← chk − chk_src · srcᵀ`.
 ///
 /// `chk` is the `2 × B` checksum of the block being updated, `chk_src` the
@@ -29,21 +32,45 @@ pub fn update_product<S: Scalar>(chk: &mut Matrix<S>, chk_src: &Matrix<S>, src: 
 
 /// POTF2 checksum update — Algorithm 2 of the paper, transforming
 /// `chk(A')` into `chk(LA)` given the factorized lower-triangular `la`.
+///
+/// A right-looking forward solve, one checksum row at a time on a *planar*
+/// copy of the row (`POTF2_BLOCK` columns on the stack), so step `k` is
+/// one division and one vertical SIMD pass down the contiguous column
+/// `LA[k+1.., k]`. Each entry still receives `−= chk[r,k]·LA[j,k]` for
+/// ascending `k < j` from the finished `chk[r,k]` and then its division by
+/// `LA[j,j]` — columns left of the block first, the block's own triangle
+/// after — the operations and the order of the element-wise definition.
 pub fn update_potf2<S: Scalar>(chk: &mut Matrix<S>, la: &Matrix<S>) {
     let n = la.rows();
     assert!(la.is_square());
     assert_eq!(chk.cols(), n, "checksum width must match block");
-    for j in 0..n {
-        let piv = la.get(j, j);
-        for r in 0..chk.rows() {
-            let v = chk.get(r, j) / piv;
-            chk.set(r, j, v);
-        }
-        for i in (j + 1)..n {
-            let lij = la.get(i, j);
-            for r in 0..chk.rows() {
-                let v = chk.get(r, i) - chk.get(r, j) * lij;
-                chk.set(r, i, v);
+    let rows = chk.rows();
+    let x = chk.as_mut_slice();
+    let mut planar = [S::ZERO; POTF2_BLOCK];
+    for r in 0..rows {
+        for j0 in (0..n).step_by(POTF2_BLOCK) {
+            let p = &mut planar[..POTF2_BLOCK.min(n - j0)];
+            let j1 = j0 + p.len();
+            for (pj, j) in p.iter_mut().zip(j0..) {
+                *pj = x[j * rows + r];
+            }
+            for k in 0..j0 {
+                let xk = x[k * rows + r];
+                for (pj, &ljk) in p.iter_mut().zip(&la.col(k)[j0..j1]) {
+                    *pj -= xk * ljk;
+                }
+            }
+            for k in j0..j1 {
+                let (piv, below) = la.col(k)[k..j1].split_first().expect("k < j1");
+                let (pk, rest) = p[k - j0..].split_first_mut().expect("k < j1");
+                *pk /= *piv;
+                let xk = *pk;
+                for (pj, &ljk) in rest.iter_mut().zip(below) {
+                    *pj -= xk * ljk;
+                }
+            }
+            for (&pj, j) in p.iter().zip(j0..) {
+                x[j * rows + r] = pj;
             }
         }
     }
@@ -203,6 +230,85 @@ mod tests {
 
         assert!(approx_eq(&chk_diag, &encode(&diag), 1e-8));
         assert!(approx_eq(&chk_panel, &encode(&panel), 1e-8));
+    }
+
+    /// [`update_potf2`] as the element-wise definition it replaces.
+    fn update_potf2_by_element<S: Scalar>(chk: &mut Matrix<S>, la: &Matrix<S>) {
+        let n = la.rows();
+        for j in 0..n {
+            let piv = la.get(j, j);
+            for r in 0..chk.rows() {
+                let v = chk.get(r, j) / piv;
+                chk.set(r, j, v);
+            }
+            for i in (j + 1)..n {
+                let lij = la.get(i, j);
+                for r in 0..chk.rows() {
+                    let v = chk.get(r, i) - chk.get(r, j) * lij;
+                    chk.set(r, i, v);
+                }
+            }
+        }
+    }
+
+    /// The planar sweep against the definition: same bits on every entry
+    /// (a NaN has only to meet a NaN), for 1–3 checksum rows, block sizes on
+    /// both sides of `POTF2_BLOCK`, and factors with exact zeros, signed
+    /// zeros and — second pass — NaNs and infinities (Algorithm 2 has no
+    /// skip rule: a zero coefficient times an infinity must poison the
+    /// entry in both forms).
+    fn assert_potf2_update_matches_definition<S: Scalar>() {
+        let sizes: &[usize] = if cfg!(debug_assertions) {
+            &[1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33]
+        } else {
+            &[
+                1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100, 250, 256, 300,
+            ]
+        };
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for &b in sizes {
+            let (mut la, _) = known_factor(b, 40 + b as u64);
+            for j in 0..b {
+                for i in j + 1..b {
+                    match (3 * i + 7 * j) % 5 {
+                        0 => la.set(i, j, 0.0),
+                        1 => la.set(i, j, -0.0),
+                        _ => {}
+                    }
+                }
+            }
+            for rows in 1..=3usize {
+                let mut chk0 = uniform(rows, b, -1.0, 1.0, 50 + rows as u64);
+                chk0.set(rows - 1, b / 2, 0.0);
+                for non_finite in [false, true] {
+                    let mut la = la.clone();
+                    if non_finite {
+                        for (t, &v) in specials.iter().enumerate() {
+                            chk0.set(t % rows, (5 * t + 1) % b, v);
+                            la.set(b - 1 - t % b, (2 * t) % b, v);
+                        }
+                    }
+                    let (la, chk0): (Matrix<S>, Matrix<S>) = (la.cast(), chk0.cast());
+                    let mut want = chk0.clone();
+                    update_potf2_by_element(&mut want, &la);
+                    let mut got = chk0.clone();
+                    update_potf2(&mut got, &la);
+                    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        assert!(
+                            g.to_bits_u64() == w.to_bits_u64()
+                                || (g.to_f64().is_nan() && w.to_f64().is_nan()),
+                            "b={b} rows={rows} non_finite={non_finite} element {i}: {g:?} vs {w:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn potf2_update_is_bit_identical_to_definition() {
+        assert_potf2_update_matches_definition::<f64>();
+        assert_potf2_update_matches_definition::<f32>();
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub mod ops;
 pub mod options;
 pub mod overhead;
 pub mod plan;
-pub mod rowchk;
 pub mod schemes;
 pub mod solve;
 mod span_util;

@@ -1116,7 +1116,6 @@ pub fn verify_recalc<S: Scalar>(
     if tiles.is_empty() {
         return;
     }
-    refresh_col_stats(ctx, lay, tiles, opts);
     // Updates to these checksums must have landed before we compare.
     if lay.placement == ChecksumPlacement::Cpu {
         ctx.sync_cpu_workers();
@@ -1142,6 +1141,10 @@ pub fn verify_recalc<S: Scalar>(
         ctx.stream_wait_event(lay.streams.comp, data_ready_tran);
     }
     for (idx, &(bi, bj)) in tiles.iter().enumerate() {
+        // The magnitude scan runs right before the tile's own recalculation
+        // (a max is order-free), so a batch larger than the cache is read
+        // from memory once, not twice.
+        refresh_col_stats(ctx, lay, &[(bi, bj)], opts);
         let f = lay.charge(flops::recalc_block(lay.b, lay.b));
         let (mat, scr) = (lay.mat, lay.scratch[idx]);
         ctx.launch(

@@ -71,6 +71,39 @@ proptest! {
         prop_assert!(approx_eq(&chk, &encode(&panel), 1e-7));
     }
 
+    /// `update_trsm ∘ encode == encode ∘ trsm` at every block size, on both
+    /// sides of the solve's recursion base: the 2-row checksum solve and the
+    /// b-row panel solve take different code paths (a planar sweep vs. the
+    /// halving recursion) and must still agree to rounding. Off-diagonals
+    /// shrink with b so the triangle stays well conditioned.
+    #[test]
+    fn trsm_update_commutes_with_encode_at_any_block_size(
+        (mut panel, la) in (1usize..=100).prop_flat_map(|b| {
+            let tame = lower_tri(b).prop_map(move |mut l| {
+                for j in 0..b {
+                    for i in j + 1..b {
+                        l.set(i, j, l.get(i, j) / b as f64);
+                    }
+                }
+                l
+            });
+            (matrix(b, b), tame)
+        })
+    ) {
+        let mut chk = encode(&panel);
+        hchol_blas::trsm(
+            hchol_matrix::Side::Right,
+            hchol_matrix::Uplo::Lower,
+            Trans::Yes,
+            hchol_matrix::Diag::NonUnit,
+            1.0,
+            &la,
+            &mut panel,
+        );
+        update_trsm(&mut chk, &la);
+        prop_assert!(approx_eq(&chk, &encode(&panel), 1e-7));
+    }
+
     /// Algorithm 2 (POTF2 update) equals the TRSM transform algebraically.
     #[test]
     fn potf2_update_equals_trsm_form(chk0 in matrix(CHECKSUM_COUNT, 8), la in lower_tri(8)) {
