@@ -1,5 +1,5 @@
 //! Vector-clock schedule analysis: race detection and ABFT protocol
-//! conformance over a recorded gpusim program.
+//! conformance over the program view of a gpusim op log.
 //!
 //! # Happens-before model
 //!
@@ -18,7 +18,7 @@
 //!   drained lanes into the host.
 //!
 //! Each *agent* (host main thread, each stream, each CPU worker lane, each
-//! DMA lane) carries a vector clock; one linear sweep over the trace (issue
+//! DMA lane) carries a vector clock; one linear sweep over the program (issue
 //! order is a valid topological order — every edge points forward) assigns
 //! each op a clock and checks each declared tile access against the tile's
 //! last writer and readers-since-last-write, FastTrack style. Unordered
@@ -51,7 +51,7 @@
 
 use hchol_core::schemes::{FactorOutcome, SchemeKind};
 use hchol_gpusim::counters::WorkCategory;
-use hchol_gpusim::program::{DmaDir, ExecSite, ProgramTrace, TraceAction, TraceOp};
+use hchol_gpusim::oplog::{DmaDir, ExecSite, OpLog, OpRecord, TraceAction};
 use hchol_gpusim::{BufferId, TileRef};
 
 /// Which ABFT contract to check on top of the race analysis.
@@ -245,13 +245,13 @@ impl ScheduleAnalysis {
 }
 
 /// Race-only analysis of a recorded program.
-pub fn analyze_schedule(trace: &ProgramTrace) -> ScheduleAnalysis {
-    Sweep::new(trace, None).run()
+pub fn analyze_schedule(log: &OpLog) -> ScheduleAnalysis {
+    Sweep::new(log, None).run()
 }
 
 /// Race analysis plus conformance checking against `protocol`.
-pub fn analyze_with_protocol(trace: &ProgramTrace, protocol: Protocol) -> ScheduleAnalysis {
-    Sweep::new(trace, Some(protocol)).run()
+pub fn analyze_with_protocol(log: &OpLog, protocol: Protocol) -> ScheduleAnalysis {
+    Sweep::new(log, Some(protocol)).run()
 }
 
 /// Analyze a finished factorization: always race-checks; additionally
@@ -270,14 +270,14 @@ pub fn analyze_outcome(out: &FactorOutcome) -> ScheduleAnalysis {
         || out.balance_log.as_ref().is_some_and(|log| log.max_k() > 1);
     let strict = out.attempts == 1 && !out.failed && out.opts.verify_interval == 1 && !relaxed_k;
     if strict {
-        analyze_with_protocol(&out.ctx.trace, Protocol::for_scheme(out.scheme))
+        analyze_with_protocol(&out.ctx.log, Protocol::for_scheme(out.scheme))
     } else {
-        analyze_schedule(&out.ctx.trace)
+        analyze_schedule(&out.ctx.log)
     }
 }
 
 /// One recorded access for the per-tile state: which agent, at which of its
-/// ticks, by which action index.
+/// ticks, by which log entry.
 #[derive(Debug, Clone, Copy)]
 struct Access {
     agent: usize,
@@ -304,8 +304,8 @@ fn upsert(list: &mut Vec<Access>, a: Access) {
     }
 }
 
-/// Dense ids for the tiles a trace touches: each buffer is a row-major
-/// grid as large as the largest tile index the trace declares on it, the
+/// Dense ids for the tiles a program touches: each buffer is a row-major
+/// grid as large as the largest tile index the program declares on it, the
 /// grids laid end to end — so a tile's state is one arithmetic lookup per
 /// access, and ascending id is ascending `(buffer, row, column)`.
 struct TileIds {
@@ -315,9 +315,9 @@ struct TileIds {
 }
 
 impl TileIds {
-    fn of(trace: &ProgramTrace) -> Self {
+    fn of(log: &OpLog) -> Self {
         let mut dims: Vec<(usize, usize)> = Vec::new();
-        for a in trace.actions() {
+        for (_, a) in log.program() {
             let TraceAction::Op(op) = a else { continue };
             for t in op.access.reads.iter().chain(&op.access.writes) {
                 if dims.len() <= t.buf.0 {
@@ -353,7 +353,7 @@ impl TileIds {
 }
 
 struct Sweep<'a> {
-    trace: &'a ProgramTrace,
+    log: &'a OpLog,
     protocol: Option<Protocol>,
     /// Vector clocks, one per agent: `0` = host, then streams, then CPU
     /// workers, then the two DMA lanes.
@@ -371,13 +371,13 @@ struct Sweep<'a> {
 const HOST: usize = 0;
 
 impl<'a> Sweep<'a> {
-    fn new(trace: &'a ProgramTrace, protocol: Option<Protocol>) -> Self {
+    fn new(log: &'a OpLog, protocol: Option<Protocol>) -> Self {
         let mut max_stream = 0usize;
         let mut max_worker = 0usize;
         let mut max_event = 0usize;
-        for a in trace.actions() {
+        for (_, a) in log.program() {
             match a {
-                TraceAction::Op(op) => match op.site {
+                TraceAction::Op(op) => match op.site() {
                     ExecSite::Stream(s) => max_stream = max_stream.max(s),
                     ExecSite::CpuWorker(w) => max_worker = max_worker.max(w),
                     ExecSite::Host => {}
@@ -397,9 +397,9 @@ impl<'a> Sweep<'a> {
         let n_streams = max_stream + 1;
         let n_workers = max_worker + 1;
         let n_agents = 1 + n_streams + n_workers + 2;
-        let ids = TileIds::of(trace);
+        let ids = TileIds::of(log);
         Sweep {
-            trace,
+            log,
             protocol,
             clocks: vec![vec![0; n_agents]; n_agents],
             scratch: vec![0; n_agents],
@@ -440,8 +440,8 @@ impl<'a> Sweep<'a> {
     }
 
     fn run(mut self) -> ScheduleAnalysis {
-        for idx in 0..self.trace.actions().len() {
-            match &self.trace.actions()[idx] {
+        for (idx, action) in self.log.program() {
+            match action {
                 TraceAction::Op(op) => self.visit_op(idx, op),
                 TraceAction::RecordEvent { event, stream } => {
                     self.events[*event] = Some(self.clocks[self.stream_agent(*stream)].clone());
@@ -472,9 +472,9 @@ impl<'a> Sweep<'a> {
         self.out
     }
 
-    fn visit_op(&mut self, idx: usize, op: &TraceOp) {
+    fn visit_op(&mut self, idx: usize, op: &OpRecord) {
         self.out.ops += 1;
-        let agent = match op.site {
+        let agent = match op.site() {
             ExecSite::Stream(s) => self.stream_agent(s),
             ExecSite::Host => HOST,
             ExecSite::CpuWorker(w) => self.worker_agent(w),
@@ -485,7 +485,7 @@ impl<'a> Sweep<'a> {
         let mut vc = std::mem::take(&mut self.scratch);
         vc.copy_from_slice(&self.clocks[agent]);
         join(&mut vc, &self.clocks[HOST]);
-        if let Some(dir) = op.dma {
+        if let Some(dir) = op.dma() {
             join(&mut vc, &self.clocks[self.dma_agent(dir)]);
         }
         vc[agent] += 1;
@@ -504,7 +504,7 @@ impl<'a> Sweep<'a> {
                     let race = Race {
                         kind: RaceKind::Raw,
                         tile: *r,
-                        first: label_of(self.trace, w.action),
+                        first: label_of(self.log, w.action),
                         second: op.label.clone(),
                     };
                     self.out.races.push(race);
@@ -541,7 +541,7 @@ impl<'a> Sweep<'a> {
                     self.out.races.push(Race {
                         kind: RaceKind::Waw,
                         tile: *w,
-                        first: label_of(self.trace, pw.action),
+                        first: label_of(self.log, pw.action),
                         second: op.label.clone(),
                     });
                 }
@@ -555,7 +555,7 @@ impl<'a> Sweep<'a> {
                     self.out.races.push(Race {
                         kind: RaceKind::War,
                         tile: *w,
-                        first: label_of(self.trace, rd.action),
+                        first: label_of(self.log, rd.action),
                         second: op.label.clone(),
                     });
                 }
@@ -602,7 +602,7 @@ impl<'a> Sweep<'a> {
 
         // Publish the op's clock to its lane(s).
         self.clocks[agent].copy_from_slice(&vc);
-        if let Some(dir) = op.dma {
+        if let Some(dir) = op.dma() {
             let lane = self.dma_agent(dir);
             self.clocks[lane].copy_from_slice(&vc);
         }
@@ -627,7 +627,7 @@ impl<'a> Sweep<'a> {
             if data_write && st.verified.is_empty() {
                 self.out.violations.push(Violation::MissingFinalVerify {
                     tile: self.ids.tile(id),
-                    writer: label_of(self.trace, w.action),
+                    writer: label_of(self.log, w.action),
                 });
             }
         }
@@ -640,8 +640,8 @@ fn join(dst: &mut [u32], src: &[u32]) {
     }
 }
 
-fn label_of(trace: &ProgramTrace, action: usize) -> String {
-    match &trace.actions()[action] {
+fn label_of(log: &OpLog, entry: usize) -> String {
+    match &log.entries()[entry] {
         TraceAction::Op(op) => op.label.clone(),
         other => format!("{other:?}"),
     }
@@ -670,7 +670,7 @@ mod tests {
     /// the differential tests hold the new sweep to — races and violations
     /// in the same order, op for op.
     struct OracleSweep<'a> {
-        trace: &'a ProgramTrace,
+        log: &'a OpLog,
         protocol: Option<Protocol>,
         /// Vector clocks, one per agent: `0` = host, then streams, then CPU
         /// workers, then the two DMA lanes.
@@ -683,13 +683,13 @@ mod tests {
     }
 
     impl<'a> OracleSweep<'a> {
-        fn new(trace: &'a ProgramTrace, protocol: Option<Protocol>) -> Self {
+        fn new(log: &'a OpLog, protocol: Option<Protocol>) -> Self {
             let mut max_stream = 0usize;
             let mut max_worker = 0usize;
             let mut max_event = 0usize;
-            for a in trace.actions() {
+            for (_, a) in log.program() {
                 match a {
-                    TraceAction::Op(op) => match op.site {
+                    TraceAction::Op(op) => match op.site() {
                         ExecSite::Stream(s) => max_stream = max_stream.max(s),
                         ExecSite::CpuWorker(w) => max_worker = max_worker.max(w),
                         ExecSite::Host => {}
@@ -710,7 +710,7 @@ mod tests {
             let n_workers = max_worker + 1;
             let n_agents = 1 + n_streams + n_workers + 2;
             OracleSweep {
-                trace,
+                log,
                 protocol,
                 clocks: vec![vec![0; n_agents]; n_agents],
                 events: vec![None; max_event + 1],
@@ -741,8 +741,8 @@ mod tests {
         }
 
         fn run(mut self) -> ScheduleAnalysis {
-            for idx in 0..self.trace.actions().len() {
-                match &self.trace.actions()[idx] {
+            for (idx, action) in self.log.program() {
+                match action {
                     TraceAction::Op(op) => self.visit_op(idx, op),
                     TraceAction::RecordEvent { event, stream } => {
                         self.events[*event] = Some(self.clocks[self.stream_agent(*stream)].clone());
@@ -779,9 +779,9 @@ mod tests {
             self.out
         }
 
-        fn visit_op(&mut self, idx: usize, op: &TraceOp) {
+        fn visit_op(&mut self, idx: usize, op: &OpRecord) {
             self.out.ops += 1;
-            let agent = match op.site {
+            let agent = match op.site() {
                 ExecSite::Stream(s) => self.stream_agent(s),
                 ExecSite::Host => HOST,
                 ExecSite::CpuWorker(w) => self.worker_agent(w),
@@ -791,7 +791,7 @@ mod tests {
             // lane for transfers.
             let mut vc = self.clocks[agent].clone();
             join(&mut vc, &self.clocks[HOST].clone());
-            if let Some(dir) = op.dma {
+            if let Some(dir) = op.dma() {
                 join(&mut vc, &self.clocks[self.dma_agent(dir)].clone());
             }
             vc[agent] += 1;
@@ -810,7 +810,7 @@ mod tests {
                         let race = Race {
                             kind: RaceKind::Raw,
                             tile: *r,
-                            first: label_of(self.trace, w.action),
+                            first: label_of(self.log, w.action),
                             second: op.label.clone(),
                         };
                         self.out.races.push(race);
@@ -847,7 +847,7 @@ mod tests {
                         self.out.races.push(Race {
                             kind: RaceKind::Waw,
                             tile: *w,
-                            first: label_of(self.trace, pw.action),
+                            first: label_of(self.log, pw.action),
                             second: op.label.clone(),
                         });
                     }
@@ -861,7 +861,7 @@ mod tests {
                         self.out.races.push(Race {
                             kind: RaceKind::War,
                             tile: *w,
-                            first: label_of(self.trace, rd.action),
+                            first: label_of(self.log, rd.action),
                             second: op.label.clone(),
                         });
                     }
@@ -908,7 +908,7 @@ mod tests {
 
             // Publish the op's clock to its lane(s).
             self.clocks[agent] = vc.clone();
-            if let Some(dir) = op.dma {
+            if let Some(dir) = op.dma() {
                 let lane = self.dma_agent(dir);
                 self.clocks[lane] = vc;
             }
@@ -932,7 +932,7 @@ mod tests {
                 if data_write && st.verified.is_empty() {
                     missing.push(Violation::MissingFinalVerify {
                         tile: *tile,
-                        writer: label_of(self.trace, w.action),
+                        writer: label_of(self.log, w.action),
                     });
                 }
             }
@@ -945,9 +945,9 @@ mod tests {
         }
     }
 
-    /// Both sweeps over one trace, race-only and under every protocol:
+    /// Both sweeps over one program, race-only and under every protocol:
     /// `ops`, and every race and violation in order.
-    fn assert_same_analysis(trace: &ProgramTrace, what: &str) -> usize {
+    fn assert_same_analysis(log: &OpLog, what: &str) -> usize {
         let mut findings = 0;
         let protocols = [
             None,
@@ -956,8 +956,8 @@ mod tests {
             Some(Protocol::Enhanced),
         ];
         for protocol in protocols {
-            let new = Sweep::new(trace, protocol).run();
-            let old = OracleSweep::new(trace, protocol).run();
+            let new = Sweep::new(log, protocol).run();
+            let old = OracleSweep::new(log, protocol).run();
             assert_eq!(new.ops, old.ops, "{what} {protocol:?}");
             assert_eq!(
                 format!("{:?}", new.races),
@@ -1012,10 +1012,10 @@ mod tests {
                     )
                     .expect("the TimingOnly run completes");
                     let what = format!("{} nt={nt} {name}", kind.name());
-                    let n = assert_same_analysis(&out.ctx.trace, &what);
+                    let n = assert_same_analysis(&out.ctx.log, &what);
                     findings += n;
                     if *name == "racy shard2" {
-                        racy_findings += analyze_schedule(&out.ctx.trace).races.len();
+                        racy_findings += analyze_schedule(&out.ctx.log).races.len();
                     }
                 }
             }
@@ -1069,7 +1069,7 @@ mod tests {
                     _ => c.launch(streams[rnd(streams.len())], desc, |_| {}),
                 }
             }
-            findings += assert_same_analysis(&c.trace, &format!("random program {program}"));
+            findings += assert_same_analysis(&c.log, &format!("random program {program}"));
         }
         assert!(findings > 1000, "random programs race, got {findings}");
     }
@@ -1093,7 +1093,7 @@ mod tests {
         let s = c.default_stream();
         c.launch(s, kernel("w", &[], &[(0, 0)]), |_| {});
         c.launch(s, kernel("r", &[(0, 0)], &[]), |_| {});
-        let a = analyze_schedule(&c.trace);
+        let a = analyze_schedule(&c.log);
         assert_eq!(a.ops, 2);
         assert!(a.is_clean(), "{}", a.render_text());
     }
@@ -1105,7 +1105,7 @@ mod tests {
         let s2 = c.create_stream();
         c.launch(s1, kernel("w", &[], &[(0, 0)]), |_| {});
         c.launch(s2, kernel("r", &[(0, 0)], &[]), |_| {});
-        let a = analyze_schedule(&c.trace);
+        let a = analyze_schedule(&c.log);
         assert_eq!(a.races.len(), 1);
         assert_eq!(a.races[0].kind, RaceKind::Raw);
         assert_eq!(a.races[0].first, "w");
@@ -1121,7 +1121,7 @@ mod tests {
         let e = c.record_event(s1);
         c.stream_wait_event(s2, e);
         c.launch(s2, kernel("r", &[(0, 0)], &[]), |_| {});
-        assert!(analyze_schedule(&c.trace).is_clean());
+        assert!(analyze_schedule(&c.log).is_clean());
     }
 
     #[test]
@@ -1133,7 +1133,7 @@ mod tests {
         c.sync_stream(s1);
         // The next launch starts after the host clock, which waited for s1.
         c.launch(s2, kernel("r", &[(0, 0)], &[]), |_| {});
-        assert!(analyze_schedule(&c.trace).is_clean());
+        assert!(analyze_schedule(&c.log).is_clean());
     }
 
     #[test]
@@ -1143,7 +1143,7 @@ mod tests {
         let s2 = c.create_stream();
         c.launch(s1, kernel("a", &[(1, 1)], &[(0, 0)]), |_| {});
         c.launch(s2, kernel("b", &[], &[(0, 0), (1, 1)]), |_| {});
-        let kinds: Vec<_> = analyze_schedule(&c.trace)
+        let kinds: Vec<_> = analyze_schedule(&c.log)
             .races
             .iter()
             .map(|r| r.kind)
@@ -1157,7 +1157,7 @@ mod tests {
         let mut c = ctx();
         let s = c.default_stream();
         c.launch(s, kernel("rmw", &[(0, 0)], &[(0, 0)]), |_| {});
-        assert!(analyze_schedule(&c.trace).is_clean());
+        assert!(analyze_schedule(&c.log).is_clean());
     }
 
     #[test]
@@ -1167,7 +1167,7 @@ mod tests {
         let s2 = c.create_stream();
         c.launch(s1, kernel("r1", &[(0, 0)], &[]), |_| {});
         c.launch(s2, kernel("r2", &[(0, 0)], &[]), |_| {});
-        assert!(analyze_schedule(&c.trace).is_clean());
+        assert!(analyze_schedule(&c.log).is_clean());
     }
 
     #[test]
@@ -1175,7 +1175,7 @@ mod tests {
         let mut c = ctx();
         let s = c.default_stream();
         c.launch(s, kernel("read", &[(0, 0)], &[]), |_| {});
-        let a = analyze_with_protocol(&c.trace, Protocol::Enhanced);
+        let a = analyze_with_protocol(&c.log, Protocol::Enhanced);
         assert_eq!(a.violations.len(), 1);
         assert_eq!(a.violations[0].kind(), "unverified_read");
     }
@@ -1188,7 +1188,7 @@ mod tests {
             .with_access(AccessSet::new(vec![tile(0, 0)], vec![]));
         c.launch(s, ver, |_| {});
         c.launch(s, kernel("read", &[(0, 0)], &[]), |_| {});
-        assert!(analyze_with_protocol(&c.trace, Protocol::Enhanced).is_clean());
+        assert!(analyze_with_protocol(&c.log, Protocol::Enhanced).is_clean());
     }
 
     #[test]
@@ -1200,7 +1200,7 @@ mod tests {
         c.launch(s, ver, |_| {});
         c.launch(s, kernel("w", &[], &[(0, 0)]), |_| {});
         c.launch(s, kernel("r", &[(0, 0)], &[]), |_| {});
-        let a = analyze_with_protocol(&c.trace, Protocol::Enhanced);
+        let a = analyze_with_protocol(&c.log, Protocol::Enhanced);
         assert_eq!(a.violations.len(), 1, "{}", a.render_text());
     }
 
@@ -1210,7 +1210,7 @@ mod tests {
         let s = c.default_stream();
         c.launch(s, kernel("r", &[(0, 0)], &[]), |_| {});
         c.launch(s, kernel("w", &[], &[(1, 0)]), |_| {});
-        let a = analyze_with_protocol(&c.trace, Protocol::Online);
+        let a = analyze_with_protocol(&c.log, Protocol::Online);
         assert_eq!(a.violations.len(), 1);
         assert_eq!(a.violations[0].kind(), "missing_final_verify");
         assert_eq!(a.violations[0].tile(), tile(1, 0));
@@ -1227,7 +1227,7 @@ mod tests {
         };
         // Unencoded write fires missing_encode.
         c.launch(s, kernel("w", &[], &[(0, 0)]), |_| {});
-        let a = analyze_with_protocol(&c.trace, Protocol::Offline);
+        let a = analyze_with_protocol(&c.log, Protocol::Offline);
         assert!(a
             .violations
             .iter()
@@ -1241,7 +1241,7 @@ mod tests {
         let ver = KernelDesc::new("REC", KernelClass::Blas2, 10, WorkCategory::ChecksumRecalc)
             .with_access(AccessSet::new(vec![tile(0, 0)], vec![]));
         c.launch(s, ver, |_| {});
-        let a = analyze_with_protocol(&c.trace, Protocol::Offline);
+        let a = analyze_with_protocol(&c.log, Protocol::Offline);
         assert!(a.is_clean(), "{}", a.render_text());
 
         // Double encode fires.
@@ -1249,7 +1249,7 @@ mod tests {
         let s = c.default_stream();
         c.launch(s, enc("enc1"), |_| {});
         c.launch(s, enc("enc2"), |_| {});
-        let a = analyze_with_protocol(&c.trace, Protocol::Offline);
+        let a = analyze_with_protocol(&c.log, Protocol::Offline);
         assert!(a.violations.iter().any(|v| v.kind() == "duplicate_encode"));
     }
 
@@ -1264,7 +1264,7 @@ mod tests {
         let w = AccessSet::new(vec![], vec![TileRef::new(dev, 0, 0)]);
         c.bulk_transfer_with_access(64, s1, true, w.clone(), |_, _| {});
         c.bulk_transfer_with_access(64, s2, true, w, |_, _| {});
-        assert!(analyze_schedule(&c.trace).is_clean());
+        assert!(analyze_schedule(&c.log).is_clean());
     }
 
     #[test]
@@ -1275,7 +1275,7 @@ mod tests {
             .with_access(AccessSet::new(vec![], vec![tile(0, 0)]));
         c.cpu_submit(task, |_, _| {});
         c.launch(s, kernel("r", &[(0, 0)], &[]), |_| {});
-        assert_eq!(analyze_schedule(&c.trace).races.len(), 1);
+        assert_eq!(analyze_schedule(&c.log).races.len(), 1);
 
         let mut c = ctx();
         let s = c.default_stream();
@@ -1284,6 +1284,6 @@ mod tests {
         c.cpu_submit(task, |_, _| {});
         c.sync_cpu_workers();
         c.launch(s, kernel("r", &[(0, 0)], &[]), |_| {});
-        assert!(analyze_schedule(&c.trace).is_clean());
+        assert!(analyze_schedule(&c.log).is_clean());
     }
 }

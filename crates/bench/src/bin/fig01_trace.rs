@@ -24,13 +24,10 @@ fn main() {
             "# total {:.4}s | legend: S=SYRK G=GEMM T=TRSM P=POTF2(CPU) ==transfer",
             rep.time.as_secs()
         );
-        println!("{}", rep.ctx.timeline.ascii_gantt(100));
-        println!(
-            "lane utilization: {}",
-            rep.ctx.timeline.utilization_summary()
-        );
-        let busy_gpu = rep.ctx.timeline.lane_busy(hchol_gpusim::Lane::GpuStream(0));
-        let busy_cpu = rep.ctx.timeline.lane_busy(hchol_gpusim::Lane::HostMain);
+        println!("{}", rep.ctx.log.ascii_gantt(100));
+        println!("lane utilization: {}", rep.ctx.log.utilization_summary());
+        let busy_gpu = rep.ctx.log.lane_busy(hchol_gpusim::Lane::GpuStream(0));
+        let busy_cpu = rep.ctx.log.lane_busy(hchol_gpusim::Lane::HostMain);
         println!(
             "gpu busy {:.4}s ({:.1}%), cpu busy {:.4}s ({:.1}%) — the CPU is idle most of the time, which Optimization 2 exploits\n",
             busy_gpu.as_secs(),
@@ -41,7 +38,7 @@ fn main() {
         if args.json {
             let tag = profile.name.to_lowercase();
             let trace =
-                serde_json::value_from_str(&rep.ctx.timeline.to_json()).expect("trace serializes");
+                serde_json::value_from_str(&rep.ctx.log.to_json()).expect("trace serializes");
             let path = report::save_envelope(
                 "trace",
                 &format!("MAGMA hybrid trace on {}", profile.name),

@@ -52,11 +52,8 @@ fn main() {
             "# total {:.4}s | legend: S=SYRK G=GEMM T=TRSM P=POTF2 c=checksum ops .=compare ==transfer",
             out.time.as_secs()
         );
-        println!("{}", out.ctx.timeline.ascii_gantt(100));
-        println!(
-            "lane utilization: {}\n",
-            out.ctx.timeline.utilization_summary()
-        );
+        println!("{}", out.ctx.log.ascii_gantt(100));
+        println!("lane utilization: {}\n", out.ctx.log.utilization_summary());
     }
     println!(
         "reading: every input is verified (recalc `c` kernels on the recalc streams)\n\

@@ -14,7 +14,7 @@ use hchol_gpusim::ExecMode;
 fn outer_product_baseline_is_race_free() {
     let p = SystemProfile::test_profile();
     let rep = factor_outer(&p, ExecMode::TimingOnly, 256, 32, None, true).expect("baseline runs");
-    let analysis = analyze_schedule(&rep.ctx.trace);
+    let analysis = analyze_schedule(&rep.ctx.log);
     assert!(analysis.ops > 0, "baseline must record a program");
     assert!(analysis.is_clean(), "{}", analysis.render_text());
 }

@@ -33,8 +33,8 @@ pub struct BaselineReport {
     pub time: SimTime,
     /// The lower factor (Execute mode only).
     pub factor: Option<Matrix>,
-    /// The simulation context (timeline, program trace, observability
-    /// state) for inspection.
+    /// The simulation context (op log, observability state) for
+    /// inspection.
     pub ctx: SimContext,
 }
 
@@ -170,11 +170,11 @@ mod tests {
             true,
         )
         .unwrap();
-        let entries = rep.ctx.timeline.entries();
-        let overlap = entries.iter().any(|p| {
+        let log = &rep.ctx.log;
+        let overlap = log.ops().any(|p| {
             p.label.starts_with("POTF2")
-                && entries
-                    .iter()
+                && log
+                    .ops()
                     .any(|g| g.label.starts_with("GEMM") && g.start < p.end && p.start < g.end)
         });
         assert!(overlap, "CPU POTF2 should hide under GPU GEMM");

@@ -622,7 +622,7 @@ mod tests {
                         .collect()
                 };
 
-                // In-order execution: the k-th such kernel in the trace was
+                // In-order execution: the k-th such kernel in the program was
                 // issued by the k-th such node with a non-empty access set
                 // (no-op nodes launch nothing).
                 let nodes: Vec<_> = plan
@@ -641,10 +641,9 @@ mod tests {
                     .filter(|(_, tiles)| !tiles.is_empty())
                     .collect();
                 let launched: Vec<_> = ctx
-                    .trace
-                    .actions()
-                    .iter()
-                    .filter_map(|act| match act {
+                    .log
+                    .program()
+                    .filter_map(|(_, act)| match act {
                         TraceAction::Op(op)
                             if ["SYRK", "GEMM", "TRSM", "UPD-"]
                                 .iter()

@@ -26,10 +26,10 @@ impl Work {
     }
 
     /// Kernels of `cat` in the recorded program (every kernel counted here
-    /// declares its accesses, so the program trace holds them all).
+    /// declares its accesses, so the program view holds them all).
     fn kernel_count(&self, cat: WorkCategory) -> u64 {
-        let ops = self.0.trace.actions().iter();
-        ops.filter(|a| matches!(a, TraceAction::Op(op) if op.category == cat))
+        let ops = self.0.log.program();
+        ops.filter(|(_, a)| matches!(a, TraceAction::Op(op) if op.category == cat))
             .count() as u64
     }
 }

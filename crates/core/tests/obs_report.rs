@@ -159,8 +159,8 @@ fn restart_runs_keep_the_tiling_invariant() {
 
 #[test]
 fn report_roundtrips_through_json() {
-    // record_timeline keeps per-kernel op spans in the tree (the default
-    // drops them along with the trace to bound memory on sweeps).
+    // Per-op intervals live in the op log, not the span tree: a run with
+    // its timeline recorded reports the same scope tree as one without.
     let opts = AbftOptions {
         record_timeline: true,
         ..AbftOptions::default()
@@ -185,7 +185,8 @@ fn report_roundtrips_through_json() {
     assert_eq!(back.spans.len(), rep.spans.len());
     assert_eq!(back.events, rep.events);
     assert!((back.total_secs - rep.total_secs).abs() < TOL);
-    // Scope and op spans both made it through.
-    assert!(back.spans.iter().any(|s| s.kind == SpanKind::Scope));
-    assert!(back.spans.iter().any(|s| s.kind == SpanKind::Op));
+    // Every span is a scope, and the scopes made it through.
+    assert!(!back.spans.is_empty());
+    assert!(back.spans.iter().all(|s| s.kind == SpanKind::Scope));
+    assert!(out.ctx.log.ops().count() > back.spans.len());
 }

@@ -4,10 +4,9 @@
 //! computing an *overlapped* schedule for the clock. That is sound only if
 //! the program orders every true dependency through streams, events, or
 //! syncs — the same contract real CUDA code lives under. Operations declare
-//! the tiles they read and write through an [`AccessSet`]; the recorded
-//! program ([`crate::program::ProgramTrace`]) carries those declarations to
-//! `hchol-analyze`, which checks the contract with a vector-clock
-//! happens-before sweep.
+//! the tiles they read and write through an [`AccessSet`]; the op log
+//! ([`crate::oplog::OpLog`]) carries those declarations to `hchol-analyze`,
+//! which checks the contract with a vector-clock happens-before sweep.
 
 use crate::memory::BufferId;
 

@@ -17,41 +17,20 @@
 //! Numerics execute **eagerly in program order** while timing is computed
 //! for the overlapped schedule. For a race-free program (one whose
 //! stream/event usage orders every true dependency) the two give identical
-//! results; the context records every ordering-relevant action in a
-//! [`ProgramTrace`] and `hchol-analyze` checks that assumption at the tile
-//! level with a vector-clock happens-before sweep.
+//! results; the context records every unit of work and every ordering
+//! action in one [`OpLog`] and `hchol-analyze` checks that assumption at
+//! the tile level with a vector-clock happens-before sweep.
 
 use crate::access::AccessSet;
 use crate::counters::WorkCategory;
 use crate::memory::{DeviceMemory, HostMemory};
+use crate::oplog::{Lane, OpLog, OpRecord, TraceAction};
 use crate::profile::{KernelClass, SystemProfile};
-use crate::program::{DmaDir, ExecSite, ProgramTrace, TraceAction};
 use crate::schedule::KernelScheduler;
 use crate::time::SimTime;
-use crate::timeline::{Lane, Timeline, TraceEntry};
 use crate::ExecMode;
 use hchol_matrix::Scalar;
-use hchol_obs::{Obs, Phase};
-
-/// Map a kernel to its op-span phase: checksum work goes by category, and
-/// factorization work by kernel class.
-fn op_phase(class: KernelClass, category: WorkCategory) -> Phase {
-    match category {
-        WorkCategory::ChecksumEncode => Phase::Encode,
-        WorkCategory::ChecksumUpdate => Phase::ChecksumUpdate,
-        WorkCategory::Transfer => Phase::Transfer,
-        WorkCategory::ChecksumRecalc | WorkCategory::FusedRecalc | WorkCategory::Verify => {
-            Phase::Verify
-        }
-        WorkCategory::Factorization => match class {
-            KernelClass::Syrk => Phase::Syrk,
-            KernelClass::Trsm => Phase::Trsm,
-            KernelClass::Potf2 => Phase::Potf2,
-            KernelClass::Blas3 => Phase::Gemm,
-            KernelClass::Blas2 | KernelClass::Light | KernelClass::FusedEpilogue => Phase::Other,
-        },
-    }
-}
+use hchol_obs::Obs;
 
 /// A kernel class's metric keys — `kernels.class.<C>`, `busy_secs.class.<C>`,
 /// `kernel_secs.class.<C>` — as statics, so recording a kernel formats and
@@ -103,6 +82,8 @@ struct DeviceState {
     sched: KernelScheduler,
     /// This device's `shard.dev.<d>.busy_secs` key.
     busy_key: String,
+    /// This device's `shard.dev.<d>.link_bytes` key.
+    link_key: String,
     h2d_lane: SimTime,
     d2h_lane: SimTime,
     link_out: SimTime,
@@ -114,6 +95,7 @@ impl DeviceState {
         DeviceState {
             sched: KernelScheduler::new(max_concurrent_kernels),
             busy_key: format!("shard.dev.{dev}.busy_secs"),
+            link_key: format!("shard.dev.{dev}.link_bytes"),
             h2d_lane: SimTime::ZERO,
             d2h_lane: SimTime::ZERO,
             link_out: SimTime::ZERO,
@@ -148,13 +130,13 @@ pub struct KernelDesc {
     pub flops: u64,
     /// Accounting category.
     pub category: WorkCategory,
-    /// Declared tile accesses, carried into the recorded program for the
+    /// Declared tile accesses, carried into the op log for the
     /// happens-before analysis in `hchol-analyze`.
     pub access: AccessSet,
     /// FLOPs of a checksum epilogue fused into this kernel (0 = none).
     /// Charged at the [`KernelClass::FusedEpilogue`] rate with **no** second
     /// kernel startup, booked under [`WorkCategory::FusedRecalc`], and marks
-    /// the recorded op as fused-verify for the protocol analyzers.
+    /// the logged op as fused-verify for the protocol analyzers.
     pub epilogue_flops: u64,
 }
 
@@ -290,14 +272,12 @@ pub struct SimContext<S: Scalar = f64> {
     cpu_workers: Vec<SimTime>,
     events: Vec<SimTime>,
     devices: Vec<DeviceState>,
-    /// The recorded program: ordering actions + declared accesses, replayed
-    /// by `hchol-analyze` for race and protocol-conformance checking.
-    pub trace: ProgramTrace,
-    /// Execution trace.
-    pub timeline: Timeline,
+    /// One record per unit of work and per ordering action, in issue order:
+    /// the timeline Figure 1 plots and the program `hchol-analyze` replays.
+    pub log: OpLog,
     /// Observability state: span tree, metrics registry, event stream.
-    /// Drivers open/close scope spans here; the context itself records op
-    /// spans and per-kernel metrics on every launch/task/transfer.
+    /// Drivers open/close scope spans here; the context itself records
+    /// per-kernel metrics on every launch/task/transfer.
     pub obs: Obs,
     /// Emit `verify.recalc_secs` for ChecksumRecalc kernels. Opt-in
     /// (fused-vs-separate comparisons) so default-path run reports stay
@@ -307,8 +287,8 @@ pub struct SimContext<S: Scalar = f64> {
 
 impl SimContext<f64> {
     /// New double-precision context with one default stream (stream 0) and
-    /// the profile's CPU worker lanes. Timeline recording is on; disable it
-    /// for long sweeps with [`SimContext::disable_timeline`].
+    /// the profile's CPU worker lanes. The log keeps both views; drop the
+    /// timeline for long sweeps with [`SimContext::disable_timeline`].
     ///
     /// Pinned to `f64` so the element type never needs annotating at the
     /// (many) default-precision call sites; reduced-precision runs use
@@ -336,8 +316,7 @@ impl<S: Scalar> SimContext<S> {
             cpu_workers: vec![SimTime::ZERO; workers],
             events: Vec::new(),
             devices: (0..ndev).map(|d| DeviceState::new(d, maxk)).collect(),
-            trace: ProgramTrace::recording(),
-            timeline: Timeline::recording(),
+            log: OpLog::new(),
             obs: Obs::new(),
             recalc_metric: false,
         }
@@ -350,19 +329,19 @@ impl<S: Scalar> SimContext<S> {
         self.recalc_metric = true;
     }
 
-    /// Stop recording the timeline (keeps memory flat on big sweeps). Also
-    /// stops recording per-kernel op spans for the same reason; scope
-    /// spans, metrics, and events (all O(iterations)) stay on.
+    /// Stop keeping the timeline view: the log keeps only what the program
+    /// view reads, dropping the rest. Metrics, scope spans and events (all
+    /// O(iterations)) stay on.
     pub fn disable_timeline(&mut self) {
-        self.timeline = Timeline::disabled();
-        self.obs.spans.set_ops_enabled(false);
+        self.log.set_filters(false, self.log.program);
     }
 
-    /// Stop recording the program trace (drops what was recorded). The
-    /// trace is on by default — cheap enough for every driver test — but
-    /// paper-scale sweeps hold millions of tile refs and switch it off.
+    /// Stop keeping the program view: the log keeps only what the timeline
+    /// view reads, dropping the rest. The program is kept by default —
+    /// cheap enough for every driver test — but paper-scale sweeps hold
+    /// millions of tile refs and switch it off.
     pub fn disable_trace(&mut self) {
-        self.trace.disable();
+        self.log.set_filters(self.log.timeline, false);
     }
 
     /// The system profile in use.
@@ -452,27 +431,27 @@ impl<S: Scalar> SimContext<S> {
                 .add_f64(&self.devices[dev].busy_key, (end - start).as_secs());
         }
         let queue_delay = (start - earliest).as_secs();
-        self.record(desc, ExecSite::Stream(stream.0), start, end, queue_delay);
+        self.record(desc, Lane::GpuStream(stream.0), start, end, queue_delay);
         if self.mode.executes() {
             body(&mut self.dev_mem);
         }
     }
 
     /// The one recording path of a scheduled unit of work — kernel, host
-    /// task or worker task: metrics, then its op span, program-trace op and
-    /// timeline entry. The engine and timeline lane follow from `site`.
+    /// task or worker task: metrics, then its op record. The engine follows
+    /// from `lane`.
     fn record(
         &mut self,
         desc: KernelDesc,
-        site: ExecSite,
+        lane: Lane,
         start: SimTime,
         end: SimTime,
         queue_delay: f64,
     ) {
-        let (engine_busy, lane) = match site {
-            ExecSite::Stream(s) => ("busy_secs.engine.gpu", Lane::GpuStream(s)),
-            ExecSite::Host => ("busy_secs.engine.host", Lane::HostMain),
-            ExecSite::CpuWorker(w) => ("busy_secs.engine.cpu_workers", Lane::CpuWorker(w)),
+        let engine_busy = match lane {
+            Lane::HostMain => "busy_secs.engine.host",
+            Lane::CpuWorker(_) => "busy_secs.engine.cpu_workers",
+            _ => "busy_secs.engine.gpu",
         };
         let [kernels, class_busy, kernel_secs] = class_keys(desc.class);
         let dur = (end - start).as_secs();
@@ -500,31 +479,18 @@ impl<S: Scalar> SimContext<S> {
         if queue_delay > 0.0 {
             m.add_f64("sched.queue_delay_secs", queue_delay);
         }
-        if self.obs.spans.ops_enabled() {
-            self.obs.spans.op(
-                desc.label.clone(),
-                op_phase(desc.class, desc.category),
-                start.as_secs(),
-                end.as_secs(),
-            );
-        }
-        self.trace.push_op(
-            &desc.label,
-            site,
-            None,
-            desc.category,
-            desc.access,
-            desc.epilogue_flops > 0,
-        );
-        self.timeline.push(TraceEntry {
-            lane,
+        self.log.push(TraceAction::Op(OpRecord {
             label: desc.label,
-            class: Some(desc.class),
+            access: desc.access,
             start,
             end,
-            flops: desc.flops + desc.epilogue_flops,
-            bytes: 0,
-        });
+            work: desc.flops + desc.epilogue_flops,
+            lane,
+            stream: 0,
+            class: Some(desc.class),
+            category: desc.category,
+            fused_verify: desc.epilogue_flops > 0,
+        }));
     }
 
     /// Account an abstract bulk transfer of `bytes` (e.g. streaming a whole
@@ -544,7 +510,7 @@ impl<S: Scalar> SimContext<S> {
         F: FnOnce(&mut DeviceMemory<S>, &mut HostMemory<S>),
     {
         let route = if to_device { Route::H2D } else { Route::D2H };
-        self.transfer(route, bytes, stream, "transfer", "bulk", access);
+        self.transfer(route, bytes, stream, "bulk", access);
         if self.mode.executes() {
             body(&mut self.dev_mem, &mut self.host_mem);
         }
@@ -553,14 +519,12 @@ impl<S: Scalar> SimContext<S> {
     /// The one scheduling-and-recording path of a data movement enqueued
     /// on `stream`: it starts once the host has issued it, the stream has
     /// drained and the route's port(s) are free; stream and ports advance
-    /// to its finish. Then metrics, the program-trace op (`trace_label`),
-    /// and the op span and timeline entry (`label`).
+    /// to its finish. Then metrics and its op record.
     fn transfer(
         &mut self,
         route: Route,
         bytes: u64,
         stream: StreamId,
-        trace_label: &str,
         label: &str,
         access: AccessSet,
     ) {
@@ -579,20 +543,20 @@ impl<S: Scalar> SimContext<S> {
         self.streams[stream.0] = end;
         let busy = (end - start).as_secs();
         let m = &mut self.obs.metrics;
-        let (dma, lane) = match route {
+        let lane = match route {
             Route::H2D => {
                 self.devices[dev].h2d_lane = end;
                 m.add_count("pcie.bytes.h2d", bytes);
                 m.inc("transfers.h2d");
                 m.add_f64("busy_secs.engine.dma_h2d", busy);
-                (Some(DmaDir::H2D), Lane::CopyH2D)
+                Lane::CopyH2D
             }
             Route::D2H => {
                 self.devices[dev].d2h_lane = end;
                 m.add_count("pcie.bytes.d2h", bytes);
                 m.inc("transfers.d2h");
                 m.add_f64("busy_secs.engine.dma_d2h", busy);
-                (Some(DmaDir::D2H), Lane::CopyD2H)
+                Lane::CopyD2H
             }
             Route::Peer(dst) => {
                 self.devices[dev].link_out = end;
@@ -600,32 +564,22 @@ impl<S: Scalar> SimContext<S> {
                 m.add_count("shard.link.bytes", bytes);
                 m.inc("shard.link.transfers");
                 m.add_f64("shard.link.busy_secs", busy);
-                m.add_count(&format!("shard.dev.{dev}.link_bytes"), bytes);
-                (None, Lane::DevLink(dev))
+                m.add_count(&self.devices[dev].link_key, bytes);
+                Lane::DevLink(dev)
             }
         };
-        self.trace.push_op(
-            trace_label,
-            ExecSite::Stream(stream.0),
-            dma,
-            WorkCategory::Transfer,
-            access,
-            false,
-        );
-        if self.obs.spans.ops_enabled() {
-            self.obs
-                .spans
-                .op(label, Phase::Transfer, start.as_secs(), end.as_secs());
-        }
-        self.timeline.push(TraceEntry {
-            lane,
+        self.log.push(TraceAction::Op(OpRecord {
             label: label.into(),
-            class: None,
+            access,
             start,
             end,
-            flops: 0,
-            bytes,
-        });
+            work: bytes,
+            lane,
+            stream: stream.0 as u32,
+            class: None,
+            category: WorkCategory::Transfer,
+            fused_verify: false,
+        }));
     }
 
     /// A device→device peer-link transfer of `bytes`, enqueued on
@@ -649,14 +603,7 @@ impl<S: Scalar> SimContext<S> {
     ) where
         F: FnOnce(&mut DeviceMemory<S>),
     {
-        self.transfer(
-            Route::Peer(dst_dev),
-            bytes,
-            src_stream,
-            "dev2dev",
-            "dev2dev",
-            access,
-        );
+        self.transfer(Route::Peer(dst_dev), bytes, src_stream, "dev2dev", access);
         if self.mode.executes() {
             body(&mut self.dev_mem);
         }
@@ -674,7 +621,7 @@ impl<S: Scalar> SimContext<S> {
         let start = self.host_clock;
         let end = start + duration;
         self.host_clock = end;
-        self.record(desc, ExecSite::Host, start, end, 0.0);
+        self.record(desc, Lane::HostMain, start, end, 0.0);
         if self.mode.executes() {
             body(&mut self.host_mem);
         }
@@ -700,7 +647,7 @@ impl<S: Scalar> SimContext<S> {
         let start = self.host_clock.max(self.cpu_workers[w]);
         let end = start + duration;
         self.cpu_workers[w] = end;
-        self.record(desc, ExecSite::CpuWorker(w), start, end, 0.0);
+        self.record(desc, Lane::CpuWorker(w), start, end, 0.0);
         if self.mode.executes() {
             body(&mut self.dev_mem, &mut self.host_mem);
         }
@@ -710,7 +657,7 @@ impl<S: Scalar> SimContext<S> {
     pub fn record_event(&mut self, stream: StreamId) -> EventId {
         self.events.push(self.streams[stream.0]);
         let id = self.events.len() - 1;
-        self.trace.push_action(TraceAction::RecordEvent {
+        self.log.push(TraceAction::RecordEvent {
             event: id,
             stream: stream.0,
         });
@@ -720,7 +667,7 @@ impl<S: Scalar> SimContext<S> {
     /// Make all *future* work on `stream` wait for `event`.
     pub fn stream_wait_event(&mut self, stream: StreamId, event: EventId) {
         self.streams[stream.0] = self.streams[stream.0].max(self.events[event.0]);
-        self.trace.push_action(TraceAction::StreamWaitEvent {
+        self.log.push(TraceAction::StreamWaitEvent {
             stream: stream.0,
             event: event.0,
         });
@@ -732,8 +679,7 @@ impl<S: Scalar> SimContext<S> {
         self.host_clock = self.host_clock.max(self.streams[stream.0]);
         let dev = self.stream_dev[stream.0];
         self.devices[dev].sched.prune(self.host_clock);
-        self.trace
-            .push_action(TraceAction::SyncStream { stream: stream.0 });
+        self.log.push(TraceAction::SyncStream { stream: stream.0 });
     }
 
     /// Block the host until every device (all streams + DMA lanes + peer
@@ -754,7 +700,7 @@ impl<S: Scalar> SimContext<S> {
         for d in &mut self.devices {
             d.sched.prune(t);
         }
-        self.trace.push_action(TraceAction::SyncDevice);
+        self.log.push(TraceAction::SyncDevice);
     }
 
     /// Block the host until all CPU worker lanes are idle.
@@ -764,7 +710,7 @@ impl<S: Scalar> SimContext<S> {
             t = t.max(w);
         }
         self.host_clock = t;
-        self.trace.push_action(TraceAction::SyncCpuWorkers);
+        self.log.push(TraceAction::SyncCpuWorkers);
     }
 
     /// Block on everything: device, DMA, CPU workers.
@@ -907,7 +853,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_records_metrics_and_op_spans() {
+    fn obs_records_metrics_and_the_log_records_ops() {
         let mut c = ctx(ExecMode::TimingOnly);
         let s = c.default_stream();
         c.launch(s, desc(1_000_000_000, KernelClass::Blas3), |_| {});
@@ -925,24 +871,69 @@ mod tests {
                 .count,
             1
         );
-        // Two op spans (the kernel and the host task), no scopes opened.
-        assert_eq!(c.obs.spans.spans().len(), 2);
-        assert!(c
-            .obs
-            .spans
-            .spans()
-            .iter()
-            .all(|s| s.kind == hchol_obs::SpanKind::Op));
+        // The kernel and the host task are two timed ops on their lanes; the
+        // span tree holds scopes only, and none was opened.
+        let lanes: Vec<_> = c
+            .log
+            .ops()
+            .map(|op| (op.lane(), op.end > op.start))
+            .collect();
+        assert_eq!(lanes, [(Lane::GpuStream(0), true), (Lane::HostMain, true)]);
+        assert!(c.obs.spans.spans().is_empty());
     }
 
     #[test]
-    fn disable_timeline_stops_op_spans_but_not_metrics() {
+    fn disable_timeline_drops_access_less_ops_but_not_metrics() {
         let mut c = ctx(ExecMode::TimingOnly);
         c.disable_timeline();
         let s = c.default_stream();
         c.launch(s, desc(1_000_000_000, KernelClass::Blas3), |_| {});
-        assert!(c.obs.spans.spans().is_empty());
+        assert!(c.log.entries().is_empty());
         assert_eq!(c.obs.metrics.count("kernels.class.Blas3"), 1);
+    }
+
+    /// One access-declaring kernel, one without, a transfer and a sync,
+    /// under the given filters: (entries kept, timeline ops, program actions).
+    fn kept_by(setup: impl FnOnce(&mut SimContext)) -> (usize, usize, usize) {
+        let mut c = ctx(ExecMode::TimingOnly);
+        setup(&mut c);
+        let s = c.default_stream();
+        let tile = AccessSet::new(vec![TileRef::new(crate::BufferId(0), 0, 0)], vec![]);
+        c.launch(s, desc(10, KernelClass::Blas2).with_access(tile), |_| {});
+        c.launch(s, desc(10, KernelClass::Blas2), |_| {});
+        c.bulk_transfer_with_access(8, s, true, AccessSet::none(), |_, _| {});
+        c.sync_device();
+        let log = &c.log;
+        (
+            log.entries().len(),
+            log.ops().count(),
+            log.program().count(),
+        )
+    }
+
+    /// The default of `hchol-core` runs: the program view only.
+    #[test]
+    fn timeline_off_trace_on_keeps_the_program() {
+        assert_eq!(kept_by(|c| c.disable_timeline()), (2, 0, 2));
+    }
+
+    /// Paper-scale sweeps and batches: nothing.
+    #[test]
+    fn timeline_off_trace_off_keeps_nothing() {
+        assert_eq!(
+            kept_by(|c| {
+                c.disable_timeline();
+                c.disable_trace();
+            }),
+            (0, 0, 0)
+        );
+    }
+
+    /// Figure runs: every op, and the program view still skips the op
+    /// that declares no accesses.
+    #[test]
+    fn timeline_on_trace_on_keeps_every_op_and_the_program() {
+        assert_eq!(kept_by(|_| {}), (4, 3, 2));
     }
 
     #[test]
@@ -995,12 +986,12 @@ mod tests {
         assert_eq!(c.obs.metrics.count("verify.fused.kernels"), 1);
         assert_eq!(c.obs.metrics.count("verify.fused.flops"), 1_000_000_000);
         assert!(c.obs.metrics.sum("verify.fused.epilogue_secs") > 0.9);
-        // The recorded op carries the fused-verify marker.
-        let fused = c.trace.actions().iter().any(|a| {
-            matches!(a, crate::program::TraceAction::Op(op)
-                if op.label == "SYRK+chk" && op.fused_verify)
-        });
-        assert!(fused, "trace op should be marked fused-verify");
+        // The logged op carries the fused-verify marker.
+        let fused = c
+            .log
+            .ops()
+            .any(|op| op.label == "SYRK+chk" && op.fused_verify);
+        assert!(fused, "logged op should be marked fused-verify");
     }
 
     #[test]
@@ -1045,80 +1036,87 @@ mod tests {
         assert_eq!(c.obs.metrics.count("shard.link.transfers"), 1);
         assert_eq!(c.obs.metrics.count("shard.dev.0.link_bytes"), 1_000_000_000);
         // The link send landed on the sender's link lane in the timeline.
-        assert!(c
-            .timeline
-            .entries()
-            .iter()
-            .any(|e| e.lane == Lane::DevLink(0)));
+        assert!(c.log.ops().any(|op| op.lane() == Lane::DevLink(0)));
     }
 
     /// Every way work enters the simulator goes through one recorder (two
-    /// flavours: work, transfer): each call leaves exactly one op span, one
-    /// timeline entry, one program-trace op iff it declared accesses, and
-    /// its own flop / byte increment.
+    /// flavours: work, transfer): under either timeline filter, each call
+    /// appends exactly one op record — on its lane, at its site — and its
+    /// own flop / byte increment. An op that declares no accesses is kept
+    /// only while the timeline filter is on.
     #[test]
     fn every_entry_point_records_exactly_once() {
-        fn check(
-            c: &mut SimContext,
-            what: &str,
-            trace_ops: usize,
-            (metric, by): (&str, u64),
-            call: impl FnOnce(&mut SimContext),
-        ) {
-            let snap = |c: &SimContext| {
-                (
-                    c.obs.spans.spans().len(),
-                    c.timeline.entries().len(),
-                    c.trace.len(),
-                    c.obs.metrics.count(metric),
-                )
-            };
-            let before = snap(c);
-            call(c);
-            assert_eq!(
-                snap(c),
-                (
-                    before.0 + 1,
-                    before.1 + 1,
-                    before.2 + trace_ops,
-                    before.3 + by
-                ),
-                "{what}: (op spans, timeline entries, trace ops, {metric})"
-            );
-        }
-        let mut c = SimContext::new(
-            SystemProfile::test_profile().with_devices(2),
-            ExecMode::TimingOnly,
-        );
-        let c = &mut c;
-        let s = c.default_stream();
-        let dev = c.dev_mem.alloc_zeros(2, 2, 2).unwrap();
-        let tile = || AccessSet::new(vec![TileRef::new(dev, 0, 0)], vec![]);
-        let work =
-            |cat, access| KernelDesc::new("w", KernelClass::Light, 10, cat).with_access(access);
+        use crate::oplog::ExecSite;
         use WorkCategory::*;
-
-        check(c, "launch", 1, ("flops.cat.Factorization", 10), |c| {
-            c.launch(s, work(Factorization, tile()), |_| {})
-        });
-        check(c, "launch, no accesses", 0, ("flops.cat.Verify", 10), |c| {
-            c.launch(s, work(Verify, AccessSet::none()), |_| {})
-        });
-        check(c, "cpu_exec", 1, ("flops.cat.ChecksumUpdate", 10), |c| {
-            c.cpu_exec(work(ChecksumUpdate, tile()), |_| {})
-        });
-        check(c, "cpu_submit", 1, ("flops.cat.ChecksumEncode", 10), |c| {
-            c.cpu_submit(work(ChecksumEncode, tile()), |_, _| {})
-        });
-        check(c, "h2d", 1, ("pcie.bytes.h2d", 32), |c| {
-            c.bulk_transfer_with_access(32, s, true, tile(), |_, _| {})
-        });
-        check(c, "d2h", 1, ("pcie.bytes.d2h", 32), |c| {
-            c.bulk_transfer_with_access(32, s, false, tile(), |_, _| {})
-        });
-        check(c, "device_transfer", 1, ("shard.link.bytes", 64), |c| {
-            c.device_transfer(64, s, 1, tile(), |_| {})
-        });
+        for timeline in [true, false] {
+            let mut c = SimContext::new(
+                SystemProfile::test_profile().with_devices(2),
+                ExecMode::TimingOnly,
+            );
+            if !timeline {
+                c.disable_timeline();
+            }
+            let c = &mut c;
+            let s = c.default_stream();
+            let dev = c.dev_mem.alloc_zeros(2, 2, 2).unwrap();
+            let tile = || AccessSet::new(vec![TileRef::new(dev, 0, 0)], vec![]);
+            let work =
+                |cat, access| KernelDesc::new("w", KernelClass::Light, 10, cat).with_access(access);
+            let mut check = |what: &str,
+                             (lane, site): (Lane, ExecSite),
+                             (metric, by): (&str, u64),
+                             call: &dyn Fn(&mut SimContext)| {
+                let before = (c.log.entries().len(), c.obs.metrics.count(metric));
+                call(c);
+                let after = (c.log.entries().len(), c.obs.metrics.count(metric));
+                let what = format!("{what}, timeline {timeline}: (log entries, {metric})");
+                assert_eq!(after, (before.0 + 1, before.1 + by), "{what}");
+                let Some(TraceAction::Op(op)) = c.log.entries().last() else {
+                    panic!("{what}: the last entry is not an op");
+                };
+                assert_eq!((op.lane(), op.site()), (lane, site), "{what}");
+            };
+            let stream = ExecSite::Stream(0);
+            check(
+                "launch",
+                (Lane::GpuStream(0), stream),
+                ("flops.cat.Factorization", 10),
+                &|c| c.launch(s, work(Factorization, tile()), |_| {}),
+            );
+            check(
+                "cpu_exec",
+                (Lane::HostMain, ExecSite::Host),
+                ("flops.cat.ChecksumUpdate", 10),
+                &|c| c.cpu_exec(work(ChecksumUpdate, tile()), |_| {}),
+            );
+            check(
+                "cpu_submit",
+                (Lane::CpuWorker(0), ExecSite::CpuWorker(0)),
+                ("flops.cat.ChecksumEncode", 10),
+                &|c| c.cpu_submit(work(ChecksumEncode, tile()), |_, _| {}),
+            );
+            check(
+                "h2d",
+                (Lane::CopyH2D, stream),
+                ("pcie.bytes.h2d", 32),
+                &|c| c.bulk_transfer_with_access(32, s, true, tile(), |_, _| {}),
+            );
+            check(
+                "d2h",
+                (Lane::CopyD2H, stream),
+                ("pcie.bytes.d2h", 32),
+                &|c| c.bulk_transfer_with_access(32, s, false, tile(), |_, _| {}),
+            );
+            check(
+                "device_transfer",
+                (Lane::DevLink(0), stream),
+                ("shard.link.bytes", 64),
+                &|c| c.device_transfer(64, s, 1, tile(), |_| {}),
+            );
+            let before = c.log.entries().len();
+            c.launch(s, work(Verify, AccessSet::none()), |_| {});
+            assert_eq!(c.log.entries().len(), before + usize::from(timeline));
+        }
     }
 
     /// The static keys are the `{:?}`-formatted ones the recorder used to
@@ -1148,7 +1146,9 @@ mod tests {
             assert_eq!(flops_key(cat), format!("flops.cat.{cat:?}"));
             assert!(metric_registered(flops_key(cat)));
         }
-        assert!(metric_registered(&DeviceState::new(3, 1).busy_key));
+        let dev = DeviceState::new(3, 1);
+        assert!(metric_registered(&dev.busy_key));
+        assert!(metric_registered(&dev.link_key));
     }
 
     #[test]

@@ -30,11 +30,12 @@
 //!   ([`schedule`]) implementing the paper's `P = min(N, M)` concurrency
 //!   rule: each kernel class occupies a fraction of the device and the
 //!   device caps both total occupancy and kernel count.
-//! * A [`timeline::Timeline`] trace of every operation (lane, label, start,
-//!   end) from which Figure-1-style execution charts are regenerated.
-//! * A [`program::ProgramTrace`] record of every ordering-relevant action
-//!   (stream ops with declared [`AccessSet`]s, events, syncs), replayed by
-//!   `hchol-analyze` for race and ABFT-protocol-conformance checking.
+//! * One [`oplog::OpLog`]: a record per kernel, task or transfer (lane,
+//!   label, class, category, start, end, work, declared [`AccessSet`]),
+//!   interleaved in issue order with the events and syncs. Its timeline
+//!   view regenerates Figure-1-style execution charts; its program view is
+//!   what `hchol-analyze` replays for race and ABFT-protocol-conformance
+//!   checking.
 //! * An [`obs`] (re-exported `hchol-obs`) attachment on every context:
 //!   the span tree, metrics registry, and event stream that
 //!   [`obs::RunReport`] serializes — see `DESIGN.md` §"Observability".
@@ -49,20 +50,18 @@ pub mod context;
 pub mod counters;
 pub mod executor;
 pub mod memory;
+pub mod oplog;
 pub mod profile;
-pub mod program;
 pub mod schedule;
 pub mod time;
-pub mod timeline;
 
 pub use access::{AccessSet, TileRef};
 pub use context::{EngineUtilization, EngineWindow, EventId, SimContext, StreamId};
 pub use executor::{DagSchedule, IssueDiagnostics, IssuePolicy, NodeMeta};
 pub use memory::{BufferId, DeviceMemory, HostBufferId, HostMemory};
+pub use oplog::{DmaDir, ExecSite, Lane, OpLog, OpRecord, TraceAction};
 pub use profile::{CpuProfile, DeviceProfile, KernelClass, SystemProfile};
-pub use program::{DmaDir, ExecSite, ProgramTrace, TraceAction, TraceOp};
 pub use time::SimTime;
-pub use timeline::{Lane, Timeline, TraceEntry};
 
 /// Whether kernels execute their numerics or only advance the clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

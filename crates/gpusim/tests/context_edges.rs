@@ -90,7 +90,7 @@ fn timeline_disabled_still_counts_work() {
     c.disable_timeline();
     let s = c.default_stream();
     c.launch(s, desc(123), |_| {});
-    assert!(c.timeline.entries().is_empty());
+    assert_eq!(c.log.ops().count(), 0);
     assert_eq!(c.obs.metrics.count("flops.cat.Factorization"), 123);
 }
 
@@ -125,10 +125,10 @@ fn gantt_of_a_real_run_contains_all_lanes() {
     );
     c.bulk_transfer_with_access(1_000_000, s, false, AccessSet::none(), |_, _| {});
     c.sync_all();
-    let g = c.timeline.ascii_gantt(60);
+    let g = c.log.ascii_gantt(60);
     assert!(g.contains("gpu/stream0"));
     assert!(g.contains("cpu/main"));
     assert!(g.contains("copy/d2h"));
-    assert!(!c.timeline.utilization_summary().is_empty());
-    assert_eq!(c.timeline.lane_busy(Lane::CpuWorker(0)).as_secs(), 0.0);
+    assert!(!c.log.utilization_summary().is_empty());
+    assert_eq!(c.log.lane_busy(Lane::CpuWorker(0)).as_secs(), 0.0);
 }

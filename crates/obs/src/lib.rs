@@ -7,12 +7,12 @@
 //! Three pieces, all keyed to the simulator's **virtual clock** (seconds of
 //! `hchol_gpusim::SimTime`, never host wall-time):
 //!
-//! * [`SpanRecorder`] — hierarchical spans. *Scope* spans are contiguous
-//!   host-clock intervals forming a tree that exactly tiles the run
-//!   (run → setup/attempts/drain → encode/iterations → per-phase steps),
-//!   so per-phase totals sum to the run's total time. *Op* spans are the
-//!   individual device-scheduled kernels/transfers; they overlap freely
-//!   and are excluded from the tiling invariant.
+//! * [`SpanRecorder`] — hierarchical scope spans: contiguous host-clock
+//!   intervals forming a tree that exactly tiles the run (run →
+//!   setup/attempts/drain → encode/iterations → per-phase steps), so
+//!   per-phase totals sum to the run's total time. Individual kernels and
+//!   transfers are not spans: the simulator's op log records each once,
+//!   and its timeline JSON is their export.
 //! * [`MetricsRegistry`] — named counters, f64 accumulators, gauges, and
 //!   log₂-bucketed virtual-time histograms (per-kernel-class busy time,
 //!   PCIe bytes, verification/detection/correction counts, …).
@@ -53,7 +53,7 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Fresh, empty state with op-span recording enabled.
+    /// Fresh, empty state.
     pub fn new() -> Self {
         Obs::default()
     }

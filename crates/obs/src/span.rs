@@ -1,24 +1,17 @@
-//! Hierarchical spans over the virtual clock.
+//! Hierarchical scope spans over the virtual clock.
 //!
-//! Two kinds of span share one tree:
+//! A scope is a contiguous **host-clock** interval opened and closed by
+//! driver code (`run_scheme`, the scheme attempt loops, `factor_magma`, …).
+//! Scopes nest strictly: a parent's children are issued back-to-back, so
+//! sibling scopes tile their parent exactly and the **leaf** scopes of the
+//! tree tile the whole run. That is the invariant behind
+//! [`SpanRecorder::phase_totals`] summing to the run's total virtual time.
 //!
-//! * [`SpanKind::Scope`] — a contiguous **host-clock** interval opened and
-//!   closed by driver code (`run_scheme`, the scheme attempt loops,
-//!   `factor_magma`, …). Scope spans nest strictly: a parent's children are
-//!   issued back-to-back, so sibling scopes tile their parent exactly and
-//!   the **leaf** scopes of the tree tile the whole run. That is the
-//!   invariant behind [`SpanRecorder::phase_totals`] summing to the run's
-//!   total virtual time.
-//! * [`SpanKind::Op`] — one device-scheduled kernel or DMA transfer, with
-//!   its *scheduled* `(start, end)` from the concurrent-kernel scheduler.
-//!   Ops overlap freely across streams and routinely outlive the scope
-//!   that launched them (asynchrony), so they are excluded from the tiling
-//!   invariant. Their parent is the scope that was open at launch time.
-//!
-//! Because scope spans measure the host's critical path, their phase totals
+//! Because scopes measure the host's critical path, their phase totals
 //! answer "what was the driver *waiting on*" (verification syncs, the POTF2
-//! round trip), while op spans and the metrics registry answer "what was
-//! each engine *doing*".
+//! round trip), while the metrics registry and the simulator's op log (one
+//! record per scheduled kernel or transfer) answer "what was each engine
+//! *doing*".
 
 use std::collections::HashMap;
 
@@ -43,16 +36,12 @@ pub enum Phase {
     Potf2,
     /// Panel TRSM (plus its checksum-update dispatch).
     Trsm,
-    /// Checksum-update kernels/tasks (op spans; dispatch rides Syrk/…).
-    ChecksumUpdate,
     /// Checksum recalculation + compare + correction.
     Verify,
     /// Host↔device data movement.
     Transfer,
     /// End-of-run (or pre-restart) synchronization draining all engines.
     Drain,
-    /// Anything else.
-    Other,
 }
 
 impl Phase {
@@ -68,22 +57,20 @@ impl Phase {
             Phase::Gemm => "gemm",
             Phase::Potf2 => "potf2",
             Phase::Trsm => "trsm",
-            Phase::ChecksumUpdate => "checksum_update",
             Phase::Verify => "verify",
             Phase::Transfer => "transfer",
             Phase::Drain => "drain",
-            Phase::Other => "other",
         }
     }
 }
 
-/// Whether a span is a host-clock scope or a scheduled device op.
+/// The kind of a span, serialized with it. Every span is a scope: a
+/// contiguous host-clock interval in the tiling invariant. (Per-op
+/// intervals live in the simulator's op log.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum SpanKind {
     /// Contiguous host-clock interval; participates in the tiling invariant.
     Scope,
-    /// Scheduled kernel/transfer interval; may overlap anything.
-    Op,
 }
 
 /// One node of the span tree. Times are virtual seconds.
@@ -97,7 +84,7 @@ pub struct Span {
     pub name: String,
     /// Taxonomy bucket.
     pub phase: Phase,
-    /// Scope or op.
+    /// Always [`SpanKind::Scope`].
     pub kind: SpanKind,
     /// Start time (virtual seconds).
     pub start: f64,
@@ -117,38 +104,16 @@ impl Span {
 pub struct SpanId(pub usize);
 
 /// Arena of spans plus the stack of currently-open scopes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SpanRecorder {
     spans: Vec<Span>,
     stack: Vec<usize>,
-    ops_enabled: bool,
-}
-
-impl Default for SpanRecorder {
-    fn default() -> Self {
-        SpanRecorder {
-            spans: Vec::new(),
-            stack: Vec::new(),
-            ops_enabled: true,
-        }
-    }
 }
 
 impl SpanRecorder {
-    /// Fresh recorder with op-span recording enabled.
+    /// Fresh, empty recorder.
     pub fn new() -> Self {
         SpanRecorder::default()
-    }
-
-    /// Toggle recording of per-kernel/per-transfer op spans (scope spans
-    /// are always recorded — they are O(iterations), not O(kernels)).
-    pub fn set_ops_enabled(&mut self, on: bool) {
-        self.ops_enabled = on;
-    }
-
-    /// Are op spans being recorded?
-    pub fn ops_enabled(&self) -> bool {
-        self.ops_enabled
     }
 
     /// Open a scope span starting at virtual time `t`, nested under the
@@ -185,31 +150,6 @@ impl SpanRecorder {
         }
     }
 
-    /// Close every open scope at virtual time `t`.
-    pub fn close_all(&mut self, t: f64) {
-        while let Some(top) = self.stack.pop() {
-            self.spans[top].end = t;
-        }
-    }
-
-    /// Record a completed op span (scheduled kernel/transfer interval)
-    /// under the currently-open scope. Dropped when op recording is off.
-    pub fn op(&mut self, name: impl Into<String>, phase: Phase, start: f64, end: f64) {
-        if !self.ops_enabled {
-            return;
-        }
-        let id = self.spans.len();
-        self.spans.push(Span {
-            id,
-            parent: self.stack.last().copied(),
-            name: name.into(),
-            phase,
-            kind: SpanKind::Op,
-            start,
-            end,
-        });
-    }
-
     /// All recorded spans, in creation order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -225,26 +165,22 @@ impl SpanRecorder {
     pub fn root_total(&self) -> f64 {
         self.spans
             .iter()
-            .filter(|s| s.kind == SpanKind::Scope && s.parent.is_none())
+            .filter(|s| s.parent.is_none())
             .map(Span::duration)
             .sum()
     }
 
-    /// Virtual time per phase, summed over **leaf** scope spans (scopes
-    /// with no scope children). By the tiling invariant these totals sum
-    /// to [`SpanRecorder::root_total`] up to rounding.
+    /// Virtual time per phase, summed over **leaf** scopes (scopes with no
+    /// children). By the tiling invariant these totals sum to
+    /// [`SpanRecorder::root_total`] up to rounding.
     pub fn phase_totals(&self) -> HashMap<String, f64> {
-        let mut has_scope_child = vec![false; self.spans.len()];
-        for s in &self.spans {
-            if s.kind == SpanKind::Scope {
-                if let Some(p) = s.parent {
-                    has_scope_child[p] = true;
-                }
-            }
+        let mut has_child = vec![false; self.spans.len()];
+        for p in self.spans.iter().filter_map(|s| s.parent) {
+            has_child[p] = true;
         }
         let mut totals = HashMap::new();
         for s in &self.spans {
-            if s.kind == SpanKind::Scope && !has_scope_child[s.id] {
+            if !has_child[s.id] {
                 *totals.entry(s.phase.name().to_string()).or_insert(0.0) += s.duration();
             }
         }
@@ -293,26 +229,6 @@ mod tests {
             assert_eq!(s.end, 3.0);
         }
         assert!(r.partition_residual() < 1e-12);
-    }
-
-    #[test]
-    fn ops_attach_to_current_scope_and_skip_tiling() {
-        let mut r = SpanRecorder::new();
-        let run = r.open("run", Phase::Run, 0.0);
-        r.op("GEMM", Phase::Gemm, 0.5, 9.0); // outlives everything
-        r.close(run, 2.0);
-        assert_eq!(r.spans()[1].parent, Some(0));
-        // Only the run scope (a leaf) counts toward totals.
-        let sum: f64 = r.phase_totals().values().sum();
-        assert!((sum - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disabling_ops_drops_them() {
-        let mut r = SpanRecorder::new();
-        r.set_ops_enabled(false);
-        r.op("k", Phase::Gemm, 0.0, 1.0);
-        assert!(r.spans().is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use hchol_blas::potrf::{potrf_blocked, reconstruct_lower};
 use hchol_blas::{gemm, gemm_fused};
 use hchol_core::checksum::encode;
 use hchol_faults::{FaultTarget, InjectionPoint};
-use hchol_gpusim::program::{ExecSite, TraceAction};
+use hchol_gpusim::{ExecSite, TraceAction};
 use hchol_matrix::generate::spd_diag_dominant;
 use hchol_matrix::{approx_eq, relative_residual, Trans};
 use proptest::prelude::*;
@@ -274,11 +274,11 @@ fn recalc_round_robin_handles_more_tiles_than_streams() {
     .expect("scheme runs");
     let mut rec_sites: HashSet<usize> = HashSet::new();
     let mut rec_total = 0usize;
-    for act in out.ctx.trace.actions() {
+    for (_, act) in out.ctx.log.program() {
         if let TraceAction::Op(op) = act {
             if op.label.starts_with("REC ") {
                 rec_total += 1;
-                if let ExecSite::Stream(s) = op.site {
+                if let ExecSite::Stream(s) = op.site() {
                     rec_sites.insert(s);
                 }
             }

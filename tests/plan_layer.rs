@@ -78,7 +78,7 @@ fn mixed_scheme_batch_is_race_free() {
     ];
     let batch = run_batch(&p, &reqs).expect("batch runs");
     assert!(batch.time.as_secs() > 0.0);
-    let analysis = hchol_analyze::analyze_schedule(&batch.ctx.trace);
+    let analysis = hchol_analyze::analyze_schedule(&batch.ctx.log);
     assert!(analysis.ops > 0, "batch must record a program");
     assert!(analysis.is_clean(), "{}", analysis.render_text());
 }

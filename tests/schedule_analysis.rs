@@ -15,7 +15,7 @@ use hchol_analyze::{analyze_outcome, analyze_schedule, analyze_with_protocol, Pr
 use hchol_gpusim::context::KernelDesc;
 use hchol_gpusim::counters::WorkCategory;
 use hchol_gpusim::profile::KernelClass;
-use hchol_gpusim::program::{ProgramTrace, TraceAction};
+use hchol_gpusim::TraceAction;
 use hchol_gpusim::{AccessSet, SimContext, TileRef};
 use hchol_matrix::generate::spd_diag_dominant;
 
@@ -307,7 +307,7 @@ fn same_stream_war_is_ordered() {
         |_| {},
     );
     ctx.sync_all();
-    let analysis = analyze_schedule(&ctx.trace);
+    let analysis = analyze_schedule(&ctx.log);
     assert!(analysis.is_clean(), "{}", analysis.render_text());
 }
 
@@ -348,7 +348,7 @@ fn cross_stream_raw_without_event_is_flagged() {
             |_| {},
         );
         ctx.sync_all();
-        analyze_schedule(&ctx.trace)
+        analyze_schedule(&ctx.log)
     };
 
     let flagged = run(false);
@@ -380,10 +380,9 @@ fn enhanced_schedule_missing_pre_read_verify_is_flagged() {
     // The victim: the first tile a factorization kernel reads.
     let victim = out
         .ctx
-        .trace
-        .actions()
-        .iter()
-        .find_map(|a| match a {
+        .log
+        .program()
+        .find_map(|(_, a)| match a {
             TraceAction::Op(op)
                 if op.category == WorkCategory::Factorization && !op.access.reads.is_empty() =>
             {
@@ -393,37 +392,20 @@ fn enhanced_schedule_missing_pre_read_verify_is_flagged() {
         })
         .expect("some factorization kernel reads a tile");
 
-    // Replay the program minus every verification read of the victim tile.
-    let mut mutated = ProgramTrace::recording();
-    for action in out.ctx.trace.actions() {
-        match action {
-            TraceAction::Op(op)
-                if matches!(
-                    op.category,
-                    WorkCategory::Verify | WorkCategory::ChecksumRecalc
-                ) =>
-            {
-                let reads: Vec<TileRef> = op
-                    .access
-                    .reads
-                    .iter()
-                    .copied()
-                    .filter(|t| *t != victim)
-                    .collect();
-                mutated.push_op(
-                    &op.label,
-                    op.site,
-                    op.dma,
-                    op.category,
-                    AccessSet::new(reads, op.access.writes.clone()),
-                    op.fused_verify,
-                );
+    // The same program minus every verification read of the victim tile.
+    let mut mutated = out.ctx.log.clone();
+    for action in mutated.entries_mut() {
+        if let TraceAction::Op(op) = action {
+            if matches!(
+                op.category,
+                WorkCategory::Verify | WorkCategory::ChecksumRecalc
+            ) {
+                op.access.reads.retain(|t| *t != victim);
             }
-            other => mutated.push_action(other.clone()),
         }
     }
 
-    let sane = analyze_with_protocol(&out.ctx.trace, Protocol::Enhanced);
+    let sane = analyze_with_protocol(&out.ctx.log, Protocol::Enhanced);
     assert!(
         sane.is_clean(),
         "unmutated control:\n{}",

@@ -349,7 +349,7 @@ fn dropped_recv_sync_is_a_cross_device_race() {
         None,
     )
     .unwrap();
-    let analysis = analyze_schedule(&out.ctx.trace);
+    let analysis = analyze_schedule(&out.ctx.log);
     assert!(
         analysis.races.iter().any(|r| r.kind == RaceKind::Raw),
         "dropping the recv syncs must surface a cross-device RAW race:\n{}",
@@ -366,7 +366,7 @@ fn dropped_recv_sync_is_a_cross_device_race() {
         None,
     )
     .unwrap();
-    assert!(analyze_schedule(&clean.ctx.trace).is_clean());
+    assert!(analyze_schedule(&clean.ctx.log).is_clean());
 }
 
 #[test]
@@ -374,7 +374,7 @@ fn sharded_runs_expose_device_lanes_and_metrics() {
     // Observability satellite: a sharded run renders per-device peer-link
     // lanes on the timeline and accounts busy time and link traffic per
     // device under the registered `shard.*` names.
-    use hchol_gpusim::timeline::Lane;
+    use hchol_gpusim::Lane;
     let d = 4usize;
     let mut opts = sharded_opts(d);
     opts.record_timeline = true;
@@ -388,7 +388,7 @@ fn sharded_runs_expose_device_lanes_and_metrics() {
         None,
     )
     .unwrap();
-    let tl = &out.ctx.timeline;
+    let tl = &out.ctx.log;
     for dev in 0..d {
         assert!(
             tl.lane_busy(Lane::DevLink(dev)).as_secs() > 0.0,
