@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capacity;
 pub mod checksum;
 pub mod chkops;
 pub mod cula;
