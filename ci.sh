@@ -57,7 +57,7 @@ RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
 step "doctests"
 cargo test --doc --workspace -q
 
-step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit, float-order, tile-scan)"
+step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit, float-order, tile-scan, one-record)"
 cargo run --release -q -p hchol-analyze --bin lint
 
 step "schedule analyzer (races + ABFT protocol conformance, all schemes, nt = 4 8 16 40)"

@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Eleven rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Twelve rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -53,6 +53,10 @@
 //!   `(usize, usize)` tile: a per-tile question is a lookup on the dense
 //!   slot (`index::PlanIndex`, `schedule`'s tile ids), not a scan of every
 //!   batch's tile list or a hash per access.
+//! * **`one-record`** — only `crates/gpusim/src/context.rs`, the
+//!   simulator's recorder, builds an `OpRecord { … }` or pushes a
+//!   `TraceAction::Op` onto a log: every unit of work is written down once,
+//!   in one op log, so a second per-op recorder cannot regrow beside it.
 //!
 //! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
 //! may use free-form labels and scratch names by design. `shims/` (vendored
@@ -72,7 +76,8 @@ pub struct Lint {
     pub line: usize,
     /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
     /// `tolerance-literal`, `env-read`, `twin-op`, `one-engine`,
-    /// `one-launcher`, `plan-edit`, `float-order`, or `tile-scan`.
+    /// `one-launcher`, `plan-edit`, `float-order`, `tile-scan`, or
+    /// `one-record`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -177,6 +182,9 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     }
     if TILE_CHECKERS.contains(&file) {
         rule_tile_scan(file, &scan, &mut out);
+    }
+    if file != "crates/gpusim/src/context.rs" {
+        rule_one_record(file, &scan, &mut out);
     }
     out
 }
@@ -663,6 +671,35 @@ fn rule_tile_scan(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
     }
 }
 
+fn rule_one_record(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        let builds = scan.word_at(i) == Some("OpRecord")
+            && scan.punct_at(i + 1, '{')
+            && !matches!(
+                scan.word_at(i.wrapping_sub(1)),
+                Some("struct" | "impl" | "for")
+            );
+        let pushes = scan.punct_at(i.wrapping_sub(1), '.')
+            && scan.word_at(i) == Some("push")
+            && scan.punct_at(i + 1, '(')
+            && scan.word_at(i + 2) == Some("TraceAction")
+            && scan.punct_at(i + 3, ':')
+            && scan.punct_at(i + 4, ':')
+            && scan.word_at(i + 5) == Some("Op");
+        if builds || pushes {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "one-record",
+                message: "op recorded outside the simulator's recorder: every unit of work \
+                          is one `OpRecord` pushed by `SimContext` (context.rs); read the \
+                          op log's views instead of keeping a second record"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 /// Methods of `MetricsRegistry` whose first string argument is a metric name.
 const METRIC_METHODS: &[&str] = &["inc", "add_count", "add_f64", "set_gauge", "observe"];
 
@@ -1059,6 +1096,32 @@ mod tests {
                   live.contains(&3) && m.is_empty() && \"HashMap<TileRef\".is_empty()\n}\n\
                   #[cfg(test)]\nmod tests { fn g(v: &V) -> bool { v.tiles.contains(&(0, 0)) } }\n";
         assert!(lint_file("crates/analyze/src/coverage.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn op_records_flagged_outside_the_recorder_only() {
+        let src = "fn f(log: &mut OpLog, r: OpRecord) {\n    \
+                   let op = OpRecord { label, ..r };\n    \
+                   log.push(TraceAction::Op(op));\n}\n";
+        for hit in [
+            "crates/gpusim/src/oplog.rs",
+            "crates/gpusim/src/executor.rs",
+            "crates/core/src/plan/exec.rs",
+        ] {
+            let lints = lint_file(hit, src);
+            assert!(lints.iter().all(|l| l.rule == "one-record"), "{hit}");
+            assert_eq!(lints.iter().map(|l| l.line).collect::<Vec<_>>(), [2, 3]);
+        }
+        assert!(lint_file("crates/gpusim/src/context.rs", src).is_empty());
+        // Declaring and implementing the type, matching an op, pushing
+        // anything else, prose, strings and test modules pass.
+        let ok = "pub struct OpRecord {}\nimpl OpRecord {}\nimpl Serialize for OpRecord {}\n\
+                  // log.push(TraceAction::Op(op)) lives in context.rs\n\
+                  fn f(a: &TraceAction, v: &mut Vec<TraceAction>) {\n    \
+                  if let TraceAction::Op(op) = a { v.push(TraceAction::SyncDevice); }\n    \
+                  let _ = \"OpRecord {\";\n}\n\
+                  #[cfg(test)]\nmod tests { fn g(l: &mut OpLog, o: OpRecord) { l.push(TraceAction::Op(o)); } }\n";
+        assert!(lint_file("crates/gpusim/src/oplog.rs", ok).is_empty());
     }
 
     #[test]
