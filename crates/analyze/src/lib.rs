@@ -2,8 +2,8 @@
 //!
 //! Static analysis for the workspace, in two halves:
 //!
-//! * [`schedule`] — a vector-clock happens-before sweep over the
-//!   [`hchol_gpusim::ProgramTrace`] a driver records: block-granular race
+//! * [`schedule`] — a vector-clock happens-before sweep over the program
+//!   view of the [`hchol_gpusim::OpLog`] a driver records: block-granular race
 //!   detection (RAW/WAR/WAW between unordered stream/CPU/DMA operations)
 //!   plus per-scheme ABFT **protocol conformance** — offline encodes once
 //!   and verifies at the end, online verifies every block after writing it,

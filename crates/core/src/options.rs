@@ -220,12 +220,13 @@ pub struct AbftOptions {
     /// byte-stable default). Reordered runs skip per-scope spans, since
     /// authored scope nesting no longer reflects execution order.
     pub lookahead: usize,
-    /// Record a full execution timeline (memory-heavy on big runs).
+    /// Keep every op in the op log for the timeline view (memory-heavy on
+    /// big runs). With `trace_schedule` off too, the log keeps the ops and
+    /// no ordering action: a timeline and an empty program view.
     pub record_timeline: bool,
-    /// Record the ordering-relevant program (kernel launches with declared
-    /// accesses, events, syncs) for `hchol-analyze`'s race and
-    /// protocol-conformance checks. On by default — the analyzer's linear
-    /// sweep is cheap; bench sweeps at paper scale turn it off.
+    /// Keep the program view (ops with declared accesses, events, syncs)
+    /// for `hchol-analyze`'s race and protocol-conformance checks. On by
+    /// default; bench sweeps at paper scale turn it off.
     pub trace_schedule: bool,
     /// Fuse checksum recalculation into the SYRK/GEMM epilogue (Enhanced
     /// scheme only): the level-3 kernels deposit fresh checksums of the

@@ -90,8 +90,8 @@ pub struct FactorOutcome<S: Scalar = f64> {
     /// Decision/rewrite log of the runtime feedback balancer (`Some` iff
     /// `opts.balance` was set).
     pub balance_log: Option<crate::plan::balance::BalanceLog>,
-    /// The simulation context (timeline, program trace, observability
-    /// state) for inspection.
+    /// The simulation context (op log, observability state) for
+    /// inspection.
     pub ctx: SimContext<S>,
 }
 
