@@ -1,26 +1,26 @@
 //! # hchol-bench
 //!
-//! The experiment harness: everything needed to regenerate every table and
-//! figure of the paper's evaluation section (Tables I–VIII, Figures 1 and
-//! 8–17). Each experiment is a binary under `src/bin/`; shared machinery —
-//! variant runner, size sweeps, plain-text/CSV reporting — lives here.
+//! The experiment harness: every table and figure of the paper's evaluation
+//! (Tables I–VIII, Figures 1 and 8–17), its extensions and the root
+//! `BENCH_*.json` sweeps. One registry ([`registry::EXPERIMENTS`]) declares
+//! each experiment — id, description, grid of systems × sizes with its
+//! quick form, run function, and for the sweeps the claims checked before
+//! the artifact is written — and one binary runs them ([`driver`]). A full
+//! run writes the committed artifacts; a quick one writes under `target/`.
 //!
-//! All experiments run on the **virtual clock** of `hchol-gpusim` in
-//! `TimingOnly` mode at the paper's full matrix sizes (up to 30720²), so a
-//! full reproduction takes seconds of wall time on any machine. Numerical
-//! behaviour (real fault injection and correction) is covered by the
-//! Execute-mode test suites; `table07`/`table08` additionally run a scaled
-//! Execute-mode replica to show real corrections happening.
+//! Most experiments run on the **virtual clock** of `hchol-gpusim` in
+//! `TimingOnly` mode at the paper's full sizes (up to 30720²), so a full
+//! reproduction takes seconds; numerical behaviour is covered by the
+//! Execute-mode test suites and by the Execute-mode experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
+pub mod driver;
+pub mod figure;
 pub mod outer;
+mod paper;
+pub mod registry;
 pub mod report;
 pub mod runner;
-pub mod sweep;
-
-pub use args::BenchArgs;
-pub use runner::{run_variant, RunResult, Variant};
-pub use sweep::{paper_sizes, system_by_name};
+mod sweeps;

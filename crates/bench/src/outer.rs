@@ -4,7 +4,7 @@
 //! Section II-A of the paper: "MAGMA chose the inner product version because
 //! it has more BLAS Level-3 operations, hence, can utilize the heterogeneous
 //! system more efficiently." This module implements the alternative so that
-//! claim can be *measured* (see the `ablation_variant` binary):
+//! claim can be *measured* (the `ablation_variant` experiment):
 //!
 //! ```text
 //! for j in 0..nt {
@@ -139,44 +139,23 @@ pub fn factor_outer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hchol_blas::potrf::reconstruct_lower;
+    use crate::runner::{Case, Variant};
     use hchol_core::magma::factor_magma;
+    use hchol_matrix::approx_eq;
     use hchol_matrix::generate::spd_diag_dominant;
-    use hchol_matrix::{approx_eq, relative_residual};
-
-    #[test]
-    fn outer_product_is_numerically_correct() {
-        let n = 64;
-        let b = 16;
-        let a = spd_diag_dominant(n, 40);
-        let rep = factor_outer(
-            &SystemProfile::test_profile(),
-            ExecMode::Execute,
-            n,
-            b,
-            Some(&a),
-            false,
-        )
-        .unwrap();
-        let l = rep.factor.unwrap();
-        assert!(relative_residual(&reconstruct_lower(&l), &a) < 1e-12);
-    }
 
     #[test]
     fn outer_and_inner_product_agree() {
-        let n = 48;
-        let b = 8;
+        let (n, b) = (48, 8);
         let a = spd_diag_dominant(n, 41);
         let p = SystemProfile::test_profile();
-        let inner = factor_magma(&p, ExecMode::Execute, n, b, Some(&a), false)
-            .unwrap()
-            .factor
-            .unwrap();
-        let outer = factor_outer(&p, ExecMode::Execute, n, b, Some(&a), false)
-            .unwrap()
-            .factor
-            .unwrap();
-        assert!(approx_eq(&inner, &outer, 1e-10));
+        let inner = factor_magma(&p, ExecMode::Execute, n, b, Some(&a), false).unwrap();
+        let outer = factor_outer(&p, ExecMode::Execute, n, b, Some(&a), false).unwrap();
+        assert!(approx_eq(
+            &inner.factor.unwrap(),
+            &outer.factor.unwrap(),
+            1e-10
+        ));
     }
 
     #[test]
@@ -184,16 +163,8 @@ mod tests {
         // The Section II-A claim, measured: same flops, but the exposed
         // POTF2 round trips make the outer-product form slower.
         for p in [SystemProfile::tardis(), SystemProfile::bulldozer64()] {
-            let b = p.default_block;
-            let n = 8 * b;
-            let inner = factor_magma(&p, ExecMode::TimingOnly, n, b, None, false)
-                .unwrap()
-                .time
-                .as_secs();
-            let outer = factor_outer(&p, ExecMode::TimingOnly, n, b, None, false)
-                .unwrap()
-                .time
-                .as_secs();
+            let case = Case::new(&p, 8 * p.default_block, p.default_block);
+            let (inner, outer) = (case.secs(Variant::Magma), case.secs(Variant::Outer));
             assert!(
                 outer > inner * 1.02,
                 "{}: outer {outer} should trail inner {inner}",
@@ -202,6 +173,15 @@ mod tests {
         }
     }
 
-    // The outer-product schedule's race-freedom is checked against the
-    // analyzer in `crates/bench/tests/outer_schedule.rs`.
+    /// This driver launches kernels off the plan layer, so no plan checker
+    /// covers it: its recorded schedule goes through the vector-clock
+    /// analyzer instead.
+    #[test]
+    fn outer_product_schedule_is_race_free() {
+        let p = SystemProfile::test_profile();
+        let rep = factor_outer(&p, ExecMode::TimingOnly, 256, 32, None, true).expect("runs");
+        let analysis = hchol_analyze::analyze_schedule(&rep.ctx.log);
+        assert!(analysis.ops > 0, "the baseline must record a program");
+        assert!(analysis.is_clean(), "{}", analysis.render_text());
+    }
 }

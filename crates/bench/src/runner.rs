@@ -1,14 +1,18 @@
-//! Unified runner over every factorization variant the paper compares.
+//! One shape for every factorization an experiment runs: a [`Case`] names
+//! the system, size and block, and only what sets the run apart from a
+//! fault-free TimingOnly run with default options.
 
+use crate::outer::factor_outer;
+use hchol_blas::potrf::reconstruct_lower;
 use hchol_core::cula::factor_cula;
 use hchol_core::magma::factor_magma;
 use hchol_core::options::AbftOptions;
 use hchol_core::plan::exec::{run_batch, BatchRequest};
-use hchol_core::schemes::{run_scheme, SchemeKind};
+use hchol_core::schemes::{run_scheme_typed, FactorOutcome, SchemeKind};
 use hchol_faults::FaultPlan;
 use hchol_gpusim::profile::SystemProfile;
 use hchol_gpusim::ExecMode;
-use hchol_matrix::Matrix;
+use hchol_matrix::{relative_residual, Matrix, Scalar};
 
 /// A factorization variant under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,169 +21,133 @@ pub enum Variant {
     Magma,
     /// Simulated CULA R18 baseline.
     Cula,
+    /// The right-looking outer-product form ([`crate::outer`]).
+    Outer,
     /// One of the three ABFT schemes.
     Scheme(SchemeKind),
 }
 
-impl Variant {
-    /// Display name matching the paper's figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Variant::Magma => "MAGMA",
-            Variant::Cula => "CULA",
-            Variant::Scheme(k) => k.name(),
-        }
-    }
-
-    /// Every variant, in Figure-16/17 legend order.
-    pub fn all() -> [Variant; 5] {
-        [
-            Variant::Magma,
-            Variant::Cula,
-            Variant::Scheme(SchemeKind::Offline),
-            Variant::Scheme(SchemeKind::Online),
-            Variant::Scheme(SchemeKind::Enhanced),
-        ]
-    }
-}
-
-/// One measured run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// The variant.
-    pub variant: &'static str,
-    /// Matrix size.
-    pub n: usize,
-    /// Virtual seconds.
-    pub seconds: f64,
-    /// `n³/3 / seconds / 1e9`.
-    pub gflops: f64,
-    /// Attempts taken (1 unless recovery restarted the run).
-    pub attempts: usize,
-    /// Corrections performed.
-    pub corrected: usize,
-}
-
-/// Run one variant once. `input` is required in Execute mode.
-#[allow(clippy::too_many_arguments)] // mirrors the driver signature
-pub fn run_variant(
-    variant: Variant,
-    profile: &SystemProfile,
-    mode: ExecMode,
+/// One factorization: system, matrix size and block size, plus the options
+/// and fault plan when they differ from the defaults (none).
+#[derive(Clone)]
+pub struct Case<'a> {
+    profile: &'a SystemProfile,
     n: usize,
     b: usize,
-    opts: &AbftOptions,
-    plan: FaultPlan,
-    input: Option<&Matrix>,
-) -> RunResult {
-    let (seconds, attempts, corrected) = match variant {
-        Variant::Magma => {
-            let r = factor_magma(profile, mode, n, b, input, false).expect("magma baseline");
-            (r.time.as_secs(), 1, 0)
+    opts: AbftOptions,
+    faults: FaultPlan,
+}
+
+impl<'a> Case<'a> {
+    /// A fault-free run of `n × n` in blocks of `b` with default options.
+    pub fn new(profile: &'a SystemProfile, n: usize, b: usize) -> Self {
+        Case {
+            profile,
+            n,
+            b,
+            opts: AbftOptions::default(),
+            faults: FaultPlan::none(),
         }
-        Variant::Cula => {
-            let r = factor_cula(profile, mode, n, b, input).expect("cula baseline");
-            (r.time.as_secs(), 1, 0)
-        }
-        Variant::Scheme(kind) => {
-            // Bench measures virtual time only; the schedule trace is for
-            // hchol-analyze and just costs memory on paper-scale sweeps.
-            let opts = AbftOptions {
-                trace_schedule: false,
-                ..opts.clone()
-            };
-            let r = run_scheme(kind, profile, mode, n, b, &opts, plan, input).expect("abft scheme");
-            (r.time.as_secs(), r.attempts, r.verify.corrected_data)
-        }
-    };
-    RunResult {
-        variant: variant.name(),
-        n,
-        seconds,
-        gflops: (n as f64).powi(3) / 3.0 / seconds / 1e9,
-        attempts,
-        corrected,
+    }
+
+    /// The same case under `opts` (ABFT schemes only).
+    pub fn with_opts(self, opts: AbftOptions) -> Self {
+        Case { opts, ..self }
+    }
+
+    /// The same case under the fault plan `faults` (ABFT schemes only).
+    pub fn with_faults(self, faults: FaultPlan) -> Self {
+        Case { faults, ..self }
+    }
+
+    /// The same case without the program view, for runs whose clock alone
+    /// is read.
+    fn untraced(&self) -> Self {
+        let opts = AbftOptions {
+            trace_schedule: false,
+            ..self.opts.clone()
+        };
+        self.clone().with_opts(opts)
+    }
+
+    /// Virtual seconds of `variant` in TimingOnly mode.
+    pub fn secs(&self, variant: Variant) -> f64 {
+        let (p, n, b, mode) = (self.profile, self.n, self.b, ExecMode::TimingOnly);
+        let time = match variant {
+            Variant::Magma => factor_magma(p, mode, n, b, None, false).map(|r| r.time),
+            Variant::Cula => factor_cula(p, mode, n, b, None).map(|r| r.time),
+            Variant::Outer => factor_outer(p, mode, n, b, None, false).map(|r| r.time),
+            Variant::Scheme(kind) => return self.untraced().run(kind).time.as_secs(),
+        };
+        time.unwrap_or_else(|e| panic!("{variant:?} n={n} b={b}: {e}"))
+            .as_secs()
+    }
+
+    /// Run the ABFT scheme `kind` in TimingOnly mode.
+    pub fn run(&self, kind: SchemeKind) -> FactorOutcome {
+        self.go::<f64>(kind, ExecMode::TimingOnly, None)
+    }
+
+    /// Run the ABFT scheme `kind` in Execute mode on `a`, at `a`'s precision.
+    pub fn execute<S: Scalar>(&self, kind: SchemeKind, a: &Matrix<S>) -> FactorOutcome<S> {
+        self.go(kind, ExecMode::Execute, Some(a))
+    }
+
+    fn go<S: Scalar>(
+        &self,
+        kind: SchemeKind,
+        mode: ExecMode,
+        a: Option<&Matrix<S>>,
+    ) -> FactorOutcome<S> {
+        let (n, b) = (self.n, self.b);
+        run_scheme_typed(
+            kind,
+            self.profile,
+            mode,
+            n,
+            b,
+            &self.opts,
+            self.faults.clone(),
+            a,
+        )
+        .unwrap_or_else(|e| panic!("{} n={n} b={b}: {e}", kind.name()))
+    }
+
+    /// Virtual seconds of `batch` runs of `kind` back to back, and of the
+    /// same runs interleaved through one simulator context ([`run_batch`]);
+    /// both TimingOnly with no program view.
+    pub fn batched(&self, kind: SchemeKind, batch: usize) -> (f64, f64) {
+        let one = self.untraced();
+        let sequential: f64 = (0..batch).map(|_| one.run(kind).time.as_secs()).sum();
+        let (n, b, opts) = (self.n, self.b, &one.opts);
+        let reqs: Vec<BatchRequest> = (0..batch)
+            .map(|_| BatchRequest {
+                kind,
+                n,
+                b,
+                opts: opts.clone(),
+            })
+            .collect();
+        let batched = run_batch(self.profile, &reqs).expect("batched run");
+        (sequential, batched.time.as_secs())
     }
 }
 
 /// Relative overhead of `t` against baseline `base`, in percent.
 pub fn overhead_pct(t: f64, base: f64) -> f64 {
-    (t / base - 1.0) * 100.0
+    (t - base) / base * 100.0
 }
 
-/// One batched-run measurement: `batch` identical factorizations
-/// interleaved through one simulator context versus the same runs back to
-/// back (see [`hchol_core::plan::exec::run_batch`]).
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct BatchResult {
-    /// Scheme under measurement.
-    pub scheme: &'static str,
-    /// Matrix size of every member run.
-    pub n: usize,
-    /// Block size.
-    pub b: usize,
-    /// Number of concurrent factorizations.
-    pub batch: usize,
-    /// Virtual seconds for the runs issued sequentially.
-    pub sequential_secs: f64,
-    /// Virtual makespan of the batched execution.
-    pub batched_secs: f64,
-    /// `sequential_secs / batched_secs`.
-    pub speedup: f64,
+/// GFLOP/s of an `n × n` Cholesky (`n³/3` flops) taking `secs`.
+pub fn gflops(n: usize, secs: f64) -> f64 {
+    (n as f64).powi(3) / 3.0 / secs / 1e9
 }
 
-/// Measure `batch` concurrent `kind` factorizations of size `n` against
-/// the same runs back to back (both TimingOnly, traces off).
-pub fn run_batched(
-    profile: &SystemProfile,
-    kind: SchemeKind,
-    n: usize,
-    b: usize,
-    opts: &AbftOptions,
-    batch: usize,
-) -> BatchResult {
-    let opts = AbftOptions {
-        trace_schedule: false,
-        ..opts.clone()
-    };
-    let sequential: f64 = (0..batch)
-        .map(|_| {
-            run_scheme(
-                kind,
-                profile,
-                ExecMode::TimingOnly,
-                n,
-                b,
-                &opts,
-                FaultPlan::none(),
-                None,
-            )
-            .expect("sequential run")
-            .time
-            .as_secs()
-        })
-        .sum();
-    let reqs: Vec<BatchRequest> = (0..batch)
-        .map(|_| BatchRequest {
-            kind,
-            n,
-            b,
-            opts: opts.clone(),
-        })
-        .collect();
-    let batched = run_batch(profile, &reqs)
-        .expect("batched run")
-        .time
-        .as_secs();
-    BatchResult {
-        scheme: kind.name(),
-        n,
-        b,
-        batch,
-        sequential_secs: sequential,
-        batched_secs: batched,
-        speedup: sequential / batched,
-    }
+/// `‖LLᵀ − A‖ / ‖A‖` of a run's factor; infinite when it produced none.
+pub fn residual<S: Scalar>(out: &FactorOutcome<S>, a: &Matrix<S>) -> f64 {
+    out.factor.as_ref().map_or(f64::INFINITY, |l| {
+        relative_residual(&reconstruct_lower(l), a)
+    })
 }
 
 #[cfg(test)]
@@ -187,64 +155,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_variants_run_in_timing_mode() {
+    fn every_variant_runs_in_timing_mode() {
         let p = SystemProfile::test_profile();
-        let opts = AbftOptions::default();
-        for v in Variant::all() {
-            let r = run_variant(
-                v,
-                &p,
-                ExecMode::TimingOnly,
-                64,
-                8,
-                &opts,
-                FaultPlan::none(),
-                None,
-            );
-            assert!(r.seconds > 0.0, "{} produced zero time", r.variant);
-            assert!(r.gflops > 0.0);
-            assert_eq!(r.attempts, 1);
+        let case = Case::new(&p, 64, 8);
+        let baselines = [Variant::Magma, Variant::Cula, Variant::Outer];
+        for v in baselines
+            .into_iter()
+            .chain(SchemeKind::all().map(Variant::Scheme))
+        {
+            assert!(case.secs(v) > 0.0, "{v:?} produced zero time");
         }
     }
 
     #[test]
     fn batched_mode_reports_a_speedup() {
-        let r = run_batched(
-            &SystemProfile::test_profile(),
-            SchemeKind::Enhanced,
-            256,
-            32,
-            &AbftOptions::default(),
-            4,
-        );
-        assert_eq!(r.batch, 4);
+        let p = SystemProfile::test_profile();
+        let (sequential, batched) = Case::new(&p, 256, 32).batched(SchemeKind::Enhanced, 4);
         assert!(
-            r.batched_secs < r.sequential_secs,
-            "batched {} vs sequential {}",
-            r.batched_secs,
-            r.sequential_secs
+            batched < sequential,
+            "batched {batched} vs sequential {sequential}"
         );
-        assert!(r.speedup > 1.0);
     }
 
     #[test]
     fn overhead_pct_basics() {
         assert!((overhead_pct(1.1, 1.0) - 10.0).abs() < 1e-9);
         assert_eq!(overhead_pct(1.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn variant_names_match_paper() {
-        let names: Vec<_> = Variant::all().iter().map(|v| v.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "MAGMA",
-                "CULA",
-                "Offline-ABFT",
-                "Online-ABFT",
-                "Enhanced Online-ABFT"
-            ]
-        );
     }
 }
