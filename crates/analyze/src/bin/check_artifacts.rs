@@ -8,9 +8,9 @@
 //! scripts and cross-PR diff tooling key on that header, so CI runs this
 //! over the repo root after the sweeps to fail fast when a writer drifts
 //! — a bare report, a missing field, or a bumped schema all exit nonzero
-//! with the offending file named. Two artifacts also get a body check:
-//! `precision` rows must carry their pivot axes, and `kernels` must be a
-//! full run (`quick: false`).
+//! with the offending file named. Bodies get two checks: every `bench`
+//! artifact must come from a full run (`quick: false`), and `precision`
+//! rows must carry their pivot axes.
 //!
 //! The directory argument defaults to the workspace root.
 
@@ -46,27 +46,31 @@ fn validate(v: &Value) -> Result<(String, String), String> {
         other => return Err(format!("name must be a non-empty string, got {other:?}")),
     };
     let body = field("body")?;
+    if kind == "bench" {
+        validate_full_run(&name, body)?;
+    }
     if name == "precision" {
         validate_precision_body(body)?;
-    }
-    if name == "kernels" {
-        validate_kernels_body(body)?;
     }
     Ok((kind, name))
 }
 
-/// The root `BENCH_kernels.json` is a full-run artifact: the quick pass CI
-/// runs writes under `target/`, so a `quick: true` body here means a
-/// shortened sweep overwrote the committed numbers.
-fn validate_kernels_body(body: &Value) -> Result<(), String> {
-    let obj = body.as_object().ok_or("kernels body is not an object")?;
+/// A root `BENCH_*.json` is a full-run artifact: quick passes write under
+/// `target/`, so a `quick: true` body here means a shortened sweep
+/// overwrote the committed numbers, and a missing flag means a writer that
+/// does not say which it was.
+fn validate_full_run(name: &str, body: &Value) -> Result<(), String> {
+    let obj = body
+        .as_object()
+        .ok_or(format!("{name} body is not an object"))?;
     match obj.iter().find(|(k, _)| k == "quick").map(|(_, v)| v) {
         Some(Value::Bool(false)) => Ok(()),
-        Some(Value::Bool(true)) => Err(
-            "kernels body has `quick: true`; the root artifact must come from a full run".into(),
-        ),
-        other => Err(format!(
-            "kernels body `quick` must be a boolean, got {other:?}"
+        Some(Value::Bool(true)) => Err(format!(
+            "{name} body has `quick: true`; the root artifact must come from a full run"
+        )),
+        None => Err(format!("{name} body has no `quick` flag")),
+        Some(other) => Err(format!(
+            "{name} body `quick` must be a boolean, got {other:?}"
         )),
     }
 }
@@ -170,27 +174,38 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn kernels(quick: &str) -> Value {
+    /// A `bench` artifact named `name` whose body carries `fields`.
+    fn bench(name: &str, fields: &str) -> Value {
         let text = format!(
-            r#"{{"schema_version": {SCHEMA_VERSION}, "kind": "bench", "name": "kernels",
-                "body": {{"threads": 2, "quick": {quick}, "results": []}}}}"#
+            r#"{{"schema_version": {SCHEMA_VERSION}, "kind": "bench", "name": "{name}",
+                "body": {{{fields}}}}}"#
         );
         serde_json::value_from_str(&text).expect("valid JSON")
     }
 
     #[test]
-    fn full_run_kernels_artifact_is_accepted() {
-        assert_eq!(
-            validate(&kernels("false")),
-            Ok(("bench".to_string(), "kernels".to_string()))
-        );
+    fn full_run_bench_artifacts_are_accepted() {
+        for name in ["kernels", "fused", "balance", "shard", "batch"] {
+            let ok = Ok(("bench".to_string(), name.to_string()));
+            assert_eq!(
+                validate(&bench(name, r#""quick": false, "results": []"#)),
+                ok
+            );
+        }
     }
 
     #[test]
-    fn quick_kernels_artifact_is_rejected() {
-        let why = validate(&kernels("true")).unwrap_err();
-        assert!(why.contains("quick: true"), "{why}");
-        let why = validate(&kernels("1")).unwrap_err();
-        assert!(why.contains("must be a boolean"), "{why}");
+    fn quick_or_unflagged_bench_artifacts_are_rejected() {
+        for name in ["kernels", "fused", "balance", "shard", "batch"] {
+            let why = validate(&bench(name, r#""quick": true, "results": []"#)).unwrap_err();
+            assert!(
+                why.contains("quick: true") && why.starts_with(name),
+                "{why}"
+            );
+            let why = validate(&bench(name, r#""n": 512, "results": []"#)).unwrap_err();
+            assert!(why.contains("no `quick` flag"), "{why}");
+            let why = validate(&bench(name, r#""quick": 1"#)).unwrap_err();
+            assert!(why.contains("must be a boolean"), "{why}");
+        }
     }
 }
