@@ -18,8 +18,8 @@
 //!   PCIe bytes, verification/detection/correction counts, …).
 //! * [`RunReport`] — serializes one complete run (config, phase totals,
 //!   metrics, events, span tree) to versioned JSON plus a human-readable
-//!   text summary. Every `hchol-bench` binary writes its artifacts through
-//!   the same [`envelope`] so downstream tooling can dispatch on
+//!   text summary. Every artifact the `hchol-bench` experiments write goes
+//!   through the same [`envelope`] so downstream tooling can dispatch on
 //!   `schema_version`/`kind`.
 //!
 //! The crate is deliberately free of simulator dependencies (only the

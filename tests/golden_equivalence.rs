@@ -12,8 +12,8 @@
 //!   the element bits recorded in `factors.json`.
 //!
 //! If a schedule change is intentional, regenerate the fixtures with
-//! `cargo run --release -p hchol-bench --bin golden_capture` from the repo
-//! root and review the diff.
+//! `cargo run --release -p hchol-bench -- golden_capture` and review the
+//! diff.
 
 use hchol_core::cula::factor_cula;
 use hchol_core::magma::factor_magma;
