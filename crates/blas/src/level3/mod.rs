@@ -31,11 +31,7 @@ pub use naive::{naive_gemm, naive_syrk};
 pub use syrk::{syrk, syrk_fused};
 pub use trsm::trsm;
 
-#[cfg(feature = "parallel")]
-pub(crate) use gemm::{apply_beta, run_tiles, use_blocked, ChkAcc};
-#[cfg(feature = "parallel")]
+pub(crate) use gemm::{apply_beta, gemm_blocked, run_tiles, use_blocked, ChkAcc};
 pub(crate) use microkernel::kernel_table;
-#[cfg(feature = "parallel")]
 pub(crate) use pack::{pack_a, pack_b, MatMut, MatRef};
-#[cfg(feature = "parallel")]
-pub(crate) use workspace::{carve, lines, pack_lens, with_workspace};
+pub(crate) use workspace::{carve, lines, pack_lens, pack_lines, with_workspace};

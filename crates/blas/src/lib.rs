@@ -11,8 +11,8 @@
 //! profiles' analytic cost model does — but Execute-mode hot paths still run
 //! real flops, so large level-3 calls route through a BLIS-style blocked
 //! engine (packed operands, register-tiled micro-kernel, `MC/KC/NC`
-//! macro-loops — see [`level3`]) with optional `std::thread` parallelism
-//! over macro-tiles, and small calls keep simple cache-aware column loops.
+//! macro-loops — see [`level3`]), small calls keep simple cache-aware column
+//! loops, and [`par`] spreads independent tiles over a team of host threads.
 //!
 //! Conventions match reference BLAS:
 //! * column-major storage ([`hchol_matrix::Matrix`]),
@@ -34,7 +34,6 @@ pub mod flops;
 pub mod level1;
 pub mod level2;
 pub mod level3;
-#[cfg(feature = "parallel")]
 pub mod par;
 pub mod potrf;
 pub mod reference;

@@ -154,6 +154,21 @@ impl<S: Scalar> DeviceMemory<S> {
         (x, y, z)
     }
 
+    /// Any number of distinct buffers, all mutable, in the order of `ids`
+    /// (the matrix plus one deposit buffer per panel row is a fused panel
+    /// kernel's working set). Panics unless all ids are distinct.
+    pub fn bufs_mut(&mut self, ids: &[BufferId]) -> Vec<&mut TileMatrix<S>> {
+        let mut slots: Vec<Option<&mut TileMatrix<S>>> =
+            self.buffers.iter_mut().map(Some).collect();
+        ids.iter()
+            .map(|id| {
+                slots[id.0]
+                    .take()
+                    .expect("buffers must be distinct and in bounds")
+            })
+            .collect()
+    }
+
     /// Shared view of one tile.
     pub fn tile(&self, id: BufferId, bi: usize, bj: usize) -> &Matrix<S> {
         self.buf(id).tile(bi, bj)
@@ -293,6 +308,31 @@ mod tests {
         let a = mem.alloc_zeros(2, 2, 2).unwrap();
         let b = mem.alloc_zeros(2, 2, 2).unwrap();
         let _ = mem.buf_trio_mut(a, b, a);
+    }
+
+    #[test]
+    fn bufs_mut_lends_distinct_buffers_in_the_order_asked() {
+        let mut mem = DeviceMemory::<f64>::default();
+        let ids: Vec<_> = (0..4).map(|_| mem.alloc_zeros(2, 2, 2).unwrap()).collect();
+        for (v, buf) in mem
+            .bufs_mut(&[ids[3], ids[0], ids[2]])
+            .into_iter()
+            .enumerate()
+        {
+            buf.set(0, 0, v as f64 + 1.0);
+        }
+        let got: Vec<f64> = ids.iter().map(|&id| mem.buf(id).get(0, 0)).collect();
+        assert_eq!(got, [2.0, 0.0, 3.0, 1.0]);
+        assert!(mem.bufs_mut(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn bufs_mut_duplicate_panics() {
+        let mut mem = DeviceMemory::<f64>::default();
+        let a = mem.alloc_zeros(2, 2, 2).unwrap();
+        let b = mem.alloc_zeros(2, 2, 2).unwrap();
+        let _ = mem.bufs_mut(&[a, b, a]);
     }
 
     #[test]

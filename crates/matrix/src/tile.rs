@@ -55,20 +55,54 @@ impl<S: Scalar> TileMatrix<S> {
 
     /// Partition a dense matrix into tiles.
     pub fn from_dense(dense: &Matrix<S>, block: usize) -> Result<Self, MatrixError> {
+        Self::from_dense_by(dense, block, |fills| {
+            fills.into_iter().for_each(TileFill::run)
+        })
+    }
+
+    /// [`TileMatrix::from_dense`] with the copying handed to `fill`: it gets
+    /// one [`TileFill`] per tile, in column-major grid order, and must run
+    /// each once — in any order, on any thread (the fills are disjoint).
+    /// Every tile buffer is allocated up front by the caller's thread, and
+    /// written only by its fill. A fill left unrun is a `LengthMismatch`.
+    pub fn from_dense_by(
+        dense: &Matrix<S>,
+        block: usize,
+        fill: impl FnOnce(Vec<TileFill<'_, S>>),
+    ) -> Result<Self, MatrixError> {
         if block == 0 {
             return Err(MatrixError::ZeroBlockSize);
         }
         let (rows, cols) = dense.shape();
         let grid_rows = rows.div_ceil(block);
         let grid_cols = cols.div_ceil(block);
-        let tiles = (0..grid_cols)
+        let extents: Vec<(usize, usize)> = (0..grid_cols)
             .flat_map(|bj| (0..grid_rows).map(move |bi| (bi, bj)))
-            .map(|(bi, bj)| {
-                let tr = tile_extent(rows, block, bi);
-                let tc = tile_extent(cols, block, bj);
-                dense.sub_matrix(bi * block, bj * block, tr, tc)
-            })
+            .map(|(bi, bj)| (tile_extent(rows, block, bi), tile_extent(cols, block, bj)))
             .collect();
+        let mut bufs: Vec<Vec<S>> = extents
+            .iter()
+            .map(|&(tr, tc)| Vec::with_capacity(tr * tc))
+            .collect();
+        fill(
+            bufs.iter_mut()
+                .zip(&extents)
+                .enumerate()
+                .map(|(i, (buf, &(tr, tc)))| TileFill {
+                    src: dense,
+                    row0: (i % grid_rows) * block,
+                    col0: (i / grid_rows) * block,
+                    rows: tr,
+                    cols: tc,
+                    buf,
+                })
+                .collect(),
+        );
+        let tiles = bufs
+            .into_iter()
+            .zip(extents)
+            .map(|(buf, (tr, tc))| Matrix::from_col_major(tr, tc, buf))
+            .collect::<Result<_, _>>()?;
         Ok(TileMatrix {
             rows,
             cols,
@@ -174,6 +208,21 @@ impl<S: Scalar> TileMatrix<S> {
         (m, &*a, &*b)
     }
 
+    /// Block column `bj`, one `&mut` per tile row, beside a shared view of
+    /// every column left of it: the borrow of a left-looking panel update,
+    /// which writes column `bj` and reads only finished columns. Panics if
+    /// `bj` is out of the grid.
+    pub fn split_col_mut(&mut self, bj: usize) -> (TileCols<'_, S>, &mut [Matrix<S>]) {
+        assert!(bj < self.grid_cols, "block column {bj} out of the grid");
+        let gr = self.grid_rows;
+        let (left, right) = self.tiles.split_at_mut(bj * gr);
+        let done = TileCols {
+            tiles: left,
+            grid_rows: gr,
+        };
+        (done, &mut right[..gr])
+    }
+
     /// Global element access (row, col in the full matrix).
     pub fn get(&self, i: usize, j: usize) -> S {
         let (bi, ii) = (i / self.block, i % self.block);
@@ -192,6 +241,44 @@ impl<S: Scalar> TileMatrix<S> {
     pub fn tile_coords(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let gr = self.grid_rows;
         (0..self.grid_cols).flat_map(move |bj| (0..gr).map(move |bi| (bi, bj)))
+    }
+}
+
+/// Shared view of the block columns left of the one
+/// [`TileMatrix::split_col_mut`] lent out.
+#[derive(Clone, Copy, Debug)]
+pub struct TileCols<'a, S: Scalar> {
+    tiles: &'a [Matrix<S>],
+    grid_rows: usize,
+}
+
+impl<'a, S: Scalar> TileCols<'a, S> {
+    /// Tile `(bi, bj)`. Panics unless `bj` is left of the split column.
+    pub fn tile(&self, bi: usize, bj: usize) -> &'a Matrix<S> {
+        assert!(bi < self.grid_rows, "tile row {bi} out of the grid");
+        &self.tiles[bi + bj * self.grid_rows]
+    }
+}
+
+/// Copy of one tile's rectangle of a dense matrix into that tile's buffer:
+/// a unit of work of [`TileMatrix::from_dense_by`].
+#[derive(Debug)]
+pub struct TileFill<'a, S: Scalar> {
+    src: &'a Matrix<S>,
+    row0: usize,
+    col0: usize,
+    rows: usize,
+    cols: usize,
+    buf: &'a mut Vec<S>,
+}
+
+impl<S: Scalar> TileFill<'_, S> {
+    /// Append the rectangle to the buffer, column by column.
+    pub fn run(self) {
+        for c in self.col0..self.col0 + self.cols {
+            self.buf
+                .extend_from_slice(&self.src.col(c)[self.row0..self.row0 + self.rows]);
+        }
     }
 }
 
@@ -284,6 +371,45 @@ mod tests {
     fn tile_pair_same_tile_panics() {
         let mut t = TileMatrix::<f64>::zeros(4, 4, 2).unwrap();
         let _ = t.tile_pair((0, 0), (0, 0));
+    }
+
+    #[test]
+    fn split_col_mut_lends_one_column_beside_the_columns_left_of_it() {
+        let d = Matrix::from_fn(5, 5, |i, j| (i * 10 + j) as f64);
+        let mut t = TileMatrix::from_dense(&d, 2).unwrap();
+        let (done, col) = t.split_col_mut(2);
+        assert_eq!(col.len(), 3);
+        assert_eq!(done.tile(2, 1).get(0, 1), 43.0);
+        col[2].set(0, 0, done.tile(1, 0).get(1, 1) + done.tile(0, 1).get(0, 0));
+        assert_eq!(t.get(4, 4), 31.0 + 2.0);
+        assert_eq!(t.split_col_mut(0).1[1].shape(), (2, 2));
+    }
+
+    #[test]
+    #[should_panic]
+    fn split_col_mut_view_ends_at_the_split_column() {
+        let mut t = TileMatrix::<f64>::zeros(4, 4, 2).unwrap();
+        let (done, _) = t.split_col_mut(1);
+        let _ = done.tile(0, 1);
+    }
+
+    #[test]
+    fn fills_run_in_any_order_on_any_thread() {
+        let d = Matrix::from_fn(5, 7, |i, j| (i * 100 + j) as f64);
+        let t = TileMatrix::from_dense_by(&d, 3, |fills| {
+            assert_eq!(fills.len(), 2 * 3);
+            std::thread::scope(|s| {
+                s.spawn(|| fills.into_iter().rev().for_each(TileFill::run));
+            });
+        })
+        .unwrap();
+        assert_eq!(t, TileMatrix::from_dense(&d, 3).unwrap());
+        assert_eq!(t.to_dense(), d);
+        let unrun = TileMatrix::from_dense_by(&d, 3, |mut fills| {
+            fills.pop();
+            fills.into_iter().for_each(TileFill::run);
+        });
+        assert!(matches!(unrun, Err(MatrixError::LengthMismatch { .. })));
     }
 
     #[test]
