@@ -12,7 +12,8 @@ use crate::chkops;
 use crate::options::{AbftOptions, ChecksumPlacement, ToleranceModel};
 use crate::plan::{chk_tile, dpt_tile, mat_tile, UpdateOp};
 use crate::verify::{verify_and_correct, TileTolerance, VerifyOutcome};
-use hchol_blas::{flops, gemm, gemm_fused, potf2, trsm};
+use hchol_blas::par::{self, RankUpdate};
+use hchol_blas::{flops, potf2, trsm};
 use hchol_faults::{Dirtiness, InjectionPoint, Injector};
 use hchol_gpusim::context::KernelDesc;
 use hchol_gpusim::counters::WorkCategory;
@@ -22,6 +23,7 @@ use hchol_gpusim::{
     AccessSet, BufferId, DeviceMemory, EventId, HostBufferId, KernelClass, SimContext, StreamId,
     TileRef,
 };
+use hchol_matrix::tile::TileFill;
 use hchol_matrix::{
     triangular::force_lower, Diag, Matrix, MatrixError, Scalar, Side, TileMatrix, Trans, Uplo,
 };
@@ -193,7 +195,7 @@ fn setup_impl<S: Scalar>(
     let mat = if execute {
         let dense = input.expect("Execute mode requires input data");
         assert_eq!(dense.shape(), (n, n), "input shape mismatch");
-        ctx.dev_mem.alloc(TileMatrix::from_dense(dense, b)?)
+        ctx.dev_mem.alloc(tile_input(dense, b)?)
     } else {
         ctx.dev_mem.alloc(TileMatrix::zeros(0, 0, b)?)
     };
@@ -222,6 +224,11 @@ fn setup_impl<S: Scalar>(
         flop_inflation: 1.0,
         col_stats: vec![0.0; nt],
     })
+}
+
+/// Tile `dense` by `b`, copying one tile per unit of work on the host team.
+fn tile_input<S: Scalar>(dense: &Matrix<S>, b: usize) -> Result<TileMatrix<S>, MatrixError> {
+    TileMatrix::from_dense_by(dense, b, |fills| par::for_each(fills, TileFill::run))
 }
 
 /// A zeroed `rows × cols` device buffer tiled by `b` — sized to nothing in
@@ -299,36 +306,33 @@ pub fn poll_faults<S: Scalar>(
 // The four MAGMA operations (Algorithm 1)
 // ---------------------------------------------------------------------------
 
-/// `C -= A·Bᵀ` on one tile — the numerics of both trailing updates. With
-/// `deposit`, the fused epilogue also leaves fresh column checksums of the
-/// finished `C` there (the final slab of a fused launch).
-fn rank_update<S: Scalar>(
-    a: &Matrix<S>,
-    b: &Matrix<S>,
-    c: &mut Matrix<S>,
-    deposit: Option<&mut Matrix<S>>,
-) {
-    match deposit {
-        Some(chk) => gemm_fused(Trans::No, Trans::Yes, -1.0, a, b, 1.0, c, chk),
-        None => gemm(Trans::No, Trans::Yes, -1.0, a, b, 1.0, c),
-    }
+/// The matrix buffer plus the deposit tile `(0, j)` of each of `deposits`
+/// (a fused launch's per-row checksum deposit buffers; none unfused).
+fn mat_and_deposits<'m, S: Scalar>(
+    mem: &'m mut DeviceMemory<S>,
+    mat: BufferId,
+    deposits: &[BufferId],
+    j: usize,
+) -> (&'m mut TileMatrix<S>, Vec<&'m mut Matrix<S>>) {
+    let ids: Vec<BufferId> = std::iter::once(mat)
+        .chain(deposits.iter().copied())
+        .collect();
+    let mut bufs = mem.bufs_mut(&ids).into_iter();
+    let m = bufs.next().expect("the matrix buffer");
+    (m, bufs.map(|d| d.tile_mut(0, j)).collect())
 }
 
-/// The matrix buffer plus, when `deposit` names one, the deposit tile
-/// `(0, j)` of that buffer.
-fn mat_and_deposit<S: Scalar>(
-    mem: &mut DeviceMemory<S>,
-    mat: BufferId,
-    deposit: Option<BufferId>,
-    j: usize,
-) -> (&mut TileMatrix<S>, Option<&mut Matrix<S>>) {
-    match deposit {
-        Some(d) => {
-            let (d, m) = mem.buf_pair_mut(d, mat);
-            (m, Some(d.tile_mut(0, j)))
-        }
-        None => (mem.buf_mut(mat), None),
-    }
+/// Tiles `rows` (ascending, as every plan lists panel rows) of one block
+/// column whose tile `first` is `col[0]`, mutably.
+fn pick_rows<'c, S: Scalar>(
+    col: &'c mut [Matrix<S>],
+    first: usize,
+    rows: &[usize],
+) -> Vec<&'c mut Matrix<S>> {
+    let mut tiles = col.iter_mut().zip(first..);
+    rows.iter()
+        .map(|&i| tiles.find(|t| t.1 == i).expect("ascending panel rows").0)
+        .collect()
 }
 
 /// Trace label of a panel kernel: `"GEMM j=3"`, `"GEMM+CHK j=3"` (fused
@@ -385,7 +389,8 @@ pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: us
     } else {
         0
     };
-    let (mat, deposit) = (lay.mat, fused.then(|| lay.dpt[j]));
+    let mat = lay.mat;
+    let deposits: Vec<BufferId> = fused.then(|| lay.dpt[j]).into_iter().collect();
     ctx.launch(
         lay.streams.comp,
         KernelDesc::new(
@@ -397,12 +402,14 @@ pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: us
         .with_access(lay.bind(access))
         .with_epilogue(epi),
         move |mem| {
-            for k in 0..j {
-                // Final slab: the epilogue checksums the finished tile.
-                let (m, chk) = mat_and_deposit(mem, mat, deposit.filter(|_| k + 1 == j), j);
-                let (diag, src) = m.tile_pair((j, j), (j, k));
-                rank_update(src, src, diag, chk);
-            }
+            let (m, mut deposits) = mat_and_deposits(mem, mat, &deposits, j);
+            let (done, col) = m.split_col_mut(j);
+            let chain: Vec<_> = (0..j).map(|k| (done.tile(j, k), done.tile(j, k))).collect();
+            par::rank_update_batch(vec![RankUpdate {
+                c: &mut col[j],
+                chain: &chain,
+                deposit: deposits.pop(),
+            }]);
         },
     );
 }
@@ -464,10 +471,8 @@ pub fn gemm_panel<S: Scalar>(
         0
     };
     let mat = lay.mat;
-    let targets: Vec<(usize, Option<BufferId>)> = rows
-        .iter()
-        .map(|&i| (i, fused.then(|| lay.dpt[i])))
-        .collect();
+    let rows = rows.to_vec();
+    let deposits: Vec<BufferId> = rows.iter().filter(|_| fused).map(|&i| lay.dpt[i]).collect();
     ctx.launch(
         lay.streams.comp,
         KernelDesc::new(
@@ -479,13 +484,24 @@ pub fn gemm_panel<S: Scalar>(
         .with_access(lay.bind(access))
         .with_epilogue(epi),
         move |mem| {
-            for (i, deposit) in targets {
-                for k in 0..j {
-                    let (m, chk) = mat_and_deposit(mem, mat, deposit.filter(|_| k + 1 == j), j);
-                    let (tij, lik, ljk) = m.tile_trio((i, j), (i, k), (j, k));
-                    rank_update(lik, ljk, tij, chk);
-                }
-            }
+            let (m, deposits) = mat_and_deposits(mem, mat, &deposits, j);
+            let (done, col) = m.split_col_mut(j);
+            // Every row's k-chain, back to back: one allocation per launch.
+            let chains: Vec<_> = rows
+                .iter()
+                .flat_map(|&i| (0..j).map(move |k| (done.tile(i, k), done.tile(j, k))))
+                .collect();
+            let mut deposits = deposits.into_iter();
+            let batch = pick_rows(col, 0, &rows)
+                .into_iter()
+                .zip(chains.chunks(j))
+                .map(|(c, chain)| RankUpdate {
+                    c,
+                    chain,
+                    deposit: deposits.next(),
+                })
+                .collect();
+            par::rank_update_batch(batch);
         },
     );
 }
@@ -588,7 +604,7 @@ pub fn trsm_panel<S: Scalar>(
     }
     let f = lay.charge(flops::trsm(lay.b, rows.len() * lay.b));
     let mat = lay.mat;
-    let rows_owned = rows.to_vec();
+    let rows = rows.to_vec();
     ctx.launch(
         lay.streams.comp,
         KernelDesc::new(
@@ -599,9 +615,10 @@ pub fn trsm_panel<S: Scalar>(
         )
         .with_access(lay.bind(access)),
         move |mem| {
-            let m = mem.buf_mut(mat);
-            for i in rows_owned {
-                let (tij, ljj) = m.tile_pair((i, j), (j, j));
+            let (_, col) = mem.buf_mut(mat).split_col_mut(j);
+            let (diag, below) = col.split_at_mut(j + 1);
+            let ljj = &diag[j];
+            par::for_each(pick_rows(below, j + 1, &rows), |tij| {
                 trsm(
                     Side::Right,
                     Uplo::Lower,
@@ -610,8 +627,8 @@ pub fn trsm_panel<S: Scalar>(
                     1.0,
                     ljj,
                     tij,
-                );
-            }
+                )
+            });
         },
     );
 }
@@ -1477,24 +1494,27 @@ pub fn propagate_trsm(inj: &mut Injector, nt: usize, j: usize) {
 
 /// Extract the dense lower-triangular factor from device memory
 /// (Execute mode only): one pass over the lower tiles, copying each column
-/// from its diagonal down and leaving everything above at zero.
+/// from its diagonal down and leaving everything above at zero. Block
+/// columns of the factor are disjoint runs of whole columns, one unit of
+/// work each on the host team.
 pub fn extract_factor<S: Scalar>(ctx: &SimContext<S>, lay: &CholLayout) -> Option<Matrix<S>> {
     if !ctx.mode.executes() {
         return None;
     }
     let tiles = ctx.dev_mem.buf(lay.mat);
-    let mut l = Matrix::zeros(lay.n, lay.n);
-    for bj in 0..lay.nt {
-        for bi in bj..lay.nt {
+    let (n, b, nt) = (lay.n, lay.b, lay.nt);
+    let mut l = Matrix::zeros(n, n);
+    let block_cols = l.as_mut_slice().chunks_mut((n * b).max(1)).enumerate();
+    par::for_each(block_cols.collect(), |(bj, cols)| {
+        for bi in bj..nt {
             let tile = tiles.tile(bi, bj);
-            let (r0, c0) = (bi * lay.b, bj * lay.b);
-            for j in 0..tile.cols() {
+            let r0 = bi * b;
+            for (j, col) in cols.chunks_mut(n).enumerate() {
                 let above = if bi == bj { j.min(tile.rows()) } else { 0 };
-                l.col_mut(c0 + j)[r0 + above..r0 + tile.rows()]
-                    .copy_from_slice(&tile.col(j)[above..]);
+                col[r0 + above..r0 + tile.rows()].copy_from_slice(&tile.col(j)[above..]);
             }
         }
-    }
+    });
     Some(l)
 }
 
@@ -1517,7 +1537,7 @@ pub fn reload<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, input: Optio
         AccessSet::new(vec![], writes),
         |dev, _| {
             let dense = input.expect("Execute mode requires input data");
-            *dev.buf_mut(mat) = TileMatrix::from_dense(dense, b).expect("setup checked b > 0");
+            *dev.buf_mut(mat) = tile_input(dense, b).expect("setup checked b > 0");
         },
     );
     ctx.sync_stream(lay.streams.tran);

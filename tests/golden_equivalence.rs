@@ -18,7 +18,7 @@
 use hchol_core::cula::factor_cula;
 use hchol_core::magma::factor_magma;
 use hchol_core::options::{AbftOptions, ChecksumPlacement};
-use hchol_core::schemes::{run_scheme, SchemeKind};
+use hchol_core::schemes::{run_scheme, run_scheme_typed, SchemeKind};
 use hchol_faults::FaultPlan;
 use hchol_gpusim::profile::SystemProfile;
 use hchol_gpusim::ExecMode;
@@ -242,4 +242,89 @@ fn restart_reloads_the_callers_input() {
         let got = hash_factor(&out.factor.expect("Execute mode factor"));
         assert_eq!(got, want, "b={b}: restarted factor hash {got:#018x}");
     }
+}
+
+/// Factor hashes at b = 256, the first block size whose tiles hold two `MC`
+/// row stripes: the shapes the host team splits into stripes when a launch
+/// has fewer tiles than members (the SYRK diagonal tile, a panel's last
+/// row), plus MAGMA at n = 712, whose edge tiles are ragged (200 rows).
+/// Captured with every kernel body run tile after tile on one thread; a
+/// team of any size must reproduce them, fused deposits, f32 and a
+/// restart's refill included.
+#[test]
+fn team_split_factor_bits_are_pinned() {
+    const PINS: [(SchemeKind, usize, bool, bool, u64); 5] = [
+        (
+            SchemeKind::Enhanced,
+            512,
+            false,
+            false,
+            0x5ae7_f5c6_e9e9_deef,
+        ),
+        (
+            SchemeKind::Enhanced,
+            768,
+            false,
+            false,
+            0x9ba2_19ae_8941_4591,
+        ),
+        (
+            SchemeKind::Enhanced,
+            768,
+            true,
+            false,
+            0x9ba2_19ae_8941_4591,
+        ),
+        (SchemeKind::Online, 768, false, true, 0x9ba2_19ae_8941_4591),
+        (
+            SchemeKind::Offline,
+            768,
+            false,
+            false,
+            0x9ba2_19ae_8941_4591,
+        ),
+    ];
+    let (b, p) = (256usize, SystemProfile::test_profile());
+    for (kind, n, fused, faulted, want) in PINS {
+        let a = spd_diag_dominant(n, 11);
+        let plan = if faulted {
+            FaultPlan::paper_storage_error(n / b, b)
+        } else {
+            FaultPlan::none()
+        };
+        let opts = AbftOptions::default().with_chk_fused(fused);
+        let out = run_scheme(kind, &p, ExecMode::Execute, n, b, &opts, plan, Some(&a))
+            .expect("scheme runs");
+        assert_eq!(out.attempts, 1 + faulted as usize, "{kind:?} n={n}");
+        let got = hash_factor(&out.factor.expect("Execute mode factor"));
+        assert_eq!(
+            got, want,
+            "{kind:?} n={n} fused={fused} faulted={faulted}: factor hash {got:#018x}"
+        );
+    }
+    let a: Matrix<f32> = spd_diag_dominant(768, 11).cast();
+    let opts = AbftOptions::default().with_adaptive_tolerance();
+    let out = run_scheme_typed(
+        SchemeKind::Enhanced,
+        &p,
+        ExecMode::Execute,
+        768,
+        b,
+        &opts,
+        FaultPlan::none(),
+        Some(&a),
+    )
+    .expect("scheme runs");
+    let got = hash_factor(&out.factor.expect("Execute mode factor").cast());
+    assert_eq!(
+        got, 0x7d06_3a9e_519e_2c5a,
+        "f32 n=768: factor hash {got:#018x}"
+    );
+    let a = spd_diag_dominant(712, 11);
+    let magma = factor_magma(&p, ExecMode::Execute, 712, b, Some(&a), false).expect("magma runs");
+    let got = hash_factor(&magma.factor.expect("Execute mode factor"));
+    assert_eq!(
+        got, 0x9058_9bb5_aa98_8d83,
+        "MAGMA n=712: factor hash {got:#018x}"
+    );
 }
