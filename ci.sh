@@ -31,8 +31,12 @@ cargo test -q
 step "tests: the member crates"
 cargo test --workspace --exclude hchol -q
 
-step "tests: hchol-blas without default features (no 'parallel')"
-cargo test -q -p hchol-blas --no-default-features
+# The host-thread team sizes itself from available_parallelism(), which is 1
+# under `taskset -c 0`: the pins must come out the same from the inline path
+# as from the threaded one the steps above ran on a multi-core host.
+step "single-core leg (taskset -c 0: team of one): goldens, recording and virtual-clock pins, team split tests"
+taskset -c 0 cargo test --release -q --test golden_equivalence --test recording_pins --test virtual_clock_pins
+taskset -c 0 cargo test --release -q -p hchol-blas --lib par::
 
 step "allocation budget (tile-shape level-3 calls allocate once, then never; the 2 x b encode / product-update / solve-update shapes: stack or arena, never a per-call Vec)"
 cargo test --release -q -p hchol-blas --test alloc_budget
@@ -41,14 +45,15 @@ cargo test --release -q -p hchol-blas --test alloc_budget
 # build raises the scheduler proptest to 4096 streams and the derive_deps
 # sweep and the analyzers' new-vs-oracle sweeps to nt = 20, and the 2-row
 # checksum kernels' grids from 33 to 300 (past the column group, the planar
-# block and TRSM_BASE).
-step "differential suites, deep (ordered scheduler, dense derive_deps, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels — each vs its oracle)"
+# block and TRSM_BASE), and the team split tests to b = 256 (two MC stripes).
+step "differential suites, deep (ordered scheduler, dense derive_deps, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels, team split — each vs its oracle)"
 cargo test --release -q -p hchol-gpusim --lib schedule::tests
 cargo test --release -q -p hchol-core --lib plan::tests
 cargo test --release -q -p hchol-analyze --lib
 cargo test --release -q -p hchol-blas --lib level3::naive
 cargo test --release -q -p hchol-blas --lib level3::trsm
 cargo test --release -q -p hchol-core --lib chkops
+cargo test --release -q -p hchol-blas --lib par::
 
 step "rustdoc (deny warnings + broken intra-doc links, no deps)"
 RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
@@ -57,7 +62,7 @@ RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
 step "doctests"
 cargo test --doc --workspace -q
 
-step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit, float-order, tile-scan, one-record)"
+step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit, float-order, tile-scan, one-record, one-team)"
 cargo run --release -q -p hchol-analyze --bin lint
 
 step "schedule analyzer (races + ABFT protocol conformance, all schemes, nt = 4 8 16 40)"

@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Twelve rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Thirteen rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -57,6 +57,10 @@
 //!   simulator's recorder, builds an `OpRecord { … }` or pushes a
 //!   `TraceAction::Op` onto a log: every unit of work is written down once,
 //!   in one op log, so a second per-op recorder cannot regrow beside it.
+//! * **`one-team`** — library sources (as for `env-read`) never name
+//!   `thread::spawn`, `thread::scope` or `available_parallelism` outside
+//!   `crates/blas/src/par.rs`: host threads are one team, sized and forked in
+//!   one file, so a second threading policy cannot grow beside it.
 //!
 //! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
 //! may use free-form labels and scratch names by design. `shims/` (vendored
@@ -76,8 +80,8 @@ pub struct Lint {
     pub line: usize,
     /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
     /// `tolerance-literal`, `env-read`, `twin-op`, `one-engine`,
-    /// `one-launcher`, `plan-edit`, `float-order`, `tile-scan`, or
-    /// `one-record`.
+    /// `one-launcher`, `plan-edit`, `float-order`, `tile-scan`,
+    /// `one-record`, or `one-team`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -168,6 +172,9 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     if in_src && !file.contains("/bin/") && !file.contains("/benches/") {
         rule_env_read(file, &scan, &mut out);
         rule_float_order(file, &scan, &mut out);
+        if file != TEAM_FILE {
+            rule_one_team(file, &scan, &mut out);
+        }
     }
     if file == "crates/core/src/ops.rs" {
         rule_twin_op(file, &scan, &mut out);
@@ -700,6 +707,29 @@ fn rule_one_record(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
     }
 }
 
+/// The one file that forks host threads and sizes the team.
+const TEAM_FILE: &str = "crates/blas/src/par.rs";
+
+fn rule_one_team(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        let forks = scan.word_at(i) == Some("thread")
+            && scan.punct_at(i + 1, ':')
+            && scan.punct_at(i + 2, ':')
+            && matches!(scan.word_at(i + 3), Some("spawn" | "scope"));
+        if forks || scan.word_at(i) == Some("available_parallelism") {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "one-team",
+                message: format!(
+                    "host threads outside {TEAM_FILE}: hand the units of work to \
+                     `hchol_blas::par::for_each` instead of forking or sizing a team here"
+                ),
+            });
+        }
+    }
+}
+
 /// Methods of `MetricsRegistry` whose first string argument is a metric name.
 const METRIC_METHODS: &[&str] = &["inc", "add_count", "add_f64", "set_gauge", "observe"];
 
@@ -1122,6 +1152,42 @@ mod tests {
                   let _ = \"OpRecord {\";\n}\n\
                   #[cfg(test)]\nmod tests { fn g(l: &mut OpLog, o: OpRecord) { l.push(TraceAction::Op(o)); } }\n";
         assert!(lint_file("crates/gpusim/src/oplog.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn threads_flagged_in_library_sources_outside_the_team_only() {
+        let src = "fn f() {\n    std::thread::scope(|s| { s.spawn(|| {}); });\n    \
+                   let h = thread::spawn(g);\n    \
+                   let n = std::thread::available_parallelism();\n}\n";
+        for hit in [
+            "crates/core/src/ops.rs",
+            "crates/blas/src/level3/gemm.rs",
+            "src/lib.rs",
+        ] {
+            let lints = lint_file(hit, src);
+            assert!(lints.iter().all(|l| l.rule == "one-team"), "{hit}");
+            assert_eq!(
+                lints.iter().map(|l| l.line).collect::<Vec<_>>(),
+                [2, 3, 4],
+                "{hit}"
+            );
+        }
+        // The team's own file, tests, benches and bins are out of scope.
+        for exempt in [
+            TEAM_FILE,
+            "crates/blas/tests/alloc_budget.rs",
+            "crates/bench/benches/kernels.rs",
+            "crates/bench/src/bin/bench.rs",
+            "tests/shard.rs",
+        ] {
+            assert!(lint_file(exempt, src).is_empty(), "{exempt}");
+        }
+        // A scope's own `spawn`, the current thread, prose, strings and test
+        // modules pass.
+        let ok = "// std::thread::scope is par.rs's\n\
+                  fn f(s: &Scope) { s.spawn(g); std::thread::current(); \"thread::spawn\"; }\n\
+                  #[cfg(test)]\nmod tests { fn g() { std::thread::scope(|_| {}); } }\n";
+        assert!(lint_file("crates/core/src/plan/exec.rs", ok).is_empty());
     }
 
     #[test]
