@@ -58,11 +58,12 @@ fn is_trsm(k: &TaskKind, j: usize) -> bool {
 
 /// The first node of iteration `j` that `is` recognises.
 fn find_step(plan: &FactorPlan, is: IsStep, j: usize) -> Option<NodeId> {
-    plan.find(|n| is(&n.kind, j))
+    plan.find_in(j, |n| is(&n.kind, j))
 }
 
-fn remove_if(plan: &mut FactorPlan, f: impl Fn(&TaskKind) -> bool) {
-    if let Some(id) = plan.find(|n| f(&n.kind)) {
+/// Drop the first node of iteration `j` whose kind `f` accepts.
+fn remove_if(plan: &mut FactorPlan, j: usize, f: impl Fn(&TaskKind) -> bool) {
+    if let Some(id) = plan.find_in(j, |n| f(&n.kind)) {
         plan.remove(id);
     }
 }
@@ -184,7 +185,7 @@ fn insert_check_after(
 /// lower triangle in one `"final verify"` scope, in chunks of 256 tiles.
 fn insert_final_sweep(plan: &mut FactorPlan) {
     let drain = plan
-        .find(|n| matches!(n.kind, TaskKind::Drain))
+        .rfind(|n| matches!(n.kind, TaskKind::Drain))
         .expect("plan has drain");
     plan.insert_before(drain, TaskKind::FlushMirror, None, None);
     let sc = plan.scope("final verify", Phase::Verify);
@@ -236,7 +237,7 @@ impl PolicyPass for OnlinePolicy {
             // TRSM's outputs.
             if !panel.is_empty() {
                 let mark = plan
-                    .find(|n| matches!(n.kind, TaskKind::MarkPanelReady) && n.iter == Some(j))
+                    .find_in(j, |n| matches!(n.kind, TaskKind::MarkPanelReady))
                     .expect("mark inserted above");
                 insert_check_after(plan, mark, panel, j);
             }
@@ -256,8 +257,8 @@ impl PolicyPass for EnhancedPolicy {
         for j in 0..nt {
             let has_panel = j + 1 < nt;
             if !(has_panel && j > 0) {
-                remove_if(plan, |k| is_gemm(k, j));
-                remove_if(plan, |k| {
+                remove_if(plan, j, |k| is_gemm(k, j));
+                remove_if(plan, j, |k| {
                     matches!(
                         k,
                         TaskKind::FaultPoint(InjectionPoint::PostGemm { iter }) if *iter == j
@@ -265,8 +266,8 @@ impl PolicyPass for EnhancedPolicy {
                 });
             }
             if !has_panel {
-                remove_if(plan, |k| is_trsm(k, j));
-                remove_if(plan, |k| {
+                remove_if(plan, j, |k| is_trsm(k, j));
+                remove_if(plan, j, |k| {
                     matches!(
                         k,
                         TaskKind::FaultPoint(InjectionPoint::PostTrsm { iter }) if *iter == j
@@ -391,34 +392,30 @@ pub fn apply_chk_fused(plan: &mut FactorPlan) {
         }
     }
     // Pass 2: walk the order tracking which tiles' last writer deposited
-    // fused checksums, and rewrite the verify pairs accordingly.
-    let mut covered: std::collections::HashMap<(usize, usize), bool> =
-        std::collections::HashMap::new();
+    // fused checksums (tile (i, j) at i·nt + j), and rewrite the verify
+    // pairs accordingly.
+    let mut covered = vec![false; nt * nt];
     for id in plan.order().to_vec() {
         let node = plan.node(id);
         let iter = node.iter;
         match node.kind.clone() {
-            TaskKind::Syrk { j, fused, .. } if j > 0 => {
-                covered.insert((j, j), fused);
-            }
+            TaskKind::Syrk { j, fused, .. } if j > 0 => covered[j * nt + j] = fused,
             TaskKind::GemmPanel { j, fused, .. } if j > 0 && j + 1 < nt => {
                 for i in (j + 1)..nt {
-                    covered.insert((i, j), fused);
+                    covered[i * nt + j] = fused;
                 }
             }
             TaskKind::TrsmPanel { j, .. } => {
                 for i in (j + 1)..nt {
-                    covered.insert((i, j), false);
+                    covered[i * nt + j] = false;
                 }
             }
-            TaskKind::DiagToDevice { j } => {
-                covered.insert((j, j), false);
-            }
+            TaskKind::DiagToDevice { j } => covered[j * nt + j] = false,
             TaskKind::Correct { tiles, .. } => {
                 // A correction may rewrite the tile; deposits are stale
                 // afterwards.
-                for t in tiles {
-                    covered.insert(t, false);
+                for (i, j) in tiles {
+                    covered[i * nt + j] = false;
                 }
             }
             TaskKind::VerifyBatch {
@@ -430,7 +427,7 @@ pub fn apply_chk_fused(plan: &mut FactorPlan) {
                 let (fused_part, plain_part): (Vec<_>, Vec<_>) = tiles
                     .iter()
                     .copied()
-                    .partition(|t| covered.get(t).copied().unwrap_or(false));
+                    .partition(|&(i, j)| covered[i * nt + j]);
                 if fused_part.is_empty() {
                     continue;
                 }

@@ -63,9 +63,10 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
 
         // The panel GEMM becomes one copy per device (none at j = 0,
         // where it is a no-op).
-        if let Some(g) =
-            plan.find(|n| matches!(n.kind, TaskKind::GemmPanel { j: jj, dev: None, .. } if jj == j))
-        {
+        if let Some(g) = plan.find_in(
+            j,
+            |n| matches!(n.kind, TaskKind::GemmPanel { j: jj, dev: None, .. } if jj == j),
+        ) {
             assert!(
                 !matches!(plan.node(g).kind, TaskKind::GemmPanel { fused: true, .. }),
                 "sharding does not compose with chk_fused"
@@ -74,9 +75,10 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
         }
 
         // Diagonal broadcast + per-device TRSM copies.
-        if let Some(t) =
-            plan.find(|n| matches!(n.kind, TaskKind::TrsmPanel { j: jj, dev: None, .. } if jj == j))
-        {
+        if let Some(t) = plan.find_in(
+            j,
+            |n| matches!(n.kind, TaskKind::TrsmPanel { j: jj, dev: None, .. } if jj == j),
+        ) {
             if !remote.is_empty() {
                 let scope = plan.node(t).scope;
                 insert_broadcast(plan, t, scope, ShardXfer::Diag, owner, &remote);
