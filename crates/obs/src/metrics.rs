@@ -23,6 +23,46 @@
 //! (clamped at zero), not exact occupancy.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The registry's key hasher: FxHash's rotate-xor-multiply over 8-byte
+/// words. A simulated kernel updates five metrics, so SipHash's rounds on
+/// every name were a measurable share of a launch; these keys are the
+/// workspace's own metric names, so a deterministic, non-cryptographic
+/// hash is enough. Output does not depend on it: maps serialize sorted.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let (words, tail) = bytes.as_chunks::<8>();
+        for &word in words {
+            self.add(u64::from_le_bytes(word));
+        }
+        if !tail.is_empty() {
+            self.add(tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are the well-mixed ones; the table
+        // indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A metric-name-keyed map, hashed with [`KeyHasher`].
+pub type MetricMap<V> = HashMap<String, V, BuildHasherDefault<KeyHasher>>;
 
 /// Number of log₂ buckets in a [`Histogram`] (spanning 1 ns … ~18 min).
 pub const HISTOGRAM_BUCKETS: usize = 40;
@@ -97,13 +137,13 @@ impl Histogram {
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct MetricsRegistry {
     /// Monotone integer counters.
-    pub counts: HashMap<String, u64>,
+    pub counts: MetricMap<u64>,
     /// Monotone f64 accumulators (mostly seconds).
-    pub sums: HashMap<String, f64>,
+    pub sums: MetricMap<f64>,
     /// Last-write-wins values set at report-finalize time.
-    pub gauges: HashMap<String, f64>,
+    pub gauges: MetricMap<f64>,
     /// Virtual-time distributions.
-    pub histograms: HashMap<String, Histogram>,
+    pub histograms: MetricMap<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -137,7 +177,11 @@ impl MetricsRegistry {
 
     /// Set gauge `name` to `x`.
     pub fn set_gauge(&mut self, name: &str, x: f64) {
-        self.gauges.insert(name.to_string(), x);
+        if let Some(v) = self.gauges.get_mut(name) {
+            *v = x;
+        } else {
+            self.gauges.insert(name.to_string(), x);
+        }
     }
 
     /// Record an observation into histogram `name`.

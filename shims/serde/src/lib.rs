@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
@@ -286,7 +286,7 @@ fn key_to_string<K: Serialize>(k: &K) -> String {
     }
 }
 
-impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
+impl<K: Serialize, V: Serialize, H> Serialize for HashMap<K, V, H> {
     fn to_value(&self) -> Value {
         let mut pairs: Vec<(String, Value)> = self
             .iter()
@@ -298,7 +298,9 @@ impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
     }
 }
 
-impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
+impl<K: Deserialize + Eq + Hash, V: Deserialize, H: BuildHasher + Default> Deserialize
+    for HashMap<K, V, H>
+{
     fn from_value(v: &Value) -> Result<Self, Error> {
         let pairs = v
             .as_object()
