@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Thirteen rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Fourteen rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -61,6 +61,11 @@
 //!   `thread::spawn`, `thread::scope` or `available_parallelism` outside
 //!   `crates/blas/src/par.rs`: host threads are one team, sized and forked in
 //!   one file, so a second threading policy cannot grow beside it.
+//! * **`order-scan`** — plan sources (`crates/core/src/plan/`) never call
+//!   `.order.insert(` or `.order.retain(`, and never `.position(` on a
+//!   chain that reads the issue order (`plan.order().iter().position(`): a
+//!   plan edit relinks two neighbours and a pass finds its anchor inside
+//!   one iteration, so a quadratic scan-and-shift cannot come back.
 //!
 //! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
 //! may use free-form labels and scratch names by design. `shims/` (vendored
@@ -81,7 +86,7 @@ pub struct Lint {
     /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
     /// `tolerance-literal`, `env-read`, `twin-op`, `one-engine`,
     /// `one-launcher`, `plan-edit`, `float-order`, `tile-scan`,
-    /// `one-record`, or `one-team`.
+    /// `one-record`, `one-team`, or `order-scan`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -192,6 +197,9 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     }
     if file != "crates/gpusim/src/context.rs" {
         rule_one_record(file, &scan, &mut out);
+    }
+    if file.starts_with("crates/core/src/plan/") {
+        rule_order_scan(file, &scan, &mut out);
     }
     out
 }
@@ -730,6 +738,60 @@ fn rule_one_team(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
     }
 }
 
+fn rule_order_scan(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        if !scan.punct_at(i.wrapping_sub(1), '.') || !scan.punct_at(i + 1, '(') {
+            continue;
+        }
+        let shifts = matches!(scan.word_at(i), Some("insert" | "retain"))
+            && scan.word_at(i.wrapping_sub(2)) == Some("order")
+            && scan.punct_at(i.wrapping_sub(3), '.');
+        let scans = scan.word_at(i) == Some("position") && chain_reads(scan, i - 1, "order");
+        if shifts || scans {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "order-scan",
+                message: "issue order scanned or shifted: edit a plan through its links \
+                          (`insert_before` / `insert_after` / `remove`) and find an anchor \
+                          inside its iteration (`find_in`, `iter_first`, `iter_last`)"
+                    .to_string(),
+            });
+        }
+    }
+}
+
+/// Does the receiver chain of the method call whose `.` is token `dot`
+/// read `word` — `plan.order().iter()`, or `self.order` on the line above?
+fn chain_reads(scan: &Scan, dot: usize, word: &str) -> bool {
+    let mut i = dot;
+    while i > 0 {
+        i -= 1;
+        if scan.punct_at(i, ')') {
+            // Step back over the argument list to the callee's name.
+            let mut depth = 0;
+            while i > 0 {
+                if scan.punct_at(i, ')') {
+                    depth += 1;
+                } else if scan.punct_at(i, '(') {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                i -= 1;
+            }
+            continue;
+        }
+        match scan.word_at(i) {
+            Some(w) if w == word => return true,
+            Some(_) if scan.punct_at(i.wrapping_sub(1), '.') => i -= 1,
+            _ => return false,
+        }
+    }
+    false
+}
+
 /// Methods of `MetricsRegistry` whose first string argument is a metric name.
 const METRIC_METHODS: &[&str] = &["inc", "add_count", "add_f64", "set_gauge", "observe"];
 
@@ -1126,6 +1188,42 @@ mod tests {
                   live.contains(&3) && m.is_empty() && \"HashMap<TileRef\".is_empty()\n}\n\
                   #[cfg(test)]\nmod tests { fn g(v: &V) -> bool { v.tiles.contains(&(0, 0)) } }\n";
         assert!(lint_file("crates/analyze/src/coverage.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn order_scans_flagged_in_the_plan_sources_only() {
+        let src = "fn f(&mut self, plan: &FactorPlan) {\n    \
+                   self.order.insert(pos, id);\n    \
+                   self.order.retain(|&n| n != id);\n    \
+                   let p = plan.order().iter().position(|&n| n == id);\n    \
+                   let q = self\n        .order\n        .iter()\n        .position(|&n| n == id);\n}\n";
+        for hit in [
+            "crates/core/src/plan/mod.rs",
+            "crates/core/src/plan/policy.rs",
+            "crates/core/src/plan/balance.rs",
+        ] {
+            let lints = lint_file(hit, src);
+            assert!(lints.iter().all(|l| l.rule == "order-scan"), "{hit}");
+            assert_eq!(
+                lints.iter().map(|l| l.line).collect::<Vec<_>>(),
+                [2, 3, 4, 8],
+                "{hit}"
+            );
+        }
+        // Other crates and the rest of core are out of scope.
+        for exempt in ["crates/core/src/ops.rs", "crates/analyze/src/index.rs"] {
+            assert!(lint_file(exempt, src).is_empty(), "{exempt}");
+        }
+        // Other vectors, a position over anything but the order, prose,
+        // strings and test modules pass.
+        let ok = "// self.order.insert(pos, id) was the shift\n\
+                  fn f(&mut self, rows: &[usize]) {\n    \
+                  self.links.insert(3, [0, 0]);\n    \
+                  let i = rows.iter().position(|&r| r == 2);\n    \
+                  let o = order_of(rows).len();\n    \
+                  let _ = \".order.retain(\";\n}\n\
+                  #[cfg(test)]\nmod tests { fn g(p: &FactorPlan) { p.order().iter().position(|_| true); } }\n";
+        assert!(lint_file("crates/core/src/plan/mod.rs", ok).is_empty());
     }
 
     #[test]
