@@ -1,6 +1,7 @@
 //! Workspace source-lint runner: `cargo run -p hchol-analyze --bin lint`.
 //!
-//! Walks `crates/`, `src/`, and `tests/` from the workspace root and applies
+//! Walks `crates/`, `src/`, and `tests/` from the workspace root (and
+//! `examples/` and `benchmark/src/` as callers for `dead-pub`) and applies
 //! the rules of [`hchol_analyze::lint`]. Exits nonzero when any
 //! finding survives, so CI can gate on it.
 

@@ -240,14 +240,6 @@ impl CoverageReport {
         }
     }
 
-    /// Record the headline counts into a metrics registry (names are
-    /// registered in `hchol_obs::names::METRICS`).
-    pub fn record_into(&self, metrics: &mut hchol_obs::MetricsRegistry) {
-        metrics.add_count("coverage.sites", self.total_sites() as u64);
-        metrics.add_count("coverage.covered", self.covered_sites() as u64);
-        metrics.add_count("coverage.uncovered", self.uncovered_sites() as u64);
-    }
-
     /// Versioned-envelope JSON export of the summary.
     pub fn to_json(&self, name: &str) -> String {
         serde_json::to_string_pretty(&envelope(

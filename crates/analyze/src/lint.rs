@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Fourteen rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Fifteen rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -66,10 +66,19 @@
 //!   chain that reads the issue order (`plan.order().iter().position(`): a
 //!   plan edit relinks two neighbours and a pass finds its anchor inside
 //!   one iteration, so a quadratic scan-and-shift cannot come back.
+//! * **`dead-pub`** — a whole-workspace pass: every `pub` fn, struct, enum,
+//!   const, type or trait a library source (`crates/*/src`, not `bin/`)
+//!   declares must be named by a non-test source other than its own
+//!   declaration. Callers are read from `crates/` (not `crates/*/tests/`),
+//!   `src/`, `examples/` and `benchmark/src/`; a `pub use` re-export is not
+//!   a caller. It is a word search, so a name any caller spells passes. A
+//!   deliberate exception carries `// lint:allow(dead-pub) <reason>` on the
+//!   declaration's line or the line above; a waiver without a reason waives
+//!   nothing.
 //!
-//! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
-//! may use free-form labels and scratch names by design. `shims/` (vendored
-//! stand-ins) and `target/` are never scanned.
+//! Items under `#[cfg(test)]` are not scanned: test modules may use
+//! free-form labels and scratch names by design, and a test is not a caller.
+//! `shims/` (vendored stand-ins) and `target/` are never scanned.
 
 use hchol_obs::names;
 use std::collections::HashSet;
@@ -86,7 +95,7 @@ pub struct Lint {
     /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
     /// `tolerance-literal`, `env-read`, `twin-op`, `one-engine`,
     /// `one-launcher`, `plan-edit`, `float-order`, `tile-scan`,
-    /// `one-record`, `one-team`, or `order-scan`.
+    /// `one-record`, `one-team`, `order-scan`, or `dead-pub`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -103,26 +112,43 @@ impl std::fmt::Display for Lint {
 }
 
 /// Lint every workspace source file under `root` (`crates/`, `src/`,
-/// `tests/`; `shims/` and `target/` excluded). Panics on unreadable files —
-/// the lint runs in CI over a checkout it owns.
+/// `tests/`; `shims/` and `target/` excluded), then run the whole-workspace
+/// [`dead_pub`] pass, which also reads `examples/` and `benchmark/src/` as
+/// callers. Panics on unreadable files — the lint runs in CI over a
+/// checkout it owns.
 pub fn lint_workspace(root: &Path) -> Vec<Lint> {
+    let sources = workspace_sources(root);
+    let mut out = Vec::new();
+    for (rel, content) in &sources {
+        if !rel.starts_with("examples/") && !rel.starts_with("benchmark/") {
+            out.extend(lint_file(rel, content));
+        }
+    }
+    out.extend(dead_pub(&sources));
+    out
+}
+
+/// Every `.rs` file the lint reads, as (path relative to `root`, content),
+/// sorted by path.
+fn workspace_sources(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
-    for top in ["crates", "src", "tests"] {
+    for top in ["crates", "src", "tests", "examples", "benchmark/src"] {
         collect_rs(&root.join(top), &mut files);
     }
     files.sort();
-    let mut out = Vec::new();
-    for f in files {
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(&f)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let content = fs::read_to_string(&f)
-            .unwrap_or_else(|e| panic!("lint: cannot read {}: {e}", f.display()));
-        out.extend(lint_file(&rel, &content));
-    }
-    out
+    files
+        .iter()
+        .map(|f| {
+            let rel = f
+                .strip_prefix(root)
+                .unwrap_or(f)
+                .to_string_lossy()
+                .replace('\\', "/");
+            let content = fs::read_to_string(f)
+                .unwrap_or_else(|e| panic!("lint: cannot read {}: {e}", f.display()));
+            (rel, content)
+        })
+        .collect()
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
@@ -146,24 +172,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
 /// Lint one file's content. `file` is the path used both for reporting and
 /// for path-scoped rules (the `wall-clock` exemption of `crates/gpusim`).
 pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
-    // Test modules are exempt from all rules: scan only up to the first
-    // `#[cfg(test)]` line (workspace convention keeps tests at the bottom).
-    let scanned = match content
-        .lines()
-        .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
-    {
-        Some(i) => {
-            let cut: usize = content
-                .lines()
-                .take(i)
-                .map(|l| l.len() + 1)
-                .sum::<usize>()
-                .min(content.len());
-            &content[..cut]
-        }
-        None => content,
-    };
-    let scan = Scan::of(scanned);
+    let scan = Scan::of(content);
     let mut out = Vec::new();
     rule_safety_comment(file, &scan, &mut out);
     rule_obs_names(file, &scan, &mut out);
@@ -226,6 +235,8 @@ struct Scan {
     allow_wall_clock: HashSet<usize>,
     /// Lines whose comments contain `lint:allow(tolerance-literal)`.
     allow_tolerance: HashSet<usize>,
+    /// Lines whose comments contain `lint:allow(dead-pub)` and a reason.
+    allow_dead_pub: HashSet<usize>,
 }
 
 impl Scan {
@@ -235,6 +246,7 @@ impl Scan {
             safety_lines: HashSet::new(),
             allow_wall_clock: HashSet::new(),
             allow_tolerance: HashSet::new(),
+            allow_dead_pub: HashSet::new(),
         };
         let b = src.as_bytes();
         let mut i = 0;
@@ -360,7 +372,51 @@ impl Scan {
                 }
             }
         }
+        s.strip_test_items();
         s
+    }
+
+    /// Drop every `#[cfg(test)]` item: the attribute, any attributes after
+    /// it, and the item up to its `;` or its closing brace.
+    fn strip_test_items(&mut self) {
+        let is_cfg_test = |s: &Scan, i: usize| {
+            s.punct_at(i, '#')
+                && s.punct_at(i + 1, '[')
+                && s.word_at(i + 2) == Some("cfg")
+                && s.punct_at(i + 3, '(')
+                && s.word_at(i + 4) == Some("test")
+                && s.punct_at(i + 5, ')')
+                && s.punct_at(i + 6, ']')
+        };
+        let mut keep = vec![true; self.tokens.len()];
+        let mut i = 0;
+        while i < self.tokens.len() {
+            if !is_cfg_test(self, i) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            let mut depth = 0usize;
+            i += 7;
+            while i < self.tokens.len() {
+                match self.tokens[i].kind {
+                    TokKind::Punct('{' | '[' | '(') => depth += 1,
+                    TokKind::Punct(c @ ('}' | ']' | ')')) => {
+                        depth = depth.saturating_sub(1);
+                        if c == '}' && depth == 0 {
+                            break;
+                        }
+                    }
+                    TokKind::Punct(';') if depth == 0 => break,
+                    _ => {}
+                }
+                i += 1;
+            }
+            i = (i + 1).min(keep.len());
+            keep[start..i].fill(false);
+        }
+        let mut keep = keep.into_iter();
+        self.tokens.retain(|_| keep.next().unwrap_or(false));
     }
 
     fn note_comment(&mut self, text: &str, line: usize) {
@@ -372,6 +428,11 @@ impl Scan {
         }
         if text.contains("lint:allow(tolerance-literal)") {
             self.allow_tolerance.insert(line);
+        }
+        if let Some((_, reason)) = text.split_once("lint:allow(dead-pub)") {
+            if !reason.trim_end_matches("*/").trim().is_empty() {
+                self.allow_dead_pub.insert(line);
+            }
         }
     }
 
@@ -790,6 +851,118 @@ fn chain_reads(scan: &Scan, dot: usize, word: &str) -> bool {
         }
     }
     false
+}
+
+/// Item kinds whose `pub` declarations [`dead_pub`] checks.
+const PUB_KINDS: &[&str] = &["fn", "struct", "enum", "const", "type", "trait"];
+
+/// Keywords whose next word is the name being declared, not a use of it.
+const DECL_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "const", "type", "trait", "static", "mod", "union",
+];
+
+/// Does `file` declare library surface: a crate's `src/`, not a `bin/`?
+fn is_library(file: &str) -> bool {
+    file.starts_with("crates/") && file.contains("/src/") && !file.contains("/bin/")
+}
+
+/// Does `file` count as a caller: a non-test source of the workspace?
+fn is_caller(file: &str) -> bool {
+    (file.starts_with("crates/") && !file.contains("/tests/"))
+        || file.starts_with("src/")
+        || file.starts_with("examples/")
+        || file.starts_with("benchmark/src/")
+}
+
+impl Scan {
+    /// The `pub` items this file declares: (token index, kind, name).
+    /// `pub(crate)` and other restricted visibilities are not surface.
+    fn pub_items(&self) -> Vec<(usize, &str, &str)> {
+        let mut items = Vec::new();
+        for i in 0..self.tokens.len() {
+            if self.word_at(i) != Some("pub") || self.punct_at(i + 1, '(') {
+                continue;
+            }
+            let mut k = i + 1;
+            while matches!(self.word_at(k), Some("unsafe" | "async" | "extern"))
+                || (self.word_at(k) == Some("const") && self.word_at(k + 1) == Some("fn"))
+                || matches!(self.tokens.get(k).map(|t| &t.kind), Some(TokKind::Str(_)))
+            {
+                k += 1;
+            }
+            if let (Some(kind), Some(name)) = (self.word_at(k), self.word_at(k + 1)) {
+                if PUB_KINDS.contains(&kind) {
+                    items.push((i, kind, name));
+                }
+            }
+        }
+        items
+    }
+
+    /// Every word this file names as a use: declared names and `pub use`
+    /// re-exports are left out.
+    fn named_words<'s>(&'s self, out: &mut HashSet<&'s str>) {
+        let mut in_reexport = false;
+        for i in 0..self.tokens.len() {
+            if in_reexport {
+                in_reexport = !self.punct_at(i, ';');
+                continue;
+            }
+            let Some(w) = self.word_at(i) else { continue };
+            if w == "use" && self.reexports(i) {
+                in_reexport = true;
+                continue;
+            }
+            let declared = self
+                .word_at(i.wrapping_sub(1))
+                .is_some_and(|k| DECL_KEYWORDS.contains(&k))
+                && !self.punct_at(i.wrapping_sub(2), '*');
+            if !declared {
+                out.insert(w);
+            }
+        }
+    }
+
+    /// Is the `use` at token `i` a `pub use` / `pub(crate) use` re-export?
+    fn reexports(&self, i: usize) -> bool {
+        self.word_at(i.wrapping_sub(1)) == Some("pub")
+            || (self.punct_at(i.wrapping_sub(1), ')')
+                && self.punct_at(i.wrapping_sub(3), '(')
+                && self.word_at(i.wrapping_sub(4)) == Some("pub"))
+    }
+}
+
+/// The `dead-pub` pass over `(path, content)` sources (see the module docs):
+/// one finding per `pub` item of a library source that no caller names.
+pub fn dead_pub(sources: &[(String, String)]) -> Vec<Lint> {
+    let scans: Vec<(&str, Scan)> = sources
+        .iter()
+        .filter(|(file, _)| is_caller(file))
+        .map(|(file, content)| (file.as_str(), Scan::of(content)))
+        .collect();
+    let mut named = HashSet::new();
+    for (_, scan) in &scans {
+        scan.named_words(&mut named);
+    }
+    let mut out = Vec::new();
+    for (file, scan) in scans.iter().filter(|(file, _)| is_library(file)) {
+        for (i, kind, name) in scan.pub_items() {
+            let line = scan.tokens[i].line;
+            let waived = (line.saturating_sub(1)..=line).any(|l| scan.allow_dead_pub.contains(&l));
+            if !named.contains(name) && !waived {
+                out.push(Lint {
+                    file: file.to_string(),
+                    line,
+                    rule: "dead-pub",
+                    message: format!(
+                        "`pub {kind} {name}` is named by no non-test source: delete it \
+                         (waive a deliberate exception with `// lint:allow(dead-pub) <reason>`)"
+                    ),
+                });
+            }
+        }
+    }
+    out
 }
 
 /// Methods of `MetricsRegistry` whose first string argument is a metric name.
@@ -1286,6 +1459,100 @@ mod tests {
                   fn f(s: &Scope) { s.spawn(g); std::thread::current(); \"thread::spawn\"; }\n\
                   #[cfg(test)]\nmod tests { fn g() { std::thread::scope(|_| {}); } }\n";
         assert!(lint_file("crates/core/src/plan/exec.rs", ok).is_empty());
+    }
+
+    fn sources(files: &[(&str, &str)]) -> Vec<(String, String)> {
+        files
+            .iter()
+            .map(|(f, c)| (f.to_string(), c.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn pub_items_no_caller_names_are_flagged() {
+        let lib = "pub fn used() {}\npub fn orphan() {}\npub struct Lonely;\n\
+                   pub const fn cfn() -> u8 { 0 }\npub(crate) fn private() {}\n\
+                   fn local() { used(); }\n";
+        let lints = dead_pub(&sources(&[("crates/x/src/a.rs", lib)]));
+        let got: Vec<_> = lints.iter().map(|l| (l.rule, l.line)).collect();
+        assert_eq!(got, [("dead-pub", 2), ("dead-pub", 3), ("dead-pub", 4)]);
+        // Tests, test modules and re-exports are not callers.
+        let tests_only = sources(&[
+            (
+                "crates/x/src/a.rs",
+                "pub fn orphan() {}\npub use self::orphan as o;\n\
+                 #[cfg(test)]\nmod tests { fn t() { super::orphan(); } }\n",
+            ),
+            ("tests/t.rs", "fn t() { orphan(); }\n"),
+            ("crates/x/tests/t.rs", "fn t() { orphan(); }\n"),
+        ]);
+        assert_eq!(dead_pub(&tests_only).len(), 1);
+        // A waiver must say why.
+        let bare = "// lint:allow(dead-pub)\npub fn orphan() {}\n";
+        assert_eq!(dead_pub(&sources(&[("crates/x/src/a.rs", bare)])).len(), 1);
+    }
+
+    #[test]
+    fn named_or_waived_pub_items_pass() {
+        let callers = [
+            "crates/y/src/b.rs",
+            "crates/x/src/a.rs",
+            "crates/x/src/bin/main.rs",
+            "crates/x/benches/k.rs",
+            "src/lib.rs",
+            "examples/e.rs",
+            "benchmark/src/w.rs",
+        ];
+        for caller in callers {
+            let (decl, call) = ("pub fn orphan() {}\n", "fn f() { orphan(); }\n");
+            let files = if caller == "crates/x/src/a.rs" {
+                sources(&[(caller, &format!("{decl}{call}"))])
+            } else {
+                sources(&[("crates/x/src/a.rs", decl), (caller, call)])
+            };
+            assert!(dead_pub(&files).is_empty(), "{caller}");
+        }
+        // A `#[cfg(test)]` item mid-file hides only itself.
+        let mid = "pub fn orphan() {}\n#[cfg(test)]\nfn t() { orphan(); }\nfn g() { orphan(); }\n";
+        assert!(dead_pub(&sources(&[("crates/x/src/a.rs", mid)])).is_empty());
+        // Binaries declare no library surface; a reasoned waiver holds.
+        assert!(dead_pub(&sources(&[(
+            "crates/x/src/bin/m.rs",
+            "pub fn orphan() {}\n"
+        )]))
+        .is_empty());
+        let waived =
+            "/// Doc.\n// lint:allow(dead-pub) reference oracle the tests compare against\n\
+                      pub fn orphan() {}\n";
+        assert!(dead_pub(&sources(&[("crates/x/src/a.rs", waived)])).is_empty());
+    }
+
+    /// The workspace as it stands, plus one uncalled `pub fn` in each
+    /// library crate: every one of them is a new finding.
+    #[test]
+    fn a_new_uncalled_pub_fn_fails_the_workspace() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = workspace_sources(&root);
+        let before = dead_pub(&files).len();
+        let crates: Vec<String> = fs::read_dir(root.join("crates"))
+            .expect("crates/ lists")
+            .flatten()
+            .filter(|e| e.path().join("src/lib.rs").is_file())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(crates.len() >= 8, "{crates:?}");
+        for c in &crates {
+            files.push((
+                format!("crates/{c}/src/probe.rs"),
+                format!("pub fn probe_{c}() {{}}\n"),
+            ));
+        }
+        let after = dead_pub(&files);
+        assert_eq!(after.len(), before + crates.len());
+        for c in &crates {
+            let probe = format!("crates/{c}/src/probe.rs");
+            assert!(after.iter().any(|l| l.file == probe), "{c}");
+        }
     }
 
     #[test]

@@ -143,11 +143,6 @@ impl LivenessReport {
         self.findings.is_empty()
     }
 
-    /// Record the headline count into a metrics registry.
-    pub fn record_into(&self, metrics: &mut hchol_obs::MetricsRegistry) {
-        metrics.add_count("liveness.findings", self.findings.len() as u64);
-    }
-
     /// Human-readable summary.
     pub fn render_text(&self) -> String {
         let mut s = format!(

@@ -218,14 +218,6 @@ impl ScheduleAnalysis {
         self.races.is_empty() && self.violations.is_empty()
     }
 
-    /// Record summary counters into a metrics registry (names are part of
-    /// the `hchol_obs::names` registry).
-    pub fn record_into(&self, metrics: &mut hchol_obs::MetricsRegistry) {
-        metrics.add_count("analysis.ops", self.ops as u64);
-        metrics.add_count("analysis.races", self.races.len() as u64);
-        metrics.add_count("analysis.violations", self.violations.len() as u64);
-    }
-
     /// Multi-line human-readable summary of all findings.
     pub fn render_text(&self) -> String {
         let mut s = format!(

@@ -6,11 +6,11 @@
 //! (before, between and after its sections, keeping the best reading),
 //! times the blocked level-3 engine against the naive seed kernels at
 //! n ∈ {256, 512, 1024, 2048} × {f64, f32}, then the tile shapes the ABFT
-//! run loop really issues (NT GEMM, lower SYRK, right-TRSM, POTF2, the 2×b
-//! checksum update and the 2×b encode at b ∈ {64, 128, 256} × {f64, f32},
-//! min and median over repeats), then sweeps the threaded engine with and
-//! without the fused checksum epilogue at n ∈ {2048, 4096} × 1/2/4
-//! threads, and writes the GFLOP/s of every kernel — each row also as a
+//! run loop really issues (NT GEMM, right-TRSM, POTF2, the 2×b checksum
+//! update and the 2×b encode at b ∈ {64, 128, 256} × {f64, f32}, min and
+//! median over repeats), then one b = 256 panel batch on the host team with
+//! and without the fused checksum deposits, and writes the GFLOP/s of every
+//! kernel — each row also as a
 //! percentage of its precision's peak — to `BENCH_kernels.json` at the repo
 //! root (machine-readable; consumed by EXPERIMENTS.md). Pass `--quick` to
 //! stop the sweeps at n = 1024 and shorten per-point timing budgets; a
@@ -19,7 +19,7 @@
 //! (`hchol_bench::driver::artifact_path`).
 
 use hchol_blas::flops;
-use hchol_blas::par::{par_gemm, par_gemm_fused_with_threads, par_gemm_with_threads};
+use hchol_blas::par::{rank_update_batch, RankUpdate};
 use hchol_blas::{gemm, naive_gemm, naive_syrk, potf2, syrk, trsm};
 use hchol_core::checksum::{encode, encode_into};
 use hchol_core::chkops::{update_potf2, update_product, update_trsm};
@@ -89,10 +89,16 @@ impl Peak {
     }
 }
 
+/// One panel batch on the host team, with and without deposits (see
+/// [`fused_panel`]).
 #[derive(serde::Serialize)]
 struct FusedEntry {
-    n: usize,
-    threads: usize,
+    /// Tile size.
+    b: usize,
+    /// Output tiles in the panel.
+    tiles: usize,
+    /// Products in each tile's chain.
+    depth: usize,
     unfused_gflops: f64,
     fused_gflops: f64,
     /// Throughput the fused epilogue costs, percent of the unfused rate.
@@ -101,7 +107,8 @@ struct FusedEntry {
 
 #[derive(serde::Serialize)]
 struct Report {
-    /// Host threads the parallel kernels could use (1 ⇒ par == sequential).
+    /// Members of the host team (`available_parallelism`); only the
+    /// `fused` panel runs on more than one.
     threads: usize,
     quick: bool,
     /// What one core can retire: the denominator of every `pct_peak`.
@@ -109,8 +116,8 @@ struct Report {
     results: Vec<Entry>,
     /// The per-tile kernels `ops.rs` issues, at the block sizes it issues them.
     tiles: Vec<TileEntry>,
-    /// Fused vs. unfused epilogue throughput across sizes and team sizes.
-    fused: Vec<FusedEntry>,
+    /// Fused vs. unfused epilogue throughput of one panel on the team.
+    fused: FusedEntry,
     /// gemm_blocked GFLOP/s ÷ gemm_naive GFLOP/s at n = 1024
     /// (the ≥5× single-thread acceptance figure).
     speedup_gemm_n1024: f64,
@@ -270,11 +277,6 @@ fn square_sweep<S: Scalar>(sizes: &[usize], budget: f64, results: &mut Vec<Entry
             budget,
         );
         push("gemm_blocked", n, s, gemm_fl);
-        let s = time_call(
-            || par_gemm(Trans::No, Trans::Yes, -1.0, &a, &b, 1.0, &mut c),
-            budget,
-        );
-        push("gemm_par", n, s, gemm_fl);
 
         let syrk_fl = flops::syrk(n, n);
         let s = time_call(
@@ -344,7 +346,7 @@ fn sweep(quick: bool) -> Report {
     tile_sweep::<f64>(quick, &mut tiles);
     tile_sweep::<f32>(quick, &mut tiles);
     peak = peak.max(fma_peak());
-    let fused = fused_sweep(quick, budget);
+    let fused = fused_panel(quick);
     peak = peak.max(fma_peak());
 
     println!(
@@ -438,13 +440,6 @@ fn tile_sweep<S: Scalar>(quick: bool, out: &mut Vec<TileEntry>) {
         );
         push("gemm_nt", b, t, flops::gemm(b, b, b), None);
 
-        let mut diag = Matrix::<S>::zeros(b, b);
-        let t = time_tile(
-            || syrk(Uplo::Lower, Trans::No, -1.0, &lik, 1.0, &mut diag),
-            reps,
-        );
-        push("syrk_lower", b, t, flops::syrk(b, b), None);
-
         let mut ljj = spd_diag_dominant(b, 33);
         potf2(&mut ljj, 0).unwrap();
         let ljj: Matrix<S> = ljj.cast();
@@ -506,72 +501,82 @@ fn tile_sweep<S: Scalar>(quick: bool, out: &mut Vec<TileEntry>) {
     }
 }
 
-/// Fused vs. unfused epilogue throughput of the threaded level-3 engine,
-/// past the single-thread ceiling: n ∈ {2048, 4096} × 1/2/4 threads (quick:
-/// n ∈ {512, 1024} × 1/2). The fused variant deposits both column checksums
-/// of `C` in the micro-kernel epilogue; its GFLOP/s are computed on the
-/// *product* flops only, so `epilogue_cost_pct` is the true throughput
-/// price of the in-kernel deposits.
-fn fused_sweep(quick: bool, budget: f64) -> Vec<FusedEntry> {
-    let (sizes, teams): (&[usize], &[usize]) = if quick {
-        (&[512, 1024], &[1, 2])
+/// Fused vs. unfused epilogue on the host team, the way Execute runs it:
+/// one panel of `tiles` b × b output tiles, each `C −= Σₖ Aₖ·Bₖᵀ` over a
+/// chain of `depth` products, through `par::rank_update_batch` (what
+/// `ops::gemm_panel` and `ops::syrk_diag` issue). With deposits each chain's
+/// last product runs as `gemm_fused` and leaves the tile's two column
+/// checksums. GFLOP/s count the product flops only, so `epilogue_cost_pct`
+/// is the throughput price of the in-kernel deposits. The two variants
+/// alternate call by call and report medians, so host drift hits both alike.
+fn fused_panel(quick: bool) -> FusedEntry {
+    let (b, tiles, depth, reps) = if quick {
+        (256, 4, 2, 7)
     } else {
-        (&[2048, 4096], &[1, 2, 4])
+        (256, 8, 4, 31)
     };
-    // Best-of-N rather than mean-of-budget: at these sizes one call can
-    // outlast the whole budget, and a single timing on a shared host is
-    // noise-dominated. The minimum is the standard robust estimator here.
-    let reps = if quick { 2 } else { 3 };
-    let time_best = |f: &mut dyn FnMut(), budget: f64| {
-        (0..reps)
-            .map(|_| time_call(&mut *f, budget))
-            .fold(f64::INFINITY, f64::min)
+    // Row i of the panel reads its own Aᵢₖ and the shared Bₖ, as the panel
+    // GEMM reads L[i, k] and L[j, k].
+    let bk: Vec<Matrix> = (0..depth)
+        .map(|k| uniform(b, b, -1.0, 1.0, 40 + k as u64))
+        .collect();
+    let aik: Vec<Vec<Matrix>> = (0..tiles)
+        .map(|i| {
+            (0..depth)
+                .map(|k| uniform(b, b, -1.0, 1.0, 100 + (i * depth + k) as u64))
+                .collect()
+        })
+        .collect();
+    let chains: Vec<Vec<(&Matrix, &Matrix)>> = aik
+        .iter()
+        .map(|row| row.iter().zip(&bk).collect())
+        .collect();
+    let mut c: Vec<Matrix> = (0..tiles)
+        .map(|i| uniform(b, b, -1.0, 1.0, 60 + i as u64))
+        .collect();
+    let mut chk = vec![Matrix::zeros(2, b); tiles];
+    let mut run = |fused: bool| {
+        let batch = c
+            .iter_mut()
+            .zip(&chains)
+            .zip(&mut chk)
+            .map(|((c, chain), chk)| RankUpdate {
+                c,
+                chain: chain.as_slice(),
+                deposit: fused.then_some(chk),
+            })
+            .collect();
+        let start = Instant::now(); // lint:allow(wall-clock) — real kernel timing
+        rank_update_batch(batch);
+        start.elapsed().as_secs_f64()
     };
-    let mut out = Vec::new();
-    for &n in sizes {
-        let a = uniform(n, n, -1.0, 1.0, 21);
-        let b = uniform(n, n, -1.0, 1.0, 22);
-        let mut c = Matrix::zeros(n, n);
-        let mut chk = Matrix::zeros(2, n);
-        let fl = flops::gemm(n, n, n) as f64;
-        for &t in teams {
-            let s = time_best(
-                &mut || par_gemm_with_threads(Trans::No, Trans::Yes, -1.0, &a, &b, 1.0, &mut c, t),
-                budget,
-            );
-            let unfused_gflops = fl / s / 1e9;
-            let s = time_best(
-                &mut || {
-                    par_gemm_fused_with_threads(
-                        Trans::No,
-                        Trans::Yes,
-                        -1.0,
-                        &a,
-                        &b,
-                        1.0,
-                        &mut c,
-                        &mut chk,
-                        t,
-                    )
-                },
-                budget,
-            );
-            let fused_gflops = fl / s / 1e9;
-            let cost = (unfused_gflops - fused_gflops) / unfused_gflops * 100.0;
-            println!(
-                "  gemm n={n:<5} threads={t}: unfused {unfused_gflops:>7.2} GF/s, \
-                 fused {fused_gflops:>7.2} GF/s (epilogue cost {cost:>5.2}%)"
-            );
-            out.push(FusedEntry {
-                n,
-                threads: t,
-                unfused_gflops,
-                fused_gflops,
-                epilogue_cost_pct: cost,
-            });
-        }
+    run(false);
+    run(true);
+    let (mut unfused, mut fused) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        unfused.push(run(false));
+        fused.push(run(true));
     }
-    out
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let fl = (tiles * depth) as f64 * flops::gemm(b, b, b) as f64;
+    let unfused_gflops = fl / median(&mut unfused) / 1e9;
+    let fused_gflops = fl / median(&mut fused) / 1e9;
+    let cost = (unfused_gflops - fused_gflops) / unfused_gflops * 100.0;
+    println!(
+        "  panel b={b} tiles={tiles} depth={depth}: unfused {unfused_gflops:>7.2} GF/s, \
+         fused {fused_gflops:>7.2} GF/s (epilogue cost {cost:>5.2}%)"
+    );
+    FusedEntry {
+        b,
+        tiles,
+        depth,
+        unfused_gflops,
+        fused_gflops,
+        epilogue_cost_pct: cost,
+    }
 }
 
 fn main() {

@@ -31,11 +31,6 @@ pub fn potf2(n: usize) -> u64 {
     (2 * n * n * n + 3 * n * n + n) / 6
 }
 
-/// FLOPs of a full Cholesky of an `n×n` matrix: `n³/3` to leading order.
-pub fn cholesky(n: usize) -> u64 {
-    potf2(n)
-}
-
 /// FLOPs of a GEMV with an `m×n` matrix.
 pub fn gemv(m: usize, n: usize) -> u64 {
     2 * m as u64 * n as u64
@@ -88,7 +83,7 @@ mod tests {
     #[test]
     fn cholesky_leading_order() {
         let n = 1000usize;
-        let exact = cholesky(n) as f64;
+        let exact = potf2(n) as f64;
         let leading = (n as f64).powi(3) / 3.0;
         assert!((exact - leading).abs() / leading < 2e-3);
     }

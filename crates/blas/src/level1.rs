@@ -41,38 +41,6 @@ pub fn dot<S: Scalar>(x: &[S], y: &[S]) -> S {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
-/// `x := alpha * x`.
-#[inline]
-pub fn scal<S: Scalar>(alpha: S, x: &mut [S]) {
-    for xi in x {
-        *xi *= alpha;
-    }
-}
-
-/// Index of the element with the largest absolute value (first on ties).
-/// Returns `None` for an empty slice.
-pub fn iamax<S: Scalar>(x: &[S]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in x.iter().enumerate() {
-        let a = v.abs().to_f64();
-        match best {
-            Some((_, b)) if a <= b => {}
-            _ => best = Some((i, a)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Euclidean norm with overflow-safe scaling (computed in `f64`).
-pub fn nrm2<S: Scalar>(x: &[S]) -> f64 {
-    hchol_matrix::norms::vec_norm2(x)
-}
-
-/// Sum of absolute values (accumulated in `f64`).
-pub fn asum<S: Scalar>(x: &[S]) -> f64 {
-    x.iter().map(|v| v.abs().to_f64()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,33 +71,12 @@ mod tests {
     }
 
     #[test]
-    fn scal_scales() {
-        let mut x = [1.0, -2.0];
-        scal(-3.0, &mut x);
-        assert_eq!(x, [-3.0, 6.0]);
-    }
-
-    #[test]
-    fn iamax_finds_peak() {
-        assert_eq!(iamax(&[1.0, -5.0, 3.0]), Some(1));
-        assert_eq!(iamax(&[2.0, -2.0]), Some(0)); // first on tie
-        assert_eq!(iamax::<f64>(&[]), None);
-    }
-
-    #[test]
-    fn asum_and_nrm2() {
-        assert_eq!(asum(&[1.0, -2.0, 3.0]), 6.0);
-        assert!((nrm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn f32_kernels_run_in_single_precision() {
         let x = [1.0f32, 2.0, 3.0];
         let mut y = [0.5f32, 0.5, 0.5];
         axpy(2.0f32, &x, &mut y);
         assert_eq!(y, [2.5f32, 4.5, 6.5]);
         assert_eq!(dot(&x, &x), 14.0f32);
-        assert_eq!(iamax(&x), Some(2));
         // f32 round-off is observable: (1 + eps32/2) collapses to 1.
         let tiny = [1.0f32 + f32::EPSILON / 2.0];
         assert_eq!(tiny[0], 1.0f32);

@@ -41,19 +41,6 @@ pub fn gemv<S: Scalar>(trans: Trans, alpha: f64, a: &Matrix<S>, x: &[S], beta: f
     }
 }
 
-/// Rank-1 update `A := alpha * x * yᵀ + A`.
-pub fn ger<S: Scalar>(alpha: f64, x: &[S], y: &[S], a: &mut Matrix<S>) {
-    assert_eq!(x.len(), a.rows(), "ger x length mismatch");
-    assert_eq!(y.len(), a.cols(), "ger y length mismatch");
-    if alpha == 0.0 {
-        return;
-    }
-    let al = S::from_f64(alpha);
-    for (j, &yj) in y.iter().enumerate() {
-        axpy(al * yj, x, a.col_mut(j));
-    }
-}
-
 /// Solve the triangular system `op(A) · x = b` in place (`x` holds `b` on
 /// entry and the solution on exit).
 pub fn trsv<S: Scalar>(uplo: Uplo, trans: Trans, diag: Diag, a: &Matrix<S>, x: &mut [S]) {
@@ -116,49 +103,6 @@ pub fn trsv<S: Scalar>(uplo: Uplo, trans: Trans, diag: Diag, a: &Matrix<S>, x: &
     }
 }
 
-/// Symmetric matrix-vector product `y := alpha·A·x + beta·y` referencing only
-/// the given triangle of `A`.
-pub fn symv<S: Scalar>(uplo: Uplo, alpha: f64, a: &Matrix<S>, x: &[S], beta: f64, y: &mut [S]) {
-    let n = a.rows();
-    assert!(a.is_square(), "symv requires square A");
-    assert_eq!(x.len(), n);
-    assert_eq!(y.len(), n);
-    if beta != 1.0 {
-        let be = S::from_f64(beta);
-        for yi in y.iter_mut() {
-            *yi *= be;
-        }
-    }
-    if alpha == 0.0 {
-        return;
-    }
-    let alpha = S::from_f64(alpha);
-    match uplo {
-        Uplo::Lower => {
-            for j in 0..n {
-                let col = a.col(j);
-                let mut t = col[j] * x[j];
-                for i in (j + 1)..n {
-                    y[i] += alpha * col[i] * x[j];
-                    t += col[i] * x[i];
-                }
-                y[j] += alpha * t;
-            }
-        }
-        Uplo::Upper => {
-            for j in 0..n {
-                let col = a.col(j);
-                let mut t = col[j] * x[j];
-                for i in 0..j {
-                    y[i] += alpha * col[i] * x[j];
-                    t += col[i] * x[i];
-                }
-                y[j] += alpha * t;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,14 +136,6 @@ mod tests {
         let mut y = vec![2.0, 4.0, 6.0];
         gemv(Trans::No, 0.0, &a, &[9.0, 9.0], 0.5, &mut y);
         assert_eq!(y, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn ger_rank1() {
-        let mut a = Matrix::zeros(2, 3);
-        ger(1.0, &[1.0, 2.0], &[3.0, 4.0, 5.0], &mut a);
-        assert_eq!(a.get(0, 0), 3.0);
-        assert_eq!(a.get(1, 2), 10.0);
     }
 
     #[test]
@@ -252,36 +188,5 @@ mod tests {
         let mut x = vec![1.0, 3.0];
         trsv(Uplo::Lower, Trans::No, Diag::Unit, &l, &mut x);
         assert_eq!(x, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn symv_matches_full_gemv() {
-        // Full symmetric matrix, but store garbage in the unused triangle.
-        let full = Matrix::from_col_major(3, 3, vec![2.0, 1.0, 4.0, 1.0, 3.0, 5.0, 4.0, 5.0, 6.0])
-            .unwrap();
-        let x = [1.0, -1.0, 2.0];
-        let mut want = vec![0.0; 3];
-        gemv(Trans::No, 1.5, &full, &x, 0.0, &mut want);
-
-        for uplo in [Uplo::Lower, Uplo::Upper] {
-            let mut tri = full.clone();
-            // poison the other triangle
-            for j in 0..3 {
-                for i in 0..3 {
-                    let poison = match uplo {
-                        Uplo::Lower => i < j,
-                        Uplo::Upper => i > j,
-                    };
-                    if poison {
-                        tri.set(i, j, f64::NAN);
-                    }
-                }
-            }
-            let mut y = vec![0.0; 3];
-            symv(uplo, 1.5, &tri, &x, 0.0, &mut y);
-            for (got, w) in y.iter().zip(&want) {
-                assert!((got - w).abs() < 1e-14, "uplo={uplo:?}");
-            }
-        }
     }
 }

@@ -115,20 +115,6 @@ pub fn gemm<S: Scalar>(
     }
 }
 
-/// Convenience: allocate and return `op(A) * op(B)`.
-pub fn gemm_into<S: Scalar>(
-    trans_a: Trans,
-    trans_b: Trans,
-    a: &Matrix<S>,
-    b: &Matrix<S>,
-) -> Matrix<S> {
-    let (m, _) = trans_a.apply(a.shape());
-    let (_, n) = trans_b.apply(b.shape());
-    let mut c = Matrix::zeros(m, n);
-    gemm(trans_a, trans_b, 1.0, a, b, 0.0, &mut c);
-    c
-}
-
 /// View-level `C += alpha·A·B` for the internal SYRK/TRSM callers:
 /// dispatches between the blocked engine and a simple loop by size.
 ///
@@ -178,18 +164,17 @@ fn gemm_views_small<S: Scalar>(alpha: S, a: &MatRef<'_, S>, b: &MatRef<'_, S>, c
 /// (ones-weighted) and `v₂` (row-index-weighted) column sums of the C
 /// elements this call stores, kept in f64 whatever the element type — the
 /// product runs at native width, the checksum lanes do not add their own
-/// round-off to it. In the threaded engine each thread owns one, reduced
-/// after the macro-tile join.
-pub(crate) struct ChkAcc<'a> {
+/// round-off to it.
+struct ChkAcc<'a> {
     /// Global row of `c_block`'s row 0 in the output matrix (sets the
     /// `v₂` weights: global row `i` weighs `i + 1`).
-    pub row0: usize,
+    row0: usize,
     /// Global column of `c_block`'s column 0 (offsets into `v1`/`v2`).
-    pub col0: usize,
+    col0: usize,
     /// Unweighted column sums, one slot per output column.
-    pub v1: &'a mut [f64],
+    v1: &'a mut [f64],
     /// Row-weighted column sums, one slot per output column.
-    pub v2: &'a mut [f64],
+    v2: &'a mut [f64],
 }
 
 /// The three-level macro-loop around the packed micro-kernel, with an
@@ -242,14 +227,12 @@ pub(crate) fn gemm_blocked<S: Scalar>(
 
 /// Inner two loops: every `mr × nr` micro-tile of one C block, from the
 /// block's packed A stripe and the packed B slab that covers its columns.
-/// Exposed to `par.rs`, whose threads share `packed_b` and run disjoint
-/// row-stripes.
 ///
 /// With `epi` set, each micro-tile's store is followed by a read-back of the
 /// freshly written elements into the caller's checksum accumulator (columns
 /// accumulate in ascending global-row order within this call, [`CHK_GROUP`]
 /// rows per partial sum).
-pub(crate) fn run_tiles<S: Scalar>(
+fn run_tiles<S: Scalar>(
     alpha: f64,
     kc: usize,
     packed_a: &[S],
@@ -393,7 +376,8 @@ pub(crate) mod tests {
     fn small_known_product() {
         let a = Matrix::from_row_major(2, 2, &[1.0, 2.0, 3.0, 4.0]).unwrap();
         let b = Matrix::from_row_major(2, 2, &[5.0, 6.0, 7.0, 8.0]).unwrap();
-        let c = gemm_into(Trans::No, Trans::No, &a, &b);
+        let mut c = Matrix::zeros(2, 2);
+        gemm(Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c);
         let want = Matrix::from_row_major(2, 2, &[19.0, 22.0, 43.0, 50.0]).unwrap();
         assert!(approx_eq(&c, &want, 1e-14));
     }

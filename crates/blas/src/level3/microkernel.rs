@@ -64,6 +64,7 @@ impl<S> KernelTable<S> {
 }
 
 /// `(mr, nr)` of the micro-tile this CPU runs at precision `S`.
+// lint:allow(dead-pub) test tool: edge-shape and allocation tests size operands by it
 pub fn tile_shape<S: Scalar>() -> (usize, usize) {
     let t = kernel_table::<S>();
     (t.mr, t.nr)

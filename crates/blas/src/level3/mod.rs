@@ -26,12 +26,11 @@ mod syrk;
 mod trsm;
 mod workspace;
 
-pub use gemm::{gemm, gemm_fused, gemm_into, BLOCK_THRESHOLD, KC, MC, NC};
+pub use gemm::{gemm, gemm_fused, BLOCK_THRESHOLD, KC, MC, NC};
 pub use naive::{naive_gemm, naive_syrk};
-pub use syrk::{syrk, syrk_fused};
+pub use syrk::syrk;
 pub use trsm::trsm;
 
-pub(crate) use gemm::{apply_beta, gemm_blocked, run_tiles, use_blocked, ChkAcc};
-pub(crate) use microkernel::kernel_table;
-pub(crate) use pack::{pack_a, pack_b, MatMut, MatRef};
-pub(crate) use workspace::{carve, lines, pack_lens, pack_lines, with_workspace};
+pub(crate) use gemm::{gemm_blocked, use_blocked};
+pub(crate) use pack::{MatMut, MatRef};
+pub(crate) use workspace::{pack_lines, with_workspace};

@@ -7,7 +7,7 @@
 //! `uplo` triangle are never touched. Small updates keep the seed loops in
 //! [`super::naive`].
 
-use super::gemm::{encode_cols, gemm_views, use_blocked};
+use super::gemm::{gemm_views, use_blocked};
 use super::naive::naive_syrk_accum;
 use super::pack::{MatMut, MatRef};
 use super::workspace::{carve, lines, pack_lines, with_workspace, Line};
@@ -78,35 +78,6 @@ pub fn syrk<S: Scalar>(
     }
 }
 
-/// [`syrk`] plus the two weighted column checksums of the finished `C` in
-/// `chk` (a `2 × n` matrix, same layout as
-/// [`super::gemm::gemm_fused`]).
-///
-/// Unlike the GEMM epilogue, the checksum pass here runs as one masked
-/// sweep over `C` *after* the blocked loops: SYRK's triangle-masked stores
-/// never visit the opposite triangle, yet the checksum must cover the whole
-/// stored tile (the verifier re-encodes full tiles), so an in-loop
-/// read-back would be incomplete by construction. The sweep touches a tile
-/// that just finished updating — cache-hot, and still one kernel from the
-/// caller's point of view.
-pub fn syrk_fused<S: Scalar>(
-    uplo: Uplo,
-    trans: Trans,
-    alpha: f64,
-    a: &Matrix<S>,
-    beta: f64,
-    c: &mut Matrix<S>,
-    chk: &mut Matrix<S>,
-) {
-    assert_eq!(
-        chk.shape(),
-        (2, c.cols()),
-        "syrk_fused checksum shape mismatch"
-    );
-    syrk(uplo, trans, alpha, a, beta, c);
-    encode_cols(c, chk);
-}
-
 /// Blocked accumulation `C += alpha · op(A)·op(A)ᵀ` over the `uplo` triangle.
 /// `ws` holds `tb²` elements of diagonal scratch followed by the pack buffers
 /// of a `tb × k · k × tb` product, `tb = min(TB, n)`.
@@ -166,15 +137,18 @@ fn syrk_blocked<S: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::level3::gemm_into;
+    use crate::reference::ref_gemm;
     use hchol_matrix::generate::uniform;
     use hchol_matrix::Matrix;
 
     fn full_aat(a: &Matrix, trans: Trans) -> Matrix {
+        let n = trans.apply(a.shape()).0;
+        let mut c = Matrix::zeros(n, n);
         match trans {
-            Trans::No => gemm_into(Trans::No, Trans::Yes, a, a),
-            Trans::Yes => gemm_into(Trans::Yes, Trans::No, a, a),
+            Trans::No => ref_gemm(Trans::No, Trans::Yes, 1.0, a, a, 0.0, &mut c),
+            Trans::Yes => ref_gemm(Trans::Yes, Trans::No, 1.0, a, a, 0.0, &mut c),
         }
+        c
     }
 
     #[test]
@@ -227,33 +201,6 @@ mod tests {
         syrk(Uplo::Lower, Trans::No, 1.0, &a, 0.0, &mut c);
         for i in 0..6 {
             assert!(c.get(i, i) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn fused_matches_syrk_and_checksums() {
-        use super::super::gemm::tests::assert_chk_close;
-        let n = TB + 37; // crosses a TB boundary; blocked path
-        let k = 128;
-        for trans in [Trans::No, Trans::Yes] {
-            let (sr, sc) = trans.apply((n, k));
-            let a = uniform(sr, sc, -1.0, 1.0, 95);
-            for uplo in [Uplo::Lower, Uplo::Upper] {
-                let mut c = uniform(n, n, -1.0, 1.0, 96);
-                let mut c_ref = c.clone();
-                let mut chk = Matrix::zeros(2, n);
-                syrk_fused(uplo, trans, -1.0, &a, 1.0, &mut c, &mut chk);
-                syrk(uplo, trans, -1.0, &a, 1.0, &mut c_ref);
-                // Identical update — the checksum sweep only reads — and
-                // checksums cover the whole stored tile, untouched
-                // triangle included.
-                for j in 0..n {
-                    for i in 0..n {
-                        assert_eq!(c.get(i, j), c_ref.get(i, j));
-                    }
-                }
-                assert_chk_close(&chk, &c, "syrk_fused");
-            }
         }
     }
 

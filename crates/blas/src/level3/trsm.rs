@@ -324,8 +324,8 @@ fn right_solve<S: Scalar>(uplo: Uplo, trans: Trans, diag: Diag, a: &Matrix<S>, b
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::level3::gemm;
     use crate::level3::naive::tests::{assert_same_bits, skinny_grid};
-    use crate::level3::{gemm, gemm_into};
     use hchol_matrix::generate::uniform;
     use hchol_matrix::{approx_eq, Matrix};
 
@@ -375,10 +375,11 @@ mod tests {
             Trans::No => ad.clone(),
             Trans::Yes => ad.transpose(),
         };
-        let recon = match side {
-            Side::Left => gemm_into(Trans::No, Trans::No, &opa, &x),
-            Side::Right => gemm_into(Trans::No, Trans::No, &x, &opa),
-        };
+        let mut recon = Matrix::zeros(b0.rows(), b0.cols());
+        match side {
+            Side::Left => gemm(Trans::No, Trans::No, 1.0, &opa, &x, 0.0, &mut recon),
+            Side::Right => gemm(Trans::No, Trans::No, 1.0, &x, &opa, 0.0, &mut recon),
+        }
         let mut want = b0.clone();
         want.scale(alpha);
         assert!(

@@ -38,6 +38,6 @@ pub mod par;
 pub mod potrf;
 pub mod reference;
 
-pub use level2::{gemv, ger, trsv};
-pub use level3::{gemm, gemm_fused, naive_gemm, naive_syrk, syrk, syrk_fused, trsm};
-pub use potrf::{potf2, potrf_blocked, potrf_tiled};
+pub use level2::{gemv, trsv};
+pub use level3::{gemm, gemm_fused, naive_gemm, naive_syrk, syrk, trsm};
+pub use potrf::{potf2, potrf_blocked};

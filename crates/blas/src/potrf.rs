@@ -51,6 +51,7 @@ pub fn potf2<S: Scalar>(a: &mut Matrix<S>, pivot_offset: usize) -> Result<(), Ma
 ///
 /// Identical math to the hybrid driver but entirely on the host; used as the
 /// trusted oracle in tests and by examples that don't need the simulator.
+// lint:allow(dead-pub) reference oracle: factor tests compare the hybrid drivers against it
 pub fn potrf_blocked<S: Scalar>(a: &mut Matrix<S>, block: usize) -> Result<(), MatrixError> {
     if !a.is_square() {
         return Err(MatrixError::NotSquare { shape: a.shape() });
@@ -70,7 +71,7 @@ pub fn potrf_blocked<S: Scalar>(a: &mut Matrix<S>, block: usize) -> Result<(), M
 /// for each block column `j`: SYRK the diagonal block against the factored
 /// panel to its left, GEMM the sub-panel, POTF2 the diagonal block, TRSM the
 /// sub-panel. Only tiles on or below the diagonal are meaningful.
-pub fn potrf_tiled<S: Scalar>(a: &mut TileMatrix<S>) -> Result<(), MatrixError> {
+fn potrf_tiled<S: Scalar>(a: &mut TileMatrix<S>) -> Result<(), MatrixError> {
     if a.rows() != a.cols() {
         return Err(MatrixError::NotSquare {
             shape: (a.rows(), a.cols()),

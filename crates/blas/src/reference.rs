@@ -12,6 +12,7 @@ fn op_get<S: Scalar>(a: &Matrix<S>, trans: Trans, i: usize, j: usize) -> S {
 }
 
 /// Reference GEMM: `C := alpha * op(A) * op(B) + beta * C`.
+// lint:allow(dead-pub) reference oracle: the kernel property tests compare against it
 pub fn ref_gemm<S: Scalar>(
     trans_a: Trans,
     trans_b: Trans,
@@ -39,6 +40,7 @@ pub fn ref_gemm<S: Scalar>(
 }
 
 /// Reference matrix-vector product `y := alpha * op(A) * x + beta * y`.
+// lint:allow(dead-pub) reference oracle: the kernel property tests compare against it
 pub fn ref_gemv<S: Scalar>(
     trans: Trans,
     alpha: f64,
@@ -60,19 +62,9 @@ pub fn ref_gemv<S: Scalar>(
     }
 }
 
-/// Reference full (not triangle-restricted) `A·Aᵀ` or `Aᵀ·A`.
-pub fn ref_aat<S: Scalar>(a: &Matrix<S>, trans: Trans) -> Matrix<S> {
-    let (n, _) = trans.apply(a.shape());
-    let mut c = Matrix::zeros(n, n);
-    match trans {
-        Trans::No => ref_gemm(Trans::No, Trans::Yes, 1.0, a, a, 0.0, &mut c),
-        Trans::Yes => ref_gemm(Trans::Yes, Trans::No, 1.0, a, a, 0.0, &mut c),
-    }
-    c
-}
-
 /// Reference unblocked Cholesky (outer-product form, to cross-check the
 /// inner-product `potf2`). Returns the lower factor as a new matrix.
+// lint:allow(dead-pub) reference oracle: the kernel property tests compare against it
 pub fn ref_cholesky<S: Scalar>(a: &Matrix<S>) -> Option<Matrix<S>> {
     assert!(a.is_square());
     let n = a.rows();
@@ -144,14 +136,5 @@ mod tests {
         let mut a = Matrix::identity(3);
         a.set(2, 2, -4.0);
         assert!(ref_cholesky(&a).is_none());
-    }
-
-    #[test]
-    fn ref_aat_is_symmetric() {
-        let a = uniform(4, 6, -1.0, 1.0, 9);
-        let c = ref_aat(&a, Trans::No);
-        assert!(hchol_matrix::triangular::is_symmetric(&c, 1e-13));
-        let ct = ref_aat(&a, Trans::Yes);
-        assert_eq!(ct.shape(), (6, 6));
     }
 }

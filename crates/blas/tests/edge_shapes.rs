@@ -1,8 +1,8 @@
 //! Degenerate shapes: empty operands, 1×1 systems, single columns —
 //! the boundaries where index arithmetic usually goes wrong.
 
-use hchol_blas::level1::{asum, axpy, dot, iamax, nrm2, scal};
-use hchol_blas::level2::{gemv, ger, trsv};
+use hchol_blas::level1::{axpy, dot};
+use hchol_blas::level2::{gemv, trsv};
 use hchol_blas::level3::{microkernel::tile_shape, KC, MC};
 use hchol_blas::reference::ref_gemm;
 use hchol_blas::{gemm, potf2, potrf_blocked, syrk, trsm};
@@ -14,10 +14,6 @@ fn level1_on_empty_slices() {
     let mut y: Vec<f64> = vec![];
     axpy(2.0, &[], &mut y);
     assert_eq!(dot::<f64>(&[], &[]), 0.0);
-    scal(3.0, &mut y);
-    assert_eq!(iamax::<f64>(&[]), None);
-    assert_eq!(nrm2::<f64>(&[]), 0.0);
-    assert_eq!(asum::<f64>(&[]), 0.0);
 }
 
 #[test]
@@ -31,14 +27,6 @@ fn gemv_with_zero_dimensions() {
     let a = Matrix::zeros(0, 3);
     let mut y: Vec<f64> = vec![];
     gemv(Trans::No, 1.0, &a, &[1.0, 2.0, 3.0], 1.0, &mut y);
-}
-
-#[test]
-fn ger_with_empty_vectors() {
-    let mut a = Matrix::<f64>::zeros(0, 0);
-    ger(1.0, &[], &[], &mut a);
-    let mut a = Matrix::filled(2, 0, 0.0);
-    ger(1.0, &[1.0, 2.0], &[], &mut a);
 }
 
 #[test]

@@ -20,14 +20,6 @@ use std::cell::RefCell;
 /// Number of weighted checksums per block (two: detect + locate).
 pub const CHECKSUM_COUNT: usize = 2;
 
-/// The two weight vectors for blocks of `rows` rows: `v₁ = 1`,
-/// `v₂ = [1, 2, …, rows]`.
-pub fn weight_vectors(rows: usize) -> (Vec<f64>, Vec<f64>) {
-    let v1 = vec![1.0; rows];
-    let v2 = (1..=rows).map(|i| i as f64).collect();
-    (v1, v2)
-}
-
 /// The weight of row `i` (0-based) in checksum `c` (0 or 1).
 #[inline]
 pub fn weight(c: usize, i: usize) -> f64 {
@@ -103,27 +95,6 @@ pub fn encode_into<S: Scalar>(block: &Matrix<S>, chk: &mut Matrix<S>) {
     });
 }
 
-/// A pair of checksum rows for one block column, as scalars — convenient
-/// for column-level reasoning in the verifier.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChecksumPair {
-    /// Unweighted sum.
-    pub c1: f64,
-    /// Linearly weighted sum.
-    pub c2: f64,
-}
-
-impl ChecksumPair {
-    /// Read column `j`'s pair from a `2 × cols` checksum matrix (widened
-    /// to `f64` — exact for both supported precisions).
-    pub fn from_column<S: Scalar>(chk: &Matrix<S>, j: usize) -> Self {
-        ChecksumPair {
-            c1: chk.get(0, j).to_f64(),
-            c2: chk.get(1, j).to_f64(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,12 +102,9 @@ mod tests {
 
     #[test]
     fn weights_match_vectors() {
-        let (v1, v2) = weight_vectors(5);
-        assert_eq!(v1, vec![1.0; 5]);
-        assert_eq!(v2, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
         for i in 0..5 {
-            assert_eq!(weight(0, i), v1[i]);
-            assert_eq!(weight(1, i), v2[i]);
+            assert_eq!(weight(0, i), 1.0);
+            assert_eq!(weight(1, i), (i + 1) as f64);
         }
     }
 
@@ -155,10 +123,9 @@ mod tests {
     fn encode_matches_gemv_definition() {
         let a = uniform(7, 5, -1.0, 1.0, 3);
         let chk = encode(&a);
-        let (v1, v2) = weight_vectors(7);
         for j in 0..5 {
-            let c1: f64 = a.col(j).iter().zip(&v1).map(|(x, w)| x * w).sum();
-            let c2: f64 = a.col(j).iter().zip(&v2).map(|(x, w)| x * w).sum();
+            let c1: f64 = (0..7).map(|i| a.get(i, j) * weight(0, i)).sum();
+            let c2: f64 = (0..7).map(|i| a.get(i, j) * weight(1, i)).sum();
             assert!((chk.get(0, j) - c1).abs() < 1e-12);
             assert!((chk.get(1, j) - c2).abs() < 1e-12);
         }
@@ -187,15 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn checksum_pair_reads_column() {
-        let a = uniform(3, 3, 0.0, 1.0, 5);
-        let chk = encode(&a);
-        let p = ChecksumPair::from_column(&chk, 1);
-        assert_eq!(p.c1, chk.get(0, 1));
-        assert_eq!(p.c2, chk.get(1, 1));
-    }
-
-    #[test]
     fn encode_into_avoids_allocation_mismatch() {
         let a = uniform(4, 4, 0.0, 1.0, 6);
         let mut chk = Matrix::zeros(2, 4);
@@ -217,7 +175,5 @@ mod tests {
             assert!((chk.get(0, j) - c1).abs() <= 8.0 * f32::EPSILON);
             assert!((chk.get(1, j) - c2).abs() <= 64.0 * f32::EPSILON);
         }
-        let p = ChecksumPair::from_column(&chk, 2);
-        assert_eq!(p.c1, chk.get(0, 2) as f64);
     }
 }

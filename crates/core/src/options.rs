@@ -126,6 +126,7 @@ impl BalanceOptions {
     }
 
     /// Builder: set the adaptive-`K` bounds (order-normalized, `≥ 1`).
+    // lint:allow(dead-pub) builder the balance and config-space suites bound K with
     pub fn with_k_bounds(mut self, k_min: usize, k_max: usize) -> Self {
         self.k_min = k_min.max(1);
         self.k_max = k_max.max(self.k_min);
@@ -134,18 +135,21 @@ impl BalanceOptions {
 
     /// Builder: set the hysteresis band (negative clamps to 0, which
     /// disables the guard — useful only as a mutation control in tests).
+    // lint:allow(dead-pub) balancer control the balancer's unit tests set
     pub fn with_hysteresis(mut self, band: f64) -> Self {
         self.hysteresis = band.max(0.0);
         self
     }
 
     /// Builder: set the post-switch cooldown in controller windows.
+    // lint:allow(dead-pub) balancer control the balancer's unit tests set
     pub fn with_cooldown(mut self, windows: usize) -> Self {
         self.cooldown_windows = windows;
         self
     }
 
     /// Builder: record rewritten-plan snapshots for contract re-proof.
+    // lint:allow(dead-pub) balancer control: the balance suite pins the plans it records
     pub fn with_record_plans(mut self, on: bool) -> Self {
         self.record_plans = on;
         self
@@ -189,6 +193,7 @@ impl ShardOptions {
     }
 
     /// Builder (tests only): drop receive-side broadcast ordering.
+    // lint:allow(dead-pub) mutation control: the shard suite drops the recv sync
     pub fn with_drop_recv_sync(mut self, on: bool) -> Self {
         self.drop_recv_sync = on;
         self
@@ -323,12 +328,6 @@ impl AbftOptions {
         self
     }
 
-    /// Builder: set the tolerance model.
-    pub fn with_tolerance(mut self, t: ToleranceModel) -> Self {
-        self.tolerance = t;
-        self
-    }
-
     /// Builder: switch to the variance-based adaptive tolerance with its
     /// default parameters (required for reliable detection at f32).
     pub fn with_adaptive_tolerance(mut self) -> Self {
@@ -433,14 +432,6 @@ mod tests {
             ToleranceModel::Adaptive(AdaptiveTolerance::default())
         );
         assert_eq!(o.tolerance.name(), "adaptive");
-        let custom = ToleranceModel::Adaptive(AdaptiveTolerance {
-            alpha: 16.0,
-            floor: 0.5,
-        });
-        assert_eq!(
-            AbftOptions::default().with_tolerance(custom).tolerance,
-            custom
-        );
     }
 
     #[test]

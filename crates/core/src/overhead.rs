@@ -45,11 +45,6 @@ impl ModelParams {
         2.0 * self.nf() * self.nf()
     }
 
-    /// Relative encoding overhead: `6/n`.
-    pub fn encode_relative(&self) -> f64 {
-        6.0 / self.nf()
-    }
-
     /// Checksum updating flops (Table III, POTF2 term ignored as the paper
     /// does): TRSM `2n²` + SYRK `2n²` + GEMM `2n³/(3B)`.
     pub fn update_flops(&self) -> f64 {
@@ -86,12 +81,6 @@ impl ModelParams {
         (6.0 * self.kf() + 6.0) / (self.nf() * self.kf()) + 2.0 / (self.bf() * self.kf())
     }
 
-    /// Space overhead: the checksum matrix holds `2n²/B` doubles, a
-    /// relative `2/B` of the input.
-    pub fn space_relative(&self) -> f64 {
-        2.0 / self.bf()
-    }
-
     /// Table VI, Online-ABFT row: `30/n + 2/B`.
     pub fn total_relative_online(&self) -> f64 {
         30.0 / self.nf() + 2.0 / self.bf()
@@ -111,15 +100,6 @@ impl ModelParams {
     /// Enhanced asymptotic overhead.
     pub fn asymptote_enhanced(&self) -> f64 {
         (2.0 * self.kf() + 2.0) / (self.bf() * self.kf())
-    }
-
-    /// CPU-placement transfer model (Section VI item 6), in *elements*:
-    /// initial `2n²/B`, updating-related `n²/2`, verification-related
-    /// `n²/(2B)` (Online) or `n³/(3KB²)` (Enhanced).
-    pub fn transfer_elements_enhanced(&self) -> f64 {
-        2.0 * self.nf() * self.nf() / self.bf()
-            + self.nf() * self.nf() / 2.0
-            + self.nf().powi(3) / (3.0 * self.kf() * self.bf() * self.bf())
     }
 }
 
@@ -147,7 +127,8 @@ mod tests {
     fn relative_overheads_consistent_with_flops() {
         let m = p();
         let chol = m.cholesky_flops();
-        assert!((m.encode_flops() / chol - m.encode_relative()).abs() < 1e-12);
+        // Relative encoding overhead: `6/n`.
+        assert!((m.encode_flops() / chol - 6.0 / m.n as f64).abs() < 1e-12);
         assert!((m.update_flops() / chol - m.update_relative()).abs() < 1e-12);
         assert!((m.recalc_flops_online() / chol - m.recalc_relative_online()).abs() < 1e-12);
         assert!((m.recalc_flops_enhanced() / chol - m.recalc_relative_enhanced()).abs() < 1e-12);
@@ -156,9 +137,10 @@ mod tests {
     #[test]
     fn table6_totals_are_component_sums() {
         let m = p();
-        let online = m.encode_relative() + m.update_relative() + m.recalc_relative_online();
+        let encode = m.encode_flops() / m.cholesky_flops();
+        let online = encode + m.update_relative() + m.recalc_relative_online();
         assert!((online - m.total_relative_online()).abs() < 1e-12);
-        let enhanced = m.encode_relative() + m.update_relative() + m.recalc_relative_enhanced();
+        let enhanced = encode + m.update_relative() + m.recalc_relative_enhanced();
         assert!((enhanced - m.total_relative_enhanced()).abs() < 1e-12);
     }
 

@@ -399,6 +399,7 @@ pub fn run_clean(
 
 /// Precision-generic form of [`run_clean`]; see [`run_scheme_typed`].
 #[allow(clippy::too_many_arguments)]
+// lint:allow(dead-pub) f32 twin of run_clean, which the precision suite runs
 pub fn run_clean_typed<S: Scalar>(
     kind: SchemeKind,
     profile: &SystemProfile,

@@ -59,6 +59,7 @@ pub fn solve_many(l: &Matrix, b: &Matrix) -> Matrix {
 /// assert_eq!(x.len(), 32);
 /// assert_eq!(report.attempts, 1);
 /// ```
+// lint:allow(dead-pub) the one-call API README.md documents; its doctest runs it
 pub fn ft_posv(
     system: &SystemProfile,
     a: &Matrix,
@@ -88,6 +89,7 @@ pub fn ft_posv(
 
 /// `log(det A)` from the factor: `2 Σ log l_ii`. Cheap and overflow-free —
 /// the quantity Kalman filters and Gaussian likelihoods need.
+// lint:allow(dead-pub) solve API beside ft_posv; factor_correctness checks it
 pub fn log_det(l: &Matrix) -> f64 {
     (0..l.rows()).map(|i| l.get(i, i).ln()).sum::<f64>() * 2.0
 }

@@ -2,10 +2,10 @@
 //!
 //! Every epsilon-flavored constant that separates rounding drift from a
 //! genuine fault lives here, expressed relative to the machine epsilon of
-//! the working precision ([`Scalar::EPSILON`]). The `lint` binary of
-//! `hchol-analyze` enforces that no bare epsilon literal (`1e-9`, `1e-12`,
-//! …) appears in non-test code outside this module, so a future precision
-//! cannot silently inherit thresholds calibrated for another one.
+//! the working precision ([`hchol_matrix::Scalar::EPSILON`]). The `lint`
+//! binary of `hchol-analyze` enforces that no bare epsilon literal (`1e-9`,
+//! `1e-12`, …) appears in non-test code outside this module, so a future
+//! precision cannot silently inherit thresholds calibrated for another one.
 //!
 //! Two tolerance families coexist (selected by
 //! [`crate::options::ToleranceModel`]):
@@ -17,8 +17,6 @@
 //!   working precision's epsilon, the length of the accumulation path that
 //!   produced the checksum sums, and the observed magnitude of the column
 //!   ([`adaptive_threshold`]). One model serves both precisions.
-
-use hchol_matrix::Scalar;
 
 /// Absolute floor of the fixed detection threshold. Calibrated for f64:
 /// ≈ `4.5e6 · ε₆₄`, far above the drift of any accumulation path in the
@@ -51,12 +49,6 @@ pub const ADAPTIVE_ALPHA: f64 = 8.0;
 /// zeros (or a TimingOnly run with no statistics) still gets a sane
 /// absolute threshold.
 pub const ADAPTIVE_FLOOR: f64 = 1.0;
-
-/// Machine epsilon of precision `S` as an `f64` (convenience re-export of
-/// [`Scalar::EPSILON`] for value-level code).
-pub fn eps_of<S: Scalar>() -> f64 {
-    S::EPSILON
-}
 
 /// Variance-based adaptive detection threshold for one checksum delta:
 ///
@@ -101,19 +93,19 @@ mod tests {
 
     #[test]
     fn adaptive_threshold_scales_with_precision() {
-        let t64 = adaptive_threshold(8.0, eps_of::<f64>(), 64.0, 10.0, 1.0);
-        let t32 = adaptive_threshold(8.0, eps_of::<f32>(), 64.0, 10.0, 1.0);
+        let t64 = adaptive_threshold(8.0, f64::EPSILON, 64.0, 10.0, 1.0);
+        let t32 = adaptive_threshold(8.0, f32::EPSILON as f64, 64.0, 10.0, 1.0);
         assert!(t32 > t64 * 1e8, "f32 threshold must be ~2^29 wider");
         // The floor keeps a zero-magnitude column detectable.
-        let t0 = adaptive_threshold(8.0, eps_of::<f64>(), 64.0, 0.0, 1.0);
+        let t0 = adaptive_threshold(8.0, f64::EPSILON, 64.0, 0.0, 1.0);
         assert!(t0 > 0.0);
     }
 
     #[test]
     fn locate_snap_widens_but_clamps() {
-        let s64 = adaptive_locate_snap(8.0, eps_of::<f64>(), 64.0, 32);
+        let s64 = adaptive_locate_snap(8.0, f64::EPSILON, 64.0, 32);
         assert!((s64 - LOCATE_SNAP).abs() < 1e-6, "f64 snap ≈ fixed snap");
-        let s32 = adaptive_locate_snap(8.0, eps_of::<f32>(), 4096.0, 512);
+        let s32 = adaptive_locate_snap(8.0, f32::EPSILON as f64, 4096.0, 512);
         assert!(s32 > s64);
         assert!(s32 <= LOCATE_SNAP_MAX);
     }

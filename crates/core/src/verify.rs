@@ -182,23 +182,19 @@ impl VerifyOutcome {
 /// Locate a candidate single data error from the two checksum deltas of one
 /// column: a lone error at (1-based) row `r` satisfies `δ₂ = r·δ₁` exactly,
 /// so `δ₂/δ₁` names the row. Returns the **0-based** row index, or `None`
-/// when the ratio is not close enough to an in-range integer — i.e. ≥ 2
+/// when the ratio is not within `snap` of an in-range integer — i.e. ≥ 2
 /// errors hit the column (or propagation smeared it) and two checksums
 /// cannot correct it.
 ///
-/// The tolerance is absolute: a genuine single error gives a ratio exact to
-/// a few ulps, while a multi-error column's weighted average almost never
-/// sits this close to an integer. (Scaling the tolerance with the row index
-/// would let propagated corruption masquerade as correctable.)
-pub fn locate_row(d1: f64, d2: f64, rows: usize, policy: &VerifyPolicy) -> Option<usize> {
-    locate_row_snapped(d1, d2, rows, policy.locate_tol)
-}
-
-/// [`locate_row`] with an explicit snap tolerance — the precision-scaled
-/// adaptive path passes [`tolerance::adaptive_locate_snap`] here, since at
-/// f32 the ratio's rounding error routinely exceeds the fixed absolute
-/// snap and would misattribute the fault row.
-pub fn locate_row_snapped(d1: f64, d2: f64, rows: usize, snap: f64) -> Option<usize> {
+/// The snap is absolute: a genuine single error gives a ratio exact to a few
+/// ulps, while a multi-error column's weighted average almost never sits
+/// this close to an integer. (Scaling the snap with the row index would let
+/// propagated corruption masquerade as correctable.) The fixed policy passes
+/// its `locate_tol`; the precision-scaled adaptive path passes
+/// [`tolerance::adaptive_locate_snap`], since at f32 the ratio's rounding
+/// error routinely exceeds the fixed snap and would misattribute the fault
+/// row.
+pub fn locate_row(d1: f64, d2: f64, rows: usize, snap: f64) -> Option<usize> {
     let ratio = d2 / d1;
     let row_1based = ratio.round();
     if ratio.is_finite()
@@ -304,7 +300,7 @@ fn verify_pass<S: Scalar>(
         // epsilons leave no gap for a real fault to hide in anyway.
         let data_explains = || {
             matches!(tol, TileTolerance::Adaptive { .. })
-                && locate_row_snapped(d1, d2, rows, tol.locate_snap(rows)).is_some()
+                && locate_row(d1, d2, rows, tol.locate_snap(rows)).is_some()
         };
         match (bad1, bad2) {
             (false, false) => {}
@@ -326,7 +322,7 @@ fn verify_pass<S: Scalar>(
             }
             _ => {
                 // Candidate single data error at row r: d2 = r·d1 exactly.
-                if let Some(r) = locate_row_snapped(d1, d2, rows, tol.locate_snap(rows)) {
+                if let Some(r) = locate_row(d1, d2, rows, tol.locate_snap(rows)) {
                     let v = data.get(r, j).to_f64() - d1;
                     data.set(r, j, S::from_f64(v));
                     out.corrected_data += 1;
@@ -487,23 +483,20 @@ mod tests {
     /// beyond either edge must not.
     #[test]
     fn locate_row_at_block_edges() {
-        let p = VerifyPolicy::default();
+        let snap = VerifyPolicy::default().locate_tol;
         let rows = 32usize;
         let d1 = 2.5e-3;
         // First row: ratio exactly 1.
-        assert_eq!(locate_row(d1, d1, rows, &p), Some(0));
+        assert_eq!(locate_row(d1, d1, rows, snap), Some(0));
         // Last row: ratio exactly `rows`.
-        assert_eq!(locate_row(d1, d1 * rows as f64, rows, &p), Some(rows - 1));
+        assert_eq!(locate_row(d1, d1 * rows as f64, rows, snap), Some(rows - 1));
         // Just past either edge — out of range even though near-integer.
-        assert_eq!(locate_row(d1, 0.0, rows, &p), None);
-        assert_eq!(locate_row(d1, d1 * (rows as f64 + 1.0), rows, &p), None);
+        assert_eq!(locate_row(d1, 0.0, rows, snap), None);
+        assert_eq!(locate_row(d1, d1 * (rows as f64 + 1.0), rows, snap), None);
         // Within tolerance of an edge row still resolves.
+        assert_eq!(locate_row(d1, d1 * (1.0 + snap * 0.9), rows, snap), Some(0));
         assert_eq!(
-            locate_row(d1, d1 * (1.0 + p.locate_tol * 0.9), rows, &p),
-            Some(0)
-        );
-        assert_eq!(
-            locate_row(d1, d1 * (rows as f64 - p.locate_tol * 0.9), rows, &p),
+            locate_row(d1, d1 * (rows as f64 - snap * 0.9), rows, snap),
             Some(rows - 1)
         );
     }
@@ -511,17 +504,17 @@ mod tests {
     /// Non-integer ratios and degenerate deltas are uncorrectable.
     #[test]
     fn locate_row_rejects_multi_error_signatures() {
-        let p = VerifyPolicy::default();
+        let snap = VerifyPolicy::default().locate_tol;
         let rows = 16usize;
         // Two errors in one column average to a fractional row.
-        assert_eq!(locate_row(1.0, 7.5, rows, &p), None);
+        assert_eq!(locate_row(1.0, 7.5, rows, snap), None);
         // δ₁ = 0 with δ₂ ≠ 0: infinite ratio.
-        assert_eq!(locate_row(0.0, 3.0, rows, &p), None);
+        assert_eq!(locate_row(0.0, 3.0, rows, snap), None);
         // Both zero: NaN ratio.
-        assert_eq!(locate_row(0.0, 0.0, rows, &p), None);
+        assert_eq!(locate_row(0.0, 0.0, rows, snap), None);
         // A 1×1 block: only row 1 is valid.
-        assert_eq!(locate_row(1.0, 1.0, 1, &p), Some(0));
-        assert_eq!(locate_row(1.0, 2.0, 1, &p), None);
+        assert_eq!(locate_row(1.0, 1.0, 1, snap), Some(0));
+        assert_eq!(locate_row(1.0, 2.0, 1, snap), None);
     }
 
     #[test]
@@ -627,10 +620,10 @@ mod tests {
         // Ratio 40 ± (snap·0.9): resolves under the scaled snap…
         let d1 = 1.0;
         let d2 = 40.0 + snap * 0.9;
-        assert_eq!(locate_row_snapped(d1, d2, rows, snap), Some(39));
+        assert_eq!(locate_row(d1, d2, rows, snap), Some(39));
         // …but not under the fixed absolute snap.
         assert_eq!(
-            locate_row_snapped(d1, d2, rows, crate::tolerance::LOCATE_SNAP),
+            locate_row(d1, d2, rows, crate::tolerance::LOCATE_SNAP),
             None
         );
     }

@@ -34,15 +34,6 @@ pub fn sec_ded(flipped_bits: usize) -> EccOutcome {
     }
 }
 
-/// Does the upset survive ECC and corrupt memory (i.e. become ABFT's
-/// problem)?
-pub fn survives_ecc(flipped_bits: usize) -> bool {
-    !matches!(
-        sec_ded(flipped_bits),
-        EccOutcome::Clean | EccOutcome::Corrected
-    )
-}
-
 /// Filter a planned storage upset through an (optional) ECC layer: returns
 /// the number of bits that actually reach the stored value.
 ///
@@ -70,14 +61,6 @@ mod tests {
         assert_eq!(sec_ded(2), EccOutcome::DetectedUncorrectable);
         assert_eq!(sec_ded(3), EccOutcome::SilentlyCorrupt);
         assert_eq!(sec_ded(10), EccOutcome::SilentlyCorrupt);
-    }
-
-    #[test]
-    fn survival_filter() {
-        assert!(!survives_ecc(0));
-        assert!(!survives_ecc(1));
-        assert!(survives_ecc(2));
-        assert!(survives_ecc(5));
     }
 
     #[test]

@@ -173,7 +173,8 @@ impl Injector {
     }
 
     /// Number of currently-corrupt tiles.
-    pub fn dirty_count(&self) -> usize {
+    #[cfg(test)]
+    fn dirty_count(&self) -> usize {
         self.dirty.len()
     }
 
@@ -183,7 +184,8 @@ impl Injector {
     }
 
     /// Number of faults not yet fired.
-    pub fn pending_count(&self) -> usize {
+    #[cfg(test)]
+    fn pending_count(&self) -> usize {
         self.pending.values().map(Vec::len).sum()
     }
 

@@ -151,6 +151,7 @@ impl FaultSite {
     /// Lower to a concrete [`FaultSpec`], picking a deterministic in-tile
     /// element from the site coordinates (`block` is the tile edge). Every
     /// site maps to a distinct, reproducible fault.
+    // lint:allow(dead-pub) coverage_static injects each static site through it
     pub fn to_spec(&self, block: usize) -> FaultSpec {
         let (bi, bj) = (self.bi, self.bj);
         FaultSpec {

@@ -374,6 +374,7 @@ impl<S: Scalar> SimContext<S> {
     }
 
     /// Create an additional stream on device 0.
+    // lint:allow(dead-pub) test tool: schedule-analysis tests build multi-stream programs
     pub fn create_stream(&mut self) -> StreamId {
         self.create_stream_on(0)
     }

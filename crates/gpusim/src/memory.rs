@@ -12,29 +12,6 @@
 
 use hchol_matrix::{Matrix, MatrixError, Scalar, TileMatrix};
 
-/// Error raised when an allocation exceeds device capacity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OutOfDeviceMemory {
-    /// Bytes requested by the failing allocation.
-    pub requested: u64,
-    /// Bytes already resident.
-    pub resident: u64,
-    /// Device capacity.
-    pub capacity: u64,
-}
-
-impl std::fmt::Display for OutOfDeviceMemory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "device OOM: requested {} B with {} B resident of {} B capacity",
-            self.requested, self.resident, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for OutOfDeviceMemory {}
-
 /// Handle to a device-resident buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct BufferId(pub usize);
@@ -46,57 +23,25 @@ pub struct HostBufferId(pub usize);
 /// The simulated GPU global memory: an arena of tile matrices.
 ///
 /// Generic over the element precision `S` (default `f64`): an f32 device
-/// holds f32 tiles and accounts capacity at [`Scalar::BYTES`] per element.
+/// holds f32 tiles.
 #[derive(Debug)]
 pub struct DeviceMemory<S: Scalar = f64> {
     buffers: Vec<TileMatrix<S>>,
-    capacity: Option<u64>,
 }
 
 impl<S: Scalar> Default for DeviceMemory<S> {
     fn default() -> Self {
         DeviceMemory {
             buffers: Vec::new(),
-            capacity: None,
         }
     }
 }
 
 impl<S: Scalar> DeviceMemory<S> {
-    /// Enforce a capacity (bytes). Subsequent `try_alloc` calls fail once
-    /// resident bytes would exceed it; plain `alloc` panics. The paper sized
-    /// its experiments "from the largest our GPU memory allows" — 6 GB on
-    /// the M2075, 12 GB on the K40c.
-    pub fn set_capacity(&mut self, bytes: u64) {
-        self.capacity = Some(bytes);
-    }
-
-    /// Byte footprint of a tile matrix ([`Scalar::BYTES`] per element).
-    pub fn footprint(t: &TileMatrix<S>) -> u64 {
-        S::BYTES * (t.rows() as u64) * (t.cols() as u64)
-    }
-
-    /// Capacity-checked allocation.
-    pub fn try_alloc(&mut self, t: TileMatrix<S>) -> Result<BufferId, OutOfDeviceMemory> {
-        if let Some(cap) = self.capacity {
-            let requested = Self::footprint(&t);
-            let resident = self.resident_bytes();
-            if resident + requested > cap {
-                return Err(OutOfDeviceMemory {
-                    requested,
-                    resident,
-                    capacity: cap,
-                });
-            }
-        }
-        self.buffers.push(t);
-        Ok(BufferId(self.buffers.len() - 1))
-    }
-
-    /// Allocate a buffer holding `t` and return its handle. Panics on
-    /// capacity overflow (use [`DeviceMemory::try_alloc`] to handle it).
+    /// Allocate a buffer holding `t` and return its handle.
     pub fn alloc(&mut self, t: TileMatrix<S>) -> BufferId {
-        self.try_alloc(t).expect("device memory capacity exceeded")
+        self.buffers.push(t);
+        BufferId(self.buffers.len() - 1)
     }
 
     /// Allocate a zeroed `rows × cols` buffer with block size `block`.
@@ -180,16 +125,9 @@ impl<S: Scalar> DeviceMemory<S> {
     }
 
     /// Number of allocated buffers.
+    // lint:allow(dead-pub) setup's tests count the buffers a layout allocates
     pub fn buffer_count(&self) -> usize {
         self.buffers.len()
-    }
-
-    /// Total resident bytes ([`Scalar::BYTES`] per element).
-    pub fn resident_bytes(&self) -> u64 {
-        self.buffers
-            .iter()
-            .map(|b| S::BYTES * (b.rows() as u64) * (b.cols() as u64))
-            .sum()
     }
 }
 
@@ -246,11 +184,6 @@ impl<S: Scalar> HostMemory<S> {
             .expect("distinct, in-bounds buffer ids");
         (x, y)
     }
-
-    /// Number of allocated buffers.
-    pub fn buffer_count(&self) -> usize {
-        self.buffers.len()
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +198,6 @@ mod tests {
         mem.tile_mut(id, 1, 1).set(0, 0, 3.0);
         assert_eq!(mem.tile(id, 1, 1).get(0, 0), 3.0);
         assert_eq!(mem.buf(id).get(2, 2), 3.0);
-        assert_eq!(mem.resident_bytes(), 4 * 4 * 8);
     }
 
     #[test]
@@ -336,36 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_enforced() {
-        let mut mem = DeviceMemory::<f64>::default();
-        mem.set_capacity(4 * 4 * 8 + 10); // one 4x4 buffer plus slack
-        let t = TileMatrix::<f64>::zeros(4, 4, 2).unwrap();
-        assert_eq!(DeviceMemory::footprint(&t), 128);
-        assert!(mem.try_alloc(t.clone()).is_ok());
-        let err = mem.try_alloc(t).unwrap_err();
-        assert_eq!(err.resident, 128);
-        assert_eq!(err.requested, 128);
-        assert!(err.to_string().contains("OOM"));
-    }
-
-    #[test]
-    fn unlimited_by_default() {
-        let mut mem = DeviceMemory::<f64>::default();
-        for _ in 0..10 {
-            mem.alloc(TileMatrix::<f64>::zeros(8, 8, 4).unwrap());
-        }
-        assert_eq!(mem.buffer_count(), 10);
-    }
-
-    #[test]
-    fn f32_device_accounts_four_bytes_per_element() {
+    fn f32_device_holds_f32_tiles() {
         let mut mem = DeviceMemory::<f32>::default();
         let id = mem.alloc_zeros(4, 4, 2).unwrap();
-        assert_eq!(mem.resident_bytes(), 4 * 4 * 4);
         mem.tile_mut(id, 0, 0).set(0, 0, 1.5f32);
         assert_eq!(mem.tile(id, 0, 0).get(0, 0), 1.5f32);
-        let t = TileMatrix::<f32>::zeros(4, 4, 2).unwrap();
-        assert_eq!(DeviceMemory::footprint(&t), 64);
     }
 
     #[test]
@@ -378,6 +285,5 @@ mod tests {
         let (a, b) = h.buf_pair_mut(id, id2);
         a.set(0, 0, b.get(0, 0));
         assert_eq!(h.buf(id).get(0, 0), 1.0);
-        assert_eq!(h.buffer_count(), 2);
     }
 }

@@ -240,6 +240,7 @@ impl OpLog {
 
     /// Everything kept, for editing in place — how a mutation control
     /// strips one access from a recorded program.
+    // lint:allow(dead-pub) mutation control: schedule-analysis strips a recorded access
     pub fn entries_mut(&mut self) -> &mut [TraceAction] {
         &mut self.entries
     }

@@ -68,8 +68,6 @@ pub struct DeviceProfile {
     pub max_concurrent_kernels: usize,
     /// Host-side cost of launching one kernel, seconds.
     pub launch_overhead: f64,
-    /// Device memory capacity in bytes (6 GB on M2075, 12 GB on K40c).
-    pub mem_bytes: u64,
 }
 
 impl DeviceProfile {
@@ -107,12 +105,6 @@ impl DeviceProfile {
         // recalculation) expensive enough to need Optimization 1.
         const KERNEL_STARTUP: f64 = 1.5e-6;
         SimTime::secs(KERNEL_STARTUP + flops as f64 / (self.gflops(class) * 1e9))
-    }
-
-    /// The paper's `P = min(N, M)` effective BLAS-2 concurrency.
-    pub fn blas2_concurrency(&self) -> usize {
-        let m = (1.0 / self.blas2_resource_fraction).floor() as usize;
-        self.max_concurrent_kernels.min(m.max(1))
     }
 }
 
@@ -220,7 +212,6 @@ impl SystemProfile {
                 blas3_resource_fraction: 1.0,
                 max_concurrent_kernels: 16,
                 launch_overhead: 1.5e-6,
-                mem_bytes: 6 * 1024 * 1024 * 1024,
             },
             cpu: CpuProfile {
                 name: "2x AMD Opteron 6272 (16c, 2.1 GHz)".into(),
@@ -262,7 +253,6 @@ impl SystemProfile {
                 blas3_resource_fraction: 0.93,
                 max_concurrent_kernels: 32,
                 launch_overhead: 1.5e-6,
-                mem_bytes: 12 * 1024 * 1024 * 1024,
             },
             cpu: CpuProfile {
                 name: "4x AMD Opteron 6272 (16c, 2.1 GHz)".into(),
@@ -318,7 +308,6 @@ impl SystemProfile {
                 blas3_resource_fraction: 1.0,
                 max_concurrent_kernels: 4,
                 launch_overhead: 0.0,
-                mem_bytes: u64::MAX,
             },
             cpu: CpuProfile {
                 name: "TestCPU".into(),
@@ -370,22 +359,13 @@ mod tests {
     }
 
     #[test]
-    fn blas2_concurrency_is_min_n_m() {
-        let mut p = SystemProfile::test_profile().gpu;
-        p.blas2_resource_fraction = 0.25; // M = 4
-        p.max_concurrent_kernels = 16; // N = 16
-        assert_eq!(p.blas2_concurrency(), 4);
-        p.max_concurrent_kernels = 2;
-        assert_eq!(p.blas2_concurrency(), 2);
-    }
-
-    #[test]
     fn presets_are_ordered_sensibly() {
         let t = SystemProfile::tardis();
         let b = SystemProfile::bulldozer64();
         // Kepler beats Fermi in every class and in concurrency.
         assert!(b.gpu.blas3_gflops > t.gpu.blas3_gflops);
-        assert!(b.gpu.blas2_concurrency() > t.gpu.blas2_concurrency());
+        assert!(b.gpu.max_concurrent_kernels > t.gpu.max_concurrent_kernels);
+        assert!(b.gpu.blas2_resource_fraction < t.gpu.blas2_resource_fraction);
         assert!(b.pcie_gbs > t.pcie_gbs);
         assert_eq!(t.default_block, 256);
         assert_eq!(b.default_block, 512);

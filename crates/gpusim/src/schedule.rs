@@ -161,7 +161,8 @@ impl KernelScheduler {
     }
 
     /// Number of intervals still tracked.
-    pub fn tracked(&self) -> usize {
+    #[cfg(test)]
+    fn tracked(&self) -> usize {
         self.active.len()
     }
 

@@ -21,24 +21,9 @@ impl SimTime {
         SimTime(s)
     }
 
-    /// From microseconds.
-    pub fn micros(us: f64) -> Self {
-        SimTime(us * 1e-6)
-    }
-
-    /// From milliseconds.
-    pub fn millis(ms: f64) -> Self {
-        SimTime(ms * 1e-3)
-    }
-
     /// Value in seconds.
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Value in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// Elementwise maximum.
@@ -49,11 +34,6 @@ impl SimTime {
     /// Elementwise minimum.
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
-    }
-
-    /// True if this is a finite, non-negative time.
-    pub fn is_valid(self) -> bool {
-        self.0.is_finite() && self.0 >= 0.0
     }
 }
 
@@ -96,8 +76,6 @@ mod tests {
     #[test]
     fn construction_units() {
         assert_eq!(SimTime::secs(1.5).as_secs(), 1.5);
-        assert!((SimTime::millis(2.0).as_secs() - 0.002).abs() < 1e-15);
-        assert!((SimTime::micros(3.0).as_secs() - 3e-6).abs() < 1e-18);
     }
 
     #[test]
@@ -115,16 +93,9 @@ mod tests {
     }
 
     #[test]
-    fn validity() {
-        assert!(SimTime::ZERO.is_valid());
-        assert!(!SimTime(f64::NAN).is_valid());
-        assert!(!SimTime(-1.0).is_valid());
-    }
-
-    #[test]
     fn display_scales() {
         assert_eq!(SimTime::secs(2.0).to_string(), "2.0000s");
-        assert_eq!(SimTime::millis(5.0).to_string(), "5.000ms");
-        assert_eq!(SimTime::micros(7.0).to_string(), "7.00us");
+        assert_eq!(SimTime::secs(5e-3).to_string(), "5.000ms");
+        assert_eq!(SimTime::secs(7e-6).to_string(), "7.00us");
     }
 }

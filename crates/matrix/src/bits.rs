@@ -2,13 +2,13 @@
 //!
 //! The paper's "storage errors" are memory bit flips ("0 becomes 1") that
 //! strike a matrix element while it sits in DRAM between a checksum
-//! verification and the next read. These helpers flip chosen bits of an `f64`
-//! and classify how severe a flip in each bit position is, which the fault
-//! campaigns in `hchol-faults` use to build representative error populations.
+//! verification and the next read. These helpers flip chosen bits of an `f64`,
+//! which the fault campaigns in `hchol-faults` use to build representative
+//! error populations.
 //!
-//! The precision-generic variants ([`flip_bit_scalar`], [`flip_bits_scalar`])
-//! work on any [`Scalar`] and reduce bit indices modulo [`Scalar::BITS`], so
-//! one campaign spec written against the 64-bit layout drives both precisions
+//! The precision-generic variant ([`flip_bits_scalar`]) works on any
+//! [`Scalar`] and reduces bit indices modulo [`Scalar::BITS`], so one
+//! campaign spec written against the 64-bit layout drives both precisions
 //! (a canonical f64 flip of bit 53 strikes bit `53 % 32 = 21` of an f32).
 
 use crate::scalar::Scalar;
@@ -17,6 +17,7 @@ use crate::scalar::Scalar;
 ///
 /// Panics if `bit >= 64`.
 #[inline]
+// lint:allow(dead-pub) test tool: the checksum property suite flips single bits with it
 pub fn flip_bit(x: f64, bit: u32) -> f64 {
     assert!(bit < 64, "f64 has 64 bits");
     f64::from_bits(x.to_bits() ^ (1u64 << bit))
@@ -24,6 +25,7 @@ pub fn flip_bit(x: f64, bit: u32) -> f64 {
 
 /// Flip several distinct bits at once (a multi-bit upset — the case the
 /// paper notes ECC cannot correct).
+// lint:allow(dead-pub) test tool: multi-bit upsets in the checksum and matrix tests
 pub fn flip_bits(x: f64, bits: &[u32]) -> f64 {
     let mut mask = 0u64;
     for &b in bits {
@@ -31,12 +33,6 @@ pub fn flip_bits(x: f64, bits: &[u32]) -> f64 {
         mask ^= 1u64 << b;
     }
     f64::from_bits(x.to_bits() ^ mask)
-}
-
-/// Flip bit `bit % S::BITS` of a value of any supported precision.
-#[inline]
-pub fn flip_bit_scalar<S: Scalar>(x: S, bit: u32) -> S {
-    S::from_bits_u64(x.to_bits_u64() ^ (1u64 << (bit % S::BITS)))
 }
 
 /// Flip several bits at once in a value of any supported precision.
@@ -52,34 +48,9 @@ pub fn flip_bits_scalar<S: Scalar>(x: S, bits: &[u32]) -> S {
     S::from_bits_u64(x.to_bits_u64() ^ mask)
 }
 
-/// Which field of the IEEE-754 double a bit position falls in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BitField {
-    /// Bits 0–51.
-    Mantissa,
-    /// Bits 52–62.
-    Exponent,
-    /// Bit 63.
-    Sign,
-}
-
-/// Classify a bit position.
-pub fn classify_bit(bit: u32) -> BitField {
-    match bit {
-        0..=51 => BitField::Mantissa,
-        52..=62 => BitField::Exponent,
-        63 => BitField::Sign,
-        _ => panic!("f64 has 64 bits"),
-    }
-}
-
-/// Absolute change caused by flipping `bit` of `x`.
-pub fn flip_magnitude(x: f64, bit: u32) -> f64 {
-    (flip_bit(x, bit) - x).abs()
-}
-
 /// Number of differing bits between two doubles (Hamming distance of their
 /// bit patterns).
+// lint:allow(dead-pub) test tool: the matrix property tests count flipped bits with it
 pub fn hamming(a: f64, b: f64) -> u32 {
     (a.to_bits() ^ b.to_bits()).count_ones()
 }
@@ -120,7 +91,6 @@ mod tests {
         let y = flip_bit(x, 0);
         assert!(y != x);
         assert!((y - x).abs() < 1e-15);
-        assert_eq!(flip_magnitude(x, 0), (y - x).abs());
     }
 
     #[test]
@@ -135,15 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_fields() {
-        assert_eq!(classify_bit(0), BitField::Mantissa);
-        assert_eq!(classify_bit(51), BitField::Mantissa);
-        assert_eq!(classify_bit(52), BitField::Exponent);
-        assert_eq!(classify_bit(62), BitField::Exponent);
-        assert_eq!(classify_bit(63), BitField::Sign);
-    }
-
-    #[test]
     #[should_panic]
     fn out_of_range_bit_panics() {
         let _ = flip_bit(1.0, 64);
@@ -152,7 +113,6 @@ mod tests {
     #[test]
     fn scalar_flip_matches_f64_helpers() {
         let x = 1.2345678901234567_f64;
-        assert_eq!(flip_bit_scalar(x, 53), flip_bit(x, 53));
         assert_eq!(flip_bits_scalar(x, &[30, 53]), flip_bits(x, &[30, 53]));
     }
 
@@ -161,7 +121,7 @@ mod tests {
         let x = 1.5f32;
         // canonical f64 index 53 lands on f32 bit 21
         assert_eq!(
-            flip_bit_scalar(x, 53),
+            flip_bits_scalar(x, &[53]),
             f32::from_bits(x.to_bits() ^ (1 << 21))
         );
         // involution still holds after reduction

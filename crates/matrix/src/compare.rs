@@ -18,6 +18,7 @@ pub fn max_abs_diff<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>) -> f64 {
 }
 
 /// True if every element of `a` and `b` differs by at most `tol`.
+// lint:allow(dead-pub) test tool: kernel and factor tests compare matrices with it
 pub fn approx_eq<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>, tol: f64) -> bool {
     a.shape() == b.shape() && max_abs_diff(a, b) <= tol
 }
@@ -32,12 +33,6 @@ pub fn relative_residual<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>) -> f64 {
     diff.sub_assign(b);
     let denom = norms::frobenius(b).max(f64::MIN_POSITIVE);
     norms::frobenius(&diff) / denom
-}
-
-/// Scalar approximate equality with combined absolute/relative tolerance:
-/// `|x − y| ≤ abs_tol + rel_tol · max(|x|, |y|)`.
-pub fn scalar_approx_eq(x: f64, y: f64, abs_tol: f64, rel_tol: f64) -> bool {
-    (x - y).abs() <= abs_tol + rel_tol * x.abs().max(y.abs())
 }
 
 #[cfg(test)]
@@ -81,12 +76,5 @@ mod tests {
         a2.set(0, 0, a2.get(0, 0) + 0.01 * 1e6);
         let r2 = relative_residual(&a2, &b2);
         assert!((r1 - r2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scalar_tolerances() {
-        assert!(scalar_approx_eq(1.0, 1.0 + 1e-12, 0.0, 1e-10));
-        assert!(!scalar_approx_eq(1.0, 1.1, 0.0, 1e-10));
-        assert!(scalar_approx_eq(0.0, 1e-14, 1e-12, 0.0));
     }
 }

@@ -58,6 +58,7 @@ impl<S: Scalar> Matrix<S> {
     }
 
     /// Create a `rows × cols` matrix with every element set to `value`.
+    // lint:allow(dead-pub) test tool: kernel and simulator tests build fixtures with it
     pub fn filled(rows: usize, cols: usize, value: S) -> Self {
         Matrix {
             rows,
@@ -88,6 +89,7 @@ impl<S: Scalar> Matrix<S> {
     }
 
     /// Build a matrix from row-major data (transposing into column-major).
+    // lint:allow(dead-pub) test tool: known-product tests spell small matrices row by row
     pub fn from_row_major(rows: usize, cols: usize, data: &[S]) -> Result<Self, MatrixError> {
         if data.len() != rows * cols {
             return Err(MatrixError::LengthMismatch {
@@ -164,17 +166,6 @@ impl<S: Scalar> Matrix<S> {
     pub fn set(&mut self, i: usize, j: usize, v: S) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i + j * self.rows] = v;
-    }
-
-    /// Checked element access.
-    pub fn try_get(&self, i: usize, j: usize) -> Result<S, MatrixError> {
-        if i >= self.rows || j >= self.cols {
-            return Err(MatrixError::OutOfBounds {
-                index: (i, j),
-                shape: self.shape(),
-            });
-        }
-        Ok(self.get(i, j))
     }
 
     /// The backing column-major slice.
@@ -281,11 +272,6 @@ impl<S: Scalar> Matrix<S> {
         }
     }
 
-    /// Set every element to zero.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(S::ZERO);
-    }
-
     /// Symmetrize in place: `A := (A + Aᵀ) / 2`. Panics if not square.
     pub fn symmetrize(&mut self) {
         assert!(self.is_square());
@@ -309,16 +295,6 @@ impl<S: Scalar> Matrix<S> {
                 self.set(j, i, v);
             }
         }
-    }
-
-    /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
-    }
-
-    /// Consume the matrix, returning its column-major data.
-    pub fn into_vec(self) -> Vec<S> {
-        self.data
     }
 
     /// Convert every element to another precision (rounding when narrowing).
@@ -466,28 +442,6 @@ mod tests {
         assert_eq!(b.get(1, 1), 1.0);
         b.scale(5.0);
         assert_eq!(b.get(0, 1), 5.0);
-        b.fill_zero();
-        assert!(b.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut m = Matrix::zeros(2, 2);
-        assert!(!m.has_non_finite());
-        m.set(1, 0, f64::NAN);
-        assert!(m.has_non_finite());
-        m.set(1, 0, f64::INFINITY);
-        assert!(m.has_non_finite());
-    }
-
-    #[test]
-    fn try_get_bounds() {
-        let m = Matrix::<f64>::zeros(2, 2);
-        assert!(m.try_get(1, 1).is_ok());
-        assert!(matches!(
-            m.try_get(2, 0),
-            Err(MatrixError::OutOfBounds { .. })
-        ));
     }
 
     #[test]

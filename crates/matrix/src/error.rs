@@ -23,13 +23,6 @@ pub enum MatrixError {
         /// Shape of the right/second operand.
         rhs: (usize, usize),
     },
-    /// An index was out of bounds.
-    OutOfBounds {
-        /// The offending (row, col) index.
-        index: (usize, usize),
-        /// The matrix shape.
-        shape: (usize, usize),
-    },
     /// A matrix that must be square is not.
     NotSquare {
         /// The offending shape.
@@ -62,11 +55,6 @@ impl fmt::Display for MatrixError {
                 f,
                 "shape mismatch in {op}: {}x{} vs {}x{}",
                 lhs.0, lhs.1, rhs.0, rhs.1
-            ),
-            MatrixError::OutOfBounds { index, shape } => write!(
-                f,
-                "index ({}, {}) out of bounds for {}x{} matrix",
-                index.0, index.1, shape.0, shape.1
             ),
             MatrixError::NotSquare { shape } => {
                 write!(f, "matrix must be square, got {}x{}", shape.0, shape.1)

@@ -24,8 +24,8 @@
 //! (`dpotrf`), so `f64` is the default element type everywhere; the sealed
 //! [`Scalar`] trait additionally admits `f32` for the reduced-precision
 //! workloads that the adaptive verification tolerances target. Generators
-//! ([`generate`]) and file I/O ([`io`]) stay `f64`-only — reduced-precision
-//! inputs are obtained by [`Matrix::cast`]-ing a generated `f64` problem.
+//! ([`generate`]) stay `f64`-only — reduced-precision inputs are obtained by
+//! [`Matrix::cast`]-ing a generated `f64` problem.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +35,6 @@ pub mod compare;
 pub mod dense;
 pub mod error;
 pub mod generate;
-pub mod io;
 pub mod norms;
 pub mod scalar;
 pub mod tile;

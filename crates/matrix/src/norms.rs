@@ -21,50 +21,6 @@ pub fn frobenius<S: Scalar>(m: &Matrix<S>) -> f64 {
     scale * ssq.sqrt()
 }
 
-/// One-norm: maximum absolute column sum.
-pub fn one_norm<S: Scalar>(m: &Matrix<S>) -> f64 {
-    (0..m.cols())
-        .map(|j| m.col(j).iter().map(|x| x.abs().to_f64()).sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
-/// Infinity-norm: maximum absolute row sum.
-pub fn inf_norm<S: Scalar>(m: &Matrix<S>) -> f64 {
-    let mut sums = vec![0.0f64; m.rows()];
-    for j in 0..m.cols() {
-        for (i, x) in m.col(j).iter().enumerate() {
-            sums[i] += x.abs().to_f64();
-        }
-    }
-    sums.into_iter().fold(0.0, f64::max)
-}
-
-/// Max-norm: largest absolute element.
-pub fn max_norm<S: Scalar>(m: &Matrix<S>) -> f64 {
-    m.as_slice()
-        .iter()
-        .map(|x| x.abs().to_f64())
-        .fold(0.0, f64::max)
-}
-
-/// Euclidean norm of a vector slice (with overflow-safe scaling).
-pub fn vec_norm2<S: Scalar>(v: &[S]) -> f64 {
-    let mut scale = 0.0f64;
-    let mut ssq = 1.0f64;
-    for x in v.iter().map(|x| x.to_f64()) {
-        if x != 0.0 {
-            let ax = x.abs();
-            if scale < ax {
-                ssq = 1.0 + ssq * (scale / ax).powi(2);
-                scale = ax;
-            } else {
-                ssq += (ax / scale).powi(2);
-            }
-        }
-    }
-    scale * ssq.sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,33 +40,8 @@ mod tests {
     }
 
     #[test]
-    fn one_and_inf_norms() {
-        // [[1, -2], [3, 4]] col-major: col0=[1,3], col1=[-2,4]
-        let m = Matrix::from_col_major(2, 2, vec![1.0, 3.0, -2.0, 4.0]).unwrap();
-        assert_eq!(one_norm(&m), 6.0); // |−2| + |4|
-        assert_eq!(inf_norm(&m), 7.0); // |3| + |4|
-        assert_eq!(max_norm(&m), 4.0);
-    }
-
-    #[test]
     fn norms_of_zero_matrix() {
         let m = Matrix::<f64>::zeros(3, 3);
         assert_eq!(frobenius(&m), 0.0);
-        assert_eq!(one_norm(&m), 0.0);
-        assert_eq!(inf_norm(&m), 0.0);
-        assert_eq!(max_norm(&m), 0.0);
-    }
-
-    #[test]
-    fn vec_norm2_matches_naive() {
-        let v = [1.0f64, 2.0, 2.0];
-        assert!((vec_norm2(&v) - 3.0).abs() < 1e-15);
-        assert_eq!(vec_norm2::<f64>(&[]), 0.0);
-    }
-
-    #[test]
-    fn inf_norm_transpose_is_one_norm() {
-        let m = Matrix::from_fn(3, 4, |i, j| (i as f64 - j as f64) * 1.5);
-        assert!((inf_norm(&m) - one_norm(&m.transpose())).abs() < 1e-12);
     }
 }

@@ -236,12 +236,6 @@ impl<S: Scalar> TileMatrix<S> {
         let (bj, jj) = (j / self.block, j % self.block);
         self.tile_mut(bi, bj).set(ii, jj, v);
     }
-
-    /// Iterate over tile coordinates `(bi, bj)` in column-major grid order.
-    pub fn tile_coords(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let gr = self.grid_rows;
-        (0..self.grid_cols).flat_map(move |bj| (0..gr).map(move |bi| (bi, bj)))
-    }
 }
 
 /// Shared view of the block columns left of the one
@@ -410,13 +404,5 @@ mod tests {
             fills.into_iter().for_each(TileFill::run);
         });
         assert!(matches!(unrun, Err(MatrixError::LengthMismatch { .. })));
-    }
-
-    #[test]
-    fn tile_coords_cover_grid() {
-        let t = TileMatrix::<f64>::zeros(4, 6, 2).unwrap();
-        let coords: Vec<_> = t.tile_coords().collect();
-        assert_eq!(coords.len(), 2 * 3);
-        assert!(coords.contains(&(1, 2)));
     }
 }

@@ -80,15 +80,6 @@ pub const METRICS: &[&str] = &[
     "plan.edges",
     "plan.reordered",
     "plan.batch.plans",
-    // Schedule analysis (hchol-analyze).
-    "analysis.ops",
-    "analysis.races",
-    "analysis.violations",
-    // Static fault-coverage & liveness model checking (hchol-analyze).
-    "coverage.sites",
-    "coverage.covered",
-    "coverage.uncovered",
-    "liveness.findings",
 ];
 
 /// Registered event-kind patterns for [`crate::Obs::event`].

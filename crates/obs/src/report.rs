@@ -139,6 +139,7 @@ impl RunReport {
 
     /// Parse a report back from [`RunReport::to_json`] output (accepts the
     /// enveloped form or a bare report body).
+    // lint:allow(dead-pub) report reader: the obs-report suite round-trips through it
     pub fn from_json(s: &str) -> Result<RunReport, serde::Error> {
         let v = serde_json::value_from_str(s).map_err(|e| serde::Error(e.to_string()))?;
         let body = match v.as_object() {

@@ -156,7 +156,8 @@ impl SpanRecorder {
     }
 
     /// Number of scopes currently open.
-    pub fn open_count(&self) -> usize {
+    #[cfg(test)]
+    fn open_count(&self) -> usize {
         self.stack.len()
     }
 
@@ -189,6 +190,7 @@ impl SpanRecorder {
 
     /// `|root_total − Σ leaf scope durations|` — zero (up to rounding) when
     /// the scope tree tiles the run correctly.
+    // lint:allow(dead-pub) span invariant the span tests check
     pub fn partition_residual(&self) -> f64 {
         let leaves: f64 = self.phase_totals().values().sum();
         (self.root_total() - leaves).abs()

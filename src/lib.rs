@@ -40,7 +40,7 @@ pub use hchol_obs as obs;
 
 /// Convenience prelude pulling in the names almost every user needs.
 pub mod prelude {
-    pub use hchol_core::checksum::{ChecksumPair, CHECKSUM_COUNT};
+    pub use hchol_core::checksum::CHECKSUM_COUNT;
     pub use hchol_core::options::{AbftOptions, BalanceOptions, ChecksumPlacement};
     pub use hchol_core::plan::balance::{BalanceController, BalanceLog};
     pub use hchol_core::plan::exec::{run_batch, BatchOutcome, BatchRequest};
