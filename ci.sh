@@ -46,11 +46,11 @@ cargo test --release -q -p hchol-blas --test alloc_budget
 # sweep and the analyzers' new-vs-oracle sweeps to nt = 20, and the 2-row
 # checksum kernels' grids from 33 to 300 (past the column group, the planar
 # block and TRSM_BASE), and the team split tests to b = 256 (two MC
-# stripes). plan::tests also holds the linked plan edits to their Vec model
-# and the passes to their walk bound.
-step "differential suites, deep (one-walk scheduler, dense derive_deps, linked plan edits, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels, team split — each vs its oracle or model)"
+# stripes). plan:: runs the derive_deps oracle (plan/oracle.rs) and holds
+# the planner's rewrite passes to their bound on nodes visited per node.
+step "differential suites, deep (one-walk scheduler, dense derive_deps, rewrite-pass visit bound, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels, team split — each vs its oracle or bound)"
 cargo test --release -q -p hchol-gpusim --lib schedule::tests
-cargo test --release -q -p hchol-core --lib plan::tests
+cargo test --release -q -p hchol-core --lib plan::
 cargo test --release -q -p hchol-analyze --lib
 cargo test --release -q -p hchol-blas --lib level3::naive
 cargo test --release -q -p hchol-blas --lib level3::trsm
@@ -64,7 +64,7 @@ RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
 step "doctests"
 cargo test --doc --workspace -q
 
-step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit, float-order, tile-scan, one-record, one-team, order-scan, dead-pub)"
+step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit (only the passes rewrite a plan, none removes from one), float-order, tile-scan, one-record, one-team, order-scan, dead-pub)"
 cargo run --release -q -p hchol-analyze --bin lint
 
 step "schedule analyzer (races + ABFT protocol conformance, all schemes, nt = 4 8 16 40)"

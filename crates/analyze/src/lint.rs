@@ -40,10 +40,11 @@
 //!   node names, so a driver that launches work on its own (off the plan
 //!   layer, invisible to the plan checkers) cannot come back.
 //! * **`plan-edit`** — under `crates/core/src`, only the planner's passes
-//!   (`plan/{mod,skeleton,policy,shard}.rs`) call `.insert_before(`,
-//!   `.insert_after(` or `.remove(` on a plan (a receiver whose name ends in
-//!   `plan`): a plan is built by its passes, so the balancer and the
-//!   executor get a new shape by asking the planner, never by editing.
+//!   (`plan/{mod,skeleton,policy,shard}.rs`) call the pass primitive
+//!   `.rewrite(` on a plan (a receiver whose name ends in `plan`), and no
+//!   file calls `.remove(` on one: a plan is built by its passes, which
+//!   drop a node by not writing it, so the balancer and the executor get a
+//!   new shape by asking the planner, never by editing.
 //! * **`float-order`** — library sources (as for `env-read`) never order
 //!   floats with `partial_cmp(..)` followed by `.expect(` / `.unwrap(`: that
 //!   is a panic site on a NaN. `f64::total_cmp` orders every value.
@@ -64,8 +65,8 @@
 //! * **`order-scan`** — plan sources (`crates/core/src/plan/`) never call
 //!   `.order.insert(` or `.order.retain(`, and never `.position(` on a
 //!   chain that reads the issue order (`plan.order().iter().position(`): a
-//!   plan edit relinks two neighbours and a pass finds its anchor inside
-//!   one iteration, so a quadratic scan-and-shift cannot come back.
+//!   pass writes the order anew in one walk, so a quadratic
+//!   scan-and-shift cannot come back.
 //! * **`dead-pub`** — a whole-workspace pass: every `pub` fn, struct, enum,
 //!   const, type or trait a library source (`crates/*/src`, not `bin/`)
 //!   declares must be named by a non-test source other than its own
@@ -198,7 +199,7 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     if file.starts_with("crates/blas/src/") {
         rule_one_engine(file, &scan, &mut out);
     }
-    if file.starts_with("crates/core/src/") && !PLAN_PASSES.contains(&file) {
+    if file.starts_with("crates/core/src/") {
         rule_plan_edit(file, &scan, &mut out);
     }
     if TILE_CHECKERS.contains(&file) {
@@ -687,28 +688,33 @@ const PLAN_PASSES: &[&str] = &[
 ];
 
 fn rule_plan_edit(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    let passes = PLAN_PASSES.contains(&file);
     for (i, t) in scan.tokens.iter().enumerate() {
-        if !scan.punct_at(i.wrapping_sub(1), '.') || !scan.punct_at(i + 1, '(') {
+        if !scan.punct_at(i.wrapping_sub(1), '.')
+            || !scan.punct_at(i + 1, '(')
+            || !scan
+                .word_at(i.wrapping_sub(2))
+                .is_some_and(|w| w.ends_with("plan"))
+        {
             continue;
         }
-        let edits = match scan.word_at(i) {
-            Some("insert_before" | "insert_after") => true,
-            Some("remove") => scan
-                .word_at(i.wrapping_sub(2))
-                .is_some_and(|w| w.ends_with("plan")),
-            _ => false,
+        let message = match scan.word_at(i) {
+            Some("rewrite") if !passes => {
+                "plan rewritten outside the planner's passes: build the plan for the new \
+                 state (`plan::passes`) and splice it in with `FactorPlan::replace_tail`"
+            }
+            Some("remove") => {
+                "node removed from a plan: a pass drops a node by not writing it in its \
+                 rewrite"
+            }
+            _ => continue,
         };
-        if edits {
-            out.push(Lint {
-                file: file.to_string(),
-                line: t.line,
-                rule: "plan-edit",
-                message: "plan edited outside the planner's passes: build the plan for the \
-                          new state (`plan::passes`) and splice it in with \
-                          `FactorPlan::replace_tail`"
-                    .to_string(),
-            });
-        }
+        out.push(Lint {
+            file: file.to_string(),
+            line: t.line,
+            rule: "plan-edit",
+            message: message.to_string(),
+        });
     }
 }
 
@@ -813,9 +819,8 @@ fn rule_order_scan(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
                 file: file.to_string(),
                 line: t.line,
                 rule: "order-scan",
-                message: "issue order scanned or shifted: edit a plan through its links \
-                          (`insert_before` / `insert_after` / `remove`) and find an anchor \
-                          inside its iteration (`find_in`, `iter_first`, `iter_last`)"
+                message: "issue order scanned or shifted: write the new order in one walk \
+                          over the old (`FactorPlan::rewrite`), one iteration's run at a time"
                     .to_string(),
             });
         }
@@ -1308,31 +1313,34 @@ mod tests {
     #[test]
     fn plan_edits_flagged_in_core_outside_the_passes_only() {
         let src = "fn f(plan: &mut FactorPlan, lane: &mut Lane) {\n    \
-                   plan.insert_after(a, k, None, None);\n    \
-                   lane.plan.insert_before(a, k, None, None);\n    \
+                   plan.rewrite(|p, run| {});\n    \
+                   lane.plan.rewrite(|p, run| {});\n    \
                    fplan.remove(id);\n}\n";
+        let lines = |file| {
+            let lints = lint_file(file, src);
+            assert!(lints.iter().all(|l| l.rule == "plan-edit"), "{file}");
+            lints.iter().map(|l| l.line).collect::<Vec<_>>()
+        };
         for hit in [
             "crates/core/src/plan/balance.rs",
             "crates/core/src/plan/exec.rs",
         ] {
-            let lints = lint_file(hit, src);
-            assert!(lints.iter().all(|l| l.rule == "plan-edit"), "{hit}");
-            assert_eq!(lints.iter().map(|l| l.line).collect::<Vec<_>>(), [2, 3, 4]);
+            assert_eq!(lines(hit), [2, 3, 4], "{hit}");
         }
-        // The passes edit plans by design; other crates (the analyzers'
-        // mutation controls, tests) are out of scope.
-        for exempt in PLAN_PASSES
-            .iter()
-            .copied()
-            .chain(["crates/analyze/src/coverage.rs", "tests/plan_layer.rs"])
-        {
+        // The passes rewrite plans by design, but drop nodes by not writing
+        // them; other crates (the analyzers' mutation controls, tests) are
+        // out of scope.
+        for pass in PLAN_PASSES {
+            assert_eq!(lines(pass), [4], "{pass}");
+        }
+        for exempt in ["crates/analyze/src/coverage.rs", "tests/plan_layer.rs"] {
             assert!(lint_file(exempt, src).is_empty(), "{exempt}");
         }
-        // Removing from a map or a set, splicing a tail, prose and strings
-        // are not plan edits.
-        let ok = "// plan.remove(id) is for passes\nfn f(plan: &mut FactorPlan) {\n    \
-                  covered.remove(&t);\n    plan.replace_tail(4, &fresh);\n    \
-                  let _ = \".insert_after(\";\n}\n";
+        // Removing from a map or a set, the balancer's own `rewrite`,
+        // splicing a tail, prose and strings are not plan edits.
+        let ok = "// plan.remove(id) is for tests\nfn f(plan: &mut FactorPlan) {\n    \
+                  covered.remove(&t);\n    ctrl.rewrite(plan, 4);\n    \
+                  plan.replace_tail(4, &fresh);\n    let _ = \".rewrite(\";\n}\n";
         assert!(lint_file("crates/core/src/plan/balance.rs", ok).is_empty());
     }
 
@@ -1391,7 +1399,7 @@ mod tests {
         // strings and test modules pass.
         let ok = "// self.order.insert(pos, id) was the shift\n\
                   fn f(&mut self, rows: &[usize]) {\n    \
-                  self.links.insert(3, [0, 0]);\n    \
+                  self.nodes.insert(3, node);\n    \
                   let i = rows.iter().position(|&r| r == 2);\n    \
                   let o = order_of(rows).len();\n    \
                   let _ = \".order.retain(\";\n}\n\

@@ -150,7 +150,9 @@ impl CholLayout {
 /// Allocate buffers and streams for an `n × n` factorization with block
 /// size `b`. `input` must be `Some` in Execute mode (its tiles are placed
 /// in device memory — the paper uses the MAGMA variant whose input already
-/// resides on the GPU, so no initial transfer is charged).
+/// resides on the GPU, so no initial transfer is charged). A missing or
+/// non-`n × n` input, and a checksummed Execute run at `b = 1`, are
+/// refused before anything is allocated.
 pub fn setup<S: Scalar>(
     ctx: &mut SimContext<S>,
     n: usize,
@@ -192,9 +194,24 @@ fn setup_impl<S: Scalar>(
     );
     let nt = n.div_ceil(b.max(1));
     let execute = ctx.mode.executes();
+    if execute && with_checksums && b == 1 {
+        // A block row's two checksum rows share one tile row of the `2 × n`
+        // buffer, which a block of one row cannot hold.
+        return Err(MatrixError::UnsupportedConfig(
+            "checksummed runs need a block size of at least 2",
+        ));
+    }
     let mat = if execute {
-        let dense = input.expect("Execute mode requires input data");
-        assert_eq!(dense.shape(), (n, n), "input shape mismatch");
+        let dense = input.ok_or(MatrixError::UnsupportedConfig(
+            "Execute mode requires input data",
+        ))?;
+        if dense.shape() != (n, n) {
+            return Err(MatrixError::ShapeMismatch {
+                op: "setup input",
+                lhs: dense.shape(),
+                rhs: (n, n),
+            });
+        }
         ctx.dev_mem.alloc(tile_input(dense, b)?)
     } else {
         ctx.dev_mem.alloc(TileMatrix::zeros(0, 0, b)?)
@@ -247,13 +264,23 @@ pub(crate) fn alloc_dev<S: Scalar>(
     ctx.dev_mem.alloc_zeros(rows, cols, b)
 }
 
-/// Grow the scratch pool to at least `count` tiles.
+/// Grow the scratch pool to at least `count` slots. A slot is tiled by
+/// `b` and holds one tile per tile width of the grid: the full `2 × b`
+/// tile, then, when `b` does not divide `n`, the narrower edge tile.
 fn ensure_scratch<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, count: usize) {
+    let (n, b) = (lay.n, lay.b);
+    let cols = b.min(n) + if n > b { n % b } else { 0 };
     while lay.scratch.len() < count {
-        let id =
-            alloc_dev(ctx, checksum::CHECKSUM_COUNT, lay.b, lay.b).expect("nonzero block size");
+        let id = alloc_dev(ctx, checksum::CHECKSUM_COUNT, cols, b).expect("nonzero block size");
         lay.scratch.push(id);
     }
+}
+
+/// The tile of scratch slot `idx` that fresh checksums of tile column `bj`
+/// are recalculated into: the one as wide as that column.
+fn scratch_tile(lay: &CholLayout, idx: usize, bj: usize) -> TileRef {
+    let edge = lay.n > lay.b && (bj + 1) * lay.b > lay.n;
+    TileRef::new(lay.scratch[idx], 0, usize::from(edge))
 }
 
 /// Allocate the fused-epilogue deposit buffers (one `2 × n` row per block
@@ -1163,7 +1190,7 @@ pub fn verify_recalc<S: Scalar>(
         // from memory once, not twice.
         refresh_col_stats(ctx, lay, &[(bi, bj)], opts);
         let f = lay.charge(flops::recalc_block(lay.b, lay.b));
-        let (mat, scr) = (lay.mat, lay.scratch[idx]);
+        let (mat, scr) = (lay.mat, scratch_tile(lay, idx, bj));
         ctx.launch(
             recalc_stream(lay, opts, idx),
             KernelDesc::new(
@@ -1172,13 +1199,10 @@ pub fn verify_recalc<S: Scalar>(
                 f,
                 WorkCategory::ChecksumRecalc,
             )
-            .with_access(AccessSet::new(
-                vec![TileRef::new(mat, bi, bj)],
-                vec![TileRef::new(scr, 0, 0)],
-            )),
+            .with_access(AccessSet::new(vec![TileRef::new(mat, bi, bj)], vec![scr])),
             move |mem| {
-                let (s, m) = mem.buf_pair_mut(scr, mat);
-                checksum::encode_into(m.tile(bi, bj), s.tile_mut(0, 0));
+                let (s, m) = mem.buf_pair_mut(scr.buf, mat);
+                checksum::encode_into(m.tile(bi, bj), s.tile_mut(scr.bi, scr.bj));
             },
         );
     }
@@ -1253,7 +1277,7 @@ pub fn verify_compare<S: Scalar>(
         cmp_reads.push(if fused {
             TileRef::new(lay.dpt[bi], 0, bj)
         } else {
-            TileRef::new(lay.scratch[idx], 0, 0)
+            scratch_tile(lay, idx, bj)
         });
     }
     let name = if fused { "CMP-F" } else { "CMP" };
@@ -1335,16 +1359,16 @@ pub fn verify_correct<S: Scalar>(
         if ctx.mode.executes() {
             // Fresh checksums: epilogue deposit for a fused batch, the
             // recalculation scratch tile otherwise.
-            let (src_buf, src_tile) = if fused {
-                (lay.dpt[bi], (0, bj))
+            let src = if fused {
+                TileRef::new(lay.dpt[bi], 0, bj)
             } else {
-                (lay.scratch[idx], (0, 0))
+                scratch_tile(lay, idx, bj)
             };
-            let (m, cks, src) = ctx.dev_mem.buf_trio_mut(lay.mat, lay.cks[bi], src_buf);
+            let (m, cks, fresh) = ctx.dev_mem.buf_trio_mut(lay.mat, lay.cks[bi], src.buf);
             let o = verify_and_correct(
                 m.tile_mut(bi, bj),
                 cks.tile_mut(0, bj),
-                src.tile(src_tile.0, src_tile.1),
+                fresh.tile(src.bi, src.bj),
                 &tol,
             );
             if !o.is_clean() && o.fully_recovered() {

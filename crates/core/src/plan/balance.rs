@@ -472,7 +472,7 @@ mod tests {
         ctrl.step_window(2, quiet(0.9, 0.1, 0.6), 0);
         ctrl.step_window(4, quiet(0.5, 0.5, 0.0), 0);
         assert_eq!((ctrl.placement(), ctrl.k()), (ChecksumPlacement::Cpu, 3));
-        let first = plan.iter_first(4);
+        let first = plan.find(|n| n.iter == Some(4)).unwrap();
         let cut = plan.order().iter().position(|&id| id == first).unwrap();
         let kept = plan.order()[..cut].to_vec();
         ctrl.rewrite(&mut plan, 4);

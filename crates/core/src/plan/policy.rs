@@ -1,6 +1,7 @@
 //! Scheme policy passes: each ABFT protocol is a rewrite of the
-//! Algorithm-1 skeleton, inserting encode / checksum-update / verify
-//! nodes at the positions that define the protocol.
+//! Algorithm-1 skeleton, writing encode / checksum-update / verify nodes
+//! at the positions that define the protocol. Each step below is one walk
+//! over the issue order (`FactorPlan::rewrite`).
 //!
 //! * [`OfflinePolicy`] — encode once up front, updates ride along, one
 //!   acceptance sweep at the very end (Huang & Abraham).
@@ -8,13 +9,13 @@
 //!   writes it, plus the final sweep (Wu & Chen).
 //! * [`EnhancedPolicy`] — verify every input right before the operation
 //!   that reads it (this paper); Optimization 3's verification interval
-//!   `K` decides *which* GEMM/TRSM input checks are inserted, so the
+//!   `K` decides *which* GEMM/TRSM input checks are written, so the
 //!   relaxation is visible in the plan itself.
 //!
 //! [`apply_placement`] is Optimization 2 as a rewrite: CPU checksum
-//! placement inserts the panel-mirror nodes the host-side updates need.
-//! The insertion positions reproduce the legacy imperative drivers
-//! exactly — the golden-equivalence suite pins this byte-for-byte.
+//! placement writes the panel-mirror nodes the host-side updates need.
+//! The positions reproduce the legacy imperative drivers exactly — the
+//! golden-equivalence suite pins this byte-for-byte.
 
 use super::{FactorPlan, NodeId, SweepKind, TaskKind, UpdateOp};
 use crate::ops;
@@ -24,7 +25,7 @@ use hchol_obs::Phase;
 
 /// A rewrite of the factorization skeleton implementing one scheme.
 pub trait PolicyPass {
-    /// Insert this scheme's fault-tolerance nodes into `plan`.
+    /// Write this scheme's fault-tolerance nodes into `plan`.
     fn apply(&self, plan: &mut FactorPlan, opts: &AbftOptions);
 }
 
@@ -37,84 +38,67 @@ pub struct OnlinePolicy;
 /// Verify before read (the paper's scheme).
 pub struct EnhancedPolicy;
 
-/// Recognises one Algorithm-1 step of iteration `j` among the task kinds.
-type IsStep = fn(&TaskKind, usize) -> bool;
-
-fn is_syrk(k: &TaskKind, j: usize) -> bool {
-    matches!(k, TaskKind::Syrk { j: jj, .. } if *jj == j)
-}
-fn is_diag_d2h(k: &TaskKind, j: usize) -> bool {
-    matches!(k, TaskKind::DiagToHost { j: jj } if *jj == j)
-}
-fn is_gemm(k: &TaskKind, j: usize) -> bool {
-    matches!(k, TaskKind::GemmPanel { j: jj, .. } if *jj == j)
-}
-fn is_diag_h2d(k: &TaskKind, j: usize) -> bool {
-    matches!(k, TaskKind::DiagToDevice { j: jj } if *jj == j)
-}
-fn is_trsm(k: &TaskKind, j: usize) -> bool {
-    matches!(k, TaskKind::TrsmPanel { j: jj, .. } if *jj == j)
-}
-
-/// The first node of iteration `j` that `is` recognises.
-fn find_step(plan: &FactorPlan, is: IsStep, j: usize) -> Option<NodeId> {
-    plan.find_in(j, |n| is(&n.kind, j))
-}
-
-/// Drop the first node of iteration `j` whose kind `f` accepts.
-fn remove_if(plan: &mut FactorPlan, j: usize, f: impl Fn(&TaskKind) -> bool) {
-    if let Some(id) = plan.find_in(j, |n| f(&n.kind)) {
-        plan.remove(id);
+/// The steps the legacy Enhanced driver skips, fault polls included: the
+/// GEMM where there is no panel or no trailing update (j = 0), and the
+/// TRSM of the last iteration.
+fn skipped(kind: &TaskKind, nt: usize) -> bool {
+    match *kind {
+        TaskKind::GemmPanel { j, .. }
+        | TaskKind::FaultPoint(InjectionPoint::PostGemm { iter: j }) => j == 0 || j + 1 >= nt,
+        TaskKind::TrsmPanel { j, .. }
+        | TaskKind::FaultPoint(InjectionPoint::PostTrsm { iter: j }) => j + 1 >= nt,
+        _ => false,
     }
 }
 
-/// Flip the `propagate` flags so fault effects follow the data flow in the
-/// injector's ledger (Enhanced omits POTF2 propagation: its inputs were
-/// verified immediately before, so a surviving error is local).
-fn set_propagation(plan: &mut FactorPlan, include_potf2: bool) {
-    for id in plan.order().to_vec() {
-        match &mut plan.node_mut(id).kind {
-            TaskKind::Syrk { propagate, .. }
-            | TaskKind::GemmPanel { propagate, .. }
-            | TaskKind::TrsmPanel { propagate, .. } => *propagate = true,
-            TaskKind::Potf2 { propagate, .. } => *propagate = include_potf2,
-            _ => {}
-        }
-    }
-}
-
-/// Insert the checksum-update nodes mirroring each factorization
-/// operation, in the legacy per-scope order (operation → updates → fault
-/// poll).
-fn insert_updates(plan: &mut FactorPlan) {
+/// Write each factorization operation with its `propagate` flag set, so
+/// fault effects follow the data flow in the injector's ledger (Enhanced
+/// omits POTF2 propagation: its inputs were verified immediately before,
+/// so a surviving error is local), and the checksum-update nodes mirroring
+/// it right behind it, in the legacy per-scope order (operation → updates
+/// → fault poll). For Enhanced, the steps it skips are not written.
+fn write_updates(plan: &mut FactorPlan, enhanced: bool) {
     let nt = plan.nt;
-    for j in 0..nt {
-        // (the mirrored step, its update, the block rows it maintains)
-        let mirrors: [(IsStep, UpdateOp, std::ops::Range<usize>); 4] = [
-            (is_syrk, UpdateOp::Syrk, j..j + 1),
-            (is_gemm, UpdateOp::Gemm, j + 1..nt),
-            (is_diag_h2d, UpdateOp::Potf2, j..j + 1),
-            (is_trsm, UpdateOp::Trsm, j + 1..nt),
-        ];
-        for (is_step, op, rows) in mirrors {
-            let Some(at) = find_step(plan, is_step, j) else {
-                continue;
+    plan.rewrite(|plan, run| {
+        for &id in run {
+            let node = plan.node_mut(id);
+            let (scope, iter) = (node.scope, node.iter);
+            // (the update, its outer iteration, the block rows it maintains)
+            let mirror = match &mut node.kind {
+                k if enhanced && skipped(k, nt) => continue,
+                TaskKind::Syrk { j, propagate, .. } => {
+                    *propagate = true;
+                    Some((UpdateOp::Syrk, *j, *j..*j + 1))
+                }
+                TaskKind::GemmPanel { j, propagate, .. } => {
+                    *propagate = true;
+                    Some((UpdateOp::Gemm, *j, *j + 1..nt))
+                }
+                TaskKind::Potf2 { propagate, .. } => {
+                    *propagate = !enhanced;
+                    None
+                }
+                TaskKind::DiagToDevice { j } => Some((UpdateOp::Potf2, *j, *j..*j + 1)),
+                TaskKind::TrsmPanel { j, propagate, .. } => {
+                    *propagate = true;
+                    Some((UpdateOp::Trsm, *j, *j + 1..nt))
+                }
+                _ => None,
             };
-            let (scope, iter) = (plan.node(at).scope, plan.node(at).iter);
-            let mut anchor = at;
-            for i in rows {
-                anchor = plan.insert_after(anchor, TaskKind::ChkUpdate { op, j, i }, scope, iter);
+            plan.keep(id);
+            if let Some((op, j, rows)) = mirror {
+                for i in rows {
+                    plan.push(TaskKind::ChkUpdate { op, j, i }, scope, iter);
+                }
             }
         }
-    }
+    });
 }
 
-/// Append the panel-ready mark at the end of each iteration (checksum
+/// Write the panel-ready mark at the end of each iteration (checksum
 /// updates dispatched to non-compute streams order behind it).
-fn insert_marks(plan: &mut FactorPlan) {
-    for j in 0..plan.nt {
-        plan.insert_after(plan.iter_last(j), TaskKind::MarkPanelReady, None, Some(j));
-    }
+fn write_marks(plan: &mut FactorPlan) {
+    plan.append_to_iterations(|_| TaskKind::MarkPanelReady);
 }
 
 /// The tiles the Enhanced scheme verifies before iteration `j`'s SYRK:
@@ -152,153 +136,121 @@ pub fn trsm_input_tiles(nt: usize, j: usize) -> Vec<(usize, usize)> {
     tiles
 }
 
-/// Insert a verify/correct pair (one fresh `"verify"` scope) immediately
-/// before `anchor`.
-fn insert_check_before(
+/// Write inline verify/correct pairs around the nodes of each iteration:
+/// `checks(kind, j, after)` names the tile batches checked right before
+/// (`after = false`) or right behind a node of iteration `j`, one pair and
+/// one fresh `"verify"` scope per batch.
+fn write_checks(
     plan: &mut FactorPlan,
-    anchor: NodeId,
-    tiles: Vec<(usize, usize)>,
-    iter: usize,
+    checks: impl Fn(&TaskKind, usize, bool) -> Vec<Vec<(usize, usize)>>,
 ) {
-    let sc = plan.scope("verify", Phase::Verify);
-    for kind in TaskKind::check_pair(tiles, SweepKind::Inline, false, iter) {
-        plan.insert_before(anchor, kind, Some(sc), Some(iter));
-    }
-}
-
-/// Insert a verify/correct pair immediately after `anchor`.
-fn insert_check_after(
-    plan: &mut FactorPlan,
-    anchor: NodeId,
-    tiles: Vec<(usize, usize)>,
-    iter: usize,
-) {
-    let sc = plan.scope("verify", Phase::Verify);
-    let mut at = anchor;
-    for kind in TaskKind::check_pair(tiles, SweepKind::Inline, false, iter) {
-        at = plan.insert_after(at, kind, Some(sc), Some(iter));
-    }
-}
-
-/// Insert the attempt tail of the Offline/Online protocols before the
-/// drain barrier: flush any pending panel mirror, then sweep the full
-/// lower triangle in one `"final verify"` scope, in chunks of 256 tiles.
-fn insert_final_sweep(plan: &mut FactorPlan) {
-    let drain = plan
-        .rfind(|n| matches!(n.kind, TaskKind::Drain))
-        .expect("plan has drain");
-    plan.insert_before(drain, TaskKind::FlushMirror, None, None);
-    let sc = plan.scope("final verify", Phase::Verify);
-    let nt = plan.nt;
-    for chunk in ops::lower_tiles(nt).chunks(256) {
-        for kind in TaskKind::check_pair(chunk.to_vec(), SweepKind::Final, false, nt) {
-            plan.insert_before(drain, kind, Some(sc), None);
+    plan.rewrite(|plan, run| {
+        let Some(j) = plan.node(run[0]).iter else {
+            return run.iter().for_each(|&id| plan.keep(id));
+        };
+        let write = |plan: &mut FactorPlan, id: NodeId, after: bool| {
+            for tiles in checks(&plan.node(id).kind, j, after) {
+                let sc = plan.scope("verify", Phase::Verify);
+                for kind in TaskKind::check_pair(tiles, SweepKind::Inline, false, j) {
+                    plan.push(kind, Some(sc), Some(j));
+                }
+            }
+        };
+        for &id in run {
+            write(plan, id, false);
+            plan.keep(id);
+            write(plan, id, true);
         }
-    }
+    });
 }
 
-/// Insert the initial encoding at the very front of the plan.
-fn insert_encode(plan: &mut FactorPlan) {
-    let sc = plan.scope("encode", Phase::Encode);
-    let first = plan.order()[0];
-    plan.insert_before(first, TaskKind::Encode, Some(sc), None);
+/// Write the attempt tail of the Offline/Online protocols before the drain
+/// barrier: flush any pending panel mirror, then sweep the full lower
+/// triangle in one `"final verify"` scope, in chunks of 256 tiles.
+fn write_final_sweep(plan: &mut FactorPlan) {
+    let nt = plan.nt;
+    plan.rewrite(|plan, run| {
+        for &id in run {
+            if matches!(plan.node(id).kind, TaskKind::Drain) {
+                plan.push(TaskKind::FlushMirror, None, None);
+                let sc = plan.scope("final verify", Phase::Verify);
+                for chunk in ops::lower_tiles(nt).chunks(256) {
+                    for kind in TaskKind::check_pair(chunk.to_vec(), SweepKind::Final, false, nt) {
+                        plan.push(kind, Some(sc), None);
+                    }
+                }
+            }
+            plan.keep(id);
+        }
+    });
+}
+
+/// Write the initial encoding at the very front of the plan.
+fn write_encode(plan: &mut FactorPlan) {
+    let mut first = true;
+    plan.rewrite(|plan, run| {
+        if std::mem::take(&mut first) {
+            let sc = plan.scope("encode", Phase::Encode);
+            plan.push(TaskKind::Encode, Some(sc), None);
+        }
+        run.iter().for_each(|&id| plan.keep(id));
+    });
 }
 
 impl PolicyPass for OfflinePolicy {
     fn apply(&self, plan: &mut FactorPlan, _opts: &AbftOptions) {
-        set_propagation(plan, true);
-        insert_updates(plan);
-        insert_marks(plan);
-        insert_final_sweep(plan);
-        insert_encode(plan);
+        write_updates(plan, false);
+        write_marks(plan);
+        write_final_sweep(plan);
+        write_encode(plan);
     }
 }
 
 impl PolicyPass for OnlinePolicy {
     fn apply(&self, plan: &mut FactorPlan, _opts: &AbftOptions) {
         let nt = plan.nt;
-        set_propagation(plan, true);
-        insert_updates(plan);
-        insert_marks(plan);
-        for j in 0..nt {
-            let panel: Vec<(usize, usize)> = ((j + 1)..nt).map(|i| (i, j)).collect();
-            // SYRK output (the diagonal block), before it ships to the host.
-            if j > 0 {
-                let d2h = find_step(plan, is_diag_d2h, j).expect("skeleton has diag d2h");
-                insert_check_before(plan, d2h, vec![(j, j)], j);
+        write_updates(plan, false);
+        write_marks(plan);
+        write_checks(plan, |kind, j, after| {
+            let panel = || ((j + 1)..nt).map(|i| (i, j)).collect();
+            match (kind, after) {
+                // SYRK output (the diagonal block), before it ships to the
+                // host.
+                (TaskKind::DiagToHost { .. }, false) if j > 0 => vec![vec![(j, j)]],
+                // GEMM's outputs (the panel) and POTF2's output, before
+                // TRSM reads them.
+                (TaskKind::TrsmPanel { .. }, false) if j > 0 && j + 1 < nt => {
+                    vec![panel(), vec![(j, j)]]
+                }
+                (TaskKind::TrsmPanel { .. }, false) => vec![vec![(j, j)]],
+                // TRSM's outputs, behind the iteration's panel-ready mark.
+                (TaskKind::MarkPanelReady, true) if j + 1 < nt => vec![panel()],
+                _ => vec![],
             }
-            // GEMM's outputs (the panel) and POTF2's output, before TRSM
-            // reads them.
-            let trsm = find_step(plan, is_trsm, j).expect("skeleton has trsm");
-            if j > 0 && !panel.is_empty() {
-                insert_check_before(plan, trsm, panel.clone(), j);
-            }
-            insert_check_before(plan, trsm, vec![(j, j)], j);
-            // TRSM's outputs.
-            if !panel.is_empty() {
-                let mark = plan
-                    .find_in(j, |n| matches!(n.kind, TaskKind::MarkPanelReady))
-                    .expect("mark inserted above");
-                insert_check_after(plan, mark, panel, j);
-            }
-        }
-        insert_final_sweep(plan);
-        insert_encode(plan);
+        });
+        write_final_sweep(plan);
+        write_encode(plan);
     }
 }
 
 impl PolicyPass for EnhancedPolicy {
     fn apply(&self, plan: &mut FactorPlan, opts: &AbftOptions) {
         let nt = plan.nt;
-        // The legacy driver skips the GEMM step entirely when there is no
-        // panel or no trailing update (j = 0), and the TRSM step on the last
-        // iteration — prune those groups (including their fault polls)
-        // before anchoring insertions.
-        for j in 0..nt {
-            let has_panel = j + 1 < nt;
-            if !(has_panel && j > 0) {
-                remove_if(plan, j, |k| is_gemm(k, j));
-                remove_if(plan, j, |k| {
-                    matches!(
-                        k,
-                        TaskKind::FaultPoint(InjectionPoint::PostGemm { iter }) if *iter == j
-                    )
-                });
-            }
-            if !has_panel {
-                remove_if(plan, j, |k| is_trsm(k, j));
-                remove_if(plan, j, |k| {
-                    matches!(
-                        k,
-                        TaskKind::FaultPoint(InjectionPoint::PostTrsm { iter }) if *iter == j
-                    )
-                });
-            }
-        }
-        set_propagation(plan, false);
-        insert_updates(plan);
-        insert_marks(plan);
-        for j in 0..nt {
-            let has_panel = j + 1 < nt;
+        write_updates(plan, true);
+        write_marks(plan);
+        write_checks(plan, |kind, j, after| match kind {
+            _ if after => vec![],
             // SYRK inputs A = (j,j) and C = (j,k), k < j — every iteration.
-            let syrk = find_step(plan, is_syrk, j).expect("skeleton has syrk");
-            insert_check_before(plan, syrk, syrk_input_tiles(j), j);
+            TaskKind::Syrk { .. } => vec![syrk_input_tiles(j)],
             // POTF2 input (the SYRK output) — every iteration.
-            let d2h = find_step(plan, is_diag_d2h, j).expect("skeleton has diag d2h");
-            insert_check_before(plan, d2h, vec![(j, j)], j);
-            // GEMM inputs B, C, D — on K-gated iterations.
-            if has_panel && j > 0 && opts.verifies_on(j) {
-                let gemm =
-                    find_step(plan, is_gemm, j).expect("gemm present when has_panel && j > 0");
-                insert_check_before(plan, gemm, gemm_input_tiles(nt, j), j);
-            }
-            // TRSM inputs L = (j,j) and B = (i,j) — on K-gated iterations.
-            if has_panel && opts.verifies_on(j) {
-                let trsm = find_step(plan, is_trsm, j).expect("trsm present when has_panel");
-                insert_check_before(plan, trsm, trsm_input_tiles(nt, j), j);
-            }
-        }
-        insert_encode(plan);
+            TaskKind::DiagToHost { .. } => vec![vec![(j, j)]],
+            // GEMM inputs B, C, D and TRSM inputs L = (j,j), B = (i,j) — on
+            // K-gated iterations.
+            TaskKind::GemmPanel { .. } if opts.verifies_on(j) => vec![gemm_input_tiles(nt, j)],
+            TaskKind::TrsmPanel { .. } if opts.verifies_on(j) => vec![trsm_input_tiles(nt, j)],
+            _ => vec![],
+        });
+        write_encode(plan);
     }
 }
 
@@ -336,14 +288,7 @@ pub fn apply_placement(plan: &mut FactorPlan, placement: ChecksumPlacement) {
         return;
     }
     plan.cpu_mirrors = true;
-    for j in 0..plan.nt {
-        plan.insert_after(
-            plan.iter_last(j),
-            TaskKind::MirrorPanel { j },
-            None,
-            Some(j),
-        );
-    }
+    plan.append_to_iterations(|j| TaskKind::MirrorPanel { j });
 }
 
 /// The fused-epilogue rewrite (Enhanced scheme only, gated by
@@ -382,69 +327,87 @@ pub fn apply_placement(plan: &mut FactorPlan, placement: ChecksumPlacement) {
 /// ```
 pub fn apply_chk_fused(plan: &mut FactorPlan) {
     let nt = plan.nt;
-    // Pass 1: mark the producers. SYRK/GEMM at j = 0 are no-ops (no
-    // trailing update) and never run a fused epilogue.
-    for id in plan.order().to_vec() {
-        match &mut plan.node_mut(id).kind {
-            TaskKind::Syrk { j, fused, .. } if *j > 0 => *fused = true,
-            TaskKind::GemmPanel { j, fused, .. } if *j > 0 => *fused = true,
-            _ => {}
-        }
-    }
-    // Pass 2: walk the order tracking which tiles' last writer deposited
-    // fused checksums (tile (i, j) at i·nt + j), and rewrite the verify
-    // pairs accordingly.
+    // Carried through the walk: which tiles' last writer deposited fused
+    // checksums (tile (i, j) at i·nt + j).
     let mut covered = vec![false; nt * nt];
-    for id in plan.order().to_vec() {
-        let node = plan.node(id);
-        let iter = node.iter;
-        match node.kind.clone() {
-            TaskKind::Syrk { j, fused, .. } if j > 0 => covered[j * nt + j] = fused,
-            TaskKind::GemmPanel { j, fused, .. } if j > 0 && j + 1 < nt => {
-                for i in (j + 1)..nt {
-                    covered[i * nt + j] = fused;
+    plan.rewrite(|plan, run| {
+        let mut ids = run.iter().copied();
+        while let Some(id) = ids.next() {
+            let node = plan.node_mut(id);
+            let iter = node.iter;
+            let batch = match &mut node.kind {
+                // The producers. SYRK/GEMM at j = 0 are no-ops (no trailing
+                // update) and never run a fused epilogue.
+                TaskKind::Syrk { j, fused, .. } if *j > 0 => {
+                    *fused = true;
+                    covered[*j * nt + *j] = true;
+                    None
                 }
-            }
-            TaskKind::TrsmPanel { j, .. } => {
-                for i in (j + 1)..nt {
-                    covered[i * nt + j] = false;
+                TaskKind::GemmPanel { j, fused, .. } if *j > 0 => {
+                    *fused = true;
+                    for i in (*j + 1)..nt {
+                        covered[i * nt + *j] = true;
+                    }
+                    None
                 }
-            }
-            TaskKind::DiagToDevice { j } => covered[j * nt + j] = false,
-            TaskKind::Correct { tiles, .. } => {
+                TaskKind::TrsmPanel { j, .. } => {
+                    for i in (*j + 1)..nt {
+                        covered[i * nt + *j] = false;
+                    }
+                    None
+                }
+                TaskKind::DiagToDevice { j } => {
+                    covered[*j * nt + *j] = false;
+                    None
+                }
                 // A correction may rewrite the tile; deposits are stale
                 // afterwards.
-                for (i, j) in tiles {
-                    covered[i * nt + j] = false;
-                }
-            }
-            TaskKind::VerifyBatch {
-                tiles,
-                sweep: SweepKind::Inline,
-                fused: false,
-                depth,
-            } => {
-                let (fused_part, plain_part): (Vec<_>, Vec<_>) = tiles
-                    .iter()
-                    .copied()
-                    .partition(|&(i, j)| covered[i * nt + j]);
-                if fused_part.is_empty() {
-                    continue;
-                }
-                if plain_part.is_empty() {
-                    // Whole batch covered: flip the pair in place.
-                    plan.set_check_pair(id, &tiles, true);
-                } else {
-                    // Mixed batch: shrink the plain pair to the uncovered
-                    // tiles and append a fused pair for the rest.
-                    let mut at = plan.set_check_pair(id, &plain_part, false);
-                    let sc = plan.scope("verify", Phase::Verify);
-                    for kind in TaskKind::check_pair(fused_part, SweepKind::Inline, true, depth) {
-                        at = plan.insert_after(at, kind, Some(sc), iter);
+                TaskKind::Correct { tiles, .. } => {
+                    for &(i, j) in tiles.iter() {
+                        covered[i * nt + j] = false;
                     }
+                    None
+                }
+                TaskKind::VerifyBatch {
+                    tiles,
+                    sweep: SweepKind::Inline,
+                    fused: false,
+                    depth,
+                } => Some((tiles.clone(), *depth)),
+                _ => None,
+            };
+            let Some((tiles, depth)) = batch else {
+                plan.keep(id);
+                continue;
+            };
+            let (fused_part, plain_part): (Vec<_>, Vec<_>) = tiles
+                .iter()
+                .copied()
+                .partition(|&(i, j)| covered[i * nt + j]);
+            if fused_part.is_empty() {
+                plan.keep(id);
+                continue;
+            }
+            let pair = [id, ids.next().expect("a verify batch has its correct")];
+            // Whole batch covered: the pair turns compare-only. Mixed: the
+            // plain pair shrinks to the uncovered tiles and a fused pair
+            // for the rest follows it.
+            let (kept, fused) = if plain_part.is_empty() {
+                (&tiles, true)
+            } else {
+                (&plain_part, false)
+            };
+            plan.keep_check_pair(pair, kept, fused);
+            // What the walk would do at the pair's `Correct`, taken here.
+            for &(i, j) in kept {
+                covered[i * nt + j] = false;
+            }
+            if !plain_part.is_empty() {
+                let sc = plan.scope("verify", Phase::Verify);
+                for kind in TaskKind::check_pair(fused_part, SweepKind::Inline, true, depth) {
+                    plan.push(kind, Some(sc), iter);
                 }
             }
-            _ => {}
         }
-    }
+    });
 }

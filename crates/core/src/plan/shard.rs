@@ -28,7 +28,7 @@
 //! [`TaskKind::ShardParity`] refresh of the column it finalized — the
 //! state device-loss recovery reconstructs from.
 
-use super::{FactorPlan, NodeId, ScopeId, ShardSpec, ShardXfer, TaskKind};
+use super::{FactorPlan, NodeId, PlanNode, ScopeId, ShardSpec, ShardXfer, TaskKind};
 
 /// Rewrite `plan` for `devices` GPUs. Must run after the scheme policy
 /// and placement passes and before [`FactorPlan::derive_deps`]. Callers
@@ -45,7 +45,10 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
     plan.shard = Some(spec);
     let nt = plan.nt;
 
-    for j in 0..nt {
+    plan.rewrite(|plan, run| {
+        let Some(j) = plan.node(run[0]).iter else {
+            return run.iter().for_each(|&id| plan.keep(id));
+        };
         let owner = spec.owner(j);
         // The devices holding rows of panel column j, and those among them
         // that must receive what the column's owner broadcasts.
@@ -54,83 +57,63 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
             .collect();
         let remote: Vec<usize> = with_rows.iter().copied().filter(|&d| d != owner).collect();
 
-        // Row-panel broadcast: right after the iteration's entry fault
-        // poll, before anything that reads row j on another device.
+        // Row-panel broadcast: the iteration's first nodes, before its
+        // entry fault poll and anything that reads row j on another device.
         if j > 0 && !remote.is_empty() {
-            let first = plan.iter_first(j);
-            insert_broadcast(plan, first, None, ShardXfer::RowPanel, owner, &remote);
+            write_broadcast(plan, j, None, ShardXfer::RowPanel, owner, &remote);
         }
-
-        // The panel GEMM becomes one copy per device (none at j = 0,
-        // where it is a no-op).
-        if let Some(g) = plan.find_in(
-            j,
-            |n| matches!(n.kind, TaskKind::GemmPanel { j: jj, dev: None, .. } if jj == j),
-        ) {
-            assert!(
-                !matches!(plan.node(g).kind, TaskKind::GemmPanel { fused: true, .. }),
-                "sharding does not compose with chk_fused"
-            );
-            split_panel_node(plan, g, if j > 0 { &with_rows } else { &[] });
-        }
-
-        // Diagonal broadcast + per-device TRSM copies.
-        if let Some(t) = plan.find_in(
-            j,
-            |n| matches!(n.kind, TaskKind::TrsmPanel { j: jj, dev: None, .. } if jj == j),
-        ) {
-            if !remote.is_empty() {
-                let scope = plan.node(t).scope;
-                insert_broadcast(plan, t, scope, ShardXfer::Diag, owner, &remote);
+        for &id in run {
+            match plan.node(id).kind {
+                // The panel GEMM becomes one copy per device (none at
+                // j = 0, where it is a no-op).
+                TaskKind::GemmPanel {
+                    dev: None, fused, ..
+                } => {
+                    assert!(!fused, "sharding does not compose with chk_fused");
+                    split_panel_node(plan, id, if j > 0 { &with_rows } else { &[] });
+                }
+                // Diagonal broadcast + per-device TRSM copies.
+                TaskKind::TrsmPanel { dev: None, .. } => {
+                    if !remote.is_empty() {
+                        let scope = plan.node(id).scope;
+                        write_broadcast(plan, j, scope, ShardXfer::Diag, owner, &remote);
+                    }
+                    split_panel_node(plan, id, &with_rows);
+                }
+                _ => plan.keep(id),
             }
-            split_panel_node(plan, t, &with_rows);
         }
-    }
+    });
 
     split_verify_pairs(plan, spec);
 
     // Parity refresh of each finalized column, as the iteration's last
     // node (after the TRSM checksum updates and any post-panel checks).
-    for j in 0..nt {
-        plan.insert_after(
-            plan.iter_last(j),
-            TaskKind::ShardParity { j },
-            None,
-            Some(j),
-        );
-    }
+    plan.append_to_iterations(|j| TaskKind::ShardParity { j });
 }
 
-/// Insert the broadcast of payload `what` in front of `before`, in
-/// `before`'s iteration and under `scope`: the owner's send, then one
-/// receive per consuming device.
-fn insert_broadcast(
+/// Write the broadcast of payload `what` of iteration `j` under `scope`:
+/// the owner's send, then one receive per consuming device.
+fn write_broadcast(
     plan: &mut FactorPlan,
-    before: NodeId,
+    j: usize,
     scope: Option<ScopeId>,
     what: ShardXfer,
     from: usize,
     consumers: &[usize],
 ) {
-    let iter = plan.node(before).iter;
-    let j = iter.expect("broadcasts belong to an iteration");
-    let mut anchor =
-        plan.insert_before(before, TaskKind::DeviceSend { j, what, from }, scope, iter);
+    plan.push(TaskKind::DeviceSend { j, what, from }, scope, Some(j));
     for &to in consumers {
-        anchor = plan.insert_after(anchor, TaskKind::DeviceRecv { j, what, to }, scope, iter);
+        plan.push(TaskKind::DeviceRecv { j, what, to }, scope, Some(j));
     }
 }
 
-/// Replace the whole-panel node `id` (`dev: None`) by one copy per device
-/// of `devs`, each with `dev` rewritten to that device. Whole-panel ledger
-/// propagation runs once, on the last copy — after every slice's numerics
-/// have executed.
+/// Write the whole-panel node `id` (`dev: None`) as one copy per device of
+/// `devs`, each with `dev` rewritten to that device, in its scope. Whole-panel
+/// ledger propagation runs once, on the last copy — after every slice's
+/// numerics have executed.
 fn split_panel_node(plan: &mut FactorPlan, id: NodeId, devs: &[usize]) {
-    let (kind, scope, iter) = {
-        let n = plan.node(id);
-        (n.kind.clone(), n.scope, n.iter)
-    };
-    let mut anchor = id;
+    let PlanNode { kind, scope, iter } = plan.node(id).clone();
     for (pos, &d) in devs.iter().enumerate() {
         let mut copy = kind.clone();
         match &mut copy {
@@ -141,50 +124,56 @@ fn split_panel_node(plan: &mut FactorPlan, id: NodeId, devs: &[usize]) {
             }
             _ => unreachable!("only panel nodes are split per device"),
         }
-        anchor = plan.insert_after(anchor, copy, scope, iter);
+        plan.push(copy, scope, iter);
     }
-    plan.remove(id);
 }
 
-/// Split every verify/correct pair whose tiles span several owner devices
-/// into one pair per device. Required for correctness, not just overlap:
+/// Write every verify/correct pair whose tiles span several owner devices
+/// as one pair per device. Required for correctness, not just overlap:
 /// the recalculation stage records its data-ready events on the executing
 /// device's streams only, so a mixed-owner batch would race with writes
 /// still in flight on the other devices.
 fn split_verify_pairs(plan: &mut FactorPlan, spec: ShardSpec) {
-    for id in plan.order().to_vec() {
-        let TaskKind::VerifyBatch {
-            tiles,
-            sweep,
-            fused,
-            depth,
-        } = plan.node(id).kind.clone()
-        else {
-            continue;
-        };
-        assert!(!fused, "sharding does not compose with chk_fused");
-        // Group by owner, in order of first appearance (deterministic).
-        let mut groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-        for &(bi, bj) in &tiles {
-            let d = spec.owner(bi);
-            match groups.iter_mut().find(|(gd, _)| *gd == d) {
-                Some((_, g)) => g.push((bi, bj)),
-                None => groups.push((d, vec![(bi, bj)])),
+    plan.rewrite(|plan, run| {
+        let mut ids = run.iter().copied();
+        while let Some(id) = ids.next() {
+            let PlanNode { kind, scope, iter } = plan.node(id);
+            let (scope, iter) = (*scope, *iter);
+            let &TaskKind::VerifyBatch {
+                ref tiles,
+                sweep,
+                fused,
+                depth,
+            } = kind
+            else {
+                plan.keep(id);
+                continue;
+            };
+            assert!(!fused, "sharding does not compose with chk_fused");
+            // Group by owner, in order of first appearance (deterministic).
+            let mut groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+            for &(bi, bj) in tiles {
+                let d = spec.owner(bi);
+                match groups.iter_mut().find(|(gd, _)| *gd == d) {
+                    Some((_, g)) => g.push((bi, bj)),
+                    None => groups.push((d, vec![(bi, bj)])),
+                }
+            }
+            if groups.len() < 2 {
+                plan.keep(id);
+                continue;
+            }
+            // The first group shrinks the pair; the rest follow as fresh
+            // pairs under the same scope span.
+            let pair = [id, ids.next().expect("a verify batch has its correct")];
+            plan.keep_check_pair(pair, &groups[0].1, false);
+            for (_, g) in groups.into_iter().skip(1) {
+                for kind in TaskKind::check_pair(g, sweep, false, depth) {
+                    plan.push(kind, scope, iter);
+                }
             }
         }
-        if groups.len() < 2 {
-            continue;
-        }
-        let (scope, iter) = (plan.node(id).scope, plan.node(id).iter);
-        // First group shrinks the pair in place; the rest append fresh
-        // pairs right behind it, under the same scope span.
-        let mut anchor = plan.set_check_pair(id, &groups[0].1, false);
-        for (_, g) in groups.into_iter().skip(1) {
-            for kind in TaskKind::check_pair(g, sweep, false, depth) {
-                anchor = plan.insert_after(anchor, kind, scope, iter);
-            }
-        }
-    }
+    });
 }
 
 #[cfg(test)]

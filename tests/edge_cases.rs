@@ -209,3 +209,58 @@ fn cpu_and_inline_placements_produce_identical_factors() {
     assert_eq!(factors[0], factors[1], "placement must not change numerics");
     assert_eq!(factors[1], factors[2]);
 }
+
+/// The shape closure: every Execute run over a hostile grid — empty and
+/// one-element matrices, a block larger than the matrix, blocks that do not
+/// divide `n` — ends in a correct factor or a typed error, never a panic;
+/// and so does a missing or mis-shaped input.
+#[test]
+fn hostile_shapes_factor_or_refuse_but_never_panic() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let p = SystemProfile::test_profile();
+    let mut panicked = Vec::new();
+    let mut run = |kind: SchemeKind, n, b, input: Option<&hchol_matrix::Matrix>| {
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            run_clean(
+                kind,
+                &p,
+                ExecMode::Execute,
+                n,
+                b,
+                &AbftOptions::default(),
+                input,
+            )
+        }));
+        if r.is_err() {
+            panicked.push(format!("{} n={n} b={b}", kind.name()));
+        }
+        r.ok()
+    };
+    for n in [0, 1, 5, 8, 10] {
+        let a = spd_diag_dominant(n, 9);
+        for b in [1, 3, 4, 16] {
+            for kind in SchemeKind::all() {
+                let label = format!("{} n={n} b={b}", kind.name());
+                match run(kind, n, b, Some(&a)) {
+                    Some(Ok(out)) if n == 0 => {
+                        assert_eq!(out.factor.map(|l| l.shape()), Some((0, 0)), "{label}")
+                    }
+                    Some(Ok(out)) => check_correct(&out, &a, &label),
+                    _ => {}
+                }
+            }
+        }
+    }
+    let a = spd_diag_dominant(8, 10);
+    for kind in SchemeKind::all() {
+        for (what, input) in [("missing", None), ("mismatched", Some(&a))] {
+            let r = run(kind, 12, 4, input);
+            assert!(
+                matches!(r, Some(Err(_)) | None),
+                "{} with a {what} input must be refused",
+                kind.name()
+            );
+        }
+    }
+    assert!(panicked.is_empty(), "panicked: {panicked:#?}");
+}
