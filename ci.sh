@@ -107,6 +107,17 @@ cargo bench -p hchol-bench --bench kernels -- --quick
 step "BENCH_* sweeps, quick, write-time claims checked -> target/BENCH_{fused,balance,shard,precision}.json"
 cargo run --release -q -p hchol-bench -- fused_overhead balance_sweep shard_sweep precision_sweep --quick
 
+# A full run rewrites every committed figure, table and root BENCH_*.json;
+# the experiments are deterministic, so the tree must come out unchanged.
+step "paper figures reproduce: full bench all leaves bench_results/ and BENCH_*.json unchanged"
+cargo run --release -q -p hchol-bench -- all > /dev/null
+drift=$(git status --porcelain -- bench_results 'BENCH_*.json')
+if [ -n "$drift" ]; then
+    echo "a full bench all changed committed artifacts:" >&2
+    echo "$drift" >&2
+    exit 1
+fi
+
 step "artifacts (BENCH_*, COVERAGE_*) conform to the report envelope schema"
 cargo run --release -q -p hchol-analyze --bin check_artifacts
 

@@ -59,6 +59,6 @@ pub use liveness::{check_liveness, detect_cycle, LivenessFinding, LivenessReport
 pub use plancheck::{check_plan, check_scheme_plan, PlanCheck, PlanViolation};
 pub use report::AnalysisReport;
 pub use schedule::{
-    analyze_outcome, analyze_schedule, analyze_with_protocol, Protocol, Race, RaceKind,
-    ScheduleAnalysis, Violation,
+    analyze_outcome, analyze_schedule, analyze_with_protocol, drop_recv_waits, Protocol, Race,
+    RaceKind, ScheduleAnalysis, Violation,
 };

@@ -45,7 +45,7 @@ pub mod tolerance;
 pub mod verify;
 
 pub use hchol_obs as obs;
-pub use options::{AbftOptions, AdaptiveTolerance, ChecksumPlacement, ToleranceModel};
+pub use options::{AbftOptions, ChecksumPlacement, ToleranceModel};
 pub use schemes::{
     run_clean, run_clean_typed, run_scheme, run_scheme_typed, validate_options, FactorOutcome,
     SchemeKind,

@@ -11,7 +11,7 @@ use crate::checksum;
 use crate::chkops;
 use crate::options::{AbftOptions, ChecksumPlacement, ToleranceModel};
 use crate::plan::{chk_tile, dpt_tile, mat_tile, UpdateOp};
-use crate::verify::{verify_and_correct, TileTolerance, VerifyOutcome};
+use crate::verify::{verify_and_correct, TileTolerance, VerifyOutcome, VerifyPolicy};
 use hchol_blas::par::{self, RankUpdate};
 use hchol_blas::{flops, potf2, trsm};
 use hchol_faults::{Dirtiness, InjectionPoint, Injector};
@@ -877,7 +877,7 @@ fn refresh_col_stats<S: Scalar>(
     tiles: &[(usize, usize)],
     opts: &AbftOptions,
 ) {
-    if !ctx.mode.executes() || matches!(opts.tolerance, ToleranceModel::Fixed(_)) {
+    if !ctx.mode.executes() || opts.tolerance == ToleranceModel::Fixed {
         return;
     }
     let m = ctx.dev_mem.buf(lay.mat);
@@ -1300,7 +1300,8 @@ pub fn verify_compare<S: Scalar>(
 /// is `b · (depth + 1)`: the encode sums `b` elements, and each of the
 /// `depth` mirrored update rounds folds another `b`-element product into
 /// the checksum row. The magnitude bound is `b · max|x|` (the largest
-/// partial sum the path can reach), floored so all-zero statistics
+/// partial sum the path can reach); the threshold floors it at
+/// [`crate::tolerance::ADAPTIVE_FLOOR`], so all-zero statistics
 /// (TimingOnly, or a zero column) still yield a usable threshold.
 fn tile_tolerance<S: Scalar>(
     lay: &CholLayout,
@@ -1308,13 +1309,12 @@ fn tile_tolerance<S: Scalar>(
     depth: usize,
     opts: &AbftOptions,
 ) -> TileTolerance {
-    match &opts.tolerance {
-        ToleranceModel::Fixed(p) => TileTolerance::Fixed(*p),
-        ToleranceModel::Adaptive(a) => TileTolerance::Adaptive {
+    match opts.tolerance {
+        ToleranceModel::Fixed => TileTolerance::Fixed(VerifyPolicy),
+        ToleranceModel::Adaptive => TileTolerance::Adaptive {
             eps: S::EPSILON,
-            alpha: a.alpha,
             steps: (lay.b * (depth + 1)) as f64,
-            magnitude: (lay.b as f64 * lay.col_stats.get(bj).copied().unwrap_or(0.0)).max(a.floor),
+            magnitude: lay.b as f64 * lay.col_stats.get(bj).copied().unwrap_or(0.0),
         },
     }
 }
@@ -1349,7 +1349,7 @@ pub fn verify_correct<S: Scalar>(
     if tiles.is_empty() {
         return out;
     }
-    let adaptive = matches!(opts.tolerance, ToleranceModel::Adaptive(_));
+    let adaptive = opts.tolerance == ToleranceModel::Adaptive;
     let mut threshold_peak = 0.0f64;
     for (idx, &(bi, bj)) in tiles.iter().enumerate() {
         let tol = tile_tolerance::<S>(lay, bj, depth, opts);

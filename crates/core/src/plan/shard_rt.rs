@@ -23,9 +23,6 @@ use std::collections::HashMap;
 /// Runtime companion of a sharded [`FactorPlan`], owned by one attempt.
 pub(crate) struct ShardRuntime {
     spec: ShardSpec,
-    /// Test-only mutation control: skip the receive-side stream waits
-    /// (provokes the cross-device RAW race the analyzers must catch).
-    drop_recv_sync: bool,
     /// Logical shard → physical device (identity until a loss remaps).
     phys: Vec<usize>,
     /// One stream set per logical shard, on the shard's current device.
@@ -50,7 +47,6 @@ impl ShardRuntime {
         ctx: &mut SimContext<S>,
         lay: &CholLayout,
         spec: ShardSpec,
-        opts: &AbftOptions,
     ) -> Self {
         let d = spec.devices;
         assert!(
@@ -58,7 +54,6 @@ impl ShardRuntime {
             "profile hosts {} device(s) but the plan shards across {d}",
             ctx.device_count()
         );
-        let drop_recv_sync = opts.shard.as_ref().is_some_and(|s| s.drop_recv_sync);
         // Every shard starts an attempt with no panel event — shard 0 too,
         // whatever an earlier attempt left in the layout.
         let mut streams = vec![StreamSet {
@@ -98,7 +93,6 @@ impl ShardRuntime {
         ctx.obs.metrics.set_gauge("shard.devices", d as f64);
         ShardRuntime {
             spec,
-            drop_recv_sync,
             phys: (0..d).collect(),
             streams,
             xfer_events: HashMap::new(),
@@ -219,9 +213,7 @@ impl ShardRuntime {
     }
 
     /// [`TaskKind::DeviceRecv`]: order shard `to`'s future compute and
-    /// checksum work behind the payload's arrival at `to`. Skipped under
-    /// the `drop_recv_sync` mutation control — the deliberate cross-device
-    /// RAW race the analyzers must detect.
+    /// checksum work behind the payload's arrival at `to`.
     pub(crate) fn recv<S: Scalar>(
         &mut self,
         ctx: &mut SimContext<S>,
@@ -229,9 +221,6 @@ impl ShardRuntime {
         what: ShardXfer,
         to: usize,
     ) {
-        if self.drop_recv_sync {
-            return;
-        }
         let ev = self.xfer_events[&(j, what, to)];
         ctx.stream_wait_event(self.streams[to].comp, ev);
         ctx.stream_wait_event(self.streams[to].chk, ev);

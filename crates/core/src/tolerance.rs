@@ -41,11 +41,11 @@ pub const LOCATE_SNAP_MAX: f64 = 0.45;
 /// this much rounding. ≈ `4.5e3 · ε₆₄`.
 pub const MODEL_UNIT_SLACK: f64 = 1e-12;
 
-/// Default gain `α` of the adaptive threshold: how many accumulated
-/// worst-case rounding errors a delta may span before it is flagged.
+/// Gain `α` of the adaptive threshold: how many accumulated worst-case
+/// rounding errors a delta may span before it is flagged.
 pub const ADAPTIVE_ALPHA: f64 = 8.0;
 
-/// Default magnitude floor of the adaptive threshold, so a column of
+/// Magnitude floor of the adaptive threshold, so a column of
 /// zeros (or a TimingOnly run with no statistics) still gets a sane
 /// absolute threshold.
 pub const ADAPTIVE_FLOOR: f64 = 1.0;
@@ -64,8 +64,8 @@ pub const ADAPTIVE_FLOOR: f64 = 1.0;
 /// cancellation shrank it). Each of the `steps` flops contributes at most
 /// `ε · magnitude` of rounding, so any delta beyond `α` of those is a
 /// fault, not drift — at either precision.
-pub fn adaptive_threshold(alpha: f64, eps: f64, steps: f64, magnitude: f64, floor: f64) -> f64 {
-    alpha * eps * steps * magnitude.max(floor)
+pub fn adaptive_threshold(eps: f64, steps: f64, magnitude: f64) -> f64 {
+    ADAPTIVE_ALPHA * eps * steps * magnitude.max(ADAPTIVE_FLOOR)
 }
 
 /// Precision-scaled integer-snap tolerance for the locate ratio test.
@@ -75,8 +75,8 @@ pub fn adaptive_threshold(alpha: f64, eps: f64, steps: f64, magnitude: f64, floo
 /// error routinely exceeds the fixed [`LOCATE_SNAP`], misattributing the
 /// fault row. The snap therefore widens with `ε · steps · rows`, clamped
 /// at [`LOCATE_SNAP_MAX`] to keep adjacent rows distinguishable.
-pub fn adaptive_locate_snap(alpha: f64, eps: f64, steps: f64, rows: usize) -> f64 {
-    (LOCATE_SNAP + alpha * eps * steps * rows as f64).min(LOCATE_SNAP_MAX)
+pub fn adaptive_locate_snap(eps: f64, steps: f64, rows: usize) -> f64 {
+    (LOCATE_SNAP + ADAPTIVE_ALPHA * eps * steps * rows as f64).min(LOCATE_SNAP_MAX)
 }
 
 #[cfg(test)]
@@ -93,19 +93,19 @@ mod tests {
 
     #[test]
     fn adaptive_threshold_scales_with_precision() {
-        let t64 = adaptive_threshold(8.0, f64::EPSILON, 64.0, 10.0, 1.0);
-        let t32 = adaptive_threshold(8.0, f32::EPSILON as f64, 64.0, 10.0, 1.0);
+        let t64 = adaptive_threshold(f64::EPSILON, 64.0, 10.0);
+        let t32 = adaptive_threshold(f32::EPSILON as f64, 64.0, 10.0);
         assert!(t32 > t64 * 1e8, "f32 threshold must be ~2^29 wider");
         // The floor keeps a zero-magnitude column detectable.
-        let t0 = adaptive_threshold(8.0, f64::EPSILON, 64.0, 0.0, 1.0);
+        let t0 = adaptive_threshold(f64::EPSILON, 64.0, 0.0);
         assert!(t0 > 0.0);
     }
 
     #[test]
     fn locate_snap_widens_but_clamps() {
-        let s64 = adaptive_locate_snap(8.0, f64::EPSILON, 64.0, 32);
+        let s64 = adaptive_locate_snap(f64::EPSILON, 64.0, 32);
         assert!((s64 - LOCATE_SNAP).abs() < 1e-6, "f64 snap ≈ fixed snap");
-        let s32 = adaptive_locate_snap(8.0, f32::EPSILON as f64, 4096.0, 512);
+        let s32 = adaptive_locate_snap(f32::EPSILON as f64, 4096.0, 512);
         assert!(s32 > s64);
         assert!(s32 <= LOCATE_SNAP_MAX);
     }

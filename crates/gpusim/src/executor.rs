@@ -171,7 +171,7 @@ impl DagSchedule {
                 .filter_map(|i| self.meta[i].iter)
                 .min();
             let eligible = |i: usize| match (self.meta[i].iter, base) {
-                (Some(it), Some(b)) => it <= b + depth,
+                (Some(it), Some(b)) => it <= b.saturating_add(depth),
                 _ => true,
             };
             let pick = ready
@@ -289,6 +289,14 @@ mod tests {
             let o = s.issue_order(IssuePolicy::Lookahead(d));
             assert!(s.is_topological(&o), "depth {d}: {o:?}");
         }
+    }
+
+    /// An unbounded window is every finite window past the last iteration.
+    #[test]
+    fn unbounded_lookahead_is_the_widest_window() {
+        let s = sample();
+        let widest = s.issue_order(IssuePolicy::Lookahead(2));
+        assert_eq!(s.issue_order(IssuePolicy::Lookahead(usize::MAX)), widest);
     }
 
     #[test]

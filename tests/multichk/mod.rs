@@ -27,7 +27,7 @@
 //! suite that is its only consumer, until ROADMAP item 5b decides whether
 //! `m = 2` earns a place in the product crate.
 
-use hchol_core::verify::VerifyPolicy;
+use hchol_core::tolerance::{FIXED_ABS_TOL, FIXED_REL_TOL, LOCATE_SNAP};
 use hchol_matrix::Matrix;
 
 /// Magnitude floor when classifying near-zero deltas: relative to the
@@ -101,7 +101,6 @@ pub fn verify_and_correct_multi(
     data: &mut Matrix,
     stored: &Matrix,
     recalc: &Matrix,
-    policy: &VerifyPolicy,
 ) -> MultiVerifyOutcome {
     assert_eq!(stored.shape(), recalc.shape());
     assert_eq!(stored.cols(), data.cols());
@@ -118,7 +117,7 @@ pub fn verify_and_correct_multi(
         let sig: Vec<bool> = (0..=m)
             .map(|c| {
                 let scale = stored.get(c, j).abs().max(recalc.get(c, j).abs());
-                let t = policy.abs_tol + policy.rel_tol * scale.max(1.0);
+                let t = FIXED_ABS_TOL + FIXED_REL_TOL * scale.max(1.0);
                 !syn[c].is_finite() || syn[c].abs() > t
             })
             .collect();
@@ -131,12 +130,12 @@ pub fn verify_and_correct_multi(
         }
 
         // Try the single-error hypothesis first: S_c = w^c·e for all c.
-        if try_single(data, &syn, j, rows, policy) {
+        if try_single(data, &syn, j, rows) {
             out.single_corrected += 1;
             continue;
         }
         // Then the pair hypothesis (requires m ≥ 2).
-        if m >= 2 && try_pair(data, &syn, j, rows, policy) {
+        if m >= 2 && try_pair(data, &syn, j, rows) {
             out.double_corrected += 1;
             continue;
         }
@@ -146,24 +145,14 @@ pub fn verify_and_correct_multi(
 }
 
 /// Single error: location from S₁/S₀, all higher syndromes must agree.
-fn try_single(
-    data: &mut Matrix,
-    syn: &[f64],
-    j: usize,
-    rows: usize,
-    policy: &VerifyPolicy,
-) -> bool {
+fn try_single(data: &mut Matrix, syn: &[f64], j: usize, rows: usize) -> bool {
     let s0 = syn[0];
     if s0 == 0.0 {
         return false;
     }
     let ratio = syn[1] / s0;
     let w = ratio.round();
-    if !(ratio.is_finite()
-        && (ratio - w).abs() <= policy.locate_tol
-        && w >= 1.0
-        && w <= rows as f64)
-    {
+    if !(ratio.is_finite() && (ratio - w).abs() <= LOCATE_SNAP && w >= 1.0 && w <= rows as f64) {
         return false;
     }
     // Consistency across every remaining syndrome: S_c ≈ w^c · S₀.
@@ -183,13 +172,13 @@ fn try_single(
 
 /// Two errors: enumerate location pairs, solve the 2×2 Vandermonde system
 /// from S₀/S₁, accept iff S₂ (and any higher syndromes) are reproduced.
-fn try_pair(data: &mut Matrix, syn: &[f64], j: usize, rows: usize, policy: &VerifyPolicy) -> bool {
+fn try_pair(data: &mut Matrix, syn: &[f64], j: usize, rows: usize) -> bool {
     let (s0, s1, s2) = (syn[0], syn[1], syn[2]);
     let _ = s2;
     let scale = s0.abs().max(s1.abs()).max(s2.abs()).max(1.0);
     // Genuine syndromes reproduce S₂ to rounding; anything looser admits
     // phantom neighbour pairs and poisons the ambiguity check.
-    let check_tol = (policy.rel_tol * 10.0).max(MULTI_MIN_REL) * scale;
+    let check_tol = (FIXED_REL_TOL * 10.0).max(MULTI_MIN_REL) * scale;
     let min_mag = MULTI_MIN_REL * scale;
     let mut found: Option<(usize, usize, f64, f64)> = None;
     for r1 in 0..rows {
@@ -294,7 +283,7 @@ mod tests {
         let mut a = a0.clone();
         a.set(7, 3, a.get(7, 3) + 4.0);
         let recalc = encode_multi(&a, 2);
-        let out = verify_and_correct_multi(&mut a, &stored, &recalc, &VerifyPolicy::default());
+        let out = verify_and_correct_multi(&mut a, &stored, &recalc);
         assert_eq!(out.single_corrected, 1);
         assert_eq!(out.uncorrectable, 0);
         assert!(approx_eq(&a, &a0, 1e-8));
@@ -309,7 +298,7 @@ mod tests {
         a.set(2, 4, a.get(2, 4) + 3.0);
         a.set(9, 4, a.get(9, 4) - 1.5);
         let recalc = encode_multi(&a, 2);
-        let out = verify_and_correct_multi(&mut a, &stored, &recalc, &VerifyPolicy::default());
+        let out = verify_and_correct_multi(&mut a, &stored, &recalc);
         assert_eq!(out.double_corrected, 1);
         assert_eq!(out.uncorrectable, 0);
         assert!(approx_eq(&a, &a0, 1e-7));
@@ -324,7 +313,7 @@ mod tests {
         a.set(2, 4, a.get(2, 4) + 3.0);
         a.set(9, 4, a.get(9, 4) - 1.5);
         let recalc = encode_multi(&a, 1);
-        let out = verify_and_correct_multi(&mut a, &stored, &recalc, &VerifyPolicy::default());
+        let out = verify_and_correct_multi(&mut a, &stored, &recalc);
         assert_eq!(out.uncorrectable, 1);
     }
 
@@ -337,7 +326,7 @@ mod tests {
             a.set(r, 2, a.get(r, 2) + 2.0);
         }
         let recalc = encode_multi(&a, 2);
-        let out = verify_and_correct_multi(&mut a, &stored, &recalc, &VerifyPolicy::default());
+        let out = verify_and_correct_multi(&mut a, &stored, &recalc);
         // Either flagged uncorrectable, or (rarely) a phantom pair explains
         // the syndromes — but never reported as clean.
         assert!(!out.is_clean());
@@ -352,7 +341,7 @@ mod tests {
         a.set(1, 5, a.get(1, 5) + 2.0); // pair...
         a.set(8, 5, a.get(8, 5) - 2.5);
         let recalc = encode_multi(&a, 2);
-        let out = verify_and_correct_multi(&mut a, &stored, &recalc, &VerifyPolicy::default());
+        let out = verify_and_correct_multi(&mut a, &stored, &recalc);
         assert_eq!(out.single_corrected, 1);
         assert_eq!(out.double_corrected, 1);
         assert!(approx_eq(&a, &a0, 1e-7));
@@ -364,7 +353,7 @@ mod tests {
         let stored = encode_multi(&a0, 2);
         let mut a = a0.clone();
         let recalc = encode_multi(&a, 2);
-        let out = verify_and_correct_multi(&mut a, &stored, &recalc, &VerifyPolicy::default());
+        let out = verify_and_correct_multi(&mut a, &stored, &recalc);
         assert!(out.is_clean());
         assert!(out.fully_recovered());
     }

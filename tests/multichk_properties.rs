@@ -4,7 +4,6 @@
 
 mod multichk;
 
-use hchol_core::verify::VerifyPolicy;
 use hchol_matrix::{approx_eq, Matrix};
 use multichk::{encode_multi, verify_and_correct_multi};
 use proptest::prelude::*;
@@ -29,7 +28,7 @@ proptest! {
         let mut d = data;
         d.set(row, col, d.get(row, col) + delta);
         let recalc = encode_multi(&d, 2);
-        let out = verify_and_correct_multi(&mut d, &stored, &recalc, &VerifyPolicy::default());
+        let out = verify_and_correct_multi(&mut d, &stored, &recalc);
         prop_assert_eq!(out.single_corrected, 1);
         prop_assert_eq!(out.uncorrectable, 0);
         prop_assert!(approx_eq(&d, &truth, 1e-6));
@@ -51,7 +50,7 @@ proptest! {
         d.set(r1, col, d.get(r1, col) + d1);
         d.set(r2, col, d.get(r2, col) + d2);
         let recalc = encode_multi(&d, 2);
-        let out = verify_and_correct_multi(&mut d, &stored, &recalc, &VerifyPolicy::default());
+        let out = verify_and_correct_multi(&mut d, &stored, &recalc);
         // A pair can degenerate to a single-error signature only if one of
         // the deltas is swamped; with both ≥ 0.5 it must resolve as a pair
         // (or, in rare ambiguous geometries, be flagged — never silently
@@ -82,7 +81,7 @@ proptest! {
             d.set(r, col, d.get(r, col) + 3.0 + i as f64);
         }
         let recalc = encode_multi(&d, 2);
-        let out = verify_and_correct_multi(&mut d, &stored, &recalc, &VerifyPolicy::default());
+        let out = verify_and_correct_multi(&mut d, &stored, &recalc);
         prop_assert!(!out.is_clean(), "corruption went entirely unnoticed");
         if distinct.len() <= 2 {
             let restored = approx_eq(&d, &data, 1e-6);

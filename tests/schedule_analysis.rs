@@ -394,7 +394,7 @@ fn enhanced_schedule_missing_pre_read_verify_is_flagged() {
 
     // The same program minus every verification read of the victim tile.
     let mut mutated = out.ctx.log.clone();
-    for action in mutated.entries_mut() {
+    mutated.edit(|_, action| {
         if let TraceAction::Op(op) = action {
             if matches!(
                 op.category,
@@ -403,7 +403,8 @@ fn enhanced_schedule_missing_pre_read_verify_is_flagged() {
                 op.access.reads.retain(|t| *t != victim);
             }
         }
-    }
+        true
+    });
 
     let sane = analyze_with_protocol(&out.ctx.log, Protocol::Enhanced);
     assert!(

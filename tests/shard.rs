@@ -331,42 +331,36 @@ fn sharded_schedules_are_race_free_and_conformant() {
 
 #[test]
 fn dropped_recv_sync_is_a_cross_device_race() {
-    // Mutation control for the analyzer: `drop_recv_sync` elides the
-    // receiving device's event waits, so a consumer's panel read is ordered
-    // against the owner's writes by scheduling luck only. Offline is the
-    // honest victim — Enhanced and Online host-sync every iteration to
-    // compare checksums, which happens to re-order the panel reads through
-    // the host even without the receive edge.
-    use hchol_analyze::{analyze_schedule, RaceKind};
-    let opts = gpu_opts().with_shard(ShardOptions::new(2).with_drop_recv_sync(true));
+    // Mutation control for the analyzer: dropping the waits every
+    // `DeviceRecv` issued from the recorded run leaves a consumer's panel
+    // read ordered against the owner's writes by scheduling luck only.
+    // Offline is the honest victim — Enhanced and Online host-sync every
+    // iteration to compare checksums, which happens to re-order the panel
+    // reads through the host even without the receive edge.
+    use hchol_analyze::{analyze_schedule, drop_recv_waits, RaceKind};
+    let (n, b) = (256, 32);
     let out = run_clean(
         SchemeKind::Offline,
         &SystemProfile::tardis(),
         ExecMode::TimingOnly,
-        256,
-        32,
-        &opts,
-        None,
-    )
-    .unwrap();
-    let analysis = analyze_schedule(&out.ctx.log);
-    assert!(
-        analysis.races.iter().any(|r| r.kind == RaceKind::Raw),
-        "dropping the recv syncs must surface a cross-device RAW race:\n{}",
-        analysis.render_text()
-    );
-    // Control: with the syncs in place the same configuration is clean.
-    let clean = run_clean(
-        SchemeKind::Offline,
-        &SystemProfile::tardis(),
-        ExecMode::TimingOnly,
-        256,
-        32,
+        n,
+        b,
         &sharded_opts(2),
         None,
     )
     .unwrap();
-    assert!(analyze_schedule(&clean.ctx.log).is_clean());
+    // Control: with the waits in place the run is clean.
+    assert!(analyze_schedule(&out.ctx.log).is_clean());
+    let plan = hchol_core::plan::for_scheme(SchemeKind::Offline, n / b, &out.opts, false);
+    let mut racy = out.ctx.log.clone();
+    drop_recv_waits(&mut racy, &plan);
+    assert!(racy.entries().len() < out.ctx.log.entries().len());
+    let analysis = analyze_schedule(&racy);
+    assert!(
+        analysis.races.iter().any(|r| r.kind == RaceKind::Raw),
+        "dropping the recv waits must surface a cross-device RAW race:\n{}",
+        analysis.render_text()
+    );
 }
 
 #[test]
