@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Fifteen rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Sixteen rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -76,6 +76,10 @@
 //!   deliberate exception carries `// lint:allow(dead-pub) <reason>` on the
 //!   declaration's line or the line above; a waiver without a reason waives
 //!   nothing.
+//! * **`label-format`** — library sources (as for `env-read`) never pass a
+//!   `format!(…)` straight to `KernelDesc::new`: a launch's label is a
+//!   [`Label`](hchol_gpusim::Label) recipe the op log renders only when it
+//!   keeps the op, so a per-launch `String` cannot regrow.
 //!
 //! Items under `#[cfg(test)]` are not scanned: test modules may use
 //! free-form labels and scratch names by design, and a test is not a caller.
@@ -96,7 +100,8 @@ pub struct Lint {
     /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
     /// `tolerance-literal`, `env-read`, `twin-op`, `one-engine`,
     /// `one-launcher`, `plan-edit`, `float-order`, `tile-scan`,
-    /// `one-record`, `one-team`, `order-scan`, or `dead-pub`.
+    /// `one-record`, `one-team`, `order-scan`, `dead-pub`, or
+    /// `label-format`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -187,6 +192,7 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     if in_src && !file.contains("/bin/") && !file.contains("/benches/") {
         rule_env_read(file, &scan, &mut out);
         rule_float_order(file, &scan, &mut out);
+        rule_label_format(file, &scan, &mut out);
         if file != TEAM_FILE {
             rule_one_team(file, &scan, &mut out);
         }
@@ -577,6 +583,29 @@ fn rule_env_read(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
                 rule: "env-read",
                 message: "library code reads the process environment: \
                           take the setting through an options struct instead"
+                    .to_string(),
+            });
+        }
+    }
+}
+
+fn rule_label_format(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        let formats = scan.word_at(i) == Some("KernelDesc")
+            && scan.punct_at(i + 1, ':')
+            && scan.punct_at(i + 2, ':')
+            && scan.word_at(i + 3) == Some("new")
+            && scan.punct_at(i + 4, '(')
+            && scan.word_at(i + 5) == Some("format")
+            && scan.punct_at(i + 6, '!');
+        if formats {
+            out.push(Lint {
+                file: file.to_string(),
+                line: t.line,
+                rule: "label-format",
+                message: "launch label formatted per launch: pass a `Label` recipe \
+                          (`Label::Iter`, `Label::Tile`, …), which the op log renders \
+                          only when it keeps the op"
                     .to_string(),
             });
         }
@@ -1225,6 +1254,42 @@ mod tests {
         // Other `env` items (compile-time `env!`, `env::args`) are fine.
         let ok = "fn f() { let _ = env!(\"CARGO_MANIFEST_DIR\"); std::env::args(); }\n";
         assert!(lint_file("crates/x/src/a.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn formatted_launch_labels_flagged_in_library_sources_only() {
+        let src = "fn f(j: usize) {\n    \
+                   let d = KernelDesc::new(format!(\"GEMM j={j}\"), c, 1, cat);\n    \
+                   let e = KernelDesc :: new(\n        format!(\"x{j}\"), c, 1, cat);\n}\n";
+        for lib in [
+            "crates/core/src/ops.rs",
+            "crates/bench/src/outer.rs",
+            "src/lib.rs",
+        ] {
+            let lints = lint_file(lib, src);
+            let hits: Vec<_> = lints.iter().filter(|l| l.rule == "label-format").collect();
+            assert_eq!(
+                hits.iter().map(|l| l.line).collect::<Vec<_>>(),
+                [2, 3],
+                "{lib}"
+            );
+        }
+        for exempt in [
+            "crates/bench/src/bin/sweep.rs",
+            "crates/gpusim/tests/alloc_budget.rs",
+            "tests/schedule_analysis.rs",
+        ] {
+            assert!(lint_file(exempt, src).is_empty(), "{exempt}");
+        }
+        // A recipe, a `String` built elsewhere, prose, strings and test
+        // modules pass.
+        let ok = "// KernelDesc::new(format!(..)) allocates per launch\n\
+                  fn f(j: usize, s: String) {\n    \
+                  KernelDesc::new(Label::Iter(\"POTF2\", j), c, 1, cat);\n    \
+                  KernelDesc::new(s, c, 1, cat);\n    \
+                  let _ = \"KernelDesc::new(format!(\";\n}\n\
+                  #[cfg(test)]\nmod tests { fn g() { KernelDesc::new(format!(\"op\"), c, 1, cat); } }\n";
+        assert!(lint_file("crates/bench/src/outer.rs", ok).is_empty());
     }
 
     #[test]

@@ -284,10 +284,10 @@ pub fn drop_recv_waits(log: &mut OpLog, plan: &FactorPlan) {
         stepped.eq(order),
         "the log is not a lone in-order run of the plan"
     );
-    log.edit(|node, a| {
+    log.edit(|node, e| {
         let recv = node
             .is_some_and(|(_, n)| matches!(plan.node(NodeId(n)).kind, TaskKind::DeviceRecv { .. }));
-        !(recv && matches!(a, TraceAction::StreamWaitEvent { .. }))
+        !(recv && matches!(e.action(), TraceAction::StreamWaitEvent { .. }))
     });
 }
 
@@ -334,7 +334,7 @@ impl TileIds {
         let mut dims: Vec<(usize, usize)> = Vec::new();
         for (_, a) in log.program() {
             let TraceAction::Op(op) = a else { continue };
-            for t in op.access.reads.iter().chain(&op.access.writes) {
+            for t in log.reads(op).chain(log.writes(op)) {
                 if dims.len() <= t.buf.0 {
                     dims.resize(t.buf.0 + 1, (0, 0));
                 }
@@ -489,6 +489,7 @@ impl<'a> Sweep<'a> {
 
     fn visit_op(&mut self, idx: usize, op: &OpRecord) {
         self.out.ops += 1;
+        let log = self.log;
         let agent = match op.site() {
             ExecSite::Stream(s) => self.stream_agent(s),
             ExecSite::Host => HOST,
@@ -512,15 +513,15 @@ impl<'a> Sweep<'a> {
         let hb = |a: &Access| vc[a.agent] >= a.tick;
 
         // --- Checks against the pre-state. ---
-        for r in &op.access.reads {
-            let st = &mut self.tiles[self.ids.id(r)];
+        for r in log.reads(op) {
+            let st = &mut self.tiles[self.ids.id(&r)];
             if let Some(w) = &st.last_write {
                 if !hb(w) {
                     let race = Race {
                         kind: RaceKind::Raw,
-                        tile: *r,
+                        tile: r,
                         first: label_of(self.log, w.action),
-                        second: op.label.clone(),
+                        second: log.label(op).to_string(),
                     };
                     self.out.races.push(race);
                 }
@@ -535,8 +536,8 @@ impl<'a> Sweep<'a> {
                 };
                 if needs_verify && !st.verified.iter().any(&hb) {
                     self.out.violations.push(Violation::UnverifiedRead {
-                        tile: *r,
-                        reader: op.label.clone(),
+                        tile: r,
+                        reader: log.label(op).to_string(),
                     });
                 }
             }
@@ -545,19 +546,19 @@ impl<'a> Sweep<'a> {
                 if st.encodes == 2 && self.protocol == Some(Protocol::Offline) {
                     self.out
                         .violations
-                        .push(Violation::DuplicateEncode { tile: *r, count: 2 });
+                        .push(Violation::DuplicateEncode { tile: r, count: 2 });
                 }
             }
         }
-        for w in &op.access.writes {
-            let st = &mut self.tiles[self.ids.id(w)];
+        for w in log.writes(op) {
+            let st = &mut self.tiles[self.ids.id(&w)];
             if let Some(pw) = &st.last_write {
                 if !hb(pw) {
                     self.out.races.push(Race {
                         kind: RaceKind::Waw,
-                        tile: *w,
+                        tile: w,
                         first: label_of(self.log, pw.action),
-                        second: op.label.clone(),
+                        second: log.label(op).to_string(),
                     });
                 }
             }
@@ -569,9 +570,9 @@ impl<'a> Sweep<'a> {
                 if !hb(rd) {
                     self.out.races.push(Race {
                         kind: RaceKind::War,
-                        tile: *w,
+                        tile: w,
                         first: label_of(self.log, rd.action),
-                        second: op.label.clone(),
+                        second: log.label(op).to_string(),
                     });
                 }
             }
@@ -582,8 +583,8 @@ impl<'a> Sweep<'a> {
             {
                 st.encode_flagged = true;
                 self.out.violations.push(Violation::MissingEncode {
-                    tile: *w,
-                    writer: op.label.clone(),
+                    tile: w,
+                    writer: log.label(op).to_string(),
                 });
             }
         }
@@ -593,15 +594,15 @@ impl<'a> Sweep<'a> {
             op.category,
             WorkCategory::Verify | WorkCategory::ChecksumRecalc
         );
-        for r in &op.access.reads {
-            let st = &mut self.tiles[self.ids.id(r)];
+        for r in log.reads(op) {
+            let st = &mut self.tiles[self.ids.id(&r)];
             upsert(&mut st.readers, me);
             if is_verify {
                 upsert(&mut st.verified, me);
             }
         }
-        for w in &op.access.writes {
-            let st = &mut self.tiles[self.ids.id(w)];
+        for w in log.writes(op) {
+            let st = &mut self.tiles[self.ids.id(&w)];
             st.last_write = Some(me);
             st.last_write_cat = Some(op.category);
             st.readers.clear();
@@ -656,8 +657,8 @@ fn join(dst: &mut [u32], src: &[u32]) {
 }
 
 fn label_of(log: &OpLog, entry: usize) -> String {
-    match &log.entries()[entry] {
-        TraceAction::Op(op) => op.label.clone(),
+    match log.entry(entry) {
+        TraceAction::Op(op) => log.label(op).to_string(),
         other => format!("{other:?}"),
     }
 }
@@ -796,6 +797,7 @@ mod tests {
 
         fn visit_op(&mut self, idx: usize, op: &OpRecord) {
             self.out.ops += 1;
+            let log = self.log;
             let agent = match op.site() {
                 ExecSite::Stream(s) => self.stream_agent(s),
                 ExecSite::Host => HOST,
@@ -818,15 +820,15 @@ mod tests {
             let hb = |a: &Access| vc[a.agent] >= a.tick;
 
             // --- Checks against the pre-state. ---
-            for r in &op.access.reads {
-                let st = self.tiles.entry(*r).or_default();
+            for r in log.reads(op) {
+                let st = self.tiles.entry(r).or_default();
                 if let Some(w) = &st.last_write {
                     if !hb(w) {
                         let race = Race {
                             kind: RaceKind::Raw,
-                            tile: *r,
+                            tile: r,
                             first: label_of(self.log, w.action),
-                            second: op.label.clone(),
+                            second: log.label(op).to_string(),
                         };
                         self.out.races.push(race);
                     }
@@ -841,8 +843,8 @@ mod tests {
                     };
                     if needs_verify && !st.verified.iter().any(&hb) {
                         self.out.violations.push(Violation::UnverifiedRead {
-                            tile: *r,
-                            reader: op.label.clone(),
+                            tile: r,
+                            reader: log.label(op).to_string(),
                         });
                     }
                 }
@@ -851,19 +853,19 @@ mod tests {
                     if st.encodes == 2 && self.protocol == Some(Protocol::Offline) {
                         self.out
                             .violations
-                            .push(Violation::DuplicateEncode { tile: *r, count: 2 });
+                            .push(Violation::DuplicateEncode { tile: r, count: 2 });
                     }
                 }
             }
-            for w in &op.access.writes {
-                let st = self.tiles.entry(*w).or_default();
+            for w in log.writes(op) {
+                let st = self.tiles.entry(w).or_default();
                 if let Some(pw) = &st.last_write {
                     if !hb(pw) {
                         self.out.races.push(Race {
                             kind: RaceKind::Waw,
-                            tile: *w,
+                            tile: w,
                             first: label_of(self.log, pw.action),
-                            second: op.label.clone(),
+                            second: log.label(op).to_string(),
                         });
                     }
                 }
@@ -875,9 +877,9 @@ mod tests {
                     if !hb(rd) {
                         self.out.races.push(Race {
                             kind: RaceKind::War,
-                            tile: *w,
+                            tile: w,
                             first: label_of(self.log, rd.action),
-                            second: op.label.clone(),
+                            second: log.label(op).to_string(),
                         });
                     }
                 }
@@ -888,8 +890,8 @@ mod tests {
                 {
                     st.encode_flagged = true;
                     self.out.violations.push(Violation::MissingEncode {
-                        tile: *w,
-                        writer: op.label.clone(),
+                        tile: w,
+                        writer: log.label(op).to_string(),
                     });
                 }
             }
@@ -899,15 +901,15 @@ mod tests {
                 op.category,
                 WorkCategory::Verify | WorkCategory::ChecksumRecalc
             );
-            for r in &op.access.reads {
-                let st = self.tiles.entry(*r).or_default();
+            for r in log.reads(op) {
+                let st = self.tiles.entry(r).or_default();
                 upsert(&mut st.readers, me);
                 if is_verify {
                     upsert(&mut st.verified, me);
                 }
             }
-            for w in &op.access.writes {
-                let st = self.tiles.entry(*w).or_default();
+            for w in log.writes(op) {
+                let st = self.tiles.entry(w).or_default();
                 st.last_write = Some(me);
                 st.last_write_cat = Some(op.category);
                 st.readers.clear();
@@ -1094,7 +1096,11 @@ mod tests {
         assert!(findings > 1000, "random programs race, got {findings}");
     }
 
-    fn kernel(label: &str, reads: &[(usize, usize)], writes: &[(usize, usize)]) -> KernelDesc {
+    fn kernel(
+        label: &'static str,
+        reads: &[(usize, usize)],
+        writes: &[(usize, usize)],
+    ) -> KernelDesc {
         KernelDesc::new(
             label,
             KernelClass::Blas3,
@@ -1240,7 +1246,7 @@ mod tests {
     fn offline_encode_once_rules() {
         let mut c = ctx();
         let s = c.default_stream();
-        let enc = |l: &str| {
+        let enc = |l: &'static str| {
             KernelDesc::new(l, KernelClass::Blas2, 10, WorkCategory::ChecksumEncode).with_access(
                 AccessSet::new(vec![tile(0, 0)], vec![TileRef::new(BufferId(1), 0, 0)]),
             )

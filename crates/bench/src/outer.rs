@@ -32,7 +32,7 @@ use hchol_core::options::ChecksumPlacement;
 use hchol_gpusim::context::KernelDesc;
 use hchol_gpusim::counters::WorkCategory;
 use hchol_gpusim::profile::SystemProfile;
-use hchol_gpusim::{AccessSet, ExecMode, KernelClass, SimContext, TileRef};
+use hchol_gpusim::{AccessSet, ExecMode, KernelClass, Label, SimContext, TileRef};
 use hchol_matrix::{Matrix, MatrixError, Trans};
 
 /// Run the outer-product hybrid factorization (no fault tolerance — this is
@@ -75,7 +75,7 @@ pub fn factor_outer(
             ctx.launch(
                 lay.streams.comp,
                 KernelDesc::new(
-                    format!("TSYRK j={j} k={k}"),
+                    Label::IterAnd("TSYRK", j, 'k', k),
                     KernelClass::Syrk,
                     flops::gemm(lay.b, lay.b, lay.b),
                     WorkCategory::Factorization,
@@ -107,7 +107,7 @@ pub fn factor_outer(
             ctx.launch(
                 lay.streams.comp,
                 KernelDesc::new(
-                    format!("TGEMM j={j} k={k}"),
+                    Label::IterAnd("TGEMM", j, 'k', k),
                     KernelClass::Blas3,
                     f,
                     WorkCategory::Factorization,

@@ -177,7 +177,7 @@ mod tests {
         let ops_of = |pick: fn(&TaskKind) -> bool| {
             log.marks()
                 .filter(move |((_, node), _)| pick(&plan.node(NodeId(*node)).kind))
-                .flat_map(|(_, span)| &log.entries()[span])
+                .flat_map(|(_, span)| log.entries(span))
                 .filter_map(|a| match a {
                     TraceAction::Op(op) => Some(op),
                     _ => None,

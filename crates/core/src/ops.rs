@@ -20,8 +20,8 @@ use hchol_gpusim::counters::WorkCategory;
 #[cfg(test)]
 use hchol_gpusim::ExecMode;
 use hchol_gpusim::{
-    AccessSet, BufferId, DeviceMemory, EventId, HostBufferId, KernelClass, SimContext, StreamId,
-    TileRef,
+    AccessSet, BufferId, DeviceMemory, EventId, HostBufferId, KernelClass, Label, SimContext,
+    StreamId, TileRef,
 };
 use hchol_matrix::tile::TileFill;
 use hchol_matrix::{
@@ -362,13 +362,13 @@ fn pick_rows<'c, S: Scalar>(
         .collect()
 }
 
-/// Trace label of a panel kernel: `"GEMM j=3"`, `"GEMM+CHK j=3"` (fused
-/// epilogue), `"GEMM j=3 d=1"` (device 1's rows of a sharded panel).
-fn panel_label(op: &str, fused: bool, j: usize, dev: Option<usize>) -> String {
-    let chk = if fused { "+CHK" } else { "" };
+/// Trace label of panel kernel `name` (`"GEMM"`, or `"GEMM+CHK"` with a
+/// fused epilogue) at iteration `j`: `"GEMM j=3"`, or `"GEMM j=3 d=1"` for
+/// device 1's rows of a sharded panel.
+fn panel_label(name: &'static str, j: usize, dev: Option<usize>) -> Label {
     match dev {
-        Some(d) => format!("{op}{chk} j={j} d={d}"),
-        None => format!("{op}{chk} j={j}"),
+        Some(d) => Label::IterAnd(name, j, 'd', d),
+        None => Label::Iter(name, j),
     }
 }
 
@@ -421,7 +421,7 @@ pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: us
     ctx.launch(
         lay.streams.comp,
         KernelDesc::new(
-            panel_label("SYRK", fused, j, None),
+            panel_label(if fused { "SYRK+CHK" } else { "SYRK" }, j, None),
             KernelClass::Syrk,
             f,
             WorkCategory::Factorization,
@@ -503,7 +503,7 @@ pub fn gemm_panel<S: Scalar>(
     ctx.launch(
         lay.streams.comp,
         KernelDesc::new(
-            panel_label("GEMM", fused, j, dev),
+            panel_label(if fused { "GEMM+CHK" } else { "GEMM" }, j, dev),
             KernelClass::Blas3,
             f,
             WorkCategory::Factorization,
@@ -566,7 +566,7 @@ pub fn host_potf2<S: Scalar>(
         let failure = &mut failure;
         ctx.cpu_exec(
             KernelDesc::new(
-                format!("POTF2 j={j}"),
+                Label::Iter("POTF2", j),
                 KernelClass::Potf2,
                 f,
                 WorkCategory::Factorization,
@@ -635,7 +635,7 @@ pub fn trsm_panel<S: Scalar>(
     ctx.launch(
         lay.streams.comp,
         KernelDesc::new(
-            panel_label("TRSM", false, j, dev),
+            panel_label("TRSM", j, dev),
             KernelClass::Trsm,
             f,
             WorkCategory::Factorization,
@@ -708,7 +708,7 @@ pub fn shard_parity_xor<S: Scalar>(
     ctx.launch(
         stream,
         KernelDesc::new(
-            format!("PAR j={j} g={g}"),
+            Label::IterAnd("PAR", j, 'g', g),
             KernelClass::Light,
             f,
             WorkCategory::ChecksumUpdate,
@@ -775,7 +775,7 @@ pub fn shard_reconstruct<S: Scalar>(
     ctx.launch(
         stream,
         KernelDesc::new(
-            format!("REBUILD ({lost_row},{j})"),
+            Label::Tile("REBUILD", lost_row, j),
             KernelClass::Light,
             f,
             WorkCategory::ChecksumUpdate,
@@ -903,7 +903,7 @@ pub fn encode_all<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, opts
             ctx.launch(
                 recalc_stream(lay, opts, idx),
                 KernelDesc::new(
-                    format!("ENC ({bi},{bj})"),
+                    Label::Tile("ENC", bi, bj),
                     KernelClass::Blas2,
                     f,
                     WorkCategory::ChecksumEncode,
@@ -949,7 +949,7 @@ pub fn encode_all<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, opts
 fn dispatch_update<S: Scalar, F>(
     ctx: &mut SimContext<S>,
     lay: &CholLayout,
-    label: String,
+    label: Label,
     f: u64,
     access: AccessSet,
     body: F,
@@ -1013,19 +1013,19 @@ pub fn update_chk<S: Scalar>(
     let (f, label) = match op {
         UpdateOp::Syrk => (
             j as u64 * chkops::update_product_flops(lay.b),
-            format!("UPD-SYRK j={j}"),
+            Label::Iter("UPD-SYRK", j),
         ),
         UpdateOp::Gemm => (
             j as u64 * chkops::update_product_flops(lay.b),
-            format!("UPD-GEMM ({i},{j})"),
+            Label::Tile("UPD-GEMM", i, j),
         ),
         UpdateOp::Potf2 => (
             chkops::update_solve_flops(lay.b),
-            format!("UPD-POTF2 j={j}"),
+            Label::Iter("UPD-POTF2", j),
         ),
         UpdateOp::Trsm => (
             chkops::update_solve_flops(lay.b),
-            format!("UPD-TRSM ({i},{j})"),
+            Label::Tile("UPD-TRSM", i, j),
         ),
     };
     // The factorized block returns on the transfer stream; its update (on
@@ -1194,7 +1194,7 @@ pub fn verify_recalc<S: Scalar>(
         ctx.launch(
             recalc_stream(lay, opts, idx),
             KernelDesc::new(
-                format!("REC ({bi},{bj})"),
+                Label::Tile("REC", bi, bj),
                 KernelClass::Blas2,
                 f,
                 WorkCategory::ChecksumRecalc,
@@ -1284,7 +1284,7 @@ pub fn verify_compare<S: Scalar>(
     ctx.launch(
         lay.streams.comp,
         KernelDesc::new(
-            format!("{name} x{}", tiles.len()),
+            Label::Count(name, tiles.len()),
             KernelClass::Light,
             f,
             WorkCategory::Verify,
@@ -1544,11 +1544,11 @@ pub fn extract_factor<S: Scalar>(ctx: &SimContext<S>, lay: &CholLayout) -> Optio
 
 /// Reload pristine input into device memory after a failed attempt,
 /// charging the full-matrix upload the restart costs. In Execute mode the
-/// device matrix is re-tiled from `input`, the matrix [`setup`] tiled it
-/// from.
+/// device tiles are refilled in place from `input`, the matrix [`setup`]
+/// tiled them from: the same copy, on the team, into the buffers they own.
 pub fn reload<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, input: Option<&Matrix<S>>) {
     let bytes = S::BYTES * (lay.n as u64) * (lay.n as u64);
-    let (mat, b) = (lay.mat, lay.b);
+    let mat = lay.mat;
     // The upload rewrites every tile, which also (correctly) invalidates
     // every verify mark from the failed attempt in the schedule analysis.
     let writes = (0..lay.nt)
@@ -1561,7 +1561,9 @@ pub fn reload<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, input: Optio
         AccessSet::new(vec![], writes),
         |dev, _| {
             let dense = input.expect("Execute mode requires input data");
-            *dev.buf_mut(mat) = tile_input(dense, b).expect("setup checked b > 0");
+            dev.buf_mut(mat)
+                .refill_by(dense, |fills| par::for_each(fills, TileFill::run))
+                .expect("the input has the shape setup tiled");
         },
     );
     ctx.sync_stream(lay.streams.tran);

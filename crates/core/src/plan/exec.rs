@@ -618,7 +618,7 @@ mod tests {
                         )
                     })
                     .collect();
-                let before = ctx.log.entries().len();
+                let before = ctx.log.len();
                 let mut driven: Vec<_> = members
                     .iter_mut()
                     .map(|(plan, lay, inj)| Lane::new(&mut ctx, plan, lay, inj, opts))
@@ -660,12 +660,12 @@ mod tests {
                     ) {
                         continue;
                     }
-                    let unbind = |t: &TileRef| TileRef::new(canonical[lane][&t.buf], t.bi, t.bj);
+                    let unbind = |t: TileRef| TileRef::new(canonical[lane][&t.buf], t.bi, t.bj);
                     let (mut reads, mut writes) = (Vec::new(), Vec::new());
-                    for act in &log.entries()[span] {
+                    for act in log.entries(span) {
                         if let TraceAction::Op(op) = act {
-                            reads.extend(op.access.reads.iter().map(unbind));
-                            writes.extend(op.access.writes.iter().map(unbind));
+                            reads.extend(log.reads(op).map(unbind));
+                            writes.extend(log.writes(op).map(unbind));
                             fused |= op.fused_verify;
                         }
                     }

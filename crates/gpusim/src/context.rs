@@ -24,7 +24,7 @@
 use crate::access::AccessSet;
 use crate::counters::WorkCategory;
 use crate::memory::{DeviceMemory, HostMemory};
-use crate::oplog::{Lane, OpLog, OpRecord, TraceAction};
+use crate::oplog::{Label, Lane, OpLog, OpRecord, TraceAction};
 use crate::profile::{KernelClass, SystemProfile};
 use crate::schedule::KernelScheduler;
 use crate::time::SimTime;
@@ -122,8 +122,8 @@ pub struct EventId(pub usize);
 /// Description of a unit of work for the cost model and the trace.
 #[derive(Debug, Clone)]
 pub struct KernelDesc {
-    /// Trace label.
-    pub label: String,
+    /// Trace label, rendered only if the log keeps the op.
+    pub label: Label,
     /// Cost-model class.
     pub class: KernelClass,
     /// Floating-point operations performed.
@@ -141,9 +141,10 @@ pub struct KernelDesc {
 }
 
 impl KernelDesc {
-    /// Convenience constructor.
+    /// Convenience constructor. A [`Label`] recipe costs no allocation; a
+    /// `String` is kept verbatim.
     pub fn new(
-        label: impl Into<String>,
+        label: impl Into<Label>,
         class: KernelClass,
         flops: u64,
         category: WorkCategory,
@@ -480,18 +481,22 @@ impl<S: Scalar> SimContext<S> {
         if queue_delay > 0.0 {
             m.add_f64("sched.queue_delay_secs", queue_delay);
         }
-        self.log.push(TraceAction::Op(OpRecord {
-            label: desc.label,
-            access: desc.access,
+        let mut op = OpRecord {
             start,
             end,
             work: desc.flops + desc.epilogue_flops,
-            lane,
+            // Where the log stows the label and the tiles: set by `stow`.
+            label: (0, 0),
+            tiles: (0, 0, 0),
+            lane: lane.into(),
             stream: 0,
             class: Some(desc.class),
             category: desc.category,
             fused_verify: desc.epilogue_flops > 0,
-        }));
+        };
+        if self.log.stow(&mut op, &desc.label, &desc.access) {
+            self.log.push(TraceAction::Op(op));
+        }
     }
 
     /// Account an abstract bulk transfer of `bytes` (e.g. streaming a whole
@@ -526,7 +531,7 @@ impl<S: Scalar> SimContext<S> {
         route: Route,
         bytes: u64,
         stream: StreamId,
-        label: &str,
+        label: &'static str,
         access: AccessSet,
     ) {
         let dev = self.stream_dev[stream.0];
@@ -569,18 +574,22 @@ impl<S: Scalar> SimContext<S> {
                 Lane::DevLink(dev)
             }
         };
-        self.log.push(TraceAction::Op(OpRecord {
-            label: label.into(),
-            access,
+        let mut op = OpRecord {
             start,
             end,
             work: bytes,
-            lane,
+            // Where the log stows the label and the tiles: set by `stow`.
+            label: (0, 0),
+            tiles: (0, 0, 0),
+            lane: lane.into(),
             stream: stream.0 as u32,
             class: None,
             category: WorkCategory::Transfer,
             fused_verify: false,
-        }));
+        };
+        if self.log.stow(&mut op, &Label::Name(label), &access) {
+            self.log.push(TraceAction::Op(op));
+        }
     }
 
     /// A device→device peer-link transfer of `bytes`, enqueued on
@@ -889,7 +898,7 @@ mod tests {
         c.disable_timeline();
         let s = c.default_stream();
         c.launch(s, desc(1_000_000_000, KernelClass::Blas3), |_| {});
-        assert!(c.log.entries().is_empty());
+        assert!(c.log.is_empty());
         assert_eq!(c.obs.metrics.count("kernels.class.Blas3"), 1);
     }
 
@@ -905,11 +914,7 @@ mod tests {
         c.bulk_transfer_with_access(8, s, true, AccessSet::none(), |_, _| {});
         c.sync_device();
         let log = &c.log;
-        (
-            log.entries().len(),
-            log.ops().count(),
-            log.program().count(),
-        )
+        (log.len(), log.ops().count(), log.program().count())
     }
 
     /// The default of `hchol-core` runs: the program view only.
@@ -991,7 +996,7 @@ mod tests {
         let fused = c
             .log
             .ops()
-            .any(|op| op.label == "SYRK+chk" && op.fused_verify);
+            .any(|op| c.log.label(op) == "SYRK+chk" && op.fused_verify);
         assert!(fused, "logged op should be marked fused-verify");
     }
 
@@ -1067,12 +1072,12 @@ mod tests {
                              (lane, site): (Lane, ExecSite),
                              (metric, by): (&str, u64),
                              call: &dyn Fn(&mut SimContext)| {
-                let before = (c.log.entries().len(), c.obs.metrics.count(metric));
+                let before = (c.log.len(), c.obs.metrics.count(metric));
                 call(c);
-                let after = (c.log.entries().len(), c.obs.metrics.count(metric));
+                let after = (c.log.len(), c.obs.metrics.count(metric));
                 let what = format!("{what}, timeline {timeline}: (log entries, {metric})");
                 assert_eq!(after, (before.0 + 1, before.1 + by), "{what}");
-                let Some(TraceAction::Op(op)) = c.log.entries().last() else {
+                let TraceAction::Op(op) = c.log.entry(c.log.len() - 1) else {
                     panic!("{what}: the last entry is not an op");
                 };
                 assert_eq!((op.lane(), op.site()), (lane, site), "{what}");
@@ -1114,9 +1119,9 @@ mod tests {
                 ("shard.link.bytes", 64),
                 &|c| c.device_transfer(64, s, 1, tile(), |_| {}),
             );
-            let before = c.log.entries().len();
+            let before = c.log.len();
             c.launch(s, work(Verify, AccessSet::none()), |_| {});
-            assert_eq!(c.log.entries().len(), before + usize::from(timeline));
+            assert_eq!(c.log.len(), before + usize::from(timeline));
         }
     }
 

@@ -59,7 +59,7 @@ pub use access::{AccessSet, TileRef};
 pub use context::{EngineUtilization, EngineWindow, EventId, SimContext, StreamId};
 pub use executor::{DagSchedule, IssueDiagnostics, IssuePolicy, NodeMeta};
 pub use memory::{BufferId, DeviceMemory, HostBufferId, HostMemory};
-pub use oplog::{DmaDir, ExecSite, Lane, OpLog, OpRecord, TraceAction};
+pub use oplog::{DmaDir, Edit, ExecSite, Label, Lane, OpLog, OpRecord, TraceAction};
 pub use profile::{CpuProfile, DeviceProfile, KernelClass, SystemProfile};
 pub use time::SimTime;
 

@@ -20,9 +20,9 @@ use crate::scalar::Scalar;
 #[derive(Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix<S: Scalar = f64> {
-    rows: usize,
-    cols: usize,
-    data: Vec<S>,
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) data: Vec<S>,
 }
 
 impl<S: Scalar> std::fmt::Debug for Matrix<S> {

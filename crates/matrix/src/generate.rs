@@ -33,13 +33,33 @@ pub fn spd_diag_dominant(n: usize, seed: u64) -> Matrix {
     let dist = Uniform::new(0.0, 1.0);
     let mut a = Matrix::from_fn(n, n, |_, _| dist.sample(&mut r));
     // Symmetrize, then shift the diagonal to dominate.
-    let at = a.transpose();
-    a.add_assign(&at);
+    add_transpose(&mut a);
     for i in 0..n {
         let v = a.get(i, i) + 2.0 * n as f64;
         a.set(i, i, v);
     }
     a
+}
+
+/// `a += aᵀ` in place for square `a`: each pair `(i, j)`, `(j, i)` gets the
+/// one sum `a[i,j] + a[j,i]` (IEEE addition commutes, so the bits are those
+/// of adding the transpose), walked in square blocks so both sides of a
+/// pair stay in cache.
+fn add_transpose(a: &mut Matrix) {
+    const BLOCK: usize = 64;
+    let n = a.rows();
+    let d = a.as_mut_slice();
+    for j0 in (0..n).step_by(BLOCK) {
+        for i0 in (j0..n).step_by(BLOCK) {
+            for j in j0..(j0 + BLOCK).min(n) {
+                for i in i0.max(j)..(i0 + BLOCK).min(n) {
+                    let sum = d[i + j * n] + d[j + i * n];
+                    d[i + j * n] = sum;
+                    d[j + i * n] = sum;
+                }
+            }
+        }
+    }
 }
 
 /// Symmetric positive-definite matrix as a Gram product `A = G·Gᵀ + ε·I`
@@ -118,6 +138,20 @@ pub fn lehmer(n: usize) -> Matrix {
 mod tests {
     use super::*;
     use crate::triangular::is_symmetric;
+
+    /// The in-place symmetrization is bit for bit the old construction:
+    /// the transpose built whole, then added.
+    #[test]
+    fn add_transpose_matches_transpose_then_add() {
+        for n in [1, 7, 64, 300] {
+            let mut a = uniform(n, n, 0.0, 1.0, n as u64);
+            let mut want = a.clone();
+            want.add_assign(&a.transpose());
+            add_transpose(&mut a);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&want), "n = {n}");
+        }
+    }
 
     #[test]
     fn uniform_in_range_and_deterministic() {

@@ -76,41 +76,86 @@ impl<S: Scalar> TileMatrix<S> {
         let (rows, cols) = dense.shape();
         let grid_rows = rows.div_ceil(block);
         let grid_cols = cols.div_ceil(block);
-        let extents: Vec<(usize, usize)> = (0..grid_cols)
+        let tiles = (0..grid_cols)
             .flat_map(|bj| (0..grid_rows).map(move |bi| (bi, bj)))
             .map(|(bi, bj)| (tile_extent(rows, block, bi), tile_extent(cols, block, bj)))
+            .map(|(tr, tc)| Matrix {
+                rows: tr,
+                cols: tc,
+                data: Vec::with_capacity(tr * tc),
+            })
             .collect();
-        let mut bufs: Vec<Vec<S>> = extents
-            .iter()
-            .map(|&(tr, tc)| Vec::with_capacity(tr * tc))
-            .collect();
-        fill(
-            bufs.iter_mut()
-                .zip(&extents)
-                .enumerate()
-                .map(|(i, (buf, &(tr, tc)))| TileFill {
-                    src: dense,
-                    row0: (i % grid_rows) * block,
-                    col0: (i / grid_rows) * block,
-                    rows: tr,
-                    cols: tc,
-                    buf,
-                })
-                .collect(),
-        );
-        let tiles = bufs
-            .into_iter()
-            .zip(extents)
-            .map(|(buf, (tr, tc))| Matrix::from_col_major(tr, tc, buf))
-            .collect::<Result<_, _>>()?;
-        Ok(TileMatrix {
+        let mut t = TileMatrix {
             rows,
             cols,
             block,
             grid_rows,
             grid_cols,
             tiles,
-        })
+        };
+        t.fill_from(dense, fill)?;
+        Ok(t)
+    }
+
+    /// Overwrite every tile with its rectangle of `dense`, which has this
+    /// matrix's shape, through the same fills as
+    /// [`TileMatrix::from_dense_by`]: the same copy into the buffers the
+    /// tiles already own, so nothing is allocated.
+    pub fn refill_by(
+        &mut self,
+        dense: &Matrix<S>,
+        fill: impl FnOnce(Vec<TileFill<'_, S>>),
+    ) -> Result<(), MatrixError> {
+        if dense.shape() != (self.rows, self.cols) {
+            return Err(MatrixError::ShapeMismatch {
+                op: "refill",
+                lhs: (self.rows, self.cols),
+                rhs: dense.shape(),
+            });
+        }
+        self.fill_from(dense, fill)
+    }
+
+    /// Empty every tile and hand `fill` one [`TileFill`] per tile. A tile a
+    /// fill was not run on is zeroed, so the grid stays well formed, and
+    /// reported.
+    fn fill_from(
+        &mut self,
+        dense: &Matrix<S>,
+        fill: impl FnOnce(Vec<TileFill<'_, S>>),
+    ) -> Result<(), MatrixError> {
+        let (grid_rows, block) = (self.grid_rows, self.block);
+        fill(
+            self.tiles
+                .iter_mut()
+                .enumerate()
+                .map(|(i, tile)| {
+                    tile.data.clear();
+                    TileFill {
+                        src: dense,
+                        row0: (i % grid_rows) * block,
+                        col0: (i / grid_rows) * block,
+                        rows: tile.rows,
+                        cols: tile.cols,
+                        buf: &mut tile.data,
+                    }
+                })
+                .collect(),
+        );
+        let mut short = None;
+        for tile in &mut self.tiles {
+            let len = tile.rows * tile.cols;
+            if tile.data.len() != len {
+                short.get_or_insert(MatrixError::LengthMismatch {
+                    rows: tile.rows,
+                    cols: tile.cols,
+                    len: tile.data.len(),
+                });
+                tile.data.clear();
+                tile.data.resize(len, S::ZERO);
+            }
+        }
+        short.map_or(Ok(()), Err)
     }
 
     /// Reassemble the tiles into a contiguous dense matrix.
@@ -404,5 +449,31 @@ mod tests {
             fills.into_iter().for_each(TileFill::run);
         });
         assert!(matches!(unrun, Err(MatrixError::LengthMismatch { .. })));
+    }
+
+    #[test]
+    fn refill_rewrites_every_tile_in_its_own_buffer() {
+        let d = Matrix::from_fn(5, 7, |i, j| (i * 100 + j) as f64);
+        let mut t = TileMatrix::<f64>::zeros(5, 7, 3).unwrap();
+        let before: Vec<_> = t.tiles.iter().map(|m| m.as_slice().as_ptr()).collect();
+        t.refill_by(&d, |fills| fills.into_iter().rev().for_each(TileFill::run))
+            .unwrap();
+        assert_eq!(t, TileMatrix::from_dense(&d, 3).unwrap());
+        let after: Vec<_> = t.tiles.iter().map(|m| m.as_slice().as_ptr()).collect();
+        assert_eq!(before, after, "no tile was reallocated");
+        let short = t.refill_by(&d, |mut fills| {
+            fills.pop();
+            fills.into_iter().for_each(TileFill::run);
+        });
+        assert!(matches!(short, Err(MatrixError::LengthMismatch { .. })));
+        assert_eq!(
+            t.tile(1, 2).as_slice(),
+            &[0.0; 2][..],
+            "an unrun tile is zeroed"
+        );
+        let wrong = TileMatrix::<f64>::zeros(5, 6, 3)
+            .unwrap()
+            .refill_by(&d, |_| {});
+        assert!(matches!(wrong, Err(MatrixError::ShapeMismatch { .. })));
     }
 }

@@ -282,7 +282,7 @@ fn recalc_round_robin_handles_more_tiles_than_streams() {
         if !matches!(plan.node(NodeId(node)).kind, TaskKind::VerifyBatch { .. }) {
             continue;
         }
-        for act in &log.entries()[span] {
+        for act in log.entries(span) {
             if let TraceAction::Op(op) = act {
                 if op.category == WorkCategory::ChecksumRecalc {
                     rec_total += 1;

@@ -23,7 +23,7 @@ fn fnv(text: &str) -> u64 {
     h
 }
 
-fn tiles(out: &mut String, tag: &str, ts: &[TileRef]) {
+fn tiles(out: &mut String, tag: &str, ts: impl Iterator<Item = TileRef>) {
     out.push_str(tag);
     for t in ts {
         let _ = write!(out, " {}.{}.{}", t.buf.0, t.bi, t.bj);
@@ -47,8 +47,8 @@ fn program_text(ctx: &SimContext) -> String {
                     None => "-",
                 };
                 let _ = write!(out, "op {site} {dma} {:?} ", op.category);
-                tiles(&mut out, "r", &op.access.reads);
-                tiles(&mut out, " w", &op.access.writes);
+                tiles(&mut out, "r", ctx.log.reads(op));
+                tiles(&mut out, " w", ctx.log.writes(op));
                 out.push_str(if op.fused_verify { " fused\n" } else { "\n" });
             }
             TraceAction::RecordEvent { event, stream } => {

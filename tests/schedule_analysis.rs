@@ -378,15 +378,12 @@ fn enhanced_schedule_missing_pre_read_verify_is_flagged() {
     .expect("scheme runs");
 
     // The victim: the first tile a factorization kernel reads.
-    let victim = out
-        .ctx
-        .log
+    let log = &out.ctx.log;
+    let victim = log
         .program()
         .find_map(|(_, a)| match a {
-            TraceAction::Op(op)
-                if op.category == WorkCategory::Factorization && !op.access.reads.is_empty() =>
-            {
-                Some(op.access.reads[0])
+            TraceAction::Op(op) if op.category == WorkCategory::Factorization => {
+                log.reads(op).next()
             }
             _ => None,
         })
@@ -394,13 +391,13 @@ fn enhanced_schedule_missing_pre_read_verify_is_flagged() {
 
     // The same program minus every verification read of the victim tile.
     let mut mutated = out.ctx.log.clone();
-    mutated.edit(|_, action| {
-        if let TraceAction::Op(op) = action {
+    mutated.edit(|_, e| {
+        if let TraceAction::Op(op) = e.action() {
             if matches!(
                 op.category,
                 WorkCategory::Verify | WorkCategory::ChecksumRecalc
             ) {
-                op.access.reads.retain(|t| *t != victim);
+                e.retain_reads(|t| t != victim);
             }
         }
         true

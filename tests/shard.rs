@@ -354,7 +354,7 @@ fn dropped_recv_sync_is_a_cross_device_race() {
     let plan = hchol_core::plan::for_scheme(SchemeKind::Offline, n / b, &out.opts, false);
     let mut racy = out.ctx.log.clone();
     drop_recv_waits(&mut racy, &plan);
-    assert!(racy.entries().len() < out.ctx.log.entries().len());
+    assert!(racy.len() < out.ctx.log.len());
     let analysis = analyze_schedule(&racy);
     assert!(
         analysis.races.iter().any(|r| r.kind == RaceKind::Raw),
