@@ -100,6 +100,9 @@ fi
 step "experiment output pins (every text experiment's quick stdout, FNV-1a digests; release only)"
 cargo test --release -q -p hchol-bench --test experiment_pins
 
+step "fault-ledger pins (every single-fault TimingOnly report on the n = 96 grid, FNV-1a digests; release only)"
+cargo test --release -q --test ledger_pins
+
 # Quick runs write under target/ and never touch a committed artifact.
 step "kernel bench sweep (quick) -> target/BENCH_kernels.json"
 cargo bench -p hchol-bench --bench kernels -- --quick

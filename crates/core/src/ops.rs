@@ -27,6 +27,7 @@ use hchol_matrix::tile::TileFill;
 use hchol_matrix::{
     triangular::force_lower, Diag, Matrix, MatrixError, Scalar, Side, TileMatrix, Trans, Uplo,
 };
+use std::collections::{HashMap, HashSet};
 
 /// Buffer and stream layout of one factorization run.
 pub struct CholLayout {
@@ -1484,35 +1485,49 @@ pub fn lower_tiles(nt: usize) -> Vec<(usize, usize)> {
 }
 
 // ---------------------------------------------------------------------------
-// Ledger propagation (read/write sets of each operation)
+// Ledger propagation
 // ---------------------------------------------------------------------------
 
-/// SYRK reads the factorized row panel; corruption there smears a whole
-/// column of the diagonal block.
-pub fn propagate_syrk(inj: &mut Injector, j: usize) {
-    let sources: Vec<_> = (0..j).map(|k| (j, k)).collect();
-    inj.propagate(&sources, (j, j));
-}
-
-/// GEMM reads two factorized panels per target tile.
-pub fn propagate_gemm(inj: &mut Injector, nt: usize, j: usize) {
-    for i in (j + 1)..nt {
-        let mut sources: Vec<_> = (0..j).map(|k| (i, k)).collect();
-        sources.extend((0..j).map(|k| (j, k)));
-        inj.propagate(&sources, (i, j));
+/// The fault ledger's one propagation rule, read off the declared tiles of
+/// a SYRK, GEMM or TRSM node: a written matrix tile `(i, j)` becomes
+/// [`Dirtiness::Propagated`] when any *other* matrix tile the node reads in
+/// block row `i` or block row `j` is dirty. The tile's own prior value is
+/// only updated linearly, so on its own it keeps the state it has. Per
+/// kind this reads:
+///
+/// * SYRK `j`: `(j,j) ← (j,0..j)`;
+/// * GEMM `j`: `(i,j) ← (i,0..j)` and `(j,0..j)`;
+/// * TRSM `j`: `(i,j) ← (j,j)`.
+///
+/// Dirty reads are counted once per block row, so the cost is linear in
+/// the access set.
+pub fn propagate(inj: &mut Injector, tiles: &AccessSet) {
+    let mat = |t: &TileRef| (*t == mat_tile(t.bi, t.bj)).then_some((t.bi, t.bj));
+    let dirty: HashSet<(usize, usize)> = tiles
+        .reads
+        .iter()
+        .filter_map(mat)
+        .filter(|&(bi, bj)| inj.is_dirty(bi, bj))
+        .collect();
+    let mut per_row: HashMap<usize, usize> = HashMap::new();
+    for &(bi, _) in &dirty {
+        *per_row.entry(bi).or_default() += 1;
+    }
+    let in_row = |r| per_row.get(&r).copied().unwrap_or(0);
+    for (i, j) in tiles.writes.iter().filter_map(mat) {
+        let read = in_row(i) + if j != i { in_row(j) } else { 0 };
+        if read > usize::from(dirty.contains(&(i, j))) {
+            inj.mark_propagated(i, j);
+        }
     }
 }
 
 /// POTF2 smears any pre-existing corruption of the diagonal block across
-/// the whole factor tile.
+/// the whole factor tile. The node declares no matrix tiles (it factors
+/// the host staging copy), so the smear cannot be read off its footprint.
 pub fn propagate_potf2(inj: &mut Injector, j: usize) {
-    inj.propagate(&[(j, j)], (j, j));
-}
-
-/// TRSM spreads corruption of the diagonal factor into every panel tile.
-pub fn propagate_trsm(inj: &mut Injector, nt: usize, j: usize) {
-    for i in (j + 1)..nt {
-        inj.propagate(&[(j, j)], (i, j));
+    if inj.is_dirty(j, j) {
+        inj.mark_propagated(j, j);
     }
 }
 

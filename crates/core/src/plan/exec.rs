@@ -152,6 +152,15 @@ fn transition<S: Scalar>(
     Ok(())
 }
 
+/// Mirror node `id` in the injector's ledger ([`ops::propagate`]). A clean
+/// ledger has nothing to propagate, so the node's tiles are built only once
+/// something is dirty.
+fn propagate(inj: &mut Injector, plan: &FactorPlan, id: NodeId) {
+    if inj.any_dirty() {
+        ops::propagate(inj, &plan.node_access(id).tiles);
+    }
+}
+
 /// Execute `lane`'s node `id`. `solo`: no other lane shares the context.
 fn step<S: Scalar>(
     ctx: &mut SimContext<S>,
@@ -195,18 +204,12 @@ fn step<S: Scalar>(
             }
             ops::poll_faults(ctx, lay, inj, *p)
         }
-        TaskKind::Syrk {
-            j,
-            propagate,
-            fused,
-        } => {
+        TaskKind::Syrk { j, fused } => {
             ops::syrk_diag(ctx, lay, *j, *fused);
             if sync_style {
                 ctx.sync_device();
             }
-            if *propagate {
-                ops::propagate_syrk(inj, *j);
-            }
+            propagate(inj, plan, id);
         }
         TaskKind::DiagToHost { j } => {
             if sync_style {
@@ -218,19 +221,12 @@ fn step<S: Scalar>(
                 ops::diag_to_host(ctx, lay, *j);
             }
         }
-        TaskKind::GemmPanel {
-            j,
-            dev,
-            propagate,
-            fused,
-        } => {
+        TaskKind::GemmPanel { j, dev, fused } => {
             ops::gemm_panel(ctx, lay, *j, &plan.panel_rows(*j, *dev), *dev, *fused);
             if sync_style {
                 ctx.sync_device();
             }
-            if *propagate {
-                ops::propagate_gemm(inj, lay.nt, *j);
-            }
+            propagate(inj, plan, id);
         }
         TaskKind::Potf2 { j, propagate } => {
             if !sync_style {
@@ -252,7 +248,7 @@ fn step<S: Scalar>(
                 ctx.sync_stream(lay.streams.tran);
             }
         }
-        TaskKind::TrsmPanel { j, dev, propagate } => {
+        TaskKind::TrsmPanel { j, dev } => {
             // The compute stream must wait for the diagonal's return on its
             // own device's transfer stream; a remote slice of a sharded
             // panel was already ordered by its DeviceRecv.
@@ -265,9 +261,7 @@ fn step<S: Scalar>(
             if sync_style {
                 ctx.sync_device();
             }
-            if *propagate {
-                ops::propagate_trsm(inj, lay.nt, *j);
-            }
+            propagate(inj, plan, id);
         }
         TaskKind::ChkUpdate { op, j, i } => ops::update_chk(ctx, lay, *op, *j, *i),
         TaskKind::VerifyBatch { tiles, fused, .. } => {

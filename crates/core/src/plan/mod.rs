@@ -98,8 +98,6 @@ pub enum TaskKind {
     Syrk {
         /// Outer iteration.
         j: usize,
-        /// Mirror the operation in the injector's propagation ledger.
-        propagate: bool,
         /// Fused checksum epilogue: deposit fresh checksums of the written
         /// diagonal tile ([`dpt_tile`]) in the same kernel launch.
         fused: bool,
@@ -112,10 +110,6 @@ pub enum TaskKind {
         /// case); `Some(d)` = device `d`'s slice of a sharded plan, the
         /// rows with `owner(i) = d` ([`FactorPlan::panel_rows`]).
         dev: Option<usize>,
-        /// Mirror the whole panel's operation in the injector's
-        /// propagation ledger (on a sharded plan: set on the iteration's
-        /// last slice only).
-        propagate: bool,
         /// Fused checksum epilogue: deposit fresh checksums of every
         /// written panel tile ([`dpt_tile`]) in the same kernel launch.
         fused: bool,
@@ -129,7 +123,10 @@ pub enum TaskKind {
     Potf2 {
         /// Outer iteration.
         j: usize,
-        /// Mirror the operation in the injector's propagation ledger.
+        /// Mirror the operation's smear of a dirty diagonal block in the
+        /// injector's propagation ledger. The node declares no matrix
+        /// tiles (it factors the host staging copy), so this flag, not its
+        /// footprint, says whether it smears; Enhanced leaves it off.
         propagate: bool,
     },
     /// Factorized diagonal block host→device transfer.
@@ -143,9 +140,6 @@ pub enum TaskKind {
         j: usize,
         /// Row set, as for [`TaskKind::GemmPanel`].
         dev: Option<usize>,
-        /// Mirror the whole panel's operation in the injector's
-        /// propagation ledger (last slice only on a sharded plan).
-        propagate: bool,
     },
     /// One checksum-update task (dispatched per Optimization 2).
     ChkUpdate {
@@ -662,23 +656,14 @@ impl FactorPlan {
                 a.tiles = AccessSet::new(reads, writes);
             }
             TaskKind::FaultPoint(_) => ledger_if(true, &mut a),
-            TaskKind::Syrk {
-                j,
-                propagate,
-                fused,
-            } => {
+            TaskKind::Syrk { j, fused } => {
                 a.tiles = ops::syrk_access(nt, *j, *fused);
-                ledger_if(*propagate, &mut a);
+                ledger_if(true, &mut a);
             }
-            TaskKind::GemmPanel {
-                j,
-                dev,
-                propagate,
-                fused,
-            } => {
+            TaskKind::GemmPanel { j, dev, fused } => {
                 a.tiles = ops::gemm_panel_access(nt, *j, &self.panel_rows(*j, *dev), *fused);
                 self.recv_if_remote(&mut a, *j, *dev, ShardXfer::RowPanel);
-                ledger_if(*propagate, &mut a);
+                ledger_if(true, &mut a);
             }
             TaskKind::DiagToHost { j } => {
                 let j = *j;
@@ -702,10 +687,10 @@ impl FactorPlan {
                 a.tiles = AccessSet::new(vec![], vec![mat_tile(*j, *j)]);
                 a.virt_reads.push(VirtRes::HostDiag);
             }
-            TaskKind::TrsmPanel { j, dev, propagate } => {
+            TaskKind::TrsmPanel { j, dev } => {
                 a.tiles = ops::trsm_panel_access(*j, &self.panel_rows(*j, *dev));
                 self.recv_if_remote(&mut a, *j, *dev, ShardXfer::Diag);
-                ledger_if(*propagate, &mut a);
+                ledger_if(true, &mut a);
             }
             TaskKind::ChkUpdate { op, j, i } => {
                 let (j, i) = (*j, *i);

@@ -51,12 +51,12 @@ fn skipped(kind: &TaskKind, nt: usize) -> bool {
     }
 }
 
-/// Write each factorization operation with its `propagate` flag set, so
-/// fault effects follow the data flow in the injector's ledger (Enhanced
-/// omits POTF2 propagation: its inputs were verified immediately before,
-/// so a surviving error is local), and the checksum-update nodes mirroring
-/// it right behind it, in the legacy per-scope order (operation → updates
-/// → fault poll). For Enhanced, the steps it skips are not written.
+/// Write each factorization operation with the checksum-update nodes
+/// mirroring it right behind it, in the legacy per-scope order
+/// (operation → updates → fault poll). For Enhanced, the steps it skips are
+/// not written. POTF2 gets its ledger smear ([`TaskKind::Potf2`]'s
+/// `propagate`) except under Enhanced: its inputs were verified immediately
+/// before, so a surviving error is local.
 fn write_updates(plan: &mut FactorPlan, enhanced: bool) {
     let nt = plan.nt;
     plan.rewrite(|plan, run| {
@@ -66,23 +66,14 @@ fn write_updates(plan: &mut FactorPlan, enhanced: bool) {
             // (the update, its outer iteration, the block rows it maintains)
             let mirror = match &mut node.kind {
                 k if enhanced && skipped(k, nt) => continue,
-                TaskKind::Syrk { j, propagate, .. } => {
-                    *propagate = true;
-                    Some((UpdateOp::Syrk, *j, *j..*j + 1))
-                }
-                TaskKind::GemmPanel { j, propagate, .. } => {
-                    *propagate = true;
-                    Some((UpdateOp::Gemm, *j, *j + 1..nt))
-                }
+                TaskKind::Syrk { j, .. } => Some((UpdateOp::Syrk, *j, *j..*j + 1)),
+                TaskKind::GemmPanel { j, .. } => Some((UpdateOp::Gemm, *j, *j + 1..nt)),
                 TaskKind::Potf2 { propagate, .. } => {
                     *propagate = !enhanced;
                     None
                 }
                 TaskKind::DiagToDevice { j } => Some((UpdateOp::Potf2, *j, *j..*j + 1)),
-                TaskKind::TrsmPanel { j, propagate, .. } => {
-                    *propagate = true;
-                    Some((UpdateOp::Trsm, *j, *j + 1..nt))
-                }
+                TaskKind::TrsmPanel { j, .. } => Some((UpdateOp::Trsm, *j, *j + 1..nt)),
                 _ => None,
             };
             plan.keep(id);

@@ -109,19 +109,13 @@ fn write_broadcast(
 }
 
 /// Write the whole-panel node `id` (`dev: None`) as one copy per device of
-/// `devs`, each with `dev` rewritten to that device, in its scope. Whole-panel
-/// ledger propagation runs once, on the last copy — after every slice's
-/// numerics have executed.
+/// `devs`, each with `dev` rewritten to that device, in its scope.
 fn split_panel_node(plan: &mut FactorPlan, id: NodeId, devs: &[usize]) {
     let PlanNode { kind, scope, iter } = plan.node(id).clone();
-    for (pos, &d) in devs.iter().enumerate() {
+    for &d in devs {
         let mut copy = kind.clone();
         match &mut copy {
-            TaskKind::GemmPanel { dev, propagate, .. }
-            | TaskKind::TrsmPanel { dev, propagate, .. } => {
-                *dev = Some(d);
-                *propagate &= pos + 1 == devs.len();
-            }
+            TaskKind::GemmPanel { dev, .. } | TaskKind::TrsmPanel { dev, .. } => *dev = Some(d),
             _ => unreachable!("only panel nodes are split per device"),
         }
         plan.push(copy, scope, iter);

@@ -35,15 +35,7 @@ pub fn algorithm1(
         );
 
         let syrk = plan.scope("syrk", Phase::Syrk);
-        plan.push(
-            TaskKind::Syrk {
-                j,
-                propagate: false,
-                fused: false,
-            },
-            Some(syrk),
-            Some(j),
-        );
+        plan.push(TaskKind::Syrk { j, fused: false }, Some(syrk), Some(j));
         plan.push(
             TaskKind::FaultPoint(InjectionPoint::PostSyrk { iter: j }),
             Some(syrk),
@@ -59,7 +51,6 @@ pub fn algorithm1(
                 TaskKind::GemmPanel {
                     j,
                     dev: None,
-                    propagate: false,
                     fused: false,
                 },
                 Some(gemm),
@@ -100,15 +91,7 @@ pub fn algorithm1(
         }
 
         let trsm = plan.scope("trsm", Phase::Trsm);
-        plan.push(
-            TaskKind::TrsmPanel {
-                j,
-                dev: None,
-                propagate: false,
-            },
-            Some(trsm),
-            Some(j),
-        );
+        plan.push(TaskKind::TrsmPanel { j, dev: None }, Some(trsm), Some(j));
         plan.push(
             TaskKind::FaultPoint(InjectionPoint::PostTrsm { iter: j }),
             Some(trsm),

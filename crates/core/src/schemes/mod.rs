@@ -220,6 +220,9 @@ pub fn validate_options(opts: &AbftOptions) -> Result<(), MatrixError> {
 /// input is re-uploaded and the factorization redone, up to
 /// `opts.max_restarts` times. A `NotPositiveDefinite` on a run with **no**
 /// injected faults is a genuine input error and is returned as `Err`.
+///
+/// A fault plan naming a tile, element or device the run does not have is
+/// refused before anything is built ([`FaultPlan::fits`]).
 #[allow(clippy::too_many_arguments)] // LAPACK-style driver signature
 pub fn run_scheme(
     kind: SchemeKind,
@@ -254,6 +257,7 @@ pub fn run_scheme_typed<S: Scalar>(
 ) -> Result<FactorOutcome<S>, MatrixError> {
     validate_options(opts)?;
     let devices = opts.shard_devices();
+    plan.fits(n, b, devices)?;
     let provisioned;
     let profile = if devices > profile.devices {
         provisioned = profile.clone().with_devices(devices);

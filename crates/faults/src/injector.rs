@@ -141,6 +141,12 @@ impl Injector {
             .or_insert(how);
     }
 
+    /// Is any tile currently corrupt? (A clean ledger has nothing to
+    /// propagate.)
+    pub fn any_dirty(&self) -> bool {
+        !self.dirty.is_empty()
+    }
+
     /// Ground truth: is tile `(bi, bj)` currently corrupt?
     pub fn is_dirty(&self, bi: usize, bj: usize) -> bool {
         self.dirty.contains_key(&(bi, bj))
@@ -151,15 +157,13 @@ impl Injector {
         self.dirty.get(&(bi, bj)).copied()
     }
 
-    /// Record that an operation read `sources` and wrote `dest`: if any
-    /// source is corrupt, the destination becomes corrupt by propagation.
-    /// Call at every update in TimingOnly mode (and optionally in Execute
-    /// mode, where it serves test assertions only).
-    pub fn propagate(&mut self, sources: &[(usize, usize)], dest: (usize, usize)) {
-        let polluted = sources.iter().any(|&(bi, bj)| self.is_dirty(bi, bj));
-        if polluted {
-            self.taint(dest, Dirtiness::Propagated);
-        }
+    /// Record that corruption flowed into tile `(bi, bj)` through an
+    /// operation that read a dirty tile. Which operations spread what is
+    /// the caller's model (the plan's declared tiles); call it at every
+    /// update in TimingOnly mode, and optionally in Execute mode, where it
+    /// serves test assertions only.
+    pub fn mark_propagated(&mut self, bi: usize, bj: usize) {
+        self.taint((bi, bj), Dirtiness::Propagated);
     }
 
     /// Forget all corruption state (the run restarted from pristine data).
@@ -335,17 +339,16 @@ mod tests {
         let mut m = tiles();
         inj.poll(point, &mut m);
         assert_eq!(inj.dirtiness(1, 0), Some(Dirtiness::Direct));
-        // An op reading the dirty tile pollutes its destination.
-        inj.propagate(&[(1, 0), (0, 0)], (1, 1));
+        assert!(inj.any_dirty());
+        // Corruption flowing into a clean tile marks it propagated...
+        inj.mark_propagated(1, 1);
         assert_eq!(inj.dirtiness(1, 1), Some(Dirtiness::Propagated));
-        // Reading only clean tiles propagates nothing.
-        inj.propagate(&[(0, 0)], (0, 1));
         assert!(!inj.is_dirty(0, 1));
-        // Propagation never downgrades a direct hit...
-        inj.propagate(&[(0, 0)], (1, 0));
-        assert_eq!(inj.dirtiness(1, 0), Some(Dirtiness::Direct));
-        // ...but a dirty source upgrades it.
-        inj.propagate(&[(1, 1)], (1, 0));
+        // ...and upgrades a direct hit, which a later direct hit never
+        // downgrades.
+        inj.mark_propagated(1, 0);
+        assert_eq!(inj.dirtiness(1, 0), Some(Dirtiness::Propagated));
+        inj.taint((1, 0), Dirtiness::Direct);
         assert_eq!(inj.dirtiness(1, 0), Some(Dirtiness::Propagated));
     }
 
@@ -355,10 +358,11 @@ mod tests {
         let mut inj = Injector::new(plan_at(point));
         let mut m = tiles();
         inj.poll(point, &mut m);
-        inj.propagate(&[(1, 0)], (1, 1));
+        inj.mark_propagated(1, 1);
         assert_eq!(inj.dirty_count(), 2);
         inj.reset_dirty();
         assert_eq!(inj.dirty_count(), 0);
+        assert!(!inj.any_dirty());
         // Already-fired faults do not re-fire after a restart.
         assert_eq!(inj.pending_count(), 0);
     }

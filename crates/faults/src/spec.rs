@@ -1,5 +1,6 @@
 //! Fault descriptions: what goes wrong, where, and when.
 
+use hchol_matrix::MatrixError;
 use serde::{Deserialize, Serialize};
 
 /// The two silent-error species of the paper.
@@ -282,6 +283,50 @@ impl FaultPlan {
         self.faults.extend(other.faults);
         self.device_losses.extend(other.device_losses);
         self
+    }
+
+    /// Check that the plan names only what a run of size `n`, block `b`
+    /// over `devices` devices has: every target tile inside the `nt × nt`
+    /// grid (either triangle) and its element inside that tile (the last
+    /// tile row and column are short when `b` does not divide `n`), and
+    /// every device loss on a sharded run, naming one of its devices at an
+    /// iteration below `nt`. Anything else would index out of bounds or
+    /// never fire, so it is refused with a typed
+    /// [`MatrixError::FaultOutsideRun`]. An element fault whose point lies
+    /// past the last iteration is accepted and never fires:
+    /// [`FaultPlan::paper_storage_error`] names iteration 1 on a one-tile
+    /// grid, and sweeps that start at nt = 1 pass it.
+    pub fn fits(&self, n: usize, b: usize, devices: usize) -> Result<(), MatrixError> {
+        let refuse = |what| Err(MatrixError::FaultOutsideRun(what));
+        if self.is_empty() {
+            return Ok(());
+        }
+        if b == 0 {
+            return Err(MatrixError::ZeroBlockSize);
+        }
+        let nt = n.div_ceil(b);
+        // Rows (or columns) of tile row (or column) `t < nt`.
+        let edge = |t: usize| b.min(n - t * b);
+        for t in self.faults.iter().map(|f| f.target) {
+            if t.bi >= nt || t.bj >= nt {
+                return refuse("target tile outside the grid");
+            }
+            if t.row >= edge(t.bi) || t.col >= edge(t.bj) {
+                return refuse("target element outside its tile");
+            }
+        }
+        for l in &self.device_losses {
+            if devices < 2 {
+                return refuse("device loss on an unsharded run");
+            }
+            if l.device >= devices {
+                return refuse("lost device outside the shard grid");
+            }
+            if l.at_iter >= nt {
+                return refuse("device loss past the last iteration");
+            }
+        }
+        Ok(())
     }
 }
 

@@ -41,6 +41,10 @@ pub enum MatrixError {
     /// The requested option combination is not supported (e.g. sharding
     /// composed with the runtime balance controller).
     UnsupportedConfig(&'static str),
+    /// A fault plan names something the run does not have: a tile or an
+    /// element outside the grid, or a device loss on an unsharded run, on a
+    /// device the run does not span, or past the last iteration.
+    FaultOutsideRun(&'static str),
 }
 
 impl fmt::Display for MatrixError {
@@ -66,6 +70,9 @@ impl fmt::Display for MatrixError {
             MatrixError::ZeroBlockSize => write!(f, "block size must be nonzero"),
             MatrixError::UnsupportedConfig(why) => {
                 write!(f, "unsupported configuration: {why}")
+            }
+            MatrixError::FaultOutsideRun(what) => {
+                write!(f, "fault plan outside the run: {what}")
             }
         }
     }

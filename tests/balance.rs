@@ -327,6 +327,9 @@ fn iter_start(plan: &FactorPlan, j: usize) -> usize {
 /// number of rewrites and placement switches, and an FNV-1a digest over
 /// every recorded rewritten plan — state, node shapes, per-node in-degree
 /// and edge count. A refactor of the rewrite path must move none of them.
+/// The digests were re-captured when the Syrk / GemmPanel / TrsmPanel kinds
+/// lost their `propagate` field; the commit before reproduces them once
+/// its node shapes leave that field out.
 #[test]
 fn rewritten_plans_are_pinned_to_the_captured_digests() {
     fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -336,24 +339,24 @@ fn rewritten_plans_are_pinned_to_the_captured_digests() {
     }
     // (makespan bits, rewrites, switches, digest), in `recorded_balanced_runs` order.
     let pins: [(u64, usize, usize, u64); 18] = [
-        (0x3f8b792b89b02d0f, 7, 0, 0x86cbae293dac034c),
-        (0x3f74339c51dc209d, 7, 0, 0x0755a5dc34c433fc),
-        (0x3f93b072e91ffb3e, 7, 1, 0x329f0d3726fc2fe0),
-        (0x3f7a269b5791eba4, 7, 0, 0xc620c6310d10d282),
-        (0x3f70afcde86164cd, 7, 0, 0xb1511f81c02ee54d),
-        (0x3f6597a2ab3fdae7, 7, 0, 0xc620c6310d10d282),
-        (0x3f8c31ea14c0cc0d, 7, 0, 0x3fb79db2c33464a7),
-        (0x3f77355444ffcacb, 7, 0, 0xa17b0f68b0b1d69b),
-        (0x3f93d79e2c91872a, 7, 1, 0x524194a5a2ca3cfa),
-        (0x3f7c30e7afdbe3e1, 7, 0, 0xb05fb18621d5112c),
-        (0x3f72432dd23d0d03, 7, 0, 0x43f96e82b851b0db),
-        (0x3f6940218ee94713, 7, 0, 0xb05fb18621d5112c),
-        (0x3f8926f666fb41cd, 7, 0, 0x5bb1e4de6279ab85),
-        (0x3f750b4aa700bf8a, 7, 2, 0xc81199a06c764725),
-        (0x3f92781c4a8cd02a, 7, 1, 0x91a9c5644cc1f35d),
-        (0x3f778811e4d12ee6, 7, 0, 0x585e730ab90c51ae),
-        (0x3f6ed47beb3b7e7e, 7, 0, 0x23dac44349642772),
-        (0x3f5d998f8529dec5, 7, 0, 0x585e730ab90c51ae),
+        (0x3f8b792b89b02d0f, 7, 0, 0xa1c58b14b34ec523),
+        (0x3f74339c51dc209d, 7, 0, 0x1bf93ee2348fc34f),
+        (0x3f93b072e91ffb3e, 7, 1, 0xb1754622121fa64b),
+        (0x3f7a269b5791eba4, 7, 0, 0x9c39d2275ca7a583),
+        (0x3f70afcde86164cd, 7, 0, 0x162e2e2e1d23132a),
+        (0x3f6597a2ab3fdae7, 7, 0, 0x9c39d2275ca7a583),
+        (0x3f8c31ea14c0cc0d, 7, 0, 0xad80c6c21eb93ddf),
+        (0x3f77355444ffcacb, 7, 0, 0x6a705edeea91ad7b),
+        (0x3f93d79e2c91872a, 7, 1, 0xc29b612b8d27fd42),
+        (0x3f7c30e7afdbe3e1, 7, 0, 0x78de15e3b2409094),
+        (0x3f72432dd23d0d03, 7, 0, 0x557ef161e0a8cc1f),
+        (0x3f6940218ee94713, 7, 0, 0x78de15e3b2409094),
+        (0x3f8926f666fb41cd, 7, 0, 0x23aad9631755a57b),
+        (0x3f750b4aa700bf8a, 7, 2, 0x9ed5341ab520c3c7),
+        (0x3f92781c4a8cd02a, 7, 1, 0x70f2f39aee361527),
+        (0x3f778811e4d12ee6, 7, 0, 0xa56b4b73ffd828d6),
+        (0x3f6ed47beb3b7e7e, 7, 0, 0x8e2e2029b8375dee),
+        (0x3f5d998f8529dec5, 7, 0, 0xa56b4b73ffd828d6),
     ];
     let mut got = Vec::new();
     for (_, _, _, out) in recorded_balanced_runs() {

@@ -264,3 +264,71 @@ fn hostile_shapes_factor_or_refuse_but_never_panic() {
     }
     assert!(panicked.is_empty(), "panicked: {panicked:#?}");
 }
+
+#[test]
+fn fault_plans_outside_the_run_are_refused_with_a_typed_error() {
+    use hchol::core::options::ShardOptions;
+    use hchol_faults::{FaultTarget, InjectionPoint};
+    use hchol_matrix::MatrixError;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    // nt = 7; the last tile row and column are 4 wide.
+    let (n, b) = (100, 16);
+    let a = spd_diag_dominant(n, 11);
+    let p = SystemProfile::test_profile();
+    let strike = |bi, bj, row, col| {
+        FaultPlan::single(FaultSpec {
+            point: InjectionPoint::PostGemm { iter: 1 },
+            target: FaultTarget { bi, bj, row, col },
+            kind: FaultKind::computing(),
+        })
+    };
+    let one = AbftOptions::default();
+    let two = AbftOptions::default().with_shard(ShardOptions::new(2));
+    let cases = [
+        ("row 10 of the 4-row tile (6,0)", strike(6, 0, 10, 0), &one),
+        (
+            "column 10 of the 4-column tile (6,6)",
+            strike(6, 6, 0, 10),
+            &one,
+        ),
+        ("tile (9,0) outside the grid", strike(9, 0, 0, 0), &one),
+        (
+            "a loss of device 5 on D = 2",
+            FaultPlan::device_loss(5, 1),
+            &two,
+        ),
+        (
+            "a loss at iteration 99",
+            FaultPlan::device_loss(1, 99),
+            &two,
+        ),
+        (
+            "a loss on an unsharded run",
+            FaultPlan::device_loss(1, 1),
+            &one,
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for mode in [ExecMode::Execute, ExecMode::TimingOnly] {
+        let input = (mode == ExecMode::Execute).then_some(&a);
+        for kind in SchemeKind::all() {
+            for (what, plan, opts) in &cases {
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    run_scheme(kind, &p, mode, n, b, opts, plan.clone(), input)
+                }));
+                match r {
+                    Ok(Err(MatrixError::FaultOutsideRun(_))) => {}
+                    Ok(Err(e)) => wrong.push(format!("{mode:?} {kind:?} {what}: {e}")),
+                    Ok(Ok(_)) => wrong.push(format!("{mode:?} {kind:?} {what}: accepted")),
+                    Err(_) => wrong.push(format!("{mode:?} {kind:?} {what}: panicked")),
+                }
+            }
+            // An upper-triangle target names a tile the run has: accepted.
+            let upper = run_scheme(kind, &p, mode, n, b, &one, strike(0, 6, 1, 3), input);
+            if let Err(e) = upper {
+                wrong.push(format!("{mode:?} {kind:?} upper-triangle target: {e}"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
+}
