@@ -249,9 +249,14 @@ impl FaultPlan {
     /// only the Enhanced scheme protects. The strike lands late in the run
     /// (the window grows as more of the factor sits at rest), which is what
     /// makes the post-update schemes' recovery cost approach a full 2×.
+    /// A one-tile grid has no earlier column for a block to rest in, so
+    /// there the scenario is empty ([`FaultPlan::none`]).
     pub fn paper_storage_error(grid: usize, block: usize) -> Self {
-        let iter = (3 * grid / 4).max(1);
-        let bi = (iter + 1).min(grid.saturating_sub(1));
+        if grid < 2 {
+            return FaultPlan::none();
+        }
+        let iter = 3 * grid / 4;
+        let bi = (iter + 1).min(grid - 1);
         FaultPlan::single(FaultSpec {
             point: InjectionPoint::IterStart { iter },
             target: FaultTarget {
@@ -286,16 +291,13 @@ impl FaultPlan {
     }
 
     /// Check that the plan names only what a run of size `n`, block `b`
-    /// over `devices` devices has: every target tile inside the `nt × nt`
-    /// grid (either triangle) and its element inside that tile (the last
-    /// tile row and column are short when `b` does not divide `n`), and
-    /// every device loss on a sharded run, naming one of its devices at an
-    /// iteration below `nt`. Anything else would index out of bounds or
-    /// never fire, so it is refused with a typed
-    /// [`MatrixError::FaultOutsideRun`]. An element fault whose point lies
-    /// past the last iteration is accepted and never fires:
-    /// [`FaultPlan::paper_storage_error`] names iteration 1 on a one-tile
-    /// grid, and sweeps that start at nt = 1 pass it.
+    /// over `devices` devices has: every element fault at an iteration
+    /// below `nt`, its target tile inside the `nt × nt` grid (either
+    /// triangle) and its element inside that tile (the last tile row and
+    /// column are short when `b` does not divide `n`), and every device
+    /// loss on a sharded run, naming one of its devices at an iteration
+    /// below `nt`. Anything else would index out of bounds or never fire,
+    /// so it is refused with a typed [`MatrixError::FaultOutsideRun`].
     pub fn fits(&self, n: usize, b: usize, devices: usize) -> Result<(), MatrixError> {
         let refuse = |what| Err(MatrixError::FaultOutsideRun(what));
         if self.is_empty() {
@@ -307,7 +309,11 @@ impl FaultPlan {
         let nt = n.div_ceil(b);
         // Rows (or columns) of tile row (or column) `t < nt`.
         let edge = |t: usize| b.min(n - t * b);
-        for t in self.faults.iter().map(|f| f.target) {
+        for f in &self.faults {
+            if f.point.iter() >= nt {
+                return refuse("fault point past the last iteration");
+            }
+            let t = f.target;
             if t.bi >= nt || t.bj >= nt {
                 return refuse("target tile outside the grid");
             }
@@ -368,6 +374,10 @@ mod tests {
         assert!(matches!(f.point, InjectionPoint::IterStart { .. }));
         // storage target is in an already-factorized column
         assert!(f.target.bj < f.point.iter());
+        // A one-tile grid has no earlier column: nothing to strike.
+        assert!(FaultPlan::paper_storage_error(1, block).is_empty());
+        let f = &FaultPlan::paper_storage_error(2, block).faults[0];
+        assert_eq!((f.point.iter(), f.target.bi, f.target.bj), (1, 1, 0));
     }
 
     #[test]

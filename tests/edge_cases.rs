@@ -293,6 +293,20 @@ fn fault_plans_outside_the_run_are_refused_with_a_typed_error() {
         ),
         ("tile (9,0) outside the grid", strike(9, 0, 0, 0), &one),
         (
+            "a strike at iteration 7 of 7",
+            FaultPlan::single(FaultSpec {
+                point: InjectionPoint::IterStart { iter: 7 },
+                target: FaultTarget {
+                    bi: 6,
+                    bj: 5,
+                    row: 1,
+                    col: 1,
+                },
+                kind: FaultKind::storage(),
+            }),
+            &one,
+        ),
+        (
             "a loss of device 5 on D = 2",
             FaultPlan::device_loss(5, 1),
             &two,
