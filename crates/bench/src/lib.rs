@@ -18,7 +18,6 @@
 
 pub mod driver;
 pub mod figure;
-pub mod outer;
 mod paper;
 pub mod registry;
 pub mod report;

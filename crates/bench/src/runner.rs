@@ -2,10 +2,9 @@
 //! the system, size and block, and only what sets the run apart from a
 //! fault-free TimingOnly run with default options.
 
-use crate::outer::factor_outer;
 use hchol_blas::potrf::reconstruct_lower;
 use hchol_core::cula::factor_cula;
-use hchol_core::magma::factor_magma;
+use hchol_core::magma::{factor_magma, factor_outer};
 use hchol_core::options::AbftOptions;
 use hchol_core::plan::exec::{run_batch, BatchRequest};
 use hchol_core::schemes::{run_scheme_typed, FactorOutcome, SchemeKind};
@@ -21,7 +20,7 @@ pub enum Variant {
     Magma,
     /// Simulated CULA R18 baseline.
     Cula,
-    /// The right-looking outer-product form ([`crate::outer`]).
+    /// The right-looking outer-product form ([`factor_outer`]).
     Outer,
     /// One of the three ABFT schemes.
     Scheme(SchemeKind),
@@ -164,6 +163,21 @@ mod tests {
             .chain(SchemeKind::all().map(Variant::Scheme))
         {
             assert!(case.secs(v) > 0.0, "{v:?} produced zero time");
+        }
+    }
+
+    #[test]
+    fn inner_product_wins_on_the_hybrid_machine() {
+        // The Section II-A claim, measured: same flops, but the exposed
+        // POTF2 round trips make the outer-product form slower.
+        for p in [SystemProfile::tardis(), SystemProfile::bulldozer64()] {
+            let case = Case::new(&p, 8 * p.default_block, p.default_block);
+            let (inner, outer) = (case.secs(Variant::Magma), case.secs(Variant::Outer));
+            assert!(
+                outer > inner * 1.02,
+                "{}: outer {outer} should trail inner {inner}",
+                p.name
+            );
         }
     }
 

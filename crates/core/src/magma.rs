@@ -11,6 +11,10 @@
 //! 5. the factorized block returns to the device;
 //! 6. `[GPU]` TRSM solves the panel (ordered after the return transfer via
 //!    an event).
+//!
+//! [`factor_outer`] runs the right-looking (outer-product) form on the same
+//! executor: the form MAGMA rejected, measured against this one by the
+//! `ablation_variant` experiment (PAPER.md §II-A).
 
 use crate::cula::CULA_FLOP_INFLATION;
 use crate::ops;
@@ -62,14 +66,15 @@ impl BaselineReport {
     }
 }
 
-/// The two non-fault-tolerant baselines [`run_baseline`] drives.
+/// The non-fault-tolerant baselines [`run_baseline`] drives.
 pub(crate) enum Baseline {
     Magma,
     Cula,
+    Outer,
 }
 
-/// Run a baseline: its bare Algorithm-1 task-graph plan driven by the plan
-/// executor with an inert fault injector.
+/// Run a baseline: its bare task-graph plan driven by the plan executor
+/// with an inert fault injector.
 pub(crate) fn run_baseline(
     which: Baseline,
     profile: &SystemProfile,
@@ -80,11 +85,12 @@ pub(crate) fn run_baseline(
     record_timeline: bool,
 ) -> Result<BaselineReport, MatrixError> {
     // Everything that tells the baselines apart: the run-span label, the
-    // plan (overlapped vs fully synchronous driving) and the factor on
-    // every charged flop.
+    // plan (overlapped, fully synchronous or right-looking) and the factor
+    // on every charged flop.
     let (label, plan, flop_inflation): (_, fn(usize) -> FactorPlan, _) = match which {
         Baseline::Magma => ("MAGMA", crate::plan::for_magma, 1.0),
         Baseline::Cula => ("CULA", crate::plan::for_cula, CULA_FLOP_INFLATION),
+        Baseline::Outer => ("Outer", crate::plan::for_outer, 1.0),
     };
     let mut ctx = SimContext::new(profile.clone(), mode);
     if !record_timeline {
@@ -130,6 +136,20 @@ pub fn factor_magma(
     record_timeline: bool,
 ) -> Result<BaselineReport, MatrixError> {
     run_baseline(Baseline::Magma, profile, mode, n, b, input, record_timeline)
+}
+
+/// Run the right-looking (outer-product) hybrid factorization: the plan of
+/// [`crate::plan::for_outer`], no fault tolerance. Arguments as for
+/// [`factor_magma`].
+pub fn factor_outer(
+    profile: &SystemProfile,
+    mode: ExecMode,
+    n: usize,
+    b: usize,
+    input: Option<&Matrix>,
+    record_timeline: bool,
+) -> Result<BaselineReport, MatrixError> {
+    run_baseline(Baseline::Outer, profile, mode, n, b, input, record_timeline)
 }
 
 #[cfg(test)]

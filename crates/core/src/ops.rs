@@ -28,6 +28,7 @@ use hchol_matrix::{
     triangular::force_lower, Diag, Matrix, MatrixError, Scalar, Side, TileMatrix, Trans, Uplo,
 };
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Buffer and stream layout of one factorization run.
 pub struct CholLayout {
@@ -373,16 +374,17 @@ fn panel_label(name: &'static str, j: usize, dev: Option<usize>) -> Label {
     }
 }
 
-/// Tiles the SYRK of iteration `j` reads and writes, in the plan's
-/// canonical form — the one definition behind both
-/// [`FactorPlan::node_access`](crate::plan::FactorPlan::node_access) and
-/// the [`syrk_diag`] launch (bound to real buffers by
-/// [`CholLayout::bind`]). Empty at `j = 0`, where the SYRK is a no-op.
-pub fn syrk_access(nt: usize, j: usize, fused: bool) -> AccessSet {
-    if j == 0 {
+/// Tiles the SYRK of diagonal tile `j` over the update chain `cols` reads
+/// and writes, in the plan's canonical form — the one definition behind
+/// both [`FactorPlan::node_access`](crate::plan::FactorPlan::node_access)
+/// and the [`syrk_diag`] launch (bound to real buffers by
+/// [`CholLayout::bind`]). Empty for an empty chain (Algorithm 1's `j = 0`),
+/// where the SYRK is a no-op.
+pub fn syrk_access(nt: usize, j: usize, cols: Range<usize>, fused: bool) -> AccessSet {
+    if cols.is_empty() {
         return AccessSet::none();
     }
-    let reads = (0..j)
+    let reads = cols
         .map(|k| mat_tile(j, k))
         .chain([mat_tile(j, j)])
         .collect();
@@ -393,7 +395,9 @@ pub fn syrk_access(nt: usize, j: usize, fused: bool) -> AccessSet {
     AccessSet::new(reads, writes)
 }
 
-/// SYRK: `A[j,j] -= A[j,0:j-1] · A[j,0:j-1]ᵀ` on the compute stream.
+/// SYRK: `A[j,j] -= Σ_{k ∈ cols} A[j,k] · A[j,k]ᵀ` on the compute stream —
+/// `cols` is `0..j` in Algorithm 1 and the one column `s..s+1` of step `s`'s
+/// trailing update in the right-looking form.
 ///
 /// The full symmetric tile is updated (not just a triangle) so that its
 /// column checksums remain exact.
@@ -403,15 +407,21 @@ pub fn syrk_access(nt: usize, j: usize, fused: bool) -> AccessSet {
 /// flops on the *same* launch (no second kernel startup). A fused
 /// `VerifyBatch` then compares the deposit against the maintained
 /// checksums without any recalculation kernel.
-pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: usize, fused: bool) {
-    let access = syrk_access(lay.nt, j, fused);
+pub fn syrk_diag<S: Scalar>(
+    ctx: &mut SimContext<S>,
+    lay: &mut CholLayout,
+    j: usize,
+    cols: Range<usize>,
+    fused: bool,
+) {
+    let access = syrk_access(lay.nt, j, cols.clone(), fused);
     if access.is_empty() {
         return;
     }
     if fused {
         ensure_dpt(ctx, lay);
     }
-    let f = lay.charge(flops::gemm(lay.b, lay.b, j * lay.b));
+    let f = lay.charge(flops::gemm(lay.b, lay.b, cols.len() * lay.b));
     let epi = if fused {
         lay.charge(flops::fused_epilogue(lay.b, lay.b))
     } else {
@@ -432,7 +442,7 @@ pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: us
         move |mem| {
             let (m, mut deposits) = mat_and_deposits(mem, mat, &deposits, j);
             let (done, col) = m.split_col_mut(j);
-            let chain: Vec<_> = (0..j).map(|k| (done.tile(j, k), done.tile(j, k))).collect();
+            let chain: Vec<_> = cols.map(|k| (done.tile(j, k), done.tile(j, k))).collect();
             par::rank_update_batch(vec![RankUpdate {
                 c: &mut col[j],
                 chain: &chain,
@@ -442,14 +452,21 @@ pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: us
     );
 }
 
-/// Tiles the panel GEMM of iteration `j` over panel rows `rows` reads and
-/// writes, in canonical form (see [`syrk_access`]). Empty when the GEMM is
-/// a no-op (`j = 0` or no rows).
-pub fn gemm_panel_access(nt: usize, j: usize, rows: &[usize], fused: bool) -> AccessSet {
-    if j == 0 || rows.is_empty() {
+/// Tiles the panel GEMM of column `j` over the update chain `cols` and
+/// panel rows `rows` reads and writes, in canonical form (see
+/// [`syrk_access`]). Empty when the GEMM is a no-op (an empty chain or no
+/// rows).
+pub fn gemm_panel_access(
+    nt: usize,
+    j: usize,
+    cols: Range<usize>,
+    rows: &[usize],
+    fused: bool,
+) -> AccessSet {
+    if cols.is_empty() || rows.is_empty() {
         return AccessSet::none();
     }
-    let mut reads = Vec::with_capacity(rows.len() * (j + 1) + j);
+    let mut reads = Vec::with_capacity(rows.len() * (cols.len() + 1) + cols.len());
     let mut writes = Vec::with_capacity(rows.len() * (1 + fused as usize));
     for &i in rows {
         writes.push(mat_tile(i, j));
@@ -457,14 +474,15 @@ pub fn gemm_panel_access(nt: usize, j: usize, rows: &[usize], fused: bool) -> Ac
             writes.push(dpt_tile(nt, i, j));
         }
         reads.push(mat_tile(i, j));
-        reads.extend((0..j).map(|k| mat_tile(i, k)));
+        reads.extend(cols.clone().map(|k| mat_tile(i, k)));
     }
-    reads.extend((0..j).map(|k| mat_tile(j, k)));
+    reads.extend(cols.map(|k| mat_tile(j, k)));
     AccessSet::new(reads, writes)
 }
 
-/// GEMM: `A[rows, j] -= A[rows, 0:j-1] · A[j, 0:j-1]ᵀ` on the compute
-/// stream, one kernel over the panel rows `rows`.
+/// GEMM: `A[rows, j] -= Σ_{k ∈ cols} A[rows, k] · A[j, k]ᵀ` on the compute
+/// stream, one kernel over the panel rows `rows` (`cols` as for
+/// [`syrk_diag`]).
 ///
 /// `rows` is every row below the diagonal (`dev = None`: one big kernel,
 /// as MAGMA issues it) or the rows homed on device `dev` of a sharded
@@ -481,18 +499,19 @@ pub fn gemm_panel<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
     j: usize,
+    cols: Range<usize>,
     rows: &[usize],
     dev: Option<usize>,
     fused: bool,
 ) {
-    let access = gemm_panel_access(lay.nt, j, rows, fused);
+    let access = gemm_panel_access(lay.nt, j, cols.clone(), rows, fused);
     if access.is_empty() {
         return;
     }
     if fused {
         ensure_dpt(ctx, lay);
     }
-    let f = lay.charge(flops::gemm(rows.len() * lay.b, lay.b, j * lay.b));
+    let f = lay.charge(flops::gemm(rows.len() * lay.b, lay.b, cols.len() * lay.b));
     let epi = if fused {
         lay.charge(rows.len() as u64 * flops::fused_epilogue(lay.b, lay.b))
     } else {
@@ -517,12 +536,15 @@ pub fn gemm_panel<S: Scalar>(
             // Every row's k-chain, back to back: one allocation per launch.
             let chains: Vec<_> = rows
                 .iter()
-                .flat_map(|&i| (0..j).map(move |k| (done.tile(i, k), done.tile(j, k))))
+                .flat_map(|&i| {
+                    cols.clone()
+                        .map(move |k| (done.tile(i, k), done.tile(j, k)))
+                })
                 .collect();
             let mut deposits = deposits.into_iter();
             let batch = pick_rows(col, 0, &rows)
                 .into_iter()
-                .zip(chains.chunks(j))
+                .zip(chains.chunks(cols.len()))
                 .map(|(c, chain)| RankUpdate {
                     c,
                     chain,
@@ -1749,7 +1771,7 @@ mod tests {
                     .collect()
             };
             for j in 0..lay.nt {
-                syrk_diag(&mut ctx, &mut lay, j, fused);
+                syrk_diag(&mut ctx, &mut lay, j, 0..j, fused);
                 if fused && j > 0 {
                     // The epilogue deposited fresh checksums of the
                     // updated diagonal tile.
@@ -1760,7 +1782,7 @@ mod tests {
                 }
                 diag_to_host(&mut ctx, &mut lay, j);
                 for (rows, dev) in slices(lay.nt, j) {
-                    gemm_panel(&mut ctx, &mut lay, j, &rows, dev, fused);
+                    gemm_panel(&mut ctx, &mut lay, j, 0..j, &rows, dev, fused);
                 }
                 ctx.sync_stream(lay.streams.tran);
                 host_potf2(&mut ctx, &lay, j).unwrap();
@@ -1833,9 +1855,9 @@ mod tests {
         encode_all(&mut ctx, &mut lay, &opts);
         for j in 0..lay.nt {
             let rows: Vec<usize> = ((j + 1)..lay.nt).collect();
-            syrk_diag(&mut ctx, &mut lay, j, false);
+            syrk_diag(&mut ctx, &mut lay, j, 0..j, false);
             diag_to_host(&mut ctx, &mut lay, j);
-            gemm_panel(&mut ctx, &mut lay, j, &rows, None, false);
+            gemm_panel(&mut ctx, &mut lay, j, 0..j, &rows, None, false);
             ctx.sync_stream(lay.streams.tran);
             host_potf2(&mut ctx, &lay, j).unwrap();
             diag_to_device(&mut ctx, &lay, j);

@@ -204,8 +204,8 @@ fn step<S: Scalar>(
             }
             ops::poll_faults(ctx, lay, inj, *p)
         }
-        TaskKind::Syrk { j, fused } => {
-            ops::syrk_diag(ctx, lay, *j, *fused);
+        TaskKind::Syrk { j, cols, fused } => {
+            ops::syrk_diag(ctx, lay, *j, cols.clone(), *fused);
             if sync_style {
                 ctx.sync_device();
             }
@@ -221,8 +221,14 @@ fn step<S: Scalar>(
                 ops::diag_to_host(ctx, lay, *j);
             }
         }
-        TaskKind::GemmPanel { j, dev, fused } => {
-            ops::gemm_panel(ctx, lay, *j, &plan.panel_rows(*j, *dev), *dev, *fused);
+        TaskKind::GemmPanel {
+            j,
+            cols,
+            dev,
+            fused,
+        } => {
+            let rows = plan.panel_rows(*j, *dev);
+            ops::gemm_panel(ctx, lay, *j, cols.clone(), &rows, *dev, *fused);
             if sync_style {
                 ctx.sync_device();
             }

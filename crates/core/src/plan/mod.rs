@@ -37,6 +37,7 @@ use hchol_faults::InjectionPoint;
 use hchol_gpusim::{AccessSet, BufferId, DagSchedule, NodeMeta, TileRef};
 use hchol_obs::Phase;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Which checksum update a [`TaskKind::ChkUpdate`] node performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,18 +95,25 @@ pub enum TaskKind {
     Encode,
     /// Poll the fault injector at a trigger point.
     FaultPoint(InjectionPoint),
-    /// SYRK diagonal update of iteration `j`.
+    /// SYRK update of diagonal tile `(j, j)`.
     Syrk {
-        /// Outer iteration.
+        /// The diagonal tile's column (Algorithm 1's outer iteration).
         j: usize,
+        /// The update chain: the columns `k` of `A[j,j] -= Σ L[j,k]·L[j,k]ᵀ`.
+        /// `0..j` in Algorithm 1 (the whole left panel, inner-product
+        /// form); `s..s+1` in step `s`'s trailing update of the
+        /// right-looking form ([`skeleton::right_looking`]).
+        cols: Range<usize>,
         /// Fused checksum epilogue: deposit fresh checksums of the written
         /// diagonal tile ([`dpt_tile`]) in the same kernel launch.
         fused: bool,
     },
-    /// Panel GEMM of iteration `j`.
+    /// Panel GEMM of column `j`.
     GemmPanel {
-        /// Outer iteration.
+        /// The panel's column (Algorithm 1's outer iteration).
         j: usize,
+        /// The update chain, as for [`TaskKind::Syrk`].
+        cols: Range<usize>,
         /// Row set: `None` = every panel row `j+1..nt` (the single-device
         /// case); `Some(d)` = device `d`'s slice of a sharded plan, the
         /// rows with `owner(i) = d` ([`FactorPlan::panel_rows`]).
@@ -656,12 +664,18 @@ impl FactorPlan {
                 a.tiles = AccessSet::new(reads, writes);
             }
             TaskKind::FaultPoint(_) => ledger_if(true, &mut a),
-            TaskKind::Syrk { j, fused } => {
-                a.tiles = ops::syrk_access(nt, *j, *fused);
+            TaskKind::Syrk { j, cols, fused } => {
+                a.tiles = ops::syrk_access(nt, *j, cols.clone(), *fused);
                 ledger_if(true, &mut a);
             }
-            TaskKind::GemmPanel { j, dev, fused } => {
-                a.tiles = ops::gemm_panel_access(nt, *j, &self.panel_rows(*j, *dev), *fused);
+            TaskKind::GemmPanel {
+                j,
+                cols,
+                dev,
+                fused,
+            } => {
+                let rows = self.panel_rows(*j, *dev);
+                a.tiles = ops::gemm_panel_access(nt, *j, cols.clone(), &rows, *fused);
                 self.recv_if_remote(&mut a, *j, *dev, ShardXfer::RowPanel);
                 ledger_if(true, &mut a);
             }
@@ -964,6 +978,14 @@ pub fn for_magma(nt: usize) -> FactorPlan {
 /// The synchronous CULA-style baseline as a plan (no fault tolerance).
 pub fn for_cula(nt: usize) -> FactorPlan {
     let mut plan = skeleton::algorithm1(nt, DriveStyle::Synchronous, true, false);
+    plan.derive_deps();
+    plan
+}
+
+/// The right-looking (outer-product) form as a plan (no fault tolerance):
+/// PAPER.md §II-A's alternative to Algorithm 1.
+pub fn for_outer(nt: usize) -> FactorPlan {
+    let mut plan = skeleton::right_looking(nt);
     plan.derive_deps();
     plan
 }

@@ -133,6 +133,8 @@ fn dense_derive_deps_matches_the_hashed_oracle_on_every_feature() {
             let plan = skeleton::algorithm1(nt, style, true, false);
             assert_same_deps(plan, &format!("baseline {style:?} nt={nt}"));
         }
+        let plan = skeleton::right_looking(nt);
+        assert_same_deps(plan, &format!("right-looking nt={nt}"));
     }
 }
 

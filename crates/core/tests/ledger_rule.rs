@@ -51,8 +51,8 @@ fn ledger_rule_spreads_each_kind_along_its_data_flow() {
                     false => vec![],
                 };
                 for (access, spread) in [
-                    (syrk_access(nt, j, true), syrk),
-                    (gemm_panel_access(nt, j, &rows, true), gemm),
+                    (syrk_access(nt, j, 0..j, true), syrk),
+                    (gemm_panel_access(nt, j, 0..j, &rows, true), gemm),
                     (trsm_panel_access(j, &rows), trsm),
                 ] {
                     let mut inj = struck(bi, bj);

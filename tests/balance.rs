@@ -327,9 +327,9 @@ fn iter_start(plan: &FactorPlan, j: usize) -> usize {
 /// number of rewrites and placement switches, and an FNV-1a digest over
 /// every recorded rewritten plan — state, node shapes, per-node in-degree
 /// and edge count. A refactor of the rewrite path must move none of them.
-/// The digests were re-captured when the Syrk / GemmPanel / TrsmPanel kinds
-/// lost their `propagate` field; the commit before reproduces them once
-/// its node shapes leave that field out.
+/// The digests were re-captured when the Syrk / GemmPanel kinds gained
+/// their `cols` update chain; the commit before reproduces them once these
+/// node shapes leave out the `cols: 0..j, ` field.
 #[test]
 fn rewritten_plans_are_pinned_to_the_captured_digests() {
     fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -339,24 +339,24 @@ fn rewritten_plans_are_pinned_to_the_captured_digests() {
     }
     // (makespan bits, rewrites, switches, digest), in `recorded_balanced_runs` order.
     let pins: [(u64, usize, usize, u64); 18] = [
-        (0x3f8b792b89b02d0f, 7, 0, 0xa1c58b14b34ec523),
-        (0x3f74339c51dc209d, 7, 0, 0x1bf93ee2348fc34f),
-        (0x3f93b072e91ffb3e, 7, 1, 0xb1754622121fa64b),
-        (0x3f7a269b5791eba4, 7, 0, 0x9c39d2275ca7a583),
-        (0x3f70afcde86164cd, 7, 0, 0x162e2e2e1d23132a),
-        (0x3f6597a2ab3fdae7, 7, 0, 0x9c39d2275ca7a583),
-        (0x3f8c31ea14c0cc0d, 7, 0, 0xad80c6c21eb93ddf),
-        (0x3f77355444ffcacb, 7, 0, 0x6a705edeea91ad7b),
-        (0x3f93d79e2c91872a, 7, 1, 0xc29b612b8d27fd42),
-        (0x3f7c30e7afdbe3e1, 7, 0, 0x78de15e3b2409094),
-        (0x3f72432dd23d0d03, 7, 0, 0x557ef161e0a8cc1f),
-        (0x3f6940218ee94713, 7, 0, 0x78de15e3b2409094),
-        (0x3f8926f666fb41cd, 7, 0, 0x23aad9631755a57b),
-        (0x3f750b4aa700bf8a, 7, 2, 0x9ed5341ab520c3c7),
-        (0x3f92781c4a8cd02a, 7, 1, 0x70f2f39aee361527),
-        (0x3f778811e4d12ee6, 7, 0, 0xa56b4b73ffd828d6),
-        (0x3f6ed47beb3b7e7e, 7, 0, 0x8e2e2029b8375dee),
-        (0x3f5d998f8529dec5, 7, 0, 0xa56b4b73ffd828d6),
+        (0x3f8b792b89b02d0f, 7, 0, 0x7770db30fc0f334f),
+        (0x3f74339c51dc209d, 7, 0, 0x6190f51b578bca2b),
+        (0x3f93b072e91ffb3e, 7, 1, 0x38288c4f2eb95dab),
+        (0x3f7a269b5791eba4, 7, 0, 0x90ba8d0309b9fbd9),
+        (0x3f70afcde86164cd, 7, 0, 0xe42fc19297f3920e),
+        (0x3f6597a2ab3fdae7, 7, 0, 0x90ba8d0309b9fbd9),
+        (0x3f8c31ea14c0cc0d, 7, 0, 0xf6751d0593bf6fc9),
+        (0x3f77355444ffcacb, 7, 0, 0x76216e19a8d61639),
+        (0x3f93d79e2c91872a, 7, 1, 0xef14b4ab11832234),
+        (0x3f7c30e7afdbe3e1, 7, 0, 0x61af8079b78274aa),
+        (0x3f72432dd23d0d03, 7, 0, 0xef22db8aa26df575),
+        (0x3f6940218ee94713, 7, 0, 0x61af8079b78274aa),
+        (0x3f8926f666fb41cd, 7, 0, 0x37859d9900eedca3),
+        (0x3f750b4aa700bf8a, 7, 2, 0x5fef0fe5a0347547),
+        (0x3f92781c4a8cd02a, 7, 1, 0xc8dd651807823b23),
+        (0x3f778811e4d12ee6, 7, 0, 0x277c6829060a4466),
+        (0x3f6ed47beb3b7e7e, 7, 0, 0x4ced14ce6e93deda),
+        (0x3f5d998f8529dec5, 7, 0, 0x277c6829060a4466),
     ];
     let mut got = Vec::new();
     for (_, _, _, out) in recorded_balanced_runs() {

@@ -4,7 +4,7 @@
 use hchol::prelude::*;
 use hchol_blas::potrf::{potrf_blocked, reconstruct_lower};
 use hchol_core::cula::factor_cula;
-use hchol_core::magma::factor_magma;
+use hchol_core::magma::{factor_magma, factor_outer};
 use hchol_core::solve::{log_det, solve_with_factor};
 use hchol_matrix::generate::{known_factor, lehmer, spd_diag_dominant, spd_gram};
 use hchol_matrix::{approx_eq, relative_residual, Matrix};
@@ -21,6 +21,13 @@ fn all_paths_factor(a: &Matrix, b: usize) -> Vec<(String, Matrix)> {
     out.push((
         "magma".to_string(),
         factor_magma(&p, ExecMode::Execute, n, b, Some(a), false)
+            .unwrap()
+            .factor
+            .unwrap(),
+    ));
+    out.push((
+        "outer".to_string(),
+        factor_outer(&p, ExecMode::Execute, n, b, Some(a), false)
             .unwrap()
             .factor
             .unwrap(),
@@ -90,17 +97,14 @@ fn known_factor_recovered_through_the_full_stack() {
 }
 
 #[test]
-fn ragged_edge_sizes_work_on_host_path() {
-    // The simulated drivers assume n % B == 0 (as MAGMA's defaults do);
-    // the host factorization handles arbitrary shapes.
+fn ragged_edge_sizes_work_on_every_path() {
+    // n % b != 0: the last block row and column are partial tiles.
     for n in [7usize, 33, 61, 100] {
         let a = spd_diag_dominant(n, n as u64);
-        let mut l = a.clone();
-        potrf_blocked(&mut l, 16).unwrap();
-        assert!(
-            relative_residual(&reconstruct_lower(&l), &a) < 1e-12,
-            "n={n}"
-        );
+        for (name, l) in all_paths_factor(&a, 16) {
+            let r = relative_residual(&reconstruct_lower(&l), &a);
+            assert!(r < 1e-12, "n={n} {name}: residual {r:.2e}");
+        }
     }
 }
 
@@ -136,26 +140,18 @@ fn solve_and_logdet_through_scheme_factor() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random SPD inputs, random valid block sizes: the protected hybrid
-    /// factorization matches the host oracle.
+    /// Random SPD inputs, random valid block sizes: every hybrid path
+    /// matches the host oracle.
     #[test]
     fn random_spd_factors_match_oracle(seed in 0u64..5000, bpow in 2usize..5) {
         let b = 1usize << bpow;         // 4..16
         let nt = 2 + (seed as usize % 4); // 2..5 tiles
         let n = b * nt;
         let a = spd_diag_dominant(n, seed);
-        let p = SystemProfile::test_profile();
-        let out = run_clean(
-            SchemeKind::Enhanced,
-            &p,
-            ExecMode::Execute,
-            n,
-            b,
-            &AbftOptions::default(),
-            Some(&a),
-        ).unwrap();
-        let mut oracle = a.clone();
-        potrf_blocked(&mut oracle, b).unwrap();
-        prop_assert!(approx_eq(&out.factor.unwrap(), &oracle, 1e-9));
+        let factors = all_paths_factor(&a, b);
+        let oracle = &factors[0].1;
+        for (name, l) in &factors {
+            prop_assert!(approx_eq(l, oracle, 1e-9), "{} disagrees", name);
+        }
     }
 }

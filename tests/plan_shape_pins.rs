@@ -8,15 +8,15 @@
 //! The grid: every scheme at nt ∈ {1, 2, 3, 7, 12, 40, 80}; at nt ∈ {7, 12,
 //! 40} the option axes that shape a plan (K ∈ {1, 3}, fused, placement
 //! Gpu/Cpu/Inline, shard D ∈ {1, 2, 4}, a faulty run) and the lookahead-2
-//! issue order; the two baselines; the plans a balancer leaves behind after
-//! tail rewrites; and, one digest per nt ∈ 1..=20, every axis with the
+//! issue order, the two baselines and the right-looking variant; the plans
+//! a balancer leaves behind after tail rewrites; and, one digest per nt ∈ 1..=20, every axis with the
 //! default and a faulty run beside the baselines, plus a tail spliced at
 //! every cut. A change to how plans are built, edited or given edges must
 //! move no digest; on a mismatch the test prints this build's digests in
 //! pasteable form.
 
 use hchol::core::options::ShardOptions;
-use hchol::core::plan::{for_cula, for_magma, for_scheme};
+use hchol::core::plan::{for_cula, for_magma, for_outer, for_scheme};
 use hchol::gpusim::{EngineWindow, IssuePolicy};
 use hchol::prelude::*;
 use std::collections::HashMap;
@@ -117,6 +117,7 @@ fn digests() -> Vec<(String, u64)> {
         }
         got.push((format!("magma nt={nt}"), fnv(&shape_text(&for_magma(nt)))));
         got.push((format!("cula nt={nt}"), fnv(&shape_text(&for_cula(nt)))));
+        got.push((format!("outer nt={nt}"), fnv(&shape_text(&for_outer(nt)))));
     }
     got.extend(rewritten());
     got.extend(every_small_grid());
@@ -213,156 +214,159 @@ fn rewritten() -> Vec<(String, u64)> {
 
 #[test]
 fn plan_shapes_are_pinned_to_the_captured_digests() {
-    // Every digest holds on the commit before plan edits became link
-    // updates, once its renders leave out the `propagate` field the
-    // Syrk / GemmPanel / TrsmPanel kinds carried until the fault ledger
-    // read their declared tiles instead (the nine lookahead orders never
-    // rendered a kind and did not move).
-    let pins: [(&str, u64); 144] = [
-        ("Enhanced nt=1", 0x10567bda54f218a9),
-        ("Online nt=1", 0x2b2cd844583ac366),
-        ("Offline nt=1", 0x2004fa321fe7750b),
-        ("Enhanced nt=2", 0x6145d1c9abe62013),
-        ("Online nt=2", 0xd3fd3e13699ec075),
-        ("Offline nt=2", 0x078c540edca790b4),
-        ("Enhanced nt=3", 0xd55d33339a1c2e01),
-        ("Online nt=3", 0x7c1af80ca4f70245),
-        ("Offline nt=3", 0x6b1e62567865acd7),
-        ("Enhanced nt=7", 0xc0441e0233a97144),
-        ("Online nt=7", 0x90d2b833bcd206c0),
-        ("Offline nt=7", 0xbed74e13cc91663b),
-        ("Enhanced nt=12", 0x8cc1be52a902c39f),
-        ("Online nt=12", 0x117e64438eedd755),
-        ("Offline nt=12", 0xa78affe02b421351),
-        ("Enhanced nt=40", 0x93730576d0eda00a),
-        ("Online nt=40", 0xb2119dcc96fcb87f),
-        ("Offline nt=40", 0x9020a4f1ad5b2869),
-        ("Enhanced nt=80", 0xd0d7c795c226c742),
-        ("Online nt=80", 0x444d3617b9d2be8d),
-        ("Offline nt=80", 0xa2798c11ee733a12),
-        ("Enhanced nt=7 k3", 0xa09291f94a7c71fb),
-        ("Online nt=7 k3", 0x90d2b833bcd206c0),
-        ("Offline nt=7 k3", 0xbed74e13cc91663b),
-        ("Enhanced nt=7 fused", 0x2f5b003c685c4997),
-        ("Online nt=7 fused", 0x90d2b833bcd206c0),
-        ("Offline nt=7 fused", 0xbed74e13cc91663b),
-        ("Enhanced nt=7 cpu", 0x84043d601ff9405d),
-        ("Online nt=7 cpu", 0x1599253b141c3f9b),
-        ("Offline nt=7 cpu", 0xc0b7c2c42072bd92),
-        ("Enhanced nt=7 inline", 0xc0441e0233a97144),
-        ("Online nt=7 inline", 0x90d2b833bcd206c0),
-        ("Offline nt=7 inline", 0xbed74e13cc91663b),
-        ("Enhanced nt=7 d1", 0xc0441e0233a97144),
-        ("Online nt=7 d1", 0x90d2b833bcd206c0),
-        ("Offline nt=7 d1", 0xbed74e13cc91663b),
-        ("Enhanced nt=7 d2", 0xfc8d76dfaf31faba),
-        ("Online nt=7 d2", 0x0b6df97509eae323),
-        ("Offline nt=7 d2", 0xd50d4b00985ffe2e),
-        ("Enhanced nt=7 d4", 0xd29cc1b1e2d79c5c),
-        ("Online nt=7 d4", 0xf078872238f0ef94),
-        ("Offline nt=7 d4", 0x08e310bc2cb15267),
-        ("Enhanced nt=7 faulty cpu k3", 0xcccf9b5a716df045),
-        ("Online nt=7 faulty cpu k3", 0xa2d7bc1fab386823),
-        ("Offline nt=7 faulty cpu k3", 0x434a51324dd6f84e),
-        ("Enhanced nt=7 fused k3", 0x08eda336ab45db87),
-        ("Online nt=7 fused k3", 0x90d2b833bcd206c0),
-        ("Offline nt=7 fused k3", 0xbed74e13cc91663b),
+    // Every digest but the three `outer` ones holds on the commit before
+    // the Syrk / GemmPanel kinds named their update chain, once its
+    // renders leave out the `cols: 0..j, ` field (the nine lookahead
+    // orders never rendered a kind and did not move). The `outer` plans
+    // are the right-looking form, whose chains are one column each.
+    let pins: [(&str, u64); 147] = [
+        ("Enhanced nt=1", 0x57ab90e5ee04324e),
+        ("Online nt=1", 0xccd91b35585c6d14),
+        ("Offline nt=1", 0x004d2675d28143c1),
+        ("Enhanced nt=2", 0x53e6f4718280d564),
+        ("Online nt=2", 0x042a4cc105451b93),
+        ("Offline nt=2", 0xae6285dcde928e4a),
+        ("Enhanced nt=3", 0xb8337041854e8d07),
+        ("Online nt=3", 0x4f5eeb2b992b1261),
+        ("Offline nt=3", 0x6ec163f0cdaf2f43),
+        ("Enhanced nt=7", 0x75300fca543a7a2a),
+        ("Online nt=7", 0x141e9b2c8fd54400),
+        ("Offline nt=7", 0xd40e3242a5839b53),
+        ("Enhanced nt=12", 0x7c90f559d12adad9),
+        ("Online nt=12", 0x6a55270e07ad2585),
+        ("Offline nt=12", 0xdb547ca9153db26b),
+        ("Enhanced nt=40", 0x7aab18b98be3ad3a),
+        ("Online nt=40", 0x1ecf47eaec8577c1),
+        ("Offline nt=40", 0x84e3723eb4461e23),
+        ("Enhanced nt=80", 0x3b1b1cbde965df6e),
+        ("Online nt=80", 0x42b6182e795cc365),
+        ("Offline nt=80", 0x067abcd9808ba67c),
+        ("Enhanced nt=7 k3", 0x6146f48467e53ed9),
+        ("Online nt=7 k3", 0x141e9b2c8fd54400),
+        ("Offline nt=7 k3", 0xd40e3242a5839b53),
+        ("Enhanced nt=7 fused", 0x6407a313697cc0df),
+        ("Online nt=7 fused", 0x141e9b2c8fd54400),
+        ("Offline nt=7 fused", 0xd40e3242a5839b53),
+        ("Enhanced nt=7 cpu", 0x846e6bde072cfb5d),
+        ("Online nt=7 cpu", 0x2040f107aa6cac93),
+        ("Offline nt=7 cpu", 0xf640e5667ab6d1aa),
+        ("Enhanced nt=7 inline", 0x75300fca543a7a2a),
+        ("Online nt=7 inline", 0x141e9b2c8fd54400),
+        ("Offline nt=7 inline", 0xd40e3242a5839b53),
+        ("Enhanced nt=7 d1", 0x75300fca543a7a2a),
+        ("Online nt=7 d1", 0x141e9b2c8fd54400),
+        ("Offline nt=7 d1", 0xd40e3242a5839b53),
+        ("Enhanced nt=7 d2", 0xb14a8c0e9d5de93a),
+        ("Online nt=7 d2", 0x48be45a082a2d87d),
+        ("Offline nt=7 d2", 0x37d851842124666c),
+        ("Enhanced nt=7 d4", 0x805340b36608e38e),
+        ("Online nt=7 d4", 0x4e1ed206fac82228),
+        ("Offline nt=7 d4", 0x5328fa9cf944f943),
+        ("Enhanced nt=7 faulty cpu k3", 0x1c36068b5eefa105),
+        ("Online nt=7 faulty cpu k3", 0x81533aad96b0c293),
+        ("Offline nt=7 faulty cpu k3", 0x8a46de4293eb2232),
+        ("Enhanced nt=7 fused k3", 0x7840657465918727),
+        ("Online nt=7 fused k3", 0x141e9b2c8fd54400),
+        ("Offline nt=7 fused k3", 0xd40e3242a5839b53),
         ("Enhanced nt=7 lookahead2 order", 0xa4fe1b045715b225),
         ("Online nt=7 lookahead2 order", 0x49a1940e6d6cc569),
         ("Offline nt=7 lookahead2 order", 0xb7a927607014e41c),
-        ("magma nt=7", 0x4cda1f457d7f86c3),
-        ("cula nt=7", 0x476a90a81e2d2ba1),
-        ("Enhanced nt=12 k3", 0x6cd2e879f5f21b21),
-        ("Online nt=12 k3", 0x117e64438eedd755),
-        ("Offline nt=12 k3", 0xa78affe02b421351),
-        ("Enhanced nt=12 fused", 0x700f9f040a60e888),
-        ("Online nt=12 fused", 0x117e64438eedd755),
-        ("Offline nt=12 fused", 0xa78affe02b421351),
-        ("Enhanced nt=12 cpu", 0x664f81b30f0bc676),
-        ("Online nt=12 cpu", 0x1c779302cc8ed160),
-        ("Offline nt=12 cpu", 0x114fb0f44ee3a506),
-        ("Enhanced nt=12 inline", 0x8cc1be52a902c39f),
-        ("Online nt=12 inline", 0x117e64438eedd755),
-        ("Offline nt=12 inline", 0xa78affe02b421351),
-        ("Enhanced nt=12 d1", 0x8cc1be52a902c39f),
-        ("Online nt=12 d1", 0x117e64438eedd755),
-        ("Offline nt=12 d1", 0xa78affe02b421351),
-        ("Enhanced nt=12 d2", 0x72fc34763a360c41),
-        ("Online nt=12 d2", 0xd4383f6c9ec47718),
-        ("Offline nt=12 d2", 0xe4f9b013e2b29ba3),
-        ("Enhanced nt=12 d4", 0xb5c30041fea3bb04),
-        ("Online nt=12 d4", 0x34db0eac4ea35e24),
-        ("Offline nt=12 d4", 0x94c9e9307f429065),
-        ("Enhanced nt=12 faulty cpu k3", 0x20dad4e9fefced92),
-        ("Online nt=12 faulty cpu k3", 0xf5c27fcd901db33b),
-        ("Offline nt=12 faulty cpu k3", 0x3a3082e91e996360),
-        ("Enhanced nt=12 fused k3", 0xafa97381288f009c),
-        ("Online nt=12 fused k3", 0x117e64438eedd755),
-        ("Offline nt=12 fused k3", 0xa78affe02b421351),
+        ("magma nt=7", 0x21515e75fd902f3b),
+        ("cula nt=7", 0xc54cb3a3fead8ce1),
+        ("outer nt=7", 0x3a7c287a62b06649),
+        ("Enhanced nt=12 k3", 0xe33e036c1ee3adef),
+        ("Online nt=12 k3", 0x6a55270e07ad2585),
+        ("Offline nt=12 k3", 0xdb547ca9153db26b),
+        ("Enhanced nt=12 fused", 0xcabd2a27a3ab8516),
+        ("Online nt=12 fused", 0x6a55270e07ad2585),
+        ("Offline nt=12 fused", 0xdb547ca9153db26b),
+        ("Enhanced nt=12 cpu", 0x0d27d9c7b9d0dc78),
+        ("Online nt=12 cpu", 0xfbc3cf5735f58c50),
+        ("Offline nt=12 cpu", 0x9f60015b6631a9d2),
+        ("Enhanced nt=12 inline", 0x7c90f559d12adad9),
+        ("Online nt=12 inline", 0x6a55270e07ad2585),
+        ("Offline nt=12 inline", 0xdb547ca9153db26b),
+        ("Enhanced nt=12 d1", 0x7c90f559d12adad9),
+        ("Online nt=12 d1", 0x6a55270e07ad2585),
+        ("Offline nt=12 d1", 0xdb547ca9153db26b),
+        ("Enhanced nt=12 d2", 0xf160a967961e6659),
+        ("Online nt=12 d2", 0x157fcd8cdcda88de),
+        ("Offline nt=12 d2", 0x6780c9dc633fbac5),
+        ("Enhanced nt=12 d4", 0x7755af02b86cc36b),
+        ("Online nt=12 d4", 0x85c9f03b824bf0d3),
+        ("Offline nt=12 d4", 0xe95e059297e23b52),
+        ("Enhanced nt=12 faulty cpu k3", 0x56060e413f42c926),
+        ("Online nt=12 faulty cpu k3", 0xe732743b3897ea31),
+        ("Offline nt=12 faulty cpu k3", 0xc2dc2a9009604a50),
+        ("Enhanced nt=12 fused k3", 0x40dc234bab65d4fe),
+        ("Online nt=12 fused k3", 0x6a55270e07ad2585),
+        ("Offline nt=12 fused k3", 0xdb547ca9153db26b),
         ("Enhanced nt=12 lookahead2 order", 0x3dedd364ca7a1fb8),
         ("Online nt=12 lookahead2 order", 0x07e973ecbadf3639),
         ("Offline nt=12 lookahead2 order", 0x0a0a80741222d32a),
-        ("magma nt=12", 0xb3ffaf9dd8e9cb38),
-        ("cula nt=12", 0xa376f4fd2feb5756),
-        ("Enhanced nt=40 k3", 0x1ce85c9781aa2f72),
-        ("Online nt=40 k3", 0xb2119dcc96fcb87f),
-        ("Offline nt=40 k3", 0x9020a4f1ad5b2869),
-        ("Enhanced nt=40 fused", 0x1682c4bf3748355e),
-        ("Online nt=40 fused", 0xb2119dcc96fcb87f),
-        ("Offline nt=40 fused", 0x9020a4f1ad5b2869),
-        ("Enhanced nt=40 cpu", 0x9076533b441451f7),
-        ("Online nt=40 cpu", 0xf18f92bce7bc1eec),
-        ("Offline nt=40 cpu", 0x56485a396d76795b),
-        ("Enhanced nt=40 inline", 0x93730576d0eda00a),
-        ("Online nt=40 inline", 0xb2119dcc96fcb87f),
-        ("Offline nt=40 inline", 0x9020a4f1ad5b2869),
-        ("Enhanced nt=40 d1", 0x93730576d0eda00a),
-        ("Online nt=40 d1", 0xb2119dcc96fcb87f),
-        ("Offline nt=40 d1", 0x9020a4f1ad5b2869),
-        ("Enhanced nt=40 d2", 0xf72c9e33bf8b5d63),
-        ("Online nt=40 d2", 0x5ada6a6e152d79b4),
-        ("Offline nt=40 d2", 0x481551d22e3e6ef4),
-        ("Enhanced nt=40 d4", 0xd35f5fe1e5f72069),
-        ("Online nt=40 d4", 0x4f3cd67b9e4f1a9b),
-        ("Offline nt=40 d4", 0xf047baeed6325f85),
-        ("Enhanced nt=40 faulty cpu k3", 0x6a7a6bbc1663c335),
-        ("Online nt=40 faulty cpu k3", 0x2fe0b3c6bf1d4086),
-        ("Offline nt=40 faulty cpu k3", 0x45bf7c3bd6f88201),
-        ("Enhanced nt=40 fused k3", 0xc215778d3c98c208),
-        ("Online nt=40 fused k3", 0xb2119dcc96fcb87f),
-        ("Offline nt=40 fused k3", 0x9020a4f1ad5b2869),
+        ("magma nt=12", 0x2095c13f9435ead4),
+        ("cula nt=12", 0x31c4d2f5bef0861c),
+        ("outer nt=12", 0x66b120ae53f057d6),
+        ("Enhanced nt=40 k3", 0xe513e59e20d321ac),
+        ("Online nt=40 k3", 0x1ecf47eaec8577c1),
+        ("Offline nt=40 k3", 0x84e3723eb4461e23),
+        ("Enhanced nt=40 fused", 0x0999ca91620f559e),
+        ("Online nt=40 fused", 0x1ecf47eaec8577c1),
+        ("Offline nt=40 fused", 0x84e3723eb4461e23),
+        ("Enhanced nt=40 cpu", 0xdb6ec2304287a2c5),
+        ("Online nt=40 cpu", 0x51af601958ab7d7c),
+        ("Offline nt=40 cpu", 0x7d9058eebbacdb41),
+        ("Enhanced nt=40 inline", 0x7aab18b98be3ad3a),
+        ("Online nt=40 inline", 0x1ecf47eaec8577c1),
+        ("Offline nt=40 inline", 0x84e3723eb4461e23),
+        ("Enhanced nt=40 d1", 0x7aab18b98be3ad3a),
+        ("Online nt=40 d1", 0x1ecf47eaec8577c1),
+        ("Offline nt=40 d1", 0x84e3723eb4461e23),
+        ("Enhanced nt=40 d2", 0x208b8db575d3eb1b),
+        ("Online nt=40 d2", 0x1c77ffbf07e5ece4),
+        ("Offline nt=40 d2", 0x34098b456307200e),
+        ("Enhanced nt=40 d4", 0xbc47093f470922df),
+        ("Online nt=40 d4", 0xd2ff78c141723adf),
+        ("Offline nt=40 d4", 0x5ea050e66c774655),
+        ("Enhanced nt=40 faulty cpu k3", 0x1a703a7a8b72920d),
+        ("Online nt=40 faulty cpu k3", 0x723916d0bbd95260),
+        ("Offline nt=40 faulty cpu k3", 0xcbe380e012f03313),
+        ("Enhanced nt=40 fused k3", 0xdfd9942e2e6772a0),
+        ("Online nt=40 fused k3", 0x1ecf47eaec8577c1),
+        ("Offline nt=40 fused k3", 0x84e3723eb4461e23),
         ("Enhanced nt=40 lookahead2 order", 0x3d3507bf0badd55c),
         ("Online nt=40 lookahead2 order", 0xfa099aa9d79ec524),
         ("Offline nt=40 lookahead2 order", 0x94930e6ed59de084),
-        ("magma nt=40", 0x7b62fafd32c081b4),
-        ("cula nt=40", 0x2e8dddb3206e0e0d),
-        ("Enhanced rewrite@4", 0xbdd97d637955c7dd),
-        ("Enhanced rewrite@8", 0xe3f777bcaa4e35fb),
-        ("Online rewrite@4", 0xe6d2b34450c6bbde),
-        ("Online rewrite@8", 0x3fc365d631a309b5),
-        ("Offline rewrite@4", 0xe52e844de24aa41f),
-        ("Offline rewrite@8", 0xce3e9d798f9d017a),
-        ("grid nt=1", 0x2afac9305d400f3e),
-        ("grid nt=2", 0xc0d821bbe5442395),
-        ("grid nt=3", 0xf8d3d28b1efb5008),
-        ("grid nt=4", 0xd07a72e09d2c121a),
-        ("grid nt=5", 0x3925ba53ee9adec0),
-        ("grid nt=6", 0x8363bb77a1ccd389),
-        ("grid nt=7", 0xe35cb3a3e2dd7672),
-        ("grid nt=8", 0x15cd1321d8702993),
-        ("grid nt=9", 0x5f9a2cfaa6fb7ccd),
-        ("grid nt=10", 0x5f6d60e66c64a651),
-        ("grid nt=11", 0x4ea0a13737e7ace4),
-        ("grid nt=12", 0x3ad77e7465496880),
-        ("grid nt=13", 0x27ae2ad852cec3a6),
-        ("grid nt=14", 0xa26c0464d5027ac5),
-        ("grid nt=15", 0x078baf96d86509ab),
-        ("grid nt=16", 0x33c7fbb238d6cd07),
-        ("grid nt=17", 0x639261dd19c7a566),
-        ("grid nt=18", 0xa11e31d7dbc6c274),
-        ("grid nt=19", 0xc4f009c79825db2d),
-        ("grid nt=20", 0x6c4e4c5595b2e385),
-        ("Enhanced nt=9 splice at every cut", 0x8df04cfc7ad2003e),
+        ("magma nt=40", 0x6f4c26f29ddb8cd2),
+        ("cula nt=40", 0xbf34496996eb3fa9),
+        ("outer nt=40", 0xb82dfa37f26a25ab),
+        ("Enhanced rewrite@4", 0x4f98aac1f76c4825),
+        ("Enhanced rewrite@8", 0x511309bd451fa625),
+        ("Online rewrite@4", 0x6d4dde5501270b4e),
+        ("Online rewrite@8", 0x8b31cb71cb889f27),
+        ("Offline rewrite@4", 0xfaa0420959befb2f),
+        ("Offline rewrite@8", 0xd2c5a848e429a96e),
+        ("grid nt=1", 0x22ae1143674935db),
+        ("grid nt=2", 0xcaa3d1c48ac92710),
+        ("grid nt=3", 0x9171289fb3b3b01a),
+        ("grid nt=4", 0xd7a278c69b710a59),
+        ("grid nt=5", 0xda400fff72dc48ca),
+        ("grid nt=6", 0xcb6c0121fa3d3837),
+        ("grid nt=7", 0x38066efcac6b8e84),
+        ("grid nt=8", 0x65eb22ce6515f2e5),
+        ("grid nt=9", 0xe30c230c7591d1c1),
+        ("grid nt=10", 0x7e9abe997aa93853),
+        ("grid nt=11", 0xa83e491dbdb999cd),
+        ("grid nt=12", 0xc1df4abc4eea16c1),
+        ("grid nt=13", 0x8af5c1d894c80663),
+        ("grid nt=14", 0xfa58585bd916c7cf),
+        ("grid nt=15", 0x6e6eeca44cbde899),
+        ("grid nt=16", 0x3d986c31f404642d),
+        ("grid nt=17", 0xe2b5b2cf3355d7de),
+        ("grid nt=18", 0x080c6980c130aec0),
+        ("grid nt=19", 0xf08afd2d7b1a3049),
+        ("grid nt=20", 0x8d34e519b6f2bcc3),
+        ("Enhanced nt=9 splice at every cut", 0xc597c9ea6ffadb84),
     ];
     let got = digests();
     let got_ref: Vec<(&str, u64)> = got.iter().map(|(w, d)| (w.as_str(), *d)).collect();
