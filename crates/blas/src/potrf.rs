@@ -47,7 +47,7 @@ pub fn potf2<S: Scalar>(a: &mut Matrix<S>, pivot_offset: usize) -> Result<(), Ma
     Ok(())
 }
 
-/// Blocked right-looking lower Cholesky on contiguous storage.
+/// Blocked inner-product (left-looking) lower Cholesky on contiguous storage.
 ///
 /// Identical math to the hybrid driver but entirely on the host; used as the
 /// trusted oracle in tests and by examples that don't need the simulator.
@@ -64,10 +64,9 @@ pub fn potrf_blocked<S: Scalar>(a: &mut Matrix<S>, block: usize) -> Result<(), M
     Ok(())
 }
 
-/// Tiled right-looking lower Cholesky over a [`TileMatrix`].
+/// Tiled inner-product (left-looking) lower Cholesky over a [`TileMatrix`].
 ///
-/// This is the *inner-product* (left-looking at the block level is what the
-/// paper calls inner product) order MAGMA uses — Algorithm 1 of the paper:
+/// This is the order MAGMA uses — Algorithm 1 of the paper:
 /// for each block column `j`: SYRK the diagonal block against the factored
 /// panel to its left, GEMM the sub-panel, POTF2 the diagonal block, TRSM the
 /// sub-panel. Only tiles on or below the diagonal are meaningful.
