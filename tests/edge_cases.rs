@@ -4,8 +4,11 @@
 
 use hchol::prelude::*;
 use hchol_blas::potrf::reconstruct_lower;
+use hchol_core::cula::factor_cula;
+use hchol_core::magma::{factor_magma, factor_outer};
 use hchol_matrix::generate::spd_diag_dominant;
 use hchol_matrix::relative_residual;
+use hchol_matrix::MatrixError;
 
 fn check_correct(out: &FactorOutcome, a: &hchol_matrix::Matrix, label: &str) {
     let l = out.factor.as_ref().expect("factor");
@@ -108,25 +111,28 @@ fn genuinely_indefinite_input_is_an_error_not_a_retry_loop() {
     let mut a = spd_diag_dominant(n, 5);
     a.set(17, 17, -100.0); // break positive definiteness for real
     let p = SystemProfile::test_profile();
-    for kind in SchemeKind::all() {
-        let r = run_clean(
-            kind,
-            &p,
-            ExecMode::Execute,
-            n,
-            8,
-            &AbftOptions::default(),
-            Some(&a),
-        );
+    let at_pivot_17 = |r: Result<(), MatrixError>, name: &str| {
         assert!(
-            matches!(
-                r,
-                Err(hchol_matrix::MatrixError::NotPositiveDefinite { .. })
-            ),
-            "{} must report the indefinite input",
-            kind.name()
+            matches!(r, Err(MatrixError::NotPositiveDefinite { pivot: 17, .. })),
+            "{name} must report the indefinite input at pivot 17: {r:?}"
         );
+    };
+    let mode = ExecMode::Execute;
+    for kind in SchemeKind::all() {
+        let r = run_clean(kind, &p, mode, n, 8, &AbftOptions::default(), Some(&a));
+        at_pivot_17(r.map(drop), kind.name());
     }
+    // The baselines defer POTF2's error to the end of its iteration; it
+    // still surfaces, typed, at the same pivot.
+    at_pivot_17(
+        factor_magma(&p, mode, n, 8, Some(&a), false).map(drop),
+        "MAGMA",
+    );
+    at_pivot_17(factor_cula(&p, mode, n, 8, Some(&a)).map(drop), "CULA");
+    at_pivot_17(
+        factor_outer(&p, mode, n, 8, Some(&a), false).map(drop),
+        "Outer",
+    );
 }
 
 #[test]
@@ -269,7 +275,6 @@ fn hostile_shapes_factor_or_refuse_but_never_panic() {
 fn fault_plans_outside_the_run_are_refused_with_a_typed_error() {
     use hchol::core::options::ShardOptions;
     use hchol_faults::{FaultTarget, InjectionPoint};
-    use hchol_matrix::MatrixError;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     // nt = 7; the last tile row and column are 4 wide.
     let (n, b) = (100, 16);
