@@ -24,9 +24,9 @@ use hchol_matrix::{Matrix, MatrixError};
 pub const CULA_FLOP_INFLATION: f64 = 1.18;
 
 /// Run the simulated CULA factorization: fully synchronous driving (the
-/// Synchronous-style plan of [`crate::plan::for_cula`] drains the device
-/// after every step and runs POTF2 before the panel GEMM) on inflated
-/// flops, timeline off.
+/// Synchronous-style plan of [`crate::plan::for_cula`] runs POTF2 before
+/// the panel GEMM, and a synchronous plan drains the device after every
+/// host-blocking node) on inflated flops, timeline off.
 pub fn factor_cula(
     profile: &SystemProfile,
     mode: ExecMode,

@@ -376,10 +376,10 @@ fn panel_label(name: &'static str, j: usize, dev: Option<usize>) -> Label {
 
 /// Tiles the SYRK of diagonal tile `j` over the update chain `cols` reads
 /// and writes, in the plan's canonical form — the one definition behind
-/// both [`FactorPlan::node_access`](crate::plan::FactorPlan::node_access)
-/// and the [`syrk_diag`] launch (bound to real buffers by
-/// [`CholLayout::bind`]). Empty for an empty chain (Algorithm 1's `j = 0`),
-/// where the SYRK is a no-op.
+/// [`FactorPlan::node_access`](crate::plan::FactorPlan::node_access). The
+/// executor hands that footprint to the [`syrk_diag`] launch, which binds
+/// it to real buffers ([`CholLayout::bind`]). Empty for an empty chain
+/// (Algorithm 1's `j = 0`), where the SYRK is a no-op.
 pub fn syrk_access(nt: usize, j: usize, cols: Range<usize>, fused: bool) -> AccessSet {
     if cols.is_empty() {
         return AccessSet::none();
@@ -406,15 +406,16 @@ pub fn syrk_access(nt: usize, j: usize, cols: Range<usize>, fused: bool) -> Acce
 /// the updated diagonal tile into `lay.dpt[j]`, charged as extra epilogue
 /// flops on the *same* launch (no second kernel startup). A fused
 /// `VerifyBatch` then compares the deposit against the maintained
-/// checksums without any recalculation kernel.
+/// checksums without any recalculation kernel. The launch declares
+/// `access`, the node's footprint ([`syrk_access`]); an empty one is a no-op.
 pub fn syrk_diag<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
     j: usize,
     cols: Range<usize>,
     fused: bool,
+    access: AccessSet,
 ) {
-    let access = syrk_access(lay.nt, j, cols.clone(), fused);
     if access.is_empty() {
         return;
     }
@@ -494,7 +495,9 @@ pub fn gemm_panel_access(
 ///
 /// With `fused`, the kernel deposits fresh column checksums of every
 /// updated tile `(i, j)` into `lay.dpt[i]` from the same launch, charged
-/// as epilogue flops with no extra kernel startup.
+/// as epilogue flops with no extra kernel startup. `access` as for
+/// [`syrk_diag`] ([`gemm_panel_access`]).
+#[allow(clippy::too_many_arguments)] // a panel node's fields and its footprint are the signature
 pub fn gemm_panel<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
@@ -503,8 +506,8 @@ pub fn gemm_panel<S: Scalar>(
     rows: &[usize],
     dev: Option<usize>,
     fused: bool,
+    access: AccessSet,
 ) {
-    let access = gemm_panel_access(lay.nt, j, cols.clone(), rows, fused);
     if access.is_empty() {
         return;
     }
@@ -609,15 +612,21 @@ pub fn host_potf2<S: Scalar>(
     }
 }
 
-/// Transfer the factorized diagonal block back to the device.
-pub fn diag_to_device<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize) {
+/// Transfer the factorized diagonal block back to the device, declaring
+/// `access`, the node's footprint (the write of `(j, j)`).
+pub fn diag_to_device<S: Scalar>(
+    ctx: &mut SimContext<S>,
+    lay: &CholLayout,
+    j: usize,
+    access: AccessSet,
+) {
     let bytes = S::BYTES * (lay.b * lay.b) as u64;
     let (mat, host_diag) = (lay.mat, lay.host_diag);
     ctx.bulk_transfer_with_access(
         bytes,
         lay.streams.tran,
         true,
-        AccessSet::new(vec![], vec![TileRef::new(mat, j, j)]),
+        lay.bind(access),
         move |dev, host| {
             *dev.tile_mut(mat, j, j) = host.buf(host_diag).clone();
         },
@@ -639,7 +648,8 @@ pub fn trsm_panel_access(j: usize, rows: &[usize]) -> AccessSet {
 }
 
 /// TRSM: `A[rows, j] := A[rows, j] · (L[j,j]ᵀ)⁻¹` on the compute stream.
-/// `rows`/`dev` select the whole panel or one device's slice of it, as for
+/// `rows`/`dev` select the whole panel or one device's slice of it, and
+/// `access` is the node's footprint ([`trsm_panel_access`]), as for
 /// [`gemm_panel`].
 pub fn trsm_panel<S: Scalar>(
     ctx: &mut SimContext<S>,
@@ -647,8 +657,8 @@ pub fn trsm_panel<S: Scalar>(
     j: usize,
     rows: &[usize],
     dev: Option<usize>,
+    access: AccessSet,
 ) {
-    let access = trsm_panel_access(j, rows);
     if access.is_empty() {
         return;
     }
@@ -1022,14 +1032,16 @@ pub fn chk_update_access(op: UpdateOp, j: usize, row: usize) -> AccessSet {
 /// * SYRK / GEMM — `chk(A[i,j]) -= Σ_k chk(L[i,k]) · L[j,k]ᵀ`;
 /// * POTF2 — Algorithm 2 of the paper;
 /// * TRSM — `chk(L[i,j]) = chk(A[i,j]) · (L[j,j]ᵀ)⁻¹`.
+///
+/// `access` as for [`syrk_diag`] ([`chk_update_access`]).
 pub fn update_chk<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &CholLayout,
     op: UpdateOp,
     j: usize,
     i: usize,
+    access: AccessSet,
 ) {
-    let access = chk_update_access(op, j, i);
     if access.is_empty() {
         return;
     }
@@ -1522,8 +1534,11 @@ pub fn lower_tiles(nt: usize) -> Vec<(usize, usize)> {
 /// * TRSM `j`: `(i,j) ← (j,j)`.
 ///
 /// Dirty reads are counted once per block row, so the cost is linear in
-/// the access set.
+/// the access set, and a clean ledger returns at once.
 pub fn propagate(inj: &mut Injector, tiles: &AccessSet) {
+    if !inj.any_dirty() {
+        return;
+    }
     let mat = |t: &TileRef| (*t == mat_tile(t.bi, t.bj)).then_some((t.bi, t.bj));
     let dirty: HashSet<(usize, usize)> = tiles
         .reads
@@ -1614,6 +1629,11 @@ mod tests {
 
     fn exec_ctx() -> SimContext {
         SimContext::new(SystemProfile::test_profile(), ExecMode::Execute)
+    }
+
+    /// The declared footprint of diagonal `j`'s return to the device.
+    fn diag_back(j: usize) -> AccessSet {
+        AccessSet::new(vec![], vec![mat_tile(j, j)])
     }
 
     #[test]
@@ -1771,7 +1791,8 @@ mod tests {
                     .collect()
             };
             for j in 0..lay.nt {
-                syrk_diag(&mut ctx, &mut lay, j, 0..j, fused);
+                let access = syrk_access(lay.nt, j, 0..j, fused);
+                syrk_diag(&mut ctx, &mut lay, j, 0..j, fused, access);
                 if fused && j > 0 {
                     // The epilogue deposited fresh checksums of the
                     // updated diagonal tile.
@@ -1782,14 +1803,15 @@ mod tests {
                 }
                 diag_to_host(&mut ctx, &mut lay, j);
                 for (rows, dev) in slices(lay.nt, j) {
-                    gemm_panel(&mut ctx, &mut lay, j, 0..j, &rows, dev, fused);
+                    let access = gemm_panel_access(lay.nt, j, 0..j, &rows, fused);
+                    gemm_panel(&mut ctx, &mut lay, j, 0..j, &rows, dev, fused, access);
                 }
                 ctx.sync_stream(lay.streams.tran);
                 host_potf2(&mut ctx, &lay, j).unwrap();
-                diag_to_device(&mut ctx, &lay, j);
+                diag_to_device(&mut ctx, &lay, j, diag_back(j));
                 ctx.sync_stream(lay.streams.tran);
                 for (rows, dev) in slices(lay.nt, j) {
-                    trsm_panel(&mut ctx, &lay, j, &rows, dev);
+                    trsm_panel(&mut ctx, &lay, j, &rows, dev, trsm_panel_access(j, &rows));
                 }
             }
             ctx.sync_all();
@@ -1854,15 +1876,23 @@ mod tests {
         let opts = AbftOptions::default();
         encode_all(&mut ctx, &mut lay, &opts);
         for j in 0..lay.nt {
-            let rows: Vec<usize> = ((j + 1)..lay.nt).collect();
-            syrk_diag(&mut ctx, &mut lay, j, 0..j, false);
+            let (nt, rows): (_, Vec<usize>) = (lay.nt, ((j + 1)..lay.nt).collect());
+            syrk_diag(
+                &mut ctx,
+                &mut lay,
+                j,
+                0..j,
+                false,
+                syrk_access(nt, j, 0..j, false),
+            );
             diag_to_host(&mut ctx, &mut lay, j);
-            gemm_panel(&mut ctx, &mut lay, j, 0..j, &rows, None, false);
+            let access = gemm_panel_access(nt, j, 0..j, &rows, false);
+            gemm_panel(&mut ctx, &mut lay, j, 0..j, &rows, None, false, access);
             ctx.sync_stream(lay.streams.tran);
             host_potf2(&mut ctx, &lay, j).unwrap();
-            diag_to_device(&mut ctx, &lay, j);
+            diag_to_device(&mut ctx, &lay, j, diag_back(j));
             ctx.sync_stream(lay.streams.tran);
-            trsm_panel(&mut ctx, &lay, j, &rows, None);
+            trsm_panel(&mut ctx, &lay, j, &rows, None, trsm_panel_access(j, &rows));
         }
         ctx.sync_all();
         assert!(ctx.now().as_secs() > 0.0);

@@ -152,16 +152,13 @@ fn transition<S: Scalar>(
     Ok(())
 }
 
-/// Mirror node `id` in the injector's ledger ([`ops::propagate`]). A clean
-/// ledger has nothing to propagate, so the node's tiles are built only once
-/// something is dirty.
-fn propagate(inj: &mut Injector, plan: &FactorPlan, id: NodeId) {
-    if inj.any_dirty() {
-        ops::propagate(inj, &plan.node_access(id).tiles);
-    }
-}
-
 /// Execute `lane`'s node `id`. `solo`: no other lane shares the context.
+///
+/// A node whose op launches its whole footprint hands the op the tiles the
+/// plan declares for it ([`FactorPlan::node_access`]), after the fault
+/// ledger has read them ([`ops::propagate`]). A synchronous (CULA-style)
+/// plan drains the device behind every node its schedule marks
+/// host-blocking; every other step is the same for both drive styles.
 fn step<S: Scalar>(
     ctx: &mut SimContext<S>,
     lane: &mut Lane<'_>,
@@ -182,14 +179,15 @@ fn step<S: Scalar>(
     // lane replaying the authored order.
     let scopes = solo && order.is_none();
     transition(ctx, plan, scopes, st, id)?;
-    let sync_style = plan.style == DriveStyle::Synchronous;
     // Sharded plans: point the layout at the acting shard's stream set
     // before the node runs.
     if let Some(r) = rt.as_mut() {
         let tgt = r.target_shard(plan, id);
         r.steer(lay, tgt);
     }
-    match &plan.node(id).kind {
+    let footprint = || plan.node_access(id).tiles;
+    let kind = &plan.node(id).kind;
+    match kind {
         TaskKind::Encode => {
             ops::encode_all(ctx, lay, opts);
             if let Some(r) = rt.as_mut() {
@@ -205,21 +203,14 @@ fn step<S: Scalar>(
             ops::poll_faults(ctx, lay, inj, *p)
         }
         TaskKind::Syrk { j, cols, fused } => {
-            ops::syrk_diag(ctx, lay, *j, cols.clone(), *fused);
-            if sync_style {
-                ctx.sync_device();
-            }
-            propagate(inj, plan, id);
+            let tiles = footprint();
+            ops::propagate(inj, &tiles);
+            ops::syrk_diag(ctx, lay, *j, cols.clone(), *fused, tiles);
         }
         TaskKind::DiagToHost { j } => {
-            if sync_style {
-                ops::diag_to_host(ctx, lay, *j);
-                ctx.sync_stream(lay.streams.tran);
-            } else {
-                let syrk_done = ctx.record_event(lay.streams.comp);
-                ctx.stream_wait_event(lay.streams.tran, syrk_done);
-                ops::diag_to_host(ctx, lay, *j);
-            }
+            let syrk_done = ctx.record_event(lay.streams.comp);
+            ctx.stream_wait_event(lay.streams.tran, syrk_done);
+            ops::diag_to_host(ctx, lay, *j);
         }
         TaskKind::GemmPanel {
             j,
@@ -227,17 +218,13 @@ fn step<S: Scalar>(
             dev,
             fused,
         } => {
+            let tiles = footprint();
+            ops::propagate(inj, &tiles);
             let rows = plan.panel_rows(*j, *dev);
-            ops::gemm_panel(ctx, lay, *j, cols.clone(), &rows, *dev, *fused);
-            if sync_style {
-                ctx.sync_device();
-            }
-            propagate(inj, plan, id);
+            ops::gemm_panel(ctx, lay, *j, cols.clone(), &rows, *dev, *fused, tiles);
         }
         TaskKind::Potf2 { j, propagate } => {
-            if !sync_style {
-                ctx.sync_stream(lay.streams.tran);
-            }
+            ctx.sync_stream(lay.streams.tran);
             match ops::host_potf2(ctx, lay, *j) {
                 Ok(()) => {
                     if *propagate {
@@ -248,28 +235,20 @@ fn step<S: Scalar>(
                 Err(e) => return Err(e),
             }
         }
-        TaskKind::DiagToDevice { j } => {
-            ops::diag_to_device(ctx, lay, *j);
-            if sync_style {
-                ctx.sync_stream(lay.streams.tran);
-            }
-        }
+        TaskKind::DiagToDevice { j } => ops::diag_to_device(ctx, lay, *j, footprint()),
         TaskKind::TrsmPanel { j, dev } => {
             // The compute stream must wait for the diagonal's return on its
             // own device's transfer stream; a remote slice of a sharded
             // panel was already ordered by its DeviceRecv.
-            let local = plan.shard.zip(*dev).is_none_or(|(s, d)| d == s.owner(*j));
-            if !sync_style && local {
+            if plan.shard.zip(*dev).is_none_or(|(s, d)| d == s.owner(*j)) {
                 let diag_back = ctx.record_event(lay.streams.tran);
                 ctx.stream_wait_event(lay.streams.comp, diag_back);
             }
-            ops::trsm_panel(ctx, lay, *j, &plan.panel_rows(*j, *dev), *dev);
-            if sync_style {
-                ctx.sync_device();
-            }
-            propagate(inj, plan, id);
+            let tiles = footprint();
+            ops::propagate(inj, &tiles);
+            ops::trsm_panel(ctx, lay, *j, &plan.panel_rows(*j, *dev), *dev, tiles);
         }
-        TaskKind::ChkUpdate { op, j, i } => ops::update_chk(ctx, lay, *op, *j, *i),
+        TaskKind::ChkUpdate { op, j, i } => ops::update_chk(ctx, lay, *op, *j, *i, footprint()),
         TaskKind::VerifyBatch { tiles, fused, .. } => {
             // A fused batch is compare-only: the producing kernel already
             // deposited fresh checksums in its epilogue.
@@ -307,7 +286,7 @@ fn step<S: Scalar>(
         }
         TaskKind::DeviceSend { j, what, from } => {
             let r = rt.as_mut().expect("DeviceSend in an unsharded run");
-            r.broadcast(ctx, lay, *j, *what, *from);
+            r.broadcast(ctx, lay, *j, *what, *from, footprint());
         }
         TaskKind::DeviceRecv { j, what, to } => {
             let r = rt.as_mut().expect("DeviceRecv in an unsharded run");
@@ -337,6 +316,9 @@ fn step<S: Scalar>(
                 ctx.sync_all();
             }
         }
+    }
+    if plan.style == DriveStyle::Synchronous && plan.host_blocking(kind) {
+        ctx.sync_device();
     }
     Ok(())
 }
@@ -569,19 +551,22 @@ pub fn run_batch(
 mod tests {
     use super::*;
     use crate::options::{ChecksumPlacement, ShardOptions};
-    use hchol_gpusim::{BufferId, TileRef, TraceAction};
+    use hchol_gpusim::{BufferId, ExecSite, TileRef, TraceAction};
     use std::collections::HashMap;
 
-    /// Plan ↔ runtime agreement of the single-sourced access sets, read off
-    /// the log's node marks: the ops under each SYRK/GEMM/TRSM/checksum-update
-    /// node's mark declare, mapped back through its lane's layout binding,
-    /// exactly the node's tiles — default, fused, sharded, lookahead and
-    /// batched, all three schemes. Every node runs under exactly one mark;
-    /// what setup issued is under none.
+    /// Plan ↔ runtime agreement, read off the log's node marks: every op
+    /// under a node's mark, mapped back through its lane's layout binding,
+    /// reads only tiles the node declares (reads or writes) and writes only
+    /// tiles it declares as writes — every node kind, in the default,
+    /// fused, sharded, lookahead, batched, CPU-placed and inline-placed
+    /// configurations of all three schemes. Buffers the plan does not name
+    /// (recalculation scratch, shard parity) are skipped. Every node runs
+    /// under exactly one mark; what setup issued is under none.
     #[test]
-    fn kernels_declare_their_plan_nodes_accesses() {
+    fn every_op_touches_only_its_nodes_declared_tiles() {
+        use ChecksumPlacement::{Cpu, Gpu, Inline};
         let (nt, b) = (6usize, 4usize);
-        let base = AbftOptions::default().with_placement(ChecksumPlacement::Gpu);
+        let base = AbftOptions::default().with_placement(Gpu);
         let configs = [
             ("default", base.clone(), 1),
             ("chk_fused", base.clone().with_chk_fused(true), 1),
@@ -597,6 +582,8 @@ mod tests {
             ),
             ("lookahead 2", base.clone().with_lookahead(2), 1),
             ("batch x2", base.clone(), 2),
+            ("cpu", base.clone().with_placement(Cpu), 1),
+            ("inline", base.clone().with_placement(Inline), 1),
         ];
         for (name, opts, lanes) in &configs {
             for kind in SchemeKind::all() {
@@ -644,37 +631,37 @@ mod tests {
                     .collect();
                 let mut stepped = HashMap::new();
                 let (mut fused, mut remote, mut reordered) = (false, false, false);
+                let (mut on_cpu, mut on_comp) = (false, false);
                 for (k, ((lane, node), span)) in log.marks().enumerate() {
                     *stepped.entry((lane, node)).or_insert(0) += 1;
-                    let (plan, id) = (&members[lane].0, NodeId(node));
+                    let (plan, lay, _) = &members[lane];
+                    let id = NodeId(node);
                     reordered |= plan.order().get(k) != Some(&id);
                     let node = &plan.node(id).kind;
                     let last = opts.shard_devices().checked_sub(1);
                     remote |= matches!(node, TaskKind::GemmPanel { dev, .. } if *dev == last);
-                    if !matches!(
-                        node,
-                        TaskKind::Syrk { .. }
-                            | TaskKind::GemmPanel { .. }
-                            | TaskKind::TrsmPanel { .. }
-                            | TaskKind::ChkUpdate { .. }
-                    ) {
-                        continue;
-                    }
-                    let unbind = |t: TileRef| TileRef::new(canonical[lane][&t.buf], t.bi, t.bj);
-                    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+                    let want = plan.node_access(id).tiles;
+                    let named = |t: TileRef| {
+                        let buf = canonical[lane].get(&t.buf)?;
+                        Some(TileRef::new(*buf, t.bi, t.bj))
+                    };
                     for act in log.entries(span) {
-                        if let TraceAction::Op(op) = act {
-                            reads.extend(log.reads(op).map(unbind));
-                            writes.extend(log.writes(op).map(unbind));
-                            fused |= op.fused_verify;
+                        let TraceAction::Op(op) = act else { continue };
+                        fused |= op.fused_verify;
+                        if matches!(node, TaskKind::ChkUpdate { .. }) {
+                            on_cpu |= matches!(op.site(), ExecSite::CpuWorker(_));
+                            on_comp |= op.site() == ExecSite::Stream(lay.streams.comp.0);
+                        }
+                        let op_tag = || format!("{tag}: {node:?} op {}", log.label(op));
+                        for t in log.reads(op).filter_map(named) {
+                            let declared = want.reads.contains(&t) || want.writes.contains(&t);
+                            assert!(declared, "{} reads undeclared {t}", op_tag());
+                        }
+                        for t in log.writes(op).filter_map(named) {
+                            let declared = want.writes.contains(&t);
+                            assert!(declared, "{} writes undeclared {t}", op_tag());
                         }
                     }
-                    let want = plan.node_access(id).tiles;
-                    assert_eq!(
-                        (reads, writes),
-                        (want.reads, want.writes),
-                        "{tag}: {node:?}"
-                    );
                 }
                 for (lane, (plan, ..)) in members.iter().enumerate() {
                     for &id in plan.order() {
@@ -692,6 +679,8 @@ mod tests {
                     "{tag}: last device's slice"
                 );
                 assert_eq!(reordered, opts.lookahead > 0 || *lanes > 1, "{tag}: order");
+                assert_eq!(on_cpu, opts.placement == Cpu, "{tag}: CPU updates");
+                assert_eq!(on_comp, opts.placement == Inline, "{tag}: inline updates");
             }
         }
         // A run whose log keeps nothing keeps no marks.

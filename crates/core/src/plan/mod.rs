@@ -70,7 +70,7 @@ pub enum DriveStyle {
     /// MAGMA-style: async transfers ordered by events, POTF2 overlapping
     /// the panel GEMM.
     Overlapped,
-    /// CULA-style: every step drains the device before the next
+    /// CULA-style: the device is drained after every host-blocking node
     /// (synchronous `cudaMemcpy`-era driving), POTF2 before the GEMM.
     Synchronous,
 }
@@ -921,6 +921,9 @@ impl FactorPlan {
         DagSchedule::new(deps, meta, (0..order.len()).collect())
     }
 
+    /// Whether a node of `kind` blocks the host: the schedule's issue model
+    /// reads it, and the executor drains the device behind every such node
+    /// of a [`DriveStyle::Synchronous`] plan.
     fn host_blocking(&self, kind: &TaskKind) -> bool {
         let sync_style = self.style == DriveStyle::Synchronous;
         match kind {

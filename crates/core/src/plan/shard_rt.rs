@@ -150,7 +150,8 @@ impl ShardRuntime {
     /// ring (hop `k` of chunk `c` overlaps hop `k+1` of chunk `c−1`).
     /// A direct one-to-all broadcast would serialize `D−1` full payloads
     /// on the owner's single link port. Transfers ride the transfer
-    /// streams, so no compute stream is stalled by link time.
+    /// streams, so no compute stream is stalled by link time. `access` is
+    /// the node's declared footprint: the payload tiles it reads.
     pub(crate) fn broadcast<S: Scalar>(
         &mut self,
         ctx: &mut SimContext<S>,
@@ -158,23 +159,18 @@ impl ShardRuntime {
         j: usize,
         what: ShardXfer,
         from: usize,
+        access: AccessSet,
     ) {
-        let tile_bytes = S::BYTES * (lay.b * lay.b) as u64;
-        let (bytes, reads): (u64, Vec<TileRef>) = match what {
-            // The row panel was produced by earlier TRSMs on the owner's
-            // compute stream; an event orders the first send behind them.
-            ShardXfer::RowPanel => {
-                let done = ctx.record_event(self.streams[from].comp);
-                ctx.stream_wait_event(self.streams[from].tran, done);
-                (
-                    j as u64 * tile_bytes,
-                    (0..j).map(|k| TileRef::new(lay.mat, j, k)).collect(),
-                )
-            }
-            // The factorized diagonal lands via DiagToDevice on the
-            // owner's transfer stream already.
-            ShardXfer::Diag => (tile_bytes, vec![TileRef::new(lay.mat, j, j)]),
-        };
+        // The row panel was produced by earlier TRSMs on the owner's
+        // compute stream; an event orders the first send behind them. The
+        // factorized diagonal lands via DiagToDevice on the owner's
+        // transfer stream already.
+        if what == ShardXfer::RowPanel {
+            let done = ctx.record_event(self.streams[from].comp);
+            ctx.stream_wait_event(self.streams[from].tran, done);
+        }
+        let reads = lay.bind(access).reads;
+        let bytes = reads.len() as u64 * S::BYTES * (lay.b * lay.b) as u64;
         // Ring order from the owner, restricted to devices that hold panel
         // rows (exactly the shards the plan gave a DeviceRecv).
         let d = self.spec.devices;

@@ -15,7 +15,8 @@ use hchol_obs::Phase;
 /// SYRK → diag D2H → panel GEMM → host POTF2 (+ diag H2D) → panel TRSM,
 /// with the POTF2 round trip overlapping the GEMM via stream events. The
 /// [`DriveStyle::Synchronous`] (CULA-style) order runs POTF2 *before* the
-/// GEMM and drains the device after every step. A final
+/// GEMM, and the executor drains the device after every node the plan
+/// marks host-blocking (SYRK, both transfers, POTF2, GEMM, TRSM). A final
 /// [`TaskKind::Drain`] barrier closes the plan.
 ///
 /// [`TaskKind::FaultPoint`] polls are part of the skeleton (one per

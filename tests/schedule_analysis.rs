@@ -10,7 +10,8 @@
 //! schedule with one pre-read verify removed is caught by the conformance
 //! checker.
 
-use hchol::core::magma::factor_outer;
+use hchol::core::cula::factor_cula;
+use hchol::core::magma::{factor_magma, factor_outer};
 use hchol::prelude::*;
 use hchol_analyze::{analyze_outcome, analyze_schedule, analyze_with_protocol, Protocol, RaceKind};
 use hchol_gpusim::context::KernelDesc;
@@ -277,28 +278,40 @@ fn k_floor_balanced_run_downgrades() {
     assert!(analysis.is_clean(), "{}", analysis.render_text());
 }
 
-/// The right-looking (outer-product) variant runs on the plan executor
-/// like the baselines: its recorded program is race-free, and every op it
-/// issues after setup lies under a plan node's mark.
+/// The baselines — MAGMA's overlapped plan, CULA's synchronous one and the
+/// right-looking (outer-product) variant — run on the plan executor like
+/// the schemes: each recorded program is race-free, and every op issued
+/// after setup lies under a plan node's mark.
 #[test]
-fn outer_product_schedule_is_race_free() {
+fn every_baseline_schedule_is_race_free() {
     let p = SystemProfile::test_profile();
-    let rep = factor_outer(&p, ExecMode::TimingOnly, 256, 32, None, true).expect("runs");
-    let log = &rep.ctx.log;
-    let analysis = analyze_schedule(log);
-    assert!(analysis.ops > 0, "the variant must record a program");
-    assert!(analysis.is_clean(), "{}", analysis.render_text());
-    let mut marked = vec![false; log.len()];
-    let mut setup_end = log.len();
-    for (_, span) in log.marks() {
-        setup_end = setup_end.min(span.start);
-        marked[span].fill(true);
+    let mode = ExecMode::TimingOnly;
+    let runs = [
+        ("MAGMA", factor_magma(&p, mode, 256, 32, None, true)),
+        ("CULA", factor_cula(&p, mode, 256, 32, None)),
+        ("Outer", factor_outer(&p, mode, 256, 32, None, true)),
+    ];
+    for (name, rep) in runs {
+        let rep = rep.expect("runs");
+        let log = &rep.ctx.log;
+        let analysis = analyze_schedule(log);
+        assert!(analysis.ops > 0, "{name} must record a program");
+        assert!(analysis.is_clean(), "{name}: {}", analysis.render_text());
+        let mut marked = vec![false; log.len()];
+        let mut setup_end = log.len();
+        for (_, span) in log.marks() {
+            setup_end = setup_end.min(span.start);
+            marked[span].fill(true);
+        }
+        let unmarked: Vec<usize> = (setup_end..log.len())
+            .filter(|&i| !marked[i] && matches!(log.entry(i), TraceAction::Op(_)))
+            .collect();
+        assert!(setup_end < log.len(), "{name}: the plan issued nothing");
+        assert!(
+            unmarked.is_empty(),
+            "{name}: ops under no node: {unmarked:?}"
+        );
     }
-    let unmarked: Vec<usize> = (setup_end..log.len())
-        .filter(|&i| !marked[i] && matches!(log.entry(i), TraceAction::Op(_)))
-        .collect();
-    assert!(setup_end < log.len(), "the plan issued nothing");
-    assert!(unmarked.is_empty(), "ops under no node: {unmarked:?}");
 }
 
 /// Control: a same-stream read→write pair is ordered by stream FIFO — no
