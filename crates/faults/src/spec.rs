@@ -227,10 +227,15 @@ impl FaultPlan {
     /// The paper's Table VII/VIII "Computation Error" scenario: one
     /// miscalculation in the panel produced by the GEMM of the middle
     /// iteration. `grid` is the number of block rows/cols; `block` the tile
-    /// edge.
+    /// edge. A panel GEMM with both an update chain and rows below the
+    /// diagonal needs `0 < iter < grid - 1`, which a grid of fewer than three
+    /// tiles lacks, so there the scenario is empty ([`FaultPlan::none`]).
     pub fn paper_computing_error(grid: usize, block: usize) -> Self {
+        if grid < 3 {
+            return FaultPlan::none();
+        }
         let iter = grid / 2;
-        let bi = (iter + 1).min(grid.saturating_sub(1));
+        let bi = iter + 1;
         FaultPlan::single(FaultSpec {
             point: InjectionPoint::PostGemm { iter },
             target: FaultTarget {
@@ -376,6 +381,14 @@ mod tests {
         assert!(f.target.bj < f.point.iter());
         // A one-tile grid has no earlier column: nothing to strike.
         assert!(FaultPlan::paper_storage_error(1, block).is_empty());
+        // Below three tiles no panel GEMM has both a chain and rows.
+        assert!(FaultPlan::paper_computing_error(1, block).is_empty());
+        assert!(FaultPlan::paper_computing_error(2, block).is_empty());
+        let c = FaultPlan::paper_computing_error(3, block);
+        assert_eq!(c.len(), 1);
+        let f = &c.faults[0];
+        assert_eq!(f.point, InjectionPoint::PostGemm { iter: 1 });
+        assert_eq!((f.target.bi, f.target.bj), (2, 1));
         let f = &FaultPlan::paper_storage_error(2, block).faults[0];
         assert_eq!((f.point.iter(), f.target.bi, f.target.bj), (1, 1, 0));
     }

@@ -19,7 +19,7 @@ use hchol_core::cula::factor_cula;
 use hchol_core::magma::factor_magma;
 use hchol_core::options::{AbftOptions, ChecksumPlacement};
 use hchol_core::schemes::{run_scheme, run_scheme_typed, SchemeKind};
-use hchol_faults::FaultPlan;
+use hchol_faults::{FaultKind, FaultPlan, FaultSpec, FaultTarget, InjectionPoint};
 use hchol_gpusim::profile::SystemProfile;
 use hchol_gpusim::ExecMode;
 use hchol_matrix::generate::spd_diag_dominant;
@@ -75,12 +75,34 @@ fn check(slug: &str, report_json: String, factor: &Matrix) {
     );
 }
 
+/// The faults of a `faulted` fixture: the paper's computing and storage
+/// errors. On a two-tile grid the computing scenario is empty (no panel GEMM
+/// has both a chain and rows), so the n = 64 fixtures name the strike they
+/// were captured with: a miscalculation of (1, 1) after iteration 1's GEMM.
+fn paper_faults(nt: usize, b: usize) -> FaultPlan {
+    let computing = if nt == 2 {
+        FaultPlan::single(FaultSpec {
+            point: InjectionPoint::PostGemm { iter: 1 },
+            target: FaultTarget {
+                bi: 1,
+                bj: 1,
+                row: b / 3,
+                col: b / 2,
+            },
+            kind: FaultKind::computing(),
+        })
+    } else {
+        FaultPlan::paper_computing_error(nt, b)
+    };
+    computing.merged(FaultPlan::paper_storage_error(nt, b))
+}
+
 fn check_scheme(kind: SchemeKind, n: usize, opts: &AbftOptions, faulted: bool, tag: &str) {
     let b = 32usize;
     let a = spd_diag_dominant(n, 7);
     let nt = n / b;
     let plan = if faulted {
-        FaultPlan::paper_computing_error(nt, b).merged(FaultPlan::paper_storage_error(nt, b))
+        paper_faults(nt, b)
     } else {
         FaultPlan::none()
     };
@@ -189,7 +211,7 @@ fn blocked_engine_factor_bits_are_pinned() {
     for (kind, b, faulted, want) in PINS {
         let nt = n / b;
         let plan = if faulted {
-            FaultPlan::paper_computing_error(nt, b).merged(FaultPlan::paper_storage_error(nt, b))
+            paper_faults(nt, b)
         } else {
             FaultPlan::none()
         };
