@@ -64,7 +64,7 @@ RUSTDOCFLAGS="-D warnings -D rustdoc::broken-intra-doc-links" \
 step "doctests"
 cargo test --doc --workspace -q
 
-step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit (only the passes rewrite a plan, none removes from one), float-order, tile-scan, one-record, one-team, order-scan, dead-pub, label-format)"
+step "source lint (SAFETY comments, obs names, wall-clock, tolerance literals, env reads, twin-op, one-engine, one-launcher, plan-edit (only the passes rewrite a plan, none removes from one), float-order, tile-scan, one-record, one-team, order-scan, dead-pub, label-format, one-footprint)"
 cargo run --release -q -p hchol-analyze --bin lint
 
 step "schedule analyzer (races + ABFT protocol conformance, all schemes, nt = 4 8 16 40)"
