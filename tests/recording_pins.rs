@@ -159,3 +159,28 @@ fn recorded_views_are_pinned_to_the_captured_digests() {
     );
     assert_eq!(got, pins, "this build's pins: {got:#x?}");
 }
+
+/// The paper-scale run (Enhanced, TimingOnly, n = 20480, b = 256, nt = 80,
+/// default options on Tardis): digests of its RunReport JSON and of its
+/// program view, about a hundred thousand ops, almost all of them the
+/// per-tile checksum kernels of the verification batches.
+#[test]
+fn paper_scale_run_is_pinned_to_the_captured_digests() {
+    let out = run_clean(
+        SchemeKind::Enhanced,
+        &SystemProfile::tardis(),
+        ExecMode::TimingOnly,
+        20480,
+        256,
+        &AbftOptions::default(),
+        None,
+    )
+    .expect("scheme runs");
+    let got = (
+        fnv(&out.report().to_json()),
+        fnv(&program_text(&out.ctx)),
+        out.ctx.log.len(),
+    );
+    let pins = (0x5c16c15ff9a74857, 0xb98027f24af20b1e, 112_003);
+    assert_eq!(got, pins, "this build's pins: {got:#x?}");
+}

@@ -122,3 +122,61 @@ fn virtual_makespans_are_bit_identical_to_the_captured_constants() {
         "virtual makespan moved — (what, this build, pinned): {moved:x?}"
     );
 }
+
+/// One TimingOnly Enhanced run on Tardis at `n`, b = 256: its makespan bits.
+fn enhanced_at(n: usize, opts: AbftOptions) -> u64 {
+    let out = run_clean(
+        SchemeKind::Enhanced,
+        &SystemProfile::tardis(),
+        ExecMode::TimingOnly,
+        n,
+        256,
+        &opts,
+        None,
+    );
+    out.expect("scheme runs").time.as_secs().to_bits()
+}
+
+/// The benchmark's two simulator-bound requests, pinned at their own sizes:
+/// the paper-scale run (n = 20480, nt = 80, default options) and the six
+/// feature configurations it crosses at nt = 40. Launch-heavy phases of
+/// these runs issue thousands of checksum kernels between syncs, far more
+/// than the nt = 10 pins above.
+#[test]
+fn paper_scale_makespans_are_bit_identical_to_the_captured_constants() {
+    let d = AbftOptions::default;
+    let pins = [
+        ("nt80 default", enhanced_at(20480, d()), 0x4024d798d2e4801d),
+        ("nt40 default", enhanced_at(10240, d()), 0x3ff63287534c2ba1),
+        (
+            "nt40 fused",
+            enhanced_at(10240, d().with_chk_fused(true)),
+            0x3ff62cb5e8e73bf2,
+        ),
+        (
+            "nt40 balance",
+            enhanced_at(10240, d().with_balance(BalanceOptions::default())),
+            0x3ff4bf9442ee6951,
+        ),
+        (
+            "nt40 shard4",
+            enhanced_at(10240, d().with_shard(ShardOptions::new(4))),
+            0x3fe7605709d714f9,
+        ),
+        (
+            "nt40 lookahead2",
+            enhanced_at(10240, d().with_lookahead(2)),
+            0x3ff63287534c2ba1,
+        ),
+        (
+            "nt40 k3",
+            enhanced_at(10240, d().with_interval(3)),
+            0x3ff4dffd387b856c,
+        ),
+    ];
+    let moved: Vec<_> = pins.iter().filter(|(_, got, want)| got != want).collect();
+    assert!(
+        moved.is_empty(),
+        "virtual makespan moved — (what, this build, pinned): {moved:x?}"
+    );
+}
