@@ -48,8 +48,10 @@ cargo test --release -q -p hchol-blas --test alloc_budget
 # block and TRSM_BASE), and the team split tests to b = 256 (two MC
 # stripes). plan:: runs the derive_deps oracle (plan/oracle.rs) and holds
 # the planner's rewrite passes to their bound on nodes visited per node.
-step "differential suites, deep (one-walk scheduler, dense derive_deps, rewrite-pass visit bound, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels, team split — each vs its oracle or bound)"
+# batch_launch holds a batch launch to the same kernels launched one by one.
+step "differential suites, deep (one-walk scheduler, batch launch, dense derive_deps, rewrite-pass visit bound, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels, team split — each vs its oracle or bound)"
 cargo test --release -q -p hchol-gpusim --lib schedule::tests
+cargo test --release -q -p hchol-gpusim --test batch_launch
 cargo test --release -q -p hchol-core --lib plan::
 cargo test --release -q -p hchol-analyze --lib
 cargo test --release -q -p hchol-blas --lib level3::naive

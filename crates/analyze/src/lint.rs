@@ -36,10 +36,11 @@
 //!   refuse, not a dispatch to allow.
 //! * **`one-launcher`** — in library sources (as for `env-read`), only
 //!   `crates/core/src/ops.rs` and the simulator itself (`crates/gpusim/src`)
-//!   build a `KernelDesc` or call the simulator's `launch` / `cpu_exec` /
-//!   `cpu_submit`: every kernel the workspace issues is an op a plan node
-//!   names, so a driver that launches work on its own (off the plan layer,
-//!   invisible to the plan checkers) cannot come back in any crate.
+//!   build a `KernelDesc` or call the simulator's `launch` /
+//!   `launch_batch` / `cpu_exec` / `cpu_submit`: every kernel the workspace
+//!   issues is an op a plan node names, so a driver that launches work on
+//!   its own (off the plan layer, invisible to the plan checkers) cannot
+//!   come back in any crate.
 //! * **`plan-edit`** — under `crates/core/src`, only the planner's passes
 //!   (`plan/{mod,skeleton,policy,shard}.rs`) call the pass primitive
 //!   `.rewrite(` on a plan (a receiver whose name ends in `plan`), and no
@@ -704,7 +705,10 @@ fn rule_one_launcher(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
             && scan.punct_at(i + 2, ':')
             && scan.word_at(i + 3) == Some("new");
         let launches = scan.punct_at(i.wrapping_sub(1), '.')
-            && matches!(scan.word_at(i), Some("launch" | "cpu_exec" | "cpu_submit"))
+            && matches!(
+                scan.word_at(i),
+                Some("launch" | "launch_batch" | "cpu_exec" | "cpu_submit")
+            )
             && scan.punct_at(i + 1, '(');
         if builds_desc || launches {
             out.push(Lint {
@@ -1384,7 +1388,8 @@ mod tests {
     fn launches_flagged_in_library_sources_outside_ops_only() {
         let src = "fn f(ctx: &mut C) {\n    let d = KernelDesc::new(\"k\", c, 1, cat);\n    \
                    ctx.launch(s, d, |_| {});\n    ctx.cpu_exec(d, |_| {});\n    \
-                   a.ctx.cpu_submit(d, |_, _| {});\n}\n";
+                   a.ctx.cpu_submit(d, |_, _| {});\n    \
+                   ctx.launch_batch(descs.map(|d| (s, d)), |_| {});\n}\n";
         for lib in [
             "crates/core/src/plan/exec.rs",
             "crates/bench/src/runner.rs",
@@ -1395,7 +1400,7 @@ mod tests {
             assert!(lints.iter().all(|l| l.rule == "one-launcher"), "{lib}");
             assert_eq!(
                 lints.iter().map(|l| l.line).collect::<Vec<_>>(),
-                [2, 3, 4, 5],
+                [2, 3, 4, 5, 6],
                 "{lib}"
             );
         }

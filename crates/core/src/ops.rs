@@ -915,10 +915,15 @@ fn refresh_col_stats<S: Scalar>(
     }
     let m = ctx.dev_mem.buf(lay.mat);
     for &(bi, bj) in tiles {
-        let peak = tile_max_abs(m.tile(bi, bj));
-        if peak > lay.col_stats[bj] {
-            lay.col_stats[bj] = peak;
-        }
+        fold_col_stat(&mut lay.col_stats, m, bi, bj);
+    }
+}
+
+/// Fold tile `(bi, bj)`'s current magnitude into its column's statistic.
+fn fold_col_stat<S: Scalar>(col_stats: &mut [f64], m: &TileMatrix<S>, bi: usize, bj: usize) {
+    let peak = tile_max_abs(m.tile(bi, bj));
+    if peak > col_stats[bj] {
+        col_stats[bj] = peak;
     }
 }
 
@@ -928,33 +933,28 @@ fn refresh_col_stats<S: Scalar>(
 /// transfer, 2n²/B"). Also captures the initial per-column magnitude
 /// statistics ([`CholLayout::col_stats`]) the adaptive tolerance reads.
 pub fn encode_all<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, opts: &AbftOptions) {
-    let mut idx = 0usize;
-    for bj in 0..lay.nt {
-        for bi in bj..lay.nt {
-            let f = lay.charge(flops::encode_block(lay.b, lay.b));
-            let (mat, cks_bi) = (lay.mat, lay.cks[bi]);
-            ctx.launch(
-                recalc_stream(lay, opts, idx),
-                KernelDesc::new(
-                    Label::Tile("ENC", bi, bj),
-                    KernelClass::Blas2,
-                    f,
-                    WorkCategory::ChecksumEncode,
-                )
-                .with_access(AccessSet::new(
-                    vec![TileRef::new(mat, bi, bj)],
-                    vec![TileRef::new(cks_bi, 0, bj)],
-                )),
-                move |mem| {
-                    let (cks, m) = mem.buf_pair_mut(cks_bi, mat);
-                    checksum::encode_into(m.tile(bi, bj), cks.tile_mut(0, bj));
-                },
-            );
-            idx += 1;
-        }
-    }
-    ctx.sync_device();
     let all = lower_tiles(lay.nt);
+    let (f, mat) = (lay.charge(flops::encode_block(lay.b, lay.b)), lay.mat);
+    let kernels = all.iter().enumerate().map(|(idx, &(bi, bj))| {
+        let desc = KernelDesc::new(
+            Label::Tile("ENC", bi, bj),
+            KernelClass::Blas2,
+            f,
+            WorkCategory::ChecksumEncode,
+        );
+        let (read, write) = (TileRef::new(mat, bi, bj), TileRef::new(lay.cks[bi], 0, bj));
+        (
+            recalc_stream(lay, opts, idx),
+            desc.with_read_write(read, write),
+        )
+    });
+    ctx.launch_batch(kernels, |mem| {
+        for &(bi, bj) in &all {
+            let (cks, m) = mem.buf_pair_mut(lay.cks[bi], mat);
+            checksum::encode_into(m.tile(bi, bj), cks.tile_mut(0, bj));
+        }
+    });
+    ctx.sync_device();
     refresh_col_stats(ctx, lay, &all, opts);
     if lay.placement == ChecksumPlacement::Cpu {
         let bytes = S::BYTES * 2 * (lay.n as u64) * (lay.nt as u64);
@@ -1219,28 +1219,41 @@ pub fn verify_recalc<S: Scalar>(
     } else {
         ctx.stream_wait_event(lay.streams.comp, data_ready_tran);
     }
-    for (idx, &(bi, bj)) in tiles.iter().enumerate() {
-        // The magnitude scan runs right before the tile's own recalculation
-        // (a max is order-free), so a batch larger than the cache is read
-        // from memory once, not twice.
-        refresh_col_stats(ctx, lay, &[(bi, bj)], opts);
-        let f = lay.charge(flops::recalc_block(lay.b, lay.b));
-        let (mat, scr) = (lay.mat, scratch_tile(lay, idx, bj));
-        ctx.launch(
-            recalc_stream(lay, opts, idx),
-            KernelDesc::new(
-                Label::Tile("REC", bi, bj),
-                KernelClass::Blas2,
-                f,
-                WorkCategory::ChecksumRecalc,
-            )
-            .with_access(AccessSet::new(vec![TileRef::new(mat, bi, bj)], vec![scr])),
-            move |mem| {
-                let (s, m) = mem.buf_pair_mut(scr.buf, mat);
-                checksum::encode_into(m.tile(bi, bj), s.tile_mut(scr.bi, scr.bj));
-            },
+    let (f, mat) = (lay.charge(flops::recalc_block(lay.b, lay.b)), lay.mat);
+    let scan = opts.tolerance != ToleranceModel::Fixed;
+    // The body folds magnitudes into the column statistics while the
+    // kernels read the rest of the layout: it holds them until the batch
+    // is issued.
+    let mut col_stats = std::mem::take(&mut lay.col_stats);
+    let view = &*lay;
+    let kernels = tiles.iter().enumerate().map(|(idx, &(bi, bj))| {
+        let desc = KernelDesc::new(
+            Label::Tile("REC", bi, bj),
+            KernelClass::Blas2,
+            f,
+            WorkCategory::ChecksumRecalc,
         );
-    }
+        let (read, write) = (TileRef::new(mat, bi, bj), scratch_tile(view, idx, bj));
+        (
+            recalc_stream(view, opts, idx),
+            desc.with_read_write(read, write),
+        )
+    });
+    ctx.launch_batch(kernels, |mem| {
+        for (idx, &(bi, bj)) in tiles.iter().enumerate() {
+            // The magnitude scan runs right before the tile's own
+            // recalculation (a max is order-free), so a batch larger than
+            // the cache is read from memory once, not twice. Like every
+            // statistic, only under an adaptive tolerance.
+            if scan {
+                fold_col_stat(&mut col_stats, mem.buf(mat), bi, bj);
+            }
+            let scr = scratch_tile(view, idx, bj);
+            let (s, m) = mem.buf_pair_mut(scr.buf, mat);
+            checksum::encode_into(m.tile(bi, bj), s.tile_mut(scr.bi, scr.bj));
+        }
+    });
+    lay.col_stats = col_stats;
     if opts.concurrent_recalc {
         // Same used-streams prefix as the wait loop above.
         for &s in lay.streams.recalc.iter().take(tiles.len()) {

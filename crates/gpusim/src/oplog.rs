@@ -3,7 +3,7 @@
 //!
 //! [`crate::SimContext`] appends one [`OpRecord`] per kernel, host task,
 //! worker task or transfer — label, lane, kernel class, work category,
-//! scheduled `(start, end)`, flops or bytes, declared [`AccessSet`] and the
+//! scheduled `(start, end)`, flops or bytes, declared [`AccessSet`](crate::access::AccessSet) and the
 //! fused-verify flag — and one [`TraceAction`] per event, wait and sync.
 //! A record is a fixed-size row with no heap of its own: the log renders
 //! the op's [`Label`] recipe into its text pages and copies the declared
@@ -39,7 +39,7 @@
 //! issued between nodes has no mark. A log that keeps nothing keeps no
 //! marks either.
 
-use crate::access::{AccessSet, TileRef};
+use crate::access::TileRef;
 use crate::counters::WorkCategory;
 use crate::memory::BufferId;
 use crate::profile::KernelClass;
@@ -563,12 +563,16 @@ impl OpLog {
         }
     }
 
-    /// Whether a filter keeps `op`, labelled `label` and declaring
-    /// `access`. If one does, the label is rendered into the text pages and
-    /// the tiles are copied into the tile pages, and `op` notes where; if
-    /// none does, neither costs anything.
-    pub(crate) fn stow(&mut self, op: &mut OpRecord, label: &Label, access: &AccessSet) -> bool {
-        let (reads, writes) = (&access.reads, &access.writes);
+    /// Whether a filter keeps `op`, labelled `label` and declaring `reads`
+    /// and `writes`. If one does, the label is rendered into the text pages
+    /// and the tiles are copied into the tile pages, and `op` notes where;
+    /// if none does, neither costs anything.
+    pub(crate) fn stow(
+        &mut self,
+        op: &mut OpRecord,
+        label: &Label,
+        (reads, writes): (&[TileRef], &[TileRef]),
+    ) -> bool {
         op.tiles = (0, offset(reads.len()), offset(writes.len()));
         if !(self.timeline || self.program && op.declares()) {
             return false;
@@ -839,6 +843,7 @@ impl OpLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::AccessSet;
     use serde::Serialize;
 
     fn op(lane: Lane, s: f64, e: f64, class: Option<KernelClass>) -> TraceAction {
@@ -864,7 +869,7 @@ mod tests {
 
     fn record_as(log: &mut OpLog, mut a: TraceAction, label: &Label, access: &AccessSet) {
         if let TraceAction::Op(op) = &mut a {
-            if !log.stow(op, label, access) {
+            if !log.stow(op, label, (&access.reads, &access.writes)) {
                 return;
             }
         }

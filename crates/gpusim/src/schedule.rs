@@ -118,12 +118,14 @@ impl KernelScheduler {
             max_concurrent,
             ..
         } = self;
+        // One slice, not the deque's two halves: every point reads it.
+        let active: &[Slot] = active.make_contiguous();
         let mut w = active.partition_point(|s| s.iv.end <= e);
         let (mut t, mut p) = (e, e);
         loop {
             // Active on [start, end): p inside?
             live.clear();
-            for s in active.range(w..) {
+            for s in &active[w..] {
                 if s.iv.start <= p + EPS && p < s.iv.end - EPS {
                     live.push((s.seq, s.iv.resource));
                 }
@@ -136,7 +138,7 @@ impl KernelScheduler {
             let next_end = active.get(w).map_or(f64::INFINITY, |s| s.iv.end);
             if usage + resource <= 1.0 + EPS && live.len() < *max_concurrent {
                 probe_visited(active.len() - w);
-                let starts = active.range(w..).map(|s| s.iv.start);
+                let starts = active[w..].iter().map(|s| s.iv.start);
                 p = starts.filter(|&s| s > p).fold(next_end, f64::min);
                 if p >= t + d {
                     return t;

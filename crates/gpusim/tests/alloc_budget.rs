@@ -10,6 +10,10 @@
 //! * launches labelled by library recipes ([`Label`]) with up to three
 //!   declared tiles allocate nothing per op: the calls a run of them makes
 //!   are the log's new pages and the scheduler's amortized growth;
+//! * a batch of per-tile checksum kernels issued as one `launch_batch`
+//!   allocates nothing per kernel, building the kernels included: it
+//!   streams them through and keeps no list of them, each declares its two
+//!   tiles inline, and its staged metric updates live in the context;
 //! * a `String` label is kept verbatim;
 //! * an edit that narrows an op's reads leaves its writes and its neighbours
 //!   as they were.
@@ -133,6 +137,42 @@ fn recipe_labelled_launches_allocate_nothing_per_op() {
     assert!(
         large <= small + 32,
         "{large} calls for 16384 launches, {small} for 1024"
+    );
+}
+
+/// Checksum kernel `k` of a verification batch: one tile read, one
+/// scratch tile written.
+fn checksum(k: usize) -> KernelDesc {
+    let (i, j) = (k % 13, k % 7);
+    let desc = KernelDesc::new(
+        Label::Tile("REC", i, j),
+        KernelClass::Blas2,
+        1_000,
+        WorkCategory::ChecksumRecalc,
+    );
+    desc.with_read_write(tile(i, j), TileRef::new(BufferId(1), 0, k % 16))
+}
+
+/// Allocation calls of one batch of `n` checksum kernels on four streams,
+/// built as the batch streams them, after a warm-up batch that creates
+/// every metric key the kernels touch.
+fn batch_calls(n: usize) -> usize {
+    let mut ctx = traced();
+    let streams = [0; 4].map(|_| ctx.create_stream());
+    let batch = |n: usize| (0..n).map(move |k| (streams[k % 4], checksum(k)));
+    ctx.launch_batch(batch(8), |_| {});
+    let calls = calls(|| ctx.launch_batch(batch(n), |_| {}));
+    assert_eq!(ctx.log.len(), 8 + n, "every kernel declares tiles");
+    calls
+}
+
+#[test]
+fn a_batch_allocates_nothing_per_kernel() {
+    let (small, large) = (batch_calls(1 << 10), batch_calls(1 << 14));
+    assert!(small < 64, "{small} allocation calls for a batch of 1024");
+    assert!(
+        large <= small + 32,
+        "{large} calls for a batch of 16384, {small} for 1024"
     );
 }
 
