@@ -14,7 +14,7 @@
 //!   observability name literals cross-checked against
 //!   [`hchol_obs::names`], wall-clock APIs forbidden outside the
 //!   simulator, and every library `pub` item named by some non-test
-//!   caller — fifteen rules in all.
+//!   caller — seventeen rules in all.
 //! * [`plancheck`] — **static** ABFT-contract checking of a
 //!   [`hchol_core::plan::FactorPlan`] over its dependency edges, before
 //!   anything executes (`cargo run -p hchol-analyze --bin plan_check`).

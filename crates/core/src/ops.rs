@@ -1179,14 +1179,13 @@ pub fn migrate_checksums<S: Scalar>(
     lay.placement = to;
 }
 
-/// Stage 1 of verification: recalculate fresh checksums of `tiles` into
-/// the scratch buffers.
+/// Stage 1 of [`verify_batch`]: recalculate fresh checksums of `tiles`
+/// into the scratch buffers.
 ///
 /// Waits for outstanding checksum *updates* to land (they race the compare
 /// otherwise), then spreads recalculation kernels across the recalc streams
-/// (Optimization 1) or serializes them on the compute stream. A
-/// `VerifyBatch` plan node runs this followed by [`verify_compare`].
-pub fn verify_recalc<S: Scalar>(
+/// (Optimization 1) or serializes them on the compute stream.
+fn verify_recalc<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
     tiles: &[(usize, usize)],
@@ -1264,7 +1263,7 @@ pub fn verify_recalc<S: Scalar>(
     }
 }
 
-/// Stage 2 of verification: compare fresh checksums against the
+/// Stage 2 of [`verify_batch`]: compare fresh checksums against the
 /// maintained ones.
 ///
 /// Unfused, the fresh sums are the recalculated ones [`verify_recalc`] left
@@ -1277,7 +1276,7 @@ pub fn verify_recalc<S: Scalar>(
 /// declares **no matrix-tile reads**: for the conformance analysis it is
 /// the producer's `fused_verify` write that marks the tile verified, and
 /// the compare must not re-mark it.
-pub fn verify_compare<S: Scalar>(
+fn verify_compare<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
     tiles: &[(usize, usize)],
@@ -1367,8 +1366,8 @@ fn tile_tolerance<S: Scalar>(
     }
 }
 
-/// Stages 3–4 of verification: locate and correct, per tile, from the
-/// comparison results. Maps onto a `Correct` plan node.
+/// Stages 3–4 of [`verify_batch`]: locate and correct, per tile, from the
+/// comparison results.
 ///
 /// In Execute mode this operates on real data via [`verify_and_correct`]
 /// (which locates errors by the paper's `j = δ₂/δ₁` ratio — see
@@ -1378,13 +1377,13 @@ fn tile_tolerance<S: Scalar>(
 /// batch.
 ///
 /// `depth` is the accumulation depth of the verified tiles — the iteration
-/// index the plan recorded on the `Correct` node (`nt` for a final sweep) —
+/// index the plan recorded on the `VerifyBatch` node (`nt` for a final sweep) —
 /// which the adaptive tolerance model turns into an accumulation-path
 /// length. Ignored under the fixed model.
 ///
 /// For a `fused` batch the fresh checksums live in the epilogue deposit
 /// tile `dpt[bi](0, bj)` rather than in the per-batch scratch tiles.
-pub fn verify_correct<S: Scalar>(
+fn verify_correct<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
     inj: &mut Injector,
@@ -1491,25 +1490,25 @@ pub fn verify_correct<S: Scalar>(
 }
 
 /// Recalculate, compare, locate, and correct a batch of tiles — the
-/// verification step, on the critical path.
-///
-/// Composition of the pipeline stages [`verify_recalc`] →
-/// [`verify_compare`] → [`verify_correct`]; plan nodes invoke the stages
-/// individually (`VerifyBatch` covers the first two, `Correct` the last).
+/// verification step, on the critical path, and all a `VerifyBatch` plan
+/// node runs. A `fused` batch is compare-only: the producing kernels
+/// already deposited fresh checksums in their epilogues, so no
+/// recalculation kernels are issued and the batch corrects against the
+/// deposits.
 pub fn verify_batch<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
     inj: &mut Injector,
     tiles: &[(usize, usize)],
+    fused: bool,
     depth: usize,
     opts: &AbftOptions,
 ) -> VerifyOutcome {
-    if tiles.is_empty() {
-        return VerifyOutcome::default();
+    if !fused {
+        verify_recalc(ctx, lay, tiles, opts);
     }
-    verify_recalc(ctx, lay, tiles, opts);
-    verify_compare(ctx, lay, tiles, false, opts);
-    verify_correct(ctx, lay, inj, tiles, depth, opts, false)
+    verify_compare(ctx, lay, tiles, fused, opts);
+    verify_correct(ctx, lay, inj, tiles, depth, opts, fused)
 }
 
 /// The maintained checksum tile of every lower-triangle tile.
@@ -1852,7 +1851,7 @@ mod tests {
         let mut inj = Injector::inert();
         let nt = lay.nt;
         let tiles = lower_tiles(nt);
-        let out = verify_batch(&mut ctx, &mut lay, &mut inj, &tiles, nt, &opts);
+        let out = verify_batch(&mut ctx, &mut lay, &mut inj, &tiles, false, nt, &opts);
         assert!(out.is_clean());
     }
 
@@ -1871,7 +1870,7 @@ mod tests {
             .tile_mut(lay.mat, 1, 0)
             .set(2, 3, hchol_matrix::bits::flip_bits(v, &[30, 53]));
         let mut inj = Injector::inert();
-        let out = verify_batch(&mut ctx, &mut lay, &mut inj, &[(1, 0)], 0, &opts);
+        let out = verify_batch(&mut ctx, &mut lay, &mut inj, &[(1, 0)], false, 0, &opts);
         assert_eq!(out.corrected_data, 1);
         // The correction subtracts δ₁, which carries the rounding of the two
         // checksum sums — recovery is exact to a few ulps, not bitwise.
@@ -1912,7 +1911,7 @@ mod tests {
         let mut inj = Injector::inert();
         let nt = lay.nt;
         let tiles = lower_tiles(nt);
-        let out = verify_batch(&mut ctx, &mut lay, &mut inj, &tiles, nt, &opts);
+        let out = verify_batch(&mut ctx, &mut lay, &mut inj, &tiles, false, nt, &opts);
         assert!(out.is_clean());
     }
 
@@ -1924,7 +1923,7 @@ mod tests {
             let mut lay = setup(&mut ctx, 64, 8, true, ChecksumPlacement::Gpu, None).unwrap();
             let opts = AbftOptions::default().with_concurrent_recalc(concurrent);
             let mut inj = Injector::inert();
-            verify_batch(&mut ctx, &mut lay, &mut inj, &tiles, 8, &opts);
+            verify_batch(&mut ctx, &mut lay, &mut inj, &tiles, false, 8, &opts);
             ctx.sync_all();
             ctx.now().as_secs()
         };
@@ -1948,7 +1947,7 @@ mod tests {
         let before = moved(&ctx);
         assert!(before > 0, "initial checksum transfer must be charged");
         let mut inj = Injector::inert();
-        verify_batch(&mut ctx, &mut lay, &mut inj, &[(1, 0)], 0, &opts);
+        verify_batch(&mut ctx, &mut lay, &mut inj, &[(1, 0)], false, 0, &opts);
         assert!(moved(&ctx) > before);
     }
 

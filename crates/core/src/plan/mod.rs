@@ -52,7 +52,7 @@ pub enum UpdateOp {
     Trsm,
 }
 
-/// Whether a verify/correct pair is an in-loop check or part of the final
+/// Whether a verify batch is an in-loop check or part of the final
 /// acceptance sweep (Offline/Online tails).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepKind {
@@ -158,8 +158,9 @@ pub enum TaskKind {
         /// Panel row (equals `j` for `Syrk`/`Potf2`).
         i: usize,
     },
-    /// Recalculate + compare checksums of a batch of tiles
-    /// ([`ops::verify_recalc`] + [`ops::verify_compare`]).
+    /// Check a batch of tiles: recalculate and compare their checksums,
+    /// then locate and correct what the comparison flags
+    /// ([`ops::verify_batch`]).
     VerifyBatch {
         /// Tiles under verification.
         tiles: Vec<(usize, usize)>,
@@ -167,27 +168,12 @@ pub enum TaskKind {
         sweep: SweepKind,
         /// Compare-only batch: fresh checksums were already deposited by
         /// the fused producer kernels, so no recalculation kernels are
-        /// issued ([`ops::verify_compare`] alone).
+        /// issued and the batch corrects against the deposit tiles.
         fused: bool,
         /// Accumulation depth of the batch — the outer iteration at which
         /// the check runs (`nt` for a final sweep). The adaptive tolerance
         /// model derives the accumulation-path length `b·(depth+1)` from
         /// this per-panel metadata; the fixed model ignores it.
-        depth: usize,
-    },
-    /// Locate + correct from the comparison results
-    /// ([`ops::verify_correct`]).
-    Correct {
-        /// Tiles under verification (same batch as the paired
-        /// [`TaskKind::VerifyBatch`]).
-        tiles: Vec<(usize, usize)>,
-        /// Inline check or final sweep.
-        sweep: SweepKind,
-        /// Correct against the fused deposit tiles instead of the
-        /// recalculation scratch pool.
-        fused: bool,
-        /// Accumulation depth (mirrors the paired
-        /// [`TaskKind::VerifyBatch`]).
         depth: usize,
     },
     /// Broadcast `what` of iteration `j` from its owner device `from` to
@@ -230,31 +216,6 @@ pub enum TaskKind {
     FlushMirror,
     /// Synchronize everything (attempt tail).
     Drain,
-}
-
-impl TaskKind {
-    /// The [`TaskKind::VerifyBatch`] / [`TaskKind::Correct`] node pair
-    /// checking one batch of tiles, in issue order.
-    pub fn check_pair(
-        tiles: Vec<(usize, usize)>,
-        sweep: SweepKind,
-        fused: bool,
-        depth: usize,
-    ) -> [TaskKind; 2] {
-        let batch = TaskKind::VerifyBatch {
-            tiles: tiles.clone(),
-            sweep,
-            fused,
-            depth,
-        };
-        let correct = TaskKind::Correct {
-            tiles,
-            sweep,
-            fused,
-            depth,
-        };
-        [batch, correct]
-    }
 }
 
 /// Stable identifier of a node within one plan (index into node storage;
@@ -342,7 +303,7 @@ pub fn chk_tile(bi: usize, bj: usize) -> TileRef {
 }
 
 /// Canonical tile of block row `bi`'s fused checksum deposit (written by
-/// fused SYRK/GEMM epilogues, read by fused verify/correct nodes):
+/// fused SYRK/GEMM epilogues, read by fused verify batches):
 /// `dpt[bi]` is `BufferId(1 + nt + bi)`, after the `nt` checksum buffers.
 pub fn dpt_tile(nt: usize, bi: usize, bj: usize) -> TileRef {
     TileRef::new(BufferId(1 + nt + bi), 0, bj)
@@ -477,37 +438,6 @@ impl FactorPlan {
                 plan.push(kind(j), None, Some(j));
             }
         });
-    }
-
-    /// Write check pair `pair` — a verify batch and the
-    /// [`TaskKind::Correct`] [`TaskKind::check_pair`] always places right
-    /// behind it — with its tiles and fused flag set to `tiles` and `fused`.
-    pub(crate) fn keep_check_pair(
-        &mut self,
-        pair: [NodeId; 2],
-        tiles: &[(usize, usize)],
-        fused: bool,
-    ) {
-        assert!(
-            matches!(
-                (&self.nodes[pair[0].0].kind, &self.nodes[pair[1].0].kind),
-                (TaskKind::VerifyBatch { tiles: v, .. }, TaskKind::Correct { tiles: c, .. }) if v == c
-            ),
-            "pairs are adjacent"
-        );
-        for id in pair {
-            if let TaskKind::VerifyBatch {
-                tiles: t, fused: f, ..
-            }
-            | TaskKind::Correct {
-                tiles: t, fused: f, ..
-            } = &mut self.nodes[id.0].kind
-            {
-                *t = tiles.to_vec();
-                *f = fused;
-            }
-            self.keep(id);
-        }
     }
 
     /// Drop a node from the issue order (its id stays allocated; a node
@@ -724,25 +654,10 @@ impl FactorPlan {
                 }
             }
             TaskKind::VerifyBatch { tiles, fused, .. } => {
-                if *fused {
-                    // Compare-only: the fresh sums already sit in the
-                    // deposit tiles; the batch reads no matrix data and
-                    // does not touch the recalculation scratch pool.
-                    let reads = tiles
-                        .iter()
-                        .flat_map(|&(bi, bj)| [chk_tile(bi, bj), dpt_tile(nt, bi, bj)])
-                        .collect();
-                    a.tiles = AccessSet::new(reads, vec![]);
-                } else {
-                    let reads = tiles
-                        .iter()
-                        .flat_map(|&(bi, bj)| [mat_tile(bi, bj), chk_tile(bi, bj)])
-                        .collect();
-                    a.tiles = AccessSet::new(reads, vec![]);
-                    a.virt_writes.push(VirtRes::Scratch);
-                }
-            }
-            TaskKind::Correct { tiles, fused, .. } => {
+                // Reads the data and its stored sums, which a correction may
+                // rewrite. Compare-only, the fresh sums sit in the deposit
+                // tiles; otherwise they are recalculated into the shared
+                // scratch pool.
                 let both: Vec<TileRef> = tiles
                     .iter()
                     .flat_map(|&(bi, bj)| [mat_tile(bi, bj), chk_tile(bi, bj)])
@@ -751,7 +666,7 @@ impl FactorPlan {
                 if *fused {
                     reads.extend(tiles.iter().map(|&(bi, bj)| dpt_tile(nt, bi, bj)));
                 } else {
-                    a.virt_reads.push(VirtRes::Scratch);
+                    a.virt_writes.push(VirtRes::Scratch);
                 }
                 a.tiles = AccessSet::new(reads, both);
                 ledger_if(true, &mut a);
@@ -930,7 +845,6 @@ impl FactorPlan {
             TaskKind::Encode
             | TaskKind::Potf2 { .. }
             | TaskKind::VerifyBatch { .. }
-            | TaskKind::Correct { .. }
             | TaskKind::Drain => true,
             TaskKind::Syrk { .. }
             | TaskKind::GemmPanel { .. }

@@ -85,7 +85,7 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
         }
     });
 
-    split_verify_pairs(plan, spec);
+    split_verify_batches(plan, spec);
 
     // Parity refresh of each finalized column, as the iteration's last
     // node (after the TRSM checksum updates and any post-panel checks).
@@ -122,49 +122,49 @@ fn split_panel_node(plan: &mut FactorPlan, id: NodeId, devs: &[usize]) {
     }
 }
 
-/// Write every verify/correct pair whose tiles span several owner devices
-/// as one pair per device. Required for correctness, not just overlap:
-/// the recalculation stage records its data-ready events on the executing
+/// Write every verify batch whose tiles span several owner devices as one
+/// batch per device. Required for correctness, not just overlap: the
+/// recalculation stage records its data-ready events on the executing
 /// device's streams only, so a mixed-owner batch would race with writes
 /// still in flight on the other devices.
-fn split_verify_pairs(plan: &mut FactorPlan, spec: ShardSpec) {
+fn split_verify_batches(plan: &mut FactorPlan, spec: ShardSpec) {
     plan.rewrite(|plan, run| {
-        let mut ids = run.iter().copied();
-        while let Some(id) = ids.next() {
-            let PlanNode { kind, scope, iter } = plan.node(id);
+        for &id in run {
+            plan.keep(id);
+            let PlanNode { kind, scope, iter } = plan.node_mut(id);
             let (scope, iter) = (*scope, *iter);
-            let &TaskKind::VerifyBatch {
-                ref tiles,
+            let TaskKind::VerifyBatch {
+                tiles,
                 sweep,
                 fused,
                 depth,
             } = kind
             else {
-                plan.keep(id);
                 continue;
             };
-            assert!(!fused, "sharding does not compose with chk_fused");
+            assert!(!*fused, "sharding does not compose with chk_fused");
             // Group by owner, in order of first appearance (deterministic).
             let mut groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-            for &(bi, bj) in tiles {
+            for &(bi, bj) in tiles.iter() {
                 let d = spec.owner(bi);
                 match groups.iter_mut().find(|(gd, _)| *gd == d) {
                     Some((_, g)) => g.push((bi, bj)),
                     None => groups.push((d, vec![(bi, bj)])),
                 }
             }
-            if groups.len() < 2 {
-                plan.keep(id);
-                continue;
-            }
-            // The first group shrinks the pair; the rest follow as fresh
-            // pairs under the same scope span.
-            let pair = [id, ids.next().expect("a verify batch has its correct")];
-            plan.keep_check_pair(pair, &groups[0].1, false);
-            for (_, g) in groups.into_iter().skip(1) {
-                for kind in TaskKind::check_pair(g, sweep, false, depth) {
-                    plan.push(kind, scope, iter);
-                }
+            // The first group shrinks the batch; the rest follow as fresh
+            // batches under the same scope span.
+            let (sweep, depth) = (*sweep, *depth);
+            let mut groups = groups.into_iter().map(|(_, g)| g);
+            *tiles = groups.next().unwrap_or_default();
+            for tiles in groups {
+                let batch = TaskKind::VerifyBatch {
+                    tiles,
+                    sweep,
+                    fused: false,
+                    depth,
+                };
+                plan.push(batch, scope, iter);
             }
         }
     });

@@ -116,7 +116,7 @@ impl ShardRuntime {
                 UpdateOp::Syrk | UpdateOp::Potf2 => owner(*j),
                 UpdateOp::Gemm | UpdateOp::Trsm => owner(*i),
             },
-            TaskKind::VerifyBatch { tiles, .. } | TaskKind::Correct { tiles, .. } => {
+            TaskKind::VerifyBatch { tiles, .. } => {
                 tiles.first().map(|&(bi, _)| owner(bi)).unwrap_or(0)
             }
             _ => node.iter.map(owner).unwrap_or(0),
@@ -394,7 +394,7 @@ impl ShardRuntime {
         self.steer(lay, lost);
         let depth = loss.at_iter.min(lay.nt);
         for chunk in rebuilt.chunks(256) {
-            let _ = ops::verify_batch(ctx, lay, inj, chunk, depth, opts);
+            let _ = ops::verify_batch(ctx, lay, inj, chunk, false, depth, opts);
         }
         ctx.sync_all();
         let now = ctx.now();

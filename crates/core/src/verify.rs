@@ -44,7 +44,7 @@ impl VerifyPolicy {
 }
 
 /// Fully-resolved per-tile detection thresholds, handed to
-/// [`verify_and_correct`]. Built by `ops::verify_correct` from the run's
+/// [`verify_and_correct`]. Built by `ops::verify_batch` from the run's
 /// [`crate::options::ToleranceModel`]: `Fixed` reproduces the historical
 /// f64 thresholds bit-for-bit; `Adaptive` carries everything the
 /// variance-based formula ([`tolerance::adaptive_threshold`]) needs —
