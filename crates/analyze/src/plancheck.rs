@@ -562,8 +562,8 @@ mod tests {
         }
     }
 
-    /// Mutation control: sever the out-edges of one inline verify — its
-    /// paired correction no longer depends on it, so the verified data can
+    /// Mutation control: sever the out-edges of one inline verify — the
+    /// reads it guarded no longer depend on it, so the verified data can
     /// reach readers unchecked. The checker must flag an unverified read.
     #[test]
     fn dropped_verify_edge_is_flagged() {
