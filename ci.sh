@@ -42,14 +42,15 @@ step "allocation budget (tile-shape level-3 calls allocate once, then never; the
 cargo test --release -q -p hchol-blas --test alloc_budget
 
 # The bit-identity proofs of the hot paths, once more at depth: the release
-# build raises the scheduler proptest to 4096 streams and the derive_deps
-# sweep and the analyzers' new-vs-oracle sweeps to nt = 20, and the 2-row
+# build raises the scheduler proptests to 4096 streams each and the edge
+# derivation sweep and the analyzers' new-vs-oracle sweeps to nt = 20, and the 2-row
 # checksum kernels' grids from 33 to 300 (past the column group, the planar
 # block and TRSM_BASE), and the team split tests to b = 256 (two MC
-# stripes). plan:: runs the derive_deps oracle (plan/oracle.rs) and holds
-# the planner's rewrite passes to their bound on nodes visited per node.
+# stripes). plan:: runs the edge derivation's oracle (plan/oracle.rs), also
+# after every kind of plan edit, and holds the planner's rewrite passes to
+# their bound on nodes visited per node.
 # batch_launch holds a batch launch to the same kernels launched one by one.
-step "differential suites, deep (one-walk scheduler, batch launch, dense derive_deps, rewrite-pass visit bound, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels, team split — each vs its oracle or bound)"
+step "differential suites, deep (one-walk scheduler and its batch-shaped streams, batch launch, dense edge derivation and edges never stale after an edit, rewrite-pass visit bound, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels, team split — each vs its oracle or bound)"
 cargo test --release -q -p hchol-gpusim --lib schedule::tests
 cargo test --release -q -p hchol-gpusim --test batch_launch
 cargo test --release -q -p hchol-core --lib plan::

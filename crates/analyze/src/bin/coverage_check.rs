@@ -184,7 +184,6 @@ fn mutate(mode: &str) -> ExitCode {
                 .find(|n| matches!(&n.kind, TaskKind::VerifyBatch { sweep, .. } if *sweep == SweepKind::Final))
                 .expect("final sweep exists");
             plan.remove(victim);
-            plan.derive_deps();
             let rep = check_coverage(SchemeKind::Offline, &plan, &gpu);
             println!("{}", rep.render_text());
             rep.uncovered_sites() > 0
@@ -220,7 +219,6 @@ fn mutate(mode: &str) -> ExitCode {
                 .find(|n| matches!(n.kind, TaskKind::ShardParity { j: 1 }))
                 .expect("column-1 parity refresh exists");
             plan.remove(victim);
-            plan.derive_deps();
             let rep = check_coverage(SchemeKind::Offline, &plan, &opts);
             println!("{}", rep.render_text());
             rep.losses

@@ -1013,7 +1013,6 @@ mod tests {
             .find(|n| matches!(&n.kind, TaskKind::VerifyBatch { sweep, .. } if *sweep == SweepKind::Final))
             .expect("final sweep exists");
         plan.remove(sweep);
-        plan.derive_deps();
         let rep = check_coverage(SchemeKind::Offline, &plan, &opts);
         assert!(
             rep.uncovered_sites() > 0,
@@ -1042,7 +1041,6 @@ mod tests {
                 .expect("an inline check exists");
             let mut mutated = plan.clone();
             mutated.remove(victim);
-            mutated.derive_deps();
             let rep = check_coverage(SchemeKind::Enhanced, &mutated, &opts);
             assert!(
                 rep.summary().detect_correct < clean,
@@ -1075,7 +1073,6 @@ mod tests {
             .find(|n| matches!(n.kind, TaskKind::ShardParity { j: 1 }))
             .expect("column-1 parity refresh exists");
         mutated.remove(parity);
-        mutated.derive_deps();
         let rep = check_coverage(SchemeKind::Offline, &mutated, &opts);
         let bad: Vec<_> = rep
             .losses

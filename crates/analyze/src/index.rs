@@ -9,7 +9,7 @@
 //! lists, never a scan of every batch in the plan.
 //!
 //! Tiles are keyed by [`FactorPlan::tile_slot`] — the slot function
-//! `derive_deps` uses — so the index has the same precondition: every
+//! edge derivation uses — so the index has the same precondition: every
 //! declared tile is a canonical `mat` / `chk` / `dpt` [`TileRef`] of an
 //! `nt`-grid plan (debug-asserted there), and every `(bi, bj)` a verify
 //! batch names lies inside the grid.
@@ -332,7 +332,6 @@ pub(crate) mod tests {
             if strip {
                 let mut m = plan.clone();
                 m.remove(id);
-                m.derive_deps();
                 out.push((format!("node {} removed", id.0), m));
             }
         }

@@ -746,7 +746,7 @@ fn rule_plan_edit(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
         let message = match scan.word_at(i) {
             Some("rewrite") if !passes => {
                 "plan rewritten outside the planner's passes: build the plan for the new \
-                 state (`plan::passes`) and splice it in with `FactorPlan::replace_tail`"
+                 state (`plan::for_scheme`) and splice it in with `FactorPlan::replace_tail`"
             }
             Some("remove") => {
                 "node removed from a plan: a pass drops a node by not writing it in its \

@@ -341,7 +341,6 @@ mod tests {
             })
             .expect("a row-panel send exists");
         plan.remove(send);
-        plan.derive_deps();
         let rep = check_liveness(SchemeKind::Offline, &plan, &opts);
         assert!(rep.findings.iter().any(|f| f.kind() == "recv_without_send"));
         assert!(rep
@@ -372,7 +371,6 @@ mod tests {
             for id in victims {
                 plan.remove(id);
             }
-            plan.derive_deps();
             check_liveness(SchemeKind::Offline, &plan, &opts)
         };
         let first = render();

@@ -738,7 +738,6 @@ mod tests {
             .find(|n| matches!(n.kind, TaskKind::Encode))
             .expect("encode exists");
         plan.remove(enc);
-        plan.derive_deps();
         let chk = check_plan(SchemeKind::Offline, &plan, &opts);
         assert!(
             chk.violations.iter().any(|v| v.kind() == "missing_encode"),
@@ -757,7 +756,6 @@ mod tests {
             .find(|n| matches!(&n.kind, TaskKind::VerifyBatch { sweep, .. } if *sweep == SweepKind::Final))
             .expect("final sweep exists");
         plan.remove(sweep);
-        plan.derive_deps();
         let chk = check_plan(SchemeKind::Offline, &plan, &opts);
         assert!(
             chk.violations

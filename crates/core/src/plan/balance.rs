@@ -65,7 +65,7 @@ pub struct RewriteRecord {
     pub k: usize,
     /// Placement the remaining iterations were rewritten for.
     pub placement: ChecksumPlacement,
-    /// The full rewritten plan (deps re-derived).
+    /// The full rewritten plan.
     pub plan: FactorPlan,
 }
 
@@ -323,22 +323,21 @@ impl BalanceController {
     /// `>= from_iter`) for the controller's current placement and `K`: the
     /// rewritten plan is the old one up to the first node of iteration
     /// `from_iter`, then what the planner's passes build for the current
-    /// state from that iteration on (`FactorPlan::replace_tail`), with
-    /// the edges derived once over the splice. Positions before the cut
-    /// keep their nodes, so the executor's cursor stays valid.
+    /// state from that iteration on (`FactorPlan::replace_tail`). Positions
+    /// before the cut keep their nodes, so the executor's cursor stays
+    /// valid.
     ///
     /// The every-iteration SYRK/POTF2 checks are in every state's plan, so
     /// the plancheck K-relaxation contract (DESIGN.md §9.4) keeps holding;
     /// with `record_plans` on, a snapshot of the rewritten plan is kept so
     /// tests re-prove it.
     pub fn rewrite(&mut self, plan: &mut FactorPlan, from_iter: usize) {
-        let fresh = super::passes(self.scheme, plan.nt, &self.opts, plan.faulty);
+        let fresh = super::for_scheme(self.scheme, plan.nt, &self.opts, plan.faulty);
         plan.replace_tail(from_iter, &fresh);
         // Mirrors queued by an executed CPU-placement prefix still flush.
         plan.cpu_mirrors = plan
             .find(|n| matches!(n.kind, TaskKind::MirrorPanel { .. }))
             .is_some();
-        plan.derive_deps();
         if self.cfg.record_plans {
             self.log.rewrites.push(RewriteRecord {
                 at_iter: from_iter,

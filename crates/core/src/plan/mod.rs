@@ -4,7 +4,7 @@
 //! baselines — executes a [`FactorPlan`]: a list of [`TaskKind`] nodes in
 //! an authored issue order, each carrying the same tile-level
 //! [`AccessSet`] declarations the simulator's kernels declare, plus
-//! explicit dependency edges derived from those declarations. The planner
+//! dependency edges derived from those declarations on first read. The planner
 //! ([`skeleton`]) emits the bare Algorithm-1 iteration skeleton; each
 //! scheme is a *policy pass* ([`policy::EnhancedPolicy`],
 //! [`policy::OnlinePolicy`], [`policy::OfflinePolicy`]) that inserts
@@ -38,6 +38,7 @@ use hchol_gpusim::{AccessSet, BufferId, DagSchedule, NodeMeta, TileRef};
 use hchol_obs::Phase;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Which checksum update a [`TaskKind::ChkUpdate`] node performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,7 +358,10 @@ pub struct FactorPlan {
     /// ([`Self::rewrite`]); a node off it keeps its id.
     order: Vec<NodeId>,
     scopes: Vec<ScopeSpec>,
-    deps: Vec<Vec<NodeId>>,
+    /// Dependency lists by node id: derived on first read, dropped by every
+    /// edit of the nodes or the order, so a read never sees stale edges.
+    /// The `pub` fields are the passes' to set before that first read.
+    deps: OnceLock<Vec<Vec<NodeId>>>,
 }
 
 impl FactorPlan {
@@ -373,7 +377,7 @@ impl FactorPlan {
             nodes: Vec::new(),
             order: Vec::new(),
             scopes: Vec::new(),
-            deps: Vec::new(),
+            deps: OnceLock::new(),
         }
     }
 
@@ -390,6 +394,7 @@ impl FactorPlan {
     /// Append a node to the issue order.
     pub fn push(&mut self, kind: TaskKind, scope: Option<ScopeId>, iter: Option<usize>) -> NodeId {
         self.nodes.push(PlanNode { kind, scope, iter });
+        self.deps = OnceLock::new();
         let id = NodeId(self.nodes.len() - 1);
         self.order.push(id);
         id
@@ -409,6 +414,7 @@ impl FactorPlan {
     /// iteration's nodes in one run, which debug builds assert.
     pub(crate) fn rewrite(&mut self, mut pass: impl FnMut(&mut Self, &[NodeId])) {
         let old = std::mem::take(&mut self.order);
+        self.deps = OnceLock::new();
         probe(old.len());
         self.order.reserve(old.len());
         let mut seen = vec![false; self.nt];
@@ -469,8 +475,7 @@ impl FactorPlan {
     /// Replace everything from the first node of iteration `from_iter` on
     /// by `fresh`'s nodes from *its* first node of that iteration on
     /// (scopes re-registered here). Positions before the cut keep their
-    /// nodes, so a cursor standing on the cut stays valid; edges are stale
-    /// until the next [`Self::derive_deps`].
+    /// nodes, so a cursor standing on the cut stays valid.
     pub(crate) fn replace_tail(&mut self, from_iter: usize, fresh: &FactorPlan) {
         let mut cut = false;
         self.rewrite(|plan, run| {
@@ -505,6 +510,7 @@ impl FactorPlan {
     /// flags; a node's `iter` places it in its iteration's run and must
     /// not change).
     pub fn node_mut(&mut self, id: NodeId) -> &mut PlanNode {
+        self.deps = OnceLock::new();
         &mut self.nodes[id.0]
     }
 
@@ -529,22 +535,29 @@ impl FactorPlan {
         &self.scopes
     }
 
-    /// Dependency edges into `id` (valid after [`Self::derive_deps`]).
+    /// Every node's dependency list, by id, derived here on first read.
+    fn edges(&self) -> &[Vec<NodeId>] {
+        self.deps.get_or_init(|| self.derived())
+    }
+
+    /// Dependency edges into `id`.
     pub fn deps(&self, id: NodeId) -> &[NodeId] {
-        &self.deps[id.0]
+        &self.edges()[id.0]
     }
 
     /// Total number of dependency edges.
     pub fn edge_count(&self) -> usize {
-        self.order.iter().map(|&id| self.deps[id.0].len()).sum()
+        let edges = self.edges();
+        self.order.iter().map(|&id| edges[id.0].len()).sum()
     }
 
     /// Sever every dependency edge *out of* `id` (drop `id` from other
-    /// nodes' dependency lists). Used by `hchol-analyze`'s mutation
-    /// controls to prove the static checker notices a missing ordering —
-    /// never by the planner itself.
+    /// nodes' dependency lists) until the plan's next edit. Used by
+    /// `hchol-analyze`'s mutation controls to prove the static checker
+    /// notices a missing ordering — never by the planner itself.
     pub fn drop_edges_from(&mut self, id: NodeId) {
-        for d in &mut self.deps {
+        self.edges();
+        for d in self.deps.get_mut().into_iter().flatten() {
             d.retain(|&n| n != id);
         }
     }
@@ -705,13 +718,13 @@ impl FactorPlan {
                 a.virt_reads.push(VirtRes::Mirror);
                 a.virt_writes.push(VirtRes::Mirror);
             }
-            TaskKind::Drain => {} // barrier — handled by derive_deps
+            TaskKind::Drain => {} // barrier — handled by `derived`
         }
         a
     }
 
-    /// The dense slot of a canonical tile in the `3·nt²` table
-    /// [`Self::derive_deps`] and `hchol-analyze`'s plan index share:
+    /// The dense slot of a canonical tile in the `3·nt²` table the edge
+    /// derivation and `hchol-analyze`'s plan index share:
     /// `mat(bi, bj)` is slot `bi·nt + bj`, and the `nt` checksum buffers
     /// and the `nt` deposit buffers behind them (tile row 0 each) are rows
     /// `nt..3nt` of the same table, so `chk(bi, bj)` is `nt² + bi·nt + bj`
@@ -736,14 +749,22 @@ impl FactorPlan {
         }
     }
 
-    /// Derive dependency edges from the declared accesses along the
-    /// authored order: RAW (read after the last writer), WAR (write after
-    /// readers since that writer), WAW (write after the last writer).
+    /// Derive the dependency edges now, not on their first read (the
+    /// benchmark's `core.plan.derive_deps_s` stage times this).
+    // lint:allow(dead-pub) named only by benchmark/src/layers.rs, which times it
+    pub fn derive_deps(&mut self) {
+        self.deps = OnceLock::from(self.derived());
+    }
+
+    /// The dependency edges from the declared accesses along the authored
+    /// order: RAW (read after the last writer), WAR (write after readers
+    /// since that writer), WAW (write after the last writer).
     /// [`TaskKind::Drain`] is a barrier depending on every prior node.
     ///
     /// Resources are indexed densely: a tile by [`Self::tile_slot`], a
     /// [`VirtRes`] by the next free slot behind the tiles on first sight.
-    pub fn derive_deps(&mut self) {
+    fn derived(&self) -> Vec<Vec<NodeId>> {
+        probe_derive();
         let nt = self.nt;
         let tiles = 3 * nt * nt;
         let mut virt_slots: HashMap<VirtRes, usize> = HashMap::new();
@@ -793,7 +814,7 @@ impl FactorPlan {
                 readers[k].clear();
             }
         }
-        self.deps = deps;
+        deps
     }
 
     /// Every fault-poll node in issue order, with its authored-order
@@ -819,9 +840,10 @@ impl FactorPlan {
         for (pos, &id) in order.iter().enumerate() {
             compact[id.0] = pos;
         }
+        let edges = self.edges();
         let deps = order
             .iter()
-            .map(|&id| self.deps[id.0].iter().map(|d| compact[d.0]).collect())
+            .map(|&id| edges[id.0].iter().map(|d| compact[d.0]).collect())
             .collect();
         let meta = order
             .iter()
@@ -856,10 +878,11 @@ impl FactorPlan {
     }
 }
 
-/// The passes that shape a scheme's plan, in order: Algorithm-1 skeleton →
-/// scheme policy → fused epilogues → placement → sharding. No edges — the
-/// balancer splices the result into a live plan and derives them once.
-pub(crate) fn passes(kind: SchemeKind, nt: usize, opts: &AbftOptions, faulty: bool) -> FactorPlan {
+/// Build the fully policied plan for one ABFT scheme, by the passes that
+/// shape it, in order: Algorithm-1 skeleton → scheme policy → fused
+/// epilogues → placement → sharding. Its edges are derived on first read.
+/// `opts` must carry a *resolved* placement (no `Auto`).
+pub fn for_scheme(kind: SchemeKind, nt: usize, opts: &AbftOptions, faulty: bool) -> FactorPlan {
     use policy::PolicyPass;
     let mut plan = skeleton::algorithm1(nt, DriveStyle::Overlapped, false, faulty);
     match kind {
@@ -877,45 +900,41 @@ pub(crate) fn passes(kind: SchemeKind, nt: usize, opts: &AbftOptions, faulty: bo
     plan
 }
 
-/// Build the fully policied plan for one ABFT scheme: `passes` plus the
-/// derived edges. `opts` must carry a *resolved* placement (no `Auto`).
-pub fn for_scheme(kind: SchemeKind, nt: usize, opts: &AbftOptions, faulty: bool) -> FactorPlan {
-    let mut plan = passes(kind, nt, opts, faulty);
-    plan.derive_deps();
-    plan
-}
-
 /// The bare MAGMA hybrid baseline as a plan (no fault tolerance).
 pub fn for_magma(nt: usize) -> FactorPlan {
-    let mut plan = skeleton::algorithm1(nt, DriveStyle::Overlapped, true, false);
-    plan.derive_deps();
-    plan
+    skeleton::algorithm1(nt, DriveStyle::Overlapped, true, false)
 }
 
 /// The synchronous CULA-style baseline as a plan (no fault tolerance).
 pub fn for_cula(nt: usize) -> FactorPlan {
-    let mut plan = skeleton::algorithm1(nt, DriveStyle::Synchronous, true, false);
-    plan.derive_deps();
-    plan
+    skeleton::algorithm1(nt, DriveStyle::Synchronous, true, false)
 }
 
 /// The right-looking (outer-product) form as a plan (no fault tolerance):
 /// PAPER.md §II-A's alternative to Algorithm 1.
 pub fn for_outer(nt: usize) -> FactorPlan {
-    let mut plan = skeleton::right_looking(nt);
-    plan.derive_deps();
-    plan
+    skeleton::right_looking(nt)
 }
 
-/// Scaling-guard probe: the test build counts the nodes rewrites and
-/// reads of the order visit; everywhere else this is nothing.
+/// Scaling-guard probes: the test build counts the nodes rewrites and
+/// reads of the order visit, and the edge derivations; everywhere else
+/// these are nothing.
 #[cfg(not(test))]
 #[inline(always)]
 fn probe(_nodes: usize) {}
 
+#[cfg(not(test))]
+#[inline(always)]
+fn probe_derive() {}
+
 #[cfg(test)]
 fn probe(nodes: usize) {
     tests::VISITS.with(|v| v.set(v.get() + nodes));
+}
+
+#[cfg(test)]
+fn probe_derive() {
+    tests::DERIVES.with(|v| v.set(v.get() + 1));
 }
 
 #[cfg(test)]
@@ -930,6 +949,37 @@ mod tests {
     thread_local! {
         /// Nodes this thread's rewrites and order reads have visited.
         pub(super) static VISITS: Cell<usize> = const { Cell::new(0) };
+        /// Edge derivations this thread has run.
+        pub(super) static DERIVES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A run derives edges only where it reads them: never in authored
+    /// order, once for a lookahead order, and once per batch member (its
+    /// `plan.edges` count).
+    #[test]
+    fn a_run_derives_edges_only_where_it_reads_them() {
+        let p = hchol_gpusim::profile::SystemProfile::test_profile();
+        let opts = AbftOptions::default();
+        let req = |lookahead| exec::BatchRequest {
+            kind: SchemeKind::Enhanced,
+            n: 96,
+            b: 16,
+            opts: opts.clone().with_lookahead(lookahead),
+        };
+        for (reqs, want) in [
+            (vec![req(0)], 0),
+            (vec![req(2)], 1),
+            (vec![req(0), req(0)], 2),
+        ] {
+            DERIVES.with(|v| v.set(0));
+            if let [r] = &reqs[..] {
+                let mode = hchol_gpusim::ExecMode::TimingOnly;
+                crate::schemes::run_clean(r.kind, &p, mode, r.n, r.b, &r.opts, None).unwrap();
+            } else {
+                exec::run_batch(&p, &reqs).unwrap();
+            }
+            assert_eq!(DERIVES.with(Cell::get), want, "{want}");
+        }
     }
 
     /// The scaling guard: every pass is a constant number of walks over
@@ -951,7 +1001,7 @@ mod tests {
             for opts in &configs {
                 for kind in SchemeKind::all() {
                     VISITS.with(|v| v.set(0));
-                    let plan = passes(kind, nt, opts, false);
+                    let plan = for_scheme(kind, nt, opts, false);
                     let visits = VISITS.with(Cell::get);
                     assert!(
                         visits <= PER_NODE_BOUND * plan.len(),

@@ -31,7 +31,7 @@
 use super::{FactorPlan, NodeId, PlanNode, ScopeId, ShardSpec, ShardXfer, TaskKind};
 
 /// Rewrite `plan` for `devices` GPUs. Must run after the scheme policy
-/// and placement passes and before [`FactorPlan::derive_deps`]. Callers
+/// and placement passes. Callers
 /// gate on `devices > 1` — a one-device grid is represented as an
 /// unsharded plan (`plan.shard = None`) so the byte-stable single-device
 /// path is untouched.

@@ -32,6 +32,32 @@ struct Slot {
     seq: u64,
 }
 
+impl Slot {
+    /// Is the interval running at point `p`? Active on `[start, end)`,
+    /// fuzzed by `EPS` on both edges. Once false at some `p`, false at
+    /// every later one: an interval ends live for good.
+    fn live_at(&self, p: f64) -> bool {
+        self.iv.start <= p + EPS && p < self.iv.end - EPS
+    }
+}
+
+/// The last placement, for the next one's walk to resume from (see
+/// [`KernelScheduler::first_fit`]): what it placed, where, and the sweep's
+/// cursors at that start, counting the placed interval.
+#[derive(Debug, Clone, Copy)]
+struct Last {
+    earliest: f64,
+    duration: f64,
+    resource: f64,
+    start: f64,
+    cursors: Cursors,
+}
+
+/// A sweep's cursors at its point `p`, as indices: the first end after
+/// `p`, the first start after `p`, and the first start after `p + EPS`
+/// (the first the live set has not met).
+type Cursors = (usize, usize, usize);
+
 /// Incremental first-fit scheduler over the device timeline.
 ///
 /// Kernels are placed in issue order (as real command queues admit them) at
@@ -43,13 +69,23 @@ pub struct KernelScheduler {
     /// still matter to a start time `t` are exactly the suffix `end > t`,
     /// and everything a prune drops is a prefix.
     active: VecDeque<Slot>,
+    /// The same intervals ordered by `(start, seq)`: a sweep meets the
+    /// starts ahead of its point in order here.
+    by_start: VecDeque<Slot>,
     next_seq: u64,
     max_concurrent: usize,
     /// Total busy time × resource (for utilization reporting).
     busy_integral: f64,
-    /// Scratch of [`Self::first_fit`]: `(seq, resource)` of the intervals
-    /// live at one point. Kept here so placing allocates nothing once warm.
-    live: Vec<(u64, f64)>,
+    /// Scratch of [`Self::first_fit`]: the intervals live at its point, in
+    /// issue order. Kept here so placing allocates nothing once warm.
+    live: Vec<Slot>,
+    /// The intervals live at the sweep's latest candidate start, in issue
+    /// order; after a placement, those live at its start, itself included.
+    at_start: Vec<Slot>,
+    /// `at_start` of the last placement, while the next one walks.
+    last_live: Vec<Slot>,
+    /// The last placement, unless a prune came after it.
+    last: Option<Last>,
 }
 
 const EPS: f64 = 1e-9;
@@ -60,10 +96,14 @@ impl KernelScheduler {
     pub fn new(max_concurrent: usize) -> Self {
         KernelScheduler {
             active: VecDeque::new(),
+            by_start: VecDeque::new(),
             next_seq: 0,
             max_concurrent: max_concurrent.max(1),
             busy_integral: 0.0,
             live: Vec::new(),
+            at_start: Vec::new(),
+            last_live: Vec::new(),
+            last: None,
         }
     }
 
@@ -80,23 +120,31 @@ impl KernelScheduler {
         let e = earliest.as_secs();
         debug_assert!(e.is_finite() && d.is_finite(), "times are finite");
 
-        let start = self.first_fit(e, d, resource);
-        let iv = Interval {
-            start,
-            end: start + d,
-            resource,
-        };
-        let at = self.active.partition_point(|s| s.iv.end <= iv.end);
-        self.active.insert(
-            at,
-            Slot {
-                iv,
-                seq: self.next_seq,
+        std::mem::swap(&mut self.at_start, &mut self.last_live);
+        let (start, (w, b, a)) = self.first_fit(e, d, resource);
+        let slot = Slot {
+            iv: Interval {
+                start,
+                end: start + d,
+                resource,
             },
-        );
+            seq: self.next_seq,
+        };
+        insert_sorted(&mut self.active, slot, |s| s.iv.end <= slot.iv.end);
+        insert_sorted(&mut self.by_start, slot, |s| s.iv.start <= start);
+        if slot.live_at(start) {
+            self.at_start.push(slot);
+        }
+        self.last = Some(Last {
+            earliest: e,
+            duration: d,
+            resource,
+            start,
+            cursors: (w + usize::from(slot.iv.end <= start), b + 1, a + 1),
+        });
         self.next_seq += 1;
         self.busy_integral += d * resource;
-        (SimTime::secs(iv.start), SimTime::secs(iv.end))
+        (SimTime::secs(start), SimTime::secs(slot.iv.end))
     }
 
     /// The first candidate start — `e`, then each later moment a tracked
@@ -107,50 +155,101 @@ impl KernelScheduler {
     /// One sweep walks those points once, in ascending order. A point that
     /// does not admit the kernel refutes every candidate up to it as well
     /// (it is one of their points too), so the walk resumes at the first
-    /// end after it rather than at the next candidate. At each point `p`
-    /// only the suffix `end > p` is read: an interval with `end <= p` is
-    /// live at no point from `p` on (`p < end - EPS` fails) and has no
-    /// boundary after it, so `w` only moves forward.
-    fn first_fit(&mut self, e: f64, d: f64, resource: f64) -> f64 {
+    /// end after it rather than at the next candidate. The sweep keeps the
+    /// set live at its point as it goes: an interval joins when the
+    /// start-ordered cursor reaches it and leaves when it ends, so a point
+    /// reads the live set and the next boundary, not every tracked
+    /// interval. The usage is re-folded over the live set in issue order:
+    /// float addition does not commute to the last bit.
+    ///
+    /// A verification batch launches like kernels back to back, and each
+    /// would walk every end queued before it. It need not: the last
+    /// placement refuted every candidate below its start, and for a kernel
+    /// of the same duration and share whose `e` is no earlier, each such
+    /// candidate is one of the last kernel's too and stays refuted (usage
+    /// and count at a point only grow as intervals are added). So a point
+    /// that fails below the last start jumps straight to it, with the live
+    /// set kept from the last placement. `e` itself is still tried first:
+    /// it need not have been the last kernel's candidate. A prune drops
+    /// intervals a refutation may rest on, so it forgets the last start.
+    fn first_fit(&mut self, e: f64, d: f64, resource: f64) -> (f64, Cursors) {
         let KernelScheduler {
             active,
+            by_start,
             live,
+            at_start,
+            last_live,
+            last,
             max_concurrent,
             ..
         } = self;
-        // One slice, not the deque's two halves: every point reads it.
+        let jump = last.filter(|l| l.duration == d && l.resource == resource && e >= l.earliest);
+        // One slice each, not the deques' two halves: every point reads them.
         let active: &[Slot] = active.make_contiguous();
-        let mut w = active.partition_point(|s| s.iv.end <= e);
+        let starts: &[Slot] = by_start.make_contiguous();
         let (mut t, mut p) = (e, e);
+        let mut w = gallop_back(active, |s| s.iv.end <= p);
+        let mut a = gallop_back(starts, |s| s.iv.start <= p + EPS);
+        let mut b = a - starts[..a]
+            .iter()
+            .rev()
+            .take_while(|s| s.iv.start > p)
+            .count();
+        let mut at_cursors = (w, b, a);
+        // The set live at `e` lies in both the starts up to `a` and the
+        // ends after `w`: read the shorter side.
+        let side = if a < active.len() - w {
+            &starts[..a]
+        } else {
+            &active[w..]
+        };
+        probe_visited(side.len());
+        live.clear();
+        live.extend(side.iter().filter(|s| s.live_at(p)));
+        live.sort_unstable_by_key(|s| s.seq);
         loop {
-            // Active on [start, end): p inside?
-            live.clear();
-            for s in &active[w..] {
-                if s.iv.start <= p + EPS && p < s.iv.end - EPS {
-                    live.push((s.seq, s.iv.resource));
-                }
+            if p == t {
+                at_start.clone_from(live);
+                at_cursors = (w, b, a);
             }
-            probe_visited(active.len() - w);
-            // Sum in issue order, whatever order the window holds them in:
-            // float addition does not commute to the last bit.
-            live.sort_unstable_by_key(|&(seq, _)| seq);
-            let usage = live.iter().fold(0.0, |usage, &(_, r)| usage + r);
+            probe_visited(live.len());
+            let usage = live.iter().fold(0.0, |usage, s| usage + s.iv.resource);
             let next_end = active.get(w).map_or(f64::INFINITY, |s| s.iv.end);
             if usage + resource <= 1.0 + EPS && live.len() < *max_concurrent {
-                probe_visited(active.len() - w);
-                let starts = active[w..].iter().map(|s| s.iv.start);
-                p = starts.filter(|&s| s > p).fold(next_end, f64::min);
+                p = starts.get(b).map_or(next_end, |s| s.iv.start.min(next_end));
                 if p >= t + d {
-                    return t;
+                    return (t, at_cursors);
                 }
+            } else if let Some(last) = jump.filter(|l| l.start > p) {
+                (t, p) = (last.start, last.start);
+                (w, b, a) = last.cursors;
+                probe_visited(last_live.len());
+                live.clone_from(last_live);
+                continue;
             } else {
                 // Something is live at `p`, so it ends after `p`.
                 t = next_end;
                 p = t;
             }
+            let met = a;
             while active.get(w).is_some_and(|s| s.iv.end <= p) {
                 w += 1;
             }
+            while starts.get(b).is_some_and(|s| s.iv.start <= p) {
+                b += 1;
+            }
+            live.retain(|s| s.live_at(p));
+            let known = live.len();
+            while let Some(s) = starts.get(a).filter(|s| s.iv.start <= p + EPS) {
+                if s.live_at(p) {
+                    live.push(*s);
+                }
+                a += 1;
+            }
+            if live.len() > known {
+                live.sort_unstable_by_key(|s| s.seq);
+            }
+            probe_visited(a - met);
         }
     }
 
@@ -160,6 +259,20 @@ impl KernelScheduler {
         let h = horizon.as_secs();
         let keep_from = self.active.partition_point(|s| s.iv.end <= h);
         self.active.drain(..keep_from);
+        // What ends by `h` starts by it: compact the intervals of that
+        // prefix still running after `h` to its back, in order, and drop
+        // the rest.
+        let starts = self.by_start.make_contiguous();
+        let prefix = starts.partition_point(|s| s.iv.start <= h);
+        let mut keep = prefix;
+        for i in (0..prefix).rev() {
+            if starts[i].iv.end > h {
+                keep -= 1;
+                starts.swap(i, keep);
+            }
+        }
+        self.by_start.drain(..keep);
+        self.last = None;
     }
 
     /// Number of intervals still tracked.
@@ -173,6 +286,35 @@ impl KernelScheduler {
     pub fn busy_integral(&self) -> f64 {
         self.busy_integral
     }
+}
+
+/// Insert `slot` behind every slot `before` admits: at the back, where a
+/// new interval usually ends and starts, or where a search puts it.
+fn insert_sorted(v: &mut VecDeque<Slot>, slot: Slot, before: impl Fn(&Slot) -> bool) {
+    if v.back().is_none_or(&before) {
+        v.push_back(slot);
+    } else {
+        let at = gallop_back(v.make_contiguous(), before);
+        v.insert(at, slot);
+    }
+}
+
+/// `v.partition_point(pred)`, galloping from the back: `O(log k)` for an
+/// answer `k` slots from the end. A launch's earliest start usually lies
+/// past nearly every tracked interval (its stream runs ahead of the host
+/// clock the prunes follow), and a new interval usually ends and starts
+/// last.
+fn gallop_back(v: &[Slot], pred: impl Fn(&Slot) -> bool) -> usize {
+    let (mut hi, mut step) = (v.len(), 1);
+    // No slot from `hi` on satisfies `pred`.
+    while hi > 0 {
+        let probe = hi.saturating_sub(step);
+        if pred(&v[probe]) {
+            return probe + 1 + v[probe + 1..hi].partition_point(&pred);
+        }
+        (hi, step) = (probe, 2 * step);
+    }
+    0
 }
 
 /// Scaling-guard probe: the test build counts the tracked intervals `place`
@@ -336,29 +478,198 @@ mod tests {
         }
     }
 
-    /// The deterministic scaling guard: on a deep queue (eight round-robin
-    /// streams, 10 000 quarter-device kernels, never pruned) a launch looks at
-    /// a bounded number of intervals however many are tracked. The oracle's
-    /// first point alone scans all `tracked()` of them. The sweep's worst
-    /// launch here visits 13 (the suffix at each point it walks, and once
-    /// more where it looks for the next start); the bound is that plus half
-    /// again.
+    /// Both schedulers side by side: each launch and prune goes to both,
+    /// and every `(start, end)`, `tracked()` and `busy_integral()` must
+    /// agree to the bit.
+    struct Both {
+        new: KernelScheduler,
+        old: Oracle,
+        step: usize,
+    }
+
+    impl Both {
+        fn new(cap: usize) -> Self {
+            Both {
+                new: KernelScheduler::new(cap),
+                old: Oracle::new(cap),
+                step: 0,
+            }
+        }
+
+        /// Place on both; the kernel's end.
+        fn place(&mut self, e: f64, d: f64, r: f64) -> Result<f64, TestCaseError> {
+            let (n, o) = (self.new.place(t(e), t(d), r), self.old.place(t(e), t(d), r));
+            let bits = |(s, e): (SimTime, SimTime)| (s.as_secs().to_bits(), e.as_secs().to_bits());
+            prop_assert_eq!(
+                bits(n),
+                bits(o),
+                "step {}: new {:?} vs old {:?}",
+                self.step,
+                n,
+                o
+            );
+            self.agree()?;
+            Ok(n.1.as_secs())
+        }
+
+        fn prune(&mut self, h: f64) -> Result<(), TestCaseError> {
+            self.new.prune(t(h));
+            self.old.prune(t(h));
+            self.agree()
+        }
+
+        fn agree(&mut self) -> Result<(), TestCaseError> {
+            let step = self.step;
+            prop_assert_eq!(self.new.tracked(), self.old.active.len(), "step {}", step);
+            let integrals = (self.new.busy_integral(), self.old.busy_integral);
+            prop_assert_eq!(
+                integrals.0.to_bits(),
+                integrals.1.to_bits(),
+                "step {}",
+                step
+            );
+            self.step += 1;
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 256 } else { 4096 }))]
+
+        /// New against old on batch-shaped streams, the shape the walk's
+        /// jump to the last start serves: runs of launches alike in
+        /// duration and share, as a verification batch issues them, with
+        /// a non-decreasing host clock on the EPS-offset grid of
+        /// `grid_time`. Each run begins after a prune at the host clock, or
+        /// past it (so its launches start behind the horizon), or none; each
+        /// launch moves the clock on by zero or one grid step and starts no
+        /// earlier than it and its stream's frontier, over one to three
+        /// streams. In release builds a jump that skips trying `e` fails
+        /// here at case 3776. The two streams a jump without its guards
+        /// failed on are replayed beside it
+        /// (`unguarded_jump_counterexamples_match_the_oracle`).
+        #[test]
+        fn batch_shaped_streams_match_the_oracle_bit_for_bit(
+            cap in 1usize..9,
+            runs in collection::vec(
+                (
+                    (0usize..3, 0usize..12, 0usize..4, 0usize..4, 1usize..4, 0.0f64..1.0),
+                    collection::vec((0usize..2, 0usize..6), 1..16),
+                ),
+                1..6,
+            ),
+        ) {
+            let mut both = Both::new(cap);
+            let (mut host, mut ready) = (0.0f64, [0.0f64; 3]);
+            for ((prune, k0, dur, res, streams, free), launches) in &runs {
+                let mut k = *k0;
+                host = host.max(grid_time(k, 0, 0.0));
+                match prune {
+                    0 => both.prune(host)?,
+                    1 => both.prune(host + 0.5)?,
+                    _ => {}
+                }
+                let d = [0.25, 1.0, 0.25 + EPS, 0.5 - EPS / 2.0][*dur];
+                let r = [0.25, 0.5, 1.0, 0.33][*res];
+                for (i, &(step, off)) in launches.iter().enumerate() {
+                    k += step;
+                    host = host.max(grid_time(k, off, *free));
+                    let s = i % streams;
+                    ready[s] = both.place(host.max(ready[s]), d, r)?;
+                }
+            }
+        }
+    }
+
+    /// The two streams of `ordered_scheduler_matches_the_oracle_bit_for_bit`
+    /// (seed 0x31115a37e8858409, cases 157 and 3471) on which a jump to the
+    /// last start without its guards broke, up to the launch that broke:
+    /// one kept the last start across a prune, and a launch behind the
+    /// horizon (1.50036…) went to 2.500000002; the other skipped trying `e`
+    /// itself, and a kernel whose `e` (5.25) the last kernel never tried
+    /// went to that kernel's start, 5.250000001.
+    #[test]
+    fn unguarded_jump_counterexamples_match_the_oracle() {
+        enum Op {
+            Place(f64, f64, f64),
+            Prune(f64),
+        }
+        use Op::{Place, Prune};
+        let across_a_prune = [
+            Place(0.6787539553544906, 1.0, 0.1),
+            Place(4.2499999995, 0.5, 0.1),
+            Place(0.499999999, 0.25, 0.93),
+            Place(5.749999999, 0.3114049746048084, 0.33),
+            Place(2.250000001, 0.250000001, 0.07),
+            Place(3.250000001, 0.250000001, 0.93),
+            Place(3.493611785367019, 0.25, 0.25),
+            Place(1.249999999, 0.5, 1.7),
+            Prune(5.639308577520907),
+            Place(1.5003682436851231, 0.5, 1.7),
+        ];
+        let untried_e = [
+            Place(1.9036236695531612, 0.9217420173189668, 0.93),
+            Place(1.0000000005, 0.5000000005, 1e-12),
+            Place(4.7500000005, 0.5000000005, 1.0),
+            Place(5.0000000005, 1.0, 0.25),
+            Place(5.25, 1.0, 0.25),
+        ];
+        for (cap, ops, last) in [
+            (2, &across_a_prune[..], 1.5003682436851231),
+            (8, &untried_e[..], 5.25),
+        ] {
+            let mut both = Both::new(cap);
+            let mut start = 0.0;
+            for op in ops {
+                match *op {
+                    Place(e, d, r) => start = both.place(e, d, r).unwrap() - d.max(0.0),
+                    Prune(h) => both.prune(h).unwrap(),
+                }
+            }
+            assert_eq!(start, last, "cap {cap}");
+        }
+    }
+
+    /// The deterministic scaling guard: a launch looks at a bounded number
+    /// of intervals however many are tracked; the oracle's first point
+    /// alone scans all `tracked()` of them. Two queues, never pruned:
+    /// eight round-robin streams of 10 000 quarter-device kernels, and a
+    /// verification batch of 10 000 quarter-device kernels on streams of
+    /// their own, each launched at the host clock (advanced by a launch
+    /// cost) behind one long full-device kernel, so the k-th queues behind
+    /// k others. The walk's worst launch visits 17 on the first and 10 on
+    /// the second (the side it reads the first live set from, the live
+    /// sets it folds, and the intervals that join them); the bound is the
+    /// one the sweep before it was held to. Without the jump to the last
+    /// start, the batch's worst launch visits 20 000.
     #[test]
     fn a_launch_visits_a_bounded_number_of_intervals_on_a_deep_queue() {
         const PER_LAUNCH_BOUND: usize = 20;
+        let visits = |s: &mut KernelScheduler, e: SimTime, d: f64, r: f64| {
+            VISITED.with(|v| v.set(0));
+            let (_, end) = s.place(e, t(d), r);
+            (end, VISITED.with(Cell::get))
+        };
         let mut s = KernelScheduler::new(16);
         let mut stream_ready = [SimTime::ZERO; 8];
         let mut worst = 0;
         for k in 0..10_000 {
-            VISITED.with(|v| v.set(0));
-            let (_, end) = s.place(stream_ready[k % 8], t(1.0), 0.25);
+            let (end, n) = visits(&mut s, stream_ready[k % 8], 1.0, 0.25);
             stream_ready[k % 8] = end;
-            worst = worst.max(VISITED.with(Cell::get));
+            worst = worst.max(n);
         }
         assert_eq!(s.tracked(), 10_000);
+        let mut batch = KernelScheduler::new(16);
+        batch.place(SimTime::ZERO, t(100.0), 1.0);
+        let mut batch_worst = 0;
+        for k in 1..=10_000 {
+            let (_, n) = visits(&mut batch, t(k as f64 * 1e-6), 1.0, 0.25);
+            batch_worst = batch_worst.max(n);
+        }
+        assert_eq!(batch.tracked(), 10_001);
         assert!(
-            worst <= PER_LAUNCH_BOUND,
-            "a launch visited {worst} intervals"
+            worst.max(batch_worst) <= PER_LAUNCH_BOUND,
+            "a launch visited {worst} intervals on the streams, {batch_worst} in the batch"
         );
     }
 
