@@ -34,8 +34,8 @@ struct Slot {
 
 impl Slot {
     /// Is the interval running at point `p`? Active on `[start, end)`,
-    /// fuzzed by `EPS` on both edges. Once false at some `p`, false at
-    /// every later one: an interval ends live for good.
+    /// fuzzed by `EPS` on both edges. Each half flips once as `p` grows:
+    /// an interval joins the live set once and leaves it for good.
     fn live_at(&self, p: f64) -> bool {
         self.iv.start <= p + EPS && p < self.iv.end - EPS
     }
@@ -135,6 +135,9 @@ impl KernelScheduler {
         if slot.live_at(start) {
             self.at_start.push(slot);
         }
+        // The cursors at `start` now count the new interval: it starts
+        // there, so before both start cursors, and it ends before `w` only
+        // if it ends there too.
         self.last = Some(Last {
             earliest: e,
             duration: d,
@@ -278,6 +281,11 @@ impl KernelScheduler {
     /// Number of intervals still tracked.
     #[cfg(test)]
     fn tracked(&self) -> usize {
+        assert_eq!(
+            self.active.len(),
+            self.by_start.len(),
+            "both orders track the same intervals"
+        );
         self.active.len()
     }
 
@@ -288,15 +296,10 @@ impl KernelScheduler {
     }
 }
 
-/// Insert `slot` behind every slot `before` admits: at the back, where a
-/// new interval usually ends and starts, or where a search puts it.
+/// Insert `slot` behind every slot `before` admits.
 fn insert_sorted(v: &mut VecDeque<Slot>, slot: Slot, before: impl Fn(&Slot) -> bool) {
-    if v.back().is_none_or(&before) {
-        v.push_back(slot);
-    } else {
-        let at = gallop_back(v.make_contiguous(), before);
-        v.insert(at, slot);
-    }
+    let at = gallop_back(v.make_contiguous(), before);
+    v.insert(at, slot);
 }
 
 /// `v.partition_point(pred)`, galloping from the back: `O(log k)` for an
