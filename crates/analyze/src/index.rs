@@ -9,7 +9,7 @@
 //! lists, never a scan of every batch in the plan.
 //!
 //! Tiles are keyed by [`FactorPlan::tile_slot`] — the slot function
-//! edge derivation uses — so the index has the same precondition: every
+//! the edge derivation uses — so the index has the same precondition: every
 //! declared tile is a canonical `mat` / `chk` / `dpt` [`TileRef`] of an
 //! `nt`-grid plan (debug-asserted there), and every `(bi, bj)` a verify
 //! batch names lies inside the grid.
