@@ -172,9 +172,11 @@ impl KernelScheduler {
     /// candidate is one of the last kernel's too and stays refuted (usage
     /// and count at a point only grow as intervals are added). So a point
     /// that fails below the last start jumps straight to it, with the live
-    /// set kept from the last placement. `e` itself is still tried first:
-    /// it need not have been the last kernel's candidate. A prune drops
-    /// intervals a refutation may rest on, so it forgets the last start.
+    /// set kept from the last placement. `e` itself is still tried first,
+    /// unless it is the last kernel's own `e` and was refuted there: any
+    /// other `e` need not have been the last kernel's candidate. A prune
+    /// drops intervals a refutation may rest on, so it forgets the last
+    /// start.
     fn first_fit(&mut self, e: f64, d: f64, resource: f64) -> (f64, Cursors) {
         let KernelScheduler {
             active,
@@ -190,26 +192,38 @@ impl KernelScheduler {
         // One slice each, not the deques' two halves: every point reads them.
         let active: &[Slot] = active.make_contiguous();
         let starts: &[Slot] = by_start.make_contiguous();
-        let (mut t, mut p) = (e, e);
-        let mut w = gallop_back(active, |s| s.iv.end <= p);
-        let mut a = gallop_back(starts, |s| s.iv.start <= p + EPS);
-        let mut b = a - starts[..a]
-            .iter()
-            .rev()
-            .take_while(|s| s.iv.start > p)
-            .count();
+        let (mut t, mut p, (mut w, mut b, mut a));
+        match jump.filter(|l| l.earliest == e && l.start > e) {
+            // The last walk tried this very `e` first and it failed: this
+            // one starts where that one ended.
+            Some(last) => {
+                (t, p, (w, b, a)) = (last.start, last.start, last.cursors);
+                probe_visited(last_live.len());
+                live.clone_from(last_live);
+            }
+            None => {
+                (t, p) = (e, e);
+                w = gallop_back(active, |s| s.iv.end <= p);
+                a = gallop_back(starts, |s| s.iv.start <= p + EPS);
+                b = a - starts[..a]
+                    .iter()
+                    .rev()
+                    .take_while(|s| s.iv.start > p)
+                    .count();
+                // The set live at `e` lies in both the starts up to `a` and
+                // the ends after `w`: read the shorter side.
+                let side = if a < active.len() - w {
+                    &starts[..a]
+                } else {
+                    &active[w..]
+                };
+                probe_visited(side.len());
+                live.clear();
+                live.extend(side.iter().filter(|s| s.live_at(p)));
+                live.sort_unstable_by_key(|s| s.seq);
+            }
+        }
         let mut at_cursors = (w, b, a);
-        // The set live at `e` lies in both the starts up to `a` and the
-        // ends after `w`: read the shorter side.
-        let side = if a < active.len() - w {
-            &starts[..a]
-        } else {
-            &active[w..]
-        };
-        probe_visited(side.len());
-        live.clear();
-        live.extend(side.iter().filter(|s| s.live_at(p)));
-        live.sort_unstable_by_key(|s| s.seq);
         loop {
             if p == t {
                 at_start.clone_from(live);
@@ -640,7 +654,7 @@ mod tests {
     /// verification batch of 10 000 quarter-device kernels on streams of
     /// their own, each launched at the host clock (advanced by a launch
     /// cost) behind one long full-device kernel, so the k-th queues behind
-    /// k others. The walk's worst launch visits 17 on the first and 10 on
+    /// k others. The walk's worst launch visits 8 on the first and 10 on
     /// the second (the side it reads the first live set from, the live
     /// sets it folds, and the intervals that join them); the bound is the
     /// one the sweep before it was held to. Without the jump to the last
