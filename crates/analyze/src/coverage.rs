@@ -322,7 +322,7 @@ fn max_antichain(set: &[usize], anc: &Ancestors) -> usize {
 /// `opts`): enumerate every injectable site and prove each a rung of the
 /// coverage lattice. See the module docs for the site and witness rules.
 pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -> CoverageReport {
-    let nt = plan.nt;
+    let nt = plan.nt();
     let ix = PlanIndex::new(plan);
 
     // One walk over the positions: per-column mat writes, parity
@@ -413,7 +413,7 @@ pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -
     // `j` is recoverable iff every finalized column `c < j` has a parity
     // refresh after its last write and before the loss.
     let mut losses = Vec::new();
-    if let Some(shard) = plan.shard.filter(|s| s.devices > 1) {
+    if let Some(shard) = plan.shard().filter(|s| s.devices > 1) {
         let loss_points: Vec<(usize, usize)> = points
             .iter()
             .filter_map(|&(a, pt)| match pt {
@@ -488,7 +488,7 @@ pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -
 /// deposit a later entry sees (DESIGN.md §13).
 fn prove_restarts(ix: &PlanIndex, pending: &[(usize, usize, usize)], sites: &mut [SiteVerdict]) {
     let n = ix.plan.len();
-    let mut earliest = vec![usize::MAX; ix.plan.nt * ix.plan.nt];
+    let mut earliest = vec![usize::MAX; ix.plan.nt() * ix.plan.nt()];
     let mut compares: Vec<(usize, usize, usize)> = Vec::new();
     for p in 0..n {
         if let TaskKind::VerifyBatch {
@@ -587,7 +587,7 @@ mod tests {
         plan: &FactorPlan,
         opts: &AbftOptions,
     ) -> CoverageReport {
-        let nt = plan.nt;
+        let nt = plan.nt();
         let order = plan.order();
         let n = order.len();
         let ix = PlanIndex::new(plan);
@@ -737,7 +737,7 @@ mod tests {
         // `j` is recoverable iff every finalized column `c < j` has a parity
         // refresh after its last write and before the loss.
         let mut losses = Vec::new();
-        if let Some(shard) = plan.shard.filter(|s| s.devices > 1) {
+        if let Some(shard) = plan.shard().filter(|s| s.devices > 1) {
             let loss_points: Vec<(usize, usize)> = plan
                 .fault_points()
                 .into_iter()

@@ -107,7 +107,7 @@ pub(crate) struct PlanIndex<'p> {
 
 impl<'p> PlanIndex<'p> {
     pub(crate) fn new(plan: &'p FactorPlan) -> Self {
-        let (nt, order) = (plan.nt, plan.order());
+        let (nt, order) = (plan.nt(), plan.order());
         let ids = order.iter().map(|id| id.0 + 1).max().unwrap_or(0);
         let mut pos_of = vec![usize::MAX; ids];
         for (p, &id) in order.iter().enumerate() {
@@ -365,8 +365,8 @@ pub(crate) mod tests {
     fn per_tile_lists_match_a_scan_of_the_plan() {
         for_each_plan(0, |what, _, plan, _| {
             let ix = PlanIndex::new(plan);
-            for slot in 0..plan.nt * plan.nt {
-                let tile = (slot / plan.nt, slot % plan.nt);
+            for slot in 0..plan.nt() * plan.nt() {
+                let tile = (slot / plan.nt(), slot % plan.nt());
                 let verifies: Vec<usize> = (0..plan.len())
                     .filter(|&p| {
                         matches!(ix.kind(p), TaskKind::VerifyBatch { tiles, .. } if tiles.contains(&tile))

@@ -173,7 +173,7 @@ impl PlanCheck {
 /// Check `plan` (built for `kind` with `opts`) against the scheme's ABFT
 /// contract using only its dependency edges.
 pub fn check_plan(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -> PlanCheck {
-    let nt = plan.nt;
+    let nt = plan.nt();
     let ix = PlanIndex::new(plan);
     let anc = &ix.anc;
     let mut violations = Vec::new();

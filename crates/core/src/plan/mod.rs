@@ -336,7 +336,7 @@ impl ShardSpec {
 #[derive(Debug, Clone)]
 pub struct FactorPlan {
     /// Grid size (`n / b` block columns).
-    pub nt: usize,
+    nt: usize,
     /// Per-operation driving style.
     pub style: DriveStyle,
     /// Surface a POTF2 failure at the end of its iteration (baselines)
@@ -346,21 +346,23 @@ pub struct FactorPlan {
     /// Does the run inject faults? Adds the [`VirtRes::Ledger`] ordering
     /// chain so injection and propagation stay in authored order under
     /// reordering policies.
-    pub faulty: bool,
+    faulty: bool,
     /// Plans panel mirrors for CPU checksum placement (set by
     /// [`policy::apply_placement`]).
-    pub cpu_mirrors: bool,
+    cpu_mirrors: bool,
     /// The shard grid, when the plan was rewritten by
     /// [`shard::apply_shard`] (`None` = single device).
-    pub shard: Option<ShardSpec>,
+    shard: Option<ShardSpec>,
     nodes: Vec<PlanNode>,
     /// The authored issue order. Passes write it anew, one walk each
     /// ([`Self::rewrite`]); a node off it keeps its id.
     order: Vec<NodeId>,
     scopes: Vec<ScopeSpec>,
     /// Dependency lists by node id: derived on first read, dropped by every
-    /// edit of the nodes or the order, so a read never sees stale edges.
-    /// The `pub` fields are the passes' to set before that first read.
+    /// edit of the nodes or the order. The fields above that the accesses
+    /// read (`nt`, `faulty`, `cpu_mirrors`, `shard`) are private, and the
+    /// passes that set them edit the plan beside it before any read, so a
+    /// read never sees stale edges.
     deps: OnceLock<Vec<Vec<NodeId>>>,
 }
 
@@ -379,6 +381,26 @@ impl FactorPlan {
             scopes: Vec::new(),
             deps: OnceLock::new(),
         }
+    }
+
+    /// Grid size (`n / b` block columns).
+    pub fn nt(&self) -> usize {
+        self.nt
+    }
+
+    /// Does the run inject faults (the ledger chain is planned)?
+    pub fn faulty(&self) -> bool {
+        self.faulty
+    }
+
+    /// Are panel mirrors planned for CPU checksum placement?
+    pub fn cpu_mirrors(&self) -> bool {
+        self.cpu_mirrors
+    }
+
+    /// The shard grid (`None` = single device).
+    pub fn shard(&self) -> Option<ShardSpec> {
+        self.shard
     }
 
     /// Register a scope span; nodes referencing the returned id run under
@@ -415,7 +437,7 @@ impl FactorPlan {
     pub(crate) fn rewrite(&mut self, mut pass: impl FnMut(&mut Self, &[NodeId])) {
         let old = std::mem::take(&mut self.order);
         self.deps = OnceLock::new();
-        probe(old.len());
+        probe(Probe::Visits, old.len());
         self.order.reserve(old.len());
         let mut seen = vec![false; self.nt];
         let mut rest = &old[..];
@@ -516,7 +538,7 @@ impl FactorPlan {
 
     /// The authored issue order.
     pub fn order(&self) -> &[NodeId] {
-        probe(self.order.len());
+        probe(Probe::Visits, self.order.len());
         &self.order
     }
 
@@ -764,7 +786,7 @@ impl FactorPlan {
     /// Resources are indexed densely: a tile by [`Self::tile_slot`], a
     /// [`VirtRes`] by the next free slot behind the tiles on first sight.
     fn derived(&self) -> Vec<Vec<NodeId>> {
-        probe_derive();
+        probe(Probe::Derives, 1);
         let nt = self.nt;
         let tiles = 3 * nt * nt;
         let mut virt_slots: HashMap<VirtRes, usize> = HashMap::new();
@@ -916,25 +938,26 @@ pub fn for_outer(nt: usize) -> FactorPlan {
     skeleton::right_looking(nt)
 }
 
-/// Scaling-guard probes: the test build counts the nodes rewrites and
-/// reads of the order visit, and the edge derivations; everywhere else
-/// these are nothing.
-#[cfg(not(test))]
-#[inline(always)]
-fn probe(_nodes: usize) {}
-
-#[cfg(not(test))]
-#[inline(always)]
-fn probe_derive() {}
-
-#[cfg(test)]
-fn probe(nodes: usize) {
-    tests::VISITS.with(|v| v.set(v.get() + nodes));
+/// What the test build's scaling-guard probe counts, per thread: the
+/// nodes rewrites and reads of the order visit, and the edge derivations.
+/// Everywhere else the probe is nothing.
+#[derive(Clone, Copy)]
+enum Probe {
+    Visits,
+    Derives,
 }
 
+#[cfg(not(test))]
+#[inline(always)]
+fn probe(_what: Probe, _n: usize) {}
+
 #[cfg(test)]
-fn probe_derive() {
-    tests::DERIVES.with(|v| v.set(v.get() + 1));
+fn probe(what: Probe, n: usize) {
+    let counter = match what {
+        Probe::Visits => &tests::VISITS,
+        Probe::Derives => &tests::DERIVES,
+    };
+    counter.with(|c| c.set(c.get() + n));
 }
 
 #[cfg(test)]

@@ -140,6 +140,26 @@ fn dense_derive_deps_matches_the_hashed_oracle_on_every_feature() {
     }
 }
 
+/// The balancer's rewrite on a clean run: a GPU-placement prefix with a
+/// CPU-placement, K = 3 tail spliced in behind it, the cut at every
+/// iteration, no other edit and no ledger chain.
+#[test]
+fn dense_derive_deps_matches_the_hashed_oracle_on_a_replace_tail_splice() {
+    let nt = 9;
+    let tail = gpu()
+        .with_placement(ChecksumPlacement::Cpu)
+        .with_interval(3);
+    for from_iter in 0..nt {
+        let mut plan = for_scheme(SchemeKind::Enhanced, nt, &gpu(), false);
+        plan.replace_tail(
+            from_iter,
+            &for_scheme(SchemeKind::Enhanced, nt, &tail, false),
+        );
+        plan.cpu_mirrors = true;
+        assert_same_deps(&plan, &format!("splice at iteration {from_iter}"));
+    }
+}
+
 /// Edges are never stale: read them, then edit the plan through each
 /// mutator in turn — a node's flag, a removal, a node appended to every
 /// iteration, and the balancer's splice of a CPU-placement, K = 3 tail

@@ -269,7 +269,7 @@ impl PolicyPass for EnhancedPolicy {
 ///
 /// let mut plan = skeleton::algorithm1(4, DriveStyle::Overlapped, false, false);
 /// policy::apply_placement(&mut plan, ChecksumPlacement::Cpu);
-/// assert!(plan.cpu_mirrors);
+/// assert!(plan.cpu_mirrors());
 /// let mirrors = plan
 ///     .order()
 ///     .iter()

@@ -33,7 +33,7 @@ use super::{FactorPlan, NodeId, PlanNode, ScopeId, ShardSpec, ShardXfer, TaskKin
 /// Rewrite `plan` for `devices` GPUs. Must run after the scheme policy
 /// and placement passes. Callers
 /// gate on `devices > 1` — a one-device grid is represented as an
-/// unsharded plan (`plan.shard = None`) so the byte-stable single-device
+/// unsharded plan (`plan.shard()` is `None`) so the byte-stable single-device
 /// path is untouched.
 pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
     assert!(devices > 1, "apply_shard requires a multi-device grid");

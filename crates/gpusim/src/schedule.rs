@@ -34,8 +34,7 @@ struct Slot {
 
 impl Slot {
     /// Is the interval running at point `p`? Active on `[start, end)`,
-    /// fuzzed by `EPS` on both edges. Each half flips once as `p` grows:
-    /// an interval joins the live set once and leaves it for good.
+    /// fuzzed by `EPS` on both edges.
     fn live_at(&self, p: f64) -> bool {
         self.iv.start <= p + EPS && p < self.iv.end - EPS
     }
@@ -43,20 +42,16 @@ impl Slot {
 
 /// The last placement, for the next one's walk to resume from (see
 /// [`KernelScheduler::first_fit`]): what it placed, where, and the sweep's
-/// cursors at that start, counting the placed interval.
+/// cursor at that start — the first interval ending after it, counting the
+/// placed one.
 #[derive(Debug, Clone, Copy)]
 struct Last {
     earliest: f64,
     duration: f64,
     resource: f64,
     start: f64,
-    cursors: Cursors,
+    w: usize,
 }
-
-/// A sweep's cursors at its point `p`, as indices: the first end after
-/// `p`, the first start after `p`, and the first start after `p + EPS`
-/// (the first the live set has not met).
-type Cursors = (usize, usize, usize);
 
 /// Incremental first-fit scheduler over the device timeline.
 ///
@@ -69,21 +64,19 @@ pub struct KernelScheduler {
     /// still matter to a start time `t` are exactly the suffix `end > t`,
     /// and everything a prune drops is a prefix.
     active: VecDeque<Slot>,
-    /// The same intervals ordered by `(start, seq)`: a sweep meets the
-    /// starts ahead of its point in order here.
-    by_start: VecDeque<Slot>,
     next_seq: u64,
     max_concurrent: usize,
     /// Total busy time × resource (for utilization reporting).
     busy_integral: f64,
-    /// Scratch of [`Self::first_fit`]: the intervals live at its point, in
-    /// issue order. Kept here so placing allocates nothing once warm.
-    live: Vec<Slot>,
-    /// The intervals live at the sweep's latest candidate start, in issue
-    /// order; after a placement, those live at its start, itself included.
-    at_start: Vec<Slot>,
+    /// Scratch of [`Self::first_fit`]: `(seq, resource)` of the intervals
+    /// live at one point, in issue order. Kept here so placing allocates
+    /// nothing once warm.
+    live: Vec<(u64, f64)>,
+    /// The intervals live at the sweep's latest candidate start; after a
+    /// placement, those live at its start, itself included.
+    at_start: Vec<(u64, f64)>,
     /// `at_start` of the last placement, while the next one walks.
-    last_live: Vec<Slot>,
+    last_live: Vec<(u64, f64)>,
     /// The last placement, unless a prune came after it.
     last: Option<Last>,
 }
@@ -96,7 +89,6 @@ impl KernelScheduler {
     pub fn new(max_concurrent: usize) -> Self {
         KernelScheduler {
             active: VecDeque::new(),
-            by_start: VecDeque::new(),
             next_seq: 0,
             max_concurrent: max_concurrent.max(1),
             busy_integral: 0.0,
@@ -121,7 +113,7 @@ impl KernelScheduler {
         debug_assert!(e.is_finite() && d.is_finite(), "times are finite");
 
         std::mem::swap(&mut self.at_start, &mut self.last_live);
-        let (start, (w, b, a)) = self.first_fit(e, d, resource);
+        let (start, w) = self.first_fit(e, d, resource);
         let slot = Slot {
             iv: Interval {
                 start,
@@ -130,20 +122,19 @@ impl KernelScheduler {
             },
             seq: self.next_seq,
         };
-        insert_sorted(&mut self.active, slot, |s| s.iv.end <= slot.iv.end);
-        insert_sorted(&mut self.by_start, slot, |s| s.iv.start <= start);
+        let at = gallop_back(self.active.make_contiguous(), |s| s.iv.end <= slot.iv.end);
+        self.active.insert(at, slot);
         if slot.live_at(start) {
-            self.at_start.push(slot);
+            self.at_start.push((slot.seq, resource));
         }
-        // The cursors at `start` now count the new interval: it starts
-        // there, so before both start cursors, and it ends before `w` only
-        // if it ends there too.
+        // The new interval ends before the cursor at `start` only if it
+        // ends there too.
         self.last = Some(Last {
             earliest: e,
             duration: d,
             resource,
             start,
-            cursors: (w + usize::from(slot.iv.end <= start), b + 1, a + 1),
+            w: w + usize::from(slot.iv.end <= start),
         });
         self.next_seq += 1;
         self.busy_integral += d * resource;
@@ -158,12 +149,10 @@ impl KernelScheduler {
     /// One sweep walks those points once, in ascending order. A point that
     /// does not admit the kernel refutes every candidate up to it as well
     /// (it is one of their points too), so the walk resumes at the first
-    /// end after it rather than at the next candidate. The sweep keeps the
-    /// set live at its point as it goes: an interval joins when the
-    /// start-ordered cursor reaches it and leaves when it ends, so a point
-    /// reads the live set and the next boundary, not every tracked
-    /// interval. The usage is re-folded over the live set in issue order:
-    /// float addition does not commute to the last bit.
+    /// end after it rather than at the next candidate. At each point `p`
+    /// only the suffix `end > p` is read: an interval with `end <= p` is
+    /// live at no point from `p` on (`p < end - EPS` fails) and has no
+    /// boundary after it, so `w` only moves forward.
     ///
     /// A verification batch launches like kernels back to back, and each
     /// would walk every end queued before it. It need not: the last
@@ -171,16 +160,15 @@ impl KernelScheduler {
     /// of the same duration and share whose `e` is no earlier, each such
     /// candidate is one of the last kernel's too and stays refuted (usage
     /// and count at a point only grow as intervals are added). So a point
-    /// that fails below the last start jumps straight to it, with the live
-    /// set kept from the last placement. `e` itself is still tried first,
-    /// unless it is the last kernel's own `e` and was refuted there: any
-    /// other `e` need not have been the last kernel's candidate. A prune
-    /// drops intervals a refutation may rest on, so it forgets the last
-    /// start.
-    fn first_fit(&mut self, e: f64, d: f64, resource: f64) -> (f64, Cursors) {
+    /// that fails below the last start jumps straight to it, with the set
+    /// live there kept from the last placement. `e` itself is still tried
+    /// first, unless it is the last kernel's own `e` and was refuted there:
+    /// any other `e` need not have been the last kernel's candidate. A
+    /// prune drops intervals a refutation may rest on, so it forgets the
+    /// last start.
+    fn first_fit(&mut self, e: f64, d: f64, resource: f64) -> (f64, usize) {
         let KernelScheduler {
             active,
-            by_start,
             live,
             at_start,
             last_live,
@@ -189,84 +177,49 @@ impl KernelScheduler {
             ..
         } = self;
         let jump = last.filter(|l| l.duration == d && l.resource == resource && e >= l.earliest);
-        // One slice each, not the deques' two halves: every point reads them.
+        // One slice, not the deque's two halves: every point reads it.
         let active: &[Slot] = active.make_contiguous();
-        let starts: &[Slot] = by_start.make_contiguous();
-        let (mut t, mut p, (mut w, mut b, mut a));
-        match jump.filter(|l| l.earliest == e && l.start > e) {
-            // The last walk tried this very `e` first and it failed: this
-            // one starts where that one ended.
-            Some(last) => {
-                (t, p, (w, b, a)) = (last.start, last.start, last.cursors);
-                probe_visited(last_live.len());
-                live.clone_from(last_live);
-            }
+        // Resume at the last start, where the last walk ended.
+        let resume = |l: Last, live: &mut Vec<(u64, f64)>| {
+            probe_visited(last_live.len());
+            live.clone_from(last_live);
+            (l.start, l.start, l.w)
+        };
+        let (mut t, mut p, mut w) = match jump.filter(|l| l.earliest == e && l.start > e) {
+            Some(l) => resume(l, live),
             None => {
-                (t, p) = (e, e);
-                w = gallop_back(active, |s| s.iv.end <= p);
-                a = gallop_back(starts, |s| s.iv.start <= p + EPS);
-                b = a - starts[..a]
-                    .iter()
-                    .rev()
-                    .take_while(|s| s.iv.start > p)
-                    .count();
-                // The set live at `e` lies in both the starts up to `a` and
-                // the ends after `w`: read the shorter side.
-                let side = if a < active.len() - w {
-                    &starts[..a]
-                } else {
-                    &active[w..]
-                };
-                probe_visited(side.len());
-                live.clear();
-                live.extend(side.iter().filter(|s| s.live_at(p)));
-                live.sort_unstable_by_key(|s| s.seq);
+                let w = gallop_back(active, |s| s.iv.end <= e);
+                gather(live, &active[w..], e);
+                (e, e, w)
             }
-        }
-        let mut at_cursors = (w, b, a);
+        };
+        let mut at_w = w;
         loop {
             if p == t {
                 at_start.clone_from(live);
-                at_cursors = (w, b, a);
+                at_w = w;
             }
-            probe_visited(live.len());
-            let usage = live.iter().fold(0.0, |usage, s| usage + s.iv.resource);
+            let usage = live.iter().fold(0.0, |usage, &(_, r)| usage + r);
             let next_end = active.get(w).map_or(f64::INFINITY, |s| s.iv.end);
             if usage + resource <= 1.0 + EPS && live.len() < *max_concurrent {
-                p = starts.get(b).map_or(next_end, |s| s.iv.start.min(next_end));
+                probe_visited(active.len() - w);
+                let starts = active[w..].iter().map(|s| s.iv.start);
+                p = starts.filter(|&s| s > p).fold(next_end, f64::min);
                 if p >= t + d {
-                    return (t, at_cursors);
+                    return (t, at_w);
                 }
-            } else if let Some(last) = jump.filter(|l| l.start > p) {
-                (t, p) = (last.start, last.start);
-                (w, b, a) = last.cursors;
-                probe_visited(last_live.len());
-                live.clone_from(last_live);
+            } else if let Some(l) = jump.filter(|l| l.start > p) {
+                (t, p, w) = resume(l, live);
                 continue;
             } else {
                 // Something is live at `p`, so it ends after `p`.
                 t = next_end;
                 p = t;
             }
-            let met = a;
             while active.get(w).is_some_and(|s| s.iv.end <= p) {
                 w += 1;
             }
-            while starts.get(b).is_some_and(|s| s.iv.start <= p) {
-                b += 1;
-            }
-            live.retain(|s| s.live_at(p));
-            let known = live.len();
-            while let Some(s) = starts.get(a).filter(|s| s.iv.start <= p + EPS) {
-                if s.live_at(p) {
-                    live.push(*s);
-                }
-                a += 1;
-            }
-            if live.len() > known {
-                live.sort_unstable_by_key(|s| s.seq);
-            }
-            probe_visited(a - met);
+            gather(live, &active[w..], p);
         }
     }
 
@@ -276,30 +229,12 @@ impl KernelScheduler {
         let h = horizon.as_secs();
         let keep_from = self.active.partition_point(|s| s.iv.end <= h);
         self.active.drain(..keep_from);
-        // What ends by `h` starts by it: compact the intervals of that
-        // prefix still running after `h` to its back, in order, and drop
-        // the rest.
-        let starts = self.by_start.make_contiguous();
-        let prefix = starts.partition_point(|s| s.iv.start <= h);
-        let mut keep = prefix;
-        for i in (0..prefix).rev() {
-            if starts[i].iv.end > h {
-                keep -= 1;
-                starts.swap(i, keep);
-            }
-        }
-        self.by_start.drain(..keep);
         self.last = None;
     }
 
     /// Number of intervals still tracked.
     #[cfg(test)]
     fn tracked(&self) -> usize {
-        assert_eq!(
-            self.active.len(),
-            self.by_start.len(),
-            "both orders track the same intervals"
-        );
         self.active.len()
     }
 
@@ -310,17 +245,25 @@ impl KernelScheduler {
     }
 }
 
-/// Insert `slot` behind every slot `before` admits.
-fn insert_sorted(v: &mut VecDeque<Slot>, slot: Slot, before: impl Fn(&Slot) -> bool) {
-    let at = gallop_back(v.make_contiguous(), before);
-    v.insert(at, slot);
+/// Set `live` to `(seq, resource)` of the intervals of `suffix` live at
+/// `p`, in issue order: float addition does not commute to the last bit,
+/// so the usage is summed in the order the oracle sums it.
+fn gather(live: &mut Vec<(u64, f64)>, suffix: &[Slot], p: f64) {
+    live.clear();
+    live.extend(
+        suffix
+            .iter()
+            .filter(|s| s.live_at(p))
+            .map(|s| (s.seq, s.iv.resource)),
+    );
+    probe_visited(suffix.len());
+    live.sort_unstable_by_key(|&(seq, _)| seq);
 }
 
 /// `v.partition_point(pred)`, galloping from the back: `O(log k)` for an
 /// answer `k` slots from the end. A launch's earliest start usually lies
 /// past nearly every tracked interval (its stream runs ahead of the host
-/// clock the prunes follow), and a new interval usually ends and starts
-/// last.
+/// clock the prunes follow), and a new interval usually ends last.
 fn gallop_back(v: &[Slot], pred: impl Fn(&Slot) -> bool) -> usize {
     let (mut hi, mut step) = (v.len(), 1);
     // No slot from `hi` on satisfies `pred`.
@@ -651,14 +594,13 @@ mod tests {
     /// of intervals however many are tracked; the oracle's first point
     /// alone scans all `tracked()` of them. Two queues, never pruned:
     /// eight round-robin streams of 10 000 quarter-device kernels, and a
-    /// verification batch of 10 000 quarter-device kernels on streams of
-    /// their own, each launched at the host clock (advanced by a launch
-    /// cost) behind one long full-device kernel, so the k-th queues behind
-    /// k others. The walk's worst launch visits 8 on the first and 10 on
-    /// the second (the side it reads the first live set from, the live
-    /// sets it folds, and the intervals that join them); the bound is the
-    /// one the sweep before it was held to. Without the jump to the last
-    /// start, the batch's worst launch visits 20 000.
+    /// batch of 10 000 quarter-device kernels launched at one earliest
+    /// start behind one long full-device kernel, so the k-th queues behind
+    /// k others. Each walk reads the suffix past its points and the live
+    /// sets it resumes from; the bound is the one the sweep before the
+    /// jump was held to. The worst launch visits 6 on each. Were every
+    /// launch to try its `e` first, the batch's worst would visit every
+    /// queued kernel (10 006).
     #[test]
     fn a_launch_visits_a_bounded_number_of_intervals_on_a_deep_queue() {
         const PER_LAUNCH_BOUND: usize = 20;
@@ -679,8 +621,8 @@ mod tests {
         let mut batch = KernelScheduler::new(16);
         batch.place(SimTime::ZERO, t(100.0), 1.0);
         let mut batch_worst = 0;
-        for k in 1..=10_000 {
-            let (_, n) = visits(&mut batch, t(k as f64 * 1e-6), 1.0, 0.25);
+        for _ in 0..10_000 {
+            let (_, n) = visits(&mut batch, t(1e-6), 1.0, 0.25);
             batch_worst = batch_worst.max(n);
         }
         assert_eq!(batch.tracked(), 10_001);

@@ -361,7 +361,7 @@ fn rewritten_plans_are_pinned_to_the_captured_digests() {
         let log = out.balance_log.as_ref().expect("balanced run keeps a log");
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for rw in &log.rewrites {
-            let state = format!("{}|{}|{}", rw.at_iter, rw.k, rw.plan.cpu_mirrors);
+            let state = format!("{}|{}|{}", rw.at_iter, rw.k, rw.plan.cpu_mirrors());
             fnv(&mut h, state.as_bytes());
             for (shape, &id) in node_shapes(&rw.plan).iter().zip(rw.plan.order()) {
                 fnv(&mut h, shape.as_bytes());

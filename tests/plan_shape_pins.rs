@@ -41,7 +41,12 @@ fn shape_text(plan: &FactorPlan) -> String {
     let mut scopes: HashMap<usize, usize> = HashMap::new();
     let mut out = format!(
         "nt {} {:?} defer {} faulty {} mirrors {} shard {:?}\n",
-        plan.nt, plan.style, plan.defer_potf2_error, plan.faulty, plan.cpu_mirrors, plan.shard
+        plan.nt(),
+        plan.style,
+        plan.defer_potf2_error,
+        plan.faulty(),
+        plan.cpu_mirrors(),
+        plan.shard()
     );
     for &id in plan.order() {
         let n = plan.node(id);
