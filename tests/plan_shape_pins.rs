@@ -9,11 +9,12 @@
 //! 40} the option axes that shape a plan (K ∈ {1, 3}, fused, placement
 //! Gpu/Cpu/Inline, shard D ∈ {1, 2, 4}, a faulty run) and the lookahead-2
 //! issue order, the two baselines and the right-looking variant; the plans
-//! a balancer leaves behind after tail rewrites; and, one digest per nt ∈ 1..=20, every axis with the
+//! a balancer leaves behind after tail rewrites; one digest per nt ∈ 1..=20, every axis with the
 //! default and a faulty run beside the baselines, plus a tail spliced at
-//! every cut. A change to how plans are built, edited or given edges must
-//! move no digest; on a mismatch the test prints this build's digests in
-//! pasteable form.
+//! every cut; and the issue order at lookahead depths 0, 1 and 3 at nt ∈
+//! {7, 40}, and at depth 2 over a D = 4 shard grid. A change to how plans
+//! are built, edited, given edges or issued must move no digest; on a
+//! mismatch the test prints this build's digests in pasteable form.
 
 use hchol::core::options::ShardOptions;
 use hchol::core::plan::{for_cula, for_magma, for_outer, for_scheme};
@@ -126,6 +127,39 @@ fn digests() -> Vec<(String, u64)> {
     }
     got.extend(rewritten());
     got.extend(every_small_grid());
+    got.extend(lookahead_orders());
+    got
+}
+
+/// The lookahead issue order beside the depth-2 one above: depths 0, 1
+/// and 3 at nt ∈ {7, 40}, and depth 2 over a D = 4 shard grid at nt = 40.
+fn lookahead_orders() -> Vec<(String, u64)> {
+    let schemes = [
+        SchemeKind::Enhanced,
+        SchemeKind::Online,
+        SchemeKind::Offline,
+    ];
+    let order_digest = |opts: AbftOptions, nt: usize, kind: SchemeKind| {
+        let plan = for_scheme(kind, nt, &opts, false);
+        let order = plan
+            .to_schedule()
+            .issue_order(IssuePolicy::Lookahead(opts.lookahead));
+        fnv(&format!("{order:?}"))
+    };
+    let mut got = Vec::new();
+    for nt in [7, 40] {
+        for depth in [0, 1, 3] {
+            for kind in schemes {
+                let digest = order_digest(gpu().with_lookahead(depth), nt, kind);
+                got.push((format!("{kind:?} nt={nt} lookahead{depth} order"), digest));
+            }
+        }
+    }
+    for kind in schemes {
+        let opts = gpu().with_shard(ShardOptions::new(4)).with_lookahead(2);
+        let digest = order_digest(opts, 40, kind);
+        got.push((format!("{kind:?} nt=40 d4 lookahead2 order"), digest));
+    }
     got
 }
 
@@ -221,7 +255,7 @@ fn rewritten() -> Vec<(String, u64)> {
 fn plan_shapes_are_pinned_to_the_captured_digests() {
     // A check is one `VerifyBatch` node, whose dependencies are all its
     // detection and its correction need.
-    let pins: [(&str, u64); 147] = [
+    let pins: [(&str, u64); 168] = [
         ("Enhanced nt=1", 0xdef6330c3e85bfc5),
         ("Online nt=1", 0x2540afdc4e84f98c),
         ("Offline nt=1", 0x21af74e030197b17),
@@ -369,6 +403,27 @@ fn plan_shapes_are_pinned_to_the_captured_digests() {
         ("grid nt=19", 0xa755a8ead50a530c),
         ("grid nt=20", 0xf8466aaa1233a705),
         ("Enhanced nt=9 splice at every cut", 0xdabc35c806418441),
+        ("Enhanced nt=7 lookahead0 order", 0xb3e6eaad3175408c),
+        ("Online nt=7 lookahead0 order", 0xb3fb4fade5bbbe4d),
+        ("Offline nt=7 lookahead0 order", 0x13cdcff0a74ae41d),
+        ("Enhanced nt=7 lookahead1 order", 0xd38ad16f5bfd1a3e),
+        ("Online nt=7 lookahead1 order", 0xbba4f4bfa70972a5),
+        ("Offline nt=7 lookahead1 order", 0xda1902ff7a524979),
+        ("Enhanced nt=7 lookahead3 order", 0x8efde8cc31613c40),
+        ("Online nt=7 lookahead3 order", 0xe761f9413f5c3df7),
+        ("Offline nt=7 lookahead3 order", 0xe4ad14dabede2fa1),
+        ("Enhanced nt=40 lookahead0 order", 0x2ae659dce4f92e12),
+        ("Online nt=40 lookahead0 order", 0xeac99f3f9f81ffb6),
+        ("Offline nt=40 lookahead0 order", 0xde1cf6103a7de391),
+        ("Enhanced nt=40 lookahead1 order", 0x88696de2a249016e),
+        ("Online nt=40 lookahead1 order", 0xe3b428432eb79b22),
+        ("Offline nt=40 lookahead1 order", 0x3e89e33f87a49a27),
+        ("Enhanced nt=40 lookahead3 order", 0x7462e64ec2f4a576),
+        ("Online nt=40 lookahead3 order", 0xe7403fa618dd4aba),
+        ("Offline nt=40 lookahead3 order", 0x4769c0479d560425),
+        ("Enhanced nt=40 d4 lookahead2 order", 0xac0575d1907d6383),
+        ("Online nt=40 d4 lookahead2 order", 0xc270da0233acb0b5),
+        ("Offline nt=40 d4 lookahead2 order", 0x5a1318652f050982),
     ];
     let got = digests();
     let got_ref: Vec<(&str, u64)> = got.iter().map(|(w, d)| (w.as_str(), *d)).collect();
