@@ -785,6 +785,9 @@ impl FactorPlan {
     ///
     /// Resources are indexed densely: a tile by [`Self::tile_slot`], a
     /// [`VirtRes`] by the next free slot behind the tiles on first sight.
+    /// A node's list is its distinct dependencies sorted by id: a per-node
+    /// stamp keeps the duplicates (one candidate per declared access) and
+    /// the node itself out, so only the few distinct ones are sorted.
     fn derived(&self) -> Vec<Vec<NodeId>> {
         probe(Probe::Derives, 1);
         let nt = self.nt;
@@ -794,6 +797,7 @@ impl FactorPlan {
         let mut readers: Vec<Vec<NodeId>> = vec![Vec::new(); tiles];
         let (mut reads, mut writes) = (Vec::new(), Vec::new());
         let mut found: Vec<NodeId> = Vec::new();
+        let mut stamp = vec![NodeId(usize::MAX); self.nodes.len()];
         let mut deps = vec![Vec::new(); self.nodes.len()];
         let order = &self.order;
         for (pos, &id) in order.iter().enumerate() {
@@ -818,15 +822,25 @@ impl FactorPlan {
             last_writer.resize(tiles + virt_slots.len(), None);
             readers.resize_with(tiles + virt_slots.len(), Vec::new);
 
+            // Stamp each dependency with `id` as it is found, the node
+            // itself first, so a list holds each node once and never `id`.
+            stamp[id.0] = id;
             found.clear();
-            found.extend(reads.iter().filter_map(|&k| last_writer[k]));
+            let mut mark = |d: NodeId| {
+                if stamp[d.0] != id {
+                    stamp[d.0] = id;
+                    found.push(d);
+                }
+            };
+            reads
+                .iter()
+                .filter_map(|&k| last_writer[k])
+                .for_each(&mut mark);
             for &k in &writes {
-                found.extend(last_writer[k]);
-                found.extend_from_slice(&readers[k]);
+                last_writer[k].into_iter().for_each(&mut mark);
+                readers[k].iter().copied().for_each(&mut mark);
             }
             found.sort_unstable();
-            found.dedup();
-            found.retain(|&d| d != id);
             deps[id.0] = found.clone();
             for &k in &reads {
                 readers[k].push(id);
