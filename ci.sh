@@ -42,7 +42,8 @@ step "allocation budget (tile-shape level-3 calls allocate once, then never; the
 cargo test --release -q -p hchol-blas --test alloc_budget
 
 # The bit-identity proofs of the hot paths, once more at depth: the release
-# build raises the scheduler proptests to 4096 streams each and the edge
+# build raises the scheduler proptests to 4096 streams each, the lookahead
+# issue order's to 4096 random DAGs at five depths, and the edge
 # derivation sweep and the analyzers' new-vs-oracle sweeps to nt = 20, and the 2-row
 # checksum kernels' grids from 33 to 300 (past the column group, the planar
 # block and TRSM_BASE), and the team split tests to b = 256 (two MC
@@ -50,8 +51,9 @@ cargo test --release -q -p hchol-blas --test alloc_budget
 # after every kind of plan edit, and holds the planner's rewrite passes to
 # their bound on nodes visited per node.
 # batch_launch holds a batch launch to the same kernels launched one by one.
-step "differential suites, deep (one-walk scheduler and its batch-shaped streams, batch launch, dense edge derivation and edges never stale after an edit, rewrite-pass visit bound, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels, team split — each vs its oracle or bound)"
+step "differential suites, deep (one-walk scheduler and its batch-shaped streams, heap-driven lookahead issue order and its step bound, batch launch, dense edge derivation and edges never stale after an edit, rewrite-pass visit bound, indexed plancheck/coverage, dense schedule sweep, 2-row checksum kernels, team split — each vs its oracle or bound)"
 cargo test --release -q -p hchol-gpusim --lib schedule::tests
+cargo test --release -q -p hchol-gpusim --lib executor::
 cargo test --release -q -p hchol-gpusim --test batch_launch
 cargo test --release -q -p hchol-core --lib plan::
 cargo test --release -q -p hchol-analyze --lib
@@ -79,7 +81,7 @@ cargo run --release -q -p hchol-analyze --bin plan_check > /dev/null
 step "static fault-coverage sweep (every site proven) -> COVERAGE_static.json"
 cargo run --release -q -p hchol-analyze --bin coverage_check > /dev/null
 
-step "liveness sweep (deadlock-freedom + receive-completeness, all schemes, nt = 6 8 40)"
+step "liveness sweep (deadlock-freedom + receive-completeness, all schemes, nt = 6 8 40 80)"
 cargo run --release -q -p hchol-analyze --bin liveness_check > /dev/null
 
 # Mutation controls: each deliberately broken plan MUST be caught (the

@@ -8,7 +8,8 @@
 //! window-fallback counts the lookahead diagnostics report and exits
 //! nonzero on any finding so CI can gate on it.
 //!
-//! Usage: `liveness_check [nt ...]` — grid sizes default to 6 8 40.
+//! Usage: `liveness_check [nt ...]` — grid sizes default to 6 8 40 80,
+//! the largest grid `plan_check` sweeps too.
 
 use hchol_analyze::check_liveness;
 use hchol_core::options::AbftOptions;
@@ -22,7 +23,7 @@ fn main() -> ExitCode {
         .map(|a| a.parse().unwrap_or_else(|_| panic!("bad grid size `{a}`")))
         .collect();
     if grids.is_empty() {
-        grids = vec![6, 8, 40];
+        grids = vec![6, 8, 40, 80];
     }
     let mut findings = 0usize;
     for &nt in &grids {

@@ -84,8 +84,6 @@ pub(crate) struct TileLists {
 /// The index itself. See the module docs.
 pub(crate) struct PlanIndex<'p> {
     pub(crate) plan: &'p FactorPlan,
-    /// `NodeId.0` → authored-order position (`usize::MAX` off the order).
-    pub(crate) pos_of: Vec<usize>,
     pub(crate) anc: Ancestors,
     /// By position: the matrix tiles (dense slots, declared order) a
     /// factorization node reads — empty for every other node.
@@ -116,7 +114,6 @@ impl<'p> PlanIndex<'p> {
         let mut ix = PlanIndex {
             plan,
             anc: Ancestors::compute(plan, &pos_of),
-            pos_of,
             reads: Vec::with_capacity(order.len()),
             writes: Vec::with_capacity(order.len()),
             touched: vec![false; 3 * nt * nt],
