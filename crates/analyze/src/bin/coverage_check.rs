@@ -1,9 +1,10 @@
 //! Static fault-coverage gate: `cargo run -p hchol-analyze --bin
 //! coverage_check`.
 //!
-//! Sweeps every supported scheme × configuration combination — verify
-//! interval `K ∈ {1, 4}`, fused checksum epilogues, checksum placement,
-//! shard grid `D ∈ {1, 2, 4}` — builds each plan, enumerates every
+//! Sweeps every scheme over the shared configuration cross
+//! ([`hchol_analyze::config_cross`]: verify interval `K ∈ {1, 4}`, fused
+//! checksum epilogues, checksum placement, shard grid `D ∈ {1, 2, 4}`) at
+//! two grid sizes, builds each plan, enumerates every
 //! injectable fault site (plus device-loss sites on sharded plans), and
 //! statically proves each one a rung of the coverage lattice
 //! ([`hchol_analyze::coverage`]) alongside the liveness obligations
@@ -12,7 +13,7 @@
 //! versioned `COVERAGE_static.json` artifact.
 //!
 //! Combinations the composition matrix refuses
-//! ([`hchol_core::validate_options`], DESIGN.md §12) are skipped as
+//! ([`hchol_core::validate_options`], DESIGN.md §12.5) are skipped as
 //! *refused* — a typed refusal is a correct answer, not a gap.
 //!
 //! Mutation controls (`--mutate=strip-verify | sever-recv | drop-parity`)
@@ -21,7 +22,7 @@
 //! failing-expected steps, so a checker that stops seeing planted defects
 //! turns the build red.
 
-use hchol_analyze::{check_coverage, check_liveness, check_scheme_coverage};
+use hchol_analyze::{check_coverage, check_liveness, check_scheme_coverage, config_cross};
 use hchol_core::options::{AbftOptions, ChecksumPlacement};
 use hchol_core::plan::{for_scheme, SweepKind, TaskKind};
 use hchol_core::schemes::SchemeKind;
@@ -78,74 +79,64 @@ fn main() -> ExitCode {
     let mut bad = 0usize;
     for &(n, b) in &[(96usize, 16usize), (128, 16)] {
         for kind in SchemeKind::all() {
-            for k in [1usize, 4] {
-                for fused in [false, true] {
-                    if fused && kind != SchemeKind::Enhanced {
-                        continue; // the fused rewrite only applies to Enhanced
-                    }
-                    for placement in [ChecksumPlacement::Gpu, ChecksumPlacement::Cpu] {
-                        for d in [1usize, 2, 4] {
-                            let mut opts = AbftOptions::default()
-                                .with_interval(k)
-                                .with_chk_fused(fused)
-                                .with_placement(placement);
-                            if d > 1 {
-                                opts = opts.with_shard(hchol_core::options::ShardOptions::new(d));
-                            }
-                            if let Err(e) = validate_options(&opts) {
-                                refused += 1;
-                                println!(
-                                    "coverage_check: {} n={n} K={k} fused={fused} \
-                                     {placement:?} D={d}: refused ({e})",
-                                    kind.name()
-                                );
-                                continue;
-                            }
-                            let cov = check_scheme_coverage(kind, &profile, n, b, &opts);
-                            let live = {
-                                let plan = for_scheme(kind, n / b, &opts, false);
-                                check_liveness(kind, &plan, &opts)
-                            };
-                            println!(
-                                "coverage_check: {} n={n} b={b} K={k} fused={fused} \
-                                 {placement:?} D={d}: {} sites, {} covered, {} uncovered, \
-                                 {} liveness finding(s)",
-                                kind.name(),
-                                cov.total_sites(),
-                                cov.covered_sites(),
-                                cov.uncovered_sites(),
-                                live.findings.len()
-                            );
-                            if !cov.is_covered() {
-                                eprintln!("{}", cov.render_text());
-                            }
-                            if !live.is_live() {
-                                eprintln!("{}", live.render_text());
-                            }
-                            bad += cov.uncovered_sites() + live.findings.len();
-                            let s = cov.summary();
-                            combos.push(ComboRecord {
-                                scheme: kind.name().to_string(),
-                                n: n as u64,
-                                b: b as u64,
-                                k: k as u64,
-                                chk_fused: fused,
-                                placement: format!("{placement:?}"),
-                                devices: d as u64,
-                                sites: s.sites,
-                                covered: s.covered,
-                                uncovered: s.uncovered,
-                                detect_correct: s.detect_correct,
-                                detect_restart: s.detect_restart,
-                                parity_recover: s.parity_recover,
-                                liveness_findings: live.findings.len() as u64,
-                                window_fallbacks: live.window_fallbacks as u64,
-                                scratch_peak: s.resources.scratch_peak,
-                                broadcast_peak: s.resources.broadcast_peak,
-                            });
-                        }
-                    }
+            for opts in config_cross(kind) {
+                let (k, fused, placement, d) = (
+                    opts.verify_interval,
+                    opts.chk_fused,
+                    opts.placement,
+                    opts.shard_devices(),
+                );
+                if let Err(e) = validate_options(&opts) {
+                    refused += 1;
+                    println!(
+                        "coverage_check: {} n={n} K={k} fused={fused} \
+                         {placement:?} D={d}: refused ({e})",
+                        kind.name()
+                    );
+                    continue;
                 }
+                let cov = check_scheme_coverage(kind, &profile, n, b, &opts);
+                let live = {
+                    let plan = for_scheme(kind, n / b, &opts, false);
+                    check_liveness(kind, &plan, &opts)
+                };
+                println!(
+                    "coverage_check: {} n={n} b={b} K={k} fused={fused} \
+                     {placement:?} D={d}: {} sites, {} covered, {} uncovered, \
+                     {} liveness finding(s)",
+                    kind.name(),
+                    cov.total_sites(),
+                    cov.covered_sites(),
+                    cov.uncovered_sites(),
+                    live.findings.len()
+                );
+                if !cov.is_covered() {
+                    eprintln!("{}", cov.render_text());
+                }
+                if !live.is_live() {
+                    eprintln!("{}", live.render_text());
+                }
+                bad += cov.uncovered_sites() + live.findings.len();
+                let s = cov.summary();
+                combos.push(ComboRecord {
+                    scheme: kind.name().to_string(),
+                    n: n as u64,
+                    b: b as u64,
+                    k: k as u64,
+                    chk_fused: fused,
+                    placement: format!("{placement:?}"),
+                    devices: d as u64,
+                    sites: s.sites,
+                    covered: s.covered,
+                    uncovered: s.uncovered,
+                    detect_correct: s.detect_correct,
+                    detect_restart: s.detect_restart,
+                    parity_recover: s.parity_recover,
+                    liveness_findings: live.findings.len() as u64,
+                    window_fallbacks: live.window_fallbacks as u64,
+                    scratch_peak: s.resources.scratch_peak,
+                    broadcast_peak: s.resources.broadcast_peak,
+                });
             }
         }
     }

@@ -2,19 +2,21 @@
 //! plan_check`.
 //!
 //! Builds the [`hchol_core::plan::FactorPlan`] for every scheme over the
-//! full configuration cross — grid sizes × verify interval `K ∈ {1, 4}` ×
-//! fused checksum epilogues × placement × shard grid `D ∈ {1, 2, 4}` —
-//! checks each plan's dependency edges against the scheme's ABFT
-//! contract (see [`hchol_analyze::plancheck`]), and exits nonzero on any
-//! violation so CI can gate on it. This runs *before* any simulation — a broken policy
-//! pass is caught without executing a single node.
+//! shared configuration cross ([`hchol_analyze::config_cross`]: verify
+//! interval × fused checksum epilogues × placement × shard grid) at each
+//! grid size, checks each plan's dependency edges against the scheme's
+//! ABFT contract (see [`hchol_analyze::plancheck`]), and exits nonzero on
+//! any violation so CI can gate on it. This runs *before* any simulation —
+//! a broken policy pass is caught without executing a single node.
+//! Combinations the composition matrix refuses (DESIGN.md §12.5) are
+//! skipped — `validate_options` is the same gate `run_scheme` applies.
 //!
 //! Usage: `plan_check [nt ...]` — grid sizes default to 4 8 16 40 80 (the
 //! last is the paper's largest Tardis point, n = 20480 at b = 256).
 
-use hchol_analyze::check_scheme_plan;
-use hchol_core::options::AbftOptions;
+use hchol_analyze::{check_scheme_plan, config_cross};
 use hchol_core::schemes::SchemeKind;
+use hchol_core::validate_options;
 use hchol_gpusim::profile::SystemProfile;
 use std::process::ExitCode;
 
@@ -28,57 +30,32 @@ fn main() -> ExitCode {
     }
     let profile = SystemProfile::tardis();
     let mut violations = 0usize;
-    // The paper's block size: `Auto` placement resolves as it does there.
+    // The paper's block size.
     let b = 256;
     for &nt in &grids {
         let n = nt * b;
         for kind in SchemeKind::all() {
-            // The full configuration cross: K sweeps the verification
-            // interval, the fused flag swaps in compare-only epilogues
-            // (Enhanced only), placement moves checksum updates between
-            // devices, and D sweeps the block-cyclic shard grid.
-            // Combinations the composition matrix refuses (DESIGN.md
-            // §12) are skipped — `validate_options` is the same gate
-            // `run_scheme` applies.
-            for k in [1usize, 4] {
-                for fused in [false, true] {
-                    if fused && kind != SchemeKind::Enhanced {
-                        continue; // the fused rewrite only applies to Enhanced
+            for opts in config_cross(kind).filter(|o| validate_options(o).is_ok()) {
+                let chk = check_scheme_plan(kind, &profile, n, b, &opts);
+                println!(
+                    "plan_check: {} nt={nt} n={n} b={b} K={} fused={} {:?} D={}: \
+                     {} nodes, {} edges, {}",
+                    kind.name(),
+                    opts.verify_interval,
+                    opts.chk_fused,
+                    opts.placement,
+                    opts.shard_devices(),
+                    chk.nodes,
+                    chk.edges,
+                    if chk.is_clean() {
+                        "clean".to_string()
+                    } else {
+                        format!("{} violation(s)", chk.violations.len())
                     }
-                    for placement in [
-                        hchol_core::options::ChecksumPlacement::Auto,
-                        hchol_core::options::ChecksumPlacement::Cpu,
-                    ] {
-                        for d in [1usize, 2, 4] {
-                            let mut opts = AbftOptions::default()
-                                .with_interval(k)
-                                .with_chk_fused(fused)
-                                .with_placement(placement);
-                            if d > 1 {
-                                opts = opts.with_shard(hchol_core::options::ShardOptions::new(d));
-                            }
-                            if hchol_core::validate_options(&opts).is_err() {
-                                continue;
-                            }
-                            let chk = check_scheme_plan(kind, &profile, n, b, &opts);
-                            println!(
-                                "plan_check: {} nt={nt} n={n} b={b} K={k} fused={fused} \
-                                 {placement:?} D={d}: {} nodes, {} edges, {}",
-                                kind.name(),
-                                chk.nodes,
-                                chk.edges,
-                                if chk.is_clean() {
-                                    "clean".to_string()
-                                } else {
-                                    format!("{} violation(s)", chk.violations.len())
-                                }
-                            );
-                            if !chk.is_clean() {
-                                eprintln!("{}", chk.render_text());
-                                violations += chk.violations.len();
-                            }
-                        }
-                    }
+                );
+                if !chk.is_clean() {
+                    eprintln!("{}", chk.render_text());
+                    violations += chk.violations.len();
                 }
             }
         }

@@ -62,3 +62,43 @@ pub use schedule::{
     analyze_outcome, analyze_schedule, analyze_with_protocol, drop_recv_waits, Protocol, Race,
     RaceKind, ScheduleAnalysis, Violation,
 };
+
+use hchol_core::options::{AbftOptions, ChecksumPlacement, ShardOptions};
+use hchol_core::schemes::SchemeKind;
+
+/// The configuration cross the static sweeps (`plan_check`,
+/// `coverage_check`) iterate for `kind`: verify interval `K ∈ {1, 4}` ×
+/// fused checksum epilogues (Enhanced only; the other schemes ignore the
+/// flag) × placement `{Gpu, Cpu, Inline}` × shard grid `D ∈ {1, 2, 4}`,
+/// nested in that order. It includes the combinations
+/// [`hchol_core::validate_options`] refuses: `coverage_check` counts them
+/// as refused, `plan_check` skips them.
+pub fn config_cross(kind: SchemeKind) -> impl Iterator<Item = AbftOptions> {
+    let fused = if kind == SchemeKind::Enhanced {
+        &[false, true][..]
+    } else {
+        &[false][..]
+    };
+    let placements = [
+        ChecksumPlacement::Gpu,
+        ChecksumPlacement::Cpu,
+        ChecksumPlacement::Inline,
+    ];
+    [1usize, 4].into_iter().flat_map(move |k| {
+        fused.iter().flat_map(move |&fused| {
+            placements.into_iter().flat_map(move |placement| {
+                [1usize, 2, 4].into_iter().map(move |d| {
+                    let opts = AbftOptions::default()
+                        .with_interval(k)
+                        .with_chk_fused(fused)
+                        .with_placement(placement);
+                    if d > 1 {
+                        opts.with_shard(ShardOptions::new(d))
+                    } else {
+                        opts
+                    }
+                })
+            })
+        })
+    })
+}

@@ -99,14 +99,15 @@ impl BalanceOptions {
 /// and diagonal traffic and XOR parity for checksum-based device-loss
 /// recovery. See DESIGN.md §12.
 ///
-/// Known non-compositions (refused with an error by the scheme runners):
-/// sharding does not compose with the runtime feedback balancer
-/// (`balance`) — the controller's placement migration and plan rewrite
-/// are single-device — nor with `chk_fused` (the fused epilogue deposits
-/// checksums on the producing device, but a tile's checksum row lives on
-/// the tile-row owner). Sharding with `devices > 1` also pins checksum
-/// updating to the GPU: `ChecksumPlacement::Auto` resolves to `Gpu`, and
-/// an explicit `Cpu`/`Inline` request is refused.
+/// Sharding composes with `chk_fused` (a GEMM shard writes only rows its
+/// device owns, and their checksum rows live there too, so every fused
+/// deposit is local), with `Inline` placement (updates run on the owning
+/// GPU's compute stream), with lookahead and with batching. It does not
+/// compose with the runtime feedback balancer (`balance`), whose
+/// placement law can propose `Cpu`, nor with `Cpu` placement, whose panel
+/// mirror would read rows homed on other devices over one device's link;
+/// both are refused by [`crate::validate_options`]. `Auto` resolves to
+/// `Gpu` when sharded.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct ShardOptions {
     /// Number of devices `D` (clamped to ≥ 1). `D = 1` is a complete
@@ -162,7 +163,8 @@ pub struct AbftOptions {
     /// tiles they write in the same launch, and the verify batches whose
     /// tiles those kernels last wrote become compare-only — no separate
     /// recalculation kernels on the critical path. Off by default until
-    /// golden equivalence is re-pinned for the fused path.
+    /// golden equivalence is re-pinned for the fused path. Composes with
+    /// sharding and with the balance controller.
     pub chk_fused: bool,
     /// Accumulate `verify.recalc_secs` (time on separate recalculation
     /// kernels) even without `chk_fused`, so an unfused run's report can
@@ -172,9 +174,10 @@ pub struct AbftOptions {
     pub report_recalc_secs: bool,
     /// Runtime feedback load balancing with adaptive verification
     /// (`None` = static placement and fixed `K`, the byte-stable default).
-    /// Balanced runs execute in-order (`lookahead` must stay 0) and do not
-    /// compose with `chk_fused` (the fused rewrite and the mid-run `K`
-    /// rewrite would fight over the same verify batches).
+    /// Balanced runs execute in-order (`lookahead` must stay 0: a rewrite
+    /// cuts the tail at the cursor's authored position). They compose with
+    /// `chk_fused`: a rewrite rebuilds the tail through the planner's
+    /// passes, the fused one included.
     pub balance: Option<BalanceOptions>,
     /// Multi-device sharding (`None` = single device, the byte-stable
     /// default). See [`ShardOptions`] for what it composes with.
@@ -214,16 +217,16 @@ impl AbftOptions {
 
     /// These options with the placement resolved for a run of size `n`,
     /// block `b` on `profile` — what plans and [`crate::ops::setup`] take:
-    /// a sharded run keeps checksum updating on the owning GPUs, otherwise
-    /// `Auto` becomes the analytic model's choice
-    /// ([`crate::decision::choose`]) and an explicit placement stays.
+    /// a sharded run resolves `Auto` to `Gpu` (updates stay on the owning
+    /// GPUs), otherwise `Auto` becomes the analytic model's choice
+    /// ([`crate::decision::choose`]); an explicit placement stays.
     pub fn resolved_for(
         &self,
         profile: &hchol_gpusim::profile::SystemProfile,
         n: usize,
         b: usize,
     ) -> AbftOptions {
-        let placement = if self.shard_devices() > 1 {
+        let placement = if self.shard_devices() > 1 && self.placement == ChecksumPlacement::Auto {
             ChecksumPlacement::Gpu
         } else {
             crate::decision::choose(self.placement, profile, n, b, self.verify_interval)

@@ -151,9 +151,12 @@ impl BalanceController {
     /// Build the controller for a run of `scheme` under `opts`.
     ///
     /// `opts.balance` must be set and `opts.placement` resolved (no
-    /// `Auto`); balanced runs are in-order (`lookahead == 0`) and do not
-    /// compose with `chk_fused` — both are asserted here because a
-    /// violation is a driver bug, not a recoverable condition.
+    /// `Auto`); balanced runs are in-order (`lookahead == 0`). Both are
+    /// asserted here because a violation is a driver bug, not a
+    /// recoverable condition. `chk_fused` composes: [`Self::rewrite`]
+    /// builds the tail through the fused pass too, and a deposit never
+    /// outlives its iteration (`DiagToDevice` and `TrsmPanel` clear it),
+    /// so the tail's fused batches depend only on the tail's producers.
     pub fn new(scheme: SchemeKind, opts: &AbftOptions) -> Self {
         let mut cfg = opts
             .balance
@@ -168,10 +171,6 @@ impl BalanceController {
             "balanced runs require a resolved starting placement"
         );
         assert_eq!(opts.lookahead, 0, "balanced runs execute in-order");
-        assert!(
-            !opts.chk_fused,
-            "balance does not compose with chk_fused (both rewrite the verify batches)"
-        );
         let mut opts = opts.clone();
         opts.verify_interval = opts.verify_interval.clamp(cfg.k_min, cfg.k_max);
         BalanceController {

@@ -32,7 +32,7 @@ use super::shard_rt::ShardRuntime;
 use super::{DriveStyle, FactorPlan, NodeId, ScopeId, SweepKind, TaskKind};
 use crate::ops::{self, CholLayout};
 use crate::options::AbftOptions;
-use crate::schemes::{validate_options, AttemptEnd, SchemeKind};
+use crate::schemes::{provisioned_context, validate_options, AttemptEnd, SchemeKind};
 use crate::verify::VerifyOutcome;
 use hchol_faults::{InjectionPoint, Injector};
 use hchol_gpusim::profile::SystemProfile;
@@ -88,10 +88,7 @@ impl<'a> Lane<'a> {
             let policy = IssuePolicy::Lookahead(opts.lookahead);
             let order = plan.to_schedule().issue_order(policy);
             let moved = order.iter().enumerate().filter(|&(i, &p)| i != p).count();
-            let m = &mut ctx.obs.metrics;
-            m.add_count("plan.nodes", plan.len() as u64);
-            m.add_count("plan.edges", plan.edge_count() as u64);
-            m.add_count("plan.reordered", moved as u64);
+            ctx.obs.metrics.add_count("plan.reordered", moved as u64);
             order
         });
         Lane {
@@ -106,6 +103,14 @@ impl<'a> Lane<'a> {
             correcting: false,
         }
     }
+}
+
+/// Count `plan`'s size into the `plan.nodes` and `plan.edges` metrics: once
+/// per batch member, and for a lone lane only when it is reordered.
+fn count_plan<S: Scalar>(ctx: &mut SimContext<S>, plan: &FactorPlan) {
+    let m = &mut ctx.obs.metrics;
+    m.add_count("plan.nodes", plan.len() as u64);
+    m.add_count("plan.edges", plan.edge_count() as u64);
 }
 
 /// Close `span` if one is open (none ever is when scopes go unrecorded).
@@ -431,6 +436,9 @@ pub(crate) fn run_attempt<S: Scalar>(
     opts: &AbftOptions,
     mut balance: Option<&mut BalanceController>,
 ) -> Result<(AttemptEnd, VerifyOutcome), MatrixError> {
+    if opts.lookahead > 0 {
+        count_plan(ctx, plan);
+    }
     let mut lane = Lane::new(ctx, plan, lay, inj, opts);
     if let Some(ctrl) = balance.as_deref_mut() {
         let util = ctx.engine_utilization();
@@ -487,12 +495,14 @@ pub struct BatchOutcome {
 /// enqueued device work, so the batch makespan beats running the same
 /// plans back to back.
 ///
+/// Each lane issues in its own order (a request with `lookahead > 0` in
+/// its lookahead order) and, when sharded, drives its own shard runtime;
+/// the context provisions the most devices any request spans.
+///
 /// Refused with a typed [`MatrixError::UnsupportedConfig`] before anything
 /// is built: an empty batch, any request [`validate_options`] refuses, and
-/// the options a shared context cannot honour — the balance controller
-/// (it steers on whole-context engine counters, which interleaving mixes
-/// across plans), lookahead (lanes interleave in authored order) and
-/// sharding (the batch shares one device).
+/// the balance controller, whose feedback law reads whole-context engine
+/// counters, which interleaved lanes mix.
 pub fn run_batch(
     profile: &SystemProfile,
     reqs: &[BatchRequest],
@@ -506,14 +516,9 @@ pub fn run_batch(
         if r.opts.balance.is_some() {
             return refuse("batched runs do not compose with the runtime balance controller");
         }
-        if r.opts.lookahead > 0 {
-            return refuse("batched runs issue plans in authored order (lookahead must be 0)");
-        }
-        if r.opts.shard_devices() > 1 {
-            return refuse("batched runs do not compose with sharding");
-        }
     }
-    let mut ctx = SimContext::new(profile.clone(), ExecMode::TimingOnly);
+    let devices = reqs.iter().map(|r| r.opts.shard_devices()).max();
+    let mut ctx = provisioned_context(profile, devices.unwrap_or(1), ExecMode::TimingOnly);
     ctx.disable_timeline();
     if reqs.iter().any(|r| !r.opts.trace_schedule) {
         ctx.disable_trace();
@@ -529,13 +534,10 @@ pub fn run_batch(
 
     let mut members = Vec::with_capacity(reqs.len());
     for r in reqs {
-        let resolved = r.opts.resolved_for(profile, r.n, r.b);
+        let resolved = r.opts.resolved_for(ctx.profile(), r.n, r.b);
         let lay = ops::setup_batch(&mut ctx, r.n, r.b, true, resolved.placement, None)?;
         let plan = super::for_scheme(r.kind, lay.nt, &resolved, false);
-        ctx.obs.metrics.add_count("plan.nodes", plan.len() as u64);
-        ctx.obs
-            .metrics
-            .add_count("plan.edges", plan.edge_count() as u64);
+        count_plan(&mut ctx, &plan);
         members.push((plan, lay, Injector::inert(), resolved));
     }
     let mut lanes: Vec<Lane<'_>> = members
@@ -588,6 +590,7 @@ mod tests {
             ),
             ("lookahead 2", base.clone().with_lookahead(2), 1),
             ("batch x2", base.clone(), 2),
+            ("batch x2 lookahead 2", base.clone().with_lookahead(2), 2),
             ("cpu", base.clone().with_placement(Cpu), 1),
             ("inline", base.clone().with_placement(Inline), 1),
         ];

@@ -27,6 +27,11 @@
 //! batches are split per owner device, and each iteration ends with a
 //! [`TaskKind::ShardParity`] refresh of the column it finalized — the
 //! state device-loss recovery reconstructs from.
+//!
+//! Fused checksum epilogues (`chk_fused`) need nothing more: device `d`'s
+//! GEMM shard writes only rows `i` with `owner(i) = d`, and `cks[i]` lives
+//! on `owner(i)`, so every deposit lands in a local checksum row, and a
+//! fused verify batch split per owner stays fused.
 
 use super::{FactorPlan, NodeId, PlanNode, ScopeId, ShardSpec, ShardXfer, TaskKind};
 
@@ -66,10 +71,7 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
             match plan.node(id).kind {
                 // The panel GEMM becomes one copy per device (none at
                 // j = 0, where it is a no-op).
-                TaskKind::GemmPanel {
-                    dev: None, fused, ..
-                } => {
-                    assert!(!fused, "sharding does not compose with chk_fused");
+                TaskKind::GemmPanel { dev: None, .. } => {
                     split_panel_node(plan, id, if j > 0 { &with_rows } else { &[] });
                 }
                 // Diagonal broadcast + per-device TRSM copies.
@@ -142,7 +144,6 @@ fn split_verify_batches(plan: &mut FactorPlan, spec: ShardSpec) {
             else {
                 continue;
             };
-            assert!(!*fused, "sharding does not compose with chk_fused");
             // Group by owner, in order of first appearance (deterministic).
             let mut groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
             for &(bi, bj) in tiles.iter() {
@@ -154,14 +155,14 @@ fn split_verify_batches(plan: &mut FactorPlan, spec: ShardSpec) {
             }
             // The first group shrinks the batch; the rest follow as fresh
             // batches under the same scope span.
-            let (sweep, depth) = (*sweep, *depth);
+            let (sweep, fused, depth) = (*sweep, *fused, *depth);
             let mut groups = groups.into_iter().map(|(_, g)| g);
             *tiles = groups.next().unwrap_or_default();
             for tiles in groups {
                 let batch = TaskKind::VerifyBatch {
                     tiles,
                     sweep,
-                    fused: false,
+                    fused,
                     depth,
                 };
                 plan.push(batch, scope, iter);

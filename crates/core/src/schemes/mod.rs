@@ -154,62 +154,51 @@ impl<S: Scalar> FactorOutcome<S> {
 /// combination is refused here with a typed
 /// [`MatrixError::UnsupportedConfig`]; a combination this function accepts
 /// must produce a plan that passes the static checkers — the property the
-/// config-space proptest pins. Called by [`run_scheme`] and by the static
-/// analysis sweeps so drivers and checkers agree on the legal space.
+/// config-space proptest pins. Called by [`run_scheme`], [`crate::plan::exec::run_batch`]
+/// and the static analysis sweeps so drivers and checkers agree on the
+/// legal space.
 ///
-/// The rules (documented in DESIGN.md §12 and §13):
+/// Each refusal guards an impossibility (DESIGN.md §12.5):
 ///
-/// * Sharding composes with neither the runtime balance controller (its
-///   feedback law and migration path assume one device) nor the fused
-///   checksum epilogues (a fused kernel cannot deposit into another
-///   device's checksum row), and pins checksum work to the GPUs (`Auto`
-///   resolves to `Gpu`; an explicit host-side placement is refused).
-/// * The balance controller rewrites the plan mid-run, which requires
-///   in-order issue (`lookahead == 0`) and excludes `chk_fused` (both
-///   rewrites would fight over the same verify batches).
-/// * A run spans at most 1024 devices: the simulator provisions each
-///   device's scheduler, lanes and streams up front, so an unbounded `D`
-///   is refused instead of exhausting memory.
+/// * More than 1024 devices: the simulator provisions each device's
+///   scheduler, lanes and streams up front, so an unbounded `D` would
+///   exhaust memory instead of failing.
+/// * Sharding × balance: the placement law can propose `Cpu`, and a
+///   sharded plan cannot host CPU mirrors.
+/// * Sharding × `Cpu` placement: a panel mirror would read rows homed on
+///   other devices over one device's PCIe link. (`Auto` resolves to `Gpu`
+///   when sharded; `Inline` runs on the owning GPU's compute stream.)
+/// * Balance × lookahead: a rewrite cuts the tail at the cursor's authored
+///   position, and a lookahead order has already issued later-iteration
+///   nodes.
 pub fn validate_options(opts: &AbftOptions) -> Result<(), MatrixError> {
+    let refuse = |why| Err(MatrixError::UnsupportedConfig(why));
+    let sharded = opts.shard_devices() > 1;
     if opts.shard_devices() > 1024 {
-        return Err(MatrixError::UnsupportedConfig(
-            "sharding over more than 1024 devices (each is provisioned up front)",
-        ));
+        return refuse("sharding over more than 1024 devices (each is provisioned up front)");
     }
-    if opts.shard_devices() > 1 {
-        if opts.balance.is_some() {
-            return Err(MatrixError::UnsupportedConfig(
-                "sharding does not compose with the runtime balance controller",
-            ));
-        }
-        if opts.chk_fused {
-            return Err(MatrixError::UnsupportedConfig(
-                "sharding does not compose with fused checksum epilogues (chk_fused)",
-            ));
-        }
-        use crate::options::ChecksumPlacement;
-        if matches!(
-            opts.placement,
-            ChecksumPlacement::Cpu | ChecksumPlacement::Inline
-        ) {
-            return Err(MatrixError::UnsupportedConfig(
-                "sharded runs keep checksum updates on the owning GPU (placement must be Gpu or Auto)",
-            ));
-        }
+    if sharded && opts.balance.is_some() {
+        return refuse("sharding does not compose with the runtime balance controller");
     }
-    if opts.balance.is_some() {
-        if opts.chk_fused {
-            return Err(MatrixError::UnsupportedConfig(
-                "the runtime balance controller does not compose with fused checksum epilogues (chk_fused)",
-            ));
-        }
-        if opts.lookahead > 0 {
-            return Err(MatrixError::UnsupportedConfig(
-                "balanced runs execute in-order (lookahead must be 0)",
-            ));
-        }
+    if sharded && opts.placement == crate::options::ChecksumPlacement::Cpu {
+        return refuse(
+            "sharded runs keep checksum updates on the owning GPU (placement must not be Cpu)",
+        );
+    }
+    if opts.balance.is_some() && opts.lookahead > 0 {
+        return refuse("balanced runs execute in-order (lookahead must be 0)");
     }
     Ok(())
+}
+
+/// A context on `profile`, provisioned with at least `devices` devices.
+pub(crate) fn provisioned_context<S: Scalar>(
+    profile: &SystemProfile,
+    devices: usize,
+    mode: ExecMode,
+) -> SimContext<S> {
+    let devices = devices.max(profile.devices);
+    SimContext::new_typed(profile.clone().with_devices(devices), mode)
 }
 
 /// Run `kind` on the given system at size `n`, block `b`, with the fault
@@ -258,14 +247,7 @@ pub fn run_scheme_typed<S: Scalar>(
     validate_options(opts)?;
     let devices = opts.shard_devices();
     plan.fits(n, b, devices)?;
-    let provisioned;
-    let profile = if devices > profile.devices {
-        provisioned = profile.clone().with_devices(devices);
-        &provisioned
-    } else {
-        profile
-    };
-    let mut ctx = SimContext::<S>::new_typed(profile.clone(), mode);
+    let mut ctx = provisioned_context::<S>(profile, devices, mode);
     if !opts.record_timeline {
         ctx.disable_timeline();
     }
@@ -279,7 +261,7 @@ pub fn run_scheme_typed<S: Scalar>(
         .obs
         .spans
         .open(format!("{} n={n} b={b}", kind.name()), Phase::Run, 0.0);
-    let resolved = opts.resolved_for(profile, n, b);
+    let resolved = opts.resolved_for(ctx.profile(), n, b);
     let mut lay = scope!(
         ctx,
         "setup",

@@ -10,6 +10,7 @@
 use hchol::prelude::*;
 use hchol_analyze::check_plan;
 use hchol_core::options::BalanceOptions as B;
+use hchol_core::plan::TaskKind;
 use hchol_faults::{FaultKind, FaultSpec, FaultTarget, InjectionPoint};
 
 fn fault_at(iter: usize, bi: usize, bj: usize, kind: FaultKind) -> FaultSpec {
@@ -173,48 +174,65 @@ fn adaptive_k_stays_in_bounds_under_faults() {
 /// Contract re-proof: every plan the balancer rewrote mid-run — placement
 /// migrations and K re-gating alike — still passes the static ABFT
 /// checker, under the verify-interval contract matching the K the rewrite
-/// installed.
+/// installed. With `chk_fused` on, each rewritten tail is fused again by
+/// the planner's own pass, and the recorded program stays race-free.
 #[test]
 fn every_rewritten_plan_passes_the_static_checker() {
-    let plan = FaultPlan::single(fault_at(7, 9, 7, FaultKind::storage()));
-    let out = run_scheme(
-        SchemeKind::Enhanced,
-        &SystemProfile::tardis_skewed(),
-        ExecMode::TimingOnly,
-        2048,
-        128,
-        &adaptive(
-            B::default()
-                .with_update_interval(2)
-                .with_k_bounds(1, 4)
-                .with_record_plans(true),
-        ),
-        plan,
-        None,
-    )
-    .expect("balanced run");
-    let log = out.balance_log.as_ref().unwrap();
-    assert!(
-        !log.rewrites.is_empty(),
-        "the run must have rewritten the plan at least once: {:?}",
-        log.decisions
-    );
-    // A rewrite only re-gates *future* iterations, so a plan that was ever
-    // gated at K > 1 keeps relaxed-rule obligations in its executed prefix
-    // even after K returns to 1: each snapshot is checked under the
-    // loosest interval installed so far (K=1 throughout ⇒ the full rule).
-    let mut loosest = 1usize;
-    for rw in &log.rewrites {
-        loosest = loosest.max(rw.k);
-        let opts = out.opts.clone().with_interval(loosest);
-        let check = check_plan(SchemeKind::Enhanced, &rw.plan, &opts);
+    for fused in [false, true] {
+        let plan = FaultPlan::single(fault_at(7, 9, 7, FaultKind::storage()));
+        let out = run_scheme(
+            SchemeKind::Enhanced,
+            &SystemProfile::tardis_skewed(),
+            ExecMode::TimingOnly,
+            2048,
+            128,
+            &adaptive(
+                B::default()
+                    .with_update_interval(2)
+                    .with_k_bounds(1, 4)
+                    .with_record_plans(true),
+            )
+            .with_chk_fused(fused),
+            plan,
+            None,
+        )
+        .expect("balanced run");
+        let log = out.balance_log.as_ref().unwrap();
         assert!(
-            check.is_clean(),
-            "rewrite at iter {} (K={}, {:?}) violates the contract:\n{}",
-            rw.at_iter,
-            rw.k,
-            rw.placement,
-            check.render_text()
+            !log.rewrites.is_empty(),
+            "fused={fused}: the run must have rewritten the plan at least once: {:?}",
+            log.decisions
+        );
+        // A rewrite only re-gates *future* iterations, so a plan that was ever
+        // gated at K > 1 keeps relaxed-rule obligations in its executed prefix
+        // even after K returns to 1: each snapshot is checked under the
+        // loosest interval installed so far (K=1 throughout ⇒ the full rule).
+        let mut loosest = 1usize;
+        for rw in &log.rewrites {
+            loosest = loosest.max(rw.k);
+            let opts = out.opts.clone().with_interval(loosest);
+            let check = check_plan(SchemeKind::Enhanced, &rw.plan, &opts);
+            assert!(
+                check.is_clean(),
+                "fused={fused}: rewrite at iter {} (K={}, {:?}) violates the contract:\n{}",
+                rw.at_iter,
+                rw.k,
+                rw.placement,
+                check.render_text()
+            );
+            let fused_batches = rw.plan.order().iter().any(|&id| {
+                matches!(
+                    rw.plan.node(id).kind,
+                    TaskKind::VerifyBatch { fused: true, .. }
+                )
+            });
+            assert_eq!(fused_batches, fused, "iter {}: fused tail", rw.at_iter);
+        }
+        let analysis = hchol_analyze::analyze_outcome(&out);
+        assert!(
+            analysis.is_clean(),
+            "fused={fused}:\n{}",
+            analysis.render_text()
         );
     }
 }
@@ -275,6 +293,34 @@ fn balanced_execute_run_matches_static_factor() {
         f1.as_slice(),
         f2.as_slice(),
         "balancing must not perturb numerics"
+    );
+    // Fused epilogues under the balancer: the same bits clean, and a
+    // storage fault corrected in place without a restart.
+    let fused =
+        adaptive(B::default().with_update_interval(1).with_k_bounds(1, 2)).with_chk_fused(true);
+    let run = |plan| {
+        let p = SystemProfile::tardis_skewed();
+        run_scheme(
+            SchemeKind::Enhanced,
+            &p,
+            ExecMode::Execute,
+            n,
+            b,
+            &fused,
+            plan,
+            Some(&a),
+        )
+        .expect("balanced fused run")
+    };
+    let clean = run(FaultPlan::none());
+    assert!(clean.ctx.obs.metrics.count("verify.fused.batches") > 0);
+    assert_eq!(f1.as_slice(), clean.factor.unwrap().as_slice());
+    let faulted = run(FaultPlan::single(fault_at(2, 4, 1, FaultKind::storage())));
+    assert!(!faulted.failed);
+    assert_eq!(faulted.attempts, 1);
+    assert!(
+        faulted.verify.corrected_data > 0,
+        "the fault must be corrected"
     );
 }
 

@@ -110,46 +110,51 @@ proptest! {
 
 /// The composition matrix is the same gate `run_scheme` applies: a
 /// `validate_options` refusal and a `run_scheme` refusal agree, reason
-/// for reason.
+/// for reason. The list is every refusal arm `validate_options` has; the
+/// combinations it no longer refuses run.
 #[test]
 fn run_scheme_refusals_match_validate_options() {
     use hchol_gpusim::profile::SystemProfile;
     use hchol_gpusim::ExecMode;
-    let refused = [
-        AbftOptions::default()
-            .with_shard(ShardOptions::new(2))
-            .with_balance(BalanceOptions::default()),
-        AbftOptions::default()
-            .with_shard(ShardOptions::new(2))
-            .with_chk_fused(true),
-        AbftOptions::default()
-            .with_shard(ShardOptions::new(2))
-            .with_placement(ChecksumPlacement::Cpu),
-        AbftOptions::default()
-            .with_balance(BalanceOptions::default())
-            .with_chk_fused(true),
-        {
-            let mut o = AbftOptions::default().with_balance(BalanceOptions::default());
-            o.lookahead = 2;
-            o
-        },
-    ];
-    for opts in refused {
-        let expect = validate_options(&opts).expect_err("matrix refuses");
-        let got = match hchol_core::run_scheme(
+    let run = |opts: &AbftOptions| {
+        hchol_core::run_scheme(
             SchemeKind::Enhanced,
             &SystemProfile::test_profile(),
             ExecMode::TimingOnly,
             96,
             16,
-            &opts,
+            opts,
             hchol_faults::FaultPlan::none(),
             None,
-        ) {
+        )
+    };
+    let sharded = AbftOptions::default().with_shard(ShardOptions::new(2));
+    let refused = [
+        AbftOptions::default().with_shard(ShardOptions::new(1025)),
+        sharded.clone().with_balance(BalanceOptions::default()),
+        sharded.clone().with_placement(ChecksumPlacement::Cpu),
+        AbftOptions::default()
+            .with_balance(BalanceOptions::default())
+            .with_lookahead(2),
+    ];
+    for opts in refused {
+        let expect = validate_options(&opts).expect_err("matrix refuses");
+        let got = match run(&opts) {
             Err(e) => e,
             Ok(_) => panic!("run_scheme must refuse {opts:?}"),
         };
         assert_eq!(format!("{expect:?}"), format!("{got:?}"));
+    }
+    let composed = [
+        sharded.clone().with_chk_fused(true),
+        sharded.clone().with_placement(ChecksumPlacement::Inline),
+        AbftOptions::default()
+            .with_balance(BalanceOptions::default())
+            .with_chk_fused(true),
+    ];
+    for opts in composed {
+        assert_eq!(validate_options(&opts), Ok(()), "{opts:?}");
+        assert!(run(&opts).is_ok(), "run_scheme must run {opts:?}");
     }
 }
 

@@ -67,20 +67,48 @@ fn batch_of_four_beats_sequential() {
 }
 
 /// Mixed batches work: different schemes (different plan shapes and node
-/// counts) interleave in one context without tripping the race detector.
+/// counts) interleave in one context without tripping the race detector —
+/// in authored order, with each lane in its own lookahead order, and with
+/// each lane sharded over its own devices. The batch counts each member
+/// plan's size once, reordered or not.
 #[test]
 fn mixed_scheme_batch_is_race_free() {
+    use hchol::core::options::ShardOptions;
     let p = SystemProfile::test_profile();
-    let reqs = vec![
-        batch_request(SchemeKind::Enhanced, 256, 64),
-        batch_request(SchemeKind::Online, 256, 64),
-        batch_request(SchemeKind::Offline, 256, 64),
+    let d = AbftOptions::default;
+    let configs = [
+        ("in order", d()),
+        ("lookahead 2", d().with_lookahead(2)),
+        ("D = 2", d().with_shard(ShardOptions::new(2))),
     ];
-    let batch = run_batch(&p, &reqs).expect("batch runs");
-    assert!(batch.time.as_secs() > 0.0);
-    let analysis = hchol_analyze::analyze_schedule(&batch.ctx.log);
-    assert!(analysis.ops > 0, "batch must record a program");
-    assert!(analysis.is_clean(), "{}", analysis.render_text());
+    for (what, opts) in configs {
+        let reqs: Vec<BatchRequest> = SchemeKind::all()
+            .into_iter()
+            .map(|kind| BatchRequest {
+                opts: opts.clone(),
+                ..batch_request(kind, 256, 64)
+            })
+            .collect();
+        let batch = run_batch(&p, &reqs).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        assert!(batch.time.as_secs() > 0.0);
+        let analysis = hchol_analyze::analyze_schedule(&batch.ctx.log);
+        assert!(analysis.ops > 0, "{what}: batch must record a program");
+        assert!(analysis.is_clean(), "{what}:\n{}", analysis.render_text());
+        let m = &batch.ctx.obs.metrics;
+        let reordered = m.count("plan.reordered") > 0;
+        assert_eq!(reordered, opts.lookahead > 0, "{what}: reordered nodes");
+        let sharded = (opts.shard_devices() > 1).then_some(2.0);
+        assert_eq!(m.gauge("shard.devices"), sharded, "{what}: sharded lanes");
+        let (mut nodes, mut edges) = (0, 0);
+        for r in &reqs {
+            let resolved = r.opts.resolved_for(&p, r.n, r.b);
+            let plan = hchol::core::plan::for_scheme(r.kind, r.n / r.b, &resolved, false);
+            nodes += plan.len() as u64;
+            edges += plan.edge_count() as u64;
+        }
+        assert_eq!(m.count("plan.nodes"), nodes, "{what}: plan nodes");
+        assert_eq!(m.count("plan.edges"), edges, "{what}: plan edges");
+    }
 }
 
 /// Lookahead issue actually reorders nodes, never regresses the makespan,
@@ -195,11 +223,12 @@ fn batch_refuses_what_it_cannot_honour() {
     let cases = [
         ("empty batch", Vec::new()),
         ("balance", with(d().with_balance(BalanceOptions::default()))),
-        ("lookahead", with(d().with_lookahead(2))),
-        ("shard", with(d().with_shard(ShardOptions::new(2)))),
         (
             "a combination validate_options refuses",
-            with(d().with_shard(ShardOptions::new(2)).with_chk_fused(true)),
+            with(
+                d().with_shard(ShardOptions::new(2))
+                    .with_placement(ChecksumPlacement::Cpu),
+            ),
         ),
     ];
     for (what, reqs) in cases {

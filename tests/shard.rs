@@ -36,6 +36,20 @@ fn sharded_opts(d: usize) -> AbftOptions {
     gpu_opts().with_shard(ShardOptions::new(d))
 }
 
+/// The unsharded options sharding composes with: GPU updates, fused
+/// epilogues (every deposit lands in a checksum row the depositing device
+/// owns) and inline updates (on the owning GPU's compute stream).
+fn composed_opts() -> [(&'static str, AbftOptions); 3] {
+    [
+        ("gpu", gpu_opts()),
+        ("fused", gpu_opts().with_chk_fused(true)),
+        (
+            "inline",
+            AbftOptions::default().with_placement(ChecksumPlacement::Inline),
+        ),
+    ]
+}
+
 /// Factor hash of the plain (unsharded) GPU-placement run.
 fn baseline_hash(kind: SchemeKind, n: usize, b: usize) -> u64 {
     let a = spd_diag_dominant(n, 7);
@@ -59,27 +73,32 @@ fn sharded_factor_bits_match_unsharded_for_all_schemes() {
     let b = 32;
     for kind in SchemeKind::all() {
         let want = baseline_hash(kind, n, b);
-        for d in [2usize, 4] {
-            let a = spd_diag_dominant(n, 7);
-            let out = run_clean(
-                kind,
-                &SystemProfile::tardis(),
-                ExecMode::Execute,
-                n,
-                b,
-                &sharded_opts(d),
-                Some(&a),
-            )
-            .unwrap_or_else(|e| panic!("{kind:?} D={d}: {e}"));
-            assert!(!out.failed, "{kind:?} D={d} failed");
-            assert_eq!(
-                hash_factor(out.factor.as_ref().unwrap()),
-                want,
-                "{kind:?} D={d}: sharded factor bits diverged"
-            );
-            let m = &out.ctx.obs.metrics;
-            assert_eq!(m.gauge("shard.devices"), Some(d as f64));
-            assert!(m.count("shard.link.transfers") > 0);
+        for (name, opts) in composed_opts() {
+            for d in [2usize, 3, 4] {
+                let a = spd_diag_dominant(n, 7);
+                let out = run_clean(
+                    kind,
+                    &SystemProfile::tardis(),
+                    ExecMode::Execute,
+                    n,
+                    b,
+                    &opts.clone().with_shard(ShardOptions::new(d)),
+                    Some(&a),
+                )
+                .unwrap_or_else(|e| panic!("{kind:?} {name} D={d}: {e}"));
+                assert!(!out.failed, "{kind:?} {name} D={d} failed");
+                assert_eq!(out.opts.placement, opts.placement, "{name}: placement kept");
+                assert_eq!(
+                    hash_factor(out.factor.as_ref().unwrap()),
+                    want,
+                    "{kind:?} {name} D={d}: sharded factor bits diverged"
+                );
+                let m = &out.ctx.obs.metrics;
+                assert_eq!(m.gauge("shard.devices"), Some(d as f64));
+                assert!(m.count("shard.link.transfers") > 0);
+                let fused = m.count("verify.fused.batches") > 0;
+                assert_eq!(fused, opts.chk_fused && kind == SchemeKind::Enhanced);
+            }
         }
     }
 }
@@ -289,9 +308,33 @@ fn non_composing_options_are_refused() {
         }
     };
     refuse(&sharded_opts(2).with_balance(Default::default()));
-    refuse(&sharded_opts(2).with_chk_fused(true));
     refuse(&sharded_opts(2).with_placement(ChecksumPlacement::Cpu));
-    refuse(&sharded_opts(2).with_placement(ChecksumPlacement::Inline));
+}
+
+#[test]
+fn device_loss_under_fused_epilogues_recovers_in_one_attempt() {
+    let (n, b) = (256, 32);
+    let a = spd_diag_dominant(n, 7);
+    let opts = sharded_opts(3).with_chk_fused(true);
+    let out = run_scheme(
+        SchemeKind::Enhanced,
+        &SystemProfile::tardis(),
+        ExecMode::Execute,
+        n,
+        b,
+        &opts,
+        FaultPlan::device_loss(1, 3),
+        Some(&a),
+    )
+    .expect("fused device-loss run");
+    assert!(!out.failed);
+    assert_eq!(out.attempts, 1, "recovery must not restart the run");
+    assert!(out.ctx.obs.metrics.count("shard.recovered_tiles") > 0);
+    assert_eq!(
+        hash_factor(out.factor.as_ref().unwrap()),
+        baseline_hash(SchemeKind::Enhanced, n, b),
+        "fused factor bits diverged after device loss"
+    );
 }
 
 #[test]
@@ -303,28 +346,30 @@ fn sharded_schedules_are_race_free_and_conformant() {
     // conformant with its ABFT protocol, now across device boundaries.
     use hchol_analyze::{analyze_outcome, Protocol};
     for kind in SchemeKind::all() {
-        for d in [2usize, 4] {
-            let out = run_clean(
-                kind,
-                &SystemProfile::tardis(),
-                ExecMode::TimingOnly,
-                256,
-                32,
-                &sharded_opts(d),
-                None,
-            )
-            .unwrap();
-            let analysis = analyze_outcome(&out);
-            assert_eq!(
-                analysis.protocol,
-                Some(Protocol::for_scheme(kind)),
-                "{kind:?} D={d}: clean sharded run must get the strict check"
-            );
-            assert!(
-                analysis.is_clean(),
-                "{kind:?} D={d}:\n{}",
-                analysis.render_text()
-            );
+        for (name, opts) in composed_opts() {
+            for d in [2usize, 3, 4] {
+                let out = run_clean(
+                    kind,
+                    &SystemProfile::tardis(),
+                    ExecMode::TimingOnly,
+                    256,
+                    32,
+                    &opts.clone().with_shard(ShardOptions::new(d)),
+                    None,
+                )
+                .unwrap();
+                let analysis = analyze_outcome(&out);
+                assert_eq!(
+                    analysis.protocol,
+                    Some(Protocol::for_scheme(kind)),
+                    "{kind:?} {name} D={d}: clean sharded run must get the strict check"
+                );
+                assert!(
+                    analysis.is_clean(),
+                    "{kind:?} {name} D={d}:\n{}",
+                    analysis.render_text()
+                );
+            }
         }
     }
 }
