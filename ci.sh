@@ -81,7 +81,7 @@ cargo run --release -q -p hchol-analyze --bin plan_check > /dev/null
 step "static fault-coverage sweep (every site proven) -> COVERAGE_static.json"
 cargo run --release -q -p hchol-analyze --bin coverage_check > /dev/null
 
-step "liveness sweep (deadlock-freedom + receive-completeness, all schemes, nt = 6 8 40 80)"
+step "liveness sweep (deadlock-freedom + receive-completeness, all schemes x config cross x lookahead {0, 2}, nt = 6 8 40 80)"
 cargo run --release -q -p hchol-analyze --bin liveness_check > /dev/null
 
 # Mutation controls: each deliberately broken plan MUST be caught (the

@@ -1,20 +1,24 @@
 //! Static liveness gate: `cargo run -p hchol-analyze --bin
 //! liveness_check`.
 //!
-//! Sweeps grid size × scheme × shard grid `D ∈ {1, 2, 4}` × issue policy
-//! (in-order and lookahead-2), unions each plan's dependency edges with
-//! the executor's induced orderings, and proves deadlock-freedom and
-//! receive-completeness ([`hchol_analyze::liveness`]). Prints the
-//! window-fallback counts the lookahead diagnostics report and exits
-//! nonzero on any finding so CI can gate on it.
+//! Sweeps grid size × scheme × the shared configuration cross
+//! ([`hchol_analyze::config_cross`]: verify interval × fused checksum
+//! epilogues × placement × shard grid) × issue policy (in-order and
+//! lookahead-2), unions each plan's dependency edges with the executor's
+//! induced orderings, and proves deadlock-freedom and receive-completeness
+//! ([`hchol_analyze::liveness`]). Combinations the composition matrix
+//! refuses (DESIGN.md §12.5) are skipped — `validate_options` is the same
+//! gate `run_scheme` applies. Prints the window-fallback counts the
+//! lookahead diagnostics report and exits nonzero on any finding so CI can
+//! gate on it.
 //!
 //! Usage: `liveness_check [nt ...]` — grid sizes default to 6 8 40 80,
 //! the largest grid `plan_check` sweeps too.
 
-use hchol_analyze::check_liveness;
-use hchol_core::options::AbftOptions;
+use hchol_analyze::{check_liveness, config_cross};
 use hchol_core::plan::for_scheme;
 use hchol_core::schemes::SchemeKind;
+use hchol_core::validate_options;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -28,20 +32,20 @@ fn main() -> ExitCode {
     let mut findings = 0usize;
     for &nt in &grids {
         for kind in SchemeKind::all() {
-            for d in [1usize, 2, 4] {
+            for cross in config_cross(kind).filter(|o| validate_options(o).is_ok()) {
                 for la in [0usize, 2] {
-                    let mut opts = AbftOptions::default()
-                        .with_placement(hchol_core::options::ChecksumPlacement::Gpu);
-                    opts.lookahead = la;
-                    if d > 1 {
-                        opts = opts.with_shard(hchol_core::options::ShardOptions::new(d));
-                    }
+                    let opts = cross.clone().with_lookahead(la);
                     let plan = for_scheme(kind, nt, &opts, false);
                     let rep = check_liveness(kind, &plan, &opts);
                     println!(
-                        "liveness_check: {} nt={nt} D={d} lookahead={la}: {} nodes, \
-                         {} plan edges + {} induced, {} window fallback(s), {} finding(s)",
+                        "liveness_check: {} nt={nt} K={} fused={} {:?} D={} lookahead={la}: \
+                         {} nodes, {} plan edges + {} induced, {} window fallback(s), \
+                         {} finding(s)",
                         kind.name(),
+                        opts.verify_interval,
+                        opts.chk_fused,
+                        opts.placement,
+                        opts.shard_devices(),
                         rep.nodes,
                         rep.plan_edges,
                         rep.induced_edges,

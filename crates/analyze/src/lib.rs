@@ -67,12 +67,12 @@ use hchol_core::options::{AbftOptions, ChecksumPlacement, ShardOptions};
 use hchol_core::schemes::SchemeKind;
 
 /// The configuration cross the static sweeps (`plan_check`,
-/// `coverage_check`) iterate for `kind`: verify interval `K ∈ {1, 4}` ×
-/// fused checksum epilogues (Enhanced only; the other schemes ignore the
-/// flag) × placement `{Gpu, Cpu, Inline}` × shard grid `D ∈ {1, 2, 4}`,
-/// nested in that order. It includes the combinations
+/// `coverage_check`, `liveness_check`) iterate for `kind`: verify interval
+/// `K ∈ {1, 4}` × fused checksum epilogues (Enhanced only; the other
+/// schemes ignore the flag) × placement `{Gpu, Cpu, Inline}` × shard grid
+/// `D ∈ {1, 2, 4}`, nested in that order. It includes the combinations
 /// [`hchol_core::validate_options`] refuses: `coverage_check` counts them
-/// as refused, `plan_check` skips them.
+/// as refused, `plan_check` and `liveness_check` skip them.
 pub fn config_cross(kind: SchemeKind) -> impl Iterator<Item = AbftOptions> {
     let fused = if kind == SchemeKind::Enhanced {
         &[false, true][..]

@@ -496,9 +496,11 @@ impl FactorPlan {
 
     /// Replace everything from the first node of iteration `from_iter` on
     /// by `fresh`'s nodes from *its* first node of that iteration on
-    /// (scopes re-registered here). Positions before the cut keep their
-    /// nodes, so a cursor standing on the cut stays valid.
-    pub(crate) fn replace_tail(&mut self, from_iter: usize, fresh: &FactorPlan) {
+    /// (scopes re-registered here), and return the position the new tail
+    /// starts at (the plan's length when `from_iter` has no nodes).
+    /// Positions before the cut keep their nodes, so a cursor standing on
+    /// the cut stays valid.
+    pub(crate) fn replace_tail(&mut self, from_iter: usize, fresh: &FactorPlan) -> usize {
         let mut cut = false;
         self.rewrite(|plan, run| {
             cut |= plan.nodes[run[0].0].iter == Some(from_iter);
@@ -506,6 +508,7 @@ impl FactorPlan {
                 run.iter().for_each(|&id| plan.keep(id));
             }
         });
+        let at = self.order.len();
         let mut scopes: HashMap<ScopeId, ScopeId> = HashMap::new();
         let tail = fresh
             .order
@@ -521,6 +524,7 @@ impl FactorPlan {
             });
             self.push(n.kind.clone(), scope, n.iter);
         }
+        at
     }
 
     /// The node behind an id.

@@ -163,30 +163,18 @@ impl<S: Scalar> FactorOutcome<S> {
 /// * More than 1024 devices: the simulator provisions each device's
 ///   scheduler, lanes and streams up front, so an unbounded `D` would
 ///   exhaust memory instead of failing.
-/// * Sharding × balance: the placement law can propose `Cpu`, and a
-///   sharded plan cannot host CPU mirrors.
 /// * Sharding × `Cpu` placement: a panel mirror would read rows homed on
 ///   other devices over one device's PCIe link. (`Auto` resolves to `Gpu`
 ///   when sharded; `Inline` runs on the owning GPU's compute stream.)
-/// * Balance × lookahead: a rewrite cuts the tail at the cursor's authored
-///   position, and a lookahead order has already issued later-iteration
-///   nodes.
 pub fn validate_options(opts: &AbftOptions) -> Result<(), MatrixError> {
     let refuse = |why| Err(MatrixError::UnsupportedConfig(why));
-    let sharded = opts.shard_devices() > 1;
     if opts.shard_devices() > 1024 {
         return refuse("sharding over more than 1024 devices (each is provisioned up front)");
     }
-    if sharded && opts.balance.is_some() {
-        return refuse("sharding does not compose with the runtime balance controller");
-    }
-    if sharded && opts.placement == crate::options::ChecksumPlacement::Cpu {
+    if opts.shard_devices() > 1 && opts.placement == crate::options::ChecksumPlacement::Cpu {
         return refuse(
             "sharded runs keep checksum updates on the owning GPU (placement must not be Cpu)",
         );
-    }
-    if opts.balance.is_some() && opts.lookahead > 0 {
-        return refuse("balanced runs execute in-order (lookahead must be 0)");
     }
     Ok(())
 }

@@ -131,11 +131,7 @@ fn run_scheme_refusals_match_validate_options() {
     let sharded = AbftOptions::default().with_shard(ShardOptions::new(2));
     let refused = [
         AbftOptions::default().with_shard(ShardOptions::new(1025)),
-        sharded.clone().with_balance(BalanceOptions::default()),
         sharded.clone().with_placement(ChecksumPlacement::Cpu),
-        AbftOptions::default()
-            .with_balance(BalanceOptions::default())
-            .with_lookahead(2),
     ];
     for opts in refused {
         let expect = validate_options(&opts).expect_err("matrix refuses");
@@ -151,6 +147,10 @@ fn run_scheme_refusals_match_validate_options() {
         AbftOptions::default()
             .with_balance(BalanceOptions::default())
             .with_chk_fused(true),
+        sharded.clone().with_balance(BalanceOptions::default()),
+        AbftOptions::default()
+            .with_balance(BalanceOptions::default())
+            .with_lookahead(2),
     ];
     for opts in composed {
         assert_eq!(validate_options(&opts), Ok(()), "{opts:?}");
@@ -180,7 +180,6 @@ fn unnormalised_balance_literals_run() {
             k_min: 0,
             k_max: 0,
             update_interval: 0,
-            ..Default::default()
         },
     ];
     for lit in literals {
@@ -258,10 +257,6 @@ fn every_options_literal_runs_or_is_refused() {
             (
                 format!("report_recalc_secs {on}"),
                 with(&|o| o.report_recalc_secs = on),
-            ),
-            (
-                format!("record_plans {on}"),
-                balanced(&|b| b.record_plans = on),
             ),
         ]);
     }
