@@ -336,7 +336,7 @@ pub struct EngineUtilization {
 
 /// Normalized utilization of one execution window (see
 /// [`EngineUtilization::window_since`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineWindow {
     /// Wall-clock (virtual) length of the window, seconds.
     pub wall_secs: f64,
